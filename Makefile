@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race fuzz-smoke bench bench-smoke metrics-check chaos-smoke serve clean
+.PHONY: check vet lint fmt-check build test race fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
 
 # check is the tier-1 gate: formatting, vet, the project-invariant lint
 # suite, build, and the full test tree under -race.
@@ -60,6 +60,21 @@ bench-smoke:
 	$(GO) run ./cmd/annoda-bench -exp E18 -genes 200 -json /dev/null
 	$(GO) run ./cmd/annoda-bench -exp E19 -genes 200 -json /dev/null
 	$(GO) run ./cmd/annoda-bench -exp E20 -genes 200 -json /dev/null
+
+# benchmark-check vets and tests the load harness. benchmark/ is its own
+# module (repro/benchmark), so `./...` from the root never sees it: without
+# this target nothing notices a production API change that stops the
+# harness compiling.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints production and test line counts: every tracked .go file outside
+# benchmark/ and testdata/, split on the _test.go suffix. "Production lines
+# go down" is a success metric of the round (ROADMAP aim 2).
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^benchmark/' -e '/testdata/'); \
+	echo "production: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # metrics-check boots a real server on a loopback port, scrapes GET
 # /metrics after one warm-up query, and validates the scrape as Prometheus

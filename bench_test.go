@@ -1054,8 +1054,8 @@ func BenchmarkE17_DeltaRefreshPersisted1k(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if pc, _ := sys.Manager.PersistCounters(); pc.WALAppended < int64(b.N) {
-		b.Fatalf("WAL appends %d < iterations %d", pc.WALAppended, b.N)
+	if n := sys.Manager.Metrics().Value("annoda_wal_records_appended_total"); n < int64(b.N) {
+		b.Fatalf("WAL appends %d < iterations %d", n, b.N)
 	}
 }
 
@@ -1101,8 +1101,8 @@ func BenchmarkE17_RestoreReplay32_1k(b *testing.B) {
 			b.Fatalf("churn refresh %d did not patch: %+v", r, rr)
 		}
 	}
-	if pc, _ := sys.Manager.PersistCounters(); pc.WALAppended != 32 {
-		b.Fatalf("WAL has %d records, want 32", pc.WALAppended)
+	if n := sys.Manager.Metrics().Value("annoda_wal_records_appended_total"); n != 32 {
+		b.Fatalf("WAL has %d records, want 32", n)
 	}
 	if err := st.Close(); err != nil {
 		b.Fatal(err)

@@ -470,8 +470,8 @@ func e13(c *datagen.Corpus, sys *core.System) {
 		el := obs.Since(t0)
 		seq[cf.name] = el
 		cacheCol := "disabled"
-		if counters, ok := s.Manager.CacheCounters(); ok {
-			cacheCol = fmt.Sprintf("hits=%d misses=%d", counters.Hits, counters.Misses)
+		if reg := s.Manager.Metrics(); !cf.opts.DisableCache {
+			cacheCol = fmt.Sprintf("hits=%d misses=%d", reg.Value("annoda_cache_hits_total"), reg.Value("annoda_cache_misses_total"))
 		}
 		fmt.Printf("%-10s %-12v %-14v %s\n", cf.name, el.Round(time.Millisecond),
 			(el / time.Duration(n)).Round(time.Microsecond), cacheCol)
@@ -508,8 +508,9 @@ func e13(c *datagen.Corpus, sys *core.System) {
 		conc[cf.name] = el
 		n := 8 * rounds
 		cacheCol := "disabled"
-		if counters, ok := s.Manager.CacheCounters(); ok {
-			cacheCol = fmt.Sprintf("hits=%d misses=%d shared=%d", counters.Hits, counters.Misses, counters.Shared)
+		if reg := s.Manager.Metrics(); !cf.opts.DisableCache {
+			cacheCol = fmt.Sprintf("hits=%d misses=%d shared=%d", reg.Value("annoda_cache_hits_total"),
+				reg.Value("annoda_cache_misses_total"), reg.Value("annoda_cache_shared_total"))
 		}
 		fmt.Printf("%-10s %-12v %-14v %s\n", cf.name, el.Round(time.Millisecond),
 			(el / time.Duration(n)).Round(time.Microsecond), cacheCol)
@@ -588,8 +589,8 @@ func e14(c *datagen.Corpus, sys *core.System) {
 		el := obs.Since(t)
 		line := fmt.Sprintf("  %-22s %v total, %v/question", cf.name,
 			el.Round(time.Millisecond), (el / time.Duration(len(variants))).Round(time.Microsecond))
-		if sc, ok := s.Manager.SnapshotCounters(); ok {
-			line += fmt.Sprintf("  (snapshot hits=%d misses=%d)", sc.Hits, sc.Misses)
+		if reg := s.Manager.Metrics(); !cf.opts.DisableCache {
+			line += fmt.Sprintf("  (snapshot hits=%d misses=%d)", reg.Value("annoda_snapshot_hits_total"), reg.Value("annoda_snapshot_misses_total"))
 		}
 		fmt.Println(line)
 	}
@@ -683,9 +684,10 @@ func e15(c *datagen.Corpus, sys *core.System) {
 		record("E15", "full_per_round_us", fullTime/rounds)
 	}
 	fmt.Printf("answers agree with full-rebuild ground truth: %v\n", agree)
-	dc := deltaSys.Manager.DeltaCounters()
+	reg := deltaSys.Manager.Metrics()
 	fmt.Printf("delta counters: applied=%d entities=%d full-rebuilds=%d selective-invalidations=%d\n",
-		dc.DeltasApplied, dc.EntitiesPatched, dc.FullRebuilds, dc.SelectiveInvalidations)
+		reg.Value("annoda_deltas_applied_total"), reg.Value("annoda_entities_patched_total"),
+		reg.Value("annoda_full_rebuilds_total"), reg.Value("annoda_selective_invalidations_total"))
 }
 
 // E12 — large-scale batch annotation.
@@ -873,8 +875,9 @@ func e16(c *datagen.Corpus, sys *core.System) {
 	if parFuse > 0 {
 		fmt.Printf("  speedup (seq/par): %.2fx\n", float64(seqFuse)/float64(parFuse))
 	}
-	dc := bs.Manager.DeltaCounters()
-	fmt.Printf("\nepoch counters (batch system): published=%d pins=%d\n", dc.EpochsPublished, dc.EpochPins)
+	reg := bs.Manager.Metrics()
+	fmt.Printf("\nepoch counters (batch system): published=%d pins=%d\n",
+		reg.Value("annoda_epochs_published_total"), reg.Value("annoda_epoch_pins_total"))
 }
 
 func indent(s string) string {

@@ -15,7 +15,7 @@
 //	             pinned snapshot epoch (POST {"queries": [...]})
 //	/api/object  the object view as JSON
 //	/api/refresh POST {"source": ...}: refresh one source via the delta
-//	             subsystem (or "warehouse" for the GUS-style ETL)
+//	             subsystem
 //	/api/admin/checkpoint  POST: write a durable snapshot checkpoint now
 //	             (requires -data-dir)
 //	/api/watch   GET: Server-Sent Events stream of change-feed notifications
@@ -23,17 +23,22 @@
 //	             Last-Event-ID resume); exempt from the request timeout
 //	/api/debug/traces  GET: recent and slow request traces as JSON, newest
 //	             first (`annoda traces` renders them)
-//	/metrics     Prometheus text exposition: op/stage/HTTP latency
-//	             histograms plus cache, epoch, WAL, checkpoint and feed
-//	             counters
+//	/metrics     Prometheus text exposition of the one metric registry:
+//	             op/stage/HTTP latency histograms plus cache, epoch, delta,
+//	             WAL, checkpoint, feed and per-source health counters
 //	/healthz     liveness probe
 //	/readyz      readiness probe: "ready"/"degraded" answer 200 (degraded
 //	             replicas still serve the healthy subset), "down" answers
 //	             503; -ready-strict turns degraded into 503 too
-//	/statsz      request, cache, plan-cache, delta, persistence, warehouse,
-//	             per-source health counters and the per-source statistics
+//	/statsz      the same registry gather as JSON ("metrics": every counter,
+//	             gauge and histogram _sum/_count keyed like its /metrics
+//	             line), plus per-source health and the per-source statistics
 //	             table (entities, label cardinalities, fetch EWMA, observed
 //	             pushdown selectivities)
+//
+// /api/ask, /api/query, /api/batch and /api/explain answer 400 for a bad
+// request and 503 + Retry-After when a source's open breaker refused the
+// fetch.
 //
 // Every response carries an X-Request-ID header; error bodies, panic logs
 // and timeout bodies repeat the ID so a client-side failure can be joined
@@ -93,7 +98,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/snapstore"
-	"repro/internal/warehouse"
 )
 
 var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
@@ -206,14 +210,10 @@ func main() {
 			log.Printf("no restorable snapshot in %s (%s); cold start", *dataDir, rr.Reason)
 		}
 	}
-	// The GUS-style warehouse rides along for the architecture comparison:
-	// POST /api/refresh {"source":"warehouse"} runs its ETL, and /statsz
-	// surfaces its load count and archives next to the mediator stats.
-	wh := warehouse.New(sys.Registry, sys.Global)
 
 	srv := &http.Server{
 		Addr: *addr,
-		Handler: newMuxCfg(sys, wh, muxConfig{
+		Handler: newMux(sys, muxConfig{
 			timeout:     *reqTimeout,
 			heartbeat:   *watchHeartbeat,
 			readyStrict: *readyStrict,

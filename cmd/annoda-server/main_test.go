@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,10 +15,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/faults"
+	"repro/internal/health"
 	"repro/internal/mediator"
+	"repro/internal/obs"
 	"repro/internal/snapstore"
 	"repro/internal/sources/locuslink"
-	"repro/internal/warehouse"
 )
 
 var (
@@ -34,7 +37,7 @@ func testSystem(t *testing.T) *core.System {
 			Seed: 777, Genes: 60, GoTerms: 40, Diseases: 30,
 			ConflictRate: 0.2, MissingRate: 0.1,
 		}
-		sys, err := core.New(datagen.Generate(cfg), mediator.Options{})
+		sys, err := core.New(datagen.Generate(cfg), mediator.Options{Obs: quietObs()})
 		if err != nil {
 			panic(err)
 		}
@@ -44,6 +47,31 @@ func testSystem(t *testing.T) *core.System {
 		testSysVal = sys
 	})
 	return testSysVal
+}
+
+// quietObs is the observability bundle the test systems are built with, as
+// main builds the real one: the mediator's counters and the mux's HTTP
+// series then share the registry /metrics and /statsz render.
+func quietObs() *obs.Obs { return obs.New(obs.Config{Logf: func(string, ...any) {}}) }
+
+// statszMetrics fetches /statsz and returns its "metrics" member: every
+// non-bucket sample of the registry gather, keyed like its /metrics line.
+func statszMetrics(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	rec := get(t, h, "/statsz")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /statsz = %d", rec.Code)
+	}
+	var resp struct {
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Metrics) == 0 {
+		t.Fatalf("/statsz carries no metrics: %s", rec.Body)
+	}
+	return resp.Metrics
 }
 
 func get(t *testing.T, h http.Handler, target string) *httptest.ResponseRecorder {
@@ -63,7 +91,7 @@ func postJSON(t *testing.T, h http.Handler, target, body string) *httptest.Respo
 }
 
 func TestFormPage(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET / = %d", rec.Code)
@@ -77,14 +105,14 @@ func TestFormPage(t *testing.T) {
 }
 
 func TestUnknownPathIs404(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	if rec := get(t, h, "/no/such/page"); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET /no/such/page = %d, want 404", rec.Code)
 	}
 }
 
 func TestAskHTML(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/ask?t_GO=include&t_OMIM=exclude")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /ask = %d: %s", rec.Code, rec.Body.String())
@@ -102,7 +130,7 @@ func TestAskHTML(t *testing.T) {
 }
 
 func TestAskHTMLBadCondition(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/ask?field=Organism&op=BOGUS&value=x")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad operator: got %d, want 400", rec.Code)
@@ -112,7 +140,7 @@ func TestAskHTMLBadCondition(t *testing.T) {
 // TestAskHTMLEscaping: user input reflected into the page must come back
 // entity-escaped, never as live markup.
 func TestAskHTMLEscaping(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	payload := `<script>alert(1)</script>`
 	tests := []struct {
 		name, target string
@@ -136,7 +164,7 @@ func TestAskHTMLEscaping(t *testing.T) {
 
 func TestObjectHTML(t *testing.T) {
 	sys := testSystem(t)
-	h := newMux(sys, nil, 0)
+	h := newMux(sys, muxConfig{})
 	u := locuslink.SelfURL(sys.Corpus.Genes[0].LocusID)
 	rec := get(t, h, "/object?url="+url.QueryEscape(u))
 	if rec.Code != http.StatusOK {
@@ -151,7 +179,7 @@ func TestObjectHTML(t *testing.T) {
 }
 
 func TestAPIAskPost(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := postJSON(t, h, "/api/ask", `{"include":["GO"],"exclude":["OMIM"]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /api/ask = %d: %s", rec.Code, rec.Body.String())
@@ -187,7 +215,7 @@ func TestAPIAskPost(t *testing.T) {
 }
 
 func TestAPIAskGetFormParams(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/api/ask?t_GO=include&t_OMIM=exclude")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /api/ask = %d: %s", rec.Code, rec.Body.String())
@@ -202,7 +230,7 @@ func TestAPIAskGetFormParams(t *testing.T) {
 }
 
 func TestAPIAsk4xx(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	tests := []struct {
 		name string
 		do   func() *httptest.ResponseRecorder
@@ -244,7 +272,7 @@ func TestAPIAsk4xx(t *testing.T) {
 }
 
 func TestAPIQuery(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	q := `select G from ANNODA-GML.Gene G where exists G.Annotation`
 	rec := get(t, h, "/api/query?q="+url.QueryEscape(q))
 	if rec.Code != http.StatusOK {
@@ -279,7 +307,7 @@ func TestAPIQuery(t *testing.T) {
 }
 
 func TestAPIExplain(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	q := `select G from ANNODA-GML.Gene G where exists G.Annotation`
 
 	// Plan-only: structured report plus rendered text, no analyze block.
@@ -352,7 +380,7 @@ func TestAPIExplain(t *testing.T) {
 // TestStatszIntrospection: the plan-cache counters, explain counter and
 // per-source statistics table all surface in /statsz.
 func TestStatszIntrospection(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	// Snapshot-eligible (touches every mapped concept), so the shared-epoch
 	// build runs and feeds entity counts and label cardinalities.
 	q := `select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and exists G.Protein`
@@ -363,9 +391,8 @@ func TestStatszIntrospection(t *testing.T) {
 		t.Fatalf("GET /statsz = %d", rec.Code)
 	}
 	var resp struct {
-		PlanCache     *cacheJSON `json:"plan_cache"`
-		ExplainsTotal int64      `json:"explains_total"`
-		SourceStats   []struct {
+		Metrics     map[string]float64 `json:"metrics"`
+		SourceStats []struct {
 			Source          string         `json:"source"`
 			Entities        int            `json:"entities"`
 			Labels          map[string]int `json:"labels"`
@@ -376,11 +403,11 @@ func TestStatszIntrospection(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.PlanCache == nil || resp.PlanCache.Entries == 0 {
-		t.Errorf("plan cache counters missing or empty: %s", rec.Body.String())
+	if resp.Metrics["annoda_plan_cache_entries"] == 0 {
+		t.Errorf("plan cache entries missing or zero: %s", rec.Body.String())
 	}
-	if resp.ExplainsTotal < 1 {
-		t.Errorf("explains_total = %d, want >= 1", resp.ExplainsTotal)
+	if n := resp.Metrics["annoda_plan_explains_total"]; n < 1 {
+		t.Errorf("annoda_plan_explains_total = %v, want >= 1", n)
 	}
 	if len(resp.SourceStats) == 0 {
 		t.Fatalf("source_stats absent: %s", rec.Body.String())
@@ -394,7 +421,7 @@ func TestStatszIntrospection(t *testing.T) {
 
 func TestAPIObject(t *testing.T) {
 	sys := testSystem(t)
-	h := newMux(sys, nil, 0)
+	h := newMux(sys, muxConfig{})
 	u := locuslink.SelfURL(sys.Corpus.Genes[0].LocusID)
 	rec := get(t, h, "/api/object?url="+url.QueryEscape(u))
 	if rec.Code != http.StatusOK {
@@ -416,7 +443,7 @@ func TestAPIObject(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/healthz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", rec.Code)
@@ -438,7 +465,7 @@ func TestHealthz(t *testing.T) {
 // state in the body, under both lenient and strict modes.
 func TestReadyz(t *testing.T) {
 	for _, strict := range []bool{false, true} {
-		h := newMuxCfg(testSystem(t), nil, muxConfig{readyStrict: strict})
+		h := newMux(testSystem(t), muxConfig{readyStrict: strict})
 		rec := get(t, h, "/readyz")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /readyz (strict=%v) = %d", strict, rec.Code)
@@ -469,7 +496,7 @@ func TestReadyz(t *testing.T) {
 
 // TestStatszHealthBlock: /statsz carries the same per-source health view.
 func TestStatszHealthBlock(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := get(t, h, "/statsz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /statsz = %d", rec.Code)
@@ -489,25 +516,14 @@ func TestStatszHealthBlock(t *testing.T) {
 }
 
 func TestStatszCountsRequestsAndCache(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	get(t, h, "/healthz")
 	get(t, h, "/healthz")
-	rec := get(t, h, "/statsz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /statsz = %d", rec.Code)
+	m := statszMetrics(t, h)
+	if n := m[`annoda_http_responses_total{route="/healthz",class="2xx"}`]; n < 2 {
+		t.Fatalf("request counter = %v after two /healthz requests", n)
 	}
-	var resp struct {
-		RequestsTotal  int64            `json:"requests_total"`
-		RequestsByPath map[string]int64 `json:"requests_by_path"`
-		Cache          *cacheJSON       `json:"cache"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.RequestsTotal < 3 || resp.RequestsByPath["/healthz"] < 2 {
-		t.Fatalf("request counters wrong: %+v", resp)
-	}
-	if resp.Cache == nil {
+	if _, ok := m["annoda_cache_misses_total"]; !ok {
 		t.Fatal("cache counters absent with cache enabled")
 	}
 }
@@ -515,7 +531,7 @@ func TestStatszCountsRequestsAndCache(t *testing.T) {
 // TestStatszSnapshotCounters: a snapshot-eligible API query must show up as
 // a snapshot hit in /statsz and flag snapshot_used in its own stats.
 func TestStatszSnapshotCounters(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	// The query must touch every mapped concept (the test system has ProtDB
 	// plugged in) so nothing is pruned and the snapshot path is eligible.
 	rec := get(t, h, "/api/query?q="+url.QueryEscape(
@@ -532,40 +548,55 @@ func TestStatszSnapshotCounters(t *testing.T) {
 	if !qresp.Stats.SnapshotUsed {
 		t.Error("snapshot_used not set on an eligible query's stats")
 	}
-	rec = get(t, h, "/statsz")
-	var resp struct {
-		Snapshot *struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-		} `json:"snapshot"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Snapshot == nil || resp.Snapshot.Hits < 1 {
-		t.Fatalf("snapshot counters missing from /statsz: %s", rec.Body)
+	if n := statszMetrics(t, h)["annoda_snapshot_hits_total"]; n < 1 {
+		t.Fatalf("annoda_snapshot_hits_total = %v in /statsz, want >= 1", n)
 	}
 }
 
-// TestStatszPathCounterBounded: a scan over arbitrary URLs must not grow
-// the per-path map without bound — overflow paths aggregate as "(other)".
-func TestStatszPathCounterBounded(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
-	for i := 0; i < maxTrackedPaths+50; i++ {
+// TestRouteLabelsBounded: a scan over arbitrary URLs must not grow the
+// per-route series — attacker-chosen paths aggregate as "(other)".
+func TestRouteLabelsBounded(t *testing.T) {
+	h := newMux(testSystem(t), muxConfig{})
+	const scans = 80
+	for i := 0; i < scans; i++ {
 		get(t, h, fmt.Sprintf("/scan/%d", i))
 	}
-	rec := get(t, h, "/statsz")
-	var resp struct {
-		RequestsByPath map[string]int64 `json:"requests_by_path"`
+	m := statszMetrics(t, h)
+	for key := range m {
+		if strings.Contains(key, "/scan/") {
+			t.Fatalf("scanned path became a label: %s", key)
+		}
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+	if n := m[`annoda_http_responses_total{route="(other)",class="4xx"}`]; n < scans {
+		t.Fatalf("(other) 4xx = %v, want >= %d", n, scans)
 	}
-	if len(resp.RequestsByPath) > maxTrackedPaths+1 { // +1 for "(other)"
-		t.Fatalf("path map grew to %d entries, cap is %d", len(resp.RequestsByPath), maxTrackedPaths)
+}
+
+// TestEveryRouteHasALabel: every path newMux registers is in knownRoutes
+// (registration panics otherwise), so its series carry its own label —
+// /api/explain and /readyz used to aggregate under "(other)" — and load-
+// balancer probes stay out of the trace ring.
+func TestEveryRouteHasALabel(t *testing.T) {
+	sys := freshSystem(t)
+	h := newMux(sys, muxConfig{})
+	reg := sys.Manager.Metrics()
+	for path := range knownRoutes {
+		rec := httptest.NewRecorder()
+		// DELETE is refused (or harmlessly served) everywhere, and never
+		// opens the /api/watch stream.
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, path, nil))
+		if n := reg.Value("annoda_http_request_duration_seconds", path); n != 1 {
+			t.Errorf("route %s: %d requests under its own label, want 1", path, n)
+		}
 	}
-	if resp.RequestsByPath["(other)"] == 0 {
-		t.Fatal("overflow paths were not aggregated under (other)")
+	if n := reg.Value("annoda_http_request_duration_seconds", "(other)"); n != 0 {
+		t.Errorf("%d registered-route requests aggregated under (other)", n)
+	}
+	get(t, h, "/readyz")
+	for _, tv := range sys.Manager.Obs().Tracer.Recent() {
+		if strings.Contains(tv.Detail, "/readyz") {
+			t.Errorf("readiness probe recorded a trace: %+v", tv)
+		}
 	}
 }
 
@@ -603,7 +634,7 @@ func TestRecoveryMiddleware(t *testing.T) {
 // TestConcurrentAPIRequests drives the full middleware stack from many
 // goroutines — the server-side companion to the core -race test.
 func TestConcurrentAPIRequests(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -630,6 +661,54 @@ func TestConcurrentAPIRequests(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSourceDownIs503: a query refused by a source's open breaker is the
+// service's condition, not a bad request — 503 with Retry-After from the
+// breaker's backoff — on every query route; a plain bad request stays 400.
+func TestSourceDownIs503(t *testing.T) {
+	cfg := datagen.Config{Seed: 780, Genes: 30, GoTerms: 20, Diseases: 10}
+	sys, err := core.New(datagen.Generate(cfg), mediator.Options{ // strict: MinSources 0
+		Health: health.Config{FailureThreshold: 1, BaseBackoff: 90 * time.Second, MaxBackoff: 90 * time.Second, JitterFraction: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap GO for a copy that always fails; one failure opens its breaker.
+	dead := faults.New(sys.Registry.Get("GO"), faults.Config{ErrorRate: 1})
+	sys.Registry.Remove("GO")
+	if err := sys.Registry.Add(dead); err != nil {
+		t.Fatal(err)
+	}
+	h := newMux(sys, muxConfig{})
+	q := `select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`
+	// The fetch that observes the failure itself is not a breaker refusal.
+	if rec := get(t, h, "/api/query?q="+url.QueryEscape(q)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("first failing query = %d, want 400 (source error, breaker not yet open)", rec.Code)
+	}
+	for name, do := range map[string]func() *httptest.ResponseRecorder{
+		"query": func() *httptest.ResponseRecorder { return get(t, h, "/api/query?q="+url.QueryEscape(q)) },
+		"ask":   func() *httptest.ResponseRecorder { return postJSON(t, h, "/api/ask", `{"include":["GO"]}`) },
+		"explain": func() *httptest.ResponseRecorder {
+			return postJSON(t, h, "/api/explain", fmt.Sprintf(`{"query":%q,"analyze":true}`, q))
+		},
+		"batch": func() *httptest.ResponseRecorder {
+			return postJSON(t, h, "/api/batch", fmt.Sprintf(`{"queries":[%q]}`, q))
+		},
+	} {
+		rec := do()
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s with GO's breaker open = %d, want 503: %s", name, rec.Code, rec.Body.String())
+			continue
+		}
+		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		if err != nil || secs < 1 || secs > 90 {
+			t.Errorf("%s: Retry-After = %q, want 1..90 seconds", name, rec.Header().Get("Retry-After"))
+		}
+	}
+	if rec := get(t, h, "/api/query?q=not+lorel"); rec.Code != http.StatusBadRequest {
+		t.Errorf("garbage query = %d, want 400", rec.Code)
+	}
+}
+
 // freshSystem builds a private System (the refresh tests mutate manager
 // state, so they must not share the memoized one).
 func freshSystem(t *testing.T) *core.System {
@@ -638,7 +717,7 @@ func freshSystem(t *testing.T) *core.System {
 		Seed: 778, Genes: 50, GoTerms: 30, Diseases: 20,
 		ConflictRate: 0.2, MissingRate: 0.1,
 	}
-	sys, err := core.New(datagen.Generate(cfg), mediator.Options{})
+	sys, err := core.New(datagen.Generate(cfg), mediator.Options{Obs: quietObs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,9 +725,7 @@ func freshSystem(t *testing.T) *core.System {
 }
 
 func TestAPIRefresh(t *testing.T) {
-	sys := freshSystem(t)
-	wh := warehouse.New(sys.Registry, sys.Global)
-	h := newMux(sys, wh, 0)
+	h := newMux(freshSystem(t), muxConfig{})
 
 	// Warm the snapshot so the refresh has something to patch.
 	if rec := get(t, h, "/api/query?q="+url.QueryEscape(
@@ -664,9 +741,6 @@ func TestAPIRefresh(t *testing.T) {
 		OldVersion uint64 `json:"old_version"`
 		NewVersion uint64 `json:"new_version"`
 		Patched    bool   `json:"patched"`
-		Delta      struct {
-			Applied int64 `json:"applied"`
-		} `json:"delta"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -677,13 +751,16 @@ func TestAPIRefresh(t *testing.T) {
 	if !resp.Patched {
 		t.Error("unchanged-source refresh did not patch the live snapshot")
 	}
-	if resp.Delta.Applied != 1 {
-		t.Errorf("delta.applied = %d, want 1", resp.Delta.Applied)
+	if n := statszMetrics(t, h)["annoda_deltas_applied_total"]; n != 1 {
+		t.Errorf("annoda_deltas_applied_total = %v, want 1", n)
 	}
 
-	// Unknown sources 404; missing body 400; GET 405.
-	if rec := postJSON(t, h, "/api/refresh", `{"source":"Nope"}`); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown source = %d, want 404", rec.Code)
+	// Unknown sources 404 (the warehouse baseline is no longer a pseudo-
+	// source of the server); missing body 400; GET 405.
+	for _, src := range []string{"Nope", "warehouse"} {
+		if rec := postJSON(t, h, "/api/refresh", fmt.Sprintf(`{"source":%q}`, src)); rec.Code != http.StatusNotFound {
+			t.Errorf("source %q = %d, want 404", src, rec.Code)
+		}
 	}
 	if rec := postJSON(t, h, "/api/refresh", `{}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing source = %d, want 400", rec.Code)
@@ -691,19 +768,10 @@ func TestAPIRefresh(t *testing.T) {
 	if rec := get(t, h, "/api/refresh"); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /api/refresh = %d, want 405", rec.Code)
 	}
-
-	// The warehouse pseudo-source runs ETL and bumps its load counter.
-	rec = postJSON(t, h, "/api/refresh", `{"source":"warehouse"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("warehouse refresh = %d: %s", rec.Code, rec.Body.String())
-	}
-	if wh.Loads() != 1 {
-		t.Errorf("warehouse loads = %d, want 1", wh.Loads())
-	}
 }
 
 func TestAPIMethodNotAllowed(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	cases := []struct{ method, target string }{
 		{http.MethodDelete, "/api/ask"},
 		{http.MethodPut, "/api/query"},
@@ -724,7 +792,7 @@ func TestAPIMethodNotAllowed(t *testing.T) {
 }
 
 func TestAPIBodyLimit(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	big := `{"query":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}`
 	rec := postJSON(t, h, "/api/query", big)
 	if rec.Code != http.StatusBadRequest {
@@ -732,45 +800,8 @@ func TestAPIBodyLimit(t *testing.T) {
 	}
 }
 
-func TestStatszDeltaAndWarehouse(t *testing.T) {
-	sys := freshSystem(t)
-	wh := warehouse.New(sys.Registry, sys.Global)
-	h := newMux(sys, wh, 0)
-	if err := wh.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.Archive("t1"); err != nil {
-		t.Fatal(err)
-	}
-	rec := get(t, h, "/statsz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /statsz = %d", rec.Code)
-	}
-	var resp struct {
-		Delta *struct {
-			Applied int64 `json:"applied"`
-		} `json:"delta"`
-		Warehouse *struct {
-			Loads    int      `json:"loads"`
-			Archives []string `json:"archives"`
-		} `json:"warehouse"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Delta == nil {
-		t.Error("statsz missing delta counters")
-	}
-	if resp.Warehouse == nil {
-		t.Fatal("statsz missing warehouse block")
-	}
-	if resp.Warehouse.Loads != 1 || len(resp.Warehouse.Archives) != 1 || resp.Warehouse.Archives[0] != "t1" {
-		t.Errorf("warehouse block = %+v", resp.Warehouse)
-	}
-}
-
 func TestAPIBatch(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	// The test system includes ProtDB, so a snapshot-safe question must
 	// touch the Protein concept too (a pruned source disqualifies the
 	// snapshot); the trailing "not exists G.Protein.Bogus" conjunct is
@@ -835,32 +866,14 @@ func TestAPIBatch(t *testing.T) {
 }
 
 func TestStatszEpochCounters(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	// At least one snapshot query so an epoch exists.
 	postJSON(t, h, "/api/batch",
 		`{"queries": ["select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and not exists G.Protein.Bogus"]}`)
-	rec := get(t, h, "/statsz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/statsz = %d", rec.Code)
-	}
-	var resp struct {
-		Epoch struct {
-			Published int64 `json:"published"`
-			Pins      int64 `json:"pins"`
-		} `json:"epoch"`
-		Delta struct {
-			EpochsPublished int64 `json:"epochs_published"`
-			EpochPins       int64 `json:"epoch_pins"`
-		} `json:"delta"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch.Published == 0 || resp.Epoch.Pins == 0 {
-		t.Errorf("epoch counters not surfaced: %+v", resp.Epoch)
-	}
-	if resp.Delta.EpochsPublished != resp.Epoch.Published || resp.Delta.EpochPins != resp.Epoch.Pins {
-		t.Errorf("delta epoch counters diverge from epoch block: %+v vs %+v", resp.Delta, resp.Epoch)
+	m := statszMetrics(t, h)
+	if m["annoda_epochs_published_total"] == 0 || m["annoda_epoch_pins_total"] == 0 {
+		t.Errorf("epoch counters not surfaced: published=%v pins=%v",
+			m["annoda_epochs_published_total"], m["annoda_epoch_pins_total"])
 	}
 }
 
@@ -881,7 +894,7 @@ func persistedSystem(t *testing.T, dir string) *core.System {
 }
 
 func TestAPICheckpointWithoutPersistence(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
+	h := newMux(testSystem(t), muxConfig{})
 	rec := postJSON(t, h, "/api/admin/checkpoint", "")
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("checkpoint without -data-dir = %d, want 409", rec.Code)
@@ -891,7 +904,7 @@ func TestAPICheckpointWithoutPersistence(t *testing.T) {
 func TestAPICheckpointAndWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	sys := persistedSystem(t, dir)
-	h := newMux(sys, nil, 0)
+	h := newMux(sys, muxConfig{})
 
 	// An answer computed cold, and a checkpoint of the world behind it.
 	cold := get(t, h, "/api/query?q="+url.QueryEscape(
@@ -904,17 +917,18 @@ func TestAPICheckpointAndWarmRestart(t *testing.T) {
 		t.Fatalf("POST /api/admin/checkpoint = %d: %s", rec.Code, rec.Body)
 	}
 	var ck struct {
-		Seq     uint64 `json:"seq"`
-		Bytes   int    `json:"bytes"`
-		Persist struct {
-			Checkpoints int64 `json:"checkpoints"`
-		} `json:"persist"`
+		Seq   uint64 `json:"seq"`
+		Bytes int    `json:"bytes"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &ck); err != nil {
 		t.Fatal(err)
 	}
-	if ck.Seq != 1 || ck.Bytes == 0 || ck.Persist.Checkpoints != 1 {
+	if ck.Seq != 1 || ck.Bytes == 0 {
 		t.Fatalf("checkpoint response %+v", ck)
+	}
+	if m := statszMetrics(t, h); m["annoda_checkpoints_written_total"] != 1 || m["annoda_checkpoint_bytes_total"] != float64(ck.Bytes) {
+		t.Fatalf("registry counts %v checkpoints / %v bytes, want 1 / %d",
+			m["annoda_checkpoints_written_total"], m["annoda_checkpoint_bytes_total"], ck.Bytes)
 	}
 	if rec := get(t, h, "/api/admin/checkpoint"); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /api/admin/checkpoint = %d, want 405", rec.Code)
@@ -930,7 +944,7 @@ func TestAPICheckpointAndWarmRestart(t *testing.T) {
 	if !rr.Restored {
 		t.Fatalf("boot restore fell back: %+v", rr)
 	}
-	h2 := newMux(sys2, nil, 0)
+	h2 := newMux(sys2, muxConfig{})
 	warm := get(t, h2, "/api/query?q="+url.QueryEscape(
 		`select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`))
 	if warm.Code != http.StatusOK {
@@ -958,33 +972,7 @@ func TestAPICheckpointAndWarmRestart(t *testing.T) {
 	}
 
 	// The persistence counters surface in /statsz.
-	st := get(t, h2, "/statsz")
-	var statsResp struct {
-		Persist *struct {
-			Restores    int64 `json:"restores"`
-			WALReplayed int64 `json:"wal_replayed"`
-		} `json:"persist"`
-	}
-	if err := json.Unmarshal(st.Body.Bytes(), &statsResp); err != nil {
-		t.Fatal(err)
-	}
-	if statsResp.Persist == nil || statsResp.Persist.Restores != 1 {
-		t.Errorf("statsz persist block = %+v, want 1 restore", statsResp.Persist)
-	}
-}
-
-func TestStatszPersistNullWithoutStore(t *testing.T) {
-	h := newMux(testSystem(t), nil, 0)
-	rec := get(t, h, "/statsz")
-	var resp map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := resp["persist"]
-	if !ok {
-		t.Fatal("statsz has no persist key")
-	}
-	if string(raw) != "null" {
-		t.Errorf("persist = %s without a store, want null", raw)
+	if n := statszMetrics(t, h2)["annoda_restores_total"]; n != 1 {
+		t.Errorf("annoda_restores_total = %v, want 1", n)
 	}
 }

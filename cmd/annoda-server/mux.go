@@ -2,20 +2,21 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/oem"
-	"repro/internal/warehouse"
 )
 
 // maxBodyBytes bounds every /api/* request body: annotation questions are
@@ -25,21 +26,6 @@ const maxBodyBytes = 1 << 20
 // defaultRequestTimeout bounds one request's handler time; a mediated query
 // over the demo corpus is milliseconds, so anything past this is a bug.
 const defaultRequestTimeout = 30 * time.Second
-
-// newMux builds the complete, middleware-wrapped handler tree for a running
-// System. It is the testable seam: handler tests drive it through
-// net/http/httptest without opening a socket. wh is the optional GUS-style
-// warehouse whose refresh activity /statsz surfaces (nil disables it).
-// timeout <= 0 selects defaultRequestTimeout.
-func newMux(sys *core.System, wh *warehouse.Warehouse, timeout time.Duration) http.Handler {
-	return newMuxCfg(sys, wh, muxConfig{timeout: timeout})
-}
-
-// newMuxWatch is newMux plus the change-feed heartbeat interval for
-// /api/watch (<= 0 selects defaultWatchHeartbeat).
-func newMuxWatch(sys *core.System, wh *warehouse.Warehouse, timeout, heartbeat time.Duration) http.Handler {
-	return newMuxCfg(sys, wh, muxConfig{timeout: timeout, heartbeat: heartbeat})
-}
 
 // muxConfig bundles the handler-tree knobs main wires from flags.
 type muxConfig struct {
@@ -51,6 +37,10 @@ type muxConfig struct {
 	readyStrict bool
 }
 
+// newMux builds the complete, middleware-wrapped handler tree for a running
+// System. It is the testable seam: handler tests drive it through
+// net/http/httptest without opening a socket.
+//
 // The timeout wrap is route-aware: http.TimeoutHandler's buffered
 // ResponseWriter deliberately drops http.Flusher, so wrapping a streaming
 // route in it would stall every SSE event until the deadline killed the
@@ -58,7 +48,7 @@ type muxConfig struct {
 // its lifetime is bounded by the client disconnecting (request context)
 // and its liveness by the heartbeat ticker — while every request/response
 // route keeps the hard per-request deadline.
-func newMuxCfg(sys *core.System, wh *warehouse.Warehouse, cfg muxConfig) http.Handler {
+func newMux(sys *core.System, cfg muxConfig) http.Handler {
 	timeout, heartbeat := cfg.timeout, cfg.heartbeat
 	if timeout <= 0 {
 		timeout = defaultRequestTimeout
@@ -66,68 +56,48 @@ func newMuxCfg(sys *core.System, wh *warehouse.Warehouse, cfg muxConfig) http.Ha
 	if heartbeat <= 0 {
 		heartbeat = defaultWatchHeartbeat
 	}
-	// Share the mediator's observability bundle so /metrics exposes the op,
-	// cache, and persistence series next to the HTTP ones; a system built
+	// Share the mediator's observability bundle so /metrics and /statsz
+	// render the registry the mediator's counters live in; a system built
 	// without one still gets HTTP metrics and traces from a private bundle.
 	o := sys.Manager.Obs()
 	if o == nil {
 		o = obs.New(obs.Config{Logf: log.Printf})
 	}
-	s := &server{sys: sys, wh: wh, o: o, start: obs.Now(), heartbeat: heartbeat, readyStrict: cfg.readyStrict, logf: log.Printf}
+	s := &server{sys: sys, o: o, start: obs.Now(), heartbeat: heartbeat, readyStrict: cfg.readyStrict, logf: log.Printf}
 
+	// Every route must carry a metrics label: an unlabelled one would have
+	// its latency and status series silently aggregated under "(other)".
+	handle := func(mux *http.ServeMux, path string, h http.HandlerFunc) {
+		if !knownRoutes[path] {
+			panic("annoda-server: route " + path + " is missing from knownRoutes")
+		}
+		mux.Handle(path, h)
+	}
 	mux := http.NewServeMux()
 	// HTML views (Figures 5a/5b/5c).
-	mux.HandleFunc("/", s.form)
-	mux.HandleFunc("/ask", s.ask)
-	mux.HandleFunc("/object", s.object)
+	handle(mux, "/", s.form)
+	handle(mux, "/ask", s.ask)
+	handle(mux, "/object", s.object)
 	// JSON API.
-	mux.HandleFunc("/api/ask", s.apiAsk)
-	mux.HandleFunc("/api/query", s.apiQuery)
-	mux.HandleFunc("/api/explain", s.apiExplain)
-	mux.HandleFunc("/api/batch", s.apiBatch)
-	mux.HandleFunc("/api/object", s.apiObject)
-	mux.HandleFunc("/api/refresh", s.apiRefresh)
-	mux.HandleFunc("/api/admin/checkpoint", s.apiCheckpoint)
+	handle(mux, "/api/ask", s.apiAsk)
+	handle(mux, "/api/query", s.apiQuery)
+	handle(mux, "/api/explain", s.apiExplain)
+	handle(mux, "/api/batch", s.apiBatch)
+	handle(mux, "/api/object", s.apiObject)
+	handle(mux, "/api/refresh", s.apiRefresh)
+	handle(mux, "/api/admin/checkpoint", s.apiCheckpoint)
 	// Operational endpoints.
-	mux.HandleFunc("/healthz", s.healthz)
-	mux.HandleFunc("/readyz", s.readyz)
-	mux.HandleFunc("/statsz", s.statsz)
-	mux.HandleFunc("/api/debug/traces", s.apiDebugTraces)
-	mux.Handle("/metrics", o.Reg.Handler())
+	handle(mux, "/healthz", s.healthz)
+	handle(mux, "/readyz", s.readyz)
+	handle(mux, "/statsz", s.statsz)
+	handle(mux, "/api/debug/traces", s.apiDebugTraces)
+	handle(mux, "/metrics", o.Reg.Handler().ServeHTTP)
 
 	outer := http.NewServeMux()
-	outer.HandleFunc("/api/watch", s.apiWatch)
+	handle(outer, "/api/watch", s.apiWatch)
 	outer.Handle("/", s.timed(mux, timeout))
 
-	var h http.Handler = outer
-	h = s.counting(h)
-	h = s.recovering(h)
-	h = s.instrument(h)
-	return h
-}
-
-// maxTrackedPaths bounds the per-path counter map: r.URL.Path is
-// attacker-controlled (404 scans hit this middleware before routing), so an
-// unbounded map is a memory leak. Past the cap, new paths aggregate under
-// "(other)".
-const maxTrackedPaths = 32
-
-// counting tracks per-path request counts for /statsz.
-func (s *server) counting(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		path := r.URL.Path
-		s.perPath.mu.Lock()
-		if s.perPath.counts == nil {
-			s.perPath.counts = map[string]int64{}
-		}
-		if _, tracked := s.perPath.counts[path]; !tracked && len(s.perPath.counts) >= maxTrackedPaths {
-			path = "(other)"
-		}
-		s.perPath.counts[path]++
-		s.perPath.mu.Unlock()
-		next.ServeHTTP(w, r)
-	})
+	return s.instrument(s.recovering(outer))
 }
 
 // recovering converts a handler panic into a 500 instead of killing the
@@ -149,7 +119,6 @@ func (s *server) recovering(next http.Handler) http.Handler {
 
 type server struct {
 	sys       *core.System
-	wh        *warehouse.Warehouse // nil when no warehouse is attached
 	o         *obs.Obs
 	start     time.Time
 	heartbeat time.Duration // /api/watch SSE keep-alive interval
@@ -157,11 +126,6 @@ type server struct {
 	// 200 + "degraded".
 	readyStrict bool
 	logf        func(format string, args ...any)
-	requests    atomic.Int64
-	perPath     struct {
-		mu     sync.Mutex
-		counts map[string]int64
-	}
 }
 
 // allowMethods gates a handler on its supported HTTP methods, answering
@@ -206,16 +170,10 @@ type rowJSON struct {
 	WebLinks []string `json:"web_links,omitempty"`
 }
 
+// cacheJSON is the per-request cache outcome; the cumulative cache counters
+// are process-wide and live in /metrics and /statsz.
 type cacheJSON struct {
-	Hit       bool  `json:"hit"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Shared    int64 `json:"shared"`
-	Evictions int64 `json:"evictions"`
-	Expired   int64 `json:"expired"`
-	Inval     int64 `json:"invalidations"`
-	Entries   int   `json:"entries"`
-	InFlight  int   `json:"in_flight"`
+	Hit bool `json:"hit"`
 }
 
 type statsJSON struct {
@@ -256,6 +214,21 @@ func jsonError(w http.ResponseWriter, r *http.Request, status int, format string
 	writeJSON(w, status, body)
 }
 
+// writeQueryError answers a failed mediator call. A source refused by its
+// open breaker (anywhere in the error tree — fetch joins and wraps them) is
+// the service's condition, not the client's mistake: 503 with Retry-After
+// set from the breaker's remaining backoff. Everything else is a bad
+// request.
+func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusBadRequest
+	var down *health.DownError
+	if errors.As(err, &down) {
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(down.RetryIn.Seconds()))))
+	}
+	jsonError(w, r, status, "%v", err)
+}
+
 // mediatorStats converts mediator stats to the wire shape.
 func mediatorStats(st *mediator.Stats) statsJSON {
 	out := statsJSON{
@@ -272,12 +245,7 @@ func mediatorStats(st *mediator.Stats) statsJSON {
 		EvalMicros:     st.EvalTime.Microseconds(),
 	}
 	if st.CacheEnabled {
-		out.Cache = &cacheJSON{
-			Hit:  st.CacheHit,
-			Hits: st.Cache.Hits, Misses: st.Cache.Misses, Shared: st.Cache.Shared,
-			Evictions: st.Cache.Evictions, Expired: st.Cache.Expired,
-			Inval: st.Cache.Invalidations, Entries: st.Cache.Entries, InFlight: st.Cache.InFlight,
-		}
+		out.Cache = &cacheJSON{Hit: st.CacheHit}
 	}
 	return out
 }
@@ -319,7 +287,7 @@ func (s *server) apiAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	view, stats, err := s.sys.AskCtx(r.Context(), q)
 	if err != nil {
-		jsonError(w, r, http.StatusBadRequest, "%v", err)
+		writeQueryError(w, r, err)
 		return
 	}
 	resp := askResponse{
@@ -375,7 +343,7 @@ func (s *server) apiQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, stats, err := s.sys.QueryCtx(r.Context(), src)
 	if err != nil {
-		jsonError(w, r, http.StatusBadRequest, "%v", err)
+		writeQueryError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, queryResponse{
@@ -418,7 +386,7 @@ func (s *server) apiExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	e, err := s.sys.Manager.ExplainString(req.Query, req.Analyze)
 	if err != nil {
-		jsonError(w, r, http.StatusBadRequest, "%v", err)
+		writeQueryError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, explainResponse{Explain: e, Text: e.Format()})
@@ -474,7 +442,7 @@ func (s *server) apiBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	answers, stats, err := s.sys.QueryBatchCtx(r.Context(), req.Queries)
 	if err != nil {
-		jsonError(w, r, http.StatusBadRequest, "%v", err)
+		writeQueryError(w, r, err)
 		return
 	}
 	resp := batchResponse{
@@ -526,67 +494,24 @@ type refreshRequest struct {
 }
 
 type refreshResponse struct {
-	Source      string    `json:"source"`
-	OldVersion  uint64    `json:"old_version"`
-	NewVersion  uint64    `json:"new_version"`
-	Upserted    int       `json:"upserted"`
-	Deleted     int       `json:"deleted"`
-	Total       int       `json:"total"`
-	Native      bool      `json:"native,omitempty"`
-	FullRebuild bool      `json:"full_rebuild,omitempty"`
-	Reason      string    `json:"reason,omitempty"`
-	Patched     bool      `json:"patched"`
-	Invalidated int       `json:"invalidated"`
-	TookMicros  int64     `json:"took_micros"`
-	Delta       deltaJSON `json:"delta"`
-	Warehouse   *whJSON   `json:"warehouse,omitempty"`
-}
-
-type deltaJSON struct {
-	Applied         int64 `json:"applied"`
-	EntitiesPatched int64 `json:"entities_patched"`
-	FullRebuilds    int64 `json:"full_rebuilds"`
-	SelectiveInval  int64 `json:"selective_invalidations"`
-	EpochsPublished int64 `json:"epochs_published"`
-	EpochPins       int64 `json:"epoch_pins"`
-}
-
-type whJSON struct {
-	Loads    int      `json:"loads"`
-	Archives []string `json:"archives"`
-}
-
-type persistJSON struct {
-	Checkpoints       int64 `json:"checkpoints"`
-	CheckpointBytes   int64 `json:"checkpoint_bytes"`
-	WALAppended       int64 `json:"wal_appended"`
-	WALReplayed       int64 `json:"wal_replayed"`
-	Restores          int64 `json:"restores"`
-	RestoreFallbacks  int64 `json:"restore_fallbacks"`
-	Errors            int64 `json:"errors"`
-	PruneFailures     int64 `json:"prune_failures"`
-	LastRestoreMicros int64 `json:"last_restore_micros"`
-}
-
-func persistCountersJSON(pc mediator.PersistCounters) persistJSON {
-	return persistJSON{
-		Checkpoints:       pc.CheckpointsWritten,
-		CheckpointBytes:   pc.CheckpointBytes,
-		WALAppended:       pc.WALAppended,
-		WALReplayed:       pc.WALReplayed,
-		Restores:          pc.Restores,
-		RestoreFallbacks:  pc.RestoreFallbacks,
-		Errors:            pc.Errors,
-		PruneFailures:     pc.PruneFailures,
-		LastRestoreMicros: pc.LastRestore.Microseconds(),
-	}
+	Source      string `json:"source"`
+	OldVersion  uint64 `json:"old_version"`
+	NewVersion  uint64 `json:"new_version"`
+	Upserted    int    `json:"upserted"`
+	Deleted     int    `json:"deleted"`
+	Total       int    `json:"total"`
+	Native      bool   `json:"native,omitempty"`
+	FullRebuild bool   `json:"full_rebuild,omitempty"`
+	Reason      string `json:"reason,omitempty"`
+	Patched     bool   `json:"patched"`
+	Invalidated int    `json:"invalidated"`
+	TookMicros  int64  `json:"took_micros"`
 }
 
 type checkpointResponse struct {
-	Seq        uint64      `json:"seq"`
-	Bytes      int         `json:"bytes"`
-	TookMicros int64       `json:"took_micros"`
-	Persist    persistJSON `json:"persist"`
+	Seq        uint64 `json:"seq"`
+	Bytes      int    `json:"bytes"`
+	TookMicros int64  `json:"took_micros"`
 }
 
 // apiCheckpoint writes a durable snapshot checkpoint on demand: POST with
@@ -595,39 +520,19 @@ func (s *server) apiCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodPost) {
 		return
 	}
-	if _, ok := s.sys.Manager.PersistCounters(); !ok {
-		jsonError(w, r, http.StatusConflict, "persistence not enabled (start the server with -data-dir)")
-		return
-	}
 	res, err := s.sys.Manager.SaveSnapshotCtx(r.Context())
-	if err != nil {
+	switch {
+	case errors.Is(err, mediator.ErrPersistenceDisabled):
+		jsonError(w, r, http.StatusConflict, "persistence not enabled (start the server with -data-dir)")
+	case err != nil:
 		jsonError(w, r, http.StatusInternalServerError, "checkpoint: %v", err)
-		return
-	}
-	pc, _ := s.sys.Manager.PersistCounters()
-	writeJSON(w, http.StatusOK, checkpointResponse{
-		Seq:        res.Seq,
-		Bytes:      res.Bytes,
-		TookMicros: res.Took.Microseconds(),
-		Persist:    persistCountersJSON(pc),
-	})
-}
-
-func deltaCountersJSON(dc mediator.DeltaCounters) deltaJSON {
-	return deltaJSON{
-		Applied:         dc.DeltasApplied,
-		EntitiesPatched: dc.EntitiesPatched,
-		FullRebuilds:    dc.FullRebuilds,
-		SelectiveInval:  dc.SelectiveInvalidations,
-		EpochsPublished: dc.EpochsPublished,
-		EpochPins:       dc.EpochPins,
+	default:
+		writeJSON(w, http.StatusOK, checkpointResponse{Seq: res.Seq, Bytes: res.Bytes, TookMicros: res.Took.Microseconds()})
 	}
 }
 
 // apiRefresh refreshes one annotation source through the delta subsystem
-// and reports the applied ChangeSet: POST {"source": "GO"}. The special
-// source "warehouse" runs the attached GUS-style warehouse's ETL instead
-// (its load counter shows up in /statsz).
+// and reports the applied ChangeSet: POST {"source": "GO"}.
 func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodPost) {
 		return
@@ -641,22 +546,6 @@ func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Source == "" {
 		jsonError(w, r, http.StatusBadRequest, "missing source (POST {\"source\": ...})")
-		return
-	}
-	if req.Source == "warehouse" {
-		if s.wh == nil {
-			jsonError(w, r, http.StatusNotFound, "no warehouse attached")
-			return
-		}
-		if err := s.wh.Refresh(); err != nil {
-			jsonError(w, r, http.StatusInternalServerError, "warehouse refresh: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, refreshResponse{
-			Source:    "warehouse",
-			Delta:     deltaCountersJSON(s.sys.Manager.DeltaCounters()),
-			Warehouse: &whJSON{Loads: s.wh.Loads(), Archives: s.wh.Archives()},
-		})
 		return
 	}
 	if s.sys.Registry.Get(req.Source) == nil {
@@ -688,7 +577,6 @@ func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 		Patched:     rr.Patched,
 		Invalidated: rr.Invalidated,
 		TookMicros:  rr.Took.Microseconds(),
-		Delta:       deltaCountersJSON(s.sys.Manager.DeltaCounters()),
 	})
 }
 
@@ -723,79 +611,29 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, rd)
 }
 
-// statsz reports serving, cache, delta and warehouse counters.
+// statsz is the registry as JSON: every counter, gauge and histogram
+// _sum/_count of Registry.Gather() — the same gather /metrics prints as
+// text, so the two cannot disagree — keyed by exposition identity, plus the
+// two structured views no flat series carries (per-source health and the
+// per-source statistics table).
 func (s *server) statsz(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodGet) {
 		return
 	}
-	byPath := map[string]int64{}
-	s.perPath.mu.Lock()
-	for p, n := range s.perPath.counts {
-		byPath[p] = n
-	}
-	s.perPath.mu.Unlock()
-	resp := map[string]any{
-		"uptime_seconds":   int64(obs.Since(s.start).Seconds()),
-		"requests_total":   s.requests.Load(),
-		"requests_by_path": byPath,
-	}
-	if counters, ok := s.sys.Manager.CacheCounters(); ok {
-		resp["cache"] = cacheJSON{
-			Hits: counters.Hits, Misses: counters.Misses, Shared: counters.Shared,
-			Evictions: counters.Evictions, Expired: counters.Expired,
-			Inval: counters.Invalidations, Entries: counters.Entries, InFlight: counters.InFlight,
+	metrics := map[string]float64{}
+	for _, f := range s.o.Reg.Gather() {
+		for _, p := range f.Points {
+			if !p.Bucket {
+				metrics[p.Key] = p.Value
+			}
 		}
-	} else {
-		resp["cache"] = nil
 	}
-	if pc, ok := s.sys.Manager.PlanCacheCounters(); ok {
-		resp["plan_cache"] = cacheJSON{
-			Hits: pc.Hits, Misses: pc.Misses, Shared: pc.Shared,
-			Evictions: pc.Evictions, Expired: pc.Expired,
-			Inval: pc.Invalidations, Entries: pc.Entries, InFlight: pc.InFlight,
-		}
-	} else {
-		resp["plan_cache"] = nil
-	}
-	resp["explains_total"] = s.sys.Manager.ExplainCounters()
-	// Per-source statistics table: entity counts, label cardinalities,
-	// fetch EWMA and observed pushdown selectivities.
-	resp["source_stats"] = s.sys.Manager.SourceStats()
-	if sc, ok := s.sys.Manager.SnapshotCounters(); ok {
-		resp["snapshot"] = map[string]int64{"hits": sc.Hits, "misses": sc.Misses}
-	} else {
-		resp["snapshot"] = nil
-	}
-	dc := s.sys.Manager.DeltaCounters()
-	resp["epoch"] = map[string]int64{"published": dc.EpochsPublished, "pins": dc.EpochPins}
-	resp["delta"] = deltaCountersJSON(dc)
-	if pc, ok := s.sys.Manager.PersistCounters(); ok {
-		resp["persist"] = persistCountersJSON(pc)
-	} else {
-		resp["persist"] = nil
-	}
-	if fc, ok := s.sys.Manager.FeedCounters(); ok {
-		resp["feed"] = map[string]int64{
-			"published": fc.Published, "delivered": fc.Delivered,
-			"dropped": fc.Dropped, "overflows": fc.Overflows,
-			"answers": fc.Answers, "subscribers": fc.Subscribers,
-			"subscribed": fc.Subscribed,
-		}
-	} else {
-		resp["feed"] = nil
-	}
-	if s.wh != nil {
-		resp["warehouse"] = whJSON{Loads: s.wh.Loads(), Archives: s.wh.Archives()}
-	} else {
-		resp["warehouse"] = nil
-	}
-	rd := s.sys.Manager.Readiness()
-	resp["health"] = map[string]any{
-		"status":              rd.Status,
-		"sources":             rd.Sources,
-		"recovery_generation": s.sys.Manager.HealthGen(),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"uptime_seconds": int64(obs.Since(s.start).Seconds()),
+		"metrics":        metrics,
+		"health":         s.sys.Manager.Readiness(),
+		"source_stats":   s.sys.Manager.SourceStats(),
+	})
 }
 
 // questionFromForm decodes the HTML form's parameters into a Question —

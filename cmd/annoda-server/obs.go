@@ -32,15 +32,15 @@ func requestIDFrom(ctx context.Context) string {
 }
 
 // knownRoutes is the closed label set for per-route metrics: URL paths are
-// attacker-controlled, and an unbounded label set is a time-series leak
-// (same reasoning as maxTrackedPaths). Unknown paths aggregate as
-// "(other)".
+// attacker-controlled, and an unbounded label set is a time-series leak.
+// Unknown paths aggregate as "(other)"; newMux refuses to register a route
+// that is not listed here.
 var knownRoutes = map[string]bool{
 	"/": true, "/ask": true, "/object": true,
-	"/api/ask": true, "/api/query": true, "/api/batch": true,
+	"/api/ask": true, "/api/query": true, "/api/explain": true, "/api/batch": true,
 	"/api/object": true, "/api/refresh": true, "/api/admin/checkpoint": true,
 	"/api/watch": true, "/api/debug/traces": true,
-	"/metrics": true, "/healthz": true, "/statsz": true,
+	"/metrics": true, "/healthz": true, "/readyz": true, "/statsz": true,
 }
 
 func routeLabel(path string) string {
@@ -50,13 +50,13 @@ func routeLabel(path string) string {
 	return "(other)"
 }
 
-// untracedRoutes never start a request trace: scrapes and debug reads
+// untracedRoutes never start a request trace: scrapes, probes and debug reads
 // would otherwise fill the recent ring with their own noise, and the
 // /api/watch stream lives as long as the connection, which is not an
 // operation a trace usefully describes. Metrics still cover all of them.
 var untracedRoutes = map[string]bool{
 	"/metrics": true, "/api/debug/traces": true,
-	"/healthz": true, "/statsz": true,
+	"/healthz": true, "/readyz": true, "/statsz": true,
 	"/api/watch": true,
 }
 

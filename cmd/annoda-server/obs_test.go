@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mediator"
 	"repro/internal/obs"
-	"repro/internal/warehouse"
 )
 
 // obsSystem builds a private System whose mediator shares an observability
@@ -43,8 +43,7 @@ func obsSystem(t *testing.T) (*core.System, *obs.Obs) {
 // independent of trace sampling.
 func TestObsConcurrentScrape(t *testing.T) {
 	sys, _ := obsSystem(t)
-	wh := warehouse.New(sys.Registry, sys.Global)
-	h := newMux(sys, wh, 0)
+	h := newMux(sys, muxConfig{})
 
 	var total, queries atomic.Int64
 
@@ -156,7 +155,7 @@ func TestObsConcurrentScrape(t *testing.T) {
 // X-Request-ID the response carried.
 func TestAskTraceRetrievable(t *testing.T) {
 	sys, _ := obsSystem(t)
-	h := newMux(sys, nil, 0)
+	h := newMux(sys, muxConfig{})
 
 	rec := postJSON(t, h, "/api/ask", `{"include":["GO"]}`)
 	if rec.Code != http.StatusOK {
@@ -197,29 +196,131 @@ func TestAskTraceRetrievable(t *testing.T) {
 	}
 }
 
-// TestMetricsHandlerExposesMediatorSeries checks the scrape-time collector
-// bridge: cache and snapshot counters owned by the mediator appear in the
-// mux's /metrics output.
-func TestMetricsHandlerExposesMediatorSeries(t *testing.T) {
-	sys, _ := obsSystem(t)
-	h := newMux(sys, nil, 0)
-
-	if rec := get(t, h, "/api/query?q="+url.QueryEscape(`select G from ANNODA-GML.Gene G`)); rec.Code != http.StatusOK {
-		t.Fatalf("query = %d: %s", rec.Code, rec.Body.String())
+// exercised drives one query, one refresh and one checkpoint through the
+// real mux of a persisted system, so every counter family has moved.
+func exercised(t *testing.T) (*core.System, http.Handler) {
+	t.Helper()
+	sys := persistedSystem(t, t.TempDir())
+	h := newMux(sys, muxConfig{})
+	for _, rec := range []*httptest.ResponseRecorder{
+		get(t, h, "/api/query?q="+url.QueryEscape(`select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`)),
+		postJSON(t, h, "/api/refresh", `{"source":"GO"}`),
+		postJSON(t, h, "/api/admin/checkpoint", ""),
+	} {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("exercise step = %d: %s", rec.Code, rec.Body.String())
+		}
 	}
-	rec := get(t, h, "/metrics")
-	exp, err := obs.ValidateExposition(rec.Body)
+	return sys, h
+}
+
+// TestStatszEqualsMetrics: /statsz and /metrics are two renderings of one
+// Registry.Gather(), so every numeric sample in the /statsz JSON equals the
+// same-named sample parsed from the text exposition, and /statsz omits
+// nothing but histogram buckets.
+func TestStatszEqualsMetrics(t *testing.T) {
+	sys, _ := exercised(t)
+	// Render both straight from the handlers: through the mux, each
+	// request would move the HTTP series between the two reads.
+	s := &server{sys: sys, o: sys.Manager.Obs(), start: obs.Now()}
+	text, js := httptest.NewRecorder(), httptest.NewRecorder()
+	s.o.Reg.Handler().ServeHTTP(text, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	s.statsz(js, httptest.NewRequest(http.MethodGet, "/statsz", nil))
+
+	exp, err := obs.ValidateExposition(text.Body)
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
+	var resp struct {
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(js.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	for key, got := range resp.Metrics {
+		// A /statsz key is the sample's exposition identity: parse it the
+		// way a scrape line is parsed.
+		one, err := obs.ValidateExposition(strings.NewReader(key + " 0\n"))
+		if err != nil {
+			t.Errorf("/statsz key %q is not an exposition identity: %v", key, err)
+			continue
+		}
+		want, ok := exp.Value(one.Samples[0].Name, one.Samples[0].Labels)
+		if !ok || want != got {
+			t.Errorf("%s: /statsz %v, /metrics %v (found=%v)", key, got, want, ok)
+		}
+	}
+	nonBucket := 0
+	for _, sm := range exp.Samples {
+		if _, bucket := sm.Labels["le"]; !bucket {
+			nonBucket++
+		}
+	}
+	if nonBucket != len(resp.Metrics) {
+		t.Errorf("/metrics has %d non-bucket samples, /statsz %d", nonBucket, len(resp.Metrics))
+	}
+	for _, name := range []string{"annoda_deltas_applied_total", "annoda_checkpoints_written_total", "annoda_cache_misses_total"} {
+		if resp.Metrics[name] != 1 {
+			t.Errorf("%s = %v after one query, refresh and checkpoint, want 1", name, resp.Metrics[name])
+		}
+	}
+}
+
+// TestPinnedSeries pins name, type and label schema of every series the
+// benchmark harness (benchmark/metrics.go) scrapes: moving a counter's home
+// must not move its exposition.
+func TestPinnedSeries(t *testing.T) {
+	_, h := exercised(t)
+	exp, err := obs.ValidateExposition(get(t, h, "/metrics").Body)
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	pinned := map[string]struct{ typ, label string }{
+		"annoda_op_duration_seconds":           {"histogram", "op"},
+		"annoda_stage_duration_seconds":        {"histogram", "stage"},
+		"annoda_http_request_duration_seconds": {"histogram", "route"},
+		"annoda_wal_append_duration_seconds":   {"histogram", ""},
+		"annoda_feed_publish_duration_seconds": {"histogram", ""},
+	}
 	for _, name := range []string{
-		"annoda_cache_misses_total",
-		"annoda_snapshot_misses_total",
-		"annoda_http_request_duration_seconds_count",
-		"annoda_op_duration_seconds_count",
+		"annoda_cache_hits_total", "annoda_cache_misses_total", "annoda_cache_shared_total",
+		"annoda_cache_evictions_total", "annoda_cache_invalidations_total",
+		"annoda_snapshot_hits_total", "annoda_snapshot_misses_total",
+		"annoda_plan_cache_hits_total", "annoda_plan_cache_misses_total", "annoda_plan_cache_shared_total",
+		"annoda_deltas_applied_total", "annoda_full_rebuilds_total", "annoda_entities_patched_total",
+		"annoda_checkpoints_written_total", "annoda_wal_append_bytes_total",
+		"annoda_feed_events_delivered_total", "annoda_feed_events_dropped_total",
 	} {
-		if n := exp.SumCount(name); n == 0 {
-			t.Errorf("series %s absent or zero after a query", name)
+		pinned[name] = struct{ typ, label string }{"counter", ""}
+	}
+	seen := map[string]int{}
+	for _, sm := range exp.Samples {
+		fam := sm.Name
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(sm.Name, suf); exp.Types[base] == "histogram" {
+				fam = base
+			}
+		}
+		pin, ok := pinned[fam]
+		if !ok {
+			continue
+		}
+		seen[fam]++
+		for k := range sm.Labels {
+			if k != pin.label && !(k == "le" && strings.HasSuffix(sm.Name, "_bucket")) {
+				t.Errorf("%s carries label %q, pinned schema is {%s}", sm.Name, k, pin.label)
+			}
+		}
+		if _, has := sm.Labels[pin.label]; pin.label != "" && !has {
+			t.Errorf("%s lost its %q label", sm.Name, pin.label)
+		}
+	}
+	for fam, pin := range pinned {
+		if exp.Types[fam] != pin.typ {
+			t.Errorf("%s has TYPE %q, pinned %q", fam, exp.Types[fam], pin.typ)
+		}
+		if seen[fam] == 0 {
+			t.Errorf("%s has no samples in the scrape", fam)
 		}
 	}
 }

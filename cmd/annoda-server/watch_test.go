@@ -175,7 +175,7 @@ func TestWatchExemptFromTimeoutAndFlushes(t *testing.T) {
 	sys := freshSystem(t)
 	warm(t, sys)
 	const timeout = 250 * time.Millisecond
-	srv := httptest.NewServer(newMuxWatch(sys, nil, timeout, 20*time.Millisecond))
+	srv := httptest.NewServer(newMux(sys, muxConfig{timeout: timeout, heartbeat: 20 * time.Millisecond}))
 	t.Cleanup(srv.Close)
 
 	start := time.Now()
@@ -218,7 +218,7 @@ func TestWatchExemptFromTimeoutAndFlushes(t *testing.T) {
 func TestWatchResume(t *testing.T) {
 	sys := freshSystem(t)
 	warm(t, sys)
-	srv := httptest.NewServer(newMuxWatch(sys, nil, 0, time.Hour))
+	srv := httptest.NewServer(newMux(sys, muxConfig{heartbeat: time.Hour}))
 	t.Cleanup(srv.Close)
 
 	var seqs []uint64
@@ -253,7 +253,7 @@ func TestWatchResume(t *testing.T) {
 func TestWatchStandingQuerySSE(t *testing.T) {
 	sys := freshSystem(t)
 	warm(t, sys)
-	srv := httptest.NewServer(newMuxWatch(sys, nil, 0, time.Hour))
+	srv := httptest.NewServer(newMux(sys, muxConfig{heartbeat: time.Hour}))
 	t.Cleanup(srv.Close)
 
 	freshText := func() string {
@@ -322,7 +322,7 @@ func TestWatchStandingQuerySSE(t *testing.T) {
 // TestWatchBadRequests: every rejection happens before the SSE headers,
 // as a plain JSON error.
 func TestWatchBadRequests(t *testing.T) {
-	h := newMuxWatch(freshSystem(t), nil, 0, time.Hour)
+	h := newMux(freshSystem(t), muxConfig{heartbeat: time.Hour})
 	cases := []struct {
 		target string
 		want   int
@@ -354,7 +354,7 @@ func TestWatchBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hNC := newMuxWatch(sysNC, nil, 0, time.Hour)
+	hNC := newMux(sysNC, muxConfig{heartbeat: time.Hour})
 	if rec := get(t, hNC, "/api/watch"); rec.Code != http.StatusConflict {
 		t.Errorf("watch on cache-disabled server = %d, want 409", rec.Code)
 	}
@@ -372,14 +372,10 @@ func TestStatszFeedAndPruneCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm(t, sys)
-	h := newMuxWatch(sys, nil, 0, time.Hour)
-	rec := get(t, h, "/statsz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /statsz = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{`"feed"`, `"published"`, `"subscribers"`, `"prune_failures"`} {
-		if !strings.Contains(body, want) {
+	h := newMux(sys, muxConfig{heartbeat: time.Hour})
+	m := statszMetrics(t, h)
+	for _, want := range []string{"annoda_feed_events_published_total", "annoda_feed_subscribers", "annoda_snapshot_prune_failures_total"} {
+		if _, ok := m[want]; !ok {
 			t.Errorf("/statsz missing %s", want)
 		}
 	}

@@ -44,20 +44,9 @@ func (m *Manager) AskBatch(queries []string) ([]BatchAnswer, *Stats, error) {
 // AskBatchCtx is AskBatch recording into the request trace carried by ctx
 // (or a fresh one when observability is on and ctx has none).
 func (m *Manager) AskBatchCtx(ctx context.Context, queries []string) ([]BatchAnswer, *Stats, error) {
-	if m.o == nil {
-		return m.askBatch(queries, nil)
-	}
-	tr, owned := m.traceFor(ctx, "batch", fmt.Sprintf("%d questions", len(queries)))
-	t0 := obs.Now()
-	answers, stats, err := m.askBatch(queries, tr)
-	m.opBatchDur.Observe(obs.Since(t0))
-	if err != nil {
-		m.opBatchErr.Inc()
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	op := m.beginOp(ctx, "batch", fmt.Sprintf("%d questions", len(queries)))
+	answers, stats, err := m.askBatch(queries, op.tr)
+	m.endOp(op, m.opBatchDur, m.opBatchErr, err)
 	return answers, stats, err
 }
 
@@ -114,8 +103,6 @@ func (m *Manager) askBatch(queries []string, tr *obs.Trace) ([]BatchAnswer, *Sta
 	agg.BatchQuestions = len(queries)
 	agg.EvalTime = obs.Since(t0)
 	tr.SpanDur(obs.StageEval, t0, agg.EvalTime, fmt.Sprintf("%d workers", workers))
-	agg.Delta = m.DeltaCounters()
-	agg.Persist = m.persistCountersValue()
 	return answers, agg, nil
 }
 
@@ -139,19 +126,8 @@ func (m *Manager) askOne(ans *BatchAnswer, ep *snapshot, tr *obs.Trace) {
 			ans.Err = err
 			return
 		}
-		t := obs.Now()
-		res, err := plan.Eval(ep.fs.graph)
-		if err != nil {
-			ans.Err = err
-			return
-		}
-		m.snapshotHits.Add(1)
-		stats := ep.stats.clone()
-		stats.EvalTime = obs.Since(t)
-		stats.SnapshotUsed = true
-		stats.Delta = m.DeltaCounters()
-		stats.Persist = m.persistCountersValue()
-		ans.Result, ans.Stats = res, stats
+		// No per-question span: the batch records one eval span for all.
+		ans.Result, ans.Stats, ans.Err = m.evalEpoch(ep, plan, nil, nil)
 		return
 	}
 	ans.Result, ans.Stats, ans.Err = m.queryAnalyzed(q, canon, an, tr)

@@ -145,12 +145,11 @@ func TestPinnedEpochServesPreRefreshWorld(t *testing.T) {
 	if got := descQ(g); got != "EPOCH-EDITED" {
 		t.Errorf("post-refresh pin sees %q, want the refreshed description", got)
 	}
-	dc := m.DeltaCounters()
-	if dc.EpochsPublished < 2 {
-		t.Errorf("EpochsPublished = %d, want >= 2 (build + patch)", dc.EpochsPublished)
+	if n := metric(m, "annoda_epochs_published_total"); n < 2 {
+		t.Errorf("epochs published = %d, want >= 2 (build + patch)", n)
 	}
-	if dc.EpochPins == 0 {
-		t.Error("EpochPins = 0, want > 0")
+	if metric(m, "annoda_epoch_pins_total") == 0 {
+		t.Error("epoch pins = 0, want > 0")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/oem"
-	"repro/internal/qcache"
 )
 
 const cacheTestQuery = `select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`
@@ -30,8 +29,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if res2 != res1 {
 		t.Fatal("cache hit returned a different Result pointer")
 	}
-	if stats2.Cache.Hits < 1 || stats2.Cache.Misses < 1 {
-		t.Fatalf("counters not surfaced in stats: %+v", stats2.Cache)
+	if metric(m, "annoda_cache_hits_total") < 1 || metric(m, "annoda_cache_misses_total") < 1 {
+		t.Fatal("hit and miss not counted in the registry")
 	}
 	// Whitespace-insensitive: the canonical form is the key.
 	_, stats3, err := m.QueryString("select   G from ANNODA-GML.Gene   G where exists G.Annotation and not exists G.Disease")
@@ -57,7 +56,7 @@ func TestDisableCacheMatchesCachedResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.CacheEnabled || sp.CacheHit || sp.Cache != (qcache.Counters{}) {
+		if sp.CacheEnabled || sp.CacheHit {
 			t.Fatalf("DisableCache leaked cache state into stats: %+v", sp)
 		}
 		a, b := geneSymbols(rc, "G"), geneSymbols(rp, "G")
@@ -68,11 +67,13 @@ func TestDisableCacheMatchesCachedResults(t *testing.T) {
 			t.Fatalf("round %d: plans diverge: %v vs %v", i, sc.SourcesQueried, sp.SourcesQueried)
 		}
 	}
-	if _, ok := plain.CacheCounters(); ok {
-		t.Error("CacheCounters reported ok for a disabled cache")
+	// A disabled cache registers no cache series at all; an enabled one
+	// has counted this test's misses.
+	if n := metric(plain, "annoda_cache_misses_total"); n != 0 {
+		t.Errorf("disabled cache reports %d misses", n)
 	}
-	if _, ok := cached.CacheCounters(); !ok {
-		t.Error("CacheCounters not available on a cached manager")
+	if metric(cached, "annoda_cache_misses_total") == 0 {
+		t.Error("cache counters not readable on a cached manager")
 	}
 }
 
@@ -143,21 +144,18 @@ func TestConcurrentIdenticalQueriesCollapse(t *testing.T) {
 			t.Fatalf("caller %d saw %d answers, caller 0 saw %d", i, sizes[i], sizes[0])
 		}
 	}
-	counters, ok := m.CacheCounters()
-	if !ok {
-		t.Fatal("no cache counters")
-	}
+	misses, shared, hits := metric(m, "annoda_cache_misses_total"), metric(m, "annoda_cache_shared_total"), metric(m, "annoda_cache_hits_total")
 	// At most two computes may run: the query itself plus the shared fused
 	// snapshot it evaluates against. Either way the federated fan-out ran
 	// once — the other 15 callers collapsed onto it or hit the stored
 	// result.
-	if counters.Misses > 2 {
+	if misses > 2 {
 		t.Errorf("%d computes for %d concurrent identical queries, want <= 2 (shared=%d hits=%d)",
-			counters.Misses, n, counters.Shared, counters.Hits)
+			misses, n, shared, hits)
 	}
-	if counters.Shared+counters.Hits != n-1 {
+	if shared+hits != n-1 {
 		t.Errorf("shared=%d hits=%d for %d callers, want the other %d collapsed or served",
-			counters.Shared, counters.Hits, n, n-1)
+			shared, hits, n, n-1)
 	}
 }
 
@@ -197,17 +195,14 @@ func TestSnapshotFastPathSharedAcrossDistinctQueries(t *testing.T) {
 			t.Errorf("query %d: snapshot answer diverges from pipeline answer:\n--- snapshot ---\n%s\n--- pipeline ---\n%s", i, got, want)
 		}
 	}
-	sc, ok := m.SnapshotCounters()
-	if !ok || sc.Hits != int64(len(queries)) {
-		t.Fatalf("snapshot counters = %+v (ok=%v), want %d hits", sc, ok, len(queries))
+	if n := metric(m, "annoda_snapshot_hits_total"); n != int64(len(queries)) {
+		t.Fatalf("snapshot hits = %d, want %d", n, len(queries))
 	}
 	// One cache miss per distinct query; the shared fused snapshot lives
 	// outside the result cache (it is patched in place by RefreshSource)
 	// and so contributes no miss of its own.
-	counters, _ := m.CacheCounters()
-	if counters.Misses != int64(len(queries)) {
-		t.Errorf("%d cache misses for %d distinct queries, want %d",
-			counters.Misses, len(queries), len(queries))
+	if n := metric(m, "annoda_cache_misses_total"); n != int64(len(queries)) {
+		t.Errorf("%d cache misses for %d distinct queries, want %d", n, len(queries), len(queries))
 	}
 }
 
@@ -242,9 +237,8 @@ func TestSnapshotIneligibleQueries(t *testing.T) {
 			t.Errorf("query %d: cached answer diverges from uncached:\n%s\nvs\n%s", i, got, want)
 		}
 	}
-	sc, _ := m.SnapshotCounters()
-	if sc.Misses != int64(len(queries)) {
-		t.Errorf("snapshot misses = %d, want %d", sc.Misses, len(queries))
+	if n := metric(m, "annoda_snapshot_misses_total"); n != int64(len(queries)) {
+		t.Errorf("snapshot misses = %d, want %d", n, len(queries))
 	}
 }
 

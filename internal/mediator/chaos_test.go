@@ -24,6 +24,7 @@ import (
 	"repro/internal/gml"
 	"repro/internal/health"
 	"repro/internal/match"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/sources/geneontology"
 	"repro/internal/sources/locuslink"
@@ -194,6 +195,74 @@ func TestDegradedFusionAndReadmission(t *testing.T) {
 	if !sawSourceUp {
 		t.Fatal("no source-up feed event after re-admission")
 	}
+}
+
+// TestReadmissionIsInstrumentedLikeRefresh: probe re-admission runs the same
+// publish step as RefreshSource, so it observes the feed-publish histogram
+// (the hand-copied path forgot to), and its rebuild fallback records the
+// standing-query re-evaluation span like a refresh's does.
+func TestReadmissionIsInstrumentedLikeRefresh(t *testing.T) {
+	degrade := func(t *testing.T) (*Manager, *faults.Faulty) {
+		m, fgo := faultyManager(t, corpus(), Options{MinSources: 1, Health: fastHealth(), Obs: obs.New(obs.Config{})})
+		fgo.SetConfig(faults.Config{ErrorRate: 1})
+		if _, stats, err := m.QueryString(allSourcesQ); err != nil || len(stats.DegradedSources) != 1 {
+			t.Fatalf("degraded query: stats %+v, err %v", stats, err)
+		}
+		fgo.Clear()
+		return m, fgo
+	}
+	spansOf := func(m *Manager, op string) map[string]bool {
+		stages := map[string]bool{}
+		for _, tv := range m.o.Tracer.Recent() {
+			if tv.Op == op {
+				for _, sp := range tv.Spans {
+					stages[sp.Stage] = true
+				}
+			}
+		}
+		return stages
+	}
+
+	t.Run("patched", func(t *testing.T) {
+		m, _ := degrade(t)
+		deadline := time.Now().Add(5 * time.Second)
+		for m.ProbeSource(context.Background(), "GO") != nil {
+			if time.Now().After(deadline) {
+				t.Fatal("breaker never admitted a successful probe")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if n := m.Metrics().Value("annoda_feed_publish_duration_seconds"); n != 1 {
+			t.Errorf("feed-publish histogram observed %d times by a re-admission, want 1", n)
+		}
+		if !spansOf(m, "probe")[obs.StageFeedPublish] {
+			t.Error("re-admission trace has no feed_publish span")
+		}
+	})
+
+	t.Run("rebuild fallback", func(t *testing.T) {
+		m, fgo := degrade(t)
+		// ProbeSource's two steps, with the fetched model swapped for one
+		// that has no root for the source: it cannot be diffed, so the
+		// re-admission must fall back to the shared rebuild path.
+		tr := m.o.Start("probe", "GO")
+		if _, err := m.sourceModel(context.Background(), fgo, tr); err != nil {
+			t.Fatalf("recovered source still failing: %v", err)
+		}
+		m.readmitSource("GO", fgo, oem.NewGraph(), tr)
+		tr.Finish()
+		if n := metric(m, "annoda_full_rebuilds_total"); n != 1 {
+			t.Fatalf("full rebuilds = %d, want 1 (diff of a rootless model must fall back)", n)
+		}
+		if !spansOf(m, "probe")[obs.StageStandingEval] {
+			t.Error("re-admission rebuild fallback recorded no standing_eval span")
+		}
+		// The fallback is always safe: the next query rebuilds the world
+		// from the (recovered) sources, complete again.
+		if _, stats, err := m.QueryString(allSourcesQ); err != nil || len(stats.DegradedSources) != 0 {
+			t.Errorf("post-fallback query: degraded %v, err %v", stats.DegradedSources, err)
+		}
+	})
 }
 
 // TestStrictModeAndRequiredSources: MinSources = 0 (the default) keeps

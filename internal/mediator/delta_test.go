@@ -249,9 +249,8 @@ func TestRefreshSourceGeneDelta(t *testing.T) {
 	assertEquivalent(t, m, c)
 	assertSnapshotTight(t, m, c)
 
-	dc := m.DeltaCounters()
-	if dc.DeltasApplied != 1 || dc.EntitiesPatched != 10 || dc.FullRebuilds != 0 {
-		t.Errorf("counters = %+v, want 1 delta applied, 10 entities patched", dc)
+	if applied, patched, rebuilds := metric(m, "annoda_deltas_applied_total"), metric(m, "annoda_entities_patched_total"), metric(m, "annoda_full_rebuilds_total"); applied != 1 || patched != 10 || rebuilds != 0 {
+		t.Errorf("counters = %d applied / %d patched / %d rebuilds, want 1 delta applied, 10 entities patched", applied, patched, rebuilds)
 	}
 	// The edited description must be visible through the snapshot path.
 	res, stats, err := m.QueryString(`select G from ANNODA-GML.Gene G where exists G.Annotation or exists G.Disease`)
@@ -646,8 +645,8 @@ func TestCacheSurvivesUnrelatedRefresh(t *testing.T) {
 	if stats.CacheHit {
 		t.Error("gene query served stale from cache after a Gene-concept refresh")
 	}
-	if stats.Delta.SelectiveInvalidations != 2 {
-		t.Errorf("Stats.Delta.SelectiveInvalidations = %d, want 2", stats.Delta.SelectiveInvalidations)
+	if n := metric(m, "annoda_selective_invalidations_total"); n != 2 {
+		t.Errorf("selective invalidations = %d, want 2", n)
 	}
 }
 
@@ -693,8 +692,8 @@ func TestRefreshDeltaTooLarge(t *testing.T) {
 	if !rr.FullRebuild || rr.Patched {
 		t.Fatalf("bulk change did not fall back: %+v", rr)
 	}
-	if m.DeltaCounters().FullRebuilds != 1 {
-		t.Errorf("FullRebuilds = %d, want 1", m.DeltaCounters().FullRebuilds)
+	if n := metric(m, "annoda_full_rebuilds_total"); n != 1 {
+		t.Errorf("full rebuilds = %d, want 1", n)
 	}
 	_, stats, err := m.QueryString(snapshotQ)
 	if err != nil {

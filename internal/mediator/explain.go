@@ -11,11 +11,12 @@ package mediator
 // records what the stats-estimated cost model would have decided, and
 // Options.CostPushdown flips which gate is live.
 //
-// ExplainAnalyze additionally executes the query — against a pinned epoch
-// on the snapshot path, or through the real fetch+fuse pipeline — with the
-// instrumented evaluator counting per-stage cardinalities. The reported
-// fetched/kept per source are the same Stats fields a plain Query reports;
-// the fidelity tests pin that equality.
+// ExplainAnalyze additionally executes the query — through the same compute
+// entry a live query uses, so against a pinned epoch on the snapshot path or
+// through the real fetch+fuse pipeline — with the instrumented evaluator
+// counting per-stage cardinalities. The reported fetched/kept per source are
+// the same Stats fields a plain Query reports; the fidelity tests pin that
+// equality.
 
 import (
 	"fmt"
@@ -110,9 +111,6 @@ type ExplainStage struct {
 	Micros int64  `json:"micros"`
 }
 
-// ExplainCounters reports cumulative explain activity.
-func (m *Manager) ExplainCounters() int64 { return m.explains.Load() }
-
 // ExplainString parses src and explains it; analyze also executes it.
 func (m *Manager) ExplainString(src string, analyze bool) (*Explain, error) {
 	q, err := lorel.Parse(src)
@@ -126,7 +124,7 @@ func (m *Manager) ExplainString(src string, analyze bool) (*Explain, error) {
 // runs outside the result cache on purpose: its timings and cardinalities
 // describe a real computation, not a lookup.
 func (m *Manager) ExplainQuery(q *lorel.Query, analyze bool) (*Explain, error) {
-	m.explains.Add(1)
+	m.explains.Inc()
 	t0 := obs.Now()
 	e, err := m.explainQuery(q, analyze)
 	m.opExplainDur.Observe(obs.Since(t0))
@@ -228,38 +226,15 @@ func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdow
 	return out
 }
 
-// explainAnalyze executes the query the way queryCompute would route it —
-// eval-only against a pinned epoch when snapshot-safe, the full pipeline
-// otherwise — with the counted evaluator, and attaches the observation.
+// explainAnalyze executes the query through queryCompute — the same entry
+// a live query computes through, so the routing cannot differ — with the
+// counted evaluator, and attaches the observation. It runs outside the
+// result cache on purpose: its timings describe a real computation.
 func (m *Manager) explainAnalyze(e *Explain, q *lorel.Query, canon string, an *analysis) error {
 	ec := &lorel.EvalCounts{}
-	var (
-		res *lorel.Result
-		st  *Stats
-		err error
-	)
-	if m.cache != nil && e.SnapshotSafe {
-		plan, perr := m.planFor(q, canon)
-		if perr != nil {
-			return perr
-		}
-		ep, _, perr := m.pinEpoch()
-		if perr != nil {
-			return perr
-		}
-		t := obs.Now()
-		res, err = plan.EvalCounted(ep.fs.graph, ec)
-		if err != nil {
-			return err
-		}
-		st = ep.stats.clone()
-		st.EvalTime = obs.Since(t)
-		st.SnapshotUsed = true
-	} else {
-		res, st, err = m.execute(q, canon, an, nil, ec)
-		if err != nil {
-			return err
-		}
+	res, st, err := m.queryCompute(q, canon, an, nil, ec)
+	if err != nil {
+		return err
 	}
 	a := &ExplainAnalysis{
 		SnapshotUsed:  st.SnapshotUsed,

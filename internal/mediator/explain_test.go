@@ -48,7 +48,7 @@ func TestExplainPlanOnly(t *testing.T) {
 	if e.SnapshotSafe || !strings.Contains(e.PathReason, "pushdown") {
 		t.Errorf("path decision = safe=%v reason=%q, want pushdown-unsafe", e.SnapshotSafe, e.PathReason)
 	}
-	if m.ExplainCounters() == 0 {
+	if metric(m, "annoda_plan_explains_total") == 0 {
 		t.Error("explain counter did not move")
 	}
 	// The rendered report must carry the headline facts.
@@ -245,7 +245,7 @@ func TestSourceStatsMaintained(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := m.PlanCacheCounters(); !ok {
+	if metric(m, "annoda_plan_cache_misses_total") == 0 {
 		t.Error("plan cache counters unavailable with caching enabled")
 	}
 }

@@ -144,22 +144,6 @@ func ownersForKeys(bySymbol map[string]*fusedGene, byGeneID map[int64]*fusedGene
 	return nil
 }
 
-// fuse combines the per-source populations into one integrated OEM graph:
-//
-//	ANNODA-GML
-//	  Gene*        fused gene objects: reconciled attributes + links to
-//	               Annotation/Disease/Protein entities
-//	  Annotation*  translated GO annotations
-//	  Disease*     translated OMIM entries
-//	  Protein*     translated protein records (when ProtDB is plugged in)
-//
-// Gene–Annotation links join on canonical symbol; Gene–Disease links join
-// on GeneID with a symbol fallback; Gene–Protein on GeneID. Linked-entity
-// labels that describe the gene itself (linkContrib) feed reconciliation.
-func (m *Manager) fuse(an *analysis, pops []*population, stats *Stats) (*oem.Graph, error) {
-	return m.fuseInto(an, pops, stats, nil)
-}
-
 // fuseGeneEntity merges one gene entity into the fused-gene table of graph
 // g: create-or-find the fused gene for key, copy non-reconciled structure
 // (first contributor wins), turn reconciled-label atoms into
@@ -235,8 +219,20 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *population, i int, key stri
 	return nil
 }
 
-// fuseInto is fuse with an optional recorder: when rec is non-nil the
-// fusion bookkeeping (gene parts, resident entities, join indexes,
+// fuseInto combines the per-source populations into one integrated OEM graph:
+//
+//	ANNODA-GML
+//	  Gene*        fused gene objects: reconciled attributes + links to
+//	               Annotation/Disease/Protein entities
+//	  Annotation*  translated GO annotations
+//	  Disease*     translated OMIM entries
+//	  Protein*     translated protein records (when ProtDB is plugged in)
+//
+// Gene–Annotation links join on canonical symbol; Gene–Disease links join
+// on GeneID with a symbol fallback; Gene–Protein on GeneID. Linked-entity
+// labels that describe the gene itself (linkContrib) feed reconciliation.
+//
+// When rec is non-nil the fusion bookkeeping (gene parts, resident entities, join indexes,
 // per-gene conflicts) is captured into it so the resulting graph can later
 // be patched from a delta.ChangeSet. Populations feeding a recorded fusion
 // must carry entity hashes (fetch with hashes=true). Large fusions run the

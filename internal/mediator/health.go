@@ -114,9 +114,6 @@ func (m *Manager) SourceHealth() []SourceStatus {
 	return out
 }
 
-// HealthGen exposes the recovery generation (see health.Tracker.Gen).
-func (m *Manager) HealthGen() uint64 { return m.health.Gen() }
-
 // Readiness is the manager's serving-ability verdict, computed with the
 // same strictness knobs that govern degraded-mode fusion (MinSources,
 // RequireSources). /readyz serializes it verbatim.
@@ -171,28 +168,13 @@ func (m *Manager) ProbeSource(ctx context.Context, name string) error {
 	if w == nil {
 		return fmt.Errorf("mediator: source %q not registered", name)
 	}
-	var tr *obs.Trace
-	owned := false
-	if m.o != nil {
-		tr, owned = m.traceFor(ctx, "probe", name)
+	op := m.beginOp(ctx, "probe", name)
+	g, err := m.sourceModel(ctx, w, op.tr)
+	op.tr.SpanNote(obs.StageProbe, op.t0, name)
+	if err == nil {
+		m.readmitSource(name, w, g, op.tr)
 	}
-	t0 := obs.Now()
-	g, err := m.sourceModel(ctx, w, tr)
-	tr.SpanNote(obs.StageProbe, t0, name)
-	if err != nil {
-		tr.SetErr(err)
-		if owned {
-			tr.Finish()
-		}
-		return err
-	}
-	err = m.readmitSource(name, w, g, tr)
-	if err != nil {
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	m.endOp(op, nil, nil, err)
 	return err
 }
 
@@ -200,91 +182,32 @@ func (m *Manager) ProbeSource(ctx context.Context, name string) error {
 // epoch when that epoch was built without it. The epoch records no
 // entities (hence no hashes) for a missing source, so diffing the fresh
 // model against its recorded counts yields pure upserts — the complete
-// population — and the ordinary clone-patch-publish machinery re-admits
-// it. When the serving epoch already contains the source (a query-path
-// success recovered it first, or a racing rebuild beat us) there is
-// nothing to do: the fingerprint moved with the recovery generation and
-// the lazy rebuild path covers it.
-func (m *Manager) readmitSource(name string, w wrapper.Wrapper, g *oem.Graph, tr *obs.Trace) error {
-	if m.cache == nil {
-		return nil
-	}
+// population — and the ordinary publishDelta step re-admits it (the
+// too-large bound does not apply: one source's population is still far
+// cheaper than rebuilding the multi-source world). When the serving epoch
+// already contains the source (a query-path success recovered it first, or
+// a racing rebuild beat us) there is nothing to do: the fingerprint moved
+// with the recovery generation and the lazy rebuild path covers it.
+func (m *Manager) readmitSource(name string, w wrapper.Wrapper, g *oem.Graph, tr *obs.Trace) {
 	mp := m.gl.MappingFor(name)
-	if mp == nil {
-		return nil
+	if m.cache == nil || mp == nil {
+		return
 	}
-	// Hold the refreshing gate for the same reason RefreshSource does:
-	// between the recovery generation bump (already done by the breaker)
-	// and the patched epoch's publication, queries must keep serving the
-	// degraded world rather than nuking the cache and rebuilding.
-	m.refreshing.Add(1)
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			m.refreshing.Add(-1)
-		}
-	}
+	// The breaker already bumped the recovery generation; hold the gate
+	// until the patched epoch is out (see gateRefresh).
+	release := m.gateRefresh()
 	defer release()
-
-	m.epochMu.Lock()
-	cur := m.epoch.Load()
-	if cur == nil || !containsSource(cur.degraded, name) {
-		m.epochMu.Unlock()
-		return nil
+	ep := m.epoch.Load()
+	if ep == nil || !containsSource(ep.degraded, name) {
+		return
 	}
-	cs, err := delta.DiffAgainst(cur.fs.hashCounts(name), g, name, w.EntityLabel())
+	cs, err := delta.DiffAgainst(ep.fs.hashCounts(name), g, name, w.EntityLabel())
 	if err == nil {
-		nfs := cur.fs.clone()
-		nstats := cur.stats.clone()
-		if perr := nfs.apply(cs, mp, nstats); perr != nil {
-			err = perr
-		} else {
-			fpAfter := m.sourceFingerprint()
-			nstats.DegradedSources = dropSource(cur.degraded, name)
-			published := &snapshot{fs: nfs, stats: nstats, fp: fpAfter, degraded: nstats.DegradedSources}
-			m.publishLocked(published)
-			if !cs.Empty() {
-				m.persistDeltaLocked(cs, cur, published, tr)
-			}
-			var feedSeq uint64
-			if !cs.Empty() {
-				tf := obs.Now()
-				feedSeq = m.publishChangeLocked(cs, mp.Concept, fpAfter)
-				tr.SpanDur(obs.StageFeedPublish, tf, obs.Since(tf), "")
-			}
-			m.publishSourceUpLocked(name, fpAfter)
-			m.epochMu.Unlock()
-			m.deltasApplied.Add(1)
-			m.entitiesPatched.Add(int64(cs.Size()))
-			tp := obs.Now()
-			n := m.cache.InvalidateTags([]string{mp.Concept})
-			tr.SpanNote(obs.StageInvalidate, tp, fmt.Sprintf("%d dropped", n))
-			m.selectiveInvalidations.Add(int64(n))
-			m.lastFP.Store(fpAfter)
-			if feedSeq != 0 {
-				ts := obs.Now()
-				m.evalStanding(feedSeq, []string{mp.Concept}, published)
-				tr.Span(obs.StageStandingEval, ts)
-			}
-			return nil
-		}
+		_, _, err = m.publishDelta(cs, mp, ep.fp, m.sourceFingerprint(), release, tr)
 	}
-	// Diff or patch failed: retire the epoch and fall back to a lazy full
-	// rebuild — always safe, just not incremental.
-	m.epoch.Store(nil)
-	m.cache.Invalidate()
-	fp := m.sourceFingerprint()
-	m.lastFP.Store(fp)
-	seq := m.publishRebuildLocked(name, fp)
-	m.epochMu.Unlock()
-	m.fullRebuilds.Add(1)
-	tr.Annotate("re-admission fell back to rebuild: " + err.Error())
-	if seq != 0 {
-		release()
-		m.evalStandingFresh(seq, []string{"*"})
+	if err != nil {
+		m.rebuildFallback(name, "re-admission: "+err.Error(), release, tr)
 	}
-	return nil
 }
 
 func containsSource(list []string, name string) bool {

@@ -68,9 +68,11 @@ type Options struct {
 	// full rebuild (<= 0 selects DefaultMaxDeltaFraction). Past the bound,
 	// patching entity by entity costs more than refusing.
 	MaxDeltaFraction float64
-	// Obs wires the observability layer (per-op latency histograms,
-	// request traces, scrape-time counter collectors). nil disables all
-	// instrumentation at the cost of one predictable branch per site.
+	// Obs wires the observability layer: per-op latency histograms and
+	// request traces, plus the registry the cumulative counters register
+	// in. nil disables histograms and traces at the cost of one predictable
+	// branch per site; the counters then count in a private registry (see
+	// Manager.Metrics).
 	Obs *obs.Obs
 
 	// MinSources > 0 enables degraded-mode fusion: a fetch that loses
@@ -150,31 +152,12 @@ type Stats struct {
 	// per-question share.
 	BatchQuestions int
 
-	// Result-cache activity. CacheEnabled is false when the manager runs
-	// with DisableCache, in which case every other Cache field is zero and
-	// String() prints exactly what it printed before the cache existed.
-	// On a cache hit the timing fields above describe the original
+	// CacheEnabled is false when the manager runs with DisableCache.
+	// CacheHit: answered from the result cache (or shared an in-flight
+	// compute); the timing fields above then describe the original
 	// computation, not this request.
 	CacheEnabled bool
-	CacheHit     bool // answered from cache (or shared an in-flight compute)
-	Cache        qcache.Counters
-
-	// Delta is the manager's cumulative delta-subsystem activity at the
-	// time this Stats was handed out (incremental refreshes applied,
-	// entities patched, full-rebuild fallbacks, concept-scoped cache
-	// invalidations). Zero until the first RefreshSource.
-	Delta DeltaCounters
-
-	// Persist is the durable snapshot store's cumulative activity
-	// (checkpoints written, WAL records appended/replayed, restores and
-	// ladder fallbacks). Zero when persistence is disabled.
-	Persist PersistCounters
-
-	// Feed is the live change-feed hub's cumulative activity (events
-	// published, delivered, dropped to overflow, standing-query answers,
-	// subscriber counts). Zero until the first subscription or refresh
-	// publication; always zero with DisableCache.
-	Feed feed.Counters
+	CacheHit     bool
 }
 
 // String summarizes the stats for explain output.
@@ -210,32 +193,7 @@ func (s *Stats) String() string {
 		if s.CacheHit {
 			outcome = "hit"
 		}
-		fmt.Fprintf(&sb, "cache: %s (hits=%d misses=%d shared=%d evictions=%d expired=%d entries=%d)\n",
-			outcome, s.Cache.Hits, s.Cache.Misses, s.Cache.Shared,
-			s.Cache.Evictions, s.Cache.Expired, s.Cache.Entries)
-	}
-	if s.Delta != (DeltaCounters{}) {
-		fmt.Fprintf(&sb, "deltas: applied=%d entities=%d full-rebuilds=%d selective-invalidations=%d\n",
-			s.Delta.DeltasApplied, s.Delta.EntitiesPatched, s.Delta.FullRebuilds, s.Delta.SelectiveInvalidations)
-		if s.Delta.EpochsPublished > 0 || s.Delta.EpochPins > 0 {
-			fmt.Fprintf(&sb, "epochs: published=%d pins=%d\n", s.Delta.EpochsPublished, s.Delta.EpochPins)
-		}
-	}
-	if s.Persist != (PersistCounters{}) {
-		fmt.Fprintf(&sb, "persist: checkpoints=%d (%d bytes) wal-appended=%d wal-replayed=%d restores=%d fallbacks=%d errors=%d\n",
-			s.Persist.CheckpointsWritten, s.Persist.CheckpointBytes, s.Persist.WALAppended,
-			s.Persist.WALReplayed, s.Persist.Restores, s.Persist.RestoreFallbacks, s.Persist.Errors)
-		if s.Persist.Restores > 0 {
-			fmt.Fprintf(&sb, "restore: last took %v\n", s.Persist.LastRestore.Round(time.Microsecond))
-		}
-		if s.Persist.PruneFailures > 0 {
-			fmt.Fprintf(&sb, "persist prune failures: %d (stale files accumulating)\n", s.Persist.PruneFailures)
-		}
-	}
-	if s.Feed != (feed.Counters{}) {
-		fmt.Fprintf(&sb, "feed: published=%d delivered=%d dropped=%d overflows=%d answers=%d subscribers=%d\n",
-			s.Feed.Published, s.Feed.Delivered, s.Feed.Dropped, s.Feed.Overflows,
-			s.Feed.Answers, s.Feed.Subscribers)
+		fmt.Fprintf(&sb, "cache: %s\n", outcome)
 	}
 	return sb.String()
 }
@@ -259,13 +217,6 @@ type Manager struct {
 	// every entry before the next lookup — freshness beats reuse.
 	lastFP atomic.Uint64
 
-	// snapshotHits counts computed queries answered eval-only against the
-	// shared fused snapshot; snapshotMisses counts computed queries that
-	// were ineligible and ran the full fetch+fuse pipeline. Result-cache
-	// hits count as neither (nothing was computed).
-	snapshotHits   atomic.Int64
-	snapshotMisses atomic.Int64
-
 	// epoch is the published fused-snapshot epoch: an immutable
 	// {fuseState, stats, fingerprint} the read path pins with one atomic
 	// load and evaluates with no lock held (the epoch's graph is frozen).
@@ -277,12 +228,6 @@ type Manager struct {
 	epoch   atomic.Pointer[snapshot]
 	epochMu sync.Mutex
 
-	// epochsPublished counts epoch publications (builds, patches, empty-
-	// delta republications); epochPins counts lock-free epoch acquisitions
-	// by the read path.
-	epochsPublished atomic.Int64
-	epochPins       atomic.Int64
-
 	// refreshing counts in-flight RefreshSource calls. While nonzero,
 	// ensureFresh suppresses the fingerprint-mismatch cache nuke and
 	// acquireSnapshot suppresses stale-snapshot rebuilds: the refresh in
@@ -291,12 +236,6 @@ type Manager struct {
 	// pre-refresh world — the refresh's visibility point is its
 	// completion, not its first side effect.
 	refreshing atomic.Int32
-
-	// Delta subsystem counters (see DeltaCounters).
-	deltasApplied          atomic.Int64
-	entitiesPatched        atomic.Int64
-	fullRebuilds           atomic.Int64
-	selectiveInvalidations atomic.Int64
 
 	// Durable snapshot store (nil when persistence is disabled; see
 	// persist.go). persistSeq is the newest written/restored checkpoint
@@ -309,16 +248,6 @@ type Manager struct {
 	persistSeq atomic.Uint64
 	diskEpoch  atomic.Pointer[snapshot]
 
-	// Persistence counters (see PersistCounters).
-	checkpointsWritten atomic.Int64
-	checkpointBytes    atomic.Int64
-	walAppended        atomic.Int64
-	walReplayed        atomic.Int64
-	persistRestores    atomic.Int64
-	persistFallbacks   atomic.Int64
-	persistErrors      atomic.Int64
-	restoreNanos       atomic.Int64
-
 	// health tracks per-source availability: one circuit breaker per
 	// source, plus the recovery generation sourceFingerprint folds in so
 	// a source coming back invalidates every answer computed without it.
@@ -327,12 +256,9 @@ type Manager struct {
 	// srcStats is the per-source statistics table (entity counts, label
 	// cardinalities, fetch-latency EWMA, observed pushdown selectivity) —
 	// the measured ground the cost-based pushdown gate stands on. Fed at
-	// fetch/fuse/refresh time; read by Explain, /statsz and the metrics
-	// collector. Always non-nil (the table itself is also nil-inert).
+	// fetch/fuse/refresh time; read by Explain, /statsz and the per-source
+	// gauges. Always non-nil (the table itself is also nil-inert).
 	srcStats *stats.Table
-
-	// explains counts Explain/ExplainAnalyze calls served.
-	explains atomic.Int64
 
 	// hub is the live change-feed hub (nil with DisableCache — no epochs,
 	// nothing to notify about); RefreshSource publishes into it under
@@ -341,6 +267,11 @@ type Manager struct {
 	hub        *feed.Hub
 	standingMu sync.Mutex
 	standingQs map[*StandingQuery]struct{}
+
+	// metrics is the one home of every cumulative counter (see obs.go):
+	// the embedded counters are instruments registered in it.
+	metrics *obs.Registry
+	counters
 
 	// Observability handles, resolved once by initObs (see obs.go). All
 	// nil when Options.Obs is nil; the obs API is nil-receiver-safe, so
@@ -356,22 +287,6 @@ type Manager struct {
 	opQueryErr   *obs.Counter
 	opBatchErr   *obs.Counter
 	opRefreshErr *obs.Counter
-}
-
-// SnapshotCounters reports how many computed queries took the fused-snapshot
-// eval-only fast path vs the full pipeline.
-type SnapshotCounters struct {
-	Hits   int64 // queries evaluated against the shared fused snapshot
-	Misses int64 // queries that ran their own fetch+fuse
-}
-
-// SnapshotCounters snapshots the fast-path counters; ok is false when the
-// cache (and with it the snapshot path) is disabled.
-func (m *Manager) SnapshotCounters() (SnapshotCounters, bool) {
-	if m.cache == nil {
-		return SnapshotCounters{}, false
-	}
-	return SnapshotCounters{Hits: m.snapshotHits.Load(), Misses: m.snapshotMisses.Load()}, true
 }
 
 // New builds a manager over a registry and its global model.
@@ -398,25 +313,6 @@ func (m *Manager) InvalidateCache() {
 	if m.cache != nil {
 		m.cache.Invalidate()
 	}
-}
-
-// CacheCounters snapshots the result cache's cumulative counters; ok is
-// false when the cache is disabled.
-func (m *Manager) CacheCounters() (qcache.Counters, bool) {
-	if m.cache == nil {
-		return qcache.Counters{}, false
-	}
-	return m.cache.Counters(), true
-}
-
-// PlanCacheCounters snapshots the compiled-plan cache's cumulative
-// counters; ok is false when caching is disabled (every query then
-// compiles its own plan).
-func (m *Manager) PlanCacheCounters() (qcache.Counters, bool) {
-	if m.plans == nil {
-		return qcache.Counters{}, false
-	}
-	return m.plans.Counters(), true
 }
 
 // SourceStats snapshots the per-source statistics table (sorted by source).
@@ -534,80 +430,40 @@ func (m *Manager) QueryCtx(ctx context.Context, q *lorel.Query) (*lorel.Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if m.o == nil {
-		return m.queryAnalyzed(q, canon, an, nil)
-	}
-	tr, owned := m.traceFor(ctx, "query", canon)
-	t0 := obs.Now()
-	res, stats, err := m.queryAnalyzed(q, canon, an, tr)
-	m.opQueryDur.Observe(obs.Since(t0))
-	if err != nil {
-		m.opQueryErr.Inc()
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	op := m.beginOp(ctx, "query", canon)
+	res, stats, err := m.queryAnalyzed(q, canon, an, op.tr)
+	m.endOp(op, m.opQueryDur, m.opQueryErr, err)
 	return res, stats, err
 }
 
 // queryAnalyzed runs an already-canonicalized, already-analyzed query
-// through the cache (when enabled) and the compute pipeline — the shared
-// tail of Query and AskBatch's snapshot-unsafe fallback.
+// through the result cache (when enabled; refreshing it first if the source
+// set changed) and the compute entry — the shared tail of Query and
+// AskBatch's snapshot-unsafe fallback. Every caller gets a deep copy of the
+// computation's stats stamped with its own cache flags: the stored Stats
+// are immutable, but the flags differ per caller, and the reference fields
+// must not be shared between callers. The entry is tagged with the concepts
+// the computation depended on (RefreshSource drops only entries whose tags
+// intersect the changed source's concept).
 func (m *Manager) queryAnalyzed(q *lorel.Query, canon string, an *analysis, tr *obs.Trace) (*lorel.Result, *Stats, error) {
 	if m.cache == nil {
-		return m.queryCompute(q, canon, an, tr)
+		return m.queryCompute(q, canon, an, tr, nil)
 	}
-	v, stats, err := m.cachedDo("query\x00"+canon, an.cacheTags(m.opts), tr, func() (any, *Stats, error) {
-		return pass(m.queryCompute(q, canon, an, tr))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.(*lorel.Result), stats, nil
-}
-
-// pass adapts a concretely-typed (T, *Stats, error) return to cachedDo's
-// compute signature.
-func pass[T any](v T, stats *Stats, err error) (any, *Stats, error) { return v, stats, err }
-
-// clone deep-copies s, including the map and slice fields. cachedDo hands
-// every caller of a cached entry its own copy so one caller mutating its
-// Stats can never corrupt another's (or the stored original's).
-func (s *Stats) clone() *Stats {
-	cp := *s
-	cp.SourcesQueried = append([]string(nil), s.SourcesQueried...)
-	cp.SourcesPruned = append([]string(nil), s.SourcesPruned...)
-	cp.DegradedSources = append([]string(nil), s.DegradedSources...)
-	cp.Conflicts = append([]Conflict(nil), s.Conflicts...)
-	cp.Fetched = maps.Clone(s.Fetched)
-	cp.Kept = maps.Clone(s.Kept)
-	return &cp
-}
-
-// cachedDo runs compute through the result cache under key (refreshing the
-// cache first if the source set changed) and stamps per-request cache flags
-// onto a deep copy of the computation's stats — the computation's Stats are
-// immutable once stored, but the flags differ per caller, and the reference
-// fields must not be shared between callers. The tags scope the stored
-// entry for concept-level invalidation (RefreshSource drops only entries
-// whose tags intersect the changed source's concept).
-func (m *Manager) cachedDo(key string, tags []string, tr *obs.Trace, compute func() (any, *Stats, error)) (any, *Stats, error) {
 	m.ensureFresh()
-	type payload struct {
-		v     any
+	type answer struct {
+		res   *lorel.Result
 		stats *Stats
 	}
 	var t0 time.Time
 	if tr != nil {
 		t0 = obs.Now()
 	}
-	v, outcome, err := m.cache.DoTagged(key, tags, func() (any, error) {
-		val, stats, err := compute()
+	v, outcome, err := m.cache.DoTagged("query\x00"+canon, an.cacheTags(m.opts), func() (any, error) {
+		res, stats, err := m.queryCompute(q, canon, an, tr, nil)
 		if err != nil {
 			return nil, err
 		}
-		return &payload{v: val, stats: stats}, nil
+		return &answer{res: res, stats: stats}, nil
 	})
 	if tr != nil {
 		// A miss's window is the whole computation, already described by
@@ -623,15 +479,25 @@ func (m *Manager) cachedDo(key string, tags []string, tr *obs.Trace, compute fun
 	if err != nil {
 		return nil, nil, err
 	}
-	p := v.(*payload)
-	stats := p.stats.clone()
+	ans := v.(*answer)
+	stats := ans.stats.clone()
 	stats.CacheEnabled = true
 	stats.CacheHit = outcome != qcache.Miss
-	stats.Cache = m.cache.Counters()
-	stats.Delta = m.DeltaCounters()
-	stats.Persist = m.persistCountersValue()
-	stats.Feed = m.feedCountersValue()
-	return p.v, stats, nil
+	return ans.res, stats, nil
+}
+
+// clone deep-copies s, including the map and slice fields. queryAnalyzed
+// hands every caller of a cached entry its own copy so one caller mutating its
+// Stats can never corrupt another's (or the stored original's).
+func (s *Stats) clone() *Stats {
+	cp := *s
+	cp.SourcesQueried = append([]string(nil), s.SourcesQueried...)
+	cp.SourcesPruned = append([]string(nil), s.SourcesPruned...)
+	cp.DegradedSources = append([]string(nil), s.DegradedSources...)
+	cp.Conflicts = append([]Conflict(nil), s.Conflicts...)
+	cp.Fetched = maps.Clone(s.Fetched)
+	cp.Kept = maps.Clone(s.Kept)
+	return &cp
 }
 
 // planFor returns the compiled plan for a query, caching it by canonical
@@ -656,20 +522,19 @@ func (m *Manager) planFor(q *lorel.Query, canon string) (*lorel.Plan, error) {
 	return v.(*lorel.Plan), nil
 }
 
-// queryCompute runs one query, choosing between the eval-only snapshot fast
-// path and the full fetch+fuse pipeline.
-func (m *Manager) queryCompute(q *lorel.Query, canon string, an *analysis, tr *obs.Trace) (*lorel.Result, *Stats, error) {
+// queryCompute is the one compute entry: it routes a query to the eval-only
+// snapshot fast path or the full fetch+fuse pipeline. Live queries and
+// EXPLAIN ANALYZE both call it, so an analyzed run cannot route differently
+// from the query it explains. ec, when non-nil, accumulates the evaluation's
+// per-stage cardinalities; the query path passes nil.
+func (m *Manager) queryCompute(q *lorel.Query, canon string, an *analysis, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	if m.cache != nil {
 		if m.snapshotSafe(an, q) {
-			res, stats, err := m.querySnapshot(q, canon, tr)
-			if err == nil {
-				m.snapshotHits.Add(1) // count only answered queries
-			}
-			return res, stats, err
+			return m.querySnapshot(q, canon, tr, ec)
 		}
-		m.snapshotMisses.Add(1)
+		m.snapshotMisses.Inc()
 	}
-	return m.execute(q, canon, an, tr, nil)
+	return m.execute(q, canon, an, tr, ec)
 }
 
 // snapshot is one published fused-snapshot epoch. Everything it references
@@ -697,7 +562,7 @@ type snapshot struct {
 // is held during evaluation: the epoch is one atomic pointer load, its
 // graph is frozen, and a concurrent RefreshSource publishes a patched
 // clone instead of mutating what this query is reading.
-func (m *Manager) querySnapshot(q *lorel.Query, canon string, tr *obs.Trace) (*lorel.Result, *Stats, error) {
+func (m *Manager) querySnapshot(q *lorel.Query, canon string, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = obs.Now()
@@ -717,11 +582,21 @@ func (m *Manager) querySnapshot(q *lorel.Query, canon string, tr *obs.Trace) (*l
 	if tr != nil {
 		tr.Span(obs.StageEpochPin, t0)
 	}
+	return m.evalEpoch(ep, plan, tr, ec)
+}
+
+// evalEpoch is the one place a query plan meets a pinned epoch's graph:
+// evaluate, stamp a private copy of the epoch's stats with this
+// evaluation, and count the snapshot hit (answered queries only). Single
+// queries, batch questions, EXPLAIN ANALYZE and standing queries all end
+// here.
+func (m *Manager) evalEpoch(ep *snapshot, plan *lorel.Plan, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	t := obs.Now()
-	res, err := plan.Eval(ep.fs.graph)
+	res, err := plan.EvalCounted(ep.fs.graph, ec)
 	if err != nil {
 		return nil, nil, err
 	}
+	m.snapshotHits.Inc()
 	stats := ep.stats.clone()
 	stats.EvalTime = obs.Since(t)
 	stats.SnapshotUsed = true
@@ -745,7 +620,7 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 	for {
 		fp := m.sourceFingerprint()
 		if s := m.epoch.Load(); s != nil && (s.fp == fp || m.refreshing.Load() > 0) {
-			m.epochPins.Add(1)
+			m.epochPins.Inc()
 			return s, built, nil
 		}
 		m.epochMu.Lock()
@@ -782,43 +657,68 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 func (m *Manager) publishLocked(s *snapshot) {
 	s.fs.graph.Freeze()
 	m.epoch.Store(s)
-	m.epochsPublished.Add(1)
+	m.epochsPublished.Inc()
 }
 
 // execute runs the full pipeline for one analyzed query: fetch, fuse, eval.
-// ec, when non-nil, accumulates the evaluation's per-stage cardinalities
-// (ExplainAnalyze); the query path passes nil.
 func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
-	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
+	fused, stats, err := m.fetchFuse(an, nil, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := m.planFor(q, canon)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := obs.Now()
+	res, err := plan.EvalCounted(fused, ec)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.EvalTime = obs.Since(t)
+	tr.SpanDur(obs.StageEval, t, stats.EvalTime, "")
+	return res, stats, nil
+}
 
+// fetchFuse is the one fetch+fuse step, timing both stages into fresh
+// Stats: the per-query pipeline, the epoch build and the DisableCache fused
+// graph all run it. rec, when non-nil, records the fusion bookkeeping
+// incremental maintenance needs (which also asks the fetch for per-entity
+// structural hashes); with no shared snapshot to maintain, nil skips that
+// work rather than throwing it away.
+func (m *Manager) fetchFuse(an *analysis, rec *fuseState, tr *obs.Trace) (*oem.Graph, *Stats, error) {
+	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
 	t0 := obs.Now()
-	pops, err := m.fetch(an, stats, false, tr)
+	pops, err := m.fetch(an, stats, rec != nil, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.FetchTime = obs.Since(t0)
 	tr.SpanDur(obs.StageFetch, t0, stats.FetchTime, "")
-
+	if rec != nil {
+		// A snapshot build fetches every source in full (needAll, no
+		// pushdown): the one place the whole population is in hand, so
+		// refresh the statistics table's entity counts and per-label
+		// cardinalities here.
+		for _, p := range pops {
+			m.srcStats.SetEntities(p.source, p.fetchedCount)
+			m.srcStats.SetLabels(p.source, labelCardinalities(p))
+		}
+	}
 	t1 := obs.Now()
-	fused, err := m.fuse(an, pops, stats)
+	fused, err := m.fuseInto(an, pops, stats, rec)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.FuseTime = obs.Since(t1)
 	tr.SpanDur(obs.StageFuse, t1, stats.FuseTime, "")
+	return fused, stats, nil
+}
 
-	plan, err := m.planFor(q, canon)
-	if err != nil {
-		return nil, nil, err
-	}
-	t2 := obs.Now()
-	res, err := plan.EvalCounted(fused, ec)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.EvalTime = obs.Since(t2)
-	tr.SpanDur(obs.StageEval, t2, stats.EvalTime, "")
-	return res, stats, nil
+// everything is the analysis of "every concept, no pushdown": what the
+// shared snapshot and the materialized fused graph are built from.
+func everything() *analysis {
+	return &analysis{needAll: true, fromConcepts: map[string]string{}, pushdown: map[string][]lorel.Cond{}}
 }
 
 // snapshotSafe reports whether evaluating q against the full fused snapshot
@@ -890,7 +790,7 @@ func (m *Manager) snapshotPathDecision(an *analysis, q *lorel.Query) (safe bool,
 // private graph should run with DisableCache, which builds one per call.
 func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	if m.cache == nil {
-		return m.fusedGraphUncached()
+		return m.fetchFuse(everything(), nil, nil)
 	}
 	ep, built, err := m.pinEpoch()
 	if err != nil {
@@ -899,60 +799,32 @@ func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	stats := ep.stats.clone()
 	stats.CacheEnabled = true
 	stats.CacheHit = !built
-	stats.Cache = m.cache.Counters()
-	stats.Delta = m.DeltaCounters()
-	stats.Persist = m.persistCountersValue()
-	stats.Feed = m.feedCountersValue()
 	return ep.fs.graph, stats, nil
 }
 
-// WithFusedGraph runs fn over one pinned fused-snapshot epoch. The epoch
-// is immutable, so fn sees a consistent world for its whole duration no
-// matter how many RefreshSource calls publish new epochs meanwhile — and
-// unlike the old read-locked contract, fn holds no lock, may run as long
-// as it likes, and may safely call back into the manager (including the
-// refresh path: the refresh publishes a new epoch without touching the
-// one fn reads).
+// WithFusedGraph runs fn over FusedGraph's graph: one pinned epoch, so fn
+// sees a consistent world for its whole duration no matter how many
+// RefreshSource calls publish new epochs meanwhile. fn holds no lock, may
+// run as long as it likes, and may safely call back into the manager
+// (including the refresh path: the refresh publishes a new epoch without
+// touching the one fn reads).
 func (m *Manager) WithFusedGraph(fn func(*oem.Graph, *Stats) error) error {
-	if m.cache == nil {
-		g, stats, err := m.fusedGraphUncached()
-		if err != nil {
-			return err
-		}
-		return fn(g, stats)
-	}
-	ep, _, err := m.pinEpoch()
+	g, stats, err := m.FusedGraph()
 	if err != nil {
 		return err
 	}
-	return fn(ep.fs.graph, ep.stats.clone())
+	return fn(g, stats)
 }
 
 // buildFuseState runs the full fetch+fuse pipeline over every mapped
 // source and records the fusion bookkeeping incremental maintenance needs
 // (including per-entity structural hashes).
 func (m *Manager) buildFuseState() (*fuseState, *Stats, error) {
-	an := &analysis{needAll: true, fromConcepts: map[string]string{}, pushdown: map[string][]lorel.Cond{}}
-	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
-	t0 := obs.Now()
-	pops, err := m.fetch(an, stats, true, nil)
+	rec := &fuseState{}
+	_, stats, err := m.fetchFuse(everything(), rec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.FetchTime = obs.Since(t0)
-	// A snapshot build fetches every source in full (needAll, no pushdown):
-	// the one place the whole population is in hand, so refresh the
-	// statistics table's entity counts and per-label cardinalities here.
-	for _, p := range pops {
-		m.srcStats.SetEntities(p.source, p.fetchedCount)
-		m.srcStats.SetLabels(p.source, labelCardinalities(p))
-	}
-	t1 := obs.Now()
-	rec := &fuseState{}
-	if _, err := m.fuseInto(an, pops, stats, rec); err != nil {
-		return nil, nil, err
-	}
-	stats.FuseTime = obs.Since(t1)
 	return rec, stats, nil
 }
 
@@ -976,28 +848,6 @@ func labelCardinalities(p *population) map[string]int {
 		}
 	}
 	return out
-}
-
-// fusedGraphUncached is the DisableCache variant: same pipeline, no
-// recorder bookkeeping and no entity hashing — with no cache there is no
-// shared snapshot to maintain, so that work would be thrown away (and it
-// would skew the DisableCache ablation baselines).
-func (m *Manager) fusedGraphUncached() (*oem.Graph, *Stats, error) {
-	an := &analysis{needAll: true, fromConcepts: map[string]string{}, pushdown: map[string][]lorel.Cond{}}
-	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
-	t0 := obs.Now()
-	pops, err := m.fetch(an, stats, false, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.FetchTime = obs.Since(t0)
-	t1 := obs.Now()
-	g, err := m.fuse(an, pops, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.FuseTime = obs.Since(t1)
-	return g, stats, nil
 }
 
 // analysis is the query-shape information the optimizer needs.
@@ -1250,11 +1100,8 @@ func collectPaths(q *lorel.Query) []lorel.Path {
 	for _, f := range q.From {
 		out = append(out, f.Path)
 	}
-	out = append(out, condPathsAll(q.Where)...)
-	return out
+	return append(out, condPaths(q.Where)...)
 }
-
-func condPathsAll(c lorel.Cond) []lorel.Path { return condPaths(c) }
 
 // population is one source's translated (and possibly pre-filtered)
 // entities, in the source's own scratch graph.

@@ -15,6 +15,10 @@ import (
 	"repro/internal/wrapper"
 )
 
+// metric reads one unlabelled series from the manager's registry — the one
+// home of every cumulative counter.
+func metric(m *Manager, name string) int64 { return m.Metrics().Value(name) }
+
 func corpus() *datagen.Corpus {
 	return datagen.Generate(datagen.Config{
 		Seed: 88, Genes: 60, GoTerms: 40, Diseases: 30,

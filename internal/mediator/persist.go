@@ -15,8 +15,8 @@ package mediator
 // lock that serializes epoch publication, so the WAL's record order always
 // matches the order deltas were applied in memory — replay cannot
 // double-apply or reorder. Persistence failures never fail the in-memory
-// operation that triggered them; they are counted (PersistCounters.Errors)
-// and the world keeps serving.
+// operation that triggered them; they are counted
+// (annoda_persist_errors_total) and the world keeps serving.
 
 import (
 	"bytes"
@@ -51,35 +51,6 @@ const (
 	DefaultPersistEveryBytes = 8 << 20
 )
 
-// PersistCounters reports the cumulative activity of the persistence
-// subsystem.
-type PersistCounters struct {
-	// CheckpointsWritten counts checkpoints written (explicit, auto, and
-	// shutdown flushes).
-	CheckpointsWritten int64
-	// CheckpointBytes is the cumulative payload bytes checkpointed.
-	CheckpointBytes int64
-	// WALAppended counts ChangeSet records appended to delta WALs.
-	WALAppended int64
-	// WALReplayed counts records replayed during restores.
-	WALReplayed int64
-	// Restores counts successful warm restores.
-	Restores int64
-	// RestoreFallbacks counts checkpoints that failed validation or decode
-	// during restore attempts — each one is a rung the recovery ladder
-	// stepped down.
-	RestoreFallbacks int64
-	// Errors counts persistence failures that were absorbed (the in-memory
-	// world keeps serving; the disk state may be stale).
-	Errors int64
-	// PruneFailures counts retention/temp deletions the store could not
-	// perform — stale checkpoints and WALs are accumulating on disk.
-	PruneFailures int64
-	// LastRestore is the wall-clock duration of the most recent successful
-	// restore (decode + WAL replay + publication).
-	LastRestore time.Duration
-}
-
 // EnablePersistence attaches a snapshot store and auto-checkpoint policy.
 // It requires the result cache (and with it the epoch infrastructure):
 // with DisableCache there is no shared fused snapshot to persist. Call it
@@ -105,31 +76,9 @@ func (m *Manager) EnablePersistence(st *snapstore.Store, pol PersistPolicy) erro
 	return nil
 }
 
-// PersistCounters snapshots the persistence counters; ok is false when no
-// store is attached.
-func (m *Manager) PersistCounters() (PersistCounters, bool) {
-	if m.store == nil {
-		return PersistCounters{}, false
-	}
-	return m.persistCountersValue(), true
-}
-
-func (m *Manager) persistCountersValue() PersistCounters {
-	if m.store == nil {
-		return PersistCounters{}
-	}
-	return PersistCounters{
-		CheckpointsWritten: m.checkpointsWritten.Load(),
-		CheckpointBytes:    m.checkpointBytes.Load(),
-		WALAppended:        m.walAppended.Load(),
-		WALReplayed:        m.walReplayed.Load(),
-		Restores:           m.persistRestores.Load(),
-		RestoreFallbacks:   m.persistFallbacks.Load(),
-		Errors:             m.persistErrors.Load(),
-		PruneFailures:      m.store.PruneFailures(),
-		LastRestore:        time.Duration(m.restoreNanos.Load()),
-	}
-}
+// ErrPersistenceDisabled is returned by the snapshot operations of a manager
+// with no store attached (see EnablePersistence).
+var ErrPersistenceDisabled = errors.New("mediator: persistence not enabled")
 
 // SaveResult reports one written checkpoint.
 type SaveResult struct {
@@ -148,27 +97,16 @@ func (m *Manager) SaveSnapshot() (*SaveResult, error) {
 // SaveSnapshotCtx is SaveSnapshot recording into the request trace carried
 // by ctx (or a fresh one when observability is on and ctx has none).
 func (m *Manager) SaveSnapshotCtx(ctx context.Context) (*SaveResult, error) {
-	if m.o == nil {
-		return m.saveSnapshot()
-	}
-	tr, owned := m.traceFor(ctx, "checkpoint", "")
-	t0 := obs.Now()
+	op := m.beginOp(ctx, "checkpoint", "")
 	res, err := m.saveSnapshot()
-	d := obs.Since(t0)
-	m.opCkptDur.Observe(d)
-	tr.SpanDur(obs.StageCheckpoint, t0, d, "")
-	if err != nil {
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	op.tr.Span(obs.StageCheckpoint, op.t0)
+	m.endOp(op, m.opCkptDur, nil, err)
 	return res, err
 }
 
 func (m *Manager) saveSnapshot() (*SaveResult, error) {
 	if m.store == nil {
-		return nil, errors.New("mediator: persistence not enabled")
+		return nil, ErrPersistenceDisabled
 	}
 	if _, _, err := m.pinEpoch(); err != nil {
 		return nil, err
@@ -192,22 +130,21 @@ func (m *Manager) saveLocked(ep *snapshot) (*SaveResult, error) {
 	start := obs.Now()
 	payload, err := encodeSnapshotPayload(ep)
 	if err != nil {
-		m.persistErrors.Add(1)
+		m.persistErrors.Inc()
 		return nil, err
 	}
 	seq := m.persistSeq.Load() + 1
 	if err := m.store.WriteCheckpoint(seq, payload); err != nil {
-		m.persistErrors.Add(1)
+		m.persistErrors.Inc()
 		return nil, err
 	}
 	m.persistSeq.Store(seq)
 	m.diskEpoch.Store(ep)
-	m.checkpointsWritten.Add(1)
-	m.checkpointBytes.Add(int64(len(payload)))
+	m.checkpoints.Inc()
+	m.checkpointBytes.Add(uint64(len(payload)))
 	took := obs.Since(start)
 	if m.o != nil {
 		m.o.M.CkptDur.Observe(took)
-		m.o.M.CkptBytes.Add(uint64(len(payload)))
 	}
 	return &SaveResult{Seq: seq, Bytes: len(payload), Took: took}, nil
 }
@@ -238,19 +175,19 @@ func (m *Manager) persistDeltaLocked(cs *delta.ChangeSet, cur, published *snapsh
 	start := obs.Now()
 	var buf bytes.Buffer
 	if err := delta.EncodeChangeSet(&buf, cs); err != nil {
-		m.persistErrors.Add(1)
+		m.persistErrors.Inc()
 		return
 	}
 	if err := m.store.AppendWAL(buf.Bytes()); err != nil {
-		m.persistErrors.Add(1)
+		m.persistErrors.Inc()
 		return
 	}
-	m.walAppended.Add(1)
+	m.walAppended.Inc()
+	m.walBytes.Add(uint64(buf.Len()))
 	d := obs.Since(start)
 	tr.SpanDur(obs.StageWALAppend, start, d, "")
 	if m.o != nil {
 		m.o.M.WALDur.Observe(d)
-		m.o.M.WALBytes.Add(uint64(buf.Len()))
 	}
 	m.diskEpoch.Store(published)
 	if recs, bytes := m.store.WALStats(); recs >= m.persistPol.EveryRecords || bytes >= m.persistPol.EveryBytes {
@@ -295,7 +232,7 @@ type RestoreResult struct {
 	// WALTruncated reports that the restored checkpoint's WAL carried a
 	// torn or corrupt tail that was dropped: the restore is consistent,
 	// but refreshes acknowledged after the last valid record are absent
-	// (also counted under PersistCounters.Errors).
+	// (also counted under annoda_persist_errors_total).
 	WALTruncated bool
 	// ColdStart is true when no usable checkpoint existed; the manager
 	// will fetch and fuse on first use, exactly as without persistence.
@@ -326,25 +263,15 @@ func (m *Manager) LoadSnapshot() (*RestoreResult, error) {
 // LoadSnapshotCtx is LoadSnapshot recording into the request trace carried
 // by ctx (or a fresh one when observability is on and ctx has none).
 func (m *Manager) LoadSnapshotCtx(ctx context.Context) (*RestoreResult, error) {
-	if m.o == nil {
-		return m.loadSnapshot(nil)
-	}
-	tr, owned := m.traceFor(ctx, "restore", "")
-	t0 := obs.Now()
-	rr, err := m.loadSnapshot(tr)
-	m.opRestoreDur.Observe(obs.Since(t0))
-	if err != nil {
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	op := m.beginOp(ctx, "restore", "")
+	rr, err := m.loadSnapshot(op.tr)
+	m.endOp(op, m.opRestoreDur, nil, err)
 	return rr, err
 }
 
 func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 	if m.store == nil {
-		return nil, errors.New("mediator: persistence not enabled")
+		return nil, ErrPersistenceDisabled
 	}
 	start := obs.Now()
 	rr := &RestoreResult{}
@@ -360,7 +287,7 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 		if err != nil {
 			rr.Fallbacks++
 			rr.Reason = err.Error()
-			m.persistFallbacks.Add(1)
+			m.restoreFallbacks.Inc()
 			continue
 		}
 		if truncated {
@@ -368,7 +295,7 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 			// crash mid-append leaves), but dropped acknowledged records
 			// must not pass silently.
 			rr.WALTruncated = true
-			m.persistErrors.Add(1)
+			m.persistErrors.Inc()
 		}
 		fp := m.sourceFingerprint()
 		ep.fp = fp
@@ -377,7 +304,7 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 		m.persistSeq.Store(seq)
 		m.diskEpoch.Store(ep)
 		if err := m.store.OpenWAL(seq); err != nil {
-			m.persistErrors.Add(1)
+			m.persistErrors.Inc()
 		}
 		rr.Restored = true
 		rr.Seq = seq
@@ -387,9 +314,8 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 		rr.Took = obs.Since(start)
 		tr.SpanDur(obs.StageRestore, start, rr.Took,
 			fmt.Sprintf("seq %d, %d WAL records", seq, replayed))
-		m.persistRestores.Add(1)
-		m.walReplayed.Add(int64(replayed))
-		m.restoreNanos.Store(int64(rr.Took))
+		m.restores.Inc()
+		m.walReplayed.Add(uint64(replayed))
 		return rr, nil
 	}
 	rr.ColdStart = true

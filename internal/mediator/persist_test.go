@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/snapstore"
 	"repro/internal/wrapper"
@@ -202,8 +203,8 @@ func TestRestoreServesWithoutFetching(t *testing.T) {
 	if res.Size() == 0 {
 		t.Error("post-restore query returned an empty answer")
 	}
-	if stats.Persist.Restores != 1 {
-		t.Errorf("stats persist counters = %+v, want 1 restore", stats.Persist)
+	if n := metric(m, "annoda_restores_total"); n != 1 {
+		t.Errorf("restores = %d, want 1", n)
 	}
 }
 
@@ -242,9 +243,8 @@ func TestRestoreReplaysWAL(t *testing.T) {
 	if !rr.Patched {
 		t.Fatalf("second refresh did not patch: %+v", rr)
 	}
-	pc, ok := live.PersistCounters()
-	if !ok || pc.WALAppended != 2 || pc.CheckpointsWritten != 1 {
-		t.Fatalf("persist counters = %+v, want 2 WAL appends on 1 checkpoint", pc)
+	if appends, ckpts := metric(live, "annoda_wal_records_appended_total"), metric(live, "annoda_checkpoints_written_total"); appends != 2 || ckpts != 1 {
+		t.Fatalf("persist counters = %d appends / %d checkpoints, want 2 WAL appends on 1 checkpoint", appends, ckpts)
 	}
 	want := worldText(t, live)
 
@@ -288,9 +288,8 @@ func TestAutoCheckpoint(t *testing.T) {
 	// published epoch instead of logging a delta with no base.
 	editGenes(t, c, 2, "wave one")
 	refresh(t, live, "LocusLink")
-	pc, _ := live.PersistCounters()
-	if pc.CheckpointsWritten != 1 || pc.WALAppended != 0 {
-		t.Fatalf("after first refresh: %+v, want checkpoint without WAL", pc)
+	if ckpts, appends := metric(live, "annoda_checkpoints_written_total"), metric(live, "annoda_wal_records_appended_total"); ckpts != 1 || appends != 0 {
+		t.Fatalf("after first refresh: %d checkpoints / %d appends, want checkpoint without WAL", ckpts, appends)
 	}
 	// Two more refreshes: the second append crosses EveryRecords=2 and
 	// auto-checkpoints.
@@ -298,9 +297,8 @@ func TestAutoCheckpoint(t *testing.T) {
 	refresh(t, live, "LocusLink")
 	editGenes(t, c, 2, "wave three")
 	refresh(t, live, "LocusLink")
-	pc, _ = live.PersistCounters()
-	if pc.CheckpointsWritten != 2 || pc.WALAppended != 2 {
-		t.Fatalf("after churn: %+v, want 2 checkpoints and 2 appends", pc)
+	if ckpts, appends := metric(live, "annoda_checkpoints_written_total"), metric(live, "annoda_wal_records_appended_total"); ckpts != 2 || appends != 2 {
+		t.Fatalf("after churn: %d checkpoints / %d appends, want 2 and 2", ckpts, appends)
 	}
 
 	restored := persistManager(t, c, Options{}, dir, PersistPolicy{})
@@ -344,9 +342,8 @@ func TestFullRebuildResetsLineage(t *testing.T) {
 	if rr := refresh(t, live, "LocusLink"); !rr.Patched || rr.FullRebuild {
 		t.Fatalf("post-rebuild refresh: %+v", rr)
 	}
-	pc, _ := live.PersistCounters()
-	if pc.CheckpointsWritten != 2 {
-		t.Fatalf("persist counters %+v: the post-rebuild delta must checkpoint (broken lineage), not append", pc)
+	if ckpts := metric(live, "annoda_checkpoints_written_total"); ckpts != 2 {
+		t.Fatalf("%d checkpoints: the post-rebuild delta must checkpoint (broken lineage), not append", ckpts)
 	}
 	want := worldText(t, live)
 
@@ -395,9 +392,8 @@ func TestRestoreFallsBackToPriorCheckpoint(t *testing.T) {
 	if got := worldText(t, restored); got != want {
 		t.Error("ladder restore diverges from the pre-kill world")
 	}
-	pc, _ := restored.PersistCounters()
-	if pc.RestoreFallbacks != 1 || pc.Restores != 1 {
-		t.Errorf("persist counters %+v", pc)
+	if fallbacks, restores := metric(restored, "annoda_restore_fallbacks_total"), metric(restored, "annoda_restores_total"); fallbacks != 1 || restores != 1 {
+		t.Errorf("restore fallbacks = %d, restores = %d, want 1 and 1", fallbacks, restores)
 	}
 }
 
@@ -542,8 +538,7 @@ func TestRestoreSurfacesTruncatedWAL(t *testing.T) {
 	if rr.WALReplayed != 0 {
 		t.Errorf("replayed %d records from a fully torn WAL", rr.WALReplayed)
 	}
-	pc, _ := restored.PersistCounters()
-	if pc.Errors == 0 {
+	if metric(restored, "annoda_persist_errors_total") == 0 {
 		t.Error("torn WAL tail not counted under persist errors")
 	}
 	if got := worldText(t, restored); got != want {
@@ -642,18 +637,25 @@ func TestSnapshotInfo(t *testing.T) {
 	}
 }
 
-// TestStatsStringMentionsPersist: the counters surface in explain output.
-func TestStatsStringMentionsPersist(t *testing.T) {
+// TestCheckpointCountedOnceInRegistry: a checkpoint's count and bytes live
+// in the registry — with or without Options.Obs — and nowhere else.
+func TestCheckpointCountedOnceInRegistry(t *testing.T) {
 	c := corpus()
-	m := persistManager(t, c, Options{}, t.TempDir(), PersistPolicy{})
-	if _, err := m.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := m.QueryString(snapshotQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stats.String(), "persist: checkpoints=1") {
-		t.Errorf("Stats.String missing persistence counters:\n%s", stats.String())
+	for _, o := range []*obs.Obs{nil, obs.New(obs.Config{})} {
+		m := persistManager(t, c, Options{Obs: o}, t.TempDir(), PersistPolicy{})
+		res, err := m.SaveSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, b := metric(m, "annoda_checkpoints_written_total"), metric(m, "annoda_checkpoint_bytes_total"); n != 1 || b != int64(res.Bytes) {
+			t.Errorf("obs=%v: %d checkpoints / %d bytes in the registry, want 1 / %d", o != nil, n, b, res.Bytes)
+		}
+		_, stats, err := m.QueryString(snapshotQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(stats.String(), "persist:") {
+			t.Errorf("per-request Stats carries process-wide counters:\n%s", stats.String())
+		}
 	}
 }

@@ -798,39 +798,6 @@ func int64Keys(m map[int64]bool) []int64 {
 // Manager-level refresh orchestration
 // ---------------------------------------------------------------------------
 
-// DeltaCounters reports the cumulative activity of the delta subsystem.
-type DeltaCounters struct {
-	// DeltasApplied counts refreshes absorbed incrementally (including
-	// empty deltas, which cost nothing by design).
-	DeltasApplied int64
-	// EntitiesPatched counts entity-level changes applied to the snapshot.
-	EntitiesPatched int64
-	// FullRebuilds counts refreshes that fell back to dropping everything:
-	// delta unavailable, too large, or the snapshot was unpatchable.
-	FullRebuilds int64
-	// SelectiveInvalidations counts cached results dropped by
-	// concept-scoped invalidation (instead of a full cache nuke).
-	SelectiveInvalidations int64
-	// EpochsPublished counts fused-snapshot epoch publications: cold
-	// builds, clone-patches, and empty-delta republications.
-	EpochsPublished int64
-	// EpochPins counts lock-free epoch acquisitions by the read path
-	// (snapshot-path queries, batch evaluations, fused-graph readers).
-	EpochPins int64
-}
-
-// DeltaCounters snapshots the delta subsystem's cumulative counters.
-func (m *Manager) DeltaCounters() DeltaCounters {
-	return DeltaCounters{
-		DeltasApplied:          m.deltasApplied.Load(),
-		EntitiesPatched:        m.entitiesPatched.Load(),
-		FullRebuilds:           m.fullRebuilds.Load(),
-		SelectiveInvalidations: m.selectiveInvalidations.Load(),
-		EpochsPublished:        m.epochsPublished.Load(),
-		EpochPins:              m.epochPins.Load(),
-	}
-}
-
 // RefreshResult reports what one RefreshSource call did.
 type RefreshResult struct {
 	Source     string
@@ -873,20 +840,9 @@ func (m *Manager) RefreshSource(name string) (*RefreshResult, error) {
 // none). The refresh's diff, patch, WAL-append, invalidation and
 // standing-query stages show up as spans.
 func (m *Manager) RefreshSourceCtx(ctx context.Context, name string) (*RefreshResult, error) {
-	if m.o == nil {
-		return m.refreshSource(name, nil)
-	}
-	tr, owned := m.traceFor(ctx, "refresh", name)
-	t0 := obs.Now()
-	rr, err := m.refreshSource(name, tr)
-	m.opRefreshDur.Observe(obs.Since(t0))
-	if err != nil {
-		m.opRefreshErr.Inc()
-		tr.SetErr(err)
-	}
-	if owned {
-		tr.Finish()
-	}
+	op := m.beginOp(ctx, "refresh", name)
+	rr, err := m.refreshSource(name, op.tr)
+	m.endOp(op, m.opRefreshDur, m.opRefreshErr, err)
 	return rr, err
 }
 
@@ -906,57 +862,18 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 		rr.NewVersion = w.Version()
 		rr.FullRebuild = true
 		rr.Reason = "delta maintenance needs the result cache and a mapped source"
-		m.fullRebuilds.Add(1)
+		m.fullRebuilds.Inc()
 		rr.Took = obs.Since(start)
 		return rr, nil
 	}
 
-	// From the wrapper's version bump until the delta is fully propagated,
-	// concurrent queries must keep serving the pre-refresh world instead
-	// of reacting to the fingerprint change (ensureFresh would nuke the
-	// whole cache, acquireSnapshot would waste a full rebuild). The
-	// refreshing gate holds them off; the refresh becomes visible when
-	// this function publishes the new fingerprint and returns. release is
-	// idempotent so the standing-query paths can drop the gate early —
-	// re-evaluating a standing query needs pinEpoch to see the post-refresh
-	// world, which it refuses to while the gate is up.
-	m.refreshing.Add(1)
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			m.refreshing.Add(-1)
-		}
-	}
+	release := m.gateRefresh()
 	defer release()
 
 	fullRebuild := func(reason string) (*RefreshResult, error) {
 		rr.FullRebuild = true
 		rr.Reason = reason
-		m.fullRebuilds.Add(1)
-		tr.Annotate("full rebuild: " + reason)
-		var seq, fp uint64
-		m.epochMu.Lock()
-		m.cache.Invalidate()
-		// Publish the post-refresh fingerprint under the epoch writer
-		// lock. The fingerprint is computed inside the lock, after this
-		// refresh's version bump, so whichever concurrent rebuilder
-		// stores last stores a fingerprint that covers every completed
-		// bump — unlike the old load-then-CAS, which a concurrent
-		// refresher could interleave so that neither fingerprint was
-		// ever published and the next ensureFresh nuked spuriously.
-		fp = m.sourceFingerprint()
-		m.lastFP.Store(fp)
-		// A rebuild invalidates everything, so the feed marker carries
-		// the wildcard concept: every subscriber must resync.
-		seq = m.publishRebuildLocked(name, fp)
-		m.epochMu.Unlock()
-		if seq != 0 {
-			release()
-			ts := obs.Now()
-			m.evalStandingFresh(seq, []string{"*"})
-			tr.Span(obs.StageStandingEval, ts)
-		}
+		m.rebuildFallback(name, reason, release, tr)
 		rr.Took = obs.Since(start)
 		return rr, nil
 	}
@@ -1031,57 +948,88 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 			cs.Fraction()*100, maxFrac*100))
 	}
 
-	// Clone-patch-publish: the current epoch stays untouched (readers
-	// pinned to it keep a consistent pre-refresh world); the delta is
-	// applied to a deep clone, which is frozen and published as the next
-	// epoch. Only an epoch that still describes the pre-refresh world is
-	// patched — patching anything newer would double-apply.
-	var publishedEp *snapshot
+	rr.Patched, rr.Invalidated, err = m.publishDelta(cs, mp, fpBefore, fpAfter, release, tr)
+	if err != nil {
+		return fullRebuild("snapshot patch failed: " + err.Error())
+	}
+	rr.Took = obs.Since(start)
+	return rr, nil
+}
+
+// gateRefresh raises the refreshing gate and returns its idempotent
+// release. From a source's version (or recovery-generation) bump until the
+// change is fully propagated, concurrent queries must keep serving the
+// pre-change world instead of reacting to the fingerprint move (ensureFresh
+// would nuke the whole cache, pinEpoch would waste a full rebuild); the
+// change becomes visible when publishDelta or rebuildFallback publishes the
+// new fingerprint. Those two drop the gate early before re-evaluating
+// standing queries against a fresh pin — pinEpoch refuses to see the
+// post-change world while the gate is up.
+func (m *Manager) gateRefresh() (release func()) {
+	m.refreshing.Add(1)
+	released := false
+	return func() {
+		if !released {
+			released = true
+			m.refreshing.Add(-1)
+		}
+	}
+}
+
+// publishDelta is the one clone-patch-publish step, shared by RefreshSource
+// and probe re-admission. The serving epoch stays untouched (readers pinned
+// to it keep a consistent pre-change world); when it still describes the
+// world cs was computed against (fp == fpBefore — patching anything newer
+// would double-apply) the delta is applied to a deep clone, which is frozen
+// and published as the next epoch under fpAfter. The WAL append and the
+// feed notification happen inside the same epochMu section, so epoch
+// publication order == WAL order == feed sequence order by construction.
+// Outside the lock the delta is counted, the cached results the source's
+// concept could have staled are dropped, the fingerprint is published, and
+// the standing queries the concept touches are re-evaluated. A failed
+// patch retires the epoch and returns the error; the caller then takes
+// rebuildFallback.
+func (m *Manager) publishDelta(cs *delta.ChangeSet, mp *gml.SourceMapping, fpBefore, fpAfter uint64, release func(), tr *obs.Trace) (patched bool, invalidated int, err error) {
+	name := mp.Source
+	var published *snapshot // the patched epoch standing queries re-evaluate against
 	var feedSeq uint64
+	readmitted := false
 	tp := obs.Now()
 	m.epochMu.Lock()
 	if cur := m.epoch.Load(); cur != nil && cur.fp == fpBefore {
-		if cs.Empty() {
-			// Nothing changed structurally; republish the same immutable
-			// fuse state under the new fingerprint. A re-admitted source
-			// with an empty population leaves the degraded set anyway —
-			// the epoch now reflects everything the source has (nothing).
-			rstats := cur.stats
-			if degradedBefore {
-				rstats = rstats.clone()
-				rstats.DegradedSources = dropSource(cur.degraded, name)
-			}
-			republished := &snapshot{fs: cur.fs, stats: rstats, fp: fpAfter, degraded: dropSource(cur.degraded, name)}
-			m.publishLocked(republished)
-			// The store still describes this world; advance the marker so
-			// a shutdown flush does not rewrite an identical checkpoint.
-			if m.store != nil && m.diskEpoch.Load() == cur {
-				m.diskEpoch.Store(republished)
-			}
-		} else {
-			nfs := cur.fs.clone()
-			nstats := cur.stats.clone()
-			if err := nfs.apply(cs, mp, nstats); err != nil {
+		// A source the epoch was missing (degraded-mode fusion) leaves the
+		// degraded set even with an empty population: the epoch now
+		// reflects everything the source has.
+		readmitted = containsSource(cur.degraded, name)
+		next := &snapshot{fs: cur.fs, stats: cur.stats, fp: fpAfter, degraded: dropSource(cur.degraded, name)}
+		if !cs.Empty() || readmitted {
+			next.stats = cur.stats.clone()
+			next.stats.DegradedSources = next.degraded
+		}
+		if !cs.Empty() {
+			next.fs = cur.fs.clone()
+			if err := next.fs.apply(cs, mp, next.stats); err != nil {
 				// A half-applied clone is simply dropped; the published
 				// epoch was never touched, but its fingerprint is stale
 				// now, so retire it and rebuild lazily.
 				m.epoch.Store(nil)
 				m.epochMu.Unlock()
-				return fullRebuild("snapshot patch failed: " + err.Error())
+				return false, 0, err
 			}
-			nstats.DegradedSources = dropSource(cur.degraded, name)
-			published := &snapshot{fs: nfs, stats: nstats, fp: fpAfter, degraded: nstats.DegradedSources}
-			m.publishLocked(published)
-			// Make the delta durable before releasing the writer lock, so
-			// WAL order always matches epoch publication order.
-			m.persistDeltaLocked(cs, cur, published, tr)
-			publishedEp = published
 		}
-		rr.Patched = true
+		// An empty delta republishes the same immutable fuse state under
+		// the new fingerprint.
+		m.publishLocked(next)
+		if !cs.Empty() {
+			m.persistDeltaLocked(cs, cur, next, tr)
+			published = next
+		} else if m.store != nil && m.diskEpoch.Load() == cur {
+			// The store still describes this world; advance the marker so
+			// a shutdown flush does not rewrite an identical checkpoint.
+			m.diskEpoch.Store(next)
+		}
+		patched = true
 	}
-	// Notify feed subscribers inside the same critical section that
-	// published the epoch and appended the WAL record: feed sequence
-	// order == epoch publication order == WAL order, by construction.
 	// Empty deltas touch no concepts and publish no event.
 	if !cs.Empty() {
 		tf := obs.Now()
@@ -1092,20 +1040,19 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 			m.o.M.FeedPubDur.Observe(d)
 		}
 	}
-	if degradedBefore && rr.Patched {
-		// The refresh doubled as the source's re-admission: announce it
-		// in the same critical section, after the change event carrying
-		// its data. (Unpatched epochs keep their degraded set; the
-		// re-admission then happens on the lazy rebuild instead.)
+	if readmitted {
+		// Announced after the change event carrying the source's data.
+		// (An unpatched epoch keeps its degraded set; the re-admission then
+		// happens on the lazy rebuild instead.)
 		m.publishSourceUpLocked(name, fpAfter)
 	}
 	m.epochMu.Unlock()
-	if rr.Patched {
+	if patched {
 		tr.SpanNote(obs.StageDeltaPatch, tp, fmt.Sprintf("%d changes", cs.Size()))
 	}
 
-	m.deltasApplied.Add(1)
-	m.entitiesPatched.Add(int64(cs.Size()))
+	m.deltasApplied.Inc()
+	m.entitiesPatched.Add(uint64(cs.Size()))
 
 	// Concept-scoped invalidation: only results whose computation touched
 	// this source's concept can be stale. Order matters — drop the stale
@@ -1113,29 +1060,53 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 	// them once ensureFresh stands down.
 	if !cs.Empty() {
 		ti := obs.Now()
-		n := m.cache.InvalidateTags([]string{mp.Concept})
-		tr.SpanNote(obs.StageInvalidate, ti, fmt.Sprintf("%d dropped", n))
-		m.selectiveInvalidations.Add(int64(n))
-		rr.Invalidated = n
+		invalidated = m.cache.InvalidateTags([]string{mp.Concept})
+		tr.SpanNote(obs.StageInvalidate, ti, fmt.Sprintf("%d dropped", invalidated))
+		m.selectiveInvals.Add(uint64(invalidated))
 	}
 	m.lastFP.CompareAndSwap(fpBefore, fpAfter)
 
-	// Re-evaluate the standing queries this refresh's concept touches.
-	// Against the epoch this refresh published when it patched one (the
-	// immutable post-refresh world, evaluated without any lock); when it
-	// did not (the epoch was stale or nil), drop the refreshing gate first
-	// so a fresh pin builds the post-refresh world instead of serving the
-	// old one.
+	// Re-evaluate the standing queries the concept touches: against the
+	// epoch just published when one was patched (the immutable post-change
+	// world, evaluated without any lock); otherwise drop the gate first so
+	// a fresh pin builds the post-change world instead of serving the old.
 	if feedSeq != 0 {
 		ts := obs.Now()
-		if publishedEp != nil {
-			m.evalStanding(feedSeq, []string{mp.Concept}, publishedEp)
-		} else {
+		if published == nil {
 			release()
-			m.evalStandingFresh(feedSeq, []string{mp.Concept})
 		}
+		m.evalStanding(feedSeq, []string{mp.Concept}, published)
 		tr.Span(obs.StageStandingEval, ts)
 	}
-	rr.Took = obs.Since(start)
-	return rr, nil
+	return patched, invalidated, nil
+}
+
+// rebuildFallback is the one way out of incremental maintenance (delta
+// unavailable, too large, or unpatchable): drop every cached result,
+// publish the post-change fingerprint and a rebuild marker on the feed,
+// and let the next pin rebuild the world — always safe, just not
+// incremental.
+func (m *Manager) rebuildFallback(name, reason string, release func(), tr *obs.Trace) {
+	m.fullRebuilds.Inc()
+	tr.Annotate("full rebuild: " + reason)
+	m.epochMu.Lock()
+	m.cache.Invalidate()
+	// Publish the post-change fingerprint under the epoch writer lock. It
+	// is computed inside the lock, after this change's version bump, so
+	// whichever concurrent rebuilder stores last stores a fingerprint that
+	// covers every completed bump — a load-then-CAS could be interleaved
+	// so that neither fingerprint was ever published and the next
+	// ensureFresh nuked spuriously.
+	fp := m.sourceFingerprint()
+	m.lastFP.Store(fp)
+	// A rebuild invalidates everything, so the feed marker carries the
+	// wildcard concept: every subscriber must resync.
+	seq := m.publishRebuildLocked(name, fp)
+	m.epochMu.Unlock()
+	if seq != 0 {
+		release()
+		ts := obs.Now()
+		m.evalStanding(seq, []string{"*"}, nil)
+		tr.Span(obs.StageStandingEval, ts)
+	}
 }

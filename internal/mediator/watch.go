@@ -35,15 +35,6 @@ func (m *Manager) SubscribeChanges(opts feed.Options) (*feed.Subscriber, error) 
 	return m.hub.Subscribe(opts), nil
 }
 
-// FeedCounters snapshots the change-feed hub's cumulative counters; ok is
-// false when the feed is disabled (DisableCache).
-func (m *Manager) FeedCounters() (feed.Counters, bool) {
-	if m.hub == nil {
-		return feed.Counters{}, false
-	}
-	return m.hub.Counters(), true
-}
-
 // FeedSeq returns the sequence number of the most recently published feed
 // event — the value a caller passes back as AfterSeq (or Last-Event-ID) to
 // resume from "now". Zero when the feed is disabled or nothing has been
@@ -53,13 +44,6 @@ func (m *Manager) FeedSeq() uint64 {
 		return 0
 	}
 	return m.hub.Seq()
-}
-
-func (m *Manager) feedCountersValue() feed.Counters {
-	if m.hub == nil {
-		return feed.Counters{}
-	}
-	return m.hub.Counters()
 }
 
 // publishChangeLocked publishes one refresh's ChangeSet into the feed hub.
@@ -192,17 +176,25 @@ func (m *Manager) AddStandingQuery(sub *feed.Subscriber, src string) (*StandingQ
 
 	seq := m.hub.Seq()
 	ep, _, err := m.pinEpoch()
+	if err == nil {
+		err = sq.eval(seq, ep, true)
+	}
 	if err != nil {
 		sq.Cancel()
 		return nil, err
 	}
-	res, err := plan.Eval(ep.fs.graph)
-	if err != nil {
-		sq.Cancel()
-		return nil, err
-	}
-	sq.deliver(seq, ep.fp, res, oem.CanonicalText(res.Graph, "answer", res.Answer), true)
 	return sq, nil
+}
+
+// eval evaluates the standing query against a pinned epoch and delivers
+// the outcome.
+func (sq *StandingQuery) eval(seq uint64, ep *snapshot, initial bool) error {
+	res, _, err := sq.m.evalEpoch(ep, sq.plan, nil, nil)
+	if err != nil {
+		return err
+	}
+	sq.deliver(seq, ep.fp, res, oem.CanonicalText(res.Graph, "answer", res.Answer), initial)
+	return nil
 }
 
 // intersects reports whether the standing query's concept tags intersect
@@ -261,36 +253,26 @@ func (m *Manager) standingMatching(concepts []string) []*StandingQuery {
 	return out
 }
 
-// evalStanding re-evaluates the matching standing queries against an
-// already-pinned epoch (the one the triggering refresh just published).
-// Runs outside epochMu: the epoch is immutable, so holding the writer
-// lock during evaluation would serialize refreshes behind query cost for
-// nothing.
+// evalStanding re-evaluates the standing queries whose tags intersect the
+// touched concepts, against ep — the epoch the triggering refresh just
+// published — or, when the refresh published none (full rebuilds,
+// stale-epoch deltas; ep == nil), against a freshly pinned one. In the
+// fresh case the caller must have released the refreshing gate first, or
+// pinEpoch would keep serving the pre-refresh epoch. Runs outside epochMu:
+// the epoch is immutable, so holding the writer lock during evaluation
+// would serialize refreshes behind query cost for nothing.
 func (m *Manager) evalStanding(seq uint64, concepts []string, ep *snapshot) {
-	for _, sq := range m.standingMatching(concepts) {
-		if res, err := sq.plan.Eval(ep.fs.graph); err == nil {
-			sq.deliver(seq, ep.fp, res, oem.CanonicalText(res.Graph, "answer", res.Answer), false)
-		}
-	}
-}
-
-// evalStandingFresh re-evaluates the matching standing queries against a
-// freshly pinned epoch — the path for refreshes that did not themselves
-// publish one (full rebuilds, stale-epoch deltas). The caller must have
-// released the refreshing gate first, or pinEpoch would keep serving the
-// pre-refresh epoch.
-func (m *Manager) evalStandingFresh(seq uint64, concepts []string) {
 	qs := m.standingMatching(concepts)
 	if len(qs) == 0 {
 		return
 	}
-	ep, _, err := m.pinEpoch()
-	if err != nil {
-		return
+	if ep == nil {
+		var err error
+		if ep, _, err = m.pinEpoch(); err != nil {
+			return
+		}
 	}
 	for _, sq := range qs {
-		if res, err := sq.plan.Eval(ep.fs.graph); err == nil {
-			sq.deliver(seq, ep.fp, res, oem.CanonicalText(res.Graph, "answer", res.Answer), false)
-		}
+		_ = sq.eval(seq, ep, false) // a failing standing query pushes nothing
 	}
 }

@@ -139,13 +139,8 @@ func TestFeedConceptFilterAndOrder(t *testing.T) {
 		}
 	}
 
-	// Feed counters surface through Stats.
-	_, stats, err := m.QueryString(snapshotQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Feed.Published != int64(2*rounds) || stats.Feed.Subscribers != 3 {
-		t.Errorf("Stats.Feed = %+v, want %d published / 3 subscribers", stats.Feed, 2*rounds)
+	if published, subs := metric(m, "annoda_feed_events_published_total"), metric(m, "annoda_feed_subscribers"); published != int64(2*rounds) || subs != 3 {
+		t.Errorf("feed counters = %d published / %d subscribers, want %d / 3", published, subs, 2*rounds)
 	}
 }
 
@@ -204,15 +199,12 @@ func TestFeedOverflowMarker(t *testing.T) {
 	if marker.Fingerprint != m.lastFP.Load() {
 		t.Errorf("marker fingerprint = %x, want the live fingerprint %x (the resync target)", marker.Fingerprint, m.lastFP.Load())
 	}
-	fc, ok := m.FeedCounters()
-	if !ok {
-		t.Fatal("FeedCounters disabled on a cached manager")
+	delivered, dropped, published := metric(m, "annoda_feed_events_delivered_total"), metric(m, "annoda_feed_events_dropped_total"), metric(m, "annoda_feed_events_published_total")
+	if published == 0 || delivered+dropped != published {
+		t.Errorf("accounting gap: delivered %d + dropped %d != published %d", delivered, dropped, published)
 	}
-	if fc.Delivered+fc.Dropped != fc.Published {
-		t.Errorf("accounting gap: delivered %d + dropped %d != published %d", fc.Delivered, fc.Dropped, fc.Published)
-	}
-	if fc.Overflows != 1 {
-		t.Errorf("overflows = %d, want 1", fc.Overflows)
+	if n := metric(m, "annoda_feed_overflows_total"); n != 1 {
+		t.Errorf("overflows = %d, want 1", n)
 	}
 }
 
@@ -375,9 +367,6 @@ func TestFeedDisabledWithoutCache(t *testing.T) {
 	}
 	if _, err := m.AddStandingQuery(nil, snapshotQ); err != ErrFeedDisabled {
 		t.Fatalf("AddStandingQuery on uncached manager: %v, want ErrFeedDisabled", err)
-	}
-	if _, ok := m.FeedCounters(); ok {
-		t.Fatal("FeedCounters ok on uncached manager")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"net/http"
 	"sort"
@@ -24,9 +25,8 @@ const (
 	histBuckets = histMaxExp - histMinExp + 1 // finite buckets (25)
 )
 
-// Counter is a monotone uint64. Collectors that mirror externally owned
-// counters (qcache, feed, delta) overwrite it with Set at scrape time.
-// A nil *Counter ignores everything.
+// Counter is a monotone uint64, incremented at the site where its event
+// happens. A nil *Counter ignores everything.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -38,15 +38,6 @@ func (c *Counter) Add(n uint64) {
 		return
 	}
 	c.v.Add(n)
-}
-
-// Set overwrites the value (collector use only — counters exposed to
-// Prometheus must never regress between scrapes).
-func (c *Counter) Set(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Store(n)
 }
 
 // Value returns the current count.
@@ -155,12 +146,27 @@ func (k metricKind) String() string {
 	}
 }
 
-// series is one labelled instance within a family.
+// series is one labelled instance within a family: an owned instrument,
+// or fn for a function-backed counter/gauge whose value another package
+// owns and the registry reads at gather time instead of keeping a copy.
 type series struct {
 	vals []string // label values, parallel to family.labels
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
+	fn   func() int64
+}
+
+// value reads a counter or gauge series.
+func (s *series) value() int64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.c != nil:
+		return int64(s.c.Value())
+	default:
+		return s.g.Value()
+	}
 }
 
 // family is one exposition family: a name, HELP text, a kind, a label
@@ -176,8 +182,9 @@ type family struct {
 }
 
 // with returns (creating on first use) the series for the given label
-// values. The read path is an RLock + map hit.
-func (f *family) with(vals []string) *series {
+// values. The read path is an RLock + map hit. A non-nil fn makes a created
+// series function-backed; an existing series is returned unchanged.
+func (f *family) with(vals []string, fn func() int64) *series {
 	if len(vals) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(vals)))
 	}
@@ -193,13 +200,14 @@ func (f *family) with(vals []string) *series {
 	if s = f.series[key]; s != nil {
 		return s
 	}
-	s = &series{vals: append([]string(nil), vals...)}
-	switch f.kind {
-	case kindCounter:
+	s = &series{vals: append([]string(nil), vals...), fn: fn}
+	switch {
+	case fn != nil:
+	case f.kind == kindCounter:
 		s.c = &Counter{}
-	case kindGauge:
+	case f.kind == kindGauge:
 		s.g = &Gauge{}
-	case kindHistogram:
+	default:
 		s.h = &Histogram{}
 	}
 	f.series[key] = s
@@ -243,17 +251,29 @@ func (r *Registry) getFamily(name, help string, kind metricKind, labels []string
 
 // Counter registers (or fetches) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.getFamily(name, help, kindCounter, nil).with(nil).c
+	return r.getFamily(name, help, kindCounter, nil).with(nil, nil).c
 }
 
 // Gauge registers (or fetches) an unlabelled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.getFamily(name, help, kindGauge, nil).with(nil).g
+	return r.getFamily(name, help, kindGauge, nil).with(nil, nil).g
 }
 
 // Histogram registers (or fetches) an unlabelled histogram.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	return r.getFamily(name, help, kindHistogram, nil).with(nil).h
+	return r.getFamily(name, help, kindHistogram, nil).with(nil, nil).h
+}
+
+// CounterFunc registers an unlabelled counter read from fn at gather time:
+// a count another package already owns (qcache, feed) is exposed without a
+// second copy of it. fn must be monotone and safe for concurrent use.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.getFamily(name, help, kindCounter, nil).with(nil, fn)
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
+	r.getFamily(name, help, kindGauge, nil).with(nil, fn)
 }
 
 // CounterVec is a counter family with labels.
@@ -269,7 +289,13 @@ func (v *CounterVec) With(vals ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.fam.with(vals).c
+	return v.fam.with(vals, nil).c
+}
+
+// Func makes the series for the given label values function-backed (see
+// Registry.CounterFunc). Idempotent: an existing series keeps its backing.
+func (v *CounterVec) Func(fn func() int64, vals ...string) {
+	v.fam.with(vals, fn)
 }
 
 // GaugeVec is a gauge family with labels.
@@ -285,7 +311,7 @@ func (v *GaugeVec) With(vals ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	return v.fam.with(vals).g
+	return v.fam.with(vals, nil).g
 }
 
 // HistogramVec is a histogram family with labels.
@@ -301,23 +327,41 @@ func (v *HistogramVec) With(vals ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	return v.fam.with(vals).h
+	return v.fam.with(vals, nil).h
 }
 
-// OnGather registers a collector callback run at the start of every
-// Expose. Collectors sync externally owned counters (qcache, feed, delta,
-// persist) into registry metrics at scrape time, so the owning hot paths
-// pay nothing.
+// OnGather registers a callback run at the start of every Gather, for
+// label-valued gauges whose label set is only known at scrape time
+// (per-source health and statistics).
 func (r *Registry) OnGather(f func()) {
 	r.mu.Lock()
 	r.gather = append(r.gather, f)
 	r.mu.Unlock()
 }
 
-// Expose writes the registry in Prometheus text exposition format 0.0.4:
-// families sorted by name, series sorted by label values, histograms as
-// cumulative _bucket/_sum/_count with le in seconds.
-func (r *Registry) Expose(w io.Writer) error {
+// Family is one gathered metric family: what GET /metrics prints as a
+// HELP/TYPE block and /statsz as JSON members.
+type Family struct {
+	Name, Help, Type string
+	Points           []Point
+}
+
+// Point is one gathered sample.
+type Point struct {
+	// Key is the sample's exposition identity — name (with the histogram
+	// _bucket/_sum/_count suffix) plus label block — exactly as /metrics
+	// prints it.
+	Key   string
+	Value float64
+	// Bucket marks a histogram _bucket sample; compact renderings skip them.
+	Bucket bool
+}
+
+// Gather reads every series once: families sorted by name, series sorted
+// by label values, histograms as cumulative _bucket/_sum/_count with le in
+// seconds. Every rendering of the registry (the text exposition, /statsz)
+// is produced from this one snapshot, so they cannot disagree.
+func (r *Registry) Gather() []Family {
 	r.mu.Lock()
 	gather := append([]func(){}, r.gather...)
 	fams := make([]*family, 0, len(r.fams))
@@ -331,7 +375,7 @@ func (r *Registry) Expose(w io.Writer) error {
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	var buf bytes.Buffer
+	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
 		f.mu.RLock()
 		ser := make([]*series, 0, len(f.series))
@@ -345,66 +389,106 @@ func (r *Registry) Expose(w io.Writer) error {
 		sort.Slice(ser, func(i, j int) bool {
 			return strings.Join(ser[i].vals, "\x00") < strings.Join(ser[j].vals, "\x00")
 		})
-		fmt.Fprintf(&buf, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.name, f.kind)
+		fam := Family{Name: f.name, Help: f.help, Type: f.kind.String()}
 		for _, s := range ser {
-			writeSeries(&buf, f, s)
+			fam.Points = f.appendPoints(fam.Points, s)
+		}
+		out = append(out, fam)
+	}
+	return out
+}
+
+func (f *family) appendPoints(pts []Point, s *series) []Point {
+	if f.kind != kindHistogram {
+		return append(pts, Point{Key: sampleKey(f.name, f.labels, s.vals, ""), Value: float64(s.value())})
+	}
+	var cum uint64
+	for i := 0; i <= histBuckets; i++ {
+		cum += s.h.buckets[i].Load()
+		le := "+Inf"
+		if i < histBuckets {
+			le = strconv.FormatFloat(float64(uint64(1)<<(histMinExp+i))/1e9, 'g', -1, 64)
+		}
+		pts = append(pts, Point{Key: sampleKey(f.name+"_bucket", f.labels, s.vals, le), Value: float64(cum), Bucket: true})
+	}
+	return append(pts,
+		Point{Key: sampleKey(f.name+"_sum", f.labels, s.vals, ""), Value: float64(s.h.sum.Load()) / 1e9},
+		Point{Key: sampleKey(f.name+"_count", f.labels, s.vals, ""), Value: float64(cum)})
+}
+
+// sampleKey renders `name{labels}`; a non-empty le appends the histogram
+// bucket label.
+func sampleKey(name string, keys, vals []string, le string) string {
+	if len(keys) == 0 && le == "" {
+		return name
+	}
+	var b strings.Builder
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(vals[i]))
+		b.WriteByte('"')
+	}
+	if le != "" {
+		if len(keys) > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`le="` + le + `"`)
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// Value reads one counter or gauge series by family name and label values
+// (a histogram answers its observation count); 0 when no such series exists.
+func (r *Registry) Value(name string, labelValues ...string) int64 {
+	r.mu.Lock()
+	f := r.fams[name]
+	r.mu.Unlock()
+	if f == nil {
+		return 0
+	}
+	f.mu.RLock()
+	s := f.series[strings.Join(labelValues, "\x00")]
+	f.mu.RUnlock()
+	switch {
+	case s == nil:
+		return 0
+	case s.h != nil:
+		return int64(s.h.Count())
+	}
+	return s.value()
+}
+
+// Expose writes Gather() in Prometheus text exposition format 0.0.4.
+func (r *Registry) Expose(w io.Writer) error {
+	var buf bytes.Buffer
+	for _, f := range r.Gather() {
+		fmt.Fprintf(&buf, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, p := range f.Points {
+			buf.WriteString(p.Key)
+			buf.WriteByte(' ')
+			buf.WriteString(formatValue(p.Value))
+			buf.WriteByte('\n')
 		}
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
 }
 
-func writeSeries(buf *bytes.Buffer, f *family, s *series) {
-	switch f.kind {
-	case kindCounter:
-		writeSample(buf, f.name, f.labels, s.vals, "", "", strconv.FormatUint(s.c.Value(), 10))
-	case kindGauge:
-		writeSample(buf, f.name, f.labels, s.vals, "", "", strconv.FormatInt(s.g.Value(), 10))
-	case kindHistogram:
-		var cum uint64
-		for i := 0; i < histBuckets; i++ {
-			cum += s.h.buckets[i].Load()
-			le := strconv.FormatFloat(float64(uint64(1)<<(histMinExp+i))/1e9, 'g', -1, 64)
-			writeSample(buf, f.name+"_bucket", f.labels, s.vals, "le", le, strconv.FormatUint(cum, 10))
-		}
-		cum += s.h.buckets[histBuckets].Load()
-		writeSample(buf, f.name+"_bucket", f.labels, s.vals, "le", "+Inf", strconv.FormatUint(cum, 10))
-		sum := strconv.FormatFloat(float64(s.h.sum.Load())/1e9, 'g', -1, 64)
-		writeSample(buf, f.name+"_sum", f.labels, s.vals, "", "", sum)
-		writeSample(buf, f.name+"_count", f.labels, s.vals, "", "", strconv.FormatUint(cum, 10))
+// formatValue prints integral values (every counter, gauge and bucket
+// count) as integers and the rest (histogram sums) in shortest form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
 	}
-}
-
-// writeSample emits one `name{labels} value` line; extraKey/extraVal
-// append the histogram le label.
-func writeSample(buf *bytes.Buffer, name string, keys, vals []string, extraKey, extraVal, value string) {
-	buf.WriteString(name)
-	if len(keys) > 0 || extraKey != "" {
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteString(k)
-			buf.WriteString(`="`)
-			buf.WriteString(escapeLabel(vals[i]))
-			buf.WriteByte('"')
-		}
-		if extraKey != "" {
-			if len(keys) > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteString(extraKey)
-			buf.WriteString(`="`)
-			buf.WriteString(extraVal)
-			buf.WriteByte('"')
-		}
-		buf.WriteByte('}')
-	}
-	buf.WriteByte(' ')
-	buf.WriteString(value)
-	buf.WriteByte('\n')
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func escapeHelp(s string) string {
@@ -447,10 +531,8 @@ type Metrics struct {
 
 	// Durability (observed in the mediator persist path, so snapstore
 	// itself stays clock-free and byte-deterministic).
-	CkptDur   *Histogram // annoda_checkpoint_duration_seconds
-	CkptBytes *Counter   // annoda_checkpoint_bytes_total
-	WALDur    *Histogram // annoda_wal_append_duration_seconds
-	WALBytes  *Counter   // annoda_wal_append_bytes_total
+	CkptDur *Histogram // annoda_checkpoint_duration_seconds
+	WALDur  *Histogram // annoda_wal_append_duration_seconds
 
 	// Change-feed publication (fan-out latency under the epoch lock).
 	FeedPubDur *Histogram // annoda_feed_publish_duration_seconds
@@ -478,12 +560,8 @@ func newMetrics(reg *Registry) *Metrics {
 			"HTTP requests currently being served."),
 		CkptDur: reg.Histogram("annoda_checkpoint_duration_seconds",
 			"Time to encode and write one snapshot checkpoint."),
-		CkptBytes: reg.Counter("annoda_checkpoint_bytes_total",
-			"Bytes written to snapshot checkpoints."),
 		WALDur: reg.Histogram("annoda_wal_append_duration_seconds",
 			"Time to encode and append one delta WAL record."),
-		WALBytes: reg.Counter("annoda_wal_append_bytes_total",
-			"Bytes appended to the delta WAL."),
 		FeedPubDur: reg.Histogram("annoda_feed_publish_duration_seconds",
 			"Time to fan one change event out to feed subscribers."),
 		TraceSampled: reg.Counter("annoda_traces_sampled_total",

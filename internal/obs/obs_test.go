@@ -46,7 +46,6 @@ func TestNilReceiversAreInert(t *testing.T) {
 	var tr *Tracer
 	c.Inc()
 	c.Add(5)
-	c.Set(9)
 	g.Set(1)
 	g.Add(-1)
 	h.Observe(time.Second)
@@ -170,12 +169,16 @@ func TestExpositionRoundTrip(t *testing.T) {
 	o.M.OpDur.With("refresh").Observe(time.Second)
 	o.M.OpErr.With("query").Inc()
 	o.M.HTTPInFlight.Set(2)
-	o.M.CkptBytes.Add(12345)
 	gathered := false
+	perSource := o.Reg.GaugeVec("test_source_state", "Label set known only at scrape time.", "source")
 	o.Reg.OnGather(func() {
 		gathered = true
-		o.M.WALBytes.Set(777)
+		perSource.With("GO").Set(2)
 	})
+	owned := int64(777)
+	o.Reg.CounterFunc("test_owned_total", "A count another package owns.", func() int64 { return owned })
+	o.Reg.CounterVec("test_owned_by_source_total", "Labelled function-backed counter.", "source").
+		Func(func() int64 { return owned + 1 }, "GO")
 
 	var buf bytes.Buffer
 	if err := o.Reg.Expose(&buf); err != nil {
@@ -194,8 +197,27 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if v, ok := exp.Value("annoda_op_duration_seconds_count", map[string]string{"op": "query"}); !ok || v != 2 {
 		t.Errorf("query op count = %v (found=%v), want 2", v, ok)
 	}
-	if v, ok := exp.Value("annoda_wal_append_bytes_total", nil); !ok || v != 777 {
-		t.Errorf("collector-set counter = %v (found=%v), want 777", v, ok)
+	if v, ok := exp.Value("test_owned_total", nil); !ok || v != 777 {
+		t.Errorf("function-backed counter = %v (found=%v), want 777", v, ok)
+	}
+	if v, ok := exp.Value("test_owned_by_source_total", map[string]string{"source": "GO"}); !ok || v != 778 {
+		t.Errorf("labelled function-backed counter = %v (found=%v), want 778", v, ok)
+	}
+	if v, ok := exp.Value("test_source_state", map[string]string{"source": "GO"}); !ok || v != 2 {
+		t.Errorf("OnGather gauge = %v (found=%v), want 2", v, ok)
+	}
+	// Registry.Value reads the same series without a gather.
+	if got := o.Reg.Value("test_owned_total"); got != 777 {
+		t.Errorf("Value(test_owned_total) = %d, want 777", got)
+	}
+	if got := o.Reg.Value("annoda_op_errors_total", "query"); got != 1 {
+		t.Errorf("Value(op errors, query) = %d, want 1", got)
+	}
+	if got := o.Reg.Value("annoda_op_duration_seconds", "query"); got != 2 {
+		t.Errorf("Value(op histogram, query) = %d observations, want 2", got)
+	}
+	if got := o.Reg.Value("no_such_family"); got != 0 {
+		t.Errorf("Value(absent) = %d, want 0", got)
 	}
 	if exp.Types["annoda_op_duration_seconds"] != "histogram" {
 		t.Errorf("TYPE lost: %q", exp.Types["annoda_op_duration_seconds"])
