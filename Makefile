@@ -82,7 +82,11 @@ loc:
 # exposition writer is checked against a live process, not just fixtures.
 # It then asserts the introspection series (plan cache, per-source stats)
 # are present in the scrape, and smokes POST /api/explain for a valid
-# JSON-shaped plan report.
+# JSON-shaped plan report. Before the scrape it asks the Figure 5(b)
+# question three times: the two hits must be byte-equal (the second is
+# built, the third served from the memoized rendering), every response's
+# Content-Length must be its body size, and the scrape must then carry the
+# render stage.
 metrics-check:
 	@set -e; \
 	$(GO) build -o /tmp/annoda-server-ci ./cmd/annoda-server; \
@@ -97,9 +101,17 @@ metrics-check:
 	done; \
 	if [ "$$up" != 1 ]; then echo "server never became healthy:"; cat /tmp/annoda-server-ci.log; exit 1; fi; \
 	curl -fsS "http://127.0.0.1:18077/api/query?q=select%20G%20from%20ANNODA-GML.Gene%20G" >/dev/null; \
+	for i in 1 2 3; do \
+		curl -fsS -X POST -d '{"include":["GO"],"exclude":["OMIM"]}' -D /tmp/annoda-ask-$$i.hdr \
+			http://127.0.0.1:18077/api/ask -o /tmp/annoda-ask-$$i.json; \
+		cl=$$(tr -d '\r' </tmp/annoda-ask-$$i.hdr | awk 'tolower($$1)=="content-length:"{print $$2}'); \
+		size=$$(wc -c </tmp/annoda-ask-$$i.json); \
+		if [ "$$cl" != "$$size" ]; then echo "/api/ask response $$i: Content-Length '$$cl', body $$size bytes"; exit 1; fi; \
+	done; \
+	cmp /tmp/annoda-ask-2.json /tmp/annoda-ask-3.json || { echo "/api/ask: built and memoized hit bodies differ"; exit 1; }; \
 	curl -fsS http://127.0.0.1:18077/metrics -o /tmp/annoda-scrape.txt; \
 	/tmp/annoda-lint-ci -prom /tmp/annoda-scrape.txt; \
-	for series in annoda_plan_cache_hits_total annoda_plan_cache_entries annoda_plan_explains_total annoda_source_entities annoda_source_fetch_ewma_micros; do \
+	for series in annoda_plan_cache_hits_total annoda_plan_cache_entries annoda_plan_explains_total annoda_source_entities annoda_source_fetch_ewma_micros 'annoda_stage_duration_seconds_count{stage="render"} [1-9]'; do \
 		grep -q "^$$series" /tmp/annoda-scrape.txt || { echo "metrics scrape missing $$series"; exit 1; }; \
 	done; \
 	curl -fsS -X POST -d '{"query":"select G from ANNODA-GML.Gene G","analyze":true}' \

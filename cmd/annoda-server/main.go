@@ -38,7 +38,8 @@
 //
 // /api/ask, /api/query, /api/batch and /api/explain answer 400 for a bad
 // request and 503 + Retry-After when a source's open breaker refused the
-// fetch.
+// fetch. A POST body is exactly one JSON value: unknown fields and trailing
+// data are a 400. Every JSON response carries Content-Length.
 //
 // Every response carries an X-Request-ID header; error bodies, panic logs
 // and timeout bodies repeat the ID so a client-side failure can be joined

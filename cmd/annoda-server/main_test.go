@@ -713,11 +713,17 @@ func TestSourceDownIs503(t *testing.T) {
 // state, so they must not share the memoized one).
 func freshSystem(t *testing.T) *core.System {
 	t.Helper()
+	return freshSystemWith(t, mediator.Options{Obs: quietObs()})
+}
+
+// freshSystemWith is freshSystem under the given mediator options.
+func freshSystemWith(t *testing.T, opts mediator.Options) *core.System {
+	t.Helper()
 	cfg := datagen.Config{
 		Seed: 778, Genes: 50, GoTerms: 30, Diseases: 20,
 		ConflictRate: 0.2, MissingRate: 0.1,
 	}
-	sys, err := core.New(datagen.Generate(cfg), mediator.Options{Obs: quietObs()})
+	sys, err := core.New(datagen.Generate(cfg), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

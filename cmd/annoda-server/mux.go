@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/lorel"
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -191,19 +193,31 @@ type statsJSON struct {
 	Cache          *cacheJSON `json:"cache,omitempty"`
 }
 
-type askResponse struct {
-	Question  string    `json:"question"`
-	Rows      []rowJSON `json:"rows"`
-	Conflicts int       `json:"conflicts"`
-	Stats     statsJSON `json:"stats"`
+// writeBody is the one place a JSON response is written. The body arrives
+// already encoded, so every failure that can still change the status has
+// happened before the header goes out, and the response carries its
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body) // an error means the client went away or the deadline passed: nobody is left to tell
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("encode response: %v", err)
+// writeJSON encodes v, then writes it: a value that will not encode is a 500
+// naming the request, not a truncated 200.
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		encodeFailed(w, r, err)
+		return
 	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+func encodeFailed(w http.ResponseWriter, r *http.Request, err error) {
+	log.Printf("encode response (request %s): %v", requestIDFrom(r.Context()), err)
+	jsonError(w, r, http.StatusInternalServerError, "encode response: %v", err)
 }
 
 func jsonError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
@@ -211,7 +225,26 @@ func jsonError(w http.ResponseWriter, r *http.Request, status int, format string
 	if rid := requestIDFrom(r.Context()); rid != "" {
 		body["request_id"] = rid
 	}
-	writeJSON(w, status, body)
+	writeJSON(w, r, status, body)
+}
+
+// decodeBody is the one request-body decoder: at most maxBodyBytes, no
+// unknown fields, exactly one JSON value. It answers 400 itself and reports
+// whether the handler may go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
+		jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
 }
 
 // writeQueryError answers a failed mediator call. A source refused by its
@@ -262,10 +295,7 @@ func (s *server) apiAsk(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req askRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		q.Include = req.Include
@@ -285,36 +315,23 @@ func (s *server) apiAsk(w http.ResponseWriter, r *http.Request) {
 	default: // GET
 		q = s.questionFromForm(r)
 	}
-	view, stats, err := s.sys.AskCtx(r.Context(), q)
+	// AskCtx's steps, spelled out so the view sits behind the answer's memo.
+	src, err := s.sys.ToLorel(q)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
 	}
-	resp := askResponse{
-		Question:  view.Question,
-		Rows:      make([]rowJSON, 0, len(view.Rows)),
-		Conflicts: view.Conflicts,
-		Stats:     mediatorStats(stats),
+	res, stats, err := s.sys.QueryCtx(r.Context(), src)
+	if err != nil {
+		writeQueryError(w, r, err)
+		return
 	}
-	for _, row := range view.Rows {
-		resp.Rows = append(resp.Rows, rowJSON{
-			GeneID: row.GeneID, Symbol: row.Symbol, Organism: row.Organism,
-			Position: row.Position, GoIDs: row.GoIDs, MimIDs: row.MimIDs,
-			Proteins: row.Proteins, WebLinks: row.WebLinks,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := askAnswer{Question: src, Conflicts: len(stats.Conflicts), Stats: mediatorStats(stats)}
+	writeAnswer(w, r, res, stats, &resp, "ask", &resp.Rows, func() any { return askRows(core.NewView(res, stats)) })
 }
 
 type queryRequest struct {
 	Query string `json:"query"`
-}
-
-type queryResponse struct {
-	Query   string    `json:"query"`
-	Answers int       `json:"answers"`
-	Text    string    `json:"text"`
-	Stats   statsJSON `json:"stats"`
 }
 
 // apiQuery runs a raw Lorel query in the global vocabulary: GET ?q=... or
@@ -327,10 +344,7 @@ func (s *server) apiQuery(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req queryRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		src = req.Query
@@ -346,12 +360,69 @@ func (s *server) apiQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Query:   src,
-		Answers: res.Size(),
-		Text:    oem.TextString(res.Graph, "answer", res.Answer),
-		Stats:   mediatorStats(stats),
-	})
+	resp := queryAnswer{Query: src, Answers: res.Size(), Stats: mediatorStats(stats)}
+	writeAnswer(w, r, res, stats, &resp, "query", &resp.Text, func() any { return oem.TextString(res.Graph, "answer", res.Answer) })
+}
+
+// An /api/ask or /api/query response has one member that is a pure function
+// of the cached answer — the rows, the text dump — and is memoized on it as
+// encoded JSON. The rest is the request's own: query strings that differ in
+// spacing or keyword case share one cache entry, and the cache flag differs
+// between the miss and its hits. encoding/json splices a RawMessage in as it
+// would have encoded the value, so the body is what the flat struct gives.
+type (
+	askAnswer struct {
+		Question  string          `json:"question"`
+		Rows      json.RawMessage `json:"rows"`
+		Conflicts int             `json:"conflicts"`
+		Stats     statsJSON       `json:"stats"`
+	}
+	queryAnswer struct {
+		Query   string          `json:"query"`
+		Answers int             `json:"answers"`
+		Text    json.RawMessage `json:"text"`
+		Stats   statsJSON       `json:"stats"`
+	}
+)
+
+func askRows(v *core.View) []rowJSON {
+	rows := make([]rowJSON, 0, len(v.Rows))
+	for _, row := range v.Rows {
+		rows = append(rows, rowJSON{
+			GeneID: row.GeneID, Symbol: row.Symbol, Organism: row.Organism,
+			Position: row.Position, GoIDs: row.GoIDs, MimIDs: row.MimIDs,
+			Proteins: row.Proteins, WebLinks: row.WebLinks,
+		})
+	}
+	return rows
+}
+
+// writeAnswer is the shared tail of apiAsk and apiQuery: it fills *member,
+// the memoizable member of resp, and writes resp. derive builds the member's
+// value from res; its encoding is kept on res under kind once the cache serves
+// res a second time (lorel.Result.Rendering), so a hit derives nothing. Miss,
+// hit and uncached server all take this one path.
+func writeAnswer(w http.ResponseWriter, r *http.Request, res *lorel.Result, stats *mediator.Stats, resp any, kind string, member *json.RawMessage, derive func() any) {
+	tr := obs.TraceFrom(r.Context()) // nil (and inert) when the request is not traced
+	t0 := obs.Now()
+	enc, memo, err := res.Rendering(kind, stats.CacheHit, func() ([]byte, error) { return json.Marshal(derive()) })
+	var body []byte
+	if err == nil {
+		*member = enc
+		body, err = json.Marshal(resp)
+	}
+	if err != nil {
+		encodeFailed(w, r, err)
+		return
+	}
+	note := "built"
+	if memo {
+		note = "memo"
+	}
+	tr.SpanNote(obs.StageRender, t0, note)
+	t0 = obs.Now()
+	writeBody(w, http.StatusOK, append(body, '\n'))
+	tr.Span(obs.StageWrite, t0)
 }
 
 type explainRequest struct {
@@ -374,10 +445,7 @@ func (s *server) apiExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req explainRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -389,7 +457,7 @@ func (s *server) apiExplain(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, explainResponse{Explain: e, Text: e.Format()})
+	writeJSON(w, r, http.StatusOK, explainResponse{Explain: e, Text: e.Format()})
 }
 
 // maxBatchQueries bounds one /api/batch request: enough for THEA-style
@@ -426,10 +494,7 @@ func (s *server) apiBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -463,7 +528,7 @@ func (s *server) apiBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Answers = append(resp.Answers, aj)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, r, http.StatusOK, resp)
 }
 
 type objectResponse struct {
@@ -486,7 +551,7 @@ func (s *server) apiObject(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, objectResponse{URL: url, Text: out})
+	writeJSON(w, r, http.StatusOK, objectResponse{URL: url, Text: out})
 }
 
 type refreshRequest struct {
@@ -527,7 +592,7 @@ func (s *server) apiCheckpoint(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		jsonError(w, r, http.StatusInternalServerError, "checkpoint: %v", err)
 	default:
-		writeJSON(w, http.StatusOK, checkpointResponse{Seq: res.Seq, Bytes: res.Bytes, TookMicros: res.Took.Microseconds()})
+		writeJSON(w, r, http.StatusOK, checkpointResponse{Seq: res.Seq, Bytes: res.Bytes, TookMicros: res.Took.Microseconds()})
 	}
 }
 
@@ -538,10 +603,7 @@ func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req refreshRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		jsonError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -564,7 +626,7 @@ func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, r, http.StatusInternalServerError, "reindex after refresh: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, refreshResponse{
+	writeJSON(w, r, http.StatusOK, refreshResponse{
 		Source:      rr.Source,
 		OldVersion:  rr.OldVersion,
 		NewVersion:  rr.NewVersion,
@@ -585,7 +647,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"sources": s.sys.Registry.Names(),
 		"genes":   len(s.sys.Corpus.Genes),
@@ -608,7 +670,7 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	if rd.Status == "down" || (s.readyStrict && rd.Status != "ready") {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rd)
+	writeJSON(w, r, status, rd)
 }
 
 // statsz is the registry as JSON: every counter, gauge and histogram
@@ -628,7 +690,7 @@ func (s *server) statsz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, r, http.StatusOK, map[string]any{
 		"uptime_seconds": int64(obs.Since(s.start).Seconds()),
 		"metrics":        metrics,
 		"health":         s.sys.Manager.Readiness(),

@@ -168,7 +168,7 @@ func (s *server) apiDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, tracesResponse{
+	writeJSON(w, r, http.StatusOK, tracesResponse{
 		SlowThresholdMicros: s.o.Tracer.SlowThreshold().Microseconds(),
 		Recent:              s.o.Tracer.Recent(),
 		Slow:                s.o.Tracer.Slow(),

@@ -294,7 +294,11 @@ func TestPinnedSeries(t *testing.T) {
 		pinned[name] = struct{ typ, label string }{"counter", ""}
 	}
 	seen := map[string]int{}
+	stages := map[string]bool{}
 	for _, sm := range exp.Samples {
+		if sm.Name == "annoda_stage_duration_seconds_count" {
+			stages[sm.Labels["stage"]] = true
+		}
 		fam := sm.Name
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
 			if base := strings.TrimSuffix(sm.Name, suf); exp.Types[base] == "histogram" {
@@ -321,6 +325,12 @@ func TestPinnedSeries(t *testing.T) {
 		}
 		if seen[fam] == 0 {
 			t.Errorf("%s has no samples in the scrape", fam)
+		}
+	}
+	// Where a cache hit's time goes after the mediator returns.
+	for _, st := range []string{obs.StageRender, obs.StageWrite} {
+		if !stages[st] {
+			t.Errorf("annoda_stage_duration_seconds has no {stage=%q} series", st)
 		}
 	}
 }

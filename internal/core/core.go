@@ -233,11 +233,11 @@ func (s *System) AskCtx(ctx context.Context, q Question) (*View, *mediator.Stats
 	if err != nil {
 		return nil, nil, err
 	}
-	res, stats, err := s.Manager.QueryStringCtx(ctx, src)
+	res, stats, err := s.QueryCtx(ctx, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := buildView(res, stats)
+	v := NewView(res, stats)
 	v.Question = src
 	return v, stats, nil
 }
@@ -267,7 +267,11 @@ type View struct {
 	Conflicts int
 }
 
-func buildView(res *lorel.Result, stats *mediator.Stats) *View {
+// NewView derives the integrated view from a query answer. It is a pure
+// function of its arguments and leaves Question empty: AskCtx stamps the
+// question it compiled, and a caller holding a cached answer may build the
+// view once for every question that canonicalizes to it.
+func NewView(res *lorel.Result, stats *mediator.Stats) *View {
 	v := &View{}
 	if stats != nil {
 		v.Conflicts = len(stats.Conflicts)

@@ -1,6 +1,7 @@
 package lorel
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -559,5 +560,59 @@ func TestIndexedAndScannedLabelMatchingAgree(t *testing.T) {
 	indexed := EvalPath(g, steps, []oem.OID{root})
 	if len(scanned) != 1 || len(indexed) != 1 || scanned[0] != indexed[0] {
 		t.Fatalf("scan matched %v, index matched %v — label folding diverges", scanned, indexed)
+	}
+}
+
+// TestResultRendering pins the memo slot's contract: built bytes are kept
+// only when the caller says the Result will be served again, kinds are
+// independent, a build error is returned and not kept, and concurrent first
+// callers all end up with one shared rendering.
+func TestResultRendering(t *testing.T) {
+	res, err := Eval(testGraph(t), MustParse(`select G from DB.Gene G`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	build := func(s string) func() ([]byte, error) {
+		return func() ([]byte, error) { builds++; return []byte(s), nil }
+	}
+
+	if b, memo, _ := res.Rendering("text", false, build("one-shot")); memo || string(b) != "one-shot" {
+		t.Errorf("unretained build = %q memo=%v", b, memo)
+	}
+	if b, memo, _ := res.Rendering("text", true, build("kept")); memo || string(b) != "kept" {
+		t.Errorf("retained build = %q memo=%v, want a fresh build (the one-shot was not kept)", b, memo)
+	}
+	if b, memo, _ := res.Rendering("text", false, build("never")); !memo || string(b) != "kept" {
+		t.Errorf("lookup = %q memo=%v, want the kept rendering", b, memo)
+	}
+	if b, memo, _ := res.Rendering("json", true, build("other kind")); memo || string(b) != "other kind" {
+		t.Errorf("second kind = %q memo=%v", b, memo)
+	}
+	if builds != 3 {
+		t.Errorf("build ran %d times, want 3", builds)
+	}
+	boom := errors.New("boom")
+	if _, _, err := res.Rendering("bad", true, func() ([]byte, error) { return nil, boom }); err != boom {
+		t.Errorf("build error = %v, want it returned", err)
+	}
+	if _, memo, _ := res.Rendering("bad", true, build("ok")); memo {
+		t.Error("a failed build was kept")
+	}
+
+	var wg sync.WaitGroup
+	got := make([][]byte, 16)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _, _ = res.Rendering("raced", true, func() ([]byte, error) { return []byte("same"), nil })
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d holds its own copy: concurrent first callers must share the kept rendering", i)
+		}
 	}
 }

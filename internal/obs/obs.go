@@ -96,6 +96,8 @@ const (
 	StageFetch            = "fetch"
 	StageFuse             = "fuse"
 	StageEval             = "eval"
+	StageRender           = "render" // answer -> response bytes; note "memo" or "built"
+	StageWrite            = "write"  // response bytes -> ResponseWriter
 	StageDiff             = "diff"
 	StageDeltaPatch       = "delta_patch"
 	StageWALAppend        = "wal_append"
@@ -113,6 +115,7 @@ const (
 var knownStages = []string{
 	StageCacheLookup, StageSingleflightWait, StageEpochPin,
 	StagePlanCompile, StagePushdown, StageFetch, StageFuse, StageEval,
+	StageRender, StageWrite,
 	StageDiff, StageDeltaPatch, StageWALAppend, StageCheckpoint,
 	StageRestore, StageInvalidate, StageStandingEval, StageFeedPublish,
 	StageRetry, StageProbe,
