@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
+.PHONY: check vet lint fmt-check build test race memo-race fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
 
 # check is the tier-1 gate: formatting, vet, the project-invariant lint
 # suite, build, and the full test tree under -race.
@@ -31,6 +31,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# memo-race repeats the translation memo's concurrency test: pushdown
+# queries from several goroutines across refreshes of the source they
+# filter, where memo builds, reads and replacements interleave. One pass is
+# part of `make race`; the repeat count is what gives the detector a chance.
+memo-race:
+	$(GO) test -race -count=10 -run 'TestTranslationMemoRace' ./internal/mediator
+
 # fuzz-smoke gives each codec fuzzer a short budget so decode crashes are
 # caught in CI without a long fuzzing campaign. (go test accepts only one
 # -fuzz pattern per package, hence one invocation per target.)
@@ -46,9 +53,11 @@ bench:
 
 # bench-smoke compiles and runs every benchmark in the tree exactly once so
 # CI catches benchmarks that no longer build or crash — they must not rot
-# silently between careful runs. The second pass re-runs the E16
-# concurrent-throughput/batch benches under GOMAXPROCS=8 so the lock-free
-# epoch read path sees real goroutine concurrency even on small CI runners.
+# silently between careful runs (./... includes internal/mediator's
+# BenchmarkFetchPushdown/{1k,10k} and BenchmarkTranslateGO). The second pass
+# re-runs the E16 concurrent-throughput/batch benches under GOMAXPROCS=8 so
+# the lock-free epoch read path sees real goroutine concurrency even on
+# small CI runners.
 # The final lines smoke-run the E18 change-feed, E19 obs-overhead and E20
 # introspection-overhead experiments through the annoda-bench runner itself
 # (including the -json recorder), so the CLI experiment path can't rot

@@ -271,6 +271,11 @@ func TestStatszEqualsMetrics(t *testing.T) {
 // must not move its exposition.
 func TestPinnedSeries(t *testing.T) {
 	_, h := exercised(t)
+	// exercised's query takes the epoch route, which translates privately;
+	// a pushdown query is what creates (and so exposes) the memo.
+	if rec := get(t, h, "/api/query?q="+url.QueryEscape(`select G.Symbol from ANNODA-GML.Gene G where G.GeneID > 0`)); rec.Code != http.StatusOK {
+		t.Fatalf("pushdown query = %d: %s", rec.Code, rec.Body.String())
+	}
 	exp, err := obs.ValidateExposition(get(t, h, "/metrics").Body)
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
@@ -281,6 +286,8 @@ func TestPinnedSeries(t *testing.T) {
 		"annoda_http_request_duration_seconds": {"histogram", "route"},
 		"annoda_wal_append_duration_seconds":   {"histogram", ""},
 		"annoda_feed_publish_duration_seconds": {"histogram", ""},
+		"annoda_translate_total":               {"counter", "source,outcome"},
+		"annoda_translated_objects":            {"gauge", "source"},
 	}
 	for _, name := range []string{
 		"annoda_cache_hits_total", "annoda_cache_misses_total", "annoda_cache_shared_total",
@@ -310,13 +317,21 @@ func TestPinnedSeries(t *testing.T) {
 			continue
 		}
 		seen[fam]++
+		want := map[string]bool{}
+		for _, l := range strings.Split(pin.label, ",") {
+			if l != "" {
+				want[l] = true
+			}
+		}
 		for k := range sm.Labels {
-			if k != pin.label && !(k == "le" && strings.HasSuffix(sm.Name, "_bucket")) {
+			if !want[k] && !(k == "le" && strings.HasSuffix(sm.Name, "_bucket")) {
 				t.Errorf("%s carries label %q, pinned schema is {%s}", sm.Name, k, pin.label)
 			}
 		}
-		if _, has := sm.Labels[pin.label]; pin.label != "" && !has {
-			t.Errorf("%s lost its %q label", sm.Name, pin.label)
+		for l := range want {
+			if _, has := sm.Labels[l]; !has {
+				t.Errorf("%s lost its %q label", sm.Name, l)
+			}
 		}
 	}
 	for fam, pin := range pinned {
@@ -327,8 +342,9 @@ func TestPinnedSeries(t *testing.T) {
 			t.Errorf("%s has no samples in the scrape", fam)
 		}
 	}
-	// Where a cache hit's time goes after the mediator returns.
-	for _, st := range []string{obs.StageRender, obs.StageWrite} {
+	// Where a cache hit's time goes after the mediator returns, and where a
+	// computed query's fetch time goes before fusion.
+	for _, st := range []string{obs.StageRender, obs.StageWrite, obs.StageTranslate} {
 		if !stages[st] {
 			t.Errorf("annoda_stage_duration_seconds has no {stage=%q} series", st)
 		}

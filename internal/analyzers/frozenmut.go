@@ -13,7 +13,9 @@ import (
 //   - a graph on which Freeze() was called earlier in the function;
 //   - a graph obtained from Manager.FusedGraph();
 //   - the graph argument of a WithFusedGraph callback;
-//   - the epoch graph reached through pinEpoch (ep.fs.graph).
+//   - the epoch graph reached through pinEpoch (ep.fs.graph);
+//   - the translated population reached through translated (tl.graph),
+//     which may be the memo shared by every fetch of the source.
 //
 // Aliases propagate through plain assignment; Clone() breaks the taint
 // (that is the documented way to mutate a frozen world). The analysis is
@@ -31,7 +33,7 @@ var FrozenMut = &Analyzer{
 var graphMutators = map[string]bool{
 	"NewInt": true, "NewReal": true, "NewString": true, "NewBool": true,
 	"NewURL": true, "NewGif": true, "NewAtom": true, "NewComplex": true,
-	"Import": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
+	"Import": true, "ImportShared": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
 	"RemoveRefs": true, "RemoveSubtree": true, "SetRoot": true,
 	"SortRefs": true, "putRaw": true, "Absorb": true,
 }
@@ -44,9 +46,10 @@ func runFrozenMut(pass *Pass) error {
 				continue
 			}
 			w := &fmWalker{
-				pass:      pass,
-				frozen:    map[types.Object]string{},
-				epochVars: map[types.Object]bool{},
+				pass:            pass,
+				frozen:          map[types.Object]string{},
+				epochVars:       map[types.Object]bool{},
+				translationVars: map[types.Object]bool{},
 			}
 			w.walk(fd.Body)
 		}
@@ -61,6 +64,9 @@ type fmWalker struct {
 	// epochVars holds variables assigned from pinEpoch(); their
 	// .fs.graph field is the published, frozen epoch graph.
 	epochVars map[types.Object]bool
+	// translationVars holds variables assigned from translated(); their
+	// .graph field is the (possibly memoized, then frozen) population.
+	translationVars map[types.Object]bool
 }
 
 func (w *fmWalker) walk(body ast.Node) {
@@ -83,7 +89,7 @@ func (w *fmWalker) call(call *ast.CallExpr) {
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 
 	// g.Freeze() taints g from here on.
-	if fn.Name() == "Freeze" && isGraphMethod(fn) && sel != nil {
+	if (fn.Name() == "Freeze" || fn.Name() == "FreezeUnindexed") && isGraphMethod(fn) && sel != nil {
 		if obj := w.exprObj(sel.X); obj != nil {
 			w.frozen[obj] = "frozen by Freeze earlier in this function"
 		}
@@ -128,6 +134,12 @@ func (w *fmWalker) assign(as *ast.AssignStmt) {
 						w.epochVars[obj] = true
 					}
 					return
+				case "translated":
+					// tl, ... := m.translated(...): tl.graph is shared.
+					if obj := w.exprObj(as.Lhs[0]); obj != nil {
+						w.translationVars[obj] = true
+					}
+					return
 				case "FusedGraph":
 					// g, stats, err := m.FusedGraph(): g is frozen.
 					if obj := w.exprObj(as.Lhs[0]); obj != nil && isGraphPtr(obj.Type()) {
@@ -168,8 +180,12 @@ func (w *fmWalker) frozenExpr(e ast.Expr) (string, bool) {
 			}
 		}
 	case *ast.SelectorExpr:
-		// ep.fs.graph where ep came from pinEpoch.
 		if e.Sel.Name == "graph" {
+			// tl.graph where tl came from translated.
+			if obj := w.exprObj(e.X); obj != nil && w.translationVars[obj] {
+				return "the translated population's graph (translated hands out the shared memo)", true
+			}
+			// ep.fs.graph where ep came from pinEpoch.
 			if fs, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok && fs.Sel.Name == "fs" {
 				if obj := w.exprObj(fs.X); obj != nil && w.epochVars[obj] {
 					return "the pinned epoch's graph (pinEpoch publishes frozen graphs)", true

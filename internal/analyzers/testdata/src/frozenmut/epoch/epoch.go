@@ -61,3 +61,24 @@ func cloneFused(m *manager) {
 	c := g.Clone()
 	c.SetRoot("r", 0)
 }
+
+type translation struct{ graph *oem.Graph }
+
+func (m *manager) translated(source string) (*translation, string, error) {
+	return &translation{graph: m.cur.fs.graph}, "memo", nil
+}
+
+// The translated population is the per-source memo every fetch of that
+// source version shares: importing out of it is fine, building into it is
+// the panic.
+func viaTranslated(m *manager, dst *oem.Graph) {
+	tl, _, _ := m.translated("GO")
+	_, _ = dst.Import(tl.graph, 1)
+	tl.graph.NewString("late") // want `NewString on a frozen graph`
+}
+
+func viaTranslatedAlias(m *manager) {
+	tl, _, _ := m.translated("GO")
+	g := tl.graph
+	g.SetRoot("r", 0) // want `SetRoot on a frozen graph`
+}

@@ -206,13 +206,38 @@ func collectSamples(g *oem.Graph, root, entity string, n int) map[string][]strin
 
 // TranslateEntity copies one local entity into dst under the global
 // vocabulary: labels renamed per the mapping rules, values run through
-// their transformation calls, complex children imported verbatim.
+// their transformation calls, complex children imported verbatim. The copy
+// shares no structure with any other translated entity.
 func TranslateEntity(dst *oem.Graph, src *oem.Graph, entity oem.OID, m *SourceMapping) (oem.OID, error) {
+	return NewTranslator(dst, src, m).Entity(entity)
+}
+
+// Translator translates entities of one source model into one destination
+// graph. Complex children go through a single remap held for the
+// translator's lifetime, so OML substructure shared between entities (GO
+// annotations pointing into one Term DAG) is copied into dst once and stays
+// shared there. Importing an entity out of dst (oem.Graph.Import) unshares
+// it again: the importer sees exactly the subgraph TranslateEntity builds.
+type Translator struct {
+	dst, src *oem.Graph
+	m        *SourceMapping
+	remap    map[oem.OID]oem.OID
+}
+
+// NewTranslator returns a translator of src's entities into dst under m.
+func NewTranslator(dst, src *oem.Graph, m *SourceMapping) *Translator {
+	return &Translator{dst: dst, src: src, m: m, remap: make(map[oem.OID]oem.OID)}
+}
+
+// Entity translates one entity and returns its oid in the destination.
+func (t *Translator) Entity(entity oem.OID) (oem.OID, error) {
+	dst, src, m := t.dst, t.src, t.m
 	eo := src.Get(entity)
 	if eo == nil || !eo.IsComplex() {
 		return 0, fmt.Errorf("gml: entity %v is not a complex object", entity)
 	}
 	out := dst.NewComplex()
+	refs := make([]oem.Ref, 0, len(eo.Refs))
 	for _, rule := range m.Rules {
 		for _, target := range eo.RefTargets(rule.Local) {
 			to := src.Get(target)
@@ -220,13 +245,11 @@ func TranslateEntity(dst *oem.Graph, src *oem.Graph, entity oem.OID, m *SourceMa
 				continue
 			}
 			if to.IsComplex() {
-				imported, err := dst.Import(src, target)
+				imported, err := dst.ImportShared(src, target, t.remap)
 				if err != nil {
 					return 0, err
 				}
-				if err := dst.AddRef(out, rule.Global, imported); err != nil {
-					return 0, err
-				}
+				refs = append(refs, oem.Ref{Label: rule.Global, Target: imported})
 				continue
 			}
 			v, err := Apply(rule.Transform, to.Value())
@@ -256,10 +279,11 @@ func TranslateEntity(dst *oem.Graph, src *oem.Graph, entity oem.OID, m *SourceMa
 				}
 				atom = a
 			}
-			if err := dst.AddRef(out, rule.Global, atom); err != nil {
-				return 0, err
-			}
+			refs = append(refs, oem.Ref{Label: rule.Global, Target: atom})
 		}
+	}
+	if err := dst.SetRefs(out, refs); err != nil {
+		return 0, err
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package lorel
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/oem"
@@ -89,63 +88,6 @@ func Eval(g *oem.Graph, q *Query) (*Result, error) {
 		return nil, err
 	}
 	return p.Eval(g)
-}
-
-// importShared copies the subgraph rooted at src into dst, reusing objects
-// already imported (so shared structure — and dedup by oid — survives).
-func importShared(dst *oem.Graph, srcG *oem.Graph, src oem.OID, imported map[oem.OID]oem.OID) (oem.OID, error) {
-	if d, ok := imported[src]; ok {
-		return d, nil
-	}
-	so := srcG.Get(src)
-	if so == nil {
-		return 0, fmt.Errorf("lorel: import of missing object %v", src)
-	}
-	switch so.Kind {
-	case oem.KindComplex:
-		d := dst.NewComplex()
-		imported[src] = d // registered before recursing so cycles terminate
-		if len(so.Refs) == 0 {
-			return d, nil
-		}
-		refs := make([]oem.Ref, 0, len(so.Refs))
-		for _, r := range so.Refs {
-			t, err := importShared(dst, srcG, r.Target, imported)
-			if err != nil {
-				return 0, err
-			}
-			refs = append(refs, oem.Ref{Label: r.Label, Target: t})
-		}
-		if err := dst.SetRefs(d, refs); err != nil {
-			return 0, err
-		}
-		return d, nil
-	case oem.KindInt:
-		d := dst.NewInt(so.Int)
-		imported[src] = d
-		return d, nil
-	case oem.KindReal:
-		d := dst.NewReal(so.Real)
-		imported[src] = d
-		return d, nil
-	case oem.KindString:
-		d := dst.NewString(so.Str)
-		imported[src] = d
-		return d, nil
-	case oem.KindURL:
-		d := dst.NewURL(so.Str)
-		imported[src] = d
-		return d, nil
-	case oem.KindBool:
-		d := dst.NewBool(so.Bool)
-		imported[src] = d
-		return d, nil
-	case oem.KindGif:
-		d := dst.NewGif(so.Raw)
-		imported[src] = d
-		return d, nil
-	}
-	return 0, fmt.Errorf("lorel: cannot import %v", so.Kind)
 }
 
 // EvalCond evaluates one condition under an explicit variable binding by

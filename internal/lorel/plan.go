@@ -113,7 +113,7 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 					dst, ok := imported[src]
 					if !ok {
 						var err error
-						dst, err = importShared(res.Graph, g, src, imported)
+						dst, err = res.Graph.ImportShared(g, src, imported)
 						if err != nil {
 							evalErr = err
 							return false

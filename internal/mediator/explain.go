@@ -95,6 +95,9 @@ type ExplainAnalysis struct {
 	// Fetched/Kept per source — identical to the Stats a Query reports.
 	Fetched map[string]int `json:"fetched"`
 	Kept    map[string]int `json:"kept"`
+	// Translation reports, per fetched source, whether its translated
+	// population was read from the per-source-version memo or built.
+	Translation map[string]string `json:"translation,omitempty"`
 	// Stages are the pipeline stage timings.
 	Stages []ExplainStage `json:"stages"`
 	// AnswerEdges is the answer's edge count; Bindings the surviving
@@ -196,6 +199,7 @@ func (m *Manager) explainSources(an *analysis) []ExplainSource {
 // gates' verdicts plus the one in effect.
 func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdown {
 	gateOK := !m.opts.DisablePushdown && m.opts.Policy == PolicyPreferPrimary
+	groups := an.pushGroups()
 	var out []ExplainPushdown
 	for _, conj := range conjuncts(q.Where) {
 		pd := ExplainPushdown{Conjunct: lorel.CondString(conj)}
@@ -221,6 +225,10 @@ func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdow
 		if m.opts.CostPushdown {
 			pd.LivePush = pd.HeuristicPush && pd.CostPush
 		}
+		if pd.LivePush && len(groups[pd.Concept]) == 0 {
+			pd.LivePush = false
+			pd.Reason = fmt.Sprintf("another %s variable carries no pushed conjunct, so no %s entity may be dropped at the source", pd.Concept, pd.Concept)
+		}
 		out = append(out, pd)
 	}
 	return out
@@ -241,6 +249,7 @@ func (m *Manager) explainAnalyze(e *Explain, q *lorel.Query, canon string, an *a
 		Cardinalities: *ec,
 		Fetched:       st.Fetched,
 		Kept:          st.Kept,
+		Translation:   st.Translation,
 		AnswerEdges:   res.Size(),
 		Bindings:      res.Bindings,
 		Stats:         st,
@@ -313,6 +322,9 @@ func (e *Explain) Format() string {
 			c.RootsMatched, c.FromMatched, c.ObjectsVisited, c.WhereEvals, c.Pruned, c.Bindings, c.SelectMatched)
 		for _, src := range sortedKeys(a.Fetched) {
 			fmt.Fprintf(&sb, "  %-12s fetched %d kept %d\n", src, a.Fetched[src], a.Kept[src])
+			if tl := a.Translation[src]; tl != "" {
+				fmt.Fprintf(&sb, "  %-12s translation: %s\n", src, tl)
+			}
 		}
 		fmt.Fprintf(&sb, "  answer: %d edges from %d bindings\n", a.AnswerEdges, a.Bindings)
 	}

@@ -119,12 +119,15 @@ type Stats struct {
 	SourcesPruned  []string
 	Fetched        map[string]int // entities translated, by source
 	Kept           map[string]int // entities surviving pushdown, by source
-	Conflicts      []Conflict
-	PushdownUsed   bool
-	Parallel       bool
-	FetchTime      time.Duration
-	FuseTime       time.Duration
-	EvalTime       time.Duration
+	// Translation reports, by source, whether the fetch read the memoized
+	// translated population ("memo") or translated the source ("built").
+	Translation  map[string]string
+	Conflicts    []Conflict
+	PushdownUsed bool
+	Parallel     bool
+	FetchTime    time.Duration
+	FuseTime     time.Duration
+	EvalTime     time.Duration
 
 	// DegradedSources lists the sources whose fetch failed but whose
 	// absence the degraded-mode fusion tolerated (Options.MinSources):
@@ -260,6 +263,10 @@ type Manager struct {
 	// gauges. Always non-nil (the table itself is also nil-inert).
 	srcStats *stats.Table
 
+	// translations memoizes each source's translated population per source
+	// version (see translate.go).
+	translations translations
+
 	// hub is the live change-feed hub (nil with DisableCache — no epochs,
 	// nothing to notify about); RefreshSource publishes into it under
 	// epochMu so feed order matches epoch publication order. standingQs
@@ -393,8 +400,9 @@ func (m *Manager) QueryStringCtx(ctx context.Context, src string) (*lorel.Result
 //
 //  1. analyze which concepts the query touches (from clauses and link
 //     labels) — unneeded sources are pruned;
-//  2. fetch and translate each relevant source's entities in parallel,
-//     applying pushed-down single-variable predicates at the source;
+//  2. read each relevant source's translated entities (memoized per
+//     source version) in parallel, applying pushed-down single-variable
+//     predicates at the source;
 //  3. fuse the translated populations into one integrated OEM graph,
 //     linking genes to annotations/diseases/proteins and reconciling
 //     conflicting attribute values;
@@ -497,6 +505,7 @@ func (s *Stats) clone() *Stats {
 	cp.Conflicts = append([]Conflict(nil), s.Conflicts...)
 	cp.Fetched = maps.Clone(s.Fetched)
 	cp.Kept = maps.Clone(s.Kept)
+	cp.Translation = maps.Clone(s.Translation)
 	return &cp
 }
 
@@ -1103,14 +1112,18 @@ func collectPaths(q *lorel.Query) []lorel.Path {
 	return append(out, condPaths(q.Where)...)
 }
 
-// population is one source's translated (and possibly pre-filtered)
-// entities, in the source's own scratch graph.
+// population is one source's translated entities after pushdown filtering.
+// graph is the translation's graph — the shared memoized one or a private
+// one, read-only either way — and entities the kept subset of its entities.
 type population struct {
 	source       string
 	concept      string
 	graph        *oem.Graph
 	entities     []oem.OID
 	fetchedCount int
+	// translation reports whether the fetch read the memoized translation
+	// or built one (see Stats.Translation).
+	translation string
 	// hashes holds the structural fingerprint of each kept entity's
 	// source-model form, parallel to entities. Populated only for recorded
 	// (snapshot-building) fetches — the delta subsystem keys its
@@ -1121,20 +1134,22 @@ type population struct {
 	fallbacks int
 }
 
-// fetch translates each relevant source in parallel. hashed requests
-// per-entity structural hashes (snapshot builds need them; per-query
-// fetches skip the extra pass).
+// fetch reads each relevant source's translated population in parallel,
+// applying the pushed-down predicates. hashed requests per-entity structural
+// hashes (snapshot builds need them; per-query fetches skip the extra pass).
 func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) ([]*population, error) {
 	type job struct {
 		mapping *gml.SourceMapping
 		w       wrapper.Wrapper
 	}
 	var jobs []job
+	mapped := map[string]bool{}
 	for _, w := range m.reg.All() {
 		mp := m.gl.MappingFor(w.Name())
 		if mp == nil {
 			continue // registered but unmapped: cannot participate
 		}
+		mapped[w.Name()] = true
 		if !m.opts.DisablePruning && !an.needs(mp.Concept) {
 			stats.SourcesPruned = append(stats.SourcesPruned, w.Name())
 			continue
@@ -1142,16 +1157,8 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 		stats.SourcesQueried = append(stats.SourcesQueried, w.Name())
 		jobs = append(jobs, job{mapping: mp, w: w})
 	}
-
-	// Pushdown conditions per concept (single from-variable per concept in
-	// the common case; merge all vars of that concept).
-	condsFor := map[string][]pushCond{}
-	for v, conds := range an.pushdown {
-		concept := an.fromConcepts[v]
-		for _, c := range conds {
-			condsFor[concept] = append(condsFor[concept], pushCond{v: v, c: c})
-		}
-	}
+	m.translations.retain(mapped)
+	pushed := an.pushGroups()
 
 	pops := make([]*population, len(jobs))
 	errs := make([]error, len(jobs))
@@ -1165,14 +1172,14 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 		// feeds the statistics table's fetch-latency EWMA, and one clock
 		// pair per source fetch is noise next to the fetch itself.
 		t0 := obs.Now()
-		conds := condsFor[j.mapping.Concept]
-		pop, fetched, err := m.fetchOne(j.w, j.mapping, conds, hashed, tr)
+		groups := pushed[j.mapping.Concept]
+		pop, err := m.fetchOne(j.w, j.mapping, groups, hashed, tr)
 		if err == nil {
 			m.srcStats.ObserveFetch(j.w.Name(), obs.Since(t0))
 		}
 		if tr != nil {
 			stage := obs.StageFetch
-			if len(conds) > 0 {
+			if len(groups) > 0 {
 				stage = obs.StagePushdown
 			}
 			tr.SpanNote(stage, t0, j.w.Name())
@@ -1181,10 +1188,7 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 			errs[i] = err
 			return
 		}
-		pops[i] = pop
-		// Stats maps are written after the wait below to stay race-free;
-		// stash counts on the population.
-		pop.fetchedCount = fetched
+		pops[i] = pop // Stats maps are written after the wait below to stay race-free
 	}
 	for i, j := range jobs {
 		wg.Add(1)
@@ -1215,9 +1219,11 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 		}
 		pops = kept
 	}
+	stats.Translation = make(map[string]string, len(pops))
 	for _, p := range pops {
 		stats.Fetched[p.source] = p.fetchedCount
 		stats.Kept[p.source] = len(p.entities)
+		stats.Translation[p.source] = p.translation
 		stats.PushdownFallbacks += p.fallbacks
 		if p.fetchedCount != len(p.entities) {
 			stats.PushdownUsed = true
@@ -1279,76 +1285,136 @@ func (m *Manager) sourceRequired(name string) bool {
 	return false
 }
 
-type pushCond struct {
-	v string
-	c lorel.Cond
+// pushGroup is the pushed-down conjuncts of one from-variable: an entity
+// satisfies the group when every conjunct holds with v bound to it.
+type pushGroup struct {
+	v     string
+	conds []lorel.Cond
 }
 
-func (m *Manager) fetchOne(w wrapper.Wrapper, mp *gml.SourceMapping, conds []pushCond, hashed bool, tr *obs.Trace) (*population, int, error) {
+// pushGroups arranges the pushed-down conjuncts by concept, one group per
+// from-variable, in variable order. Variables bind independently, so an
+// entity may be dropped at the source only when no variable of its concept
+// could bind it: a concept one of whose variables carries no pushed conjunct
+// is not filtered at all, and fetchOne keeps an entity that satisfies any
+// one group.
+func (a *analysis) pushGroups() map[string][]pushGroup {
+	vars := make([]string, 0, len(a.fromConcepts))
+	for v := range a.fromConcepts {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	out := map[string][]pushGroup{}
+	unfiltered := map[string]bool{}
+	for _, v := range vars {
+		concept := a.fromConcepts[v]
+		switch {
+		case concept == "" || unfiltered[concept]:
+		case len(a.pushdown[v]) == 0:
+			unfiltered[concept] = true
+			delete(out, concept)
+		default:
+			out[concept] = append(out[concept], pushGroup{v: v, conds: a.pushdown[v]})
+		}
+	}
+	return out
+}
+
+// fetchOne reads one source's translated population and keeps the entities
+// the pushed-down groups let through.
+func (m *Manager) fetchOne(w wrapper.Wrapper, mp *gml.SourceMapping, groups []pushGroup, hashed bool, tr *obs.Trace) (*population, error) {
 	src, err := m.sourceModel(context.Background(), w, tr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	// Recorded fetches read a live memo but do not create one: the epoch
+	// they build keeps the fused copy.
+	tl, outcome, err := m.translated(w, mp, src, !hashed, tr)
+	if err != nil {
+		return nil, err
+	}
+	pop := &population{source: w.Name(), concept: mp.Concept, graph: tl.graph,
+		entities: tl.entities, fetchedCount: len(tl.entities), translation: outcome}
+	if len(groups) > 0 {
+		if err := m.pushdown(pop, groups); err != nil {
+			return nil, err
+		}
+	}
+	if hashed {
+		// entities is a subsequence of tl.entities, which is parallel to
+		// the source model's entity list.
+		pop.hashes = make([]uint64, 0, len(pop.entities))
+		srcEntities := src.Children(src.Root(w.Name()), mp.Entity)
+		for i, te := range tl.entities {
+			if k := len(pop.hashes); k < len(pop.entities) && pop.entities[k] == te {
+				pop.hashes = append(pop.hashes, delta.HashEntity(src, srcEntities[i]))
+			}
+		}
+	}
+	return pop, nil
+}
+
+// pushdown narrows pop.entities — on entry the whole translated population,
+// shared with the memo and so never written — to the entities that satisfy
+// at least one group.
+func (m *Manager) pushdown(pop *population, groups []pushGroup) error {
 	// Compile each pushed-down predicate once per source, not once per
 	// entity; the per-entity loop below only evaluates. evals/passes feed
 	// the statistics table: passes/evals is the predicate's observed
 	// selectivity at this source (conditional on earlier predicates in the
 	// chain, since a rejected entity skips the rest).
 	type compiledPush struct {
-		v      string
 		shape  string
 		plan   *lorel.CondPlan
 		evals  int
 		passes int
 	}
-	var plans []compiledPush
-	for _, pc := range conds {
-		cp, err := lorel.CompileCond(pc.c)
-		if err != nil {
-			return nil, 0, err
-		}
-		plans = append(plans, compiledPush{v: pc.v, shape: lorel.CondString(pc.c), plan: cp})
-	}
-	pop := &population{source: w.Name(), concept: mp.Concept, graph: oem.NewGraph()}
-	root := src.Root(w.Name())
-	fetched := 0
-	env := make(map[string]oem.OID, 1)
-	for _, e := range src.Children(root, mp.Entity) {
-		fetched++
-		te, err := gml.TranslateEntity(pop.graph, src, e, mp)
-		if err != nil {
-			return nil, 0, err
-		}
-		keep := true
-		for pi := range plans {
-			pc := &plans[pi]
-			clear(env)
-			env[pc.v] = te
-			ok, err := pc.plan.Eval(pop.graph, env)
+	plans := make([][]compiledPush, len(groups))
+	for gi, g := range groups {
+		for _, c := range g.conds {
+			cp, err := lorel.CompileCond(c)
 			if err != nil {
-				// Pushdown must never break a query; fall back to keeping
-				// the entity and let the final evaluation decide. The
-				// fallback is counted so it cannot hide silently.
-				pop.fallbacks++
-				ok = true
+				return err
 			}
-			pc.evals++
-			if ok {
-				pc.passes++
-			} else {
-				keep = false
-				break
+			plans[gi] = append(plans[gi], compiledPush{shape: lorel.CondString(c), plan: cp})
+		}
+	}
+	var kept []oem.OID
+	env := make(map[string]oem.OID, 1)
+	for _, te := range pop.entities {
+		keep := false
+		for gi := 0; gi < len(groups) && !keep; gi++ {
+			clear(env)
+			env[groups[gi].v] = te
+			keep = true
+			for pi := range plans[gi] {
+				pc := &plans[gi][pi]
+				ok, err := pc.plan.Eval(pop.graph, env)
+				if err != nil {
+					// Pushdown must never break a query; fall back to keeping
+					// the entity and let the final evaluation decide. The
+					// fallback is counted so it cannot hide silently.
+					pop.fallbacks++
+					ok = true
+				}
+				pc.evals++
+				if ok {
+					pc.passes++
+				} else {
+					keep = false
+					break
+				}
 			}
 		}
 		if keep {
-			pop.entities = append(pop.entities, te)
-			if hashed {
-				pop.hashes = append(pop.hashes, delta.HashEntity(src, e))
-			}
+			kept = append(kept, te)
 		}
 	}
-	for _, pc := range plans {
-		m.srcStats.ObservePushdown(w.Name(), pc.shape, pc.evals, pc.passes)
+	pop.entities = kept
+	for _, group := range plans {
+		for _, pc := range group {
+			m.srcStats.ObservePushdown(pop.source, pc.shape, pc.evals, pc.passes)
+		}
 	}
-	return pop, fetched, nil
+	return nil
 }

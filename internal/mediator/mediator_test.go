@@ -442,10 +442,11 @@ func TestPushdownFallbackCounted(t *testing.T) {
 	// per-entity environment, so evaluation fails for every entity.
 	bad := lorel.ExistsCond{P: lorel.Path{Base: "NoSuchVar", Steps: []lorel.Step{lorel.LabelStep{Name: "Symbol"}}}}
 
-	pop, fetched, err := m.fetchOne(w, mp, []pushCond{{v: "G", c: bad}}, false, nil)
+	pop, err := m.fetchOne(w, mp, []pushGroup{{v: "G", conds: []lorel.Cond{bad}}}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fetched := pop.fetchedCount
 	if fetched == 0 {
 		t.Fatal("no entities fetched")
 	}

@@ -93,6 +93,7 @@ const (
 	StageEpochPin         = "epoch_pin"
 	StagePlanCompile      = "plan_compile"
 	StagePushdown         = "pushdown"
+	StageTranslate        = "translate" // source model -> global vocabulary; note "<source> memo" or "<source> built"
 	StageFetch            = "fetch"
 	StageFuse             = "fuse"
 	StageEval             = "eval"
@@ -114,7 +115,7 @@ const (
 // pre-resolved stage histogram table.
 var knownStages = []string{
 	StageCacheLookup, StageSingleflightWait, StageEpochPin,
-	StagePlanCompile, StagePushdown, StageFetch, StageFuse, StageEval,
+	StagePlanCompile, StagePushdown, StageTranslate, StageFetch, StageFuse, StageEval,
 	StageRender, StageWrite,
 	StageDiff, StageDeltaPatch, StageWALAppend, StageCheckpoint,
 	StageRestore, StageInvalidate, StageStandingEval, StageFeedPublish,

@@ -34,6 +34,20 @@ func (g *Graph) Freeze() {
 	g.mu.Unlock()
 }
 
+// FreezeUnindexed is Freeze without the label index: LabelIndex reports
+// none, so path evaluation scans reference lists instead. It suits a graph
+// read one label deep from a known set of objects (a translated source
+// population under pushed-down predicates), where a map per complex object
+// would cost more memory than the short scans cost time.
+func (g *Graph) FreezeUnindexed() {
+	g.mu.Lock()
+	if !g.frozen.Load() {
+		g.labels, g.labelsDirty = nil, nil
+		g.frozen.Store(true)
+	}
+	g.mu.Unlock()
+}
+
 // Frozen reports whether the graph has been frozen.
 func (g *Graph) Frozen() bool { return g.frozen.Load() }
 

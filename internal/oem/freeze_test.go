@@ -205,3 +205,41 @@ func TestAbsorbRemapsAndConsumes(t *testing.T) {
 		t.Error("self-absorb did not error")
 	}
 }
+
+// TestFreezeUnindexed: the graph is immutable and lock-free like any frozen
+// graph but holds no label index — LabelIndex says so (evaluators then scan
+// refs), TargetsFolded scans instead of building one under readers, and an
+// index built before the freeze is released.
+func TestFreezeUnindexed(t *testing.T) {
+	g, root := buildSample()
+	g.EnsureLabelIndex()
+	before := CanonicalText(g, "DB", root)
+	g.FreezeUnindexed()
+	if !g.Frozen() {
+		t.Fatal("FreezeUnindexed did not mark the graph frozen")
+	}
+	if _, ok := g.LabelIndex(); ok {
+		t.Error("an unindexed frozen graph reports a label index")
+	}
+	if got := g.TargetsFolded(root, FoldLabel("entry")); len(got) != 2 {
+		t.Errorf("TargetsFolded(root, entry) = %v, want 2 targets from the scan", got)
+	}
+	if _, ok := g.LabelIndex(); ok {
+		t.Error("TargetsFolded built an index on a frozen graph")
+	}
+	if got := CanonicalText(g, "DB", root); got != before {
+		t.Errorf("frozen CanonicalText differs:\n%s\nvs\n%s", got, before)
+	}
+	g.EnsureLabelIndex() // no-op, never a build under lock-free readers
+	g.Freeze()           // already frozen: stays unindexed
+	if _, ok := g.LabelIndex(); ok {
+		t.Error("Freeze after FreezeUnindexed built an index")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("mutating an unindexed frozen graph did not panic")
+		}
+	}()
+	//lint:ignore frozenmut asserting the runtime panic is the point
+	g.NewString("late")
+}

@@ -496,6 +496,20 @@ func (g *Graph) TargetsFolded(id OID, folded string) []OID {
 	if ix, ok := g.LabelIndex(); ok {
 		return ix.Targets(id, folded)
 	}
+	if g.frozen.Load() {
+		// Frozen without an index (FreezeUnindexed): nothing may be built
+		// under lock-free readers, so scan. folded is canonical under
+		// FoldLabel, so EqualFold(x, folded) iff FoldLabel(x) == folded.
+		var out []OID
+		if o := g.objects[id]; o != nil {
+			for _, r := range o.Refs {
+				if strings.EqualFold(r.Label, folded) {
+					out = append(out, r.Target)
+				}
+			}
+		}
+		return out
+	}
 	g.mu.Lock()
 	g.buildLabelIndexLocked()
 	out := g.labels[id][folded]
@@ -525,8 +539,9 @@ func (ix LabelIndex) Targets(id OID, folded string) []OID { return ix.m[id][fold
 // touching only the dirty entries.
 func (g *Graph) LabelIndex() (LabelIndex, bool) {
 	if g.frozen.Load() {
-		// Freeze built the index and no mutation can dirty it.
-		return LabelIndex{m: g.labels}, true
+		// No mutation can dirty a frozen graph's index; FreezeUnindexed
+		// leaves none.
+		return LabelIndex{m: g.labels}, g.labels != nil
 	}
 	g.mu.RLock()
 	if g.labels == nil {
@@ -553,7 +568,7 @@ func (g *Graph) LabelIndex() (LabelIndex, bool) {
 // while the index is live and clean.
 func (g *Graph) EnsureLabelIndex() {
 	if g.frozen.Load() {
-		return // built at Freeze time, permanently clean
+		return // built at Freeze time and permanently clean, or never wanted
 	}
 	g.mu.RLock()
 	ready := g.labels != nil && len(g.labelsDirty) == 0
@@ -722,15 +737,24 @@ func (g *Graph) Validate() error {
 // copied once (object identity within the imported subgraph is preserved).
 // Cycles are handled.
 func (g *Graph) Import(src *Graph, srcRoot OID) (OID, error) {
+	return g.ImportShared(src, srcRoot, make(map[OID]OID))
+}
+
+// ImportShared is Import through a remap (src oid -> its copy in g) the
+// caller holds across calls: an object already in the remap is referenced,
+// not copied again, so substructure shared between separately imported
+// subgraphs stays shared in g. Every object copied is added to the remap.
+func (g *Graph) ImportShared(src *Graph, srcRoot OID, remap map[OID]OID) (OID, error) {
 	if src == g {
 		return srcRoot, nil
 	}
-	src.mu.RLock()
-	defer src.mu.RUnlock()
+	if !src.frozen.Load() {
+		src.mu.RLock()
+		defer src.mu.RUnlock()
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	remap := make(map[OID]OID)
 	var walk func(OID) (OID, error)
 	walk = func(id OID) (OID, error) {
 		if mapped, ok := remap[id]; ok {

@@ -245,6 +245,56 @@ func TestImportPreservesSharingAndCycles(t *testing.T) {
 	}
 }
 
+// TestImportSharedKeepsSharingAcrossCalls: two subgraphs imported through
+// one remap share in the destination what they shared in the source; the
+// same two imported separately do not, and either way each copy is
+// DeepEqual to its source.
+func TestImportSharedKeepsSharingAcrossCalls(t *testing.T) {
+	src := NewGraph()
+	term := src.NewComplex(Ref{Label: "Name", Target: src.NewString("kinase")})
+	a := src.NewComplex(Ref{Label: "Term", Target: term}, Ref{Label: "N", Target: src.NewInt(1)})
+	b := src.NewComplex(Ref{Label: "Term", Target: term}, Ref{Label: "N", Target: src.NewInt(2)})
+
+	shared, remap := NewGraph(), map[OID]OID{}
+	sa, err := shared.ImportShared(src, a, remap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := shared.ImportShared(src, b, remap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Child(sa, "Term") != shared.Child(sb, "Term") {
+		t.Error("one remap, two imports: the shared Term was copied twice")
+	}
+	if shared.Len() != src.Len() {
+		t.Errorf("shared import has %d objects, source %d", shared.Len(), src.Len())
+	}
+	if remap[term] != shared.Child(sa, "Term") || len(remap) != src.Len() {
+		t.Errorf("remap = %v, want every source object mapped to its copy", remap)
+	}
+
+	apart := NewGraph()
+	pa, _ := apart.Import(src, a)
+	pb, _ := apart.Import(src, b)
+	if apart.Child(pa, "Term") == apart.Child(pb, "Term") {
+		t.Error("separate Imports shared structure")
+	}
+	for _, p := range []struct {
+		g         *Graph
+		got, want OID
+	}{{shared, sa, a}, {shared, sb, b}, {apart, pa, a}, {apart, pb, b}} {
+		if !DeepEqual(src, p.want, p.g, p.got) {
+			t.Errorf("copy of %v differs from its source", p.want)
+		}
+	}
+	// A frozen source is read without its lock.
+	src.Freeze()
+	if _, err := NewGraph().Import(src, a); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestImportSameGraphIsIdentity(t *testing.T) {
 	g, root := buildLocusLinkFragment(t)
 	got, err := g.Import(g, root)
