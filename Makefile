@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race memo-race fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
+.PHONY: check vet lint fmt-check build test race memo-race route-equiv fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
 
 # check is the tier-1 gate: formatting, vet, the project-invariant lint
 # suite, build, and the full test tree under -race.
@@ -38,6 +38,14 @@ race:
 memo-race:
 	$(GO) test -race -count=10 -run 'TestTranslationMemoRace' ./internal/mediator
 
+# route-equiv runs the route-equivalence property test long and under -race:
+# more seeds, denser samples of the generated queries and a 2.5k-gene corpus —
+# masked epoch vs the per-query pipeline with and without pushdown, a
+# delta-patched epoch vs a rebuilt one, and save→restore, all byte-equal
+# under CanonicalText. `make race` runs its small-seed-count form.
+route-equiv:
+	$(GO) test -race -count=1 -timeout 30m -run 'TestRouteEquivalence' ./internal/mediator -args -route-equiv-long
+
 # fuzz-smoke gives each codec fuzzer a short budget so decode crashes are
 # caught in CI without a long fuzzing campaign. (go test accepts only one
 # -fuzz pattern per package, hence one invocation per target.)
@@ -54,7 +62,8 @@ bench:
 # bench-smoke compiles and runs every benchmark in the tree exactly once so
 # CI catches benchmarks that no longer build or crash — they must not rot
 # silently between careful runs (./... includes internal/mediator's
-# BenchmarkFetchPushdown/{1k,10k} and BenchmarkTranslateGO). The second pass
+# BenchmarkFetchPushdown/{1k,10k}, BenchmarkTranslateGO, BenchmarkPrunedMiss/
+# {1k,10k} and BenchmarkEpochProvenance/{1k,10k}). The second pass
 # re-runs the E16 concurrent-throughput/batch benches under GOMAXPROCS=8 so
 # the lock-free epoch read path sees real goroutine concurrency even on
 # small CI runners.
@@ -95,7 +104,9 @@ loc:
 # question three times: the two hits must be byte-equal (the second is
 # built, the third served from the memoized rendering), every response's
 # Content-Length must be its body size, and the scrape must then carry the
-# render stage.
+# render stage — and, since that question names two of the four concepts, the
+# answer_import stage and the masked-concept counter of an evaluation on the
+# epoch, beside the Go runtime gauges.
 metrics-check:
 	@set -e; \
 	$(GO) build -o /tmp/annoda-server-ci ./cmd/annoda-server; \
@@ -120,7 +131,7 @@ metrics-check:
 	cmp /tmp/annoda-ask-2.json /tmp/annoda-ask-3.json || { echo "/api/ask: built and memoized hit bodies differ"; exit 1; }; \
 	curl -fsS http://127.0.0.1:18077/metrics -o /tmp/annoda-scrape.txt; \
 	/tmp/annoda-lint-ci -prom /tmp/annoda-scrape.txt; \
-	for series in annoda_plan_cache_hits_total annoda_plan_cache_entries annoda_plan_explains_total annoda_source_entities annoda_source_fetch_ewma_micros 'annoda_stage_duration_seconds_count{stage="render"} [1-9]'; do \
+	for series in annoda_plan_cache_hits_total annoda_plan_cache_entries annoda_plan_explains_total annoda_source_entities annoda_source_fetch_ewma_micros 'annoda_stage_duration_seconds_count{stage="render"} [1-9]' 'annoda_stage_duration_seconds_count{stage="answer_import"} [1-9]' 'annoda_epoch_masked_total{concept="Protein"} [1-9]' annoda_go_goroutines annoda_go_heap_live_bytes annoda_go_alloc_bytes_total annoda_go_gc_pause_micros_total; do \
 		grep -q "^$$series" /tmp/annoda-scrape.txt || { echo "metrics scrape missing $$series"; exit 1; }; \
 	done; \
 	curl -fsS -X POST -d '{"query":"select G from ANNODA-GML.Gene G","analyze":true}' \

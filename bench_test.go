@@ -1408,7 +1408,7 @@ func benchmarkE20Eval(b *testing.B, counted bool) {
 		if counted {
 			ec = &lorel.EvalCounts{}
 		}
-		if _, err := plan.EvalCounted(fused, ec); err != nil {
+		if _, err := plan.EvalMasked(fused, nil, ec); err != nil {
 			b.Fatal(err)
 		}
 	}

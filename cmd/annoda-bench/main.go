@@ -1316,12 +1316,12 @@ func e20(c *datagen.Corpus, sys *core.System) {
 			}
 		})
 		measure("eval_plain", 3, func() {
-			if _, err := plan.EvalCounted(fused, nil); err != nil {
+			if _, err := plan.EvalMasked(fused, nil, nil); err != nil {
 				fatal(err)
 			}
 		})
 		measure("eval_counted", 3, func() {
-			if _, err := plan.EvalCounted(fused, &lorel.EvalCounts{}); err != nil {
+			if _, err := plan.EvalMasked(fused, nil, &lorel.EvalCounts{}); err != nil {
 				fatal(err)
 			}
 		})

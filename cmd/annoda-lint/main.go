@@ -184,7 +184,7 @@ func checkExplainShape(path string) {
 	analyzed := "plan-only"
 	if a := e.Analyze; a != nil {
 		analyzed = "analyzed"
-		if len(a.Stages) != 3 || len(a.Fetched) == 0 {
+		if len(a.Stages) != 4 || len(a.Fetched) == 0 {
 			log.Fatalf("%s: analyze block lacks stages/fetched", path)
 		}
 		if a.Cardinalities.RootsMatched == 0 {

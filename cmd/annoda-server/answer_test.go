@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -165,6 +166,53 @@ func TestAnswerBodiesMatchReferenceEncoder(t *testing.T) {
 	})
 	if !st.CacheHit || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("query on an entry /api/ask memoized: hit=%v\n got: %.200s\nwant: %.200s", st.CacheHit, rec.Body, want)
+	}
+}
+
+// TestPrunedQuestionDescribesTheEpoch pins the one wire-visible change of
+// evaluating pruned questions on the epoch under a mask: the rows are the
+// per-query pipeline's byte for byte, while "conflicts" and "stats" describe
+// the epoch that answered — every source queried, none pruned, the
+// federation-wide conflict count, and the hidden concepts under "masked".
+func TestPrunedQuestionDescribesTheEpoch(t *testing.T) {
+	type body struct {
+		Rows      json.RawMessage `json:"rows"`
+		Conflicts int             `json:"conflicts"`
+		Stats     statsJSON       `json:"stats"`
+	}
+	ask := func(opts mediator.Options, req string) body {
+		sys := freshSystemWith(t, opts)
+		if err := sys.PlugInProteins(); err != nil {
+			t.Fatal(err)
+		}
+		rec := postJSON(t, newMux(sys, muxConfig{}), "/api/ask", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", req, rec.Code, rec.Body)
+		}
+		var b body
+		if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	const pruned = `{"include":["GO"]}` // names Gene and Annotation
+	epoch := ask(mediator.Options{Obs: quietObs()}, pruned)
+	pipeline := ask(mediator.Options{Obs: quietObs(), DisableCache: true}, pruned)
+	full := ask(mediator.Options{Obs: quietObs()}, `{"include":["GO"],"exclude":["OMIM","ProtDB"]}`)
+
+	if !bytes.Equal(epoch.Rows, pipeline.Rows) {
+		t.Errorf("rows differ between the masked epoch and the pipeline\n got: %.300s\nwant: %.300s", epoch.Rows, pipeline.Rows)
+	}
+	st := epoch.Stats
+	if !st.SnapshotUsed || !slices.Equal(st.Masked, []string{"Disease", "Protein"}) ||
+		len(st.SourcesPruned) != 0 || !slices.Equal(st.SourcesQueried, full.Stats.SourcesQueried) || len(st.SourcesQueried) != 4 {
+		t.Errorf("stats = %+v, want the epoch's: snapshot_used, masked [Disease Protein], four sources queried, none pruned", st)
+	}
+	if epoch.Conflicts != full.Conflicts || epoch.Stats.Conflicts != full.Stats.Conflicts || epoch.Conflicts == 0 {
+		t.Errorf("conflicts = %d (stats %d), want the federation-wide %d", epoch.Conflicts, epoch.Stats.Conflicts, full.Conflicts)
+	}
+	if p := pipeline.Stats; p.SnapshotUsed || len(p.Masked) != 0 || !slices.Equal(p.SourcesPruned, []string{"OMIM", "ProtDB"}) || pipeline.Conflicts > epoch.Conflicts {
+		t.Errorf("-nocache stats = %+v (conflicts %d), want the pruned pipeline's", p, pipeline.Conflicts)
 	}
 }
 

@@ -346,7 +346,7 @@ func TestAPIExplain(t *testing.T) {
 	if a == nil {
 		t.Fatalf("analyze block absent: %s", rec.Body.String())
 	}
-	if a.Cardinalities.RootsMatched == 0 || len(a.Stages) != 3 || len(a.Fetched) == 0 {
+	if a.Cardinalities.RootsMatched == 0 || len(a.Stages) != 4 || len(a.Fetched) == 0 {
 		t.Errorf("dead analyze block: %+v", a)
 	}
 
@@ -808,15 +808,14 @@ func TestAPIBodyLimit(t *testing.T) {
 
 func TestAPIBatch(t *testing.T) {
 	h := newMux(testSystem(t), muxConfig{})
-	// The test system includes ProtDB, so a snapshot-safe question must
-	// touch the Protein concept too (a pruned source disqualifies the
-	// snapshot); the trailing "not exists G.Protein.Bogus" conjunct is
-	// vacuously true and only keeps Protein un-pruned.
-	safeQ := "select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and not exists G.Protein.Bogus"
+	// The test system includes ProtDB. The first question names every
+	// concept; the third leaves Protein out, which the pinned epoch answers
+	// under a mask instead of handing the question to the per-query pipeline.
+	safeQ := "select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and not exists G.Protein"
 	body := `{"queries": [
 		"` + safeQ + `",
 		"select totally bogus",
-		"select G.Symbol from ANNODA-GML.Gene G, G.Annotation A where exists G.Annotation and not exists G.Disease and not exists G.Protein.Bogus"
+		"select G.Symbol from ANNODA-GML.Gene G, G.Annotation A where exists G.Annotation and not exists G.Disease"
 	]}`
 	rec := postJSON(t, h, "/api/batch", body)
 	if rec.Code != http.StatusOK {
@@ -875,7 +874,7 @@ func TestStatszEpochCounters(t *testing.T) {
 	h := newMux(testSystem(t), muxConfig{})
 	// At least one snapshot query so an epoch exists.
 	postJSON(t, h, "/api/batch",
-		`{"queries": ["select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and not exists G.Protein.Bogus"]}`)
+		`{"queries": ["select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease"]}`)
 	m := statszMetrics(t, h)
 	if m["annoda_epochs_published_total"] == 0 || m["annoda_epoch_pins_total"] == 0 {
 		t.Errorf("epoch counters not surfaced: published=%v pins=%v",

@@ -186,6 +186,7 @@ type statsJSON struct {
 	PushdownFB     int        `json:"pushdown_fallbacks,omitempty"`
 	Parallel       bool       `json:"parallel"`
 	SnapshotUsed   bool       `json:"snapshot_used,omitempty"`
+	Masked         []string   `json:"masked,omitempty"` // concepts hidden on the snapshot path; the rest of the block then describes the whole epoch
 	BatchQuestions int        `json:"batch_questions,omitempty"`
 	FetchMicros    int64      `json:"fetch_micros"`
 	FuseMicros     int64      `json:"fuse_micros"`
@@ -272,6 +273,7 @@ func mediatorStats(st *mediator.Stats) statsJSON {
 		PushdownFB:     st.PushdownFallbacks,
 		Parallel:       st.Parallel,
 		SnapshotUsed:   st.SnapshotUsed,
+		Masked:         st.Masked,
 		BatchQuestions: st.BatchQuestions,
 		FetchMicros:    st.FetchTime.Microseconds(),
 		FuseMicros:     st.FuseTime.Microseconds(),

@@ -17,6 +17,12 @@ import (
 //   - the translated population reached through translated (tl.graph),
 //     which may be the memo shared by every fetch of the source.
 //
+// An epoch's provenance sets (ep.prov, what masks are made from) are frozen
+// with it: an assignment into them or a delete from them is reported once
+// the epoch came from pinEpoch or was handed to publishLocked. Importing out
+// of a frozen graph — Import, ImportShared, ImportMasked with the frozen
+// graph as the source argument — is reading, and fine.
+//
 // Aliases propagate through plain assignment; Clone() breaks the taint
 // (that is the documented way to mutate a frozen world). The analysis is
 // lexical and intra-function: it tracks source order, so mutating a graph
@@ -33,7 +39,7 @@ var FrozenMut = &Analyzer{
 var graphMutators = map[string]bool{
 	"NewInt": true, "NewReal": true, "NewString": true, "NewBool": true,
 	"NewURL": true, "NewGif": true, "NewAtom": true, "NewComplex": true,
-	"Import": true, "ImportShared": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
+	"Import": true, "ImportShared": true, "ImportMasked": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
 	"RemoveRefs": true, "RemoveSubtree": true, "SetRoot": true,
 	"SortRefs": true, "putRaw": true, "Absorb": true,
 }
@@ -61,8 +67,9 @@ type fmWalker struct {
 	pass *Pass
 	// frozen maps a variable to a short description of why it is frozen.
 	frozen map[types.Object]string
-	// epochVars holds variables assigned from pinEpoch(); their
-	// .fs.graph field is the published, frozen epoch graph.
+	// epochVars holds variables assigned from pinEpoch() or passed to
+	// publishLocked(); their .fs.graph field is the published, frozen epoch
+	// graph and their .prov sets are frozen with it.
 	epochVars map[types.Object]bool
 	// translationVars holds variables assigned from translated(); their
 	// .graph field is the (possibly memoized, then frozen) population.
@@ -82,11 +89,25 @@ func (w *fmWalker) walk(body ast.Node) {
 }
 
 func (w *fmWalker) call(call *ast.CallExpr) {
+	// delete(ep.prov.atoms[c], oid) / clear(ep.prov.atoms): builtins have
+	// no *types.Func.
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(call.Args) > 0 {
+		w.provWrite(call.Args[0])
+		return
+	}
 	fn := calleeFunc(w.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+
+	// m.publishLocked(s): s is the serving epoch from here on.
+	if fn.Name() == "publishLocked" && len(call.Args) == 1 {
+		if obj := w.exprObj(call.Args[0]); obj != nil {
+			w.epochVars[obj] = true
+		}
+		return
+	}
 
 	// g.Freeze() taints g from here on.
 	if (fn.Name() == "Freeze" || fn.Name() == "FreezeUnindexed") && isGraphMethod(fn) && sel != nil {
@@ -122,7 +143,29 @@ func (w *fmWalker) call(call *ast.CallExpr) {
 	}
 }
 
+// provWrite reports e when it denotes (part of) a published epoch's
+// provenance: ep.prov, ep.prov.atoms[c], ep.prov.rivals[c][r], ...
+func (w *fmWalker) provWrite(e ast.Expr) {
+	for x := e; ; {
+		switch n := ast.Unparen(x).(type) {
+		case *ast.IndexExpr:
+			x = n.X
+		case *ast.SelectorExpr:
+			if obj := w.exprObj(n.X); n.Sel.Name == "prov" && obj != nil && w.epochVars[obj] {
+				w.pass.Reportf(e.Pos(), "write to the provenance of a published epoch: readers build masks from it with no lock held — compute it before publishLocked")
+				return
+			}
+			x = n.X
+		default:
+			return
+		}
+	}
+}
+
 func (w *fmWalker) assign(as *ast.AssignStmt) {
+	for _, lhs := range as.Lhs {
+		w.provWrite(lhs)
+	}
 	// Multi-value assignments from the epoch accessors.
 	if len(as.Rhs) == 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {

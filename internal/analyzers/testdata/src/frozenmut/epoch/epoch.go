@@ -10,7 +10,14 @@ type stats struct{}
 
 type fuseState struct{ graph *oem.Graph }
 
-type snapshot struct{ fs *fuseState }
+type provenance struct {
+	atoms map[string]map[oem.OID]struct{}
+}
+
+type snapshot struct {
+	fs   *fuseState
+	prov *provenance
+}
 
 type manager struct{ cur *snapshot }
 
@@ -25,6 +32,8 @@ func (m *manager) WithFusedGraph(fn func(*oem.Graph, *stats) error) error {
 func (m *manager) pinEpoch() (*snapshot, bool, error) {
 	return m.cur, false, nil
 }
+
+func (m *manager) publishLocked(s *snapshot) { m.cur = s }
 
 // FusedGraph hands out the published snapshot: reading is the contract,
 // mutating is the panic.
@@ -81,4 +90,29 @@ func viaTranslatedAlias(m *manager) {
 	tl, _, _ := m.translated("GO")
 	g := tl.graph
 	g.SetRoot("r", 0) // want `SetRoot on a frozen graph`
+}
+
+// An epoch's provenance sets are frozen with it: building them is fine until
+// publishLocked makes the epoch the serving one, a lint error after.
+func provAroundPublish(m *manager, s *snapshot) {
+	s.prov = &provenance{atoms: map[string]map[oem.OID]struct{}{}}
+	s.prov.atoms["Protein"] = map[oem.OID]struct{}{7: {}}
+	m.publishLocked(s)
+	s.prov.atoms["Protein"][8] = struct{}{} // want `write to the provenance of a published epoch`
+	delete(s.prov.atoms, "Protein")         // want `write to the provenance of a published epoch`
+	s.prov = nil                            // want `write to the provenance of a published epoch`
+}
+
+func provViaPinEpoch(m *manager) int {
+	ep, _, _ := m.pinEpoch()
+	ep.prov.atoms["Disease"] = nil // want `write to the provenance of a published epoch`
+	return len(ep.prov.atoms["Protein"])
+}
+
+// The masked import reads the frozen graph it copies out of and writes the
+// graph it is called on.
+func viaMaskedImport(m *manager, dst *oem.Graph, mask *oem.Mask) {
+	ep, _, _ := m.pinEpoch()
+	_, _ = dst.ImportMasked(ep.fs.graph, 1, map[oem.OID]oem.OID{}, mask)
+	_, _ = ep.fs.graph.ImportMasked(dst, 1, map[oem.OID]oem.OID{}, mask) // want `ImportMasked on a frozen graph`
 }

@@ -3,8 +3,6 @@ package lorel
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/oem"
 )
 
 // EvalCounts accumulates per-stage cardinalities for one plan evaluation.
@@ -58,12 +56,6 @@ func (ec *EvalCounts) noteWhere(kept bool) {
 	} else {
 		ec.Pruned++
 	}
-}
-
-// EvalCounted runs the compiled plan like Eval while accumulating per-stage
-// cardinalities into ec. A nil ec is allowed and makes it exactly Eval.
-func (p *Plan) EvalCounted(g *oem.Graph, ec *EvalCounts) (*Result, error) {
-	return p.eval(g, ec)
 }
 
 // Describe renders the compiled plan as a one-plan-per-line tree: each

@@ -46,7 +46,7 @@ func TestDescribeNoWhere(t *testing.T) {
 	}
 }
 
-// EvalCounted with counts must produce exactly the answer Eval produces —
+// A counted evaluation must produce exactly the answer Eval produces —
 // the counters are observation, not behaviour.
 func TestEvalCountedMatchesEval(t *testing.T) {
 	g := testGraph(t)
@@ -63,7 +63,7 @@ func TestEvalCountedMatchesEval(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 		var ec EvalCounts
-		counted, err := p.EvalCounted(g, &ec)
+		counted, err := p.EvalMasked(g, nil, &ec)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -84,7 +84,7 @@ func TestEvalCountsCardinalities(t *testing.T) {
 	g := testGraph(t)
 	p := compilePlan(t, `select X.Symbol from DB.Gene X where X.Organism = "Homo sapiens"`)
 	var ec EvalCounts
-	res, err := p.EvalCounted(g, &ec)
+	res, err := p.EvalMasked(g, nil, &ec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEvalCountsNilInert(t *testing.T) {
 	ec.noteWhere(false)
 	g := testGraph(t)
 	p := compilePlan(t, `select G from DB.Gene G`)
-	if _, err := p.EvalCounted(g, nil); err != nil {
+	if _, err := p.EvalMasked(g, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package lorel
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/oem"
 )
@@ -20,6 +21,11 @@ type Result struct {
 	// Bindings counts the variable assignments that satisfied the where
 	// clause (for optimizer statistics).
 	Bindings int
+	// Answer import, the stage after matching: how many objects were copied
+	// into Graph, and when and for how long (two clock reads per evaluation).
+	Imported    int
+	ImportStart time.Time
+	ImportTime  time.Duration
 
 	// renderings is the memo slot behind Rendering.
 	renderMu   sync.Mutex

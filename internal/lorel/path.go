@@ -124,10 +124,6 @@ func newScratch() *scratch {
 	}
 }
 
-// evalNFA returns every object reachable from any start oid along a label
-// path accepted by the NFA, in first-reached order. Label edges resolve
-// through the graph's folded label index (one map hit per edge) rather than
-// scanning and case-converting every ref.
 // scratchMapMax bounds reuse of the visited/emitted maps: clearing a Go map
 // costs time proportional to its bucket count, which never shrinks, so a
 // map inflated by one large traversal (a from-clause over thousands of
@@ -135,7 +131,12 @@ func newScratch() *scratch {
 // maps are dropped and reallocated small instead.
 const scratchMapMax = 512
 
-func evalNFA(g *oem.Graph, n *nfa, starts []oem.OID, sc *scratch) []oem.OID {
+// evalNFA returns every object reachable from any start oid along a label
+// path accepted by the NFA, in first-reached order. Label edges resolve
+// through the graph's folded label index (one map hit per edge) rather than
+// scanning and case-converting every ref. The traversal sees g under mask:
+// a reference the mask hides is never followed (nil hides nothing).
+func evalNFA(g *oem.Graph, mask *oem.Mask, n *nfa, starts []oem.OID, sc *scratch) []oem.OID {
 	if len(sc.visited) > scratchMapMax {
 		sc.visited = make(map[prodState]bool)
 	} else {
@@ -177,17 +178,28 @@ func evalNFA(g *oem.Graph, n *nfa, starts []oem.OID, sc *scratch) []oem.OID {
 					continue
 				}
 				for _, r := range obj.Refs {
+					if mask != nil && mask.Hides(r) {
+						continue
+					}
 					push(prodState{state: e.to, obj: r.Target})
 				}
 			case mLabel:
-				if haveIx {
-					for _, t := range ix.Targets(cur.obj, e.label) {
-						push(prodState{state: e.to, obj: t})
-					}
+				if mask != nil && mask.HidesLabel(e.label) {
 					continue
 				}
-				// No index on this graph (it is still being mutated, e.g. a
-				// per-source scratch graph under pushdown): scan the refs.
+				if haveIx {
+					if ts, indexed := ix.Targets(cur.obj, e.label); indexed {
+						for _, t := range ts {
+							if mask != nil && mask.HidesObject(t) {
+								continue
+							}
+							push(prodState{state: e.to, obj: t})
+						}
+						continue
+					}
+				}
+				// No index entry — the object is narrow, or the graph has no
+				// index (a translated population under pushdown): scan the refs.
 				// EqualFold is exactly the index's semantics — e.label is
 				// canonical under oem.FoldLabel, and EqualFold(x, canon)
 				// holds iff FoldLabel(x) == canon — and allocates nothing.
@@ -196,7 +208,7 @@ func evalNFA(g *oem.Graph, n *nfa, starts []oem.OID, sc *scratch) []oem.OID {
 					continue
 				}
 				for _, r := range obj.Refs {
-					if strings.EqualFold(r.Label, e.label) {
+					if strings.EqualFold(r.Label, e.label) && !(mask != nil && mask.HidesObject(r.Target)) {
 						push(prodState{state: e.to, obj: r.Target})
 					}
 				}
@@ -212,5 +224,5 @@ func evalNFA(g *oem.Graph, n *nfa, starts []oem.OID, sc *scratch) []oem.OID {
 // compile and fresh scratch per call; repeated evaluation of a fixed shape
 // should go through Compile.
 func EvalPath(g *oem.Graph, steps []Step, starts []oem.OID) []oem.OID {
-	return evalNFA(g, compileSteps(steps), starts, newScratch())
+	return evalNFA(g, nil, compileSteps(steps), starts, newScratch())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/oem"
 )
 
@@ -50,13 +51,25 @@ func Compile(q *Query) (*Plan, error) {
 // first against range variables bound by earlier from-clauses, then against
 // the graph's named roots.
 func (p *Plan) Eval(g *oem.Graph) (*Result, error) {
-	return p.eval(g, nil)
+	return p.EvalMasked(g, nil, nil)
 }
 
-// eval is the shared evaluation core. The count hooks are unconditional —
-// EvalCounts methods are nil-inert, so the plain Eval path pays one
-// predictable branch per hook (E20 measures the cost).
-func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
+// answerEdge is one selected object waiting for import: the edge label it
+// will hang under on the answer object and its oid in the queried graph.
+type answerEdge struct {
+	label string
+	src   oem.OID
+}
+
+// EvalMasked is the one evaluation core: it runs the compiled plan against g
+// as seen under mask (nil is the whole graph). Matching enumerates the
+// bindings, never following a reference the mask hides, and collects the
+// selected objects (deduplicated by oid); answer import then copies them into
+// the result graph in selection order, leaving hidden references out. ec,
+// when non-nil, accumulates per-stage cardinalities; the count hooks are
+// unconditional — EvalCounts methods are nil-inert, so an uncounted
+// evaluation pays one predictable branch per hook (E20 measures the cost).
+func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result, error) {
 	// A full query evaluation makes many label lookups over one settled
 	// graph: build its label index once up front. (Condition plans skip
 	// this — they run against still-growing per-source graphs.)
@@ -67,18 +80,14 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 		sc = newScratch()
 	}
 	defer p.scratch.Put(sc)
-	ev := &evaluator{g: g, env: make(map[string]oem.OID, len(p.q.From)), sc: sc}
+	ev := &evaluator{g: g, mask: mask, env: make(map[string]oem.OID, len(p.q.From)), sc: sc}
 
 	res := &Result{Graph: oem.NewGraph(), Origin: make(map[oem.OID]oem.OID)}
 	res.Answer = res.Graph.NewComplex()
 	res.Graph.SetRoot("answer", res.Answer)
 
-	imported := make(map[oem.OID]oem.OID) // source oid -> answer oid
-	type edgeKey struct {
-		label string
-		src   oem.OID
-	}
-	added := make(map[edgeKey]bool)
+	var selected []answerEdge
+	added := make(map[answerEdge]bool)
 
 	q := p.q
 	var evalErr error
@@ -102,27 +111,13 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 					return false
 				}
 				label := item.EdgeLabel()
-				emitted := evalNFA(g, p.sel[i], starts, sc)
+				emitted := evalNFA(g, mask, p.sel[i], starts, sc)
 				ec.noteSelect(i, len(emitted), len(sc.queue))
 				for _, src := range emitted {
-					k := edgeKey{label: label, src: src}
-					if added[k] {
-						continue // duplicate elimination by oid
-					}
-					added[k] = true
-					dst, ok := imported[src]
-					if !ok {
-						var err error
-						dst, err = res.Graph.ImportShared(g, src, imported)
-						if err != nil {
-							evalErr = err
-							return false
-						}
-						res.Origin[dst] = src
-					}
-					if err := res.Graph.AddRef(res.Answer, label, dst); err != nil {
-						evalErr = err
-						return false
+					k := answerEdge{label: label, src: src}
+					if !added[k] { // duplicate elimination by oid
+						added[k] = true
+						selected = append(selected, k)
 					}
 				}
 			}
@@ -135,7 +130,7 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 			return false
 		}
 		name := f.BindName()
-		matched := evalNFA(g, p.from[level], starts, sc)
+		matched := evalNFA(g, mask, p.from[level], starts, sc)
 		ec.noteFrom(level, len(matched), len(sc.queue))
 		for _, oid := range matched {
 			ev.env[name] = oid
@@ -150,6 +145,26 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 	if evalErr != nil {
 		return nil, evalErr
 	}
+
+	// Answer import. One remap for the whole answer, so an object selected
+	// twice (or shared between two selected subtrees) is copied once.
+	res.ImportStart = obs.Now()
+	imported := make(map[oem.OID]oem.OID) // queried-graph oid -> answer oid
+	for _, e := range selected {
+		dst, ok := imported[e.src]
+		if !ok {
+			var err error
+			dst, err = res.Graph.ImportMasked(g, e.src, imported, mask)
+			if err != nil {
+				return nil, err
+			}
+			res.Origin[dst] = e.src
+		}
+		if err := res.Graph.AddRef(res.Answer, e.label, dst); err != nil {
+			return nil, err
+		}
+	}
+	res.Imported, res.ImportTime = len(imported), obs.Since(res.ImportStart)
 	return res, nil
 }
 
@@ -159,9 +174,10 @@ func (p *Plan) eval(g *oem.Graph, ec *EvalCounts) (*Result, error) {
 
 // evaluator carries one evaluation's graph, variable bindings, and scratch.
 type evaluator struct {
-	g   *oem.Graph
-	env map[string]oem.OID
-	sc  *scratch
+	g    *oem.Graph
+	mask *oem.Mask // the view of g being evaluated; nil is all of it
+	env  map[string]oem.OID
+	sc   *scratch
 }
 
 // starts resolves a path's base to its start objects: a bound range
@@ -283,7 +299,7 @@ func (c cExists) eval(ev *evaluator) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return len(evalNFA(ev.g, c.n, starts, ev.sc)) > 0, nil
+	return len(evalNFA(ev.g, ev.mask, c.n, starts, ev.sc)) > 0, nil
 }
 
 // cOperand is a compiled comparison operand: a literal materialized once at
@@ -317,7 +333,7 @@ func (ev *evaluator) values(o cOperand, buf *[]*oem.Object) ([]*oem.Object, erro
 		return nil, err
 	}
 	out := (*buf)[:0]
-	for _, oid := range evalNFA(ev.g, o.n, starts, ev.sc) {
+	for _, oid := range evalNFA(ev.g, ev.mask, o.n, starts, ev.sc) {
 		obj := ev.g.Get(oid)
 		if obj != nil && obj.IsAtomic() {
 			out = append(out, obj)

@@ -30,9 +30,10 @@ type BatchAnswer struct {
 // batch. Snapshot-safe questions (the common case for generated analysis
 // workloads) are evaluated lock-free against one pinned epoch, bypassing
 // the result cache — strict same-world semantics beat reuse inside a
-// batch. Questions the snapshot cannot answer exactly (pruning or
-// pushdown would change what they observe) fall back to the full Query
-// path. A malformed question fails only its own answer, never the batch.
+// batch. Questions the snapshot cannot answer exactly (pushdown would
+// change what they observe, or the epoch cannot be masked for them) fall
+// back to the full Query path. A malformed question fails only its own
+// answer, never the batch.
 //
 // The aggregate Stats describes the batch: BatchQuestions is the question
 // count and EvalTime the total wall-clock evaluation time (String reports
@@ -120,15 +121,17 @@ func (m *Manager) askOne(ans *BatchAnswer, ep *snapshot, tr *obs.Trace) {
 		ans.Err = err
 		return
 	}
-	if ep != nil && m.snapshotSafe(an, q) {
-		plan, err := m.planFor(q, canon)
-		if err != nil {
-			ans.Err = err
+	if ep != nil {
+		if d := m.snapshotPathDecision(an, q, ep); d.safe {
+			plan, err := m.planFor(q, canon)
+			if err != nil {
+				ans.Err = err
+				return
+			}
+			// No per-question span: the batch records one eval span for all.
+			ans.Result, ans.Stats, ans.Err = m.evalEpoch(ep, plan, d, nil, nil)
 			return
 		}
-		// No per-question span: the batch records one eval span for all.
-		ans.Result, ans.Stats, ans.Err = m.evalEpoch(ep, plan, nil, nil)
-		return
 	}
 	ans.Result, ans.Stats, ans.Err = m.queryAnalyzed(q, canon, an, tr)
 }

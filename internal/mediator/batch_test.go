@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,8 @@ func TestAskBatchMatchesIndividualQueries(t *testing.T) {
 	queries := []string{
 		snapshotQ,
 		`select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`,
-		`select G from ANNODA-GML.Gene G where exists G.Disease`, // not snapshot-safe: prunes GO
+		`select G from ANNODA-GML.Gene G where exists G.Disease`, // prunes GO: snapshot-safe under a mask
+		`select G from ANNODA-GML.Gene G where G.GeneID > 0`,     // not snapshot-safe: pushes down
 	}
 	answers, agg, err := m.AskBatch(queries)
 	if err != nil {
@@ -27,7 +29,7 @@ func TestAskBatchMatchesIndividualQueries(t *testing.T) {
 	if agg.BatchQuestions != len(queries) {
 		t.Errorf("BatchQuestions = %d, want %d", agg.BatchQuestions, len(queries))
 	}
-	if !strings.Contains(agg.String(), "batch: 3 questions") {
+	if !strings.Contains(agg.String(), "batch: 4 questions") {
 		t.Errorf("aggregate Stats.String does not report the batch:\n%s", agg.String())
 	}
 	single := manager(t, c, Options{})
@@ -45,12 +47,16 @@ func TestAskBatchMatchesIndividualQueries(t *testing.T) {
 			t.Errorf("batch answer %d differs from individual query %q", i, q)
 		}
 	}
-	// The two snapshot-safe questions must have been answered eval-only.
-	if !answers[0].Stats.SnapshotUsed || !answers[1].Stats.SnapshotUsed {
+	// The snapshot-safe questions must have been answered eval-only, the
+	// pruning one under a mask; the pushdown one by the full Query path.
+	if !answers[0].Stats.SnapshotUsed || !answers[1].Stats.SnapshotUsed || !answers[2].Stats.SnapshotUsed {
 		t.Error("snapshot-safe batch questions missed the pinned-epoch path")
 	}
-	if answers[2].Stats.SnapshotUsed {
-		t.Error("pruning question wrongly answered from the full snapshot")
+	if got := answers[2].Stats.Masked; !slices.Equal(got, []string{"Annotation"}) {
+		t.Errorf("pruning question masked %v, want [Annotation]", got)
+	}
+	if answers[3].Stats.SnapshotUsed {
+		t.Error("pushdown question wrongly answered from the full snapshot")
 	}
 }
 

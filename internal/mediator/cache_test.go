@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -206,28 +207,35 @@ func TestSnapshotFastPathSharedAcrossDistinctQueries(t *testing.T) {
 	}
 }
 
-// TestSnapshotIneligibleQueries: queries that push predicates down or prune
-// sources must keep the per-query pipeline (the snapshot would differ), and
-// still agree with the uncached manager.
+// TestSnapshotIneligibleQueries: a query that pushes a predicate down keeps
+// the per-query pipeline (the snapshot retains what the pushdown filters); a
+// query that merely names fewer than all concepts no longer does — it is
+// evaluated on the snapshot under a mask hiding the others. Both still agree
+// with the uncached manager byte for byte.
 func TestSnapshotIneligibleQueries(t *testing.T) {
 	c := corpus()
 	m := manager(t, c, Options{})
 	plain := manager(t, c, Options{DisableCache: true})
-	queries := []string{
+	queries := []struct {
+		src    string
+		masked []string // nil: the pipeline must answer
+	}{
 		// Pushdown: the Symbol predicate is applied at the source.
-		`select G from ANNODA-GML.Gene G where G.Symbol like "A%"`,
-		// Pruning: only the Gene concept is needed, GO and OMIM are pruned.
-		`select G from ANNODA-GML.Gene G`,
+		{`select G from ANNODA-GML.Gene G where G.Symbol like "A%"`, nil},
+		// Pruning: only the Gene concept is needed; GO and OMIM are pruned
+		// by the pipeline, masked on the snapshot.
+		{`select G from ANNODA-GML.Gene G`, []string{"Annotation", "Disease"}},
 	}
-	for i, src := range queries {
-		res, stats, err := m.QueryString(src)
+	for i, q := range queries {
+		res, stats, err := m.QueryString(q.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.SnapshotUsed {
-			t.Errorf("query %d took the snapshot path despite being ineligible", i)
+		if stats.SnapshotUsed != (q.masked != nil) || !slices.Equal(stats.Masked, q.masked) {
+			t.Errorf("query %d: SnapshotUsed=%v Masked=%v, want snapshot=%v masked=%v",
+				i, stats.SnapshotUsed, stats.Masked, q.masked != nil, q.masked)
 		}
-		rp, _, err := plain.QueryString(src)
+		rp, _, err := plain.QueryString(q.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,8 +245,13 @@ func TestSnapshotIneligibleQueries(t *testing.T) {
 			t.Errorf("query %d: cached answer diverges from uncached:\n%s\nvs\n%s", i, got, want)
 		}
 	}
-	if n := metric(m, "annoda_snapshot_misses_total"); n != int64(len(queries)) {
-		t.Errorf("snapshot misses = %d, want %d", n, len(queries))
+	if hits, misses := metric(m, "annoda_snapshot_hits_total"), metric(m, "annoda_snapshot_misses_total"); hits != 1 || misses != 1 {
+		t.Errorf("snapshot hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	for _, concept := range []string{"Annotation", "Disease"} {
+		if n := m.Metrics().Value("annoda_epoch_masked_total", concept); n != 1 {
+			t.Errorf("annoda_epoch_masked_total{concept=%q} = %d, want 1", concept, n)
+		}
 	}
 }
 

@@ -114,8 +114,8 @@ func TestDegradedFusionAndReadmission(t *testing.T) {
 	if !strings.Contains(stats.String(), "DEGRADED") {
 		t.Fatal("degraded answer's explain output does not say DEGRADED")
 	}
-	// The surviving sources still answer: a query over LocusLink+OMIM data
-	// must return results from the degraded (GO-less) epoch.
+	// The surviving sources still answer a query over LocusLink data (by
+	// the pipeline: a degraded epoch is not masked).
 	res, _, err := m.QueryString(`select G from ANNODA-GML.Gene G`)
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
@@ -297,6 +297,70 @@ func TestStrictModeAndRequiredSources(t *testing.T) {
 		fgo.SetConfig(faults.Config{ErrorRate: 1})
 		if _, _, err := m.QueryString(allSourcesQ); err == nil {
 			t.Fatal("query succeeded below the MinSources floor")
+		}
+	})
+}
+
+// TestPrunedQueryBesideADownSource: a query that prunes a source must not
+// pay for that source's outage. With no epoch published and GO's breaker
+// open, every pruned query goes straight to the pipeline — one LocusLink
+// fetch each, not a second one for an epoch build that cannot succeed — and
+// on a degraded epoch a pruned query is not masked: the pipeline answers it
+// in full, and its Stats report GO missing only when the query needed GO.
+func TestPrunedQueryBesideADownSource(t *testing.T) {
+	c := corpus()
+	truth := manager(t, c, Options{DisableCache: true})
+	stuck := health.Config{FailureThreshold: 1, BaseBackoff: time.Minute, MaxBackoff: time.Minute, JitterFraction: -1}
+	pruningGO := []string{
+		`select G.Symbol from ANNODA-GML.Gene G`,
+		`select G.Symbol from ANNODA-GML.Gene G where exists G.Disease`,
+		`select G.GeneID from ANNODA-GML.Gene G where not exists G.Disease`,
+	}
+	check := func(t *testing.T, m *Manager) {
+		t.Helper()
+		before := m.health.For("LocusLink").Snapshot().Successes
+		for _, q := range pruningGO {
+			got, st := mustQuery(t, m, q)
+			if want, _ := mustQuery(t, truth, q); got != want {
+				t.Errorf("%s: answer differs from the healthy federation's", q)
+			}
+			if st.SnapshotUsed || len(st.DegradedSources) != 0 {
+				t.Errorf("%s: snapshot_used=%v degraded=%v, want the pipeline and a complete answer", q, st.SnapshotUsed, st.DegradedSources)
+			}
+		}
+		if n := m.health.For("LocusLink").Snapshot().Successes - before; n != uint64(len(pruningGO)) {
+			t.Errorf("LocusLink fetched %d times by %d pruned queries: epoch builds were attempted", n, len(pruningGO))
+		}
+	}
+
+	t.Run("strict, no epoch", func(t *testing.T) {
+		m, fgo := faultyManager(t, c, Options{Health: stuck})
+		fgo.SetConfig(faults.Config{ErrorRate: 1})
+		if _, _, err := m.QueryString(allSourcesQ); err == nil { // opens GO's breaker
+			t.Fatal("strict-mode query succeeded with a source down")
+		}
+		check(t, m)
+		if n := m.epochsPublished.Value(); n != 0 {
+			t.Errorf("%d epochs published with GO down in strict mode", n)
+		}
+	})
+	t.Run("degraded epoch", func(t *testing.T) {
+		m, fgo := faultyManager(t, c, Options{MinSources: 1, Health: stuck})
+		fgo.SetConfig(faults.Config{ErrorRate: 1})
+		if _, st, err := m.QueryString(allSourcesQ); err != nil || !st.SnapshotUsed || len(st.DegradedSources) != 1 {
+			t.Fatalf("degraded epoch not built: %v, %+v", err, st)
+		}
+		check(t, m)
+		_, st := mustQuery(t, m, `select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation`)
+		if st.SnapshotUsed || len(st.DegradedSources) != 1 || st.DegradedSources[0] != "GO" {
+			t.Errorf("query needing GO: snapshot_used=%v degraded=%v, want the pipeline reporting GO", st.SnapshotUsed, st.DegradedSources)
+		}
+		e, err := m.ExplainString(pruningGO[0], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.SnapshotSafe || !strings.Contains(e.PathReason, "built without GO") {
+			t.Errorf("explain: safe=%v reason %q, want the degraded epoch declining", e.SnapshotSafe, e.PathReason)
 		}
 	})
 }

@@ -93,11 +93,10 @@ func (s *swapSource) Changes(since uint64) (*delta.ChangeSet, bool) {
 	return cs, true
 }
 
-// mutManager builds a manager whose three sources reload from the (live,
+// corpusSources are LocusLink, GO and OMIM reloading from the (live,
 // mutable) corpus on every Refresh.
-func mutManager(t testing.TB, c *datagen.Corpus, opts Options) *Manager {
-	t.Helper()
-	sources := []*swapSource{
+func corpusSources(c *datagen.Corpus) []*swapSource {
+	return []*swapSource{
 		{name: "LocusLink", entity: "Locus", load: func() (*oem.Graph, error) {
 			db, err := locuslink.Load(c)
 			if err != nil {
@@ -120,6 +119,19 @@ func mutManager(t testing.TB, c *datagen.Corpus, opts Options) *Manager {
 			return wrapper.NewOMIM(st).Model()
 		}},
 	}
+}
+
+// mutManager builds a manager whose three sources reload from the (live,
+// mutable) corpus on every Refresh.
+func mutManager(t testing.TB, c *datagen.Corpus, opts Options) *Manager {
+	t.Helper()
+	return managerOver(t, corpusSources(c), opts)
+}
+
+// managerOver builds a manager over the given sources, registered (and so
+// prioritized) in order.
+func managerOver(t testing.TB, sources []*swapSource, opts Options) *Manager {
+	t.Helper()
 	reg := wrapper.NewRegistry()
 	for _, s := range sources {
 		if err := reg.Add(s); err != nil {

@@ -20,6 +20,7 @@ package mediator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -47,9 +48,13 @@ type Explain struct {
 	// path) is on.
 	CacheEnabled bool `json:"cache_enabled"`
 	// SnapshotSafe and PathReason describe the cache/snapshot-path routing
-	// decision for a computed query.
-	SnapshotSafe bool   `json:"snapshot_safe"`
-	PathReason   string `json:"path_reason"`
+	// decision for a computed query, taken against the epoch now published
+	// (an analyze run pins it first; a plan-only explain with no epoch yet
+	// reports the epoch-independent rules). Masked lists the concepts the
+	// query does not name, hidden by a mask on the snapshot path.
+	SnapshotSafe bool     `json:"snapshot_safe"`
+	PathReason   string   `json:"path_reason"`
+	Masked       []string `json:"masked,omitempty"`
 	// Analyze carries the observed execution; nil for plan-only explain.
 	Analyze *ExplainAnalysis `json:"analyze,omitempty"`
 }
@@ -101,9 +106,11 @@ type ExplainAnalysis struct {
 	// Stages are the pipeline stage timings.
 	Stages []ExplainStage `json:"stages"`
 	// AnswerEdges is the answer's edge count; Bindings the surviving
-	// binding tuples (also in Cardinalities).
-	AnswerEdges int `json:"answer_edges"`
-	Bindings    int `json:"bindings"`
+	// binding tuples (also in Cardinalities); ObjectsImported what answer
+	// import copied for them.
+	AnswerEdges     int `json:"answer_edges"`
+	Bindings        int `json:"bindings"`
+	ObjectsImported int `json:"objects_imported"`
 	// Stats is the run's full execution report.
 	Stats *Stats `json:"-"`
 }
@@ -153,17 +160,18 @@ func (m *Manager) explainQuery(q *lorel.Query, analyze bool) (*Explain, error) {
 		CacheEnabled: m.cache != nil,
 		CostGateLive: m.opts.CostPushdown,
 	}
-	if m.cache == nil {
-		e.PathReason = "caching disabled: the snapshot fast path is off; every query runs fetch+fuse+eval"
-	} else {
-		e.SnapshotSafe, e.PathReason = m.snapshotPathDecision(an, q)
-	}
 	e.Sources = m.explainSources(an)
 	e.Pushdown = m.explainPushdown(an, q)
 	if analyze {
 		if err := m.explainAnalyze(e, q, canon, an); err != nil {
 			return nil, err
 		}
+	}
+	if m.cache == nil {
+		e.PathReason = "caching disabled: the snapshot fast path is off; every query runs fetch+fuse+eval"
+	} else {
+		d := m.snapshotPathDecision(an, q, m.epoch.Load())
+		e.SnapshotSafe, e.PathReason, e.Masked = d.safe, d.reason, d.masked
 	}
 	return e, nil
 }
@@ -254,10 +262,12 @@ func (m *Manager) explainAnalyze(e *Explain, q *lorel.Query, canon string, an *a
 		Bindings:      res.Bindings,
 		Stats:         st,
 	}
+	a.ObjectsImported = res.Imported
 	a.Stages = []ExplainStage{
 		{Stage: obs.StageFetch, Micros: st.FetchTime.Microseconds()},
 		{Stage: obs.StageFuse, Micros: st.FuseTime.Microseconds()},
 		{Stage: obs.StageEval, Micros: st.EvalTime.Microseconds()},
+		{Stage: obs.StageAnswerImport, Micros: res.ImportTime.Microseconds()},
 	}
 	e.Analyze = a
 	return nil
@@ -274,6 +284,9 @@ func (e *Explain) Format() string {
 			path = "snapshot eval-only"
 		}
 		fmt.Fprintf(&sb, "path: %s — %s\n", path, e.PathReason)
+		if len(e.Masked) > 0 {
+			fmt.Fprintf(&sb, "masked: [%s]\n", strings.Join(e.Masked, ", "))
+		}
 	} else {
 		fmt.Fprintf(&sb, "path: %s\n", e.PathReason)
 	}
@@ -282,6 +295,9 @@ func (e *Explain) Format() string {
 		verdict := "participates"
 		if s.Pruned {
 			verdict = "pruned"
+			if e.SnapshotSafe && slices.Contains(e.Masked, s.Concept) {
+				verdict = "masked" // present in the epoch, hidden from this query
+			}
 		}
 		fmt.Fprintf(&sb, "  %-12s %-12s %s\n", s.Source, verdict, s.Reason)
 	}
@@ -315,7 +331,7 @@ func (e *Explain) Format() string {
 			sb.WriteString("  snapshot epoch pinned; fetch/fuse below are its construction cost (amortized)\n")
 		}
 		for _, st := range a.Stages {
-			fmt.Fprintf(&sb, "  stage %-6s %v\n", st.Stage, time.Duration(st.Micros)*time.Microsecond)
+			fmt.Fprintf(&sb, "  stage %-13s %v\n", st.Stage, time.Duration(st.Micros)*time.Microsecond)
 		}
 		c := a.Cardinalities
 		fmt.Fprintf(&sb, "  cardinalities: roots=%d from=%v visited=%d where-evals=%d pruned=%d bindings=%d select=%v\n",

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,7 @@ func TestExplainAnalyzeFidelity(t *testing.T) {
 	}{
 		{"pushdown-pipeline", `select G from ANNODA-GML.Gene G where G.Symbol = "` + c.Genes[0].Symbol + `"`},
 		{"snapshot-safe", `select G from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`},
+		{"snapshot-masked", `select G from ANNODA-GML.Gene G where exists G.Annotation`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,8 +102,12 @@ func TestExplainAnalyzeFidelity(t *testing.T) {
 					t.Errorf("%s kept: analyze %d, query %d", src, a.Kept[src], n)
 				}
 			}
-			if a.SnapshotUsed != (tc.name == "snapshot-safe") {
-				t.Errorf("SnapshotUsed = %v on %s", a.SnapshotUsed, tc.name)
+			if a.SnapshotUsed != strings.HasPrefix(tc.name, "snapshot-") || a.SnapshotUsed != e.SnapshotSafe {
+				t.Errorf("SnapshotUsed = %v, SnapshotSafe = %v on %s", a.SnapshotUsed, e.SnapshotSafe, tc.name)
+			}
+			if masked := tc.name == "snapshot-masked"; masked != (len(e.Masked) > 0) ||
+				masked != strings.Contains(e.Format(), "masked: [Disease]") || !slices.Equal(e.Masked, a.Stats.Masked) {
+				t.Errorf("masked = %v (stats %v) on %s:\n%s", e.Masked, a.Stats.Masked, tc.name, e.Format())
 			}
 			if a.AnswerEdges != res.Size() {
 				t.Errorf("answer edges: analyze %d, query %d", a.AnswerEdges, res.Size())
@@ -114,8 +120,11 @@ func TestExplainAnalyzeFidelity(t *testing.T) {
 			if card.Bindings != a.Bindings {
 				t.Errorf("counter bindings %d != result bindings %d", card.Bindings, a.Bindings)
 			}
-			if len(a.Stages) != 3 {
-				t.Errorf("stages = %+v, want fetch/fuse/eval", a.Stages)
+			if len(a.Stages) != 4 || a.Stages[3].Stage != "answer_import" || a.Stages[3].Micros > a.Stages[2].Micros {
+				t.Errorf("stages = %+v, want fetch/fuse/eval and answer_import inside eval", a.Stages)
+			}
+			if a.ObjectsImported < a.AnswerEdges {
+				t.Errorf("%d objects imported for %d answer edges", a.ObjectsImported, a.AnswerEdges)
 			}
 		})
 	}

@@ -148,6 +148,12 @@ type Stats struct {
 	// FetchTime/FuseTime then describe the snapshot's construction (which
 	// may have been amortized over earlier queries), not this request.
 	SnapshotUsed bool
+	// Masked lists the concepts a snapshot-path evaluation hid from the
+	// query (sorted): the concepts it does not name, whose sources the
+	// per-query pipeline would have pruned. The other fields still describe
+	// the whole epoch — no source is pruned from it and Conflicts counts
+	// every reconciliation in the federation.
+	Masked []string
 
 	// BatchQuestions is the number of questions answered together by one
 	// AskBatch call (zero outside batch evaluation). EvalTime then holds
@@ -185,6 +191,9 @@ func (s *Stats) String() string {
 	}
 	if s.SnapshotUsed {
 		sb.WriteString("snapshot: eval-only over shared fused graph\n")
+	}
+	if len(s.Masked) > 0 {
+		fmt.Fprintf(&sb, "masked: %s\n", strings.Join(s.Masked, ", "))
 	}
 	if s.BatchQuestions > 0 {
 		per := s.EvalTime / time.Duration(s.BatchQuestions)
@@ -399,7 +408,7 @@ func (m *Manager) QueryStringCtx(ctx context.Context, src string) (*lorel.Result
 // Query decomposes, optimizes and executes a global Lorel query:
 //
 //  1. analyze which concepts the query touches (from clauses and link
-//     labels) — unneeded sources are pruned;
+//     labels) — unneeded sources are pruned (on the snapshot path: masked);
 //  2. read each relevant source's translated entities (memoized per
 //     source version) in parallel, applying pushed-down single-variable
 //     predicates at the source;
@@ -414,9 +423,11 @@ func (m *Manager) QueryStringCtx(ctx context.Context, src string) (*lorel.Result
 // result. Cached *lorel.Result values are shared — treat them as read-only.
 //
 // A distinct question over an unchanged source set usually skips the
-// fan-out entirely: when the query is snapshot-safe (see snapshotSafe) its
-// compiled plan is evaluated against one fused snapshot graph shared by
-// every query computed under the current source fingerprint — eval-only.
+// fan-out entirely: when the query is snapshot-safe (see
+// snapshotPathDecision) its compiled plan is evaluated against one fused
+// snapshot graph shared by every query computed under the current source
+// fingerprint — eval-only, with the concepts it does not name hidden by a
+// mask instead of left out of a private fusion.
 func (m *Manager) Query(q *lorel.Query) (*lorel.Result, *Stats, error) {
 	return m.QueryCtx(context.Background(), q)
 }
@@ -502,6 +513,7 @@ func (s *Stats) clone() *Stats {
 	cp.SourcesQueried = append([]string(nil), s.SourcesQueried...)
 	cp.SourcesPruned = append([]string(nil), s.SourcesPruned...)
 	cp.DegradedSources = append([]string(nil), s.DegradedSources...)
+	cp.Masked = append([]string(nil), s.Masked...)
 	cp.Conflicts = append([]Conflict(nil), s.Conflicts...)
 	cp.Fetched = maps.Clone(s.Fetched)
 	cp.Kept = maps.Clone(s.Kept)
@@ -534,17 +546,27 @@ func (m *Manager) planFor(q *lorel.Query, canon string) (*lorel.Plan, error) {
 // queryCompute is the one compute entry: it routes a query to the eval-only
 // snapshot fast path or the full fetch+fuse pipeline. Live queries and
 // EXPLAIN ANALYZE both call it, so an analyzed run cannot route differently
-// from the query it explains. ec, when non-nil, accumulates the evaluation's
-// per-stage cardinalities; the query path passes nil.
+// from the query it explains. The epoch-independent rules are asked first, so
+// a query they turn away (a pushed-down point lookup) never pins — or builds
+// — an epoch; querySnapshot then puts the epoch-dependent one to the epoch it
+// pinned. ec, when non-nil, accumulates the evaluation's per-stage
+// cardinalities; the query path passes nil.
 func (m *Manager) queryCompute(q *lorel.Query, canon string, an *analysis, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	if m.cache != nil {
-		if m.snapshotSafe(an, q) {
-			return m.querySnapshot(q, canon, tr, ec)
+		if d := m.snapshotPathDecision(an, q, nil); d.safe {
+			res, stats, err := m.querySnapshot(q, canon, an, d, tr, ec)
+			if err != errEpochDeclined {
+				return res, stats, err
+			}
 		}
 		m.snapshotMisses.Inc()
 	}
 	return m.execute(q, canon, an, tr, ec)
 }
+
+// errEpochDeclined is querySnapshot's way of handing a query back to the
+// per-query pipeline; it never leaves queryCompute.
+var errEpochDeclined = errors.New("mediator: the pinned epoch declined the query")
 
 // snapshot is one published fused-snapshot epoch. Everything it references
 // is immutable: the fuseState's graph is frozen and its bookkeeping is
@@ -563,15 +585,25 @@ type snapshot struct {
 	// ProbeSource/RefreshSource, which publish a successor epoch without
 	// it in this set.
 	degraded []string
+	// prov is which link concept decided which gene attribute — what masks
+	// for pruned queries are made from (see mask.go). Set by publishLocked.
+	prov *provenance
 }
 
 // querySnapshot answers a query by evaluating its compiled plan against a
 // pinned fused-snapshot epoch — the full integrated graph built once per
-// source fingerprint and shared across every snapshot-safe query. No lock
-// is held during evaluation: the epoch is one atomic pointer load, its
-// graph is frozen, and a concurrent RefreshSource publishes a patched
-// clone instead of mutating what this query is reading.
-func (m *Manager) querySnapshot(q *lorel.Query, canon string, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
+// source fingerprint and shared across every snapshot-safe query — under
+// the mask that hides the concepts the query does not name. d is the
+// epoch-independent verdict queryCompute already took. No lock is held
+// during evaluation: the epoch is one atomic pointer load, its graph is
+// frozen, and a concurrent RefreshSource publishes a patched clone instead
+// of mutating what this query is reading. It returns errEpochDeclined when
+// the epoch pinned cannot be masked for this query, and — for a query that
+// needs only some of the sources — when no epoch can be pinned, or one would
+// have to be built while a source is down: building needs every source, the
+// query does not, and the attempt would repeat per query under the builder's
+// lock.
+func (m *Manager) querySnapshot(q *lorel.Query, canon string, an *analysis, d pathDecision, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = obs.Now()
@@ -584,33 +616,80 @@ func (m *Manager) querySnapshot(q *lorel.Query, canon string, tr *obs.Trace, ec 
 		tr.Span(obs.StagePlanCompile, t0)
 		t0 = obs.Now()
 	}
+	pruned := len(d.masked) > 0
+	if pruned && m.currentEpoch() == nil && m.anySourceDown() {
+		tr.Annotate("no epoch published and a source is down; not building one for a query that prunes " + strings.Join(d.masked, ", "))
+		return nil, nil, errEpochDeclined
+	}
 	ep, _, err := m.pinEpoch()
 	if err != nil {
+		if pruned {
+			return nil, nil, errEpochDeclined
+		}
 		return nil, nil, err
 	}
 	if tr != nil {
 		tr.Span(obs.StageEpochPin, t0)
 	}
-	return m.evalEpoch(ep, plan, tr, ec)
+	if d = d.on(ep, an); !d.safe {
+		tr.Annotate("epoch declined: " + d.reason)
+		return nil, nil, errEpochDeclined
+	}
+	return m.evalEpoch(ep, plan, d, tr, ec)
 }
 
 // evalEpoch is the one place a query plan meets a pinned epoch's graph:
-// evaluate, stamp a private copy of the epoch's stats with this
-// evaluation, and count the snapshot hit (answered queries only). Single
-// queries, batch questions, EXPLAIN ANALYZE and standing queries all end
-// here.
-func (m *Manager) evalEpoch(ep *snapshot, plan *lorel.Plan, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
+// evaluate under the decision's mask, stamp a private copy of the epoch's
+// stats with this evaluation, and count the snapshot hit (answered queries
+// only). Single queries, batch questions, EXPLAIN ANALYZE and standing
+// queries all end here, each with the decision snapshotPathDecision took
+// for that query against that epoch.
+func (m *Manager) evalEpoch(ep *snapshot, plan *lorel.Plan, d pathDecision, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	t := obs.Now()
-	res, err := plan.EvalCounted(ep.fs.graph, ec)
+	res, err := plan.EvalMasked(ep.fs.graph, d.mask, ec)
 	if err != nil {
 		return nil, nil, err
 	}
 	m.snapshotHits.Inc()
+	for _, c := range d.masked {
+		m.epochMasked.With(c).Inc()
+	}
 	stats := ep.stats.clone()
 	stats.EvalTime = obs.Since(t)
 	stats.SnapshotUsed = true
-	tr.SpanDur(obs.StageEval, t, stats.EvalTime, "")
+	stats.Masked = d.masked
+	traceEval(tr, t, stats.EvalTime, res)
 	return res, stats, nil
+}
+
+// traceEval records an evaluation's eval span and, inside it, the
+// answer-import stage the evaluation timed.
+func traceEval(tr *obs.Trace, start time.Time, d time.Duration, res *lorel.Result) {
+	if tr == nil {
+		return
+	}
+	tr.SpanDur(obs.StageEval, start, d, "")
+	tr.SpanDur(obs.StageAnswerImport, res.ImportStart, res.ImportTime, fmt.Sprintf("%d objects", res.Imported))
+}
+
+// currentEpoch is pinEpoch's fast path on its own: the published epoch when
+// pinEpoch would serve it as-is, nil when pinEpoch would have to build one.
+func (m *Manager) currentEpoch() *snapshot {
+	if s := m.epoch.Load(); s != nil && (s.fp == m.sourceFingerprint() || m.refreshing.Load() > 0) {
+		return s
+	}
+	return nil
+}
+
+// anySourceDown reports whether some registered source's breaker is open —
+// an epoch built now would fail (strict mode) or come out degraded.
+func (m *Manager) anySourceDown() bool {
+	for _, name := range m.reg.Names() {
+		if down, _ := m.health.For(name).Down(); down {
+			return true
+		}
+	}
+	return false
 }
 
 // pinEpoch returns the current fused-snapshot epoch, building and
@@ -627,8 +706,7 @@ func (m *Manager) evalEpoch(ep *snapshot, plan *lorel.Plan, tr *obs.Trace, ec *l
 // world, consistent with what the result cache serves (see ensureFresh).
 func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 	for {
-		fp := m.sourceFingerprint()
-		if s := m.epoch.Load(); s != nil && (s.fp == fp || m.refreshing.Load() > 0) {
+		if s := m.currentEpoch(); s != nil {
 			m.epochPins.Inc()
 			return s, built, nil
 		}
@@ -660,11 +738,12 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 	}
 }
 
-// publishLocked freezes the epoch's graph and makes the epoch current.
-// m.epochMu must be held; readers observe the flip on their next atomic
-// load and are never blocked by it.
+// publishLocked freezes the epoch's graph, records its provenance and makes
+// the epoch current. m.epochMu must be held; readers observe the flip on
+// their next atomic load and are never blocked by it.
 func (m *Manager) publishLocked(s *snapshot) {
 	s.fs.graph.Freeze()
+	s.prov = epochProvenance(s.fs)
 	m.epoch.Store(s)
 	m.epochsPublished.Inc()
 }
@@ -680,12 +759,12 @@ func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Tr
 		return nil, nil, err
 	}
 	t := obs.Now()
-	res, err := plan.EvalCounted(fused, ec)
+	res, err := plan.EvalMasked(fused, nil, ec)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.EvalTime = obs.Since(t)
-	tr.SpanDur(obs.StageEval, t, stats.EvalTime, "")
+	traceEval(tr, t, stats.EvalTime, res)
 	return res, stats, nil
 }
 
@@ -730,63 +809,100 @@ func everything() *analysis {
 	return &analysis{needAll: true, fromConcepts: map[string]string{}, pushdown: map[string][]lorel.Cond{}}
 }
 
-// snapshotSafe reports whether evaluating q against the full fused snapshot
-// is guaranteed to produce the same answer as the per-query pipeline. The
-// snapshot differs from a per-query fused graph in three ways, each of
-// which must be unobservable by q:
+// pathDecision is snapshotPathDecision's verdict on one query: whether the
+// epoch answers it, why, and under what mask.
+type pathDecision struct {
+	safe   bool
+	reason string
+	// masked lists (sorted) the concepts the query does not name, which the
+	// per-query pipeline would prune; mask hides them on the epoch the
+	// decision was taken against (nil when nothing is hidden, the epoch
+	// declined, or no epoch was given).
+	masked []string
+	mask   *oem.Mask
+}
+
+// snapshotPathDecision decides whether evaluating q on the fused snapshot is
+// guaranteed to produce the same answer as the per-query pipeline, with its
+// reasoning attached. Routing, batch, standing queries and Explain all call
+// it, so the report can never diverge from the decision. The snapshot
+// differs from a per-query fused graph in three ways, each of which must be
+// unobservable by q:
 //
-//  1. Pruned sources' entities (and their reconciliation contributions) are
-//     present in the snapshot — safe only when the query prunes nothing.
-//  2. Pushdown-filtered entities are present — safe only when nothing is
+//  1. Pushdown-filtered entities are present — safe only when nothing is
 //     pushed down (the final eval re-applies the full where clause either
 //     way, but filtered link entities also feed reconciliation).
+//  2. Pruned sources' entities and their reconciliation contributions are
+//     present — they are hidden by a mask (see mask.go), which needs
+//     PolicyPreferPrimary (the one policy with a single winner to attribute;
+//     pushdown has the same precondition) and a complete epoch in which no
+//     attribute a hidden concept won has a visible runner-up.
 //  3. Semi-join-skipped entities (unlinked, not directly queried) are
 //     present — those are reachable only through the root, so they are
 //     unobservable unless a root-based path can reach that concept's
 //     root-level edges.
-func (m *Manager) snapshotSafe(an *analysis, q *lorel.Query) bool {
-	safe, _ := m.snapshotPathDecision(an, q)
-	return safe
-}
-
-// snapshotPathDecision is snapshotSafe with its reasoning attached: reason
-// explains why the query is (or is not) answerable eval-only against the
-// shared snapshot. snapshotSafe and Explain both call it, so the report can
-// never diverge from the routing decision.
-func (m *Manager) snapshotPathDecision(an *analysis, q *lorel.Query) (safe bool, reason string) {
+//
+// Rule 2's second half depends on the epoch and is applied by on. With
+// ep == nil only the epoch-independent rules are asked: the verdict then says
+// whether the query may be tried against an epoch at all, and every
+// evaluation puts it to the epoch it pinned.
+func (m *Manager) snapshotPathDecision(an *analysis, q *lorel.Query, ep *snapshot) pathDecision {
 	if len(an.pushdown) != 0 {
-		return false, "pushdown predicates filter entities the snapshot retains"
+		return pathDecision{reason: "pushdown predicates filter entities the snapshot retains"}
 	}
-	if !an.needAll && !m.opts.DisablePruning {
-		for _, w := range m.reg.All() {
-			mp := m.gl.MappingFor(w.Name())
-			if mp != nil && !an.needs(mp.Concept) {
-				return false, fmt.Sprintf("query prunes source %s; the snapshot includes its entities", w.Name())
+	d := pathDecision{masked: m.hiddenConcepts(an)}
+	underMask := ""
+	if len(d.masked) > 0 {
+		names := strings.Join(d.masked, ", ")
+		if m.opts.Policy != PolicyPreferPrimary {
+			d.reason = fmt.Sprintf("query prunes %s and policy %v reconciles over every contribution; no mask can take the pruned sources' share back out", names, m.opts.Policy)
+			return d
+		}
+		underMask = "; evaluated under a mask hiding " + names
+	}
+	if !an.needAll && !m.opts.DisablePushdown {
+		for _, p := range collectPaths(q) {
+			if !strings.EqualFold(p.Base, "ANNODA-GML") {
+				continue
+			}
+			why := ""
+			if len(p.Steps) == 0 {
+				why = "query binds the ANNODA-GML root itself; every root edge is observable"
+			} else if l, ok := p.Steps[0].(lorel.LabelStep); !ok {
+				why = fmt.Sprintf("root path %s starts with a non-label step; its reach is unbounded", p.String())
+			} else if c := conceptNames[strings.ToLower(l.Name)]; c != "" && c != "Gene" && !conceptQueriedDirectly(an, c) {
+				why = fmt.Sprintf("path %s could observe unlinked %s entities the per-query graph skips", p.String(), c)
+			}
+			if why != "" {
+				return pathDecision{reason: why, masked: d.masked}
 			}
 		}
 	}
-	if an.needAll || m.opts.DisablePushdown {
+	d.safe = true
+	if len(d.masked) == 0 && (an.needAll || m.opts.DisablePushdown) {
 		// Nothing is pruned, filtered, or semi-join-skipped: the per-query
 		// fused graph IS the snapshot.
-		return true, "query touches every source; the per-query fused graph is the snapshot"
+		d.reason = "query touches every source; the per-query fused graph is the snapshot"
+	} else {
+		d.reason = "no pushdown and no semi-join skip is observable" + underMask
 	}
-	for _, p := range collectPaths(q) {
-		if !strings.EqualFold(p.Base, "ANNODA-GML") {
-			continue
-		}
-		if len(p.Steps) == 0 {
-			return false, "query binds the ANNODA-GML root itself; every root edge is observable"
-		}
-		l, ok := p.Steps[0].(lorel.LabelStep)
-		if !ok {
-			return false, fmt.Sprintf("root path %s starts with a non-label step; its reach is unbounded", p.String())
-		}
-		c := conceptNames[strings.ToLower(l.Name)]
-		if c != "" && c != "Gene" && !conceptQueriedDirectly(an, c) {
-			return false, fmt.Sprintf("path %s could observe unlinked %s entities the per-query graph skips", p.String(), c)
-		}
+	if ep != nil {
+		d = d.on(ep, an)
 	}
-	return true, "no pushdown, no pruning, no semi-join skip is observable"
+	return d
+}
+
+// on puts an epoch-independent verdict to the epoch a caller pinned: a query
+// that hides concepts is safe on ep only under the mask ep can build for it.
+func (d pathDecision) on(ep *snapshot, an *analysis) pathDecision {
+	if d.safe && len(d.masked) > 0 {
+		mask, decline := ep.maskFor(d.masked, an)
+		if mask == nil {
+			return pathDecision{reason: decline, masked: d.masked}
+		}
+		d.mask = mask
+	}
+	return d
 }
 
 // FusedGraph returns the full integrated graph (every concept, no

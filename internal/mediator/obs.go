@@ -39,6 +39,7 @@ type counters struct {
 	restoreFallbacks *obs.Counter
 	persistErrors    *obs.Counter
 	explains         *obs.Counter
+	epochMasked      *obs.CounterVec
 }
 
 // initObs registers the manager's series and resolves its metric handles.
@@ -81,6 +82,7 @@ func (m *Manager) initObs(o *obs.Obs) {
 		persistErrors:    reg.Counter("annoda_persist_errors_total", "Absorbed persistence failures."),
 		explains:         reg.Counter("annoda_plan_explains_total", "Explain/ExplainAnalyze requests served."),
 	}
+	m.epochMasked = reg.CounterVec("annoda_epoch_masked_total", "Snapshot-path evaluations that hid a concept the query does not name, by concept.", "concept")
 	m.translations.total = reg.CounterVec("annoda_translate_total", "Per-source translations into the global vocabulary: run (built) or read from the per-source-version memo (memo).", "source", "outcome")
 	m.translations.objects = reg.GaugeVec("annoda_translated_objects", "Objects in the memoized translated population, by source.", "source")
 	reg.CounterFunc("annoda_snapshot_prune_failures_total", "Retention/temp deletions the snapshot store could not perform.", func() int64 {

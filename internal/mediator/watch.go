@@ -109,13 +109,17 @@ func (m *Manager) publishSourceUpLocked(source string, fp uint64) uint64 {
 // whose touched concepts intersect the query's concept tags, the mediator
 // re-evaluates the compiled plan against the freshly published epoch and
 // pushes a KindAnswer event to the subscriber iff the answer's canonical
-// text changed since the last push. Only snapshot-safe queries are
-// accepted — evaluation is a bare plan.Eval against the pinned epoch, so
-// snapshot safety is exactly the condition under which the pushed answer
-// is byte-identical to a fresh Query on the same world.
+// text changed since the last push. Only queries the epoch-independent
+// routing rules admit are accepted, and every evaluation asks the full
+// decision of the epoch it is handed (see snapshotPathDecision) — the
+// condition under which the pushed answer is byte-identical to a fresh
+// Query on the same world; an epoch that declines costs that round one trip
+// through queryCompute instead.
 type StandingQuery struct {
 	m     *Manager
 	sub   *feed.Subscriber
+	q     *lorel.Query
+	an    *analysis
 	canon string
 	plan  *lorel.Plan
 	tags  []string
@@ -137,9 +141,9 @@ func (sq *StandingQuery) Cancel() {
 }
 
 // AddStandingQuery parses, analyzes and compiles src as a standing query
-// pushing answers to sub. The query must be snapshot-safe: pushdown or
-// pruning would make the pushed answer diverge from a fresh Query, which
-// would silently break the "answer changed" contract. A baseline answer
+// pushing answers to sub. The query must be snapshot-evaluable: pushdown
+// would make the pushed answer diverge from a fresh Query, which would
+// silently break the "answer changed" contract. A baseline answer
 // (Initial: true) is pushed immediately so the subscriber starts from a
 // known state.
 func (m *Manager) AddStandingQuery(sub *feed.Subscriber, src string) (*StandingQuery, error) {
@@ -155,14 +159,14 @@ func (m *Manager) AddStandingQuery(sub *feed.Subscriber, src string) (*StandingQ
 	if err != nil {
 		return nil, err
 	}
-	if !m.snapshotSafe(an, q) {
-		return nil, fmt.Errorf("mediator: standing query %q is not snapshot-safe (it prunes sources or pushes predicates down); only snapshot-evaluable queries can be watched", canon)
+	if d := m.snapshotPathDecision(an, q, nil); !d.safe {
+		return nil, fmt.Errorf("mediator: standing query %q is not snapshot-safe (%s); only snapshot-evaluable queries can be watched", canon, d.reason)
 	}
 	plan, err := m.planFor(q, canon)
 	if err != nil {
 		return nil, err
 	}
-	sq := &StandingQuery{m: m, sub: sub, canon: canon, plan: plan, tags: an.cacheTags(m.opts)}
+	sq := &StandingQuery{m: m, sub: sub, q: q, an: an, canon: canon, plan: plan, tags: an.cacheTags(m.opts)}
 
 	// Register before the baseline evaluation: a refresh that lands in
 	// between will re-evaluate (and, with its higher sequence, win over
@@ -186,10 +190,17 @@ func (m *Manager) AddStandingQuery(sub *feed.Subscriber, src string) (*StandingQ
 	return sq, nil
 }
 
-// eval evaluates the standing query against a pinned epoch and delivers
+// eval evaluates the standing query against a pinned epoch — or, when that
+// epoch declines it, the way a fresh Query would be computed — and delivers
 // the outcome.
 func (sq *StandingQuery) eval(seq uint64, ep *snapshot, initial bool) error {
-	res, _, err := sq.m.evalEpoch(ep, sq.plan, nil, nil)
+	var res *lorel.Result
+	var err error
+	if d := sq.m.snapshotPathDecision(sq.an, sq.q, ep); d.safe {
+		res, _, err = sq.m.evalEpoch(ep, sq.plan, d, nil, nil)
+	} else {
+		res, _, err = sq.m.queryCompute(sq.q, sq.canon, sq.an, nil, nil)
+	}
 	if err != nil {
 		return err
 	}

@@ -63,6 +63,7 @@ type Obs struct {
 func New(cfg Config) *Obs {
 	reg := NewRegistry()
 	m := newMetrics(reg)
+	registerRuntime(reg)
 	return &Obs{Reg: reg, M: m, Tracer: newTracer(cfg, m)}
 }
 
@@ -97,8 +98,9 @@ const (
 	StageFetch            = "fetch"
 	StageFuse             = "fuse"
 	StageEval             = "eval"
-	StageRender           = "render" // answer -> response bytes; note "memo" or "built"
-	StageWrite            = "write"  // response bytes -> ResponseWriter
+	StageAnswerImport     = "answer_import" // inside eval: selected objects -> answer graph; note "<n> objects"
+	StageRender           = "render"        // answer -> response bytes; note "memo" or "built"
+	StageWrite            = "write"         // response bytes -> ResponseWriter
 	StageDiff             = "diff"
 	StageDeltaPatch       = "delta_patch"
 	StageWALAppend        = "wal_append"
@@ -115,7 +117,7 @@ const (
 // pre-resolved stage histogram table.
 var knownStages = []string{
 	StageCacheLookup, StageSingleflightWait, StageEpochPin,
-	StagePlanCompile, StagePushdown, StageTranslate, StageFetch, StageFuse, StageEval,
+	StagePlanCompile, StagePushdown, StageTranslate, StageFetch, StageFuse, StageEval, StageAnswerImport,
 	StageRender, StageWrite,
 	StageDiff, StageDeltaPatch, StageWALAppend, StageCheckpoint,
 	StageRestore, StageInvalidate, StageStandingEval, StageFeedPublish,

@@ -37,10 +37,10 @@ func TestFreezeReadsMatchUnfrozen(t *testing.T) {
 	if g.Root("DB") != root || g.RootMatch("db") != root {
 		t.Error("frozen root lookup broken")
 	}
-	if ix, ok := g.LabelIndex(); !ok {
+	if _, ok := g.LabelIndex(); !ok {
 		t.Error("frozen graph has no label index")
-	} else if got := ix.Targets(root, FoldLabel("entry")); len(got) != 2 {
-		t.Errorf("frozen index Targets(root, entry) = %v, want 2 targets", got)
+	} else if got := g.TargetsFolded(root, FoldLabel("entry")); len(got) != 2 {
+		t.Errorf("frozen TargetsFolded(root, entry) = %v, want 2 targets", got)
 	}
 	g.Freeze() // idempotent
 }
@@ -97,7 +97,7 @@ func TestFrozenConcurrentReads(t *testing.T) {
 					return
 				}
 				ix, _ := g.LabelIndex()
-				_ = ix.Targets(root, FoldLabel("entry"))
+				_, _ = ix.Targets(root, FoldLabel("entry"))
 				_ = g.RootMatch("db")
 			}
 		}()
@@ -139,7 +139,7 @@ func TestCloneIsIndependentAndPreservesOIDs(t *testing.T) {
 	if len(g.Children(root, "Entry")) != 2 {
 		t.Error("original lost an Entry edge after clone mutation")
 	}
-	if ix, ok := g.LabelIndex(); !ok || len(ix.Targets(root, FoldLabel("entry"))) != 2 {
+	if _, ok := g.LabelIndex(); !ok || len(g.TargetsFolded(root, FoldLabel("entry"))) != 2 {
 		t.Error("original label index corrupted by clone mutation")
 	}
 	// New allocations in the clone must not collide with preserved oids.

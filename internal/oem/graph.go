@@ -29,9 +29,12 @@ type Graph struct {
 	parents map[OID][]Edge
 
 	// labels is a lazily built per-object label index: case-folded label ->
-	// ref targets in insertion order, complex objects only. It turns the hot
-	// label-traversal step of query evaluation into a map hit instead of an
-	// O(refs) scan with a ToLower allocation per edge. Unlike parents it is
+	// ref targets in insertion order, for complex objects with at least
+	// labelIndexMinRefs references. It turns the hot label-traversal step of
+	// query evaluation over a wide object (a fused gene, the root) into a map
+	// hit instead of an O(refs) scan; narrow objects are scanned — a handful
+	// of comparisons costs no more than hashing the label, and a map per
+	// object is what the index's memory went to. Unlike parents it is
 	// maintained incrementally: a mutation records the touched oid in
 	// labelsDirty, and the next index read repairs only those entries (the
 	// published map is cloned, never edited, so handles stay immutable).
@@ -138,6 +141,12 @@ func (g *Graph) alloc(kind Kind) *Object {
 	return o
 }
 
+// labelIndexMinRefs is the fan-out from which an object gets a label-index
+// entry. In a 1k-gene fused graph 20,256 of 21,335 complex objects have at
+// most eight references (terms, annotations, diseases, proteins), and
+// indexing them was 14.6 MB of a 34 MB epoch.
+const labelIndexMinRefs = 9
+
 // labelsRebuildSlack: when more than objects/4 (plus this slack) entries
 // are dirty, drop the label index instead of patching it entry by entry.
 const labelsRebuildSlack = 64
@@ -174,21 +183,11 @@ func (g *Graph) repairLabelsLocked() {
 	}
 	fold := make(map[string]string)
 	for id := range g.labelsDirty {
-		o := g.objects[id]
-		if o == nil || o.Kind != KindComplex || len(o.Refs) == 0 {
+		if m := labelEntry(g.objects[id], fold); m != nil {
+			nl[id] = m
+		} else {
 			delete(nl, id)
-			continue
 		}
-		m := make(map[string][]OID, len(o.Refs))
-		for _, r := range o.Refs {
-			f, ok := fold[r.Label]
-			if !ok {
-				f = FoldLabel(r.Label)
-				fold[r.Label] = f
-			}
-			m[f] = append(m[f], r.Target)
-		}
-		nl[id] = m
 	}
 	g.labels, g.labelsDirty = nl, nil
 }
@@ -490,30 +489,28 @@ func foldRune(r rune) rune {
 // TargetsFolded returns the targets of the refs leaving id whose label
 // case-folds to folded (which must already be folded with FoldLabel), in
 // insertion order. The label index is built on first use and cached until
-// the next mutation; the returned slice is shared with the index and must
-// not be mutated.
+// the next mutation (a frozen graph is never given one it lacks); an object
+// it has an entry for answers from it — that slice is shared with the index
+// and must not be mutated — and any other is scanned.
 func (g *Graph) TargetsFolded(id OID, folded string) []OID {
-	if ix, ok := g.LabelIndex(); ok {
-		return ix.Targets(id, folded)
+	if !g.frozen.Load() {
+		g.EnsureLabelIndex()
 	}
-	if g.frozen.Load() {
-		// Frozen without an index (FreezeUnindexed): nothing may be built
-		// under lock-free readers, so scan. folded is canonical under
-		// FoldLabel, so EqualFold(x, folded) iff FoldLabel(x) == folded.
-		var out []OID
-		if o := g.objects[id]; o != nil {
-			for _, r := range o.Refs {
-				if strings.EqualFold(r.Label, folded) {
-					out = append(out, r.Target)
-				}
+	if ix, ok := g.LabelIndex(); ok {
+		if ts, indexed := ix.Targets(id, folded); indexed {
+			return ts
+		}
+	}
+	var out []OID
+	if o := g.Get(id); o != nil {
+		for _, r := range o.Refs {
+			// folded is canonical under FoldLabel, so EqualFold(x, folded)
+			// iff FoldLabel(x) == folded.
+			if strings.EqualFold(r.Label, folded) {
+				out = append(out, r.Target)
 			}
 		}
-		return out
 	}
-	g.mu.Lock()
-	g.buildLabelIndexLocked()
-	out := g.labels[id][folded]
-	g.mu.Unlock()
 	return out
 }
 
@@ -527,7 +524,12 @@ type LabelIndex struct {
 }
 
 // Targets returns the ref targets of id under the canonical folded label.
-func (ix LabelIndex) Targets(id OID, folded string) []OID { return ix.m[id][folded] }
+// indexed is false when id has no entry — it is absent, atomic, or narrow
+// enough that the caller scans its references instead.
+func (ix LabelIndex) Targets(id OID, folded string) (targets []OID, indexed bool) {
+	m, indexed := ix.m[id]
+	return m[folded], indexed
+}
 
 // LabelIndex returns a lock-free handle on the label index, or ok=false
 // when none is built. Hot traversal takes the handle once per evaluation
@@ -594,23 +596,32 @@ func (g *Graph) buildLabelIndexLocked() {
 		return // lost the upgrade race to another reader
 	}
 	fold := make(map[string]string)
-	idx := make(map[OID]map[string][]OID, len(g.objects))
+	idx := make(map[OID]map[string][]OID)
 	for id, o := range g.objects {
-		if o.Kind != KindComplex || len(o.Refs) == 0 {
-			continue
+		if m := labelEntry(o, fold); m != nil {
+			idx[id] = m
 		}
-		m := make(map[string][]OID, len(o.Refs))
-		for _, r := range o.Refs {
-			f, ok := fold[r.Label]
-			if !ok {
-				f = FoldLabel(r.Label)
-				fold[r.Label] = f
-			}
-			m[f] = append(m[f], r.Target)
-		}
-		idx[id] = m
 	}
 	g.labels, g.labelsDirty = idx, nil
+}
+
+// labelEntry builds o's label-index entry, or returns nil when o gets none
+// (absent, atomic, or narrower than labelIndexMinRefs). fold interns the
+// folded form of each distinct label across calls.
+func labelEntry(o *Object, fold map[string]string) map[string][]OID {
+	if o == nil || o.Kind != KindComplex || len(o.Refs) < labelIndexMinRefs {
+		return nil
+	}
+	m := make(map[string][]OID, len(o.Refs))
+	for _, r := range o.Refs {
+		f, ok := fold[r.Label]
+		if !ok {
+			f = FoldLabel(r.Label)
+			fold[r.Label] = f
+		}
+		m[f] = append(m[f], r.Target)
+	}
+	return m
 }
 
 // Child returns the first child under label, or 0.
@@ -745,6 +756,15 @@ func (g *Graph) Import(src *Graph, srcRoot OID) (OID, error) {
 // not copied again, so substructure shared between separately imported
 // subgraphs stays shared in g. Every object copied is added to the remap.
 func (g *Graph) ImportShared(src *Graph, srcRoot OID, remap map[OID]OID) (OID, error) {
+	return g.ImportMasked(src, srcRoot, remap, nil)
+}
+
+// ImportMasked is ImportShared of src as seen under mask: a reference the
+// mask hides is not copied and not followed, at any depth. srcRoot itself is
+// always copied. A nil mask makes it exactly ImportShared. One remap must
+// only ever be used with one mask — it records copies, not what they left
+// out.
+func (g *Graph) ImportMasked(src *Graph, srcRoot OID, remap map[OID]OID, mask *Mask) (OID, error) {
 	if src == g {
 		return srcRoot, nil
 	}
@@ -781,6 +801,9 @@ func (g *Graph) ImportShared(src *Graph, srcRoot OID, remap map[OID]OID) (OID, e
 			if len(so.Refs) > 0 {
 				refs := make([]Ref, 0, len(so.Refs))
 				for _, r := range so.Refs {
+					if mask != nil && mask.Hides(r) {
+						continue
+					}
 					t, err := walk(r.Target)
 					if err != nil {
 						return 0, err

@@ -81,11 +81,16 @@ func TestRemoveSubtreeCycle(t *testing.T) {
 
 // TestLabelIndexRepairAfterMutation: a built index must observe later
 // mutations (the incremental repair path), and handles taken before a
-// mutation keep seeing the old world.
+// mutation keep seeing the old world. p is wide enough to be indexed; once
+// it narrows below labelIndexMinRefs its entry goes and lookups scan.
 func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	g := NewGraph()
 	c1 := g.NewString("one")
-	p := g.NewComplex(Ref{Label: "Val", Target: c1})
+	refs := []Ref{{Label: "Val", Target: c1}}
+	for len(refs) < labelIndexMinRefs {
+		refs = append(refs, Ref{Label: "Pad", Target: g.NewInt(int64(len(refs)))})
+	}
+	p := g.NewComplex(refs...)
 	g.EnsureLabelIndex()
 	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c1 {
 		t.Fatalf("indexed targets = %v", got)
@@ -103,8 +108,8 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 		t.Fatalf("post-mutation targets = %v, want both", got)
 	}
 	// The pre-mutation handle is immutable: still one target.
-	if got := oldIx.Targets(p, FoldLabel("Val")); len(got) != 1 {
-		t.Fatalf("old handle observed the mutation: %v", got)
+	if got, indexed := oldIx.Targets(p, FoldLabel("Val")); len(got) != 1 || !indexed {
+		t.Fatalf("old handle observed the mutation: %v (indexed %v)", got, indexed)
 	}
 	// Removal repairs too.
 	if !g.RemoveRef(p, "Val", c1) {
@@ -113,10 +118,19 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
 		t.Fatalf("post-removal targets = %v, want [%v]", got, c2)
 	}
-	// A removed object's entry disappears from the repaired index.
+	// An object narrowed below the threshold loses its entry in the repaired
+	// index, and is scanned from then on.
 	g.RemoveSubtree(c1)
-	if ix, ok := g.LabelIndex(); !ok || ix.Targets(c1, "val") != nil {
-		t.Fatal("removed object still indexed")
+	if n := g.RemoveRefs(p, "Pad"); n != labelIndexMinRefs-1 {
+		t.Fatalf("removed %d Pad refs", n)
+	}
+	if ix, ok := g.LabelIndex(); !ok {
+		t.Fatal("index dropped by a small mutation")
+	} else if _, indexed := ix.Targets(p, "val"); indexed {
+		t.Fatal("narrowed object still indexed")
+	}
+	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
+		t.Fatalf("scan of the narrowed object = %v, want [%v]", got, c2)
 	}
 }
 

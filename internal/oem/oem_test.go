@@ -609,6 +609,11 @@ func TestGifBase64RoundTrip(t *testing.T) {
 func TestTargetsFolded(t *testing.T) {
 	g := NewGraph()
 	a := g.NewComplex()
+	for i := 0; i < labelIndexMinRefs; i++ { // wide enough to be indexed, not scanned
+		if err := g.AddRef(a, "Pad", g.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	x, y := g.NewString("x"), g.NewString("y")
 	if err := g.AddRef(a, "Symbol", x); err != nil {
 		t.Fatal(err)
