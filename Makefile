@@ -73,8 +73,8 @@ bench:
 # independently of the benchmarks.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) test -run=NONE -bench='E16_Concurrent|E16_QueriesUnderRefreshChurn|E16_AskBatch' -benchtime=1x -cpu 8 .
-	$(GO) test -run=NONE -bench='E17_Restore1k|E17_DeltaRefreshPersisted1k|E17_RestoreReplay32_1k' -benchtime=1x .
+	$(GO) test -run=NONE -bench='E16/(Concurrent|QueriesUnderRefreshChurn|AskBatch)' -benchtime=1x -cpu 8 .
+	$(GO) test -run=NONE -bench='E17/^(Restore|DeltaRefreshPersisted|RestoreReplay32)$$/^1k$$' -benchtime=1x .
 	$(GO) run ./cmd/annoda-bench -exp E18 -genes 200 -json /dev/null
 	$(GO) run ./cmd/annoda-bench -exp E19 -genes 200 -json /dev/null
 	$(GO) run ./cmd/annoda-bench -exp E20 -genes 200 -json /dev/null

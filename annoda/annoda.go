@@ -44,8 +44,9 @@ type Condition = core.Condition
 // View is the Figure 5(b) integrated annotation view.
 type View = core.ViewRow
 
-// Options tunes the mediator: reconciliation policy, optimizer toggles,
-// and the sharded result cache (CacheSize, CacheTTL, DisableCache).
+// Options tunes the mediator: reconciliation policy, fan-out width
+// (Workers), fault tolerance, and the sharded result cache (CacheSize,
+// CacheTTL, DisableCache).
 // Repeated questions are answered from the cache; concurrent identical
 // questions collapse onto one computation.
 type Options = mediator.Options

@@ -9,8 +9,8 @@
 //	/api/explain POST {"query": ..., "analyze": bool}: the query plan —
 //	             plan tree, per-source prune decisions, pushdown verdicts
 //	             with reasons, cache/snapshot path — plus, with analyze,
-//	             actual per-stage cardinalities and timings (-cost-pushdown
-//	             makes the selectivity cost model the live pushdown gate)
+//	             actual per-stage cardinalities and timings (the selectivity
+//	             cost model's pushdown verdict is reported, advisory only)
 //	/api/batch   many Lorel queries evaluated concurrently against one
 //	             pinned snapshot epoch (POST {"queries": [...]})
 //	/api/object  the object view as JSON
@@ -118,7 +118,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 0, "result cache capacity in entries (0 = default)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache TTL (0 = no expiry)")
 	noCache := flag.Bool("nocache", false, "disable the result cache")
-	costPushdown := flag.Bool("cost-pushdown", false, "gate predicate pushdown on the observed-selectivity cost model instead of the heuristic alone")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	dataDir := flag.String("data-dir", "", "durable snapshot store directory: restore-on-boot, per-refresh WAL, checkpoint on shutdown (empty = memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "auto-checkpoint after this many WAL records (0 = default)")
@@ -163,7 +162,6 @@ func main() {
 		CacheSize:      *cacheSize,
 		CacheTTL:       *cacheTTL,
 		DisableCache:   *noCache,
-		CostPushdown:   *costPushdown,
 		FetchTimeout:   *srcTimeout,
 		FetchRetries:   *srcRetries,
 		MinSources:     *minSources,

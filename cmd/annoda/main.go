@@ -41,7 +41,6 @@ import (
 	"repro/internal/fedsql"
 	"repro/internal/mediator"
 	"repro/internal/snapstore"
-	"repro/internal/warehouse"
 	"repro/internal/wrapper"
 )
 
@@ -196,16 +195,11 @@ func main() {
 		}
 		fmt.Print(rs.Format())
 	case "table1":
-		gus := warehouse.New(sys.Registry, sys.Global)
-		if err := gus.Refresh(); err != nil {
+		f, err := capability.NewFixture(sys)
+		if err != nil {
 			fatal(err)
 		}
-		rows, err := capability.BuildTable(&capability.Fixture{
-			ANNODA:  sys,
-			Kleisli: &capability.WrappedMultidb{System: sys},
-			DL:      fedsql.New(sys.Registry),
-			GUS:     gus,
-		})
+		rows, err := capability.BuildTable(f)
 		if err != nil {
 			fatal(err)
 		}

@@ -39,6 +39,22 @@ type Fixture struct {
 	GUS     *warehouse.Warehouse
 }
 
+// NewFixture assembles the four systems over sys's sources: sys itself as
+// ANNODA, a multidatabase and a SQL federation over its registry, and a
+// freshly loaded warehouse. The probes plug a source into sys.
+func NewFixture(sys *core.System) (*Fixture, error) {
+	gus := warehouse.New(sys.Registry, sys.Global)
+	if err := gus.Refresh(); err != nil {
+		return nil, err
+	}
+	return &Fixture{
+		ANNODA:  sys,
+		Kleisli: &WrappedMultidb{System: sys},
+		DL:      fedsql.New(sys.Registry),
+		GUS:     gus,
+	}, nil
+}
+
 // WrappedMultidb adapts the multidb package (program-based) for probing.
 type WrappedMultidb struct {
 	System *core.System

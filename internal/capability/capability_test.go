@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/fedsql"
 	"repro/internal/mediator"
-	"repro/internal/warehouse"
 )
 
 func fixture(t testing.TB) *Fixture {
@@ -21,16 +19,11 @@ func fixture(t testing.TB) *Fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gus := warehouse.New(sys.Registry, sys.Global)
-	if err := gus.Refresh(); err != nil {
+	f, err := NewFixture(sys)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &Fixture{
-		ANNODA:  sys,
-		Kleisli: &WrappedMultidb{System: sys},
-		DL:      fedsql.New(sys.Registry),
-		GUS:     gus,
-	}
+	return f
 }
 
 // paperTable1 is the expected cell content, simplified to the discriminating

@@ -276,46 +276,51 @@ func NewView(res *lorel.Result, stats *mediator.Stats) *View {
 	if stats != nil {
 		v.Conflicts = len(stats.Conflicts)
 	}
-	g := res.Graph
-	for _, oid := range g.Children(res.Answer, "G") {
-		row := ViewRow{
-			Symbol:   g.StringUnder(oid, "Symbol"),
-			Organism: g.StringUnder(oid, "Organism"),
-			Position: g.StringUnder(oid, "Position"),
-		}
-		row.GeneID, _ = g.IntUnder(oid, "GeneID")
-		for _, a := range g.Children(oid, "Annotation") {
-			if id := g.StringUnder(a, "GoID"); id != "" {
-				row.GoIDs = append(row.GoIDs, id)
-			}
-		}
-		for _, d := range g.Children(oid, "Disease") {
-			if mim, ok := g.IntUnder(d, "MimNumber"); ok {
-				row.MimIDs = append(row.MimIDs, mim)
-			}
-		}
-		for _, p := range g.Children(oid, "Protein") {
-			if acc := g.StringUnder(p, "Accession"); acc != "" {
-				row.Proteins = append(row.Proteins, acc)
-			}
-		}
-		if wl := g.StringUnder(oid, "WebLink"); wl != "" {
-			row.WebLinks = append(row.WebLinks, wl)
-		}
-		if links := g.Child(oid, "Links"); links != 0 {
-			for _, t := range g.Get(links).Refs {
-				if o := g.Get(t.Target); o != nil && o.Kind == oem.KindURL {
-					row.WebLinks = append(row.WebLinks, o.Str)
-				}
-			}
-		}
-		sort.Strings(row.GoIDs)
-		sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
-		sort.Strings(row.Proteins)
-		v.Rows = append(v.Rows, row)
+	for _, oid := range res.Graph.Children(res.Answer, "G") {
+		v.Rows = append(v.Rows, rowOf(res.Graph, oid))
 	}
 	sort.Slice(v.Rows, func(i, j int) bool { return v.Rows[i].Symbol < v.Rows[j].Symbol })
 	return v
+}
+
+// rowOf builds the integrated row of gene object oid in g: the one row
+// builder behind both NewView and AnnotateBatch.
+func rowOf(g *oem.Graph, oid oem.OID) ViewRow {
+	row := ViewRow{
+		Symbol:   g.StringUnder(oid, "Symbol"),
+		Organism: g.StringUnder(oid, "Organism"),
+		Position: g.StringUnder(oid, "Position"),
+	}
+	row.GeneID, _ = g.IntUnder(oid, "GeneID")
+	for _, a := range g.Children(oid, "Annotation") {
+		if id := g.StringUnder(a, "GoID"); id != "" {
+			row.GoIDs = append(row.GoIDs, id)
+		}
+	}
+	for _, d := range g.Children(oid, "Disease") {
+		if mim, ok := g.IntUnder(d, "MimNumber"); ok {
+			row.MimIDs = append(row.MimIDs, mim)
+		}
+	}
+	for _, p := range g.Children(oid, "Protein") {
+		if acc := g.StringUnder(p, "Accession"); acc != "" {
+			row.Proteins = append(row.Proteins, acc)
+		}
+	}
+	if wl := g.StringUnder(oid, "WebLink"); wl != "" {
+		row.WebLinks = append(row.WebLinks, wl)
+	}
+	if links := g.Child(oid, "Links"); links != 0 {
+		for _, t := range g.Get(links).Refs {
+			if o := g.Get(t.Target); o != nil && o.Kind == oem.KindURL {
+				row.WebLinks = append(row.WebLinks, o.Str)
+			}
+		}
+	}
+	sort.Strings(row.GoIDs)
+	sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
+	sort.Strings(row.Proteins)
+	return row
 }
 
 // Format renders the view as an aligned text table.
@@ -394,7 +399,7 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 					out[i].Err = fmt.Errorf("core: unknown gene %q", sym)
 					return
 				}
-				row := rowFromFused(fused, oid)
+				row := rowOf(fused, oid)
 				out[i].Row = &row
 			}(i, sym)
 		}
@@ -405,28 +410,6 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 		return nil, err
 	}
 	return out, nil
-}
-
-func rowFromFused(g *oem.Graph, oid oem.OID) ViewRow {
-	row := ViewRow{
-		Symbol:   g.StringUnder(oid, "Symbol"),
-		Organism: g.StringUnder(oid, "Organism"),
-		Position: g.StringUnder(oid, "Position"),
-	}
-	row.GeneID, _ = g.IntUnder(oid, "GeneID")
-	for _, a := range g.Children(oid, "Annotation") {
-		if id := g.StringUnder(a, "GoID"); id != "" {
-			row.GoIDs = append(row.GoIDs, id)
-		}
-	}
-	for _, d := range g.Children(oid, "Disease") {
-		if mim, ok := g.IntUnder(d, "MimNumber"); ok {
-			row.MimIDs = append(row.MimIDs, mim)
-		}
-	}
-	sort.Strings(row.GoIDs)
-	sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
-	return row
 }
 
 // Figure5bQuestion is the paper's running example as a Question value.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,6 +167,53 @@ func TestAnnotateBatch(t *testing.T) {
 	}
 	if results[len(results)-1].Err == nil {
 		t.Error("unknown symbol should error")
+	}
+}
+
+// TestAnnotateBatchRowIsAskRow: one gene has one integrated row whichever
+// entry point built it. With ProtDB plugged in, every gene's AnnotateBatch
+// row equals its row in the Ask view — proteins and web-links included.
+// The two questions both name every concept and together cover every gene.
+func TestAnnotateBatchRowIsAskRow(t *testing.T) {
+	s := system(t)
+	if err := s.PlugInProteins(); err != nil {
+		t.Fatal(err)
+	}
+	all := []string{"GO", "OMIM", "ProtDB"}
+	askRows := map[string]ViewRow{}
+	for _, q := range []Question{{Include: all, Combine: CombineAny}, {Exclude: all}} {
+		v, _, err := s.Ask(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range v.Rows {
+			askRows[r.Symbol] = r
+		}
+	}
+	var symbols []string
+	for i := range s.Corpus.Genes {
+		symbols = append(symbols, s.Corpus.Genes[i].Symbol)
+	}
+	results, err := s.AnnotateBatch(symbols, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proteins := 0
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("symbol %s: %v", r.Symbol, r.Err)
+		}
+		want, ok := askRows[r.Row.Symbol]
+		if !ok {
+			t.Fatalf("symbol %s: no Ask row", r.Symbol)
+		}
+		if !reflect.DeepEqual(*r.Row, want) {
+			t.Errorf("symbol %s:\nAnnotateBatch %+v\nAsk           %+v", r.Symbol, *r.Row, want)
+		}
+		proteins += len(r.Row.Proteins)
+	}
+	if proteins == 0 {
+		t.Error("no batch row carries a protein: ProtDB did not reach the rows")
 	}
 }
 

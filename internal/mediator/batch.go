@@ -78,9 +78,6 @@ func (m *Manager) askBatch(queries []string, tr *obs.Trace) ([]BatchAnswer, *Sta
 	if workers > len(queries) {
 		workers = len(queries)
 	}
-	if m.opts.Sequential {
-		workers = 1
-	}
 	t0 := obs.Now()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
@@ -99,7 +96,7 @@ func (m *Manager) askBatch(queries []string, tr *obs.Trace) ([]BatchAnswer, *Sta
 	if ep != nil {
 		agg = ep.stats.clone()
 	} else {
-		agg = &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
+		agg = &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: m.opts.Workers > 1}
 	}
 	agg.BatchQuestions = len(queries)
 	agg.EvalTime = obs.Since(t0)

@@ -8,8 +8,8 @@ package mediator
 // eval-only snapshot fast path — each reason produced by the same function
 // that makes the decision (classifyConjunct, snapshotPathDecision), so the
 // report cannot diverge from the plan. Alongside the live heuristic gate it
-// records what the stats-estimated cost model would have decided, and
-// Options.CostPushdown flips which gate is live.
+// records, advisory only, what the stats-estimated cost model would have
+// decided.
 //
 // ExplainAnalyze additionally executes the query — through the same compute
 // entry a live query uses, so against a pinned epoch on the snapshot path or
@@ -41,9 +41,6 @@ type Explain struct {
 	// Pushdown lists every where-clause conjunct with its classification,
 	// both gates' verdicts, and the decision in effect.
 	Pushdown []ExplainPushdown `json:"pushdown,omitempty"`
-	// CostGateLive reports whether Options.CostPushdown made the cost model
-	// the live gate (false: it is recorded advisory-only).
-	CostGateLive bool `json:"cost_gate_live"`
 	// CacheEnabled: result/plan caching (and with it the snapshot fast
 	// path) is on.
 	CacheEnabled bool `json:"cache_enabled"`
@@ -158,7 +155,6 @@ func (m *Manager) explainQuery(q *lorel.Query, analyze bool) (*Explain, error) {
 		Query:        canon,
 		PlanTree:     plan.Describe(),
 		CacheEnabled: m.cache != nil,
-		CostGateLive: m.opts.CostPushdown,
 	}
 	e.Sources = m.explainSources(an)
 	e.Pushdown = m.explainPushdown(an, q)
@@ -187,13 +183,10 @@ func (m *Manager) explainSources(an *analysis) []ExplainSource {
 		case mp == nil:
 			s.Pruned = true
 			s.Reason = "registered but unmapped in the global model; cannot participate"
-		case !m.opts.DisablePruning && !an.needs(mp.Concept):
+		case !an.needs(mp.Concept):
 			s.Concept = mp.Concept
 			s.Pruned = true
 			s.Reason = fmt.Sprintf("concept %s is not reachable from any path in the query", mp.Concept)
-		case m.opts.DisablePruning:
-			s.Concept = mp.Concept
-			s.Reason = "pruning disabled; every mapped source participates"
 		default:
 			s.Concept = mp.Concept
 			s.Reason = fmt.Sprintf("query touches concept %s", mp.Concept)
@@ -230,9 +223,6 @@ func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdow
 			}
 		}
 		pd.LivePush = pd.HeuristicPush
-		if m.opts.CostPushdown {
-			pd.LivePush = pd.HeuristicPush && pd.CostPush
-		}
 		if pd.LivePush && len(groups[pd.Concept]) == 0 {
 			pd.LivePush = false
 			pd.Reason = fmt.Sprintf("another %s variable carries no pushed conjunct, so no %s entity may be dropped at the source", pd.Concept, pd.Concept)
@@ -302,11 +292,7 @@ func (e *Explain) Format() string {
 		fmt.Fprintf(&sb, "  %-12s %-12s %s\n", s.Source, verdict, s.Reason)
 	}
 	if len(e.Pushdown) > 0 {
-		gate := "heuristic gate live, cost model advisory"
-		if e.CostGateLive {
-			gate = "cost gate live"
-		}
-		fmt.Fprintf(&sb, "pushdown (%s):\n", gate)
+		sb.WriteString("pushdown (heuristic gate live, cost model advisory):\n")
 		for _, p := range e.Pushdown {
 			verdict := "skip"
 			if p.LivePush {

@@ -73,13 +73,9 @@ const allSourcesQ = `select G from ANNODA-GML.Gene G where exists G.Annotation a
 // complete through the whole outage, identically for both executors.
 func TestFetchErrorsAggregated(t *testing.T) {
 	c := corpus()
-	for _, seq := range []bool{false, true} {
-		name := "parallel"
-		if seq {
-			name = "sequential"
-		}
+	for name, workers := range map[string]int{"parallel": 4, "sequential": 1} {
 		t.Run(name, func(t *testing.T) {
-			m, fgo, fom := flakyManager(t, c, Options{Sequential: seq, DisableCache: true})
+			m, fgo, fom := flakyManager(t, c, Options{Workers: workers, DisableCache: true})
 			fgo.fail.Store(true)
 			fom.fail.Store(true)
 			for round := 0; round < 8; round++ {
@@ -121,12 +117,13 @@ func TestFetchErrorDoesNotPoisonLaterQueries(t *testing.T) {
 	}
 }
 
-// TestSequentialParallelParity: the two executors must produce identical
-// answers and identical per-source accounting for the same query.
+// TestSequentialParallelParity: a parallel fan-out and a one-worker one
+// must produce identical answers and per-source accounting for the same
+// query.
 func TestSequentialParallelParity(t *testing.T) {
 	c := corpus()
-	mp, _, _ := flakyManager(t, c, Options{DisableCache: true})
-	ms, _, _ := flakyManager(t, c, Options{DisableCache: true, Sequential: true})
+	mp, _, _ := flakyManager(t, c, Options{DisableCache: true, Workers: 4})
+	ms, _, _ := flakyManager(t, c, Options{DisableCache: true, Workers: 1})
 	queries := append([]string{allSourcesQ}, deltaEquivQueries...)
 	for i, src := range queries {
 		rp, sp, err := mp.QueryString(src)

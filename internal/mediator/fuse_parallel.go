@@ -42,9 +42,6 @@ const parallelFuseMaxShards = 32
 // parallelFuseEligible reports whether this fusion should take the
 // sharded parallel path.
 func (m *Manager) parallelFuseEligible(pops []*population) bool {
-	if m.opts.Sequential || m.opts.SequentialFuse {
-		return false
-	}
 	if m.fuseShards() < 2 {
 		return false
 	}

@@ -44,7 +44,8 @@ func TestParallelFusionParity(t *testing.T) {
 				ConflictRate: 0.4, MissingRate: 0.25,
 			})
 			for _, policy := range []Policy{PolicyPreferPrimary, PolicyMajority, PolicyUnion} {
-				seq := manager(t, c, Options{DisableCache: true, SequentialFuse: true, Policy: policy, Workers: 8})
+				// Workers: 1 routes fusion to fuseSequential (fuseShards() < 2).
+				seq := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 1})
 				par := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 8})
 
 				gs, ss, err := seq.FusedGraph()
@@ -111,7 +112,7 @@ func TestParallelFusionQueryAnswers(t *testing.T) {
 		Seed: 5, Genes: 150, GoTerms: 70, Diseases: 90,
 		ConflictRate: 0.35, MissingRate: 0.2,
 	})
-	seq := manager(t, c, Options{SequentialFuse: true, Workers: 8})
+	seq := manager(t, c, Options{Workers: 1}) // fuseSequential
 	par := manager(t, c, Options{Workers: 8})
 	// The first two touch every concept and ride the snapshot path; the
 	// last two prune sources, so they exercise parallel fusion on the

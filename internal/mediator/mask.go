@@ -112,7 +112,7 @@ func epochProvenance(fs *fuseState) *provenance {
 // hiddenConcepts lists, sorted, the concepts of mapped sources the analysis
 // does not need — the sources the per-query pipeline's fetch would prune.
 func (m *Manager) hiddenConcepts(an *analysis) []string {
-	if an.needAll || m.opts.DisablePruning {
+	if an.needAll {
 		return nil
 	}
 	var hidden []string

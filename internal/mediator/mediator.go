@@ -27,32 +27,17 @@ import (
 	"repro/internal/wrapper"
 )
 
-// Options tunes the query manager; the Disable* switches exist for the E8
-// and E13 ablation experiments.
+// Options tunes the query manager. DisablePushdown and DisableCache are the
+// reference routes the route-equivalence tests and the benchmark oracle
+// compare the optimized paths against.
 type Options struct {
 	// Policy selects conflict reconciliation (default PolicyPreferPrimary).
 	Policy Policy
 	// DisablePushdown turns off per-source predicate pre-filtering and
 	// semi-join link fetching.
 	DisablePushdown bool
-	// CostPushdown replaces the always-push heuristic with the
-	// stats-estimated cost gate for pushdown-sound conjuncts: a predicate
-	// whose observed selectivity says pushing filters almost nothing is
-	// evaluated only at the final stage. Soundness classification is
-	// unchanged — the flag only flips which gate decides among sound
-	// conjuncts. Explain reports both decisions either way.
-	CostPushdown bool
-	// DisablePruning makes every mapped source participate in every query
-	// even when its concept cannot contribute.
-	DisablePruning bool
-	// Sequential turns off the parallel source fan-out (and with it the
-	// parallel fusion).
-	Sequential bool
-	// SequentialFuse turns off only the gene-key-sharded parallel fusion,
-	// keeping the parallel source fan-out. The E16 ablation baseline and
-	// the sequential-vs-parallel parity tests use it.
-	SequentialFuse bool
-	// Workers bounds the fan-out (default: GOMAXPROCS).
+	// Workers bounds the source fan-out, the fusion shards and AskBatch's
+	// evaluators (default: GOMAXPROCS); 1 runs all of them sequentially.
 	Workers int
 	// CacheSize bounds the sharded result cache in entries (default
 	// qcache.DefaultCapacity). Ignored when DisableCache is set.
@@ -477,7 +462,7 @@ func (m *Manager) queryAnalyzed(q *lorel.Query, canon string, an *analysis, tr *
 	if tr != nil {
 		t0 = obs.Now()
 	}
-	v, outcome, err := m.cache.DoTagged("query\x00"+canon, an.cacheTags(m.opts), func() (any, error) {
+	v, outcome, err := m.cache.DoTagged("query\x00"+canon, an.cacheTags(), func() (any, error) {
 		res, stats, err := m.queryCompute(q, canon, an, tr, nil)
 		if err != nil {
 			return nil, err
@@ -775,7 +760,7 @@ func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Tr
 // structural hashes); with no shared snapshot to maintain, nil skips that
 // work rather than throwing it away.
 func (m *Manager) fetchFuse(an *analysis, rec *fuseState, tr *obs.Trace) (*oem.Graph, *Stats, error) {
-	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: !m.opts.Sequential}
+	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: m.opts.Workers > 1}
 	t0 := obs.Now()
 	pops, err := m.fetch(an, stats, rec != nil, tr)
 	if err != nil {
@@ -996,8 +981,8 @@ func (a *analysis) needs(concept string) bool { return a.needAll || a.needed[con
 // pruned a source cannot be invalidated by that source changing; one that
 // touched everything (wildcard paths, or pruning disabled so every source
 // participates) is tagged "*" and falls to any source change.
-func (a *analysis) cacheTags(opts Options) []string {
-	if a.needAll || opts.DisablePruning || len(a.needed) == 0 {
+func (a *analysis) cacheTags() []string {
+	if a.needAll || len(a.needed) == 0 {
 		return []string{"*"}
 	}
 	tags := make([]string, 0, len(a.needed))
@@ -1082,19 +1067,13 @@ func (m *Manager) analyze(q *lorel.Query) (*analysis, error) {
 	}
 	// Pushdown classification. Sound only under PolicyPreferPrimary and
 	// only for non-optional attribute labels (see DESIGN.md); the final
-	// evaluation re-applies the full where clause regardless. With
-	// CostPushdown, the stats-estimated cost gate additionally decides
-	// among the sound conjuncts.
+	// evaluation re-applies the full where clause regardless. The cost
+	// model's verdict is advisory: Explain reports it, nothing obeys it.
 	if !m.opts.DisablePushdown && m.opts.Policy == PolicyPreferPrimary {
 		for _, conj := range conjuncts(q.Where) {
 			onVar, reason := an.classifyConjunct(m.gl, conj)
 			if reason != "" {
 				continue
-			}
-			if m.opts.CostPushdown {
-				if push, _ := m.costWouldPush(an.fromConcepts[onVar], lorel.CondString(conj)); !push {
-					continue
-				}
 			}
 			an.pushdown[onVar] = append(an.pushdown[onVar], conj)
 		}
@@ -1266,7 +1245,7 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 			continue // registered but unmapped: cannot participate
 		}
 		mapped[w.Name()] = true
-		if !m.opts.DisablePruning && !an.needs(mp.Concept) {
+		if !an.needs(mp.Concept) {
 			stats.SourcesPruned = append(stats.SourcesPruned, w.Name())
 			continue
 		}
@@ -1280,39 +1259,34 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, m.opts.Workers)
-	run := func(i int, j job) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		// Timed unconditionally (not just under tracing): the duration
-		// feeds the statistics table's fetch-latency EWMA, and one clock
-		// pair per source fetch is noise next to the fetch itself.
-		t0 := obs.Now()
-		groups := pushed[j.mapping.Concept]
-		pop, err := m.fetchOne(j.w, j.mapping, groups, hashed, tr)
-		if err == nil {
-			m.srcStats.ObserveFetch(j.w.Name(), obs.Since(t0))
-		}
-		if tr != nil {
-			stage := obs.StageFetch
-			if len(groups) > 0 {
-				stage = obs.StagePushdown
-			}
-			tr.SpanNote(stage, t0, j.w.Name())
-		}
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		pops[i] = pop // Stats maps are written after the wait below to stay race-free
-	}
 	for i, j := range jobs {
 		wg.Add(1)
-		if m.opts.Sequential {
-			run(i, j)
-		} else {
-			go run(i, j)
-		}
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			// Timed unconditionally (not just under tracing): the duration
+			// feeds the statistics table's fetch-latency EWMA, and one clock
+			// pair per source fetch is noise next to the fetch itself.
+			t0 := obs.Now()
+			groups := pushed[j.mapping.Concept]
+			pop, err := m.fetchOne(j.w, j.mapping, groups, hashed, tr)
+			if err == nil {
+				m.srcStats.ObserveFetch(j.w.Name(), obs.Since(t0))
+			}
+			if tr != nil {
+				stage := obs.StageFetch
+				if len(groups) > 0 {
+					stage = obs.StagePushdown
+				}
+				tr.SpanNote(stage, t0, j.w.Name())
+			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			pops[i] = pop // Stats maps are written after the wait below to stay race-free
+		}()
 	}
 	wg.Wait()
 	names := make([]string, len(jobs))

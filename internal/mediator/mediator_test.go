@@ -8,6 +8,7 @@ import (
 	"repro/internal/gml"
 	"repro/internal/lorel"
 	"repro/internal/match"
+	"repro/internal/oem"
 	"repro/internal/sources/geneontology"
 	"repro/internal/sources/locuslink"
 	"repro/internal/sources/omim"
@@ -203,7 +204,7 @@ func TestAblationTogglesChangeWork(t *testing.T) {
 	q := `select G from ANNODA-GML.Gene G where G.Symbol like "A%"`
 
 	base := manager(t, c, Options{})
-	_, sBase, err := base.QueryString(q)
+	resBase, sBase, err := base.QueryString(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,36 +213,26 @@ func TestAblationTogglesChangeWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPrune := manager(t, c, Options{DisablePruning: true})
-	_, sNPr, err := noPrune.QueryString(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := manager(t, c, Options{Sequential: true})
+	seq := manager(t, c, Options{Workers: 1})
 	resSeq, sSeq, err := seq.QueryString(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Results agree across all configurations.
-	baseRes, _, _ := base.QueryString(q)
-	for _, r := range []*lorel.Result{resNP, resSeq} {
-		if r.Size() != baseRes.Size() {
-			t.Errorf("result size changed under ablation: %d vs %d", r.Size(), baseRes.Size())
+	want := oem.CanonicalText(resBase.Graph, "answer", resBase.Answer)
+	for name, r := range map[string]*lorel.Result{"no pushdown": resNP, "one worker": resSeq} {
+		if got := oem.CanonicalText(r.Graph, "answer", r.Answer); got != want {
+			t.Errorf("%s: answer differs from the default configuration", name)
 		}
+	}
+	if sSeq.Parallel {
+		t.Error("Workers: 1 stats claim parallel")
 	}
 	// Pushdown off: kept == fetched.
 	if sNP.Kept["LocusLink"] != sNP.Fetched["LocusLink"] {
 		t.Error("pushdown still active when disabled")
 	}
 	if sBase.Kept["LocusLink"] == sBase.Fetched["LocusLink"] {
-		t.Skip("filter unselective in this corpus; pushdown unobservable")
-	}
-	// Pruning off: all 3 sources fetched.
-	if len(sNPr.SourcesQueried) != 3 {
-		t.Errorf("pruning-off queried %v", sNPr.SourcesQueried)
-	}
-	if sSeq.Parallel {
-		t.Error("sequential stats claim parallel")
+		t.Error("filter unselective in this corpus; pushdown unobservable")
 	}
 }
 

@@ -85,7 +85,7 @@ func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population 
 	var pops []*population
 	for _, w := range m.reg.All() {
 		mp := m.gl.MappingFor(w.Name())
-		if mp == nil || (!m.opts.DisablePruning && !an.needs(mp.Concept)) {
+		if mp == nil || !an.needs(mp.Concept) {
 			continue
 		}
 		src, err := w.Model()

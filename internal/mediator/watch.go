@@ -166,7 +166,7 @@ func (m *Manager) AddStandingQuery(sub *feed.Subscriber, src string) (*StandingQ
 	if err != nil {
 		return nil, err
 	}
-	sq := &StandingQuery{m: m, sub: sub, q: q, an: an, canon: canon, plan: plan, tags: an.cacheTags(m.opts)}
+	sq := &StandingQuery{m: m, sub: sub, q: q, an: an, canon: canon, plan: plan, tags: an.cacheTags()}
 
 	// Register before the baseline evaluation: a refresh that lands in
 	// between will re-evaluate (and, with its higher sequence, win over

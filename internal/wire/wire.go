@@ -174,7 +174,9 @@ func (d *Decoder) Str() string {
 		return ""
 	}
 	buf := make([]byte, n)
-	d.Raw(buf)
+	if d.Raw(buf); d.err != nil {
+		return ""
+	}
 	return string(buf)
 }
 
@@ -189,6 +191,8 @@ func (d *Decoder) Bytes() []byte {
 		return nil
 	}
 	buf := make([]byte, n)
-	d.Raw(buf)
+	if d.Raw(buf); d.err != nil {
+		return nil
+	}
 	return buf
 }
