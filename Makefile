@@ -47,10 +47,13 @@ route-equiv:
 	$(GO) test -race -count=1 -timeout 30m -run 'TestRouteEquivalence' ./internal/mediator -args -route-equiv-long
 
 # fuzz-smoke gives each codec fuzzer a short budget so decode crashes are
-# caught in CI without a long fuzzing campaign. (go test accepts only one
-# -fuzz pattern per package, hence one invocation per target.)
+# caught in CI without a long fuzzing campaign, and FuzzTextEncode holds the
+# Figure 3 text walker and the server's JSON quoting to their frozen
+# references. (go test accepts only one -fuzz pattern per package, hence one
+# invocation per target.)
 fuzz-smoke:
 	$(GO) test ./internal/oem -fuzz FuzzDecodeBinary -fuzztime 10s -run xxx
+	$(GO) test ./internal/oem -fuzz FuzzTextEncode -fuzztime 10s -run xxx
 	$(GO) test ./internal/delta -fuzz FuzzDecodeChangeSet -fuzztime 10s -run xxx
 
 # bench runs every paper-artifact benchmark a few iterations (smoke), not a
@@ -63,7 +66,8 @@ bench:
 # CI catches benchmarks that no longer build or crash — they must not rot
 # silently between careful runs (./... includes internal/mediator's
 # BenchmarkFetchPushdown/{1k,10k}, BenchmarkTranslateGO, BenchmarkPrunedMiss/
-# {1k,10k} and BenchmarkEpochProvenance/{1k,10k}). The second pass
+# {1k,10k} and BenchmarkEpochProvenance/{1k,10k}, and the server's
+# BenchmarkAnswerEncode beside BenchmarkAPIQueryHit). The second pass
 # re-runs the E16 concurrent-throughput/batch benches under GOMAXPROCS=8 so
 # the lock-free epoch read path sees real goroutine concurrency even on
 # small CI runners.

@@ -1,7 +1,7 @@
 package main
 
 // Tests for the /api/ask and /api/query response path: the body writeAnswer
-// encodes around the memoized member against the flat structs the handlers
+// writes around the memoized member against the flat structs the handlers
 // used to encode, the memo's lifetime, and the one writer and one decoder
 // every JSON route shares.
 
@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lorel"
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -27,8 +28,8 @@ import (
 
 // askResponse and queryResponse are the reference encoders: the structs the
 // handlers passed to json.NewEncoder before the rows and the text were
-// memoized as encoded JSON (askAnswer, queryAnswer). Every body the server
-// writes must be what encoding one of these gives.
+// memoized as encoded JSON and spliced between a head and a tail. Every body
+// the server writes must be what encoding one of these gives.
 type askResponse struct {
 	Question  string    `json:"question"`
 	Rows      []rowJSON `json:"rows"`
@@ -83,6 +84,7 @@ var goldenQueries = []string{
 	`select G from ANNODA-GML.Gene G where exists G.Disease and not exists G.Annotation`,
 	`select G.Symbol from ANNODA-GML.Gene G where G.GeneID < 1020`, // "<" is HTML-escaped by encoding/json
 	`select G from ANNODA-GML.Gene G where G.Symbol like "A%"`,
+	`select G from ANNODA-GML.Gene G`, // every gene whole: a multi-KB member
 }
 
 // withHit returns a copy of st stamped with the given cache outcome: a
@@ -166,6 +168,32 @@ func TestAnswerBodiesMatchReferenceEncoder(t *testing.T) {
 	})
 	if !st.CacheHit || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("query on an entry /api/ask memoized: hit=%v\n got: %.200s\nwant: %.200s", st.CacheHit, rec.Body, want)
+	}
+}
+
+// TestRenderErrorIs500: an answer whose text cannot be rendered — a
+// reference to an object its graph does not hold — is a 500 naming the
+// request, on a miss and on a hit, not a 200 with the text cut short; and
+// the failed rendering is not memoized.
+func TestRenderErrorIs500(t *testing.T) {
+	g := oem.NewGraph()
+	gene := g.NewComplex(oem.Ref{Label: "Symbol", Target: g.NewString("TP53")}, oem.Ref{Label: "Gone", Target: 999})
+	res := &lorel.Result{Graph: g, Answer: g.NewComplex(oem.Ref{Label: "Gene", Target: gene})}
+	req := httptest.NewRequest(http.MethodGet, "/api/query", nil)
+	req = req.WithContext(withRequestID(req.Context(), "rid-dangling"))
+	for _, hit := range []bool{false, true, true} {
+		rec := httptest.NewRecorder()
+		writeQueryAnswer(rec, req, "select G from ANNODA-GML.Gene G", res, &mediator.Stats{CacheEnabled: true, CacheHit: hit})
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("hit=%v: body is not a JSON error: %v (%.200s)", hit, err, rec.Body)
+		}
+		if rec.Code != http.StatusInternalServerError || e["request_id"] != "rid-dangling" || !strings.Contains(e["error"], "&999") {
+			t.Errorf("hit=%v: %d %v, want a 500 naming &999 and the request", hit, rec.Code, e)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("hit=%v: Content-Length = %q, body is %d bytes", hit, cl, rec.Body.Len())
+		}
 	}
 }
 

@@ -9,12 +9,15 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/jsonstr"
 	"repro/internal/lorel"
 	"repro/internal/mediator"
 	"repro/internal/obs"
@@ -195,14 +198,22 @@ type statsJSON struct {
 }
 
 // writeBody is the one place a JSON response is written. The body arrives
-// already encoded, so every failure that can still change the status has
-// happened before the header goes out, and the response carries its
-// Content-Length.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+// already encoded, in one or more parts written in order, so every failure
+// that can still change the status has happened before the header goes
+// out, and the response carries its Content-Length.
+func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	w.Write(body) // an error means the client went away or the deadline passed: nobody is left to tell
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // the client went away or the deadline passed: nobody is left to tell
+		}
+	}
 }
 
 // writeJSON encodes v, then writes it: a value that will not encode is a 500
@@ -328,8 +339,7 @@ func (s *server) apiAsk(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	resp := askAnswer{Question: src, Conflicts: len(stats.Conflicts), Stats: mediatorStats(stats)}
-	writeAnswer(w, r, res, stats, &resp, "ask", &resp.Rows, func() any { return askRows(core.NewView(res, stats)) })
+	writeAskAnswer(w, r, src, res, stats)
 }
 
 type queryRequest struct {
@@ -362,16 +372,15 @@ func (s *server) apiQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	resp := queryAnswer{Query: src, Answers: res.Size(), Stats: mediatorStats(stats)}
-	writeAnswer(w, r, res, stats, &resp, "query", &resp.Text, func() any { return oem.TextString(res.Graph, "answer", res.Answer) })
+	writeQueryAnswer(w, r, src, res, stats)
 }
 
 // An /api/ask or /api/query response has one member that is a pure function
 // of the cached answer — the rows, the text dump — and is memoized on it as
 // encoded JSON. The rest is the request's own: query strings that differ in
 // spacing or keyword case share one cache entry, and the cache flag differs
-// between the miss and its hits. encoding/json splices a RawMessage in as it
-// would have encoded the value, so the body is what the flat struct gives.
+// between the miss and its hits. Either way the body is what the flat struct
+// the member comes from encodes to.
 type (
 	askAnswer struct {
 		Question  string          `json:"question"`
@@ -379,13 +388,53 @@ type (
 		Conflicts int             `json:"conflicts"`
 		Stats     statsJSON       `json:"stats"`
 	}
-	queryAnswer struct {
-		Query   string          `json:"query"`
-		Answers int             `json:"answers"`
-		Text    json.RawMessage `json:"text"`
-		Stats   statsJSON       `json:"stats"`
+	queryHead struct {
+		Query   string `json:"query"`
+		Answers int    `json:"answers"`
+	}
+	queryTail struct {
+		Stats statsJSON `json:"stats"`
 	}
 )
+
+// writeAskAnswer writes the /api/ask body for question's answer: its rows.
+// The body goes through encoding/json whole, memoized rows included, which
+// re-scans them; DESIGN.md ("Why /api/ask re-encodes its rows") says why it
+// is not spliced like /api/query's text.
+func writeAskAnswer(w http.ResponseWriter, r *http.Request, question string, res *lorel.Result, stats *mediator.Stats) {
+	writeAnswer(w, r, res, stats, "rows",
+		func() ([]byte, error) { return json.Marshal(askRows(core.NewView(res, stats))) },
+		func(rows []byte) ([][]byte, error) {
+			body, err := json.Marshal(askAnswer{Question: question, Rows: rows, Conflicts: len(stats.Conflicts), Stats: mediatorStats(stats)})
+			return [][]byte{append(body, '\n')}, err
+		})
+}
+
+// writeQueryAnswer writes the /api/query body for query's answer: its
+// Figure 3 text, spliced between the fields before and after it. A member
+// the cache will keep (stats.CacheHit: Rendering retains it) gets bytes of
+// its own; one written once and dropped — every miss — is built in pooled
+// scratch, returned once the body is written.
+func writeQueryAnswer(w http.ResponseWriter, r *http.Request, query string, res *lorel.Result, stats *mediator.Stats) {
+	var pooled *[]byte
+	writeAnswer(w, r, res, stats, "text",
+		func() ([]byte, error) {
+			if stats.CacheHit {
+				return textMember(nil, res)
+			}
+			pooled = scratch.Get().(*[]byte)
+			b, err := textMember((*pooled)[:0], res)
+			*pooled = b
+			return b, err
+		},
+		func(text []byte) ([][]byte, error) {
+			pre, post, err := around(queryHead{Query: query, Answers: res.Size()}, "text", queryTail{Stats: mediatorStats(stats)})
+			return [][]byte{pre, text, post}, err
+		})
+	if pooled != nil {
+		scratch.Put(pooled)
+	}
+}
 
 func askRows(v *core.View) []rowJSON {
 	rows := make([]rowJSON, 0, len(v.Rows))
@@ -399,19 +448,40 @@ func askRows(v *core.View) []rowJSON {
 	return rows
 }
 
-// writeAnswer is the shared tail of apiAsk and apiQuery: it fills *member,
-// the memoizable member of resp, and writes resp. derive builds the member's
-// value from res; its encoding is kept on res under kind once the cache serves
-// res a second time (lorel.Result.Rendering), so a hit derives nothing. Miss,
-// hit and uncached server all take this one path.
-func writeAnswer(w http.ResponseWriter, r *http.Request, res *lorel.Result, stats *mediator.Stats, resp any, kind string, member *json.RawMessage, derive func() any) {
+// scratch holds the buffers answer texts are rendered into before they are
+// quoted, and the members of /api/query misses: a whole-gene answer's are
+// megabytes.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// textMember appends the "text" member of an /api/query body to dst: the
+// answer's Figure 3 text as a JSON string, what json.Marshal(oem.TextString(…))
+// gives, in one walk and one quoting pass. An answer that will not render
+// (a dangling reference) is an error, not a truncated text.
+func textMember(dst []byte, res *lorel.Result) ([]byte, error) {
+	text := scratch.Get().(*[]byte)
+	defer scratch.Put(text)
+	t, err := oem.AppendText((*text)[:0], res.Graph, "answer", res.Answer)
+	*text = t
+	if err != nil {
+		return dst, err
+	}
+	// Escapes grow the text: a \u0026 per oid, a \n per line, \" per quote.
+	return jsonstr.Append(slices.Grow(dst, len(t)+len(t)/4+2), t), nil
+}
+
+// writeAnswer is the shared tail of apiAsk and apiQuery. build encodes the
+// member named key from res, and the encoding is kept on res under that name
+// once the cache serves res a second time (lorel.Result.Rendering), so a hit
+// builds nothing. body turns the member into the response body's parts,
+// which writeBody writes in order. Miss, hit and uncached server all take
+// this one path.
+func writeAnswer(w http.ResponseWriter, r *http.Request, res *lorel.Result, stats *mediator.Stats, key string, build func() ([]byte, error), body func(member []byte) ([][]byte, error)) {
 	tr := obs.TraceFrom(r.Context()) // nil (and inert) when the request is not traced
 	t0 := obs.Now()
-	enc, memo, err := res.Rendering(kind, stats.CacheHit, func() ([]byte, error) { return json.Marshal(derive()) })
-	var body []byte
+	member, memo, err := res.Rendering(key, stats.CacheHit, build)
+	var parts [][]byte
 	if err == nil {
-		*member = enc
-		body, err = json.Marshal(resp)
+		parts, err = body(member)
 	}
 	if err != nil {
 		encodeFailed(w, r, err)
@@ -423,8 +493,26 @@ func writeAnswer(w http.ResponseWriter, r *http.Request, res *lorel.Result, stat
 	}
 	tr.SpanNote(obs.StageRender, t0, note)
 	t0 = obs.Now()
-	writeBody(w, http.StatusOK, append(body, '\n'))
+	writeBody(w, http.StatusOK, parts...)
 	tr.Span(obs.StageWrite, t0)
+}
+
+// around encodes what goes before and after a member named key: head's
+// object without its closing brace, then `,"key":`; then tail's fields and
+// closing brace, then the newline json.Encoder ends a value with. Both
+// structs have at least one field, so the three parts are the encoding of
+// one object holding head's fields, the member and tail's fields: the member
+// is already compact, escaped JSON, so nothing copies or re-scans it.
+func around(head any, key string, tail any) (pre, post []byte, err error) {
+	if pre, err = json.Marshal(head); err != nil {
+		return nil, nil, err
+	}
+	if post, err = json.Marshal(tail); err != nil {
+		return nil, nil, err
+	}
+	pre = append(append(append(pre[:len(pre)-1], ',', '"'), key...), '"', ':')
+	post[0] = ','
+	return pre, append(post, '\n'), nil
 }
 
 type explainRequest struct {

@@ -100,6 +100,17 @@ func (g *Graph) Get(id OID) *Object {
 	return g.objects[id]
 }
 
+// readObjects hands a whole-graph walk the object table and the function
+// that ends the walk: a frozen graph is read without its lock, a mutable one
+// under one read lock for the walk rather than one per object.
+func (g *Graph) readObjects() (map[OID]*Object, func()) {
+	if g.frozen.Load() {
+		return g.objects, func() {}
+	}
+	g.mu.RLock()
+	return g.objects, g.mu.RUnlock
+}
+
 // KindOf returns the kind of the object with the given oid, or KindInvalid.
 func (g *Graph) KindOf(id OID) Kind {
 	if o := g.Get(id); o != nil {

@@ -2,9 +2,11 @@ package oem
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/base64"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,69 +35,167 @@ const indentUnit = "  "
 // Figure 3 notation. Roots are emitted in registration order; each root line
 // uses the root's name as its label.
 func EncodeText(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	seen := make(map[OID]bool)
-	for _, r := range g.Roots() {
-		if err := encodeObject(bw, g, r.Name, r.OID, 0, seen); err != nil {
-			return err
+	roots := g.Roots()
+	objects, done := g.readObjects()
+	t := textWalker{objects: objects}
+	var b []byte
+	var err error
+	for _, r := range roots {
+		if b, err = t.object(b, r.Name, r.OID, 0); err != nil {
+			break
 		}
 	}
-	return bw.Flush()
+	done()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // EncodeTextFrom writes a single subgraph rooted at id, labelling the root
 // line with label.
 func EncodeTextFrom(w io.Writer, g *Graph, label string, id OID) error {
-	bw := bufio.NewWriter(w)
-	if err := encodeObject(bw, g, label, id, 0, make(map[OID]bool)); err != nil {
+	b, err := AppendText(nil, g, label, id)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(b)
+	return err
 }
 
-// TextString renders a subgraph as a string; convenience over EncodeTextFrom.
+// TextString renders a subgraph as a string; convenience over AppendText.
+// On a reference to a missing object the text stops before that line.
 func TextString(g *Graph, label string, id OID) string {
-	var sb strings.Builder
-	_ = EncodeTextFrom(&sb, g, label, id)
-	return sb.String()
+	b, _ := AppendText(nil, g, label, id)
+	return string(b)
 }
 
-func encodeObject(w *bufio.Writer, g *Graph, label string, id OID, depth int, seen map[OID]bool) error {
-	o := g.Get(id)
+// AppendText appends the Figure 3 text of the subgraph rooted at id, its
+// root line labelled label, to dst and returns the extended slice. A
+// reference to an object g does not hold is an error; the slice returned
+// with it ends before the line that could not be written.
+func AppendText(dst []byte, g *Graph, label string, id OID) ([]byte, error) {
+	objects, done := g.readObjects()
+	defer done()
+	t := textWalker{objects: objects}
+	return t.object(dst, label, id, 0)
+}
+
+// textWalker renders one Figure 3 text: seen holds the complex objects
+// already expanded, whose later occurrences print only their line.
+type textWalker struct {
+	objects map[OID]*Object
+	seen    oidSet
+}
+
+func (t *textWalker) object(b []byte, label string, id OID, depth int) ([]byte, error) {
+	o := t.objects[id]
 	if o == nil {
-		return fmt.Errorf("oem: encode: no object %v", id)
+		return b, fmt.Errorf("oem: encode: no object %v", id)
 	}
+	b = appendLine(b, depth, label, o.ID, o)
+	if o.Kind != KindComplex || t.seen.has(id) {
+		return b, nil
+	}
+	t.seen.add(id)
+	for _, r := range o.Refs {
+		var err error
+		if b, err = t.object(b, r.Label, r.Target, depth+1); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// appendLine is the one line writer of both text forms: indent, label, the
+// oid (elided when 0), the kind and, for an atom, its value.
+func appendLine(b []byte, depth int, label string, id OID, o *Object) []byte {
+	b = appendLabel(appendIndent(b, depth), label)
+	if id != 0 {
+		b = append(b, " &"...)
+		b = strconv.AppendUint(b, uint64(id), 10)
+	}
+	b = append(append(b, ' '), o.Kind.String()...)
+	if o.Kind != KindComplex {
+		b = appendValue(append(b, ' '), o)
+	}
+	return append(b, '\n')
+}
+
+func appendIndent(b []byte, depth int) []byte {
 	for i := 0; i < depth; i++ {
-		if _, err := w.WriteString(indentUnit); err != nil {
-			return err
-		}
+		b = append(b, indentUnit...)
 	}
-	if _, err := fmt.Fprintf(w, "%s %s %s", sanitizeLabel(label), o.ID, o.Kind); err != nil {
-		return err
-	}
+	return b
+}
+
+// appendValue appends an atom's value as the text forms show it: what
+// AtomString gives, except that a gif is its base64 payload.
+func appendValue(b []byte, o *Object) []byte {
 	switch o.Kind {
-	case KindComplex:
-		if seen[id] {
-			// Previously described: reference only.
-			_, err := w.WriteString("\n")
-			return err
-		}
-		seen[id] = true
-		if _, err := w.WriteString("\n"); err != nil {
-			return err
-		}
-		for _, r := range o.Refs {
-			if err := encodeObject(w, g, r.Label, r.Target, depth+1, seen); err != nil {
-				return err
-			}
-		}
-		return nil
+	case KindInt:
+		return strconv.AppendInt(b, o.Int, 10)
+	case KindReal:
+		return strconv.AppendFloat(b, o.Real, 'g', -1, 64)
+	case KindString, KindURL:
+		return appendQuote(b, o.Str)
+	case KindBool:
+		return strconv.AppendBool(b, o.Bool)
 	case KindGif:
-		_, err := fmt.Fprintf(w, " %s\n", base64.StdEncoding.EncodeToString(o.Raw))
-		return err
-	default:
-		_, err := fmt.Fprintf(w, " %s\n", o.AtomString())
-		return err
+		return base64.StdEncoding.AppendEncode(b, o.Raw)
+	}
+	return b
+}
+
+// appendQuote is strconv.AppendQuote with a fast path for the common case,
+// printable ASCII with nothing to escape, which Quote copies verbatim.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendLabel appends a reference label: "_" for the empty one, quoted when
+// it holds a separator the line format splits on.
+func appendLabel(b []byte, label string) []byte {
+	if label == "" {
+		return append(b, '_')
+	}
+	for i := 0; i < len(label); i++ {
+		switch label[i] {
+		case ' ', '\t', '\n', '&':
+			return strconv.AppendQuote(b, label)
+		}
+	}
+	return append(b, label...)
+}
+
+// oidSet is a set of oids as a bitmap. Graphs number their objects densely
+// from 1, so it costs a bit per object up to the highest oid it holds.
+type oidSet []uint64
+
+func (s oidSet) has(id OID) bool {
+	w := id >> 6
+	return w < OID(len(s)) && s[w]&(1<<(id&63)) != 0
+}
+
+func (s *oidSet) add(id OID) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+func (s oidSet) remove(id OID) {
+	if w := id >> 6; w < OID(len(s)) {
+		s[w] &^= 1 << (id & 63)
 	}
 }
 
@@ -109,54 +209,42 @@ func encodeObject(w *bufio.Writer, g *Graph, label string, id OID, depth int, se
 // substructure is expanded at every occurrence; a per-path guard renders a
 // back-edge as "<cycle>".
 func CanonicalText(g *Graph, label string, id OID) string {
-	var sb strings.Builder
-	canonicalObject(&sb, g, label, id, 0, make(map[OID]bool))
-	return sb.String()
+	objects, done := g.readObjects()
+	defer done()
+	c := canonicalWalker{objects: objects}
+	return string(c.object(nil, label, id, 0))
 }
 
-func canonicalObject(sb *strings.Builder, g *Graph, label string, id OID, depth int, onPath map[OID]bool) {
-	o := g.Get(id)
-	for i := 0; i < depth; i++ {
-		sb.WriteString(indentUnit)
-	}
-	if o == nil {
-		fmt.Fprintf(sb, "%s <missing>\n", sanitizeLabel(label))
-		return
-	}
-	if onPath[id] {
-		fmt.Fprintf(sb, "%s <cycle>\n", sanitizeLabel(label))
-		return
-	}
-	switch o.Kind {
-	case KindComplex:
-		fmt.Fprintf(sb, "%s complex\n", sanitizeLabel(label))
-		onPath[id] = true
-		children := make([]string, 0, len(o.Refs))
-		for _, r := range o.Refs {
-			var child strings.Builder
-			canonicalObject(&child, g, r.Label, r.Target, depth+1, onPath)
-			children = append(children, child.String())
-		}
-		delete(onPath, id)
-		sort.Strings(children)
-		for _, c := range children {
-			sb.WriteString(c)
-		}
-	case KindGif:
-		fmt.Fprintf(sb, "%s gif %s\n", sanitizeLabel(label), base64.StdEncoding.EncodeToString(o.Raw))
-	default:
-		fmt.Fprintf(sb, "%s %s %s\n", sanitizeLabel(label), o.Kind, o.AtomString())
-	}
+// canonicalWalker renders one CanonicalText: onPath holds the complex
+// objects between the root and the line being written.
+type canonicalWalker struct {
+	objects map[OID]*Object
+	onPath  oidSet
 }
 
-func sanitizeLabel(label string) string {
-	if label == "" {
-		return "_"
+func (c *canonicalWalker) object(b []byte, label string, id OID, depth int) []byte {
+	o := c.objects[id]
+	switch {
+	case o == nil:
+		return append(appendLabel(appendIndent(b, depth), label), " <missing>\n"...)
+	case c.onPath.has(id):
+		return append(appendLabel(appendIndent(b, depth), label), " <cycle>\n"...)
 	}
-	if strings.ContainsAny(label, " \t\n&") {
-		return strconv.Quote(label)
+	b = appendLine(b, depth, label, 0, o)
+	if o.Kind != KindComplex {
+		return b
 	}
-	return label
+	c.onPath.add(id)
+	children := make([][]byte, len(o.Refs))
+	for i, r := range o.Refs {
+		children[i] = c.object(nil, r.Label, r.Target, depth+1)
+	}
+	c.onPath.remove(id)
+	slices.SortFunc(children, bytes.Compare)
+	for _, child := range children {
+		b = append(b, child...)
+	}
+	return b
 }
 
 // DecodeText parses Figure 3 notation into a fresh graph, preserving the
