@@ -66,20 +66,19 @@ bench:
 # CI catches benchmarks that no longer build or crash — they must not rot
 # silently between careful runs (./... includes internal/mediator's
 # BenchmarkFetchPushdown/{1k,10k}, BenchmarkTranslateGO, BenchmarkPrunedMiss/
-# {1k,10k} and BenchmarkEpochProvenance/{1k,10k}, and the server's
-# BenchmarkAnswerEncode beside BenchmarkAPIQueryHit). The second pass
-# re-runs the E16 concurrent-throughput/batch benches under GOMAXPROCS=8 so
-# the lock-free epoch read path sees real goroutine concurrency even on
-# small CI runners.
-# The final lines smoke-run the E18 change-feed, E19 obs-overhead and E20
+# {1k,10k}, BenchmarkEpochProvenance/{1k,10k}, BenchmarkColdFuse and
+# BenchmarkAskBatch, internal/feed's BenchmarkNotifyFanout/{100,1000}, and
+# the server's BenchmarkAnswerEncode beside BenchmarkAPIQueryHit). The
+# second pass re-runs the parallel-fusion and batch benches under
+# GOMAXPROCS=8 so the sharded fuse and the lock-free epoch read path see
+# real goroutine concurrency even on small CI runners.
+# The final lines smoke-run the E19 obs-overhead and E20
 # introspection-overhead experiments through the annoda-bench runner itself
 # (including the -json recorder), so the CLI experiment path can't rot
 # independently of the benchmarks.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) test -run=NONE -bench='E16/(Concurrent|QueriesUnderRefreshChurn|AskBatch)' -benchtime=1x -cpu 8 .
-	$(GO) test -run=NONE -bench='E17/^(Restore|DeltaRefreshPersisted|RestoreReplay32)$$/^1k$$' -benchtime=1x .
-	$(GO) run ./cmd/annoda-bench -exp E18 -genes 200 -json /dev/null
+	$(GO) test -run=NONE -bench='ColdFuse|AskBatch' -benchtime=1x -cpu 8 ./internal/mediator
 	$(GO) run ./cmd/annoda-bench -exp E19 -genes 200 -json /dev/null
 	$(GO) run ./cmd/annoda-bench -exp E20 -genes 200 -json /dev/null
 

@@ -1,6 +1,6 @@
 // Benchmarks, one per paper experiment: BenchmarkE<n> runs every case of
 // experiment E<n> of internal/experiments as a sub-benchmark, once per
-// corpus scale (`go test -run xxx -bench 'E17/Restore/1k' .`). The
+// corpus scale (`go test -run xxx -bench 'E5/IntegratedView/1k' .`). The
 // registry holds each experiment's only definition; cmd/annoda-bench drives
 // the same cases. See EXPERIMENTS.md for the mapping to the paper's tables
 // and figures.
@@ -25,12 +25,6 @@ func BenchmarkE9(b *testing.B)  { benchExperiment(b, "E9") }
 func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") }
 func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") }
 func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") }
-func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") }
-func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") }
-func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") }
-func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") }
-func BenchmarkE18(b *testing.B) { benchExperiment(b, "E18") }
 func BenchmarkE19(b *testing.B) { benchExperiment(b, "E19") }
 func BenchmarkE20(b *testing.B) { benchExperiment(b, "E20") }
 
@@ -41,9 +35,6 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	for _, c := range e.Cases {
 		b.Run(c.Name, func(b *testing.B) {
-			if c.Scales == nil {
-				benchCase(b, c, 0)
-			}
 			for _, genes := range c.Scales {
 				b.Run(experiments.ScaleName(genes), func(b *testing.B) { benchCase(b, c, genes) })
 			}

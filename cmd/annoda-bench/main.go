@@ -1,8 +1,8 @@
 // Command annoda-bench regenerates every table and figure of the ANNODA
 // paper, and times the quantitative experiments attached to them, from the
 // experiment registry in internal/experiments. Run with no flags for
-// everything, or -exp E5 for one experiment (E1..E20). Every case runs at
-// the -genes corpus size. See EXPERIMENTS.md for the index.
+// everything, or -exp E5 for one experiment (-h lists the ids). Every case
+// runs at the -genes corpus size. See EXPERIMENTS.md for the index.
 //
 // -json FILE additionally writes each experiment's headline numbers as
 // machine-readable JSON (the BENCH_N.json files committed at the repo root
@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -27,18 +29,47 @@ import (
 // goroutines drive a parallel case.
 const goroutines = 8
 
+// errUsage marks a bad command line: main exits 2 on it, as package flag
+// does.
+var errUsage = errors.New("usage")
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E20) or 'all'")
-	genes := flag.Int("genes", 1000, "corpus size (genes)")
-	seed := flag.Uint64("seed", experiments.DefaultSeed, "corpus seed")
-	jsonOut := flag.String("json", "", "write headline numbers as JSON to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "annoda-bench:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the chosen experiments and writes their report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	fs := flag.NewFlagSet("annoda-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
+	genes := fs.Int("genes", 1000, "corpus size (genes, at least 1)")
+	seed := fs.Uint64("seed", experiments.DefaultSeed, "corpus seed")
+	jsonOut := fs.String("json", "", "write headline numbers as JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if *genes < 1 {
+		return fmt.Errorf("%w: -genes must be at least 1, got %d", errUsage, *genes)
+	}
 
 	exps := experiments.All()
 	if *exp != "all" {
 		e := experiments.Lookup(strings.ToUpper(*exp))
 		if e == nil {
-			fatal(fmt.Errorf("unknown experiment %q", *exp))
+			return fmt.Errorf("%w: unknown experiment %q (have %s)", errUsage, *exp, strings.Join(ids, ", "))
 		}
 		exps = []*experiments.Experiment{e}
 	}
@@ -46,28 +77,28 @@ func main() {
 	var sys *core.System // the printers' shared default system, built on first use
 	headlines := map[string]map[string]any{}
 	for _, e := range exps {
-		fmt.Printf("\n================ %s ================\n%s\n\n", e.ID, e.Artifact)
+		fmt.Fprintf(stdout, "\n================ %s ================\n%s\n\n", e.ID, e.Artifact)
 		if e.Print != nil {
 			if sys == nil {
 				var err error
 				if sys, err = env.System(mediator.Options{}); err != nil {
-					fatal(err)
+					return err
 				}
 			}
-			if err := e.Print(os.Stdout, sys); err != nil {
-				fatal(fmt.Errorf("%s: %w", e.ID, err))
+			if err := e.Print(stdout, sys); err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		timings := map[string]experiments.Timing{}
-		fmt.Printf("%-32s %8s %14s\n", "case", "ops", "per-op")
+		fmt.Fprintf(stdout, "%-32s %8s %14s\n", "case", "ops", "per-op")
 		for _, c := range e.Cases {
 			t, err := timeCase(env, c, max(1, e.Trials))
 			if err != nil {
-				fatal(fmt.Errorf("%s/%s: %w", e.ID, c.Name, err))
+				return fmt.Errorf("%s/%s: %w", e.ID, c.Name, err)
 			}
 			timings[c.Name] = t
-			fmt.Printf("%-32s %8d %14v\n", c.Name, t.Ops, t.PerOp.Round(100*time.Nanosecond))
+			fmt.Fprintf(stdout, "%-32s %8d %14v\n", c.Name, t.Ops, t.PerOp.Round(100*time.Nanosecond))
 		}
 		if e.Headlines != nil {
 			h := e.Headlines(timings)
@@ -77,12 +108,17 @@ func main() {
 				}
 			}
 			headlines[e.ID] = h
-			fmt.Printf("headlines: %v\n", h)
+			fmt.Fprintf(stdout, "headlines: %v\n", h)
 		}
 	}
-	if *jsonOut != "" {
-		writeHeadlines(*jsonOut, *genes, *seed, headlines)
+	if *jsonOut == "" {
+		return nil
 	}
+	if err := writeHeadlines(*jsonOut, *genes, *seed, headlines); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nheadline numbers written to %s\n", *jsonOut)
+	return nil
 }
 
 // timeCase sets the case up on env's corpus and times trials runs of its
@@ -140,22 +176,14 @@ func runRounds(op experiments.Op, base, rounds, workers int) error {
 	return first
 }
 
-func writeHeadlines(path string, genes int, seed uint64, headlines map[string]map[string]any) {
+func writeHeadlines(path string, genes int, seed uint64, headlines map[string]map[string]any) error {
 	data, err := json.MarshalIndent(struct {
 		Genes       int                       `json:"genes"`
 		Seed        uint64                    `json:"seed"`
 		Experiments map[string]map[string]any `json:"experiments"`
 	}{genes, seed, headlines}, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("\nheadline numbers written to %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "annoda-bench:", err)
-	os.Exit(1)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

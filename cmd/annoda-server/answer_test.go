@@ -66,9 +66,10 @@ func referenceAsk(t *testing.T, v *core.View, st *mediator.Stats) []byte {
 	return referenceEncode(t, resp)
 }
 
-// e13Asks are the five E13 questions as /api/ask bodies beside their
-// Question values.
-var e13Asks = []struct {
+// askBodies are /api/ask bodies beside their Question values: the Figure
+// 5(b) question, then one body per other request shape the endpoint takes
+// (a lone include, combine "any", a field condition, a lone exclude).
+var askBodies = []struct {
 	body string
 	q    core.Question
 }{
@@ -106,7 +107,7 @@ func TestAnswerBodiesMatchReferenceEncoder(t *testing.T) {
 	wantHits := map[string]bool{"miss": false, "first hit": true, "later hit": true}
 	order := []string{"miss", "first hit", "later hit"}
 
-	for _, a := range e13Asks {
+	for _, a := range askBodies {
 		bodies := map[string][]byte{}
 		for _, step := range order {
 			rec := postJSON(t, h, "/api/ask", a.body)
@@ -250,7 +251,7 @@ func TestPrunedQuestionDescribesTheEpoch(t *testing.T) {
 func TestAnswerBodiesUncached(t *testing.T) {
 	h := newMux(freshSystemWith(t, mediator.Options{DisableCache: true, Obs: quietObs()}), muxConfig{})
 	for i := 0; i < 2; i++ {
-		rec := postJSON(t, h, "/api/ask", e13Asks[0].body)
+		rec := postJSON(t, h, "/api/ask", askBodies[0].body)
 		var resp askResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
@@ -392,13 +393,13 @@ func TestHotEntryConcurrentReaders(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodPost, "/api/ask", bytes.NewReader([]byte(e13Asks[0].body)))
+			req := httptest.NewRequest(http.MethodPost, "/api/ask", bytes.NewReader([]byte(askBodies[0].body)))
 			h.ServeHTTP(rec, req)
 			bodies[i] = rec.Body.Bytes()
 		}(i)
 	}
 	wg.Wait()
-	hitBody := postJSON(t, h, "/api/ask", e13Asks[0].body).Body.Bytes()
+	hitBody := postJSON(t, h, "/api/ask", askBodies[0].body).Body.Bytes()
 	missBody := bytes.Replace(hitBody, []byte(`"cache":{"hit":true}`), []byte(`"cache":{"hit":false}`), 1)
 	misses := 0
 	for i, b := range bodies {
@@ -434,7 +435,7 @@ func TestRenderAndWriteStagesTraced(t *testing.T) {
 			h := newMux(freshSystemWith(t, tc.opts), muxConfig{})
 			var notes [3]string
 			for i := range notes {
-				rid := postJSON(t, h, "/api/ask", e13Asks[0].body).Header().Get("X-Request-ID")
+				rid := postJSON(t, h, "/api/ask", askBodies[0].body).Header().Get("X-Request-ID")
 				stages := map[string]string{}
 				for _, tv := range o.Tracer.Recent() {
 					if tv.ID == rid {

@@ -155,7 +155,7 @@ func refreshGO(t *testing.T, sys *core.System, tag string) {
 		t.Fatal(err)
 	}
 	*sys.GO = *st
-	rr, err := sys.Manager.RefreshSource("GO")
+	rr, err := sys.Manager.RefreshSourceCtx(context.Background(), "GO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestWatchStandingQuerySSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	*sys.LocusLink = *db
-	if _, err := sys.Manager.RefreshSource("LocusLink"); err != nil {
+	if _, err := sys.Manager.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 		t.Fatal(err)
 	}
 	want := freshText()

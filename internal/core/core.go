@@ -114,15 +114,10 @@ func (s *System) QueryCtx(ctx context.Context, src string) (*lorel.Result, *medi
 	return s.Manager.QueryStringCtx(ctx, src)
 }
 
-// QueryBatch runs many Lorel queries as one batch: all snapshot-safe
+// QueryBatchCtx runs many Lorel queries as one batch: all snapshot-safe
 // questions evaluate concurrently against a single pinned epoch, so every
 // answer describes the same consistent annotation world (the THEA-style
-// many-questions workload).
-func (s *System) QueryBatch(queries []string) ([]mediator.BatchAnswer, *mediator.Stats, error) {
-	return s.Manager.AskBatch(queries)
-}
-
-// QueryBatchCtx is QueryBatch recording into the request trace carried by
+// many-questions workload). It records into the request trace carried by
 // ctx.
 func (s *System) QueryBatchCtx(ctx context.Context, queries []string) ([]mediator.BatchAnswer, *mediator.Stats, error) {
 	return s.Manager.AskBatchCtx(ctx, queries)
@@ -377,7 +372,7 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 	out := make([]BatchResult, len(symbols))
 	// The whole batch reads one pinned snapshot epoch (WithFusedGraph):
 	// the epoch is immutable, so every worker sees the same consistent
-	// world even while a concurrent RefreshSource publishes newer epochs.
+	// world even while a concurrent RefreshSourceCtx publishes newer epochs.
 	err := s.Manager.WithFusedGraph(func(fused *oem.Graph, _ *mediator.Stats) error {
 		// Index fused genes by canonical symbol once.
 		idx := map[string]oem.OID{}

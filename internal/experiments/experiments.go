@@ -1,4 +1,4 @@
-// Package experiments defines every E-experiment of EXPERIMENTS.md once:
+// Package experiments defines every live E-experiment of EXPERIMENTS.md once:
 // its id, the paper artifact it reproduces, an optional printer that
 // regenerates the artifact, and named cases. A case is a setup on a corpus
 // that returns the operation one timed iteration performs, with whatever
@@ -29,7 +29,6 @@ type Case struct {
 	Name string
 	// Scales are the corpus sizes, in genes, `go test -bench` runs the case
 	// at, one sub-benchmark each; annoda-bench runs it once, at its -genes.
-	// Nil means the case reads no corpus.
 	Scales []int
 	// Parallel cases run their op from many goroutines at once.
 	Parallel bool
@@ -66,7 +65,7 @@ type Experiment struct {
 func All() []*Experiment {
 	return []*Experiment{
 		e1, e2, e3, e4, e5, e6, e7, e8, e9, e10,
-		e11, e12, e13, e14, e15, e16, e17, e18, e19, e20,
+		e11, e12, e19, e20,
 	}
 }
 
@@ -87,16 +86,11 @@ type Env struct {
 	cleanups []func()
 }
 
-// NewEnv returns an Env over a generated corpus of the given size (no
-// corpus when genes is 0).
+// NewEnv returns an Env over a generated corpus of the given size.
 func NewEnv(genes int, seed uint64) *Env {
-	env := &Env{}
-	if genes > 0 {
-		cfg := datagen.DefaultConfig()
-		cfg.Genes, cfg.Seed = genes, seed
-		env.Corpus = datagen.Generate(cfg)
-	}
-	return env
+	cfg := datagen.DefaultConfig()
+	cfg.Genes, cfg.Seed = genes, seed
+	return &Env{Corpus: datagen.Generate(cfg)}
 }
 
 // DefaultSeed is the corpus seed both drivers use unless told otherwise.
@@ -139,14 +133,11 @@ func ScaleName(genes int) string {
 	return fmt.Sprint(genes)
 }
 
-// ratio is a/b, the speedup and overhead headlines' building block (0 when
-// b measured nothing).
-func ratio(a, b Timing) float64 {
+// overheadPct is how much slower a is than b, in percent (0 when b
+// measured nothing).
+func overheadPct(a, b Timing) float64 {
 	if b.PerOp <= 0 {
 		return 0
 	}
-	return float64(a.PerOp) / float64(b.PerOp)
+	return (float64(a.PerOp)/float64(b.PerOp) - 1) * 100
 }
-
-// overheadPct is how much slower a is than b, in percent.
-func overheadPct(a, b Timing) float64 { return (ratio(a, b) - 1) * 100 }

@@ -2,7 +2,9 @@ package feed
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -252,5 +254,48 @@ func closeAll(h *Hub) {
 	h.mu.Unlock()
 	for _, s := range subs {
 		s.Close()
+	}
+}
+
+// BenchmarkNotifyFanout publishes one change event per iteration and waits
+// until every subscriber's consumer goroutine has drained it: the time is
+// publish-to-consumed, not just the enqueue.
+func BenchmarkNotifyFanout(b *testing.B) {
+	for _, subs := range []int{100, 1000} {
+		b.Run(fmt.Sprint(subs), func(b *testing.B) {
+			h := NewHub()
+			var consumed atomic.Int64
+			var wg sync.WaitGroup
+			for range subs {
+				s := h.Subscribe(Options{Buffer: 256})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						for _, ok := s.Next(); ok; _, ok = s.Next() {
+							consumed.Add(1)
+						}
+						if s.Closed() {
+							return
+						}
+						<-s.Notify()
+					}
+				}()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Publish(Event{
+					Kind: KindChange, Source: "GO",
+					Concepts: []string{"Annotation"}, Fingerprint: uint64(i + 1),
+				}, nil)
+				for consumed.Load() < int64(subs)*int64(i+1) {
+					runtime.Gosched()
+				}
+			}
+			b.StopTimer()
+			closeAll(h)
+			wg.Wait()
+		})
 	}
 }

@@ -10,14 +10,14 @@ import (
 )
 
 // Batch evaluation: THEA-style ontology analyses ask hundreds of related
-// questions over one stable annotation world. AskBatch pins a single
+// questions over one stable annotation world. AskBatchCtx pins a single
 // snapshot epoch for the whole batch — one atomic load, amortized over N
 // questions — and evaluates the compiled plans concurrently against the
 // frozen epoch graph, so the batch scales with cores and every answer
 // describes the same consistent world even while refreshes publish new
 // epochs underneath.
 
-// BatchAnswer is one question's outcome within an AskBatch call. Result
+// BatchAnswer is one question's outcome within an AskBatchCtx call. Result
 // and Stats are nil when Err is set; answers arrive in input order.
 type BatchAnswer struct {
 	Query  string
@@ -26,7 +26,7 @@ type BatchAnswer struct {
 	Err    error
 }
 
-// AskBatch parses, compiles and evaluates many Lorel queries as one
+// AskBatchCtx parses, compiles and evaluates many Lorel queries as one
 // batch. Snapshot-safe questions (the common case for generated analysis
 // workloads) are evaluated lock-free against one pinned epoch, bypassing
 // the result cache — strict same-world semantics beat reuse inside a
@@ -37,13 +37,9 @@ type BatchAnswer struct {
 //
 // The aggregate Stats describes the batch: BatchQuestions is the question
 // count and EvalTime the total wall-clock evaluation time (String reports
-// the per-question share).
-func (m *Manager) AskBatch(queries []string) ([]BatchAnswer, *Stats, error) {
-	return m.AskBatchCtx(context.Background(), queries)
-}
-
-// AskBatchCtx is AskBatch recording into the request trace carried by ctx
-// (or a fresh one when observability is on and ctx has none).
+// the per-question share). The batch records into the request trace
+// carried by ctx (or a fresh one when observability is on and ctx has
+// none).
 func (m *Manager) AskBatchCtx(ctx context.Context, queries []string) ([]BatchAnswer, *Stats, error) {
 	op := m.beginOp(ctx, "batch", fmt.Sprintf("%d questions", len(queries)))
 	answers, stats, err := m.askBatch(queries, op.tr)

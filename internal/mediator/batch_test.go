@@ -1,12 +1,14 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/oem"
 )
 
@@ -19,7 +21,7 @@ func TestAskBatchMatchesIndividualQueries(t *testing.T) {
 		`select G from ANNODA-GML.Gene G where exists G.Disease`, // prunes GO: snapshot-safe under a mask
 		`select G from ANNODA-GML.Gene G where G.GeneID > 0`,     // not snapshot-safe: pushes down
 	}
-	answers, agg, err := m.AskBatch(queries)
+	answers, agg, err := m.AskBatchCtx(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestAskBatchMatchesIndividualQueries(t *testing.T) {
 
 func TestAskBatchPartialFailure(t *testing.T) {
 	m := manager(t, corpus(), Options{})
-	answers, _, err := m.AskBatch([]string{snapshotQ, "select from where nonsense"})
+	answers, _, err := m.AskBatchCtx(context.Background(), []string{snapshotQ, "select from where nonsense"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +74,14 @@ func TestAskBatchPartialFailure(t *testing.T) {
 	if answers[1].Err == nil {
 		t.Error("malformed question did not fail its answer")
 	}
-	if _, _, err := m.AskBatch(nil); err == nil {
+	if _, _, err := m.AskBatchCtx(context.Background(), nil); err == nil {
 		t.Error("empty batch did not error")
 	}
 }
 
 func TestAskBatchDisabledCache(t *testing.T) {
 	m := manager(t, corpus(), Options{DisableCache: true})
-	answers, agg, err := m.AskBatch([]string{snapshotQ, snapshotQ})
+	answers, agg, err := m.AskBatchCtx(context.Background(), []string{snapshotQ, snapshotQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestAskBatchDisabledCache(t *testing.T) {
 }
 
 // TestPinnedEpochServesPreRefreshWorld: a reader pinned to an epoch keeps
-// the pre-refresh world even while RefreshSource publishes new epochs —
+// the pre-refresh world even while RefreshSourceCtx publishes new epochs —
 // and, unlike the retired read-lock design, the pinned reader does not
 // block the refresh (this test would deadlock under the old contract,
 // because fn waits for a refresh that would have needed fn's read lock).
@@ -124,7 +126,7 @@ func TestPinnedEpochServesPreRefreshWorld(t *testing.T) {
 			corpusMu.Lock()
 			c.Genes[3].Description = "EPOCH-EDITED"
 			corpusMu.Unlock()
-			_, err := m.RefreshSource("LocusLink")
+			_, err := m.RefreshSourceCtx(context.Background(), "LocusLink")
 			done <- err
 		}()
 		if err := <-done; err != nil {
@@ -159,8 +161,8 @@ func TestPinnedEpochServesPreRefreshWorld(t *testing.T) {
 	}
 }
 
-// TestConcurrentAskBatchAndRefresh hammers Ask, AskBatch and FusedGraph
-// readers against a stream of RefreshSource publications under -race: no
+// TestConcurrentAskBatchAndRefresh hammers Ask, AskBatchCtx and FusedGraph
+// readers against a stream of RefreshSourceCtx publications under -race: no
 // error, no empty world, no torn reads.
 func TestConcurrentAskBatchAndRefresh(t *testing.T) {
 	c := corpus()
@@ -199,7 +201,7 @@ func TestConcurrentAskBatchAndRefresh(t *testing.T) {
 					return
 				default:
 				}
-				answers, _, err := m.AskBatch(queries)
+				answers, _, err := m.AskBatchCtx(context.Background(), queries)
 				if err != nil {
 					t.Error(err)
 					return
@@ -241,7 +243,7 @@ func TestConcurrentAskBatchAndRefresh(t *testing.T) {
 		corpusMu.Lock()
 		c.Genes[20+r].Description = fmt.Sprintf("churn %d", r)
 		corpusMu.Unlock()
-		if _, err := m.RefreshSource("LocusLink"); err != nil {
+		if _, err := m.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 			t.Error(err)
 			break
 		}
@@ -249,4 +251,79 @@ func TestConcurrentAskBatchAndRefresh(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	assertEquivalent(t, m, c)
+}
+
+// askBatchQuestions are 64 distinct snapshot-safe questions: snapshotQ's
+// symbols plus a bit-selected set of structural conjuncts, none of them
+// pushdown-eligible.
+func askBatchQuestions() []string {
+	extra := [...]string{
+		" and exists G.Annotation.GoID", " and exists G.Annotation.Evidence",
+		" and exists G.Annotation.Term", " and exists G.Links",
+		" and exists G.Links.GO", " and not exists G.Disease.MimNumber",
+	}
+	qs := make([]string, 1<<len(extra))
+	for i := range qs {
+		var sb strings.Builder
+		sb.WriteString(`select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`)
+		for bit := range extra {
+			if i&(1<<bit) != 0 {
+				sb.WriteString(extra[bit])
+			}
+		}
+		qs[i] = sb.String()
+	}
+	return qs
+}
+
+// BenchmarkAskBatch answers 64 distinct questions per iteration over a
+// 1k-gene corpus, with a result cache too small to hold them: as one batch
+// on one pinned epoch (8 workers), or one Query after another.
+func BenchmarkAskBatch(b *testing.B) {
+	cfg := datagen.DefaultConfig()
+	cfg.Genes = 1000
+	c := datagen.Generate(cfg)
+	queries := askBatchQuestions()
+	for _, tc := range []struct {
+		name string
+		ask  func(m *Manager) error
+	}{
+		{"1k/batch", func(m *Manager) error {
+			answers, _, err := m.AskBatchCtx(context.Background(), queries)
+			if err != nil {
+				return err
+			}
+			for i, a := range answers {
+				if a.Err != nil {
+					return a.Err
+				}
+				if !a.Stats.SnapshotUsed {
+					return fmt.Errorf("batch question %d missed the pinned epoch", i)
+				}
+			}
+			return nil
+		}},
+		{"1k/sequential", func(m *Manager) error {
+			for _, q := range queries {
+				if _, _, err := m.QueryString(q); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := manager(b, c, Options{CacheSize: 16, Workers: 8})
+			if _, _, err := m.QueryString(queries[0]); err != nil { // builds the epoch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tc.ask(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

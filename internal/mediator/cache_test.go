@@ -174,6 +174,8 @@ func TestSnapshotFastPathSharedAcrossDistinctQueries(t *testing.T) {
 		`select G from ANNODA-GML.Gene G where exists G.Annotation or exists G.Disease`,
 		`select G from ANNODA-GML.Gene G where not exists G.Disease and exists G.Annotation`,
 		`select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease`,
+		// Structural conjuncts on nested attributes stay snapshot-safe.
+		`select G.Symbol from ANNODA-GML.Gene G where exists G.Annotation.GoID and exists G.Annotation.Evidence and exists G.Links.GO and not exists G.Disease.MimNumber`,
 	}
 	for i, src := range queries {
 		res, stats, err := m.QueryString(src)
@@ -200,7 +202,7 @@ func TestSnapshotFastPathSharedAcrossDistinctQueries(t *testing.T) {
 		t.Fatalf("snapshot hits = %d, want %d", n, len(queries))
 	}
 	// One cache miss per distinct query; the shared fused snapshot lives
-	// outside the result cache (it is patched in place by RefreshSource)
+	// outside the result cache (it is patched in place by RefreshSourceCtx)
 	// and so contributes no miss of its own.
 	if n := metric(m, "annoda_cache_misses_total"); n != int64(len(queries)) {
 		t.Errorf("%d cache misses for %d distinct queries, want %d", n, len(queries), len(queries))

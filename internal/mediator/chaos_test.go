@@ -198,7 +198,7 @@ func TestDegradedFusionAndReadmission(t *testing.T) {
 }
 
 // TestReadmissionIsInstrumentedLikeRefresh: probe re-admission runs the same
-// publish step as RefreshSource, so it observes the feed-publish histogram
+// publish step as RefreshSourceCtx, so it observes the feed-publish histogram
 // (the hand-copied path forgot to), and its rebuild fallback records the
 // standing-query re-evaluation span like a refresh's does.
 func TestReadmissionIsInstrumentedLikeRefresh(t *testing.T) {
@@ -482,7 +482,7 @@ func TestChaosSoak(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := m.AskBatch(deltaEquivQueries[:3]); err != nil {
+			if _, _, err := m.AskBatchCtx(context.Background(), deltaEquivQueries[:3]); err != nil {
 				batchErrs.Add(1)
 				t.Errorf("batch error under chaos: %v", err)
 				return
@@ -501,7 +501,7 @@ func TestChaosSoak(t *testing.T) {
 			// Refresh errors are legitimate during chaos (the refresh path
 			// reports source failures, it does not hide them); what must
 			// hold is that they never poison the query path.
-			_, _ = m.RefreshSource("GO")
+			_, _ = m.RefreshSourceCtx(context.Background(), "GO")
 			time.Sleep(3 * time.Millisecond)
 		}
 	}()
@@ -526,7 +526,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, err := m.RefreshSource("GO"); err != nil {
+	if _, err := m.RefreshSourceCtx(context.Background(), "GO"); err != nil {
 		t.Fatalf("post-chaos refresh failed: %v", err)
 	}
 	got := answersOf(t, m)

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ var corpusMu sync.RWMutex
 
 // swapSource is a Wrapper over a mutable corpus: every Refresh rebuilds
 // the model from the corpus's current contents, so a test mutates the
-// corpus and calls RefreshSource to simulate a live source update. It also
+// corpus and calls RefreshSourceCtx to simulate a live source update. It also
 // implements delta.Source; the native changelog (a diff against the
 // retained previous model) is only offered when native is set, so the
 // structural-differ fallback is exercised by default.
@@ -212,7 +213,7 @@ func assertSnapshotTight(t *testing.T, m *Manager, c *datagen.Corpus) {
 
 func refresh(t *testing.T, m *Manager, source string) *RefreshResult {
 	t.Helper()
-	rr, err := m.RefreshSource(source)
+	rr, err := m.RefreshSourceCtx(context.Background(), source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +586,7 @@ func TestRefreshUpsertStealsCollidingKey(t *testing.T) {
 	assertSnapshotTight(t, m, c)
 }
 
-// TestRefreshWindowServesPreRefreshWorld: while a RefreshSource is
+// TestRefreshWindowServesPreRefreshWorld: while a RefreshSourceCtx is
 // mid-flight (version bumped, delta not yet propagated) concurrent
 // queries keep serving the pre-refresh world from cache and snapshot
 // instead of nuking everything; once the gate lifts, an out-of-band
@@ -596,7 +597,7 @@ func TestRefreshWindowServesPreRefreshWorld(t *testing.T) {
 	if _, _, err := m.QueryString(snapshotQ); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the middle of a RefreshSource: gate held, version bumped.
+	// Simulate the middle of a RefreshSourceCtx: gate held, version bumped.
 	m.refreshing.Add(1)
 	m.Registry().Get("GO").Refresh()
 	_, stats, err := m.QueryString(snapshotQ)
@@ -748,11 +749,11 @@ func TestRefreshSourceNative(t *testing.T) {
 func TestRefreshSourceFallbacks(t *testing.T) {
 	c := corpus()
 	m := mutManager(t, c, Options{})
-	if _, err := m.RefreshSource("NoSuchSource"); err == nil {
-		t.Error("RefreshSource accepted an unknown source")
+	if _, err := m.RefreshSourceCtx(context.Background(), "NoSuchSource"); err == nil {
+		t.Error("RefreshSourceCtx accepted an unknown source")
 	}
 	plain := mutManager(t, c, Options{DisableCache: true})
-	rr, err := plain.RefreshSource("GO")
+	rr, err := plain.RefreshSourceCtx(context.Background(), "GO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +797,7 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 		corpusMu.Lock()
 		c.Genes[40+r].Description = fmt.Sprintf("concurrent edit %d", r)
 		corpusMu.Unlock()
-		if _, err := m.RefreshSource("LocusLink"); err != nil {
+		if _, err := m.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 			t.Error(err)
 			break
 		}

@@ -146,3 +146,27 @@ func TestParallelFusionQueryAnswers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkColdFuse builds the recorded fused snapshot from scratch per
+// iteration over a 10k-gene federation: the cold-start and
+// MaxDeltaFraction-fallback cost. workers-1 is the sequential reference
+// fusion; workers-8 pins the sharded path even on a host with fewer cores.
+func BenchmarkColdFuse(b *testing.B) {
+	cfg := datagen.DefaultConfig()
+	cfg.Genes = 10000
+	m := manager(b, datagen.Generate(cfg), Options{})
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("10k/workers-%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, _, err := New(m.reg, m.gl, Options{Workers: workers}).FusedGraph()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.Len() == 0 {
+					b.Fatal("empty fused graph")
+				}
+			}
+		})
+	}
+}

@@ -36,7 +36,7 @@ type Options struct {
 	// DisablePushdown turns off per-source predicate pre-filtering and
 	// semi-join link fetching.
 	DisablePushdown bool
-	// Workers bounds the source fan-out, the fusion shards and AskBatch's
+	// Workers bounds the source fan-out, the fusion shards and AskBatchCtx's
 	// evaluators (default: GOMAXPROCS); 1 runs all of them sequentially.
 	Workers int
 	// CacheSize bounds the sharded result cache in entries (default
@@ -46,10 +46,13 @@ type Options struct {
 	// until evicted or invalidated by a source change.
 	CacheTTL time.Duration
 	// DisableCache turns the result cache off entirely: every query
-	// recomputes the federated fan-out (the E13 ablation baseline).
+	// recomputes the federated fan-out on the per-query pipeline, with no
+	// epoch. annoda-server -nocache serves this way, and the benchmark
+	// oracle and the route-equivalence tests use it as the reference that
+	// shares neither the cache nor the epoch with the system under test.
 	DisableCache bool
 	// MaxDeltaFraction bounds how much of a source may change before
-	// RefreshSource abandons incremental maintenance and falls back to a
+	// RefreshSourceCtx abandons incremental maintenance and falls back to a
 	// full rebuild (<= 0 selects DefaultMaxDeltaFraction). Past the bound,
 	// patching entity by entity costs more than refusing.
 	MaxDeltaFraction float64
@@ -141,7 +144,7 @@ type Stats struct {
 	Masked []string
 
 	// BatchQuestions is the number of questions answered together by one
-	// AskBatch call (zero outside batch evaluation). EvalTime then holds
+	// AskBatchCtx call (zero outside batch evaluation). EvalTime then holds
 	// the batch's total wall-clock evaluation time; String reports the
 	// per-question share.
 	BatchQuestions int
@@ -217,7 +220,7 @@ type Manager struct {
 	// epoch is the published fused-snapshot epoch: an immutable
 	// {fuseState, stats, fingerprint} the read path pins with one atomic
 	// load and evaluates with no lock held (the epoch's graph is frozen).
-	// Publication — cold build, RefreshSource's clone-patch, full-rebuild
+	// Publication — cold build, RefreshSourceCtx's clone-patch, full-rebuild
 	// fallback — happens under epochMu, which readers never touch: this is
 	// RCU, writers pay for copies so readers pay nothing. A nil pointer
 	// means no epoch exists for the current source fingerprint and the next
@@ -225,7 +228,7 @@ type Manager struct {
 	epoch   atomic.Pointer[snapshot]
 	epochMu sync.Mutex
 
-	// refreshing counts in-flight RefreshSource calls. While nonzero,
+	// refreshing counts in-flight RefreshSourceCtx calls. While nonzero,
 	// ensureFresh suppresses the fingerprint-mismatch cache nuke and
 	// acquireSnapshot suppresses stale-snapshot rebuilds: the refresh in
 	// flight will invalidate selectively, patch the snapshot, and publish
@@ -262,7 +265,7 @@ type Manager struct {
 	translations translations
 
 	// hub is the live change-feed hub (nil with DisableCache — no epochs,
-	// nothing to notify about); RefreshSource publishes into it under
+	// nothing to notify about); RefreshSourceCtx publishes into it under
 	// epochMu so feed order matches epoch publication order. standingQs
 	// holds the registered standing queries (see watch.go).
 	hub        *feed.Hub
@@ -349,7 +352,7 @@ func (m *Manager) ensureFresh() {
 	fp := m.sourceFingerprint()
 	if old := m.lastFP.Load(); old != fp {
 		if m.refreshing.Load() > 0 {
-			// A RefreshSource is mid-flight: it bumped the version but has
+			// A RefreshSourceCtx is mid-flight: it bumped the version but has
 			// not finished propagating the delta. Nuking here would defeat
 			// the concept-scoped invalidation it is about to perform, so
 			// keep serving the pre-refresh world; the refresh drops stale
@@ -427,7 +430,7 @@ func (m *Manager) QueryCtx(ctx context.Context, q *lorel.Query) (*lorel.Result, 
 	// invalidation tags must be known when the singleflight call starts:
 	// InvalidateTags fences intersecting in-flight computations, and a
 	// call whose tags materialized only at store time could slip a stale
-	// result past a concurrent RefreshSource. The cost on the hit path is
+	// result past a concurrent RefreshSourceCtx. The cost on the hit path is
 	// one AST walk, the same order as the q.String() canonicalization the
 	// lookup already pays.
 	an, err := m.analyze(q)
@@ -443,11 +446,11 @@ func (m *Manager) QueryCtx(ctx context.Context, q *lorel.Query) (*lorel.Result, 
 // queryAnalyzed runs an already-canonicalized, already-analyzed query
 // through the result cache (when enabled; refreshing it first if the source
 // set changed) and the compute entry — the shared tail of Query and
-// AskBatch's snapshot-unsafe fallback. Every caller gets a deep copy of the
+// AskBatchCtx's snapshot-unsafe fallback. Every caller gets a deep copy of the
 // computation's stats stamped with its own cache flags: the stored Stats
 // are immutable, but the flags differ per caller, and the reference fields
 // must not be shared between callers. The entry is tagged with the concepts
-// the computation depended on (RefreshSource drops only entries whose tags
+// the computation depended on (RefreshSourceCtx drops only entries whose tags
 // intersect the changed source's concept).
 func (m *Manager) queryAnalyzed(q *lorel.Query, canon string, an *analysis, tr *obs.Trace) (*lorel.Result, *Stats, error) {
 	if m.cache == nil {
@@ -555,7 +558,7 @@ var errEpochDeclined = errors.New("mediator: the pinned epoch declined the query
 
 // snapshot is one published fused-snapshot epoch. Everything it references
 // is immutable: the fuseState's graph is frozen and its bookkeeping is
-// never mutated after publication (RefreshSource patches a clone and
+// never mutated after publication (RefreshSourceCtx patches a clone and
 // publishes that instead), so any number of goroutines can evaluate
 // against a pinned epoch with no synchronization at all, and a reader
 // pinned to an old epoch keeps a consistent pre-refresh world for as long
@@ -567,7 +570,7 @@ type snapshot struct {
 	// degraded lists the sources whose data this epoch is missing
 	// (degraded-mode fusion built it from the healthy subset). Sorted;
 	// nil for a complete epoch. A recovered source is folded back in by
-	// ProbeSource/RefreshSource, which publish a successor epoch without
+	// ProbeSource/RefreshSourceCtx, which publish a successor epoch without
 	// it in this set.
 	degraded []string
 	// prov is which link concept decided which gene attribute — what masks
@@ -581,7 +584,7 @@ type snapshot struct {
 // the mask that hides the concepts the query does not name. d is the
 // epoch-independent verdict queryCompute already took. No lock is held
 // during evaluation: the epoch is one atomic pointer load, its graph is
-// frozen, and a concurrent RefreshSource publishes a patched clone instead
+// frozen, and a concurrent RefreshSourceCtx publishes a patched clone instead
 // of mutating what this query is reading. It returns errEpochDeclined when
 // the epoch pinned cannot be masked for this query, and — for a query that
 // needs only some of the sources — when no epoch can be pinned, or one would
@@ -684,7 +687,7 @@ func (m *Manager) anySourceDown() bool {
 // immutable and garbage-collected when the last pinner drops it. built
 // reports whether this call constructed the epoch.
 //
-// While a RefreshSource is mid-flight (m.refreshing > 0) a stale epoch is
+// While a RefreshSourceCtx is mid-flight (m.refreshing > 0) a stale epoch is
 // served as-is: the refresh becomes visible atomically when it publishes
 // the patched epoch, and rebuilding here would only waste a full fusion
 // the patch supersedes. Readers during the window observe the pre-refresh
@@ -701,7 +704,7 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 			// the build, and verified unchanged after it: stamping a
 			// fingerprint observed before the lock could label an epoch
 			// built from newer models with an older fingerprint, and a
-			// concurrent RefreshSource would then double-apply its delta.
+			// concurrent RefreshSourceCtx would then double-apply its delta.
 			for {
 				fpPre := m.sourceFingerprint()
 				nfs, nstats, berr := m.buildFuseState()
@@ -914,7 +917,7 @@ func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 
 // WithFusedGraph runs fn over FusedGraph's graph: one pinned epoch, so fn
 // sees a consistent world for its whole duration no matter how many
-// RefreshSource calls publish new epochs meanwhile. fn holds no lock, may
+// RefreshSourceCtx calls publish new epochs meanwhile. fn holds no lock, may
 // run as long as it likes, and may safely call back into the manager
 // (including the refresh path: the refresh publishes a new epoch without
 // touching the one fn reads).

@@ -3,7 +3,7 @@ package mediator
 // Durable snapshot persistence: the mediator side of internal/snapstore.
 //
 // SaveSnapshot serializes the current fused-snapshot epoch into a
-// checkpoint; RefreshSource appends each applied ChangeSet to the
+// checkpoint; RefreshSourceCtx appends each applied ChangeSet to the
 // checkpoint's delta WAL (see persistDeltaLocked); LoadSnapshot walks the
 // recovery ladder at boot — newest valid checkpoint, WAL replayed through
 // the same fuseState.apply path a live refresh uses, falling back to the
@@ -151,7 +151,7 @@ func (m *Manager) saveLocked(ep *snapshot) (*SaveResult, error) {
 
 // persistDeltaLocked makes one applied ChangeSet durable: encode, append
 // to the WAL, and fold into a fresh checkpoint when the policy's bounds
-// are crossed. epochMu must be held (RefreshSource calls it right after
+// are crossed. epochMu must be held (RefreshSourceCtx calls it right after
 // publishing the patched epoch). Failures are absorbed: the in-memory
 // refresh already succeeded, so the worst case is a disk state that lags
 // by one delta.
@@ -248,14 +248,14 @@ type RestoreResult struct {
 
 // LoadSnapshot restores the fused world from disk: the newest checkpoint
 // that validates and decodes is patched forward through its delta WAL
-// (each record runs the exact apply path a live RefreshSource uses) and
+// (each record runs the exact apply path a live RefreshSourceCtx uses) and
 // published as the serving epoch — no wrapper fetch, no fusion. Corruption
 // at any level steps down the recovery ladder; when no rung holds, the
 // result reports a cold start and the manager behaves as if persistence
 // had just been enabled. The restored epoch is stamped with the *current*
 // source fingerprint: the checkpoint is trusted as the integrated view of
 // the sources as found at boot (refreshes that never reached the store
-// are caught up by the next RefreshSource).
+// are caught up by the next RefreshSourceCtx).
 func (m *Manager) LoadSnapshot() (*RestoreResult, error) {
 	return m.LoadSnapshotCtx(context.Background())
 }

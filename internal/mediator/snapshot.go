@@ -19,7 +19,7 @@ import (
 // stale fused entities, translate and re-fuse only the touched ones, and
 // re-reconcile only the genes whose contributions changed — instead of
 // rebuilding the whole integrated view. The patch target is a deep clone
-// of the published epoch's state (clone-patch-publish, see RefreshSource):
+// of the published epoch's state (clone-patch-publish, see RefreshSourceCtx):
 // the epoch readers hold is immutable and never sees a half-applied delta.
 
 // fuseState is the recorded fusion bookkeeping for one fused snapshot.
@@ -798,7 +798,7 @@ func int64Keys(m map[int64]bool) []int64 {
 // Manager-level refresh orchestration
 // ---------------------------------------------------------------------------
 
-// RefreshResult reports what one RefreshSource call did.
+// RefreshResult reports what one RefreshSourceCtx call did.
 type RefreshResult struct {
 	Source     string
 	OldVersion uint64
@@ -823,22 +823,18 @@ type RefreshResult struct {
 	Took        time.Duration
 }
 
-// RefreshSource refreshes one registered source and propagates the change
-// as a delta: the old and new ANNODA-OML models are compared (or the
-// wrapper's native changelog consulted), a clone of the current snapshot
+// RefreshSourceCtx refreshes one registered source and propagates the
+// change as a delta: the old and new ANNODA-OML models are compared (or
+// the wrapper's native changelog consulted), a clone of the current snapshot
 // epoch is patched and published as the next epoch, and only cached
 // results whose concepts the change touches are invalidated. When the
 // delta is unavailable or too large the call degrades to the pre-delta
 // behaviour — drop everything, rebuild on next use — so it is always safe
 // to call.
-func (m *Manager) RefreshSource(name string) (*RefreshResult, error) {
-	return m.RefreshSourceCtx(context.Background(), name)
-}
-
-// RefreshSourceCtx is RefreshSource recording into the request trace
-// carried by ctx (or a fresh one when observability is on and ctx has
-// none). The refresh's diff, patch, WAL-append, invalidation and
-// standing-query stages show up as spans.
+//
+// The refresh records into the request trace carried by ctx (or a fresh
+// one when observability is on and ctx has none): its diff, patch,
+// WAL-append, invalidation and standing-query stages show up as spans.
 func (m *Manager) RefreshSourceCtx(ctx context.Context, name string) (*RefreshResult, error) {
 	op := m.beginOp(ctx, "refresh", name)
 	rr, err := m.refreshSource(name, op.tr)
@@ -976,7 +972,7 @@ func (m *Manager) gateRefresh() (release func()) {
 	}
 }
 
-// publishDelta is the one clone-patch-publish step, shared by RefreshSource
+// publishDelta is the one clone-patch-publish step, shared by RefreshSourceCtx
 // and probe re-admission. The serving epoch stays untouched (readers pinned
 // to it keep a consistent pre-change world); when it still describes the
 // world cs was computed against (fp == fpBefore — patching anything newer

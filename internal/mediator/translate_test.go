@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -601,7 +602,7 @@ func TestTranslationMemoRace(t *testing.T) {
 		g := &c.Genes[40+r%len(queries)]
 		g.Description, g.LLMissingDesc = fmt.Sprintf("race edit %d", r), false
 		corpusMu.Unlock()
-		if _, err := m.RefreshSource("LocusLink"); err != nil {
+		if _, err := m.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 			t.Error(err)
 			break
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the mediator side of the live change feed (internal/feed):
-// RefreshSource publishes one event per refresh into the hub from inside
+// RefreshSourceCtx publishes one event per refresh into the hub from inside
 // the same epoch-writer critical section that publishes the snapshot epoch
 // and appends the delta to the WAL, so feed order == epoch publication
 // order == WAL order. Standing queries ride on top: a compiled snapshot-

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // drainFeed pops everything currently queued on a subscriber. Events are
-// enqueued synchronously by RefreshSource (publication happens under the
+// enqueued synchronously by RefreshSourceCtx (publication happens under the
 // epoch writer lock before the call returns), so sequential tests never
 // need to wait.
 func drainFeed(s *feed.Subscriber) []feed.Event {
@@ -450,7 +451,7 @@ func TestConcurrentFullRebuildsPublishLiveFP(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < 8; r++ {
 			editGene(c, targets[r%5], fmt.Sprintf("fp-ll-%d", r))
-			if _, err := m.RefreshSource("LocusLink"); err != nil {
+			if _, err := m.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -460,7 +461,7 @@ func TestConcurrentFullRebuildsPublishLiveFP(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < 8; r++ {
 			editAnnotations(c, gi, fmt.Sprintf("fp-go-%d", r))
-			if _, err := m.RefreshSource("GO"); err != nil {
+			if _, err := m.RefreshSourceCtx(context.Background(), "GO"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -496,7 +497,7 @@ func TestFeedConcurrentChurnOrdering(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			editGene(c, targets[r], fmt.Sprintf("cc-ll-%d", r))
-			if _, err := m.RefreshSource("LocusLink"); err != nil {
+			if _, err := m.RefreshSourceCtx(context.Background(), "LocusLink"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -506,7 +507,7 @@ func TestFeedConcurrentChurnOrdering(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			editAnnotations(c, gi, fmt.Sprintf("cc-go-%d", r))
-			if _, err := m.RefreshSource("GO"); err != nil {
+			if _, err := m.RefreshSourceCtx(context.Background(), "GO"); err != nil {
 				t.Error(err)
 				return
 			}

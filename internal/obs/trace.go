@@ -24,7 +24,7 @@ type Span struct {
 // the spans its stages recorded along the way. All methods are safe on a
 // nil receiver — that is the fast path when tracing is off or the request
 // was sampled out. Span appends take a small mutex because parallel fetch
-// and AskBatch workers record into the same trace concurrently.
+// and AskBatchCtx workers record into the same trace concurrently.
 //
 // After Finish a trace is immutable and published to the tracer's rings,
 // where /api/debug/traces readers walk it lock-free.
