@@ -91,11 +91,15 @@ benchmark-check:
 
 # loc prints production and test line counts: every tracked .go file outside
 # benchmark/ and testdata/, split on the _test.go suffix. "Production lines
-# go down" is a success metric of the round (ROADMAP aim 2).
+# go down" is a success metric of the round (ROADMAP aim 2). linked counts
+# the module's lines that the server, the CLI and the public annoda package
+# actually compile in.
 loc:
 	@files=$$(git ls-files '*.go' | grep -v -e '^benchmark/' -e '/testdata/'); \
 	echo "production: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
-	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
+	echo "test:       $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"; \
+	linked=$$($(GO) list -deps -f '{{if and .Module .Module.Main}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/annoda-server ./cmd/annoda ./annoda); \
+	echo "linked:     $$(cat $$linked | wc -l)"
 
 # metrics-check boots a real server on a loopback port, scrapes GET
 # /metrics after one warm-up query, and validates the scrape as Prometheus

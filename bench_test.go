@@ -7,6 +7,7 @@
 package main_test
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -36,10 +37,19 @@ func benchExperiment(b *testing.B, id string) {
 	for _, c := range e.Cases {
 		b.Run(c.Name, func(b *testing.B) {
 			for _, genes := range c.Scales {
-				b.Run(experiments.ScaleName(genes), func(b *testing.B) { benchCase(b, c, genes) })
+				b.Run(scaleName(genes), func(b *testing.B) { benchCase(b, c, genes) })
 			}
 		})
 	}
+}
+
+// scaleName renders a corpus size the way sub-benchmarks name it: 1000 is
+// "1k", 300 is "300".
+func scaleName(genes int) string {
+	if genes >= 1000 && genes%1000 == 0 {
+		return strconv.Itoa(genes/1000) + "k"
+	}
+	return strconv.Itoa(genes)
 }
 
 func benchCase(b *testing.B, c experiments.Case, genes int) {

@@ -1,6 +1,7 @@
 // Command annoda-lint runs the repository's invariant analyzers
 // (lockedcall, frozenmut, criticalerr, nowalltime — see
-// internal/analyzers) over Go packages.
+// internal/analyzers) over Go packages. Standalone, it also runs testonly
+// over all of them together, with the allowlist in allow.go.
 //
 // Standalone:
 //
@@ -72,6 +73,7 @@ func main() {
 		for _, a := range analyzers.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
+		fmt.Printf("%-12s %s\n", "testonly", "check that every production function is reached by production code (standalone only)")
 		return
 	}
 	if *promFile != "" {
@@ -102,9 +104,27 @@ func main() {
 		}
 		found += len(diags)
 	}
+	// testonly needs every unit of the module at once: only a standalone
+	// run over ./... has them.
+	for _, d := range testOnly(patterns, units) {
+		if d.Pos.IsValid() {
+			fmt.Println(analyzers.FormatDiagnostic(units[0].Fset, d))
+		} else {
+			fmt.Printf("%s: %s\n", d.Category, d.Message)
+		}
+		found++
+	}
 	if found > 0 {
 		log.Fatalf("%d finding(s)", found)
 	}
+}
+
+// testOnly runs the testonly rule when the run covers the whole module.
+func testOnly(patterns []string, units []*analyzers.Unit) []analyzers.Diagnostic {
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		return nil
+	}
+	return analyzers.TestOnly(units, testOnlyAllow)
 }
 
 // checkProm validates a saved /metrics scrape as Prometheus text

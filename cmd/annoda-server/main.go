@@ -113,7 +113,7 @@ code{background:#eef}a{color:#225}</style></head><body>
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	genes := flag.Int("genes", 1000, "corpus size")
+	genes := flag.Int("genes", 1000, "corpus size (genes, at least 1)")
 	reqTimeout := flag.Duration("timeout", defaultRequestTimeout, "per-request timeout")
 	cacheSize := flag.Int("cache-size", 0, "result cache capacity in entries (0 = default)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache TTL (0 = no expiry)")
@@ -136,6 +136,11 @@ func main() {
 	requireSources := flag.String("require-sources", "", "comma-separated sources whose failure is always fatal, even in degraded mode")
 	readyStrict := flag.Bool("ready-strict", false, "/readyz answers 503 when degraded instead of 200")
 	flag.Parse()
+	if *genes < 1 {
+		fmt.Fprintf(os.Stderr, "annoda-server: -genes must be at least 1, got %d\n", *genes)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		// Contention profiles sample nothing until their rates are set;

@@ -579,7 +579,7 @@ func TestRouteLabelsBounded(t *testing.T) {
 func TestEveryRouteHasALabel(t *testing.T) {
 	sys := freshSystem(t)
 	h := newMux(sys, muxConfig{})
-	reg := sys.Manager.Metrics()
+	reg := sys.Manager.Obs().Reg
 	for path := range knownRoutes {
 		rec := httptest.NewRecorder()
 		// DELETE is refused (or harmlessly served) everywhere, and never

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/feed"
 	"repro/internal/mediator"
 	"repro/internal/oem"
 	"repro/internal/snapstore"
@@ -221,10 +222,19 @@ func TestWatchResume(t *testing.T) {
 	srv := httptest.NewServer(newMux(sys, muxConfig{heartbeat: time.Hour}))
 	t.Cleanup(srv.Close)
 
+	sub, err := sys.Manager.SubscribeChanges(feed.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
 	var seqs []uint64
 	for i := 0; i < 2; i++ {
 		refreshGO(t, sys, "resume-"+strconv.Itoa(i))
-		seqs = append(seqs, sys.Manager.FeedSeq())
+		ev, ok := sub.Next()
+		if !ok {
+			t.Fatal("refresh published no change event")
+		}
+		seqs = append(seqs, ev.Seq)
 	}
 	if seqs[0] == 0 || seqs[1] <= seqs[0] {
 		t.Fatalf("feed sequence did not advance: %v", seqs)

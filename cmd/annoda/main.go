@@ -28,8 +28,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -44,48 +46,64 @@ import (
 	"repro/internal/wrapper"
 )
 
+// errUsage marks a bad command line: main exits 2 on it, as package flag
+// does.
+var errUsage = errors.New("usage")
+
 func main() {
-	genes := flag.Int("genes", 1000, "corpus size (genes)")
-	seed := flag.Uint64("seed", 20050405, "corpus seed")
-	policy := flag.String("policy", "prefer-primary", "reconciliation policy: prefer-primary|majority|union")
-	protdb := flag.Bool("protdb", false, "plug the protein source in at startup")
-	dataDir := flag.String("data-dir", "", "durable snapshot store directory (snapshot subcommands)")
-	flag.Parse()
-	args := flag.Args()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "annoda:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs one subcommand, writing its output to stdout and
+// flag diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("annoda", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	genes := fs.Int("genes", 1000, "corpus size (genes, at least 1)")
+	seed := fs.Uint64("seed", 20050405, "corpus seed")
+	policy := fs.String("policy", "prefer-primary", "reconciliation policy: prefer-primary|majority|union")
+	protdb := fs.Bool("protdb", false, "plug the protein source in at startup")
+	dataDir := fs.String("data-dir", "", "durable snapshot store directory (snapshot subcommands)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if *genes < 1 {
+		return fmt.Errorf("%w: -genes must be at least 1, got %d", errUsage, *genes)
+	}
+	args = fs.Args()
 	if len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("%w: no subcommand", errUsage)
 	}
 
+	switch args[0] {
 	// `snapshot info` reads the store directly — no corpus, no system, no
 	// source fetch; an operator can point it at any data dir.
-	if args[0] == "snapshot" && len(args) > 1 && args[1] == "info" {
-		if err := snapshotInfo(*dataDir); err != nil {
-			fatal(err)
+	case "snapshot":
+		if *dataDir == "" {
+			return fmt.Errorf("%w: annoda snapshot needs -data-dir", errUsage)
 		}
-		return
-	}
-	// `watch` talks to a running server — generating a corpus here would
-	// only slow the subscription down.
-	if args[0] == "watch" {
-		if err := watchCmd(args[1:]); err != nil {
-			fatal(err)
+		if len(args) > 1 && args[1] == "info" {
+			return snapshotInfo(stdout, *dataDir)
 		}
-		return
-	}
-	// `traces` likewise queries a running server's debug rings.
-	if args[0] == "traces" {
-		if err := tracesCmd(args[1:]); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	// `sources` likewise renders a running server's /readyz health view.
-	if args[0] == "sources" {
-		if err := sourcesCmd(args[1:]); err != nil {
-			fatal(err)
-		}
-		return
+	// `watch`, `traces` and `sources` talk to a running server (its change
+	// feed, debug rings and /readyz) — generating a corpus here would only
+	// slow them down.
+	case "watch":
+		return watchCmd(args[1:], stdout)
+	case "traces":
+		return tracesCmd(args[1:], stdout)
+	case "sources":
+		return sourcesCmd(args[1:], stdout)
 	}
 
 	cfg := datagen.DefaultConfig()
@@ -101,55 +119,55 @@ func main() {
 	case "union":
 		opts.Policy = mediator.PolicyUnion
 	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+		return fmt.Errorf("unknown policy %q", *policy)
 	}
 	sys, err := core.New(c, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *protdb {
 		if err := sys.PlugInProteins(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	switch args[0] {
 	case "corpus":
-		fmt.Printf("seed %d: %d genes, %d GO terms, %d diseases\n", cfg.Seed, len(c.Genes), len(c.Terms), len(c.Diseases))
-		fmt.Printf("figure-5b ground truth: %d genes with GO but no OMIM\n", len(c.GenesWithGoButNotOMIM()))
-		fmt.Printf("conflicting genes: %d\n", len(c.ConflictingGenes()))
+		fmt.Fprintf(stdout, "seed %d: %d genes, %d GO terms, %d diseases\n", cfg.Seed, len(c.Genes), len(c.Terms), len(c.Diseases))
+		fmt.Fprintf(stdout, "figure-5b ground truth: %d genes with GO but no OMIM\n", len(c.GenesWithGoButNotOMIM()))
+		fmt.Fprintf(stdout, "conflicting genes: %d\n", len(c.ConflictingGenes()))
 	case "oml":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: annoda oml <source> [index]"))
+			return fmt.Errorf("%w: annoda oml <source> [index]", errUsage)
 		}
 		w := sys.Registry.Get(args[1])
 		if w == nil {
-			fatal(fmt.Errorf("unknown source %q (have %v)", args[1], sys.Registry.Names()))
+			return fmt.Errorf("unknown source %q (have %v)", args[1], sys.Registry.Names())
 		}
 		i := 0
 		if len(args) > 2 {
 			i, err = strconv.Atoi(args[2])
 			if err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		text, err := wrapper.FragmentText(w, i)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(text)
+		fmt.Fprint(stdout, text)
 	case "gml":
-		fmt.Print(sys.Global.Describe())
+		fmt.Fprint(stdout, sys.Global.Describe())
 	case "query":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: annoda query '<lorel>'"))
+			return fmt.Errorf("%w: annoda query '<lorel>'", errUsage)
 		}
 		res, stats, err := sys.Query(strings.Join(args[1:], " "))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("answer: %d edges\n", res.Size())
-		fmt.Print(stats.String())
+		fmt.Fprintf(stdout, "answer: %d edges\n", res.Size())
+		fmt.Fprint(stdout, stats.String())
 	case "explain":
 		rest := args[1:]
 		analyze := false
@@ -158,67 +176,64 @@ func main() {
 			rest = rest[1:]
 		}
 		if len(rest) == 0 {
-			fatal(fmt.Errorf("usage: annoda explain [-analyze] '<lorel>'"))
+			return fmt.Errorf("%w: annoda explain [-analyze] '<lorel>'", errUsage)
 		}
 		e, err := sys.Manager.ExplainString(strings.Join(rest, " "), analyze)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(e.Format())
+		fmt.Fprint(stdout, e.Format())
 	case "ask":
 		q, err := parseQuestion(args[1:])
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		v, stats, err := sys.Ask(q)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(v.Format())
-		fmt.Print(stats.String())
+		fmt.Fprint(stdout, v.Format())
+		fmt.Fprint(stdout, stats.String())
 	case "show":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: annoda show <url>"))
+			return fmt.Errorf("%w: annoda show <url>", errUsage)
 		}
 		out, err := sys.ObjectView(args[1])
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	case "sql":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: annoda sql '<select>'"))
+			return fmt.Errorf("%w: annoda sql '<select>'", errUsage)
 		}
 		rs, err := fedsql.New(sys.Registry).Query(strings.Join(args[1:], " "))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(rs.Format())
+		fmt.Fprint(stdout, rs.Format())
 	case "table1":
 		f, err := capability.NewFixture(sys)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rows, err := capability.BuildTable(f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(capability.Format(rows))
+		fmt.Fprint(stdout, capability.Format(rows))
 	case "snapshot":
 		if len(args) < 2 {
-			fatal(fmt.Errorf("usage: annoda -data-dir DIR snapshot save|info"))
+			return fmt.Errorf("%w: annoda -data-dir DIR snapshot save|info", errUsage)
 		}
-		switch args[1] {
-		case "save":
-			if err := snapshotSave(sys, *dataDir); err != nil {
-				fatal(err)
-			}
-		default:
-			fatal(fmt.Errorf("unknown snapshot subcommand %q (want save or info)", args[1]))
+		if args[1] != "save" {
+			return fmt.Errorf("%w: unknown snapshot subcommand %q (want save or info)", errUsage, args[1])
 		}
+		return snapshotSave(stdout, sys, *dataDir)
 	default:
-		fatal(fmt.Errorf("unknown subcommand %q", args[0]))
+		return fmt.Errorf("%w: unknown subcommand %q", errUsage, args[0])
 	}
+	return nil
 }
 
 // snapshotSave builds the fused world (if not already built) and writes a
@@ -226,10 +241,7 @@ func main() {
 // checkpoint records the source set it was fused from, and restore rejects
 // a mismatch: to prime a store for annoda-server (which always plugs the
 // protein source in), pass -protdb.
-func snapshotSave(sys *core.System, dataDir string) error {
-	if dataDir == "" {
-		return fmt.Errorf("snapshot save needs -data-dir")
-	}
+func snapshotSave(stdout io.Writer, sys *core.System, dataDir string) error {
 	st, err := snapstore.Open(dataDir, snapstore.Options{})
 	if err != nil {
 		return err
@@ -245,16 +257,13 @@ func snapshotSave(sys *core.System, dataDir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpoint seq %d written to %s: %d bytes in %v\n",
+	fmt.Fprintf(stdout, "checkpoint seq %d written to %s: %d bytes in %v\n",
 		res.Seq, dataDir, res.Bytes, res.Took)
 	return nil
 }
 
 // snapshotInfo prints the newest restorable checkpoint's vitals.
-func snapshotInfo(dataDir string) error {
-	if dataDir == "" {
-		return fmt.Errorf("snapshot info needs -data-dir")
-	}
+func snapshotInfo(stdout io.Writer, dataDir string) error {
 	st, err := snapstore.Open(dataDir, snapstore.Options{})
 	if err != nil {
 		return err
@@ -264,31 +273,31 @@ func snapshotInfo(dataDir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store:         %s\n", dataDir)
-	fmt.Printf("checkpoint:    seq %d (%d bytes, container format v%d)\n", info.Seq, info.PayloadBytes, snapstore.FormatVersion)
+	fmt.Fprintf(stdout, "store:         %s\n", dataDir)
+	fmt.Fprintf(stdout, "checkpoint:    seq %d (%d bytes, container format v%d)\n", info.Seq, info.PayloadBytes, snapstore.FormatVersion)
 	if info.Skipped > 0 {
-		fmt.Printf("skipped:       %d newer unrestorable checkpoint(s)\n", info.Skipped)
+		fmt.Fprintf(stdout, "skipped:       %d newer unrestorable checkpoint(s)\n", info.Skipped)
 	}
-	fmt.Printf("fingerprint:   %016x\n", info.Fingerprint)
-	fmt.Printf("policy:        %v\n", info.Policy)
-	fmt.Printf("fused genes:   %d\n", info.Genes)
-	fmt.Printf("graph objects: %d\n", info.Objects)
-	fmt.Printf("conflicts:     %d\n", info.Conflicts)
+	fmt.Fprintf(stdout, "fingerprint:   %016x\n", info.Fingerprint)
+	fmt.Fprintf(stdout, "policy:        %v\n", info.Policy)
+	fmt.Fprintf(stdout, "fused genes:   %d\n", info.Genes)
+	fmt.Fprintf(stdout, "graph objects: %d\n", info.Objects)
+	fmt.Fprintf(stdout, "conflicts:     %d\n", info.Conflicts)
 	srcs := make([]string, 0, len(info.Entities))
 	for s := range info.Entities {
 		srcs = append(srcs, s)
 	}
 	sort.Strings(srcs)
 	for _, s := range srcs {
-		fmt.Printf("  %-12s %d entities\n", s, info.Entities[s])
+		fmt.Fprintf(stdout, "  %-12s %d entities\n", s, info.Entities[s])
 	}
 	if info.WALTruncated {
-		fmt.Printf("wal:           %d records (+ torn tail that restore will drop)\n", info.WALRecords)
+		fmt.Fprintf(stdout, "wal:           %d records (+ torn tail that restore will drop)\n", info.WALRecords)
 	} else {
-		fmt.Printf("wal:           %d records\n", info.WALRecords)
+		fmt.Fprintf(stdout, "wal:           %d records\n", info.WALRecords)
 	}
 	if info.StaleFiles > 0 {
-		fmt.Printf("stale files:   %d (pruning failed; remove them manually to reclaim space)\n", info.StaleFiles)
+		fmt.Fprintf(stdout, "stale files:   %d (pruning failed; remove them manually to reclaim space)\n", info.StaleFiles)
 	}
 	return nil
 }
@@ -322,9 +331,4 @@ func parseQuestion(args []string) (core.Question, error) {
 		}
 	}
 	return q, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "annoda:", err)
-	os.Exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -12,7 +13,7 @@ import (
 // verdict and render the per-source health table — breaker state, failure
 // streaks, retry/probe counters and epoch membership — the operator's
 // answer to "which sources is the mediator actually serving from".
-func sourcesCmd(args []string) error {
+func sourcesCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sources", flag.ExitOnError)
 	base := fs.String("url", "http://localhost:8077", "server base URL")
 	jsonOut := fs.Bool("json", false, "dump the raw /readyz payload")
@@ -56,12 +57,12 @@ func sourcesCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(w, string(out))
 		return nil
 	}
 
-	fmt.Printf("readiness: %s (HTTP %d)\n", payload.Status, resp.StatusCode)
-	fmt.Printf("%-12s %-9s %-6s %9s %9s %8s %7s %6s  %s\n",
+	fmt.Fprintf(w, "readiness: %s (HTTP %d)\n", payload.Status, resp.StatusCode)
+	fmt.Fprintf(w, "%-12s %-9s %-6s %9s %9s %8s %7s %6s  %s\n",
 		"SOURCE", "STATE", "EPOCH", "SUCCESSES", "FAILURES", "RETRIES", "PROBES", "OPENS", "LAST ERROR")
 	for _, s := range payload.Sources {
 		epoch := "in"
@@ -76,7 +77,7 @@ func sourcesCmd(args []string) error {
 		if len(lastErr) > 48 {
 			lastErr = lastErr[:45] + "..."
 		}
-		fmt.Printf("%-12s %-9s %-6s %9d %9d %8d %7d %6d  %s\n",
+		fmt.Fprintf(w, "%-12s %-9s %-6s %9d %9d %8d %7d %6d  %s\n",
 			s.Source, state, epoch, s.Successes, s.Failures, s.Retries, s.Probes, s.BreakerOpens, lastErr)
 	}
 	return nil

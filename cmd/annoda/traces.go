@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -15,7 +16,7 @@ import (
 // /api/debug/traces rings and render them as a compact per-request stage
 // breakdown — the operator's answer to "where did the time go" without
 // attaching a profiler.
-func tracesCmd(args []string) error {
+func tracesCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("traces", flag.ExitOnError)
 	base := fs.String("url", "http://localhost:8077", "server base URL")
 	slow := fs.Bool("slow", false, "show the slow-trace ring instead of the recent ring")
@@ -56,7 +57,7 @@ func tracesCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(w, string(out))
 		return nil
 	}
 
@@ -76,21 +77,21 @@ func tracesCmd(args []string) error {
 	if *limit > 0 && len(shown) > *limit {
 		shown = shown[:*limit]
 	}
-	fmt.Printf("%s traces: %d shown of %d (slow threshold %s)\n",
+	fmt.Fprintf(w, "%s traces: %d shown of %d (slow threshold %s)\n",
 		label, len(shown), len(ring), microsString(payload.SlowThresholdMicros))
 	for _, tv := range shown {
-		printTrace(tv, *spans)
+		printTrace(w, tv, *spans)
 	}
 	return nil
 }
 
-func printTrace(tv obs.TraceView, withSpans bool) {
+func printTrace(w io.Writer, tv obs.TraceView, withSpans bool) {
 	line := fmt.Sprintf("%s  %-8s %8s  %s",
 		tv.ID, tv.Op, microsString(tv.DurMicros), tv.Detail)
 	if tv.Err != "" {
 		line += "  ERR " + tv.Err
 	}
-	fmt.Println(strings.TrimRight(line, " "))
+	fmt.Fprintln(w, strings.TrimRight(line, " "))
 	if !withSpans {
 		return
 	}
@@ -103,7 +104,7 @@ func printTrace(tv obs.TraceView, withSpans bool) {
 		if note != "" {
 			note = "  " + note
 		}
-		fmt.Printf("    +%-9s %-16s %8s%s\n",
+		fmt.Fprintf(w, "    +%-9s %-16s %8s%s\n",
 			microsString(sp.OffsetMicros), sp.Stage, microsString(sp.DurMicros), note)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // /api/watch change feed and print each event as it arrives. It is a plain
 // SSE client — one GET, one long-lived connection — so it also doubles as
 // a smoke test that the server's stream actually flushes incrementally.
-func watchCmd(args []string) error {
+func watchCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	base := fs.String("url", "http://localhost:8077", "server base URL")
 	concepts := fs.String("concepts", "", "comma-separated concept filter (empty = all)")
@@ -61,7 +62,7 @@ func watchCmd(args []string) error {
 		}
 		return fmt.Errorf("GET %s: HTTP %d", target, resp.StatusCode)
 	}
-	fmt.Printf("watching %s (ctrl-c to stop)\n", target)
+	fmt.Fprintf(w, "watching %s (ctrl-c to stop)\n", target)
 
 	// Minimal SSE parse: comments keep the connection visibly alive,
 	// id/event/data triples become one printed line per event.
@@ -73,7 +74,7 @@ func watchCmd(args []string) error {
 		switch {
 		case line == "":
 			if event != "" || data != "" {
-				printWatchEvent(id, event, data)
+				printWatchEvent(w, id, event, data)
 				id, event, data = "", "", ""
 			}
 		case strings.HasPrefix(line, ": heartbeat"):
@@ -94,7 +95,7 @@ func watchCmd(args []string) error {
 
 // printWatchEvent renders one feed event on a single line, decoding the
 // JSON payload when it parses and falling back to the raw bytes.
-func printWatchEvent(id, event, data string) {
+func printWatchEvent(w io.Writer, id, event, data string) {
 	var ev struct {
 		Seq         uint64   `json:"seq"`
 		Source      string   `json:"source"`
@@ -109,31 +110,31 @@ func printWatchEvent(id, event, data string) {
 		Initial     bool     `json:"initial"`
 	}
 	if err := json.Unmarshal([]byte(data), &ev); err != nil {
-		fmt.Printf("seq %s %-8s %s\n", id, event, data)
+		fmt.Fprintf(w, "seq %s %-8s %s\n", id, event, data)
 		return
 	}
 	switch event {
 	case "change":
-		fmt.Printf("seq %d change   %s -> %s: +%d/-%d (epoch %s)\n",
+		fmt.Fprintf(w, "seq %d change   %s -> %s: +%d/-%d (epoch %s)\n",
 			ev.Seq, ev.Source, strings.Join(ev.Concepts, ","), ev.Upserted, ev.Deleted, ev.Fingerprint)
 	case "rebuild":
-		fmt.Printf("seq %d rebuild  %s: full re-fusion, all cached views invalid (epoch %s)\n",
+		fmt.Fprintf(w, "seq %d rebuild  %s: full re-fusion, all cached views invalid (epoch %s)\n",
 			ev.Seq, ev.Source, ev.Fingerprint)
 	case "overflow":
-		fmt.Printf("seq %d overflow lost %d event(s); resync from epoch %s\n",
+		fmt.Fprintf(w, "seq %d overflow lost %d event(s); resync from epoch %s\n",
 			ev.Seq, ev.Lost, ev.Fingerprint)
 	case "answer":
 		label := "changed"
 		if ev.Initial {
 			label = "baseline"
 		}
-		fmt.Printf("seq %d answer   %s: %d answer(s) [%s]\n", ev.Seq, ev.Query, ev.Answers, label)
+		fmt.Fprintf(w, "seq %d answer   %s: %d answer(s) [%s]\n", ev.Seq, ev.Query, ev.Answers, label)
 		if ev.Text != "" {
 			for _, l := range strings.Split(strings.TrimRight(ev.Text, "\n"), "\n") {
-				fmt.Printf("    %s\n", l)
+				fmt.Fprintf(w, "    %s\n", l)
 			}
 		}
 	default:
-		fmt.Printf("seq %s %-8s %s\n", id, event, data)
+		fmt.Fprintf(w, "seq %s %-8s %s\n", id, event, data)
 	}
 }

@@ -10,8 +10,8 @@ import (
 //
 // Tier 1 (repo-wide): internal/obs is the one sanctioned home for
 // wall-clock reads. Every other production file must route timing through
-// obs.Now / obs.Since / obs.Until instead of calling time.Now / time.Since
-// / time.Until directly — a single funnel is what makes the clock
+// obs.Now / obs.Since instead of calling time.Now / time.Since /
+// time.Until directly — a single funnel is what makes the clock
 // swappable in tests and keeps instrumentation policy (monotonic reads,
 // future sampling hooks) in one place.
 //

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +32,26 @@ func TestNoWallTime(t *testing.T) {
 	antest.Run(t, antest.TestData(t), analyzers.NoWallTime,
 		"nowalltime/internal/wire", "nowalltime/internal/mediator",
 		"nowalltime/internal/obs", "nowalltime/server")
+}
+
+// TestTestOnly: in the fixture module a method only tests call and a
+// function only itself calls are reported; an interface method, main, init
+// and an allowlisted function are not, and a stale allowlist entry is.
+func TestTestOnly(t *testing.T) {
+	units, err := analyzers.Load(filepath.Join(antest.TestData(t), "src", "testonly"), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range analyzers.TestOnly(units, map[string]string{"testonly.kept": "r", "testonly.gone": "r"}) {
+		got = append(got, d.Message)
+	}
+	const why = " is reached only by tests: delete it, or allowlist it with a reason"
+	want := []string{"allowlist entry testonly.gone excuses nothing: remove it",
+		"(testonly.square).area" + why, "testonly.countdown" + why}
+	if !slices.Equal(got, want) {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
 }
 
 // TestSuppressionDirectives pins the directive grammar: a reason is

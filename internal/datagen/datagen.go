@@ -94,7 +94,6 @@ type Corpus struct {
 	Diseases []Disease
 
 	geneByID map[int]*Gene
-	termByID map[string]*Term
 	mimByID  map[int]*Disease
 }
 
@@ -158,7 +157,6 @@ func Generate(cfg Config) *Corpus {
 	c := &Corpus{
 		Config:   cfg,
 		geneByID: make(map[int]*Gene),
-		termByID: make(map[string]*Term),
 		mimByID:  make(map[int]*Disease),
 	}
 	c.genTerms(root.Fork(), cfg)
@@ -167,9 +165,6 @@ func Generate(cfg Config) *Corpus {
 	c.linkGenes(root.Fork(), cfg)
 	for i := range c.Genes {
 		c.geneByID[c.Genes[i].LocusID] = &c.Genes[i]
-	}
-	for i := range c.Terms {
-		c.termByID[c.Terms[i].ID] = &c.Terms[i]
 	}
 	for i := range c.Diseases {
 		c.mimByID[c.Diseases[i].MIM] = &c.Diseases[i]
@@ -396,9 +391,6 @@ func (c *Corpus) linkGenes(r *RNG, cfg Config) {
 
 // GeneByID returns the ground-truth gene for a LocusID, or nil.
 func (c *Corpus) GeneByID(id int) *Gene { return c.geneByID[id] }
-
-// TermByID returns the GO term, or nil.
-func (c *Corpus) TermByID(id string) *Term { return c.termByID[id] }
 
 // DiseaseByMIM returns the OMIM record, or nil.
 func (c *Corpus) DiseaseByMIM(mim int) *Disease { return c.mimByID[mim] }

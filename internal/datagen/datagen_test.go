@@ -79,10 +79,11 @@ func TestGoDAGAcyclicAndWellFormed(t *testing.T) {
 	}
 	for i, tm := range c.Terms {
 		for _, p := range tm.Parents {
-			pt := c.TermByID(p)
-			if pt == nil {
+			j, ok := pos[p]
+			if !ok {
 				t.Fatalf("term %s has unknown parent %s", tm.ID, p)
 			}
+			pt := &c.Terms[j]
 			if pt.Namespace != tm.Namespace {
 				t.Errorf("term %s parent %s crosses namespace", tm.ID, p)
 			}
@@ -95,9 +96,13 @@ func TestGoDAGAcyclicAndWellFormed(t *testing.T) {
 
 func TestLinksResolve(t *testing.T) {
 	c := Generate(DefaultConfig())
+	terms := map[string]bool{}
+	for _, tm := range c.Terms {
+		terms[tm.ID] = true
+	}
 	for _, g := range c.Genes {
 		for _, tid := range g.GoTerms {
-			if c.TermByID(tid) == nil {
+			if !terms[tid] {
 				t.Fatalf("gene %s links unknown term %s", g.Symbol, tid)
 			}
 		}

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -122,15 +121,6 @@ func onSystem(opts mediator.Options, build func(sys *core.System) (Op, error)) f
 		}
 		return build(sys)
 	}
-}
-
-// ScaleName renders a corpus size the way sub-benchmarks name it: 1000 is
-// "1k", 300 is "300".
-func ScaleName(genes int) string {
-	if genes >= 1000 && genes%1000 == 0 {
-		return fmt.Sprintf("%dk", genes/1000)
-	}
-	return fmt.Sprint(genes)
 }
 
 // overheadPct is how much slower a is than b, in percent (0 when b

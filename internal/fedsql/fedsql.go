@@ -50,16 +50,6 @@ func (f *Federation) Query(sql string) (*relstore.ResultSet, error) {
 	return rs, nil
 }
 
-// Tables lists the available nickname tables — what a DiscoveryLink user
-// must study before writing any query.
-func (f *Federation) Tables() ([]string, error) {
-	db, err := f.buildNicknames()
-	if err != nil {
-		return nil, err
-	}
-	return db.Names(), nil
-}
-
 func (f *Federation) buildNicknames() (*relstore.DB, error) {
 	db := relstore.NewDB()
 	for _, w := range f.reg.All() {

@@ -40,10 +40,11 @@ func fixture(t testing.TB) (*datagen.Corpus, *wrapper.Registry, *locuslink.DB) {
 func TestNicknameTablesExist(t *testing.T) {
 	_, reg, _ := fixture(t)
 	f := New(reg)
-	tables, err := f.Tables()
+	db, err := f.buildNicknames()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := db.Names()
 	want := []string{"go_annotation", "go_term", "locuslink_locus", "omim_entry", "omim_gene"}
 	if len(tables) != len(want) {
 		t.Fatalf("tables = %v", tables)

@@ -372,13 +372,6 @@ func (s *Subscriber) Next() (ev Event, ok bool) {
 	return ev, true
 }
 
-// Pending reports how many events are queued.
-func (s *Subscriber) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
 // Closed reports whether the subscription was closed.
 func (s *Subscriber) Closed() bool {
 	s.mu.Lock()

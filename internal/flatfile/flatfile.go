@@ -9,15 +9,14 @@
 // A Library holds ordered Records; each Record is an ordered multiset of
 // (Tag, Value) fields. Dialects configure how records are delimited:
 // OBO-style stanzas ("[Term]" headers) and EMBL/OMIM-style terminated
-// records ("//" lines) are both supported. Tag indexes provide exact and
-// substring retrieval, the operations SRS exposes.
+// records ("//" lines) are both supported. Tag indexes provide exact-match
+// retrieval, the lookup SRS exposes.
 package flatfile
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -55,33 +54,9 @@ func (r *Record) All(tag string) []string {
 	return out
 }
 
-// Has reports whether the record has at least one field with the tag.
-func (r *Record) Has(tag string) bool {
-	for _, f := range r.Fields {
-		if strings.EqualFold(f.Tag, tag) {
-			return true
-		}
-	}
-	return false
-}
-
 // Add appends a field.
 func (r *Record) Add(tag, value string) {
 	r.Fields = append(r.Fields, Field{Tag: tag, Value: value})
-}
-
-// Tags returns the distinct tags in first-seen order.
-func (r *Record) Tags() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range r.Fields {
-		lt := strings.ToLower(f.Tag)
-		if !seen[lt] {
-			seen[lt] = true
-			out = append(out, f.Tag)
-		}
-	}
-	return out
 }
 
 // Dialect configures record delimiting and the tag separator.
@@ -113,23 +88,17 @@ func (d Dialect) sep() string {
 }
 
 // Library is an in-memory flat-file databank with optional tag indexes.
-// It is safe for concurrent readers; Add and BuildIndex take a write lock.
+// It is safe for concurrent readers; BuildIndex takes a write lock.
 type Library struct {
 	mu      sync.RWMutex
-	dialect Dialect
 	records []*Record
 	// exact index: tag(lower) -> value(lower) -> sorted record positions
 	exact map[string]map[string][]int
 }
 
-// NewLibrary returns an empty library using the given dialect for I/O.
-func NewLibrary(d Dialect) *Library {
-	return &Library{dialect: d, exact: make(map[string]map[string][]int)}
-}
-
 // Parse reads a whole flat file into a new library.
 func Parse(r io.Reader, d Dialect) (*Library, error) {
-	lib := NewLibrary(d)
+	lib := &Library{exact: make(map[string]map[string][]int)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var cur *Record
@@ -137,7 +106,7 @@ func Parse(r io.Reader, d Dialect) (*Library, error) {
 	lineNo := 0
 	flush := func() {
 		if cur != nil && len(cur.Fields) > 0 {
-			lib.add(cur)
+			lib.records = append(lib.records, cur)
 		}
 		cur = nil
 	}
@@ -181,24 +150,6 @@ func Parse(r io.Reader, d Dialect) (*Library, error) {
 	return lib, nil
 }
 
-func (l *Library) add(r *Record) {
-	pos := len(l.records)
-	l.records = append(l.records, r)
-	for tag, byVal := range l.exact {
-		for _, v := range r.All(tag) {
-			lv := strings.ToLower(v)
-			byVal[lv] = append(byVal[lv], pos)
-		}
-	}
-}
-
-// Add appends a record to the library, maintaining any indexes.
-func (l *Library) Add(r *Record) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.add(r)
-}
-
 // Len returns the number of records.
 func (l *Library) Len() int {
 	l.mu.RLock()
@@ -231,14 +182,6 @@ func (l *Library) BuildIndex(tag string) {
 	l.exact[lt] = byVal
 }
 
-// HasIndex reports whether an exact index exists for the tag.
-func (l *Library) HasIndex(tag string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, ok := l.exact[strings.ToLower(tag)]
-	return ok
-}
-
 // Find returns the positions of records having a field tag whose value
 // equals value (case-insensitive). It uses the exact index when present and
 // scans otherwise.
@@ -261,24 +204,6 @@ func (l *Library) Find(tag, value string) []int {
 	return out
 }
 
-// Search returns the positions of records having a field tag whose value
-// contains substr (case-insensitive). Always a scan; SRS's "browse" mode.
-func (l *Library) Search(tag, substr string) []int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	ls := strings.ToLower(substr)
-	var out []int
-	for pos, r := range l.records {
-		for _, v := range r.All(tag) {
-			if strings.Contains(strings.ToLower(v), ls) {
-				out = append(out, pos)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Scan visits every record in order; return false to stop.
 func (l *Library) Scan(visit func(int, *Record) bool) {
 	l.mu.RLock()
@@ -288,60 +213,4 @@ func (l *Library) Scan(visit func(int, *Record) bool) {
 			return
 		}
 	}
-}
-
-// Tags returns every tag appearing in the library with its occurrence
-// count, sorted by tag. Wrappers use this to describe a source's structure.
-func (l *Library) Tags() map[string]int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[string]int)
-	for _, r := range l.records {
-		for _, f := range r.Fields {
-			out[f.Tag]++
-		}
-	}
-	return out
-}
-
-// TagNames returns the sorted distinct tag names.
-func (l *Library) TagNames() []string {
-	m := l.Tags()
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Write serializes the library back to its dialect's flat-file form.
-func (l *Library) Write(w io.Writer) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	d := l.dialect
-	for _, r := range l.records {
-		if d.StanzaStart != "" {
-			if _, err := fmt.Fprintln(bw, d.StanzaStart); err != nil {
-				return err
-			}
-		}
-		for _, f := range r.Fields {
-			if _, err := fmt.Fprintf(bw, "%s%s %s\n", f.Tag, d.sep(), f.Value); err != nil {
-				return err
-			}
-		}
-		if d.Terminator != "" {
-			if _, err := fmt.Fprintln(bw, d.Terminator); err != nil {
-				return err
-			}
-		}
-		if d.StanzaStart != "" && d.Terminator == "" {
-			if _, err := fmt.Fprintln(bw); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

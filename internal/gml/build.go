@@ -30,16 +30,6 @@ type SourceMapping struct {
 	Match   match.Result
 }
 
-// RuleFor returns the rule producing the given global label, or nil.
-func (m *SourceMapping) RuleFor(global string) *Rule {
-	for i := range m.Rules {
-		if m.Rules[i].Global == global {
-			return &m.Rules[i]
-		}
-	}
-	return nil
-}
-
 // Global is the ANNODA-GML model: concepts plus per-source mappings. The
 // model is virtual — the mediator decomposes queries against it — but can
 // also be materialized into a single OEM graph (Materialize) for display
@@ -82,20 +72,6 @@ func (gl *Global) MappingFor(source string) *SourceMapping {
 		}
 	}
 	return nil
-}
-
-// SourcesFor returns the sources mapped onto the given concept, in
-// registration order — the mediator's source-pruning input.
-func (gl *Global) SourcesFor(concept string) []string {
-	gl.mu.RLock()
-	defer gl.mu.RUnlock()
-	var out []string
-	for _, m := range gl.Mappings {
-		if m.Concept == concept {
-			out = append(out, m.Source)
-		}
-	}
-	return out
 }
 
 // PlugIn maps a new source onto the global model: the paper's two-step

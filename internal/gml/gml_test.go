@@ -83,16 +83,6 @@ func TestTransforms(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	v, err := Chain("chr19q13", TStripChr, TUpper)
-	if err != nil || v != "19Q13" {
-		t.Errorf("chain = %v, %v", v, err)
-	}
-	if _, err := Chain("x", TIntParse); err == nil {
-		t.Error("chain should propagate errors")
-	}
-}
-
 func TestInferTransform(t *testing.T) {
 	cases := []struct {
 		label   string
@@ -149,25 +139,22 @@ func TestBuildMapsSourcesToRightConcepts(t *testing.T) {
 	}
 	// Key rules exist with the expected locals and transforms.
 	ll := gl.MappingFor("LocusLink")
-	if r := ll.RuleFor("GeneID"); r == nil || r.Local != "LocusID" {
+	if r := ruleFor(ll, "GeneID"); r == nil || r.Local != "LocusID" {
 		t.Errorf("LocusLink GeneID rule = %+v", r)
 	}
-	if r := ll.RuleFor("Symbol"); r == nil || r.Local != "Symbol" {
+	if r := ruleFor(ll, "Symbol"); r == nil || r.Local != "Symbol" {
 		t.Errorf("LocusLink Symbol rule = %+v", r)
 	}
 	om := gl.MappingFor("OMIM")
-	if r := om.RuleFor("GeneID"); r == nil || r.Local != "Locus" || r.Transform != StripPrefix("LL") {
+	if r := ruleFor(om, "GeneID"); r == nil || r.Local != "Locus" || r.Transform != StripPrefix("LL") {
 		t.Errorf("OMIM GeneID rule = %+v\n%s", r, gl.Describe())
 	}
-	if r := om.RuleFor("Position"); r == nil || r.Local != "CytoPosition" || r.Transform != TStripChr {
+	if r := ruleFor(om, "Position"); r == nil || r.Local != "CytoPosition" || r.Transform != TStripChr {
 		t.Errorf("OMIM Position rule = %+v", r)
 	}
 	gow := gl.MappingFor("GO")
-	if r := gow.RuleFor("Organism"); r == nil || r.Transform != TOrganism {
+	if r := ruleFor(gow, "Organism"); r == nil || r.Transform != TOrganism {
 		t.Errorf("GO Organism rule = %+v", r)
-	}
-	if gl.SourcesFor("Gene")[0] != "LocusLink" {
-		t.Error("SourcesFor(Gene) wrong")
 	}
 }
 
@@ -197,12 +184,12 @@ func TestPlugInProtDBAndUnplug(t *testing.T) {
 		"Accession": "AC", "Symbol": "GN", "Organism": "OS", "Description": "DE", "GeneID": "DR",
 	}
 	for global, local := range checks {
-		r := m.RuleFor(global)
+		r := ruleFor(m, global)
 		if r == nil || r.Local != local {
 			t.Errorf("rule %s = %+v, want local %s\n%s", global, r, local, gl.Describe())
 		}
 	}
-	if r := m.RuleFor("GeneID"); r != nil && r.Transform != TXrefNumber {
+	if r := ruleFor(m, "GeneID"); r != nil && r.Transform != TXrefNumber {
 		t.Errorf("GeneID transform = %s, want xref_number", r.Transform)
 	}
 	// Duplicate plug-in rejected; unplug works.
@@ -313,4 +300,14 @@ func TestDescribeOutput(t *testing.T) {
 			t.Errorf("describe missing %q:\n%s", want, d)
 		}
 	}
+}
+
+// ruleFor returns m's rule producing the global label, or nil.
+func ruleFor(m *SourceMapping, global string) *Rule {
+	for i := range m.Rules {
+		if m.Rules[i].Global == global {
+			return &m.Rules[i]
+		}
+	}
+	return nil
 }

@@ -125,18 +125,6 @@ func Apply(tr Transform, v any) (any, error) {
 	return nil, fmt.Errorf("gml: unknown transform %q", tr)
 }
 
-// Chain applies transforms left to right.
-func Chain(v any, trs ...Transform) (any, error) {
-	var err error
-	for _, tr := range trs {
-		v, err = Apply(tr, v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
 // InferTransform guesses the transformation call for a correspondence from
 // the global label's intent and sample local values — how a human curator
 // would wire a new source in, automated.

@@ -263,13 +263,6 @@ func (b *Breaker) Retry() {
 	b.mu.Unlock()
 }
 
-// State returns the current availability state.
-func (b *Breaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Down reports whether the breaker is open, and if so how long until the
 // next probe is admitted (0 when a probe is already due or in flight).
 func (b *Breaker) Down() (down bool, retryIn time.Duration) {
@@ -364,33 +357,3 @@ func (t *Tracker) For(name string) *Breaker {
 // Gen returns the recovery generation: it moves exactly when some source
 // transitions back to healthy.
 func (t *Tracker) Gen() uint64 { return t.gen.Load() }
-
-// Snapshot returns every known breaker's state, ordered by source name.
-func (t *Tracker) Snapshot() []SourceHealth {
-	t.mu.Lock()
-	names := make([]string, 0, len(t.breakers))
-	for n := range t.breakers {
-		names = append(names, n)
-	}
-	bs := make([]*Breaker, 0, len(names))
-	sortStrings(names)
-	for _, n := range names {
-		bs = append(bs, t.breakers[n])
-	}
-	t.mu.Unlock()
-	out := make([]SourceHealth, len(bs))
-	for i, b := range bs {
-		out[i] = b.Snapshot()
-	}
-	return out
-}
-
-// sortStrings is an insertion sort: the source set is a handful of names,
-// not worth importing sort for a hot snapshot path.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

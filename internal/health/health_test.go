@@ -44,19 +44,19 @@ func TestBreakerThreshold(t *testing.T) {
 	tr := NewTracker(testConfig(clk))
 	b := tr.For("go")
 
-	if got := b.State(); got != StateHealthy {
+	if got := State(b.Snapshot().StateCode); got != StateHealthy {
 		t.Fatalf("initial state = %v, want healthy", got)
 	}
 	b.Failure(errors.New("boom"))
-	if got := b.State(); got != StateDegraded {
+	if got := State(b.Snapshot().StateCode); got != StateDegraded {
 		t.Fatalf("after 1 failure state = %v, want degraded", got)
 	}
 	b.Failure(errors.New("boom"))
-	if got := b.State(); got != StateDegraded {
+	if got := State(b.Snapshot().StateCode); got != StateDegraded {
 		t.Fatalf("after 2 failures state = %v, want degraded", got)
 	}
 	b.Failure(errors.New("boom"))
-	if got := b.State(); got != StateDown {
+	if got := State(b.Snapshot().StateCode); got != StateDown {
 		t.Fatalf("after 3 failures state = %v, want down", got)
 	}
 	// While the window is open no fetch is admitted.
@@ -74,7 +74,7 @@ func TestBreakerThreshold(t *testing.T) {
 		t.Fatalf("Allow after window = (%v,%v), want probe admitted", ok, probe)
 	}
 	b.Success()
-	if got := b.State(); got != StateHealthy {
+	if got := State(b.Snapshot().StateCode); got != StateHealthy {
 		t.Fatalf("after probe success state = %v, want healthy", got)
 	}
 	if got := tr.Gen(); got != 1 {
@@ -82,7 +82,7 @@ func TestBreakerThreshold(t *testing.T) {
 	}
 	// Failure streak was reset: one new failure only degrades.
 	b.Failure(errors.New("boom"))
-	if got := b.State(); got != StateDegraded {
+	if got := State(b.Snapshot().StateCode); got != StateDegraded {
 		t.Fatalf("post-recovery failure state = %v, want degraded", got)
 	}
 }
@@ -192,25 +192,5 @@ func TestBreakerJitterBounds(t *testing.T) {
 	lo, hi := 80*time.Millisecond, 120*time.Millisecond
 	if retryIn < lo || retryIn > hi {
 		t.Fatalf("jittered window %v outside [%v,%v]", retryIn, lo, hi)
-	}
-}
-
-func TestTrackerSnapshotSorted(t *testing.T) {
-	tr := NewTracker(Config{})
-	tr.For("omim")
-	tr.For("go")
-	tr.For("locuslink")
-	snap := tr.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot len = %d, want 3", len(snap))
-	}
-	wantOrder := []string{"go", "locuslink", "omim"}
-	for i, w := range wantOrder {
-		if snap[i].Source != w {
-			t.Fatalf("snapshot[%d] = %s, want %s", i, snap[i].Source, w)
-		}
-	}
-	if snap[0].State != "healthy" {
-		t.Fatalf("fresh breaker state = %s, want healthy", snap[0].State)
 	}
 }

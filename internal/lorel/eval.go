@@ -96,19 +96,6 @@ func Eval(g *oem.Graph, q *Query) (*Result, error) {
 	return p.Eval(g)
 }
 
-// EvalCond evaluates one condition under an explicit variable binding by
-// compiling it on the fly — a convenience shim for one-off evaluation. It
-// pays a full condition compile per call; anything evaluating the same
-// condition repeatedly (the mediator's pushdown compiles once per source)
-// should use CompileCond.
-func EvalCond(g *oem.Graph, env map[string]oem.OID, c Cond) (bool, error) {
-	cp, err := CompileCond(c)
-	if err != nil {
-		return false, err
-	}
-	return cp.Eval(g, env)
-}
-
 func litObject(l *Literal) *oem.Object {
 	switch l.Kind {
 	case LitString:

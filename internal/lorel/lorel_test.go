@@ -553,11 +553,11 @@ func TestIndexedAndScannedLabelMatchingAgree(t *testing.T) {
 	root := g.NewComplex(oem.Ref{Label: "Οδός", Target: target})
 	g.SetRoot("R", root)
 
-	steps := []Step{LabelStep{Name: "ΟΔΌΣ"}}
-	// EvalPath does not build the index: ref-scan path.
-	scanned := EvalPath(g, steps, []oem.OID{root})
+	path := compileSteps([]Step{LabelStep{Name: "ΟΔΌΣ"}})
+	// The path step does not build the index: ref-scan path.
+	scanned := evalNFA(g, nil, path, []oem.OID{root}, newScratch())
 	g.EnsureLabelIndex()
-	indexed := EvalPath(g, steps, []oem.OID{root})
+	indexed := evalNFA(g, nil, path, []oem.OID{root}, newScratch())
 	if len(scanned) != 1 || len(indexed) != 1 || scanned[0] != indexed[0] {
 		t.Fatalf("scan matched %v, index matched %v — label folding diverges", scanned, indexed)
 	}

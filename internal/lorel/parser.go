@@ -56,8 +56,7 @@ func MustParse(src string) *Query {
 	return q
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) keyword(kw string) bool {
 	t := p.cur()

@@ -218,11 +218,3 @@ func evalNFA(g *oem.Graph, mask *oem.Mask, n *nfa, starts []oem.OID, sc *scratch
 	sc.queue = queue // keep the grown buffer for the next call
 	return out
 }
-
-// EvalPath evaluates a path from explicit start objects, compiling it on
-// the fly — a convenience shim for one-off evaluation. It pays a full
-// compile and fresh scratch per call; repeated evaluation of a fixed shape
-// should go through Compile.
-func EvalPath(g *oem.Graph, steps []Step, starts []oem.OID) []oem.OID {
-	return evalNFA(g, nil, compileSteps(steps), starts, newScratch())
-}

@@ -24,9 +24,6 @@ type Plan struct {
 	scratch sync.Pool
 }
 
-// Query returns the query the plan was compiled from (read-only).
-func (p *Plan) Query() *Query { return p.q }
-
 // Compile builds the execution plan for a query.
 func Compile(q *Query) (*Plan, error) {
 	if len(q.From) == 0 {

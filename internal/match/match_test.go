@@ -285,8 +285,12 @@ func TestMDSMOnDomainSchemas(t *testing.T) {
 		"CytoPosition": "Position",
 		"Title":        "Description",
 	}
+	pairs := map[string]*Correspondence{}
+	for i := range res.Pairs {
+		pairs[res.Pairs[i].A] = &res.Pairs[i]
+	}
 	for a, b := range want {
-		p := res.PairFor(a)
+		p := pairs[a]
 		if p == nil {
 			t.Errorf("no correspondence for %s (result:\n%s)", a, res.String())
 			continue

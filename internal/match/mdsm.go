@@ -47,16 +47,6 @@ type Result struct {
 	UnmatchedB       []string
 }
 
-// PairFor returns the correspondence whose A-side equals label, or nil.
-func (r *Result) PairFor(label string) *Correspondence {
-	for i := range r.Pairs {
-		if r.Pairs[i].A == label {
-			return &r.Pairs[i]
-		}
-	}
-	return nil
-}
-
 // Similarity scores one label pair under the options: a weighted blend of
 // name similarity, type compatibility, and structural agreement
 // (optionality/repeatability flags).

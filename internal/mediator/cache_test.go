@@ -81,7 +81,7 @@ func TestDisableCacheMatchesCachedResults(t *testing.T) {
 func TestCacheInvalidatedBySourceRefresh(t *testing.T) {
 	c := corpus()
 	m := manager(t, c, Options{})
-	ll := m.Registry().Get("LocusLink")
+	ll := m.reg.Get("LocusLink")
 
 	if _, _, err := m.QueryString(cacheTestQuery); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestSnapshotIneligibleQueries(t *testing.T) {
 		t.Errorf("snapshot hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	for _, concept := range []string{"Annotation", "Disease"} {
-		if n := m.Metrics().Value("annoda_epoch_masked_total", concept); n != 1 {
+		if n := m.metrics.Value("annoda_epoch_masked_total", concept); n != 1 {
 			t.Errorf("annoda_epoch_masked_total{concept=%q} = %d, want 1", concept, n)
 		}
 	}

@@ -183,11 +183,7 @@ func TestDegradedFusionAndReadmission(t *testing.T) {
 		t.Fatalf("Readiness = %q after recovery, want ready", rd.Status)
 	}
 	sawSourceUp := false
-	for sub.Pending() > 0 {
-		ev, ok := sub.Next()
-		if !ok {
-			break
-		}
+	for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
 		if ev.Kind == feed.KindSourceUp && ev.Source == "GO" {
 			sawSourceUp = true
 		}
@@ -232,7 +228,7 @@ func TestReadmissionIsInstrumentedLikeRefresh(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		if n := m.Metrics().Value("annoda_feed_publish_duration_seconds"); n != 1 {
+		if n := m.metrics.Value("annoda_feed_publish_duration_seconds"); n != 1 {
 			t.Errorf("feed-publish histogram observed %d times by a re-admission, want 1", n)
 		}
 		if !spansOf(m, "probe")[obs.StageFeedPublish] {

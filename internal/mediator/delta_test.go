@@ -599,7 +599,7 @@ func TestRefreshWindowServesPreRefreshWorld(t *testing.T) {
 	}
 	// Simulate the middle of a RefreshSourceCtx: gate held, version bumped.
 	m.refreshing.Add(1)
-	m.Registry().Get("GO").Refresh()
+	m.reg.Get("GO").Refresh()
 	_, stats, err := m.QueryString(snapshotQ)
 	if err != nil {
 		m.refreshing.Add(-1)
@@ -723,7 +723,7 @@ func TestRefreshDeltaTooLarge(t *testing.T) {
 func TestRefreshSourceNative(t *testing.T) {
 	c := corpus()
 	m := mutManager(t, c, Options{})
-	sw, ok := m.Registry().Get("LocusLink").(*swapSource)
+	sw, ok := m.reg.Get("LocusLink").(*swapSource)
 	if !ok {
 		t.Fatal("LocusLink is not a swapSource")
 	}

@@ -30,9 +30,14 @@ func geneWhere(t *testing.T, c *datagen.Corpus, ok func(*datagen.Gene) bool) int
 	if err != nil {
 		t.Fatal(err)
 	}
+	hasProtein := map[string]bool{}
+	pd.Scan(func(p *protdb.Protein) bool {
+		hasProtein[strings.ToLower(p.GeneName)] = true
+		return true
+	})
 	for i := 40; i < len(c.Genes); i++ {
 		g := &c.Genes[i]
-		if len(g.GoTerms) > 0 && len(pd.ByGeneName(g.Symbol)) > 0 && ok(g) {
+		if len(g.GoTerms) > 0 && hasProtein[strings.ToLower(g.Symbol)] && ok(g) {
 			return i
 		}
 	}
@@ -129,7 +134,7 @@ func TestEpochDeclinesWhenRunnerUpIsVisible(t *testing.T) {
 	misses := metric(m, "annoda_snapshot_misses_total")
 	editGene(c, editableGenes(t, c, 1)[0], "declined standing query")
 	refresh(t, m, "LocusLink")
-	plain.Registry().Get("LocusLink").Refresh()
+	plain.reg.Get("LocusLink").Refresh()
 	evs := drainFeed(sub)
 	want, _ = mustQuery(t, plain, watched)
 	if len(evs) != 2 || !evs[0].Initial || evs[1].Text != want {
@@ -179,7 +184,7 @@ func TestMaskFollowsRefreshes(t *testing.T) {
 	m := fedManager(t, c, Options{})
 	plain := fedManager(t, c, Options{DisableCache: true})
 	refreshBoth := func(src string) *RefreshResult {
-		plain.Registry().Get(src).Refresh()
+		plain.reg.Get(src).Refresh()
 		return refresh(t, m, src)
 	}
 	const (
@@ -331,7 +336,7 @@ func BenchmarkEpochProvenance(b *testing.B) {
 // every reference so labelled leaves the root or a gene, at any depth.
 func TestConceptNamesLabelOnlyLinkEdges(t *testing.T) {
 	m := fedManager(t, maskCorpus(), Options{})
-	for _, c := range m.Global().Concepts {
+	for _, c := range m.gl.Concepts {
 		for _, l := range c.Labels {
 			if conceptNames[strings.ToLower(l.Name)] != "" {
 				t.Errorf("%s.%s is named after a concept; masks hide that label", c.Name, l.Name)

@@ -369,12 +369,6 @@ func (m *Manager) ensureFresh() {
 	}
 }
 
-// Global returns the global model the manager mediates for.
-func (m *Manager) Global() *gml.Global { return m.gl }
-
-// Registry returns the wrapper registry.
-func (m *Manager) Registry() *wrapper.Registry { return m.reg }
-
 // QueryString parses and runs a Lorel query phrased in the global
 // vocabulary (from clauses over ANNODA-GML.<Concept>).
 func (m *Manager) QueryString(src string) (*lorel.Result, *Stats, error) {
@@ -393,7 +387,7 @@ func (m *Manager) QueryStringCtx(ctx context.Context, src string) (*lorel.Result
 	return m.QueryCtx(ctx, q)
 }
 
-// Query decomposes, optimizes and executes a global Lorel query:
+// QueryCtx decomposes, optimizes and executes a global Lorel query:
 //
 //  1. analyze which concepts the query touches (from clauses and link
 //     labels) — unneeded sources are pruned (on the snapshot path: masked);
@@ -416,14 +410,11 @@ func (m *Manager) QueryStringCtx(ctx context.Context, src string) (*lorel.Result
 // snapshot graph shared by every query computed under the current source
 // fingerprint — eval-only, with the concepts it does not name hidden by a
 // mask instead of left out of a private fusion.
-func (m *Manager) Query(q *lorel.Query) (*lorel.Result, *Stats, error) {
-	return m.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query with a context (see QueryStringCtx for trace
-// semantics). The op histogram is observed for every call — independent
-// of trace sampling — so annoda_op_duration_seconds_count{op="query"}
-// equals the number of queries served.
+//
+// See QueryStringCtx for trace semantics. The op histogram is observed for
+// every call — independent of trace sampling — so
+// annoda_op_duration_seconds_count{op="query"} equals the number of queries
+// served.
 func (m *Manager) QueryCtx(ctx context.Context, q *lorel.Query) (*lorel.Result, *Stats, error) {
 	canon := q.String()
 	// Analysis runs before the cache lookup because the entry's

@@ -18,7 +18,7 @@ import (
 
 // metric reads one unlabelled series from the manager's registry — the one
 // home of every cumulative counter.
-func metric(m *Manager, name string) int64 { return m.Metrics().Value(name) }
+func metric(m *Manager, name string) int64 { return m.metrics.Value(name) }
 
 func corpus() *datagen.Corpus {
 	return datagen.Generate(datagen.Config{
@@ -327,10 +327,10 @@ func TestPlugInProteinSourceE11(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := wrapper.NewProtDB(pd)
-	if err := m.Registry().Add(pw); err != nil {
+	if err := m.reg.Add(pw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Global().PlugIn(pw); err != nil {
+	if _, err := m.gl.PlugIn(pw); err != nil {
 		t.Fatal(err)
 	}
 	res2, _, err := m.QueryString(`select P from ANNODA-GML.Protein P`)
@@ -424,8 +424,8 @@ func TestPolicyString(t *testing.T) {
 // population and in the aggregated Stats.
 func TestPushdownFallbackCounted(t *testing.T) {
 	m := manager(t, corpus(), Options{})
-	w := m.Registry().Get("LocusLink")
-	mp := m.Global().MappingFor("LocusLink")
+	w := m.reg.Get("LocusLink")
+	mp := m.gl.MappingFor("LocusLink")
 	if w == nil || mp == nil {
 		t.Fatal("LocusLink not registered/mapped")
 	}

@@ -44,7 +44,7 @@ type counters struct {
 
 // initObs registers the manager's series and resolves its metric handles.
 // With o == nil the counters live in a private registry — they count either
-// way, readable through Metrics() — while the op histograms and traces stay
+// way — while the op histograms and traces stay
 // nil and the nil-safe obs API makes that instrumentation free.
 func (m *Manager) initObs(o *obs.Obs) {
 	reg := obs.NewRegistry()
@@ -165,11 +165,6 @@ func (m *Manager) initObs(o *obs.Obs) {
 // when observability is off). The server shares it for HTTP metrics and
 // the /api/debug/traces rings.
 func (m *Manager) Obs() *obs.Obs { return m.o }
-
-// Metrics returns the registry holding every cumulative counter:
-// Options.Obs.Reg, or the manager's private registry when observability is
-// off. Read one series with Metrics().Value(name, labelValues...).
-func (m *Manager) Metrics() *obs.Registry { return m.metrics }
 
 // opScope is one mediator operation's observability scope: the trace its
 // stages record into, and when it began. The zero value (observability

@@ -167,12 +167,12 @@ func TestRestoreServesWithoutFetching(t *testing.T) {
 	// Same global model, same source names — but every Model() call is a
 	// trap.
 	reg := wrapper.NewRegistry()
-	for _, w := range live.Registry().All() {
+	for _, w := range live.reg.All() {
 		if err := reg.Add(&trapSource{name: w.Name(), entity: w.EntityLabel()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := New(reg, live.Global(), Options{})
+	m := New(reg, live.gl, Options{})
 	st, err := snapstore.Open(dir, snapstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -479,12 +479,12 @@ func TestRestoreSourceSetMismatchFallsBack(t *testing.T) {
 
 	// A manager over a subset of the sources (same global model).
 	reg := wrapper.NewRegistry()
-	for _, w := range live.Registry().All()[:2] {
+	for _, w := range live.reg.All()[:2] {
 		if err := reg.Add(&trapSource{name: w.Name(), entity: w.EntityLabel()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := New(reg, live.Global(), Options{})
+	m := New(reg, live.gl, Options{})
 	st, err := snapstore.Open(dir, snapstore.Options{})
 	if err != nil {
 		t.Fatal(err)

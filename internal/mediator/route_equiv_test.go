@@ -46,10 +46,10 @@ func plugProt(t testing.TB, m *Manager, c *datagen.Corpus) {
 		}
 		return wrapper.NewProtDB(pd).Model()
 	}}
-	if err := m.Registry().Add(pw); err != nil {
+	if err := m.reg.Add(pw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Global().PlugIn(pw); err != nil {
+	if _, err := m.gl.PlugIn(pw); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,8 +234,8 @@ func TestRouteEquivalence(t *testing.T) {
 				if rr := refresh(t, live, src); !rr.Patched {
 					t.Fatalf("%s refresh was not patched: %+v", src, rr)
 				}
-				pipeline.Registry().Get(src).Refresh()
-				plain.Registry().Get(src).Refresh()
+				pipeline.reg.Get(src).Refresh()
+				plain.reg.Get(src).Refresh()
 			}
 			want = routeAnswers(t, plain, qs, false)
 			patched := routeAnswers(t, live, qs, true)

@@ -57,14 +57,22 @@ func assertOneLivePerSource(t *testing.T, m *Manager) {
 		if tl.mapping != m.gl.MappingFor(source) {
 			t.Errorf("%s: memo entry was translated under a mapping no longer in force", source)
 		}
-		if !tl.graph.Frozen() {
+		if !mutationPanics(tl.graph) {
 			t.Errorf("%s: memoized population is not frozen", source)
 		}
 	}
 }
 
+// mutationPanics reports whether g refuses a mutation, as a frozen graph
+// does. On a graph that is not frozen it adds an object.
+func mutationPanics(g *oem.Graph) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	g.NewInt(0)
+	return false
+}
+
 func translateCount(m *Manager, source, outcome string) int64 {
-	return m.Metrics().Value("annoda_translate_total", source, outcome)
+	return m.metrics.Value("annoda_translate_total", source, outcome)
 }
 
 func answerText(t testing.TB, m *Manager, q string) string {
@@ -122,7 +130,11 @@ func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population 
 				}
 				keep = true
 				for _, c := range an.pushdown[v] {
-					if ok, err := lorel.EvalCond(pop.graph, map[string]oem.OID{v: te}, c); err == nil && !ok {
+					cp, err := lorel.CompileCond(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok, err := cp.Eval(pop.graph, map[string]oem.OID{v: te}); err == nil && !ok {
 						keep = false
 						break
 					}
@@ -409,7 +421,7 @@ func TestTranslationMemoInvalidation(t *testing.T) {
 		}
 		break
 	}
-	if got := m.Metrics().Value("annoda_translated_objects", "LocusLink"); got != int64(liveTranslations(m)["LocusLink"].graph.Len()) {
+	if got := m.metrics.Value("annoda_translated_objects", "LocusLink"); got != int64(liveTranslations(m)["LocusLink"].graph.Len()) {
 		t.Errorf("annoda_translated_objects{LocusLink} = %d, live population has %d objects", got, liveTranslations(m)["LocusLink"].graph.Len())
 	}
 }
@@ -452,7 +464,7 @@ func TestTranslationMemoPlugInUnplug(t *testing.T) {
 	if tl := liveTranslations(m)["ProtDB"]; tl != nil {
 		t.Error("ProtDB translation survived Unplug")
 	}
-	if got := m.Metrics().Value("annoda_translated_objects", "ProtDB"); got != 0 {
+	if got := m.metrics.Value("annoda_translated_objects", "ProtDB"); got != 0 {
 		t.Errorf("annoda_translated_objects{ProtDB} = %d after Unplug, want 0", got)
 	}
 
@@ -654,7 +666,7 @@ func TestTranslateObservability(t *testing.T) {
 		if b, mm := translateCount(m, source, translationBuilt), translateCount(m, source, translationMemo); b != 1 || mm != 1 {
 			t.Errorf("annoda_translate_total{%s} = %d built / %d memo, want 1 / 1", source, b, mm)
 		}
-		if got, want := m.Metrics().Value("annoda_translated_objects", source), int64(liveTranslations(m)[source].graph.Len()); got != want || got == 0 {
+		if got, want := m.metrics.Value("annoda_translated_objects", source), int64(liveTranslations(m)[source].graph.Len()); got != want || got == 0 {
 			t.Errorf("annoda_translated_objects{%s} = %d, want the population's %d objects", source, got, want)
 		}
 	}

@@ -35,17 +35,6 @@ func (m *Manager) SubscribeChanges(opts feed.Options) (*feed.Subscriber, error) 
 	return m.hub.Subscribe(opts), nil
 }
 
-// FeedSeq returns the sequence number of the most recently published feed
-// event — the value a caller passes back as AfterSeq (or Last-Event-ID) to
-// resume from "now". Zero when the feed is disabled or nothing has been
-// published yet.
-func (m *Manager) FeedSeq() uint64 {
-	if m.hub == nil {
-		return 0
-	}
-	return m.hub.Seq()
-}
-
 // publishChangeLocked publishes one refresh's ChangeSet into the feed hub.
 // m.epochMu must be held: the hub assigns the sequence number inside the
 // same critical section that published the epoch and appended the WAL
@@ -129,9 +118,6 @@ type StandingQuery struct {
 	lastSeq  uint64
 	lastText string
 }
-
-// Query returns the standing query's canonical text.
-func (sq *StandingQuery) Query() string { return sq.canon }
 
 // Cancel unregisters the standing query; no further answers are pushed.
 func (sq *StandingQuery) Cancel() {

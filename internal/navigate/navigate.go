@@ -203,15 +203,6 @@ func (s *Session) Back() (Target, bool) {
 	return s.history[s.pos], true
 }
 
-// Forward moves one step forward in history.
-func (s *Session) Forward() (Target, bool) {
-	if s.pos < 0 || s.pos >= len(s.history)-1 {
-		return Target{}, false
-	}
-	s.pos++
-	return s.history[s.pos], true
-}
-
 // FollowAll opens every out-link of the current target, returning the
 // targets visited (breadth-1 expansion; dead links are skipped).
 func (s *Session) FollowAll() ([]Target, error) {

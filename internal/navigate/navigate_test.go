@@ -99,17 +99,10 @@ func TestCrossSourceNavigation(t *testing.T) {
 	if tgt.Source != "GO" {
 		t.Errorf("followed GO link into %s", tgt.Source)
 	}
-	// History: back returns to the locus, forward returns to the term.
+	// History: back returns to the locus.
 	back, ok := s.Back()
 	if !ok || back.Source != "LocusLink" {
 		t.Errorf("Back -> %v %v", back, ok)
-	}
-	fwd, ok := s.Forward()
-	if !ok || fwd.Source != "GO" {
-		t.Errorf("Forward -> %v %v", fwd, ok)
-	}
-	if _, ok := s.Forward(); ok {
-		t.Error("Forward past end should fail")
 	}
 	if s.Trips != 2 {
 		t.Errorf("trips = %d", s.Trips)

@@ -13,6 +13,3 @@ func Now() time.Time { return time.Now() }
 
 // Since returns the time elapsed since t.
 func Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Until returns the duration until t.
-func Until(t time.Time) time.Duration { return time.Until(t) }

@@ -22,46 +22,10 @@ type Sample struct {
 	Value  float64
 }
 
-// Key renders the sample identity as name{k="v",...} with labels sorted.
-func (s Sample) Key() string {
-	if len(s.Labels) == 0 {
-		return s.Name
-	}
-	keys := make([]string, 0, len(s.Labels))
-	for k := range s.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, s.Labels[k])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // Exposition is a parsed scrape.
 type Exposition struct {
 	Samples []Sample
 	Types   map[string]string // family name -> counter|gauge|histogram|...
-}
-
-// SumCount totals every sample named exactly name (across all label
-// sets) — e.g. SumCount("annoda_http_request_duration_seconds_count")
-// yields the number of HTTP requests observed.
-func (e *Exposition) SumCount(name string) float64 {
-	var total float64
-	for _, s := range e.Samples {
-		if s.Name == name {
-			total += s.Value
-		}
-	}
-	return total
 }
 
 // Value returns the value of the unique sample with the given name and

@@ -76,15 +76,6 @@ func (o *Obs) Start(op, detail string) *Trace {
 	return o.Tracer.Start(op, detail)
 }
 
-// StartID is Start with a caller-chosen trace ID (the server passes the
-// request ID so /api/debug/traces correlates with X-Request-ID).
-func (o *Obs) StartID(id, op, detail string) *Trace {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.StartID(id, op, detail)
-}
-
 // Stage names recorded by the wired call sites. Constants rather than ad
 // hoc strings so the pre-resolved stage histograms in Metrics stay in sync
 // with what the mediator and server actually record.

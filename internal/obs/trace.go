@@ -43,14 +43,6 @@ type Trace struct {
 	done   bool
 }
 
-// ID returns the trace/request ID ("" on a nil trace).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Span records a stage that started at start and ends now.
 func (t *Trace) Span(stage string, start time.Time) {
 	if t == nil {

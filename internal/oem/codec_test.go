@@ -64,13 +64,13 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			t.Fatalf("oid %d: got %v want %v", i, gotIDs[i], wantIDs[i])
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range g.roots {
 		if got.Root(r.Name) != r.OID {
 			t.Fatalf("root %q: got %v want %v", r.Name, got.Root(r.Name), r.OID)
 		}
 	}
 	// Structurally identical from every root.
-	for _, r := range g.Roots() {
+	for _, r := range g.roots {
 		if !DeepEqual(g, r.OID, got, r.OID) {
 			t.Fatalf("subgraph under root %q differs after round trip", r.Name)
 		}
@@ -111,7 +111,7 @@ func TestBinaryCodecFrozenGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Frozen() {
+	if dec.frozen.Load() {
 		t.Fatal("decoded graph must be mutable (freezing is the publisher's call)")
 	}
 	if !DeepEqual(g, g.Root("LocusLink"), dec, dec.Root("LocusLink")) {

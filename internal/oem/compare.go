@@ -72,12 +72,6 @@ func Compare(a, b *Object) (int, bool) {
 	}
 }
 
-// Equal reports value equality under the same coercion rules as Compare.
-func Equal(a, b *Object) bool {
-	c, ok := Compare(a, b)
-	return ok && c == 0
-}
-
 func isNumeric(o *Object) bool { return o.Kind == KindInt || o.Kind == KindReal }
 
 func coerceReal(o *Object) (float64, bool) {

@@ -48,9 +48,6 @@ func (g *Graph) FreezeUnindexed() {
 	g.mu.Unlock()
 }
 
-// Frozen reports whether the graph has been frozen.
-func (g *Graph) Frozen() bool { return g.frozen.Load() }
-
 // mustMutable guards every mutating method: a frozen graph is shared by
 // lock-free readers, so mutating it is a correctness bug, not a race to
 // tolerate. Callers that need to change a frozen graph work on a Clone.
@@ -120,10 +117,10 @@ func (g *Graph) Absorb(src *Graph) (OID, error) {
 	g.next += src.next - 1
 	// Wholesale index invalidation: an absorb is a bulk mutation far past
 	// the incremental-repair threshold.
-	g.parents, g.labels, g.labelsDirty = nil, nil, nil
+	g.labels, g.labelsDirty = nil, nil
 	src.objects = make(map[OID]*Object)
 	src.next = 1
-	src.roots, src.parents, src.labels, src.labelsDirty = nil, nil, nil, nil
+	src.roots, src.labels, src.labelsDirty = nil, nil, nil
 	src.slab, src.slabSize = nil, 0
 	return offset, nil
 }

@@ -25,7 +25,7 @@ func TestFreezeReadsMatchUnfrozen(t *testing.T) {
 	before := CanonicalText(g, "DB", root)
 	lenBefore := g.Len()
 	g.Freeze()
-	if !g.Frozen() {
+	if !g.frozen.Load() {
 		t.Fatal("Freeze did not mark the graph frozen")
 	}
 	if got := CanonicalText(g, "DB", root); got != before {
@@ -39,8 +39,8 @@ func TestFreezeReadsMatchUnfrozen(t *testing.T) {
 	}
 	if _, ok := g.LabelIndex(); !ok {
 		t.Error("frozen graph has no label index")
-	} else if got := g.TargetsFolded(root, FoldLabel("entry")); len(got) != 2 {
-		t.Errorf("frozen TargetsFolded(root, entry) = %v, want 2 targets", got)
+	} else if got := targetsFolded(g, root, FoldLabel("entry")); len(got) != 2 {
+		t.Errorf("frozen folded lookup (root, entry) = %v, want 2 targets", got)
 	}
 	g.Freeze() // idempotent
 }
@@ -112,7 +112,7 @@ func TestCloneIsIndependentAndPreservesOIDs(t *testing.T) {
 	before := CanonicalText(g, "DB", root)
 
 	c := g.Clone()
-	if c.Frozen() {
+	if c.frozen.Load() {
 		t.Fatal("clone of a frozen graph is frozen")
 	}
 	// Same oids, same content.
@@ -139,7 +139,7 @@ func TestCloneIsIndependentAndPreservesOIDs(t *testing.T) {
 	if len(g.Children(root, "Entry")) != 2 {
 		t.Error("original lost an Entry edge after clone mutation")
 	}
-	if _, ok := g.LabelIndex(); !ok || len(g.TargetsFolded(root, FoldLabel("entry"))) != 2 {
+	if _, ok := g.LabelIndex(); !ok || len(targetsFolded(g, root, FoldLabel("entry"))) != 2 {
 		t.Error("original label index corrupted by clone mutation")
 	}
 	// New allocations in the clone must not collide with preserved oids.
@@ -208,24 +208,24 @@ func TestAbsorbRemapsAndConsumes(t *testing.T) {
 
 // TestFreezeUnindexed: the graph is immutable and lock-free like any frozen
 // graph but holds no label index — LabelIndex says so (evaluators then scan
-// refs), TargetsFolded scans instead of building one under readers, and an
+// refs), a folded lookup scans instead of building one under readers, and an
 // index built before the freeze is released.
 func TestFreezeUnindexed(t *testing.T) {
 	g, root := buildSample()
 	g.EnsureLabelIndex()
 	before := CanonicalText(g, "DB", root)
 	g.FreezeUnindexed()
-	if !g.Frozen() {
+	if !g.frozen.Load() {
 		t.Fatal("FreezeUnindexed did not mark the graph frozen")
 	}
 	if _, ok := g.LabelIndex(); ok {
 		t.Error("an unindexed frozen graph reports a label index")
 	}
-	if got := g.TargetsFolded(root, FoldLabel("entry")); len(got) != 2 {
-		t.Errorf("TargetsFolded(root, entry) = %v, want 2 targets from the scan", got)
+	if got := targetsFolded(g, root, FoldLabel("entry")); len(got) != 2 {
+		t.Errorf("folded lookup (root, entry) = %v, want 2 targets from the scan", got)
 	}
 	if _, ok := g.LabelIndex(); ok {
-		t.Error("TargetsFolded built an index on a frozen graph")
+		t.Error("a folded lookup built an index on a frozen graph")
 	}
 	if got := CanonicalText(g, "DB", root); got != before {
 		t.Errorf("frozen CanonicalText differs:\n%s\nvs\n%s", got, before)

@@ -24,18 +24,14 @@ type Graph struct {
 	objects map[OID]*Object
 	roots   []Root
 
-	// parents is a lazily built reverse-edge index used by navigation and
-	// invalidated by any mutation.
-	parents map[OID][]Edge
-
 	// labels is a lazily built per-object label index: case-folded label ->
 	// ref targets in insertion order, for complex objects with at least
 	// labelIndexMinRefs references. It turns the hot label-traversal step of
 	// query evaluation over a wide object (a fused gene, the root) into a map
 	// hit instead of an O(refs) scan; narrow objects are scanned — a handful
 	// of comparisons costs no more than hashing the label, and a map per
-	// object is what the index's memory went to. Unlike parents it is
-	// maintained incrementally: a mutation records the touched oid in
+	// object is what the index's memory went to. It is maintained
+	// incrementally: a mutation records the touched oid in
 	// labelsDirty, and the next index read repairs only those entries (the
 	// published map is cloned, never edited, so handles stay immutable).
 	// A mutation burst touching more than a quarter of the graph drops
@@ -63,13 +59,6 @@ const slabMax = 512
 type Root struct {
 	Name string
 	OID  OID
-}
-
-// Edge is a labelled edge with an explicit source, used by reverse lookups.
-type Edge struct {
-	From  OID
-	Label string
-	To    OID
 }
 
 // NewGraph returns an empty graph whose first allocated oid will be &1.
@@ -164,10 +153,9 @@ const labelsRebuildSlack = 64
 
 // invalidateIndexes notes that the object with the given oid changed
 // shape; every mutation must call it (directly or via alloc) before
-// releasing the write lock. The parents index is dropped wholesale (it is
-// cold); the label index is repaired lazily from the dirty set.
+// releasing the write lock. The label index is repaired lazily from the
+// dirty set.
 func (g *Graph) invalidateIndexes(id OID) {
-	g.parents = nil
 	if g.labels == nil {
 		return
 	}
@@ -454,13 +442,6 @@ func (g *Graph) RootMatch(name string) OID {
 	return 0
 }
 
-// Roots returns the registered roots in registration order.
-func (g *Graph) Roots() []Root {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]Root(nil), g.roots...)
-}
-
 // Children returns the target oids of edges labelled label leaving id.
 func (g *Graph) Children(id OID, label string) []OID {
 	return g.Get(id).RefTargets(label)
@@ -495,34 +476,6 @@ func foldRune(r rune) rune {
 		}
 		r = next
 	}
-}
-
-// TargetsFolded returns the targets of the refs leaving id whose label
-// case-folds to folded (which must already be folded with FoldLabel), in
-// insertion order. The label index is built on first use and cached until
-// the next mutation (a frozen graph is never given one it lacks); an object
-// it has an entry for answers from it — that slice is shared with the index
-// and must not be mutated — and any other is scanned.
-func (g *Graph) TargetsFolded(id OID, folded string) []OID {
-	if !g.frozen.Load() {
-		g.EnsureLabelIndex()
-	}
-	if ix, ok := g.LabelIndex(); ok {
-		if ts, indexed := ix.Targets(id, folded); indexed {
-			return ts
-		}
-	}
-	var out []OID
-	if o := g.Get(id); o != nil {
-		for _, r := range o.Refs {
-			// folded is canonical under FoldLabel, so EqualFold(x, folded)
-			// iff FoldLabel(x) == folded.
-			if strings.EqualFold(r.Label, folded) {
-				out = append(out, r.Target)
-			}
-		}
-	}
-	return out
 }
 
 // LabelIndex is a read-only handle on a graph's built label index. The
@@ -643,16 +596,6 @@ func (g *Graph) Child(id OID, label string) OID {
 	return 0
 }
 
-// AtomUnder returns the untyped value of the first atomic child under label,
-// or nil if there is none.
-func (g *Graph) AtomUnder(id OID, label string) any {
-	c := g.Get(g.Child(id, label))
-	if c == nil || !c.IsAtomic() {
-		return nil
-	}
-	return c.Value()
-}
-
 // StringUnder returns the string value of the first string/url child under
 // label, or "".
 func (g *Graph) StringUnder(id OID, label string) string {
@@ -674,58 +617,6 @@ func (g *Graph) IntUnder(id OID, label string) (int64, bool) {
 		return 0, false
 	}
 	return c.Int, true
-}
-
-// Parents returns the labelled in-edges of id. The reverse index is built on
-// first use and cached until the next mutation.
-func (g *Graph) Parents(id OID) []Edge {
-	g.mu.Lock()
-	if g.parents == nil {
-		g.parents = make(map[OID][]Edge)
-		for from, o := range g.objects {
-			for _, r := range o.Refs {
-				g.parents[r.Target] = append(g.parents[r.Target], Edge{From: from, Label: r.Label, To: r.Target})
-			}
-		}
-		for _, es := range g.parents {
-			sort.Slice(es, func(i, j int) bool {
-				if es[i].From != es[j].From {
-					return es[i].From < es[j].From
-				}
-				return es[i].Label < es[j].Label
-			})
-		}
-	}
-	out := g.parents[id]
-	g.mu.Unlock()
-	return out
-}
-
-// Reachable returns the set of oids reachable from start (inclusive)
-// following references.
-func (g *Graph) Reachable(start OID) map[OID]bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[OID]bool)
-	stack := []OID{start}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		o := g.objects[id]
-		if o == nil {
-			continue
-		}
-		seen[id] = true
-		for _, r := range o.Refs {
-			if !seen[r.Target] {
-				stack = append(stack, r.Target)
-			}
-		}
-	}
-	return seen
 }
 
 // Validate checks graph integrity: every reference targets an existing
@@ -877,31 +768,4 @@ func DeepEqual(ga *Graph, a OID, gb *Graph, b OID) bool {
 		return false
 	}
 	return eq(a, b)
-}
-
-// Stats summarizes a graph for diagnostics.
-type Stats struct {
-	Objects int
-	Atoms   int
-	Complex int
-	Edges   int
-	Roots   int
-}
-
-// Stats computes summary statistics.
-func (g *Graph) Stats() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var s Stats
-	s.Objects = len(g.objects)
-	s.Roots = len(g.roots)
-	for _, o := range g.objects {
-		if o.Kind == KindComplex {
-			s.Complex++
-			s.Edges += len(o.Refs)
-		} else {
-			s.Atoms++
-		}
-	}
-	return s
 }

@@ -92,7 +92,7 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	}
 	p := g.NewComplex(refs...)
 	g.EnsureLabelIndex()
-	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c1 {
+	if got := targetsFolded(g, p, FoldLabel("Val")); len(got) != 1 || got[0] != c1 {
 		t.Fatalf("indexed targets = %v", got)
 	}
 	oldIx, ok := g.LabelIndex()
@@ -104,7 +104,7 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	if err := g.AddRef(p, "Val", c2); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 2 {
+	if got := targetsFolded(g, p, FoldLabel("Val")); len(got) != 2 {
 		t.Fatalf("post-mutation targets = %v, want both", got)
 	}
 	// The pre-mutation handle is immutable: still one target.
@@ -115,7 +115,7 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	if !g.RemoveRef(p, "Val", c1) {
 		t.Fatal("RemoveRef failed")
 	}
-	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
+	if got := targetsFolded(g, p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
 		t.Fatalf("post-removal targets = %v, want [%v]", got, c2)
 	}
 	// An object narrowed below the threshold loses its entry in the repaired
@@ -129,7 +129,7 @@ func TestLabelIndexRepairAfterMutation(t *testing.T) {
 	} else if _, indexed := ix.Targets(p, "val"); indexed {
 		t.Fatal("narrowed object still indexed")
 	}
-	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
+	if got := targetsFolded(g, p, FoldLabel("Val")); len(got) != 1 || got[0] != c2 {
 		t.Fatalf("scan of the narrowed object = %v, want [%v]", got, c2)
 	}
 }
@@ -151,7 +151,7 @@ func TestLabelIndexBulkMutationFallsBack(t *testing.T) {
 		g.NewString("bulk")
 	}
 	g.EnsureLabelIndex()
-	if got := g.TargetsFolded(p, FoldLabel("Val")); len(got) != 8 {
+	if got := targetsFolded(g, p, FoldLabel("Val")); len(got) != 8 {
 		t.Fatalf("rebuilt index lost edges: %v", got)
 	}
 }

@@ -173,34 +173,3 @@ func (o *Object) RefTargets(label string) []OID {
 	}
 	return out
 }
-
-// Labels returns the distinct edge labels of a complex object in first-seen
-// order.
-func (o *Object) Labels() []string {
-	if o == nil || o.Kind != KindComplex {
-		return nil
-	}
-	seen := make(map[string]bool, len(o.Refs))
-	var out []string
-	for _, r := range o.Refs {
-		if !seen[r.Label] {
-			seen[r.Label] = true
-			out = append(out, r.Label)
-		}
-	}
-	return out
-}
-
-// HasLabel reports whether the complex object has at least one outgoing edge
-// with the given label.
-func (o *Object) HasLabel(label string) bool {
-	if o == nil || o.Kind != KindComplex {
-		return false
-	}
-	for _, r := range o.Refs {
-		if r.Label == label {
-			return true
-		}
-	}
-	return false
-}

@@ -72,14 +72,14 @@ func TestQuickTextRoundTrip(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, root := randomGraph(r, int(size%60)+1)
-		var sb strings.Builder
-		if err := EncodeText(&sb, g); err != nil {
+		text, err := AppendText(nil, g, "R", root)
+		if err != nil {
 			t.Logf("encode error: %v", err)
 			return false
 		}
-		g2, err := DecodeText(strings.NewReader(sb.String()))
+		g2, err := DecodeText(strings.NewReader(string(text)))
 		if err != nil {
-			t.Logf("decode error: %v\ntext:\n%s", err, sb.String())
+			t.Logf("decode error: %v\ntext:\n%s", err, text)
 			return false
 		}
 		return DeepEqual(g, root, g2, g2.Root("R"))
@@ -162,14 +162,13 @@ func TestQuickLikeSubstring(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeText(b *testing.B) {
+func BenchmarkAppendText(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
-	g, _ := randomGraph(r, 2000)
+	g, root := randomGraph(r, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		if err := EncodeText(&sb, g); err != nil {
+		if _, err := AppendText(nil, g, "R", root); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,12 +176,8 @@ func BenchmarkEncodeText(b *testing.B) {
 
 func BenchmarkDecodeText(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
-	g, _ := randomGraph(r, 2000)
-	var sb strings.Builder
-	if err := EncodeText(&sb, g); err != nil {
-		b.Fatal(err)
-	}
-	text := sb.String()
+	g, root := randomGraph(r, 2000)
+	text := TextString(g, "R", root)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

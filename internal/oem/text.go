@@ -31,39 +31,6 @@ import (
 
 const indentUnit = "  "
 
-// EncodeText writes the subgraphs reachable from the graph's roots in
-// Figure 3 notation. Roots are emitted in registration order; each root line
-// uses the root's name as its label.
-func EncodeText(w io.Writer, g *Graph) error {
-	roots := g.Roots()
-	objects, done := g.readObjects()
-	t := textWalker{objects: objects}
-	var b []byte
-	var err error
-	for _, r := range roots {
-		if b, err = t.object(b, r.Name, r.OID, 0); err != nil {
-			break
-		}
-	}
-	done()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// EncodeTextFrom writes a single subgraph rooted at id, labelling the root
-// line with label.
-func EncodeTextFrom(w io.Writer, g *Graph, label string, id OID) error {
-	b, err := AppendText(nil, g, label, id)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // TextString renders a subgraph as a string; convenience over AppendText.
 // On a reference to a missing object the text stops before that line.
 func TextString(g *Graph, label string, id OID) string {

@@ -21,19 +21,6 @@ import (
 // walker in text.go replaced, frozen as the reference both must match byte
 // for byte. Do not "fix" them: they define the wire format.
 
-func refEncodeText(g *Graph) (string, error) {
-	var sb strings.Builder
-	bw := bufio.NewWriter(&sb)
-	seen := make(map[OID]bool)
-	for _, r := range g.Roots() {
-		if err := refEncodeObject(bw, g, r.Name, r.OID, 0, seen); err != nil {
-			return "", err
-		}
-	}
-	err := bw.Flush()
-	return sb.String(), err
-}
-
 func refTextString(g *Graph, label string, id OID) (string, error) {
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
@@ -152,24 +139,12 @@ func checkAgainstReference(t *testing.T, g *Graph, label string, root OID) {
 	if s := TextString(g, label, root); s != want {
 		t.Fatalf("TextString differs from the reference\n got: %q\nwant: %q", s, want)
 	}
-	var sb strings.Builder
-	if err := EncodeTextFrom(&sb, g, label, root); err != nil || sb.String() != want {
-		t.Fatalf("EncodeTextFrom = %q, %v; want the reference", sb.String(), err)
-	}
 	wantJSON, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotJSON := jsonstr.Append(nil, got); !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("jsonstr.Append differs from json.Marshal\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
-	wantAll, err := refEncodeText(g)
-	if err != nil {
-		t.Fatalf("reference EncodeText: %v", err)
-	}
-	sb.Reset()
-	if err := EncodeText(&sb, g); err != nil || sb.String() != wantAll {
-		t.Fatalf("EncodeText = %q, %v; want %q", sb.String(), err, wantAll)
 	}
 	if got, want := CanonicalText(g, label, root), refCanonicalText(g, label, root); got != want {
 		t.Fatalf("CanonicalText differs from the reference\n got: %q\nwant: %q", got, want)
@@ -180,7 +155,7 @@ func checkAgainstReference(t *testing.T, g *Graph, label string, root OID) {
 // seeds and a spread of random graphs with shared and cyclic structure.
 func TestTextMatchesReference(t *testing.T) {
 	for _, g := range fuzzSeedGraphs() {
-		for _, r := range g.Roots() {
+		for _, r := range g.roots {
 			checkAgainstReference(t, g, r.Name, r.OID)
 		}
 	}
@@ -207,12 +182,6 @@ func TestAppendTextMissingObject(t *testing.T) {
 	}
 	if want := "answer &2 complex\n  Symbol &1 string \"TP53\"\n"; string(b) != want {
 		t.Errorf("partial text = %q, want %q", b, want)
-	}
-	if err := EncodeTextFrom(&strings.Builder{}, g, "answer", root); err == nil {
-		t.Error("EncodeTextFrom: no error")
-	}
-	if err := EncodeText(&strings.Builder{}, g); err == nil {
-		t.Error("EncodeText: no error")
 	}
 	if got := CanonicalText(g, "answer", root); got != refCanonicalText(g, "answer", root) {
 		t.Errorf("CanonicalText = %q, want the reference's", got)

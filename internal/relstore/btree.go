@@ -262,34 +262,10 @@ func (t *btree) Lookup(key Value) []RowID {
 	return out
 }
 
-// Range visits entries with lo <= key <= hi (bounds inclusive per flag;
-// a NULL bound means unbounded on that side... callers pass the zero Value
-// with the matching flag set to false for unbounded scans via RangeAll).
-// The visit function returns false to stop early.
+// Range visits entries with lo <= key <= hi, each bound inclusive per its
+// flag. The visit function returns false to stop early.
 func (t *btree) Range(lo, hi Value, incLo, incHi bool, visit func(Value, RowID) bool) {
 	t.root.rangeVisit(lo, hi, incLo, incHi, true, true, visit)
-}
-
-// RangeAll visits every entry in order.
-func (t *btree) RangeAll(visit func(Value, RowID) bool) {
-	t.root.visitAll(visit)
-}
-
-func (n *btreeNode) visitAll(visit func(Value, RowID) bool) bool {
-	for i, e := range n.entries {
-		if !n.leaf() {
-			if !n.children[i].visitAll(visit) {
-				return false
-			}
-		}
-		if !visit(e.key, e.rid) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return n.children[len(n.children)-1].visitAll(visit)
-	}
-	return true
 }
 
 func (n *btreeNode) rangeVisit(lo, hi Value, incLo, incHi, useLo, useHi bool, visit func(Value, RowID) bool) bool {

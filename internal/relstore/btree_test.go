@@ -72,13 +72,19 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	bt.RangeAll(func(Value, RowID) bool {
+	scanAll(bt, func(Value, RowID) bool {
 		count++
 		return count < 5
 	})
 	if count != 5 {
 		t.Errorf("early stop visited %d", count)
 	}
+}
+
+// scanAll visits every entry of bt in key order through the range walk
+// with both bounds off.
+func scanAll(bt *btree, visit func(Value, RowID) bool) {
+	bt.root.rangeVisit(Null, Null, false, false, false, false, visit)
 }
 
 func TestBTreeMixedTypes(t *testing.T) {
@@ -88,7 +94,7 @@ func TestBTreeMixedTypes(t *testing.T) {
 		bt.Insert(v, RowID(i+1))
 	}
 	var keys []Value
-	bt.RangeAll(func(v Value, _ RowID) bool {
+	scanAll(bt, func(v Value, _ RowID) bool {
 		keys = append(keys, v)
 		return true
 	})
@@ -137,7 +143,7 @@ func TestQuickBTreeModel(t *testing.T) {
 		}
 		// Full scan must equal sorted model.
 		var got [][2]int64
-		bt.RangeAll(func(v Value, rid RowID) bool {
+		scanAll(bt, func(v Value, rid RowID) bool {
 			got = append(got, [2]int64{v.I, int64(rid)})
 			return true
 		})

@@ -187,8 +187,7 @@ type sqlParser struct {
 	i    int
 }
 
-func (p *sqlParser) cur() sqlTok  { return p.toks[p.i] }
-func (p *sqlParser) next() sqlTok { t := p.toks[p.i]; p.i++; return t }
+func (p *sqlParser) cur() sqlTok { return p.toks[p.i] }
 
 func (p *sqlParser) accept(kw string) bool {
 	t := p.cur()

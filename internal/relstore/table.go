@@ -102,9 +102,6 @@ func (t *Table) Schema() Schema {
 	return s
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.schema.Name }
-
 // Len returns the number of live rows.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -344,30 +341,6 @@ func (t *Table) IndexLookup(col string, v Value) (rids []RowID, ok bool) {
 	return idx.Lookup(cv), true
 }
 
-// IndexRange visits (value, rid) pairs with lo <= v <= hi on an indexed
-// column. ok=false when no index exists.
-func (t *Table) IndexRange(col string, lo, hi Value, incLo, incHi bool, visit func(Value, RowID) bool) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, exists := t.indexes[strings.ToLower(col)]
-	if !exists {
-		return false
-	}
-	idx.Range(lo, hi, incLo, incHi, visit)
-	return true
-}
-
-// Rows returns copies of all live rows in insertion order; convenience for
-// tests and small tables.
-func (t *Table) Rows() []Row {
-	var out []Row
-	t.Scan(func(_ RowID, r Row) bool {
-		out = append(out, r.Clone())
-		return true
-	})
-	return out
-}
-
 // DB is a named collection of tables.
 type DB struct {
 	mu     sync.RWMutex
@@ -400,16 +373,6 @@ func (db *DB) Table(name string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tables[strings.ToLower(name)]
-}
-
-// Drop removes a table; it reports whether the table existed.
-func (db *DB) Drop(name string) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	lc := strings.ToLower(name)
-	_, ok := db.tables[lc]
-	delete(db.tables, lc)
-	return ok
 }
 
 // Names returns the table names in sorted order.

@@ -103,21 +103,6 @@ func Of(x any) (Value, error) {
 	return Null, fmt.Errorf("relstore: cannot convert %T to Value", x)
 }
 
-// Go returns the native Go value (nil for NULL).
-func (v Value) Go() any {
-	switch v.Type {
-	case TInt:
-		return v.I
-	case TFloat:
-		return v.F
-	case TText:
-		return v.S
-	case TBool:
-		return v.B
-	}
-	return nil
-}
-
 // String renders the value for display and CSV; NULL renders as "".
 func (v Value) String() string {
 	switch v.Type {
@@ -177,20 +162,6 @@ func Compare(a, b Value) int {
 		}
 	}
 	return 0
-}
-
-// Equal reports whether two values are equal. NULL is not equal to anything,
-// including NULL (SQL semantics) — use Compare for index ordering where
-// NULL==NULL. Numerics of different types are equal when numerically equal
-// (2 == 2.0), even though Compare breaks that tie to keep a total order.
-func Equal(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	if isNum(a) && isNum(b) {
-		return a.asFloat() == b.asFloat()
-	}
-	return Compare(a, b) == 0
 }
 
 func isNum(v Value) bool { return v.Type == TInt || v.Type == TFloat }

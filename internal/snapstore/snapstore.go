@@ -125,9 +125,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, opts: opts}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the open WAL file, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()

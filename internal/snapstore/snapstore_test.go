@@ -131,7 +131,7 @@ func TestPruneKeepsLadder(t *testing.T) {
 	if len(seqs) != DefaultKeep || seqs[0] != 4 || seqs[1] != 5 {
 		t.Fatalf("after pruning, Checkpoints() = %v, want [4 5]", seqs)
 	}
-	entries, _ := os.ReadDir(st.Dir())
+	entries, _ := os.ReadDir(st.dir)
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), walSuffix) &&
 			e.Name() != walName(4) && e.Name() != walName(5) {

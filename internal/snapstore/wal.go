@@ -111,16 +111,6 @@ func (s *Store) WALStats() (records int, bytes int64) {
 	return s.walRecords, s.walBytes
 }
 
-// WALSeq returns the sequence number of the open WAL (0 when none is open).
-func (s *Store) WALSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil {
-		return 0
-	}
-	return s.walSeq
-}
-
 // ReadWAL returns the valid records of checkpoint seq's WAL in append
 // order. A missing file is an empty WAL (a crash between checkpoint write
 // and WAL creation). truncated reports that a torn or corrupt tail was

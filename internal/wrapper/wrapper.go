@@ -95,15 +95,6 @@ func (s *Schema) Label(name string) *LabelInfo {
 	return nil
 }
 
-// LabelNames returns the label names in schema order.
-func (s *Schema) LabelNames() []string {
-	out := make([]string, len(s.Labels))
-	for i, l := range s.Labels {
-		out[i] = l.Name
-	}
-	return out
-}
-
 // InferSchema derives a Schema from an OML model by scanning every entity
 // under the root: label kinds, repeatability and optionality. Nested
 // complex children (e.g. "Links") contribute a single label of kind

@@ -298,21 +298,6 @@ func TestProtModelShape(t *testing.T) {
 	}
 }
 
-func TestEntityString(t *testing.T) {
-	g := oem.NewGraph()
-	id := g.NewComplex(
-		oem.Ref{Label: "A", Target: g.NewInt(1)},
-		oem.Ref{Label: "B", Target: g.NewString("x")},
-	)
-	s := EntityString(g, id)
-	if !strings.Contains(s, "A=1") || !strings.Contains(s, `B="x"`) {
-		t.Errorf("EntityString = %q", s)
-	}
-	if EntityString(g, 999) != "<missing>" {
-		t.Error("missing object handling")
-	}
-}
-
 // countingWrapper counts Model() calls so the schema cache's effect is
 // observable.
 type countingWrapper struct {
