@@ -66,9 +66,10 @@ bench:
 # CI catches benchmarks that no longer build or crash — they must not rot
 # silently between careful runs (./... includes internal/mediator's
 # BenchmarkFetchPushdown/{1k,10k}, BenchmarkTranslateGO, BenchmarkPrunedMiss/
-# {1k,10k}, BenchmarkEpochProvenance/{1k,10k}, BenchmarkColdFuse and
-# BenchmarkAskBatch, internal/feed's BenchmarkNotifyFanout/{100,1000}, and
-# the server's BenchmarkAnswerEncode beside BenchmarkAPIQueryHit). The
+# {1k,10k}, BenchmarkColdFuse and BenchmarkAskBatch, internal/fused's
+# BenchmarkEpochProvenance/{1k,10k}, internal/feed's
+# BenchmarkNotifyFanout/{100,1000}, and the server's BenchmarkAnswerEncode
+# beside BenchmarkAPIQueryHit). The
 # second pass re-runs the parallel-fusion and batch benches under
 # GOMAXPROCS=8 so the sharded fuse and the lock-free epoch read path see
 # real goroutine concurrency even on small CI runners.

@@ -26,6 +26,7 @@ package annoda
 import (
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/fused"
 	"repro/internal/mediator"
 	"repro/internal/snapstore"
 )
@@ -59,9 +60,9 @@ type CorpusConfig = datagen.Config
 
 // Reconciliation policies.
 const (
-	PolicyPreferPrimary = mediator.PolicyPreferPrimary
-	PolicyMajority      = mediator.PolicyMajority
-	PolicyUnion         = mediator.PolicyUnion
+	PolicyPreferPrimary = fused.PolicyPreferPrimary
+	PolicyMajority      = fused.PolicyMajority
+	PolicyUnion         = fused.PolicyUnion
 )
 
 // Question combination modes.

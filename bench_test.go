@@ -54,7 +54,6 @@ func scaleName(genes int) string {
 
 func benchCase(b *testing.B, c experiments.Case, genes int) {
 	env := experiments.NewEnv(genes, experiments.DefaultSeed)
-	defer env.Close()
 	op, err := c.Setup(env)
 	if err != nil {
 		b.Fatal(err)

@@ -125,9 +125,7 @@ func run(args []string, stdout io.Writer) error {
 // rounds, keeping the fastest run's per-op time. Op indices continue
 // across trials, so no two ops of a case see the same index.
 func timeCase(env *experiments.Env, c experiments.Case, trials int) (experiments.Timing, error) {
-	caseEnv := &experiments.Env{Corpus: env.Corpus}
-	defer caseEnv.Close()
-	op, err := c.Setup(caseEnv)
+	op, err := c.Setup(env)
 	if err != nil {
 		return experiments.Timing{}, err
 	}

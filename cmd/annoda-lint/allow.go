@@ -16,6 +16,7 @@ var testOnlyAllow = map[string]string{
 	"repro/internal/faults":                      "fault-injecting wrapper for the chaos tests",
 	"repro/internal/analyzers/antest":            "fixture harness for the analyzer tests",
 	"repro/internal/oem.DeepEqual":               "structural comparator the tests of many packages share",
+	"(*repro/internal/obs.Exposition).Value":     "reads one sample of a parsed scrape; the obs and server tests check /metrics and /statsz against each other with it",
 	"(*repro/internal/relstore.btreeNode).check": "B-tree invariant check for the property tests",
 
 	"repro/internal/multidb.Figure5bProgram": "the paper's hand-written K2/Kleisli baseline",

@@ -572,6 +572,19 @@ func TestRouteLabelsBounded(t *testing.T) {
 	}
 }
 
+// gathered reads one sample of reg by its exposition key, through the
+// Gather snapshot /metrics renders; 0 when absent.
+func gathered(reg *obs.Registry, key string) float64 {
+	for _, f := range reg.Gather() {
+		for _, p := range f.Points {
+			if p.Key == key {
+				return p.Value
+			}
+		}
+	}
+	return 0
+}
+
 // TestEveryRouteHasALabel: every path newMux registers is in knownRoutes
 // (registration panics otherwise), so its series carry its own label —
 // /api/explain and /readyz used to aggregate under "(other)" — and load-
@@ -585,12 +598,12 @@ func TestEveryRouteHasALabel(t *testing.T) {
 		// DELETE is refused (or harmlessly served) everywhere, and never
 		// opens the /api/watch stream.
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, path, nil))
-		if n := reg.Value("annoda_http_request_duration_seconds", path); n != 1 {
-			t.Errorf("route %s: %d requests under its own label, want 1", path, n)
+		if n := gathered(reg, `annoda_http_request_duration_seconds_count{route="`+path+`"}`); n != 1 {
+			t.Errorf("route %s: %v requests under its own label, want 1", path, n)
 		}
 	}
-	if n := reg.Value("annoda_http_request_duration_seconds", "(other)"); n != 0 {
-		t.Errorf("%d registered-route requests aggregated under (other)", n)
+	if n := gathered(reg, `annoda_http_request_duration_seconds_count{route="(other)"}`); n != 0 {
+		t.Errorf("%v registered-route requests aggregated under (other)", n)
 	}
 	get(t, h, "/readyz")
 	for _, tv := range sys.Manager.Obs().Tracer.Recent() {

@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fedsql"
+	"repro/internal/fused"
 	"repro/internal/mediator"
 	"repro/internal/snapstore"
 	"repro/internal/wrapper"
@@ -113,11 +114,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts := mediator.Options{}
 	switch *policy {
 	case "prefer-primary":
-		opts.Policy = mediator.PolicyPreferPrimary
+		opts.Policy = fused.PolicyPreferPrimary
 	case "majority":
-		opts.Policy = mediator.PolicyMajority
+		opts.Policy = fused.PolicyMajority
 	case "union":
-		opts.Policy = mediator.PolicyUnion
+		opts.Policy = fused.PolicyUnion
 	default:
 		return fmt.Errorf("unknown policy %q", *policy)
 	}

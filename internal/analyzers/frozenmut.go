@@ -11,17 +11,14 @@ import (
 // the epoch model actually produces:
 //
 //   - a graph on which Freeze() was called earlier in the function;
+//   - a graph returned by (*fused.World).Graph — a sealed world's;
 //   - a graph obtained from Manager.FusedGraph();
 //   - the graph argument of a WithFusedGraph callback;
-//   - the epoch graph reached through pinEpoch (ep.fs.graph);
 //   - the translated population reached through translated (tl.graph),
 //     which may be the memo shared by every fetch of the source.
 //
-// An epoch's provenance sets (ep.prov, what masks are made from) are frozen
-// with it: an assignment into them or a delete from them is reported once
-// the epoch came from pinEpoch or was handed to publishLocked. Importing out
-// of a frozen graph — Import, ImportShared, ImportMasked with the frozen
-// graph as the source argument — is reading, and fine.
+// Importing out of a frozen graph — Import, ImportShared, ImportMasked with
+// the frozen graph as the source argument — is reading, and fine.
 //
 // Aliases propagate through plain assignment; Clone() breaks the taint
 // (that is the documented way to mutate a frozen world). The analysis is
@@ -54,7 +51,6 @@ func runFrozenMut(pass *Pass) error {
 			w := &fmWalker{
 				pass:            pass,
 				frozen:          map[types.Object]string{},
-				epochVars:       map[types.Object]bool{},
 				translationVars: map[types.Object]bool{},
 			}
 			w.walk(fd.Body)
@@ -67,10 +63,6 @@ type fmWalker struct {
 	pass *Pass
 	// frozen maps a variable to a short description of why it is frozen.
 	frozen map[types.Object]string
-	// epochVars holds variables assigned from pinEpoch() or passed to
-	// publishLocked(); their .fs.graph field is the published, frozen epoch
-	// graph and their .prov sets are frozen with it.
-	epochVars map[types.Object]bool
 	// translationVars holds variables assigned from translated(); their
 	// .graph field is the (possibly memoized, then frozen) population.
 	translationVars map[types.Object]bool
@@ -89,25 +81,11 @@ func (w *fmWalker) walk(body ast.Node) {
 }
 
 func (w *fmWalker) call(call *ast.CallExpr) {
-	// delete(ep.prov.atoms[c], oid) / clear(ep.prov.atoms): builtins have
-	// no *types.Func.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(call.Args) > 0 {
-		w.provWrite(call.Args[0])
-		return
-	}
 	fn := calleeFunc(w.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-
-	// m.publishLocked(s): s is the serving epoch from here on.
-	if fn.Name() == "publishLocked" && len(call.Args) == 1 {
-		if obj := w.exprObj(call.Args[0]); obj != nil {
-			w.epochVars[obj] = true
-		}
-		return
-	}
 
 	// g.Freeze() taints g from here on.
 	if (fn.Name() == "Freeze" || fn.Name() == "FreezeUnindexed") && isGraphMethod(fn) && sel != nil {
@@ -143,40 +121,12 @@ func (w *fmWalker) call(call *ast.CallExpr) {
 	}
 }
 
-// provWrite reports e when it denotes (part of) a published epoch's
-// provenance: ep.prov, ep.prov.atoms[c], ep.prov.rivals[c][r], ...
-func (w *fmWalker) provWrite(e ast.Expr) {
-	for x := e; ; {
-		switch n := ast.Unparen(x).(type) {
-		case *ast.IndexExpr:
-			x = n.X
-		case *ast.SelectorExpr:
-			if obj := w.exprObj(n.X); n.Sel.Name == "prov" && obj != nil && w.epochVars[obj] {
-				w.pass.Reportf(e.Pos(), "write to the provenance of a published epoch: readers build masks from it with no lock held — compute it before publishLocked")
-				return
-			}
-			x = n.X
-		default:
-			return
-		}
-	}
-}
-
 func (w *fmWalker) assign(as *ast.AssignStmt) {
-	for _, lhs := range as.Lhs {
-		w.provWrite(lhs)
-	}
 	// Multi-value assignments from the epoch accessors.
 	if len(as.Rhs) == 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
 			if fn := calleeFunc(w.pass.TypesInfo, call); fn != nil {
 				switch fn.Name() {
-				case "pinEpoch":
-					// ep, ... := m.pinEpoch(): ep.fs.graph is frozen.
-					if obj := w.exprObj(as.Lhs[0]); obj != nil {
-						w.epochVars[obj] = true
-					}
-					return
 				case "translated":
 					// tl, ... := m.translated(...): tl.graph is shared.
 					if obj := w.exprObj(as.Lhs[0]); obj != nil {
@@ -223,17 +173,14 @@ func (w *fmWalker) frozenExpr(e ast.Expr) (string, bool) {
 			}
 		}
 	case *ast.SelectorExpr:
-		if e.Sel.Name == "graph" {
-			// tl.graph where tl came from translated.
-			if obj := w.exprObj(e.X); obj != nil && w.translationVars[obj] {
-				return "the translated population's graph (translated hands out the shared memo)", true
-			}
-			// ep.fs.graph where ep came from pinEpoch.
-			if fs, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok && fs.Sel.Name == "fs" {
-				if obj := w.exprObj(fs.X); obj != nil && w.epochVars[obj] {
-					return "the pinned epoch's graph (pinEpoch publishes frozen graphs)", true
-				}
-			}
+		// tl.graph where tl came from translated.
+		if obj := w.exprObj(e.X); e.Sel.Name == "graph" && obj != nil && w.translationVars[obj] {
+			return "the translated population's graph (translated hands out the shared memo)", true
+		}
+	case *ast.CallExpr:
+		// w.Graph() on a *fused.World: sealing froze it.
+		if fn := calleeFunc(w.pass.TypesInfo, e); fn != nil && fn.Name() == "Graph" && recvNamed(fn, "World", "internal/fused") {
+			return "a sealed fused.World's graph", true
 		}
 	}
 	return "", false

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strings"
 )
 
@@ -23,16 +22,12 @@ import (
 // make it deterministic. Any clock value in those paths either never
 // reaches the output (dead weight) or breaks determinism.
 //
-// Deterministic scopes (production files only; _test.go files are exempt
-// everywhere — tests use fixed-seed rands, and timing assertions are their
-// business):
-//
-//   - internal/wire, internal/delta, internal/snapstore, internal/oem:
-//     whole package;
-//   - internal/mediator: only the codec and fusion files
-//     (persist_codec.go, fuse.go, fuse_parallel.go) — the rest of the
-//     package measures latencies and legitimately reads the clock (via
-//     obs).
+// Deterministic scopes, whole packages (production files only; _test.go
+// files are exempt everywhere — tests use fixed-seed rands, and timing
+// assertions are their business): internal/wire, internal/delta,
+// internal/snapstore, internal/oem and internal/fused, the fusion and the
+// checkpoint payload. The mediator around them measures latencies and
+// legitimately reads the clock (via obs).
 //
 // Additionally forbidden in the deterministic scopes: any import of
 // math/rand or math/rand/v2, and maphash.MakeSeed (per-process random
@@ -43,18 +38,8 @@ var NoWallTime = &Analyzer{
 	Run:  runNoWallTime,
 }
 
-// nowallScopes lists the deterministic package scopes. An empty file list
-// means the whole package; otherwise only the named files are checked.
-var nowallScopes = []struct {
-	pkgSuffix string
-	files     []string
-}{
-	{"internal/wire", nil},
-	{"internal/delta", nil},
-	{"internal/snapstore", nil},
-	{"internal/oem", nil},
-	{"internal/mediator", []string{"persist_codec.go", "fuse.go", "fuse_parallel.go"}},
-}
+// nowallScopes lists the deterministic packages.
+var nowallScopes = []string{"internal/wire", "internal/delta", "internal/snapstore", "internal/oem", "internal/fused"}
 
 func runNoWallTime(pass *Pass) error {
 	// internal/obs is the sanctioned clock home: its whole point is to be
@@ -62,21 +47,14 @@ func runNoWallTime(pass *Pass) error {
 	if pkgPathIn(pass.Pkg.Path(), "internal/obs") {
 		return nil
 	}
-	var scopedFiles []string
-	deterministic := false
+	strict := false
 	for _, sc := range nowallScopes {
-		if pkgPathIn(pass.Pkg.Path(), sc.pkgSuffix) {
-			deterministic, scopedFiles = true, sc.files
-			break
-		}
+		strict = strict || pkgPathIn(pass.Pkg.Path(), sc)
 	}
 	for _, f := range pass.Files {
-		name := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+		if !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			checkNoWallFile(pass, f, strict)
 		}
-		strict := deterministic && (len(scopedFiles) == 0 || contains(scopedFiles, name))
-		checkNoWallFile(pass, f, strict)
 	}
 	return nil
 }
@@ -119,13 +97,4 @@ func checkNoWallFile(pass *Pass, f *ast.File, strict bool) {
 		}
 		return true
 	})
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -30,13 +30,15 @@ func TestCriticalErr(t *testing.T) {
 
 func TestNoWallTime(t *testing.T) {
 	antest.Run(t, antest.TestData(t), analyzers.NoWallTime,
-		"nowalltime/internal/wire", "nowalltime/internal/mediator",
+		"nowalltime/internal/wire", "nowalltime/internal/fused", "nowalltime/internal/mediator",
 		"nowalltime/internal/obs", "nowalltime/server")
 }
 
 // TestTestOnly: in the fixture module a method only tests call and a
-// function only itself calls are reported; an interface method, main, init
-// and an allowlisted function are not, and a stale allowlist entry is.
+// function only itself calls are reported, and so is a test-only Get on a
+// type that implements no interface, although an interface declares a Get;
+// a method that implements an interface, main, init and an allowlisted
+// function are not, and a stale allowlist entry is.
 func TestTestOnly(t *testing.T) {
 	units, err := analyzers.Load(filepath.Join(antest.TestData(t), "src", "testonly"), []string{"./..."})
 	if err != nil {
@@ -48,7 +50,7 @@ func TestTestOnly(t *testing.T) {
 	}
 	const why = " is reached only by tests: delete it, or allowlist it with a reason"
 	want := []string{"allowlist entry testonly.gone excuses nothing: remove it",
-		"(testonly.square).area" + why, "testonly.countdown" + why}
+		"(testonly.square).area" + why, "(*testonly.box).Get" + why, "testonly.countdown" + why}
 	if !slices.Equal(got, want) {
 		t.Errorf("got  %q\nwant %q", got, want)
 	}

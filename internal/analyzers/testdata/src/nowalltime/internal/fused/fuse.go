@@ -1,8 +1,7 @@
-// Fixture for the nowalltime analyzer's file-scoped mediator rule: only
-// the codec and fusion files (persist_codec.go, fuse.go, fuse_parallel.go)
-// carry the byte-determinism contract. Inside them, the clock is banned
-// outright — including reads laundered through internal/obs.
-package mediator
+// Fixture for the nowalltime analyzer's deterministic scope: internal/fused,
+// whose fusion and checkpoint payload carry the byte-determinism contract,
+// bans the clock outright — including reads laundered through internal/obs.
+package fused
 
 import (
 	"time"

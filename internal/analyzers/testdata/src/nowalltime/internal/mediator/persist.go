@@ -6,13 +6,16 @@ import (
 	"repro/internal/obs"
 )
 
-// persist.go is not one of the scoped codec files, so the strict
-// byte-determinism rule does not apply — but the repo-wide tier still
-// requires clock reads to go through internal/obs.
+// The mediator is not a deterministic scope: it times fetches, fusions and
+// refreshes through internal/obs, and only the repo-wide tier applies.
 func refreshDuration(start time.Time) time.Duration {
 	return time.Since(start) // want `time\.Since outside internal/obs`
 }
 
 func refreshDurationObs(start time.Time) time.Duration {
 	return obs.Since(start)
+}
+
+func fuseStart() time.Time {
+	return obs.Now()
 }

@@ -10,18 +10,35 @@ import (
 // TestOnly reports each function or method of a production file that no
 // production file but its own body references: code only tests reach. It
 // needs the whole module, so it runs standalone only. Exempt are main, init,
-// methods named in an interface (dispatch may reach them) and allow, keyed
-// by types.Func.FullName or package path, each with its reason. An allow
-// entry that excuses nothing is reported too.
+// a method whose receiver type (or a pointer to it) implements an interface
+// declaring it (dispatch may reach it) and allow, keyed by
+// types.Func.FullName or package path, each with its reason. An allow entry
+// that excuses nothing is reported too.
 func TestOnly(units []*Unit, allow map[string]string) []Diagnostic {
-	decls := map[string]*ast.FuncDecl{}
-	used, iface, seen := map[string]bool{}, map[string]bool{}, map[*types.Package]bool{}
+	decls, funcs := map[string]*ast.FuncDecl{}, map[string]*types.Func{}
+	used, seen := map[string]bool{}, map[*types.Package]bool{}
+	// ifaces: method name -> the interfaces declaring it.
+	ifaces, seenIface := map[string][]*types.Interface{}, map[*types.Interface]bool{}
 	addMethods := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
+		if it, ok := t.Underlying().(*types.Interface); ok && !seenIface[it] {
+			seenIface[it] = true
 			for i := 0; i < it.NumMethods(); i++ {
-				iface[it.Method(i).Name()] = true
+				name := it.Method(i).Name()
+				ifaces[name] = append(ifaces[name], it)
 			}
 		}
+	}
+	dispatched := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, it := range ifaces[fn.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
 	}
 	var walk func(p *types.Package)
 	walk = func(p *types.Package) {
@@ -48,8 +65,9 @@ func TestOnly(units []*Unit, allow map[string]string) []Diagnostic {
 			for _, d := range f.Decls {
 				self := ""
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					self = u.Info.Defs[fd.Name].(*types.Func).Origin().FullName()
-					decls[self] = fd
+					fn := u.Info.Defs[fd.Name].(*types.Func).Origin()
+					self = fn.FullName()
+					decls[self], funcs[self] = fd, fn
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
@@ -66,7 +84,7 @@ func TestOnly(units []*Unit, allow map[string]string) []Diagnostic {
 	excused := map[string]bool{}
 	for key, fd := range decls {
 		name, method := fd.Name.Name, fd.Recv != nil
-		if used[key] || !method && (name == "main" || name == "init") || method && iface[name] {
+		if used[key] || !method && (name == "main" || name == "init") || method && dispatched(funcs[key]) {
 			continue
 		}
 		ok := false

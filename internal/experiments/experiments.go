@@ -78,11 +78,9 @@ func Lookup(id string) *Experiment {
 	return nil
 }
 
-// Env is a case's setup context: the corpus at the case's scale, and the
-// teardown the case registers.
+// Env is a case's setup context: the corpus at the case's scale.
 type Env struct {
-	Corpus   *datagen.Corpus
-	cleanups []func()
+	Corpus *datagen.Corpus
 }
 
 // NewEnv returns an Env over a generated corpus of the given size.
@@ -94,17 +92,6 @@ func NewEnv(genes int, seed uint64) *Env {
 
 // DefaultSeed is the corpus seed both drivers use unless told otherwise.
 var DefaultSeed = datagen.DefaultConfig().Seed
-
-// Cleanup registers f to run at Close, in reverse registration order.
-func (e *Env) Cleanup(f func()) { e.cleanups = append(e.cleanups, f) }
-
-// Close runs the registered cleanups.
-func (e *Env) Close() {
-	for i := len(e.cleanups) - 1; i >= 0; i-- {
-		e.cleanups[i]()
-	}
-	e.cleanups = nil
-}
 
 // System assembles a system over the Env's corpus.
 func (e *Env) System(opts mediator.Options) (*core.System, error) {

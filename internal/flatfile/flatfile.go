@@ -150,13 +150,6 @@ func Parse(r io.Reader, d Dialect) (*Library, error) {
 	return lib, nil
 }
 
-// Len returns the number of records.
-func (l *Library) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.records)
-}
-
 // Get returns the record at position i, or nil if out of range.
 func (l *Library) Get(i int) *Record {
 	l.mu.RLock()

@@ -41,8 +41,8 @@ func TestParseOBO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lib.Len() != 2 {
-		t.Fatalf("Len = %d", lib.Len())
+	if len(lib.records) != 2 {
+		t.Fatalf("Len = %d", len(lib.records))
 	}
 	r := lib.Get(0)
 	if r.First("id") != "GO:0003700" {
@@ -70,8 +70,8 @@ func TestParseEMBL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lib.Len() != 2 {
-		t.Fatalf("Len = %d", lib.Len())
+	if len(lib.records) != 2 {
+		t.Fatalf("Len = %d", len(lib.records))
 	}
 	if lib.Get(1).First("TI") != "TUMOR PROTEIN P53" {
 		t.Errorf("TI = %q", lib.Get(1).First("TI"))

@@ -1,9 +1,10 @@
-package mediator
+package fused
 
-// Checkpoint payload codec: the serialized form of one fused-snapshot
-// epoch — the frozen oem graph plus every piece of fusion bookkeeping a
-// later delta replay needs (gene parts, resident entities, join indexes,
-// contribution records, per-gene conflicts) and the epoch's Stats. The
+// Checkpoint payload codec: the serialized form of one World — the frozen
+// oem graph plus every piece of fusion bookkeeping a later delta replay
+// needs (gene parts, resident entities, join indexes, contribution records,
+// per-gene conflicts) — with the fingerprint and BuildStats it was saved
+// under. The
 // container (magic, CRC, atomic rename) is snapstore's job; this codec
 // carries its own version byte so a payload from a future revision is
 // rejected, and encodes every map in sorted order so equal states produce
@@ -12,8 +13,10 @@ package mediator
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,28 +40,21 @@ const (
 	valBytes
 )
 
-// decodedSnapshot is one checkpoint payload brought back to life: a
-// mutable fuse state (the WAL replays into it before publication) and the
-// epoch stats, plus the fingerprint the world was saved under.
-type decodedSnapshot struct {
-	fs    *fuseState
-	stats *Stats
-	fp    uint64
-}
-
-func encodeSnapshotPayload(ep *snapshot) ([]byte, error) {
+// Encode writes w's checkpoint payload, recording fp and bs beside it.
+// Equal worlds encode to equal bytes.
+func (w *World) Encode(fp uint64, bs BuildStats) ([]byte, error) {
 	var buf bytes.Buffer
 	e := &pEncoder{wire.NewEncoder(&buf)}
 	e.Raw(persistMagic[:])
 	e.U8(persistCodecVersion)
-	e.U64(ep.fp)
+	e.U64(fp)
 
-	fs := ep.fs
+	fs := w.st
 	e.U8(byte(fs.policy))
 	e.strIntMap(fs.priority)
 	e.Uvarint(uint64(fs.root))
 
-	encodeStats(e, ep.stats)
+	encodeStats(e, &bs, fs.conflicts)
 
 	// The graph travels as a length-prefixed blob: the oem decoder reads
 	// through its own buffer, and a length prefix keeps it from consuming
@@ -71,35 +67,20 @@ func encodeSnapshotPayload(ep *snapshot) ([]byte, error) {
 	e.Raw(gbuf.Bytes())
 
 	// Genes, sorted by fusion key.
-	keys := make([]string, 0, len(fs.genes))
-	for k := range fs.genes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
+	e.Uvarint(uint64(len(fs.genes)))
+	for _, k := range sortedKeys(fs.genes) {
 		encodeGene(e, fs.genes[k])
 	}
 
 	// Join indexes reference genes by key: which gene claims a colliding
 	// symbol is history-dependent and cannot be rederived.
-	symKeys := make([]string, 0, len(fs.bySymbol))
-	for s := range fs.bySymbol {
-		symKeys = append(symKeys, s)
-	}
-	sort.Strings(symKeys)
-	e.Uvarint(uint64(len(symKeys)))
-	for _, s := range symKeys {
+	e.Uvarint(uint64(len(fs.bySymbol)))
+	for _, s := range sortedKeys(fs.bySymbol) {
 		e.Str(s)
 		e.Str(fs.bySymbol[s].key)
 	}
-	idKeys := make([]int64, 0, len(fs.byGeneID))
-	for id := range fs.byGeneID {
-		idKeys = append(idKeys, id)
-	}
-	sort.Slice(idKeys, func(i, j int) bool { return idKeys[i] < idKeys[j] })
-	e.Uvarint(uint64(len(idKeys)))
-	for _, id := range idKeys {
+	e.Uvarint(uint64(len(fs.byGeneID)))
+	for _, id := range sortedKeys(fs.byGeneID) {
 		e.U64(uint64(id))
 		e.Str(fs.byGeneID[id].key)
 	}
@@ -116,14 +97,14 @@ func encodeSnapshotPayload(ep *snapshot) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func encodeStats(e *pEncoder, st *Stats) {
+func encodeStats(e *pEncoder, st *BuildStats, conflicts []Conflict) {
 	e.strs(st.SourcesQueried)
 	e.strs(st.SourcesPruned)
 	e.strIntMap(st.Fetched)
 	e.strIntMap(st.Kept)
-	e.Uvarint(uint64(len(st.Conflicts)))
-	for i := range st.Conflicts {
-		encodeConflict(e, &st.Conflicts[i])
+	e.Uvarint(uint64(len(conflicts)))
+	for i := range conflicts {
+		encodeConflict(e, &conflicts[i])
 	}
 	e.Bool(st.PushdownUsed)
 	e.Bool(st.Parallel)
@@ -150,29 +131,11 @@ func encodeSV(e *pEncoder, sv SourceValue) {
 func encodeGene(e *pEncoder, fg *fusedGene) {
 	e.Str(fg.key)
 	e.Uvarint(uint64(fg.oid))
-	ids := make([]int64, 0, len(fg.geneIDs))
-	for id := range fg.geneIDs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.U64(uint64(id))
-	}
-	syms := make([]string, 0, len(fg.symbols))
-	for s := range fg.symbols {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	e.strs(syms)
+	e.ints(sortedKeys(fg.geneIDs))
+	e.strs(sortedKeys(fg.symbols))
 
-	labels := make([]string, 0, len(fg.contribs))
-	for l := range fg.contribs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	e.Uvarint(uint64(len(labels)))
-	for _, l := range labels {
+	e.Uvarint(uint64(len(fg.contribs)))
+	for _, l := range sortedKeys(fg.contribs) {
 		e.Str(l)
 		svs := fg.contribs[l]
 		e.Uvarint(uint64(len(svs)))
@@ -191,10 +154,7 @@ func encodeGene(e *pEncoder, fg *fusedGene) {
 			e.Uvarint(uint64(r.Target))
 		}
 		e.strs(p.symbols)
-		e.Uvarint(uint64(len(p.geneIDs)))
-		for _, id := range p.geneIDs {
-			e.U64(uint64(id))
-		}
+		e.ints(p.geneIDs)
 		e.Uvarint(uint64(len(p.contribs)))
 		for _, c := range p.contribs {
 			e.Str(c.label)
@@ -217,22 +177,12 @@ func encodeGene(e *pEncoder, fg *fusedGene) {
 }
 
 func encodeEnts(e *pEncoder, ents map[string]map[uint64][]*fusedEntity) {
-	sources := make([]string, 0, len(ents))
-	for s := range ents {
-		sources = append(sources, s)
-	}
-	sort.Strings(sources)
-	e.Uvarint(uint64(len(sources)))
-	for _, src := range sources {
+	e.Uvarint(uint64(len(ents)))
+	for _, src := range sortedKeys(ents) {
 		e.Str(src)
 		byHash := ents[src]
-		hashes := make([]uint64, 0, len(byHash))
-		for h := range byHash {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		e.Uvarint(uint64(len(hashes)))
-		for _, h := range hashes {
+		e.Uvarint(uint64(len(byHash)))
+		for _, h := range sortedKeys(byHash) {
 			e.U64(h)
 			list := byHash[h]
 			e.Uvarint(uint64(len(list)))
@@ -240,10 +190,7 @@ func encodeEnts(e *pEncoder, ents map[string]map[uint64][]*fusedEntity) {
 				e.Str(fe.concept)
 				e.Uvarint(uint64(fe.oid))
 				e.strs(fe.symbols)
-				e.Uvarint(uint64(len(fe.geneIDs)))
-				for _, id := range fe.geneIDs {
-					e.U64(uint64(id))
-				}
+				e.ints(fe.geneIDs)
 				e.strs(fe.owners)
 				e.Uvarint(uint64(len(fe.contribs)))
 				for _, c := range fe.contribs {
@@ -257,22 +204,12 @@ func encodeEnts(e *pEncoder, ents map[string]map[uint64][]*fusedEntity) {
 }
 
 func encodeGeneParts(e *pEncoder, parts map[string]map[uint64][]*fusedGene) {
-	sources := make([]string, 0, len(parts))
-	for s := range parts {
-		sources = append(sources, s)
-	}
-	sort.Strings(sources)
-	e.Uvarint(uint64(len(sources)))
-	for _, src := range sources {
+	e.Uvarint(uint64(len(parts)))
+	for _, src := range sortedKeys(parts) {
 		e.Str(src)
 		byHash := parts[src]
-		hashes := make([]uint64, 0, len(byHash))
-		for h := range byHash {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		e.Uvarint(uint64(len(hashes)))
-		for _, h := range hashes {
+		e.Uvarint(uint64(len(byHash)))
+		for _, h := range sortedKeys(byHash) {
 			e.U64(h)
 			list := byHash[h]
 			e.Uvarint(uint64(len(list)))
@@ -283,18 +220,19 @@ func encodeGeneParts(e *pEncoder, parts map[string]map[uint64][]*fusedGene) {
 	}
 }
 
-func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
+// Decode brings a checkpoint payload back as an unsealed Checkpoint.
+func Decode(payload []byte) (*Checkpoint, error) {
 	d := &pDecoder{wire.NewDecoder(bytes.NewReader(payload))}
 	var magic [4]byte
 	d.Raw(magic[:])
 	if d.Err() == nil && magic != persistMagic {
-		return nil, fmt.Errorf("mediator: checkpoint payload has bad magic %q", magic[:])
+		return nil, fmt.Errorf("fused: checkpoint payload has bad magic %q", magic[:])
 	}
 	if v := d.U8(); d.Err() == nil && v != persistCodecVersion {
-		return nil, fmt.Errorf("mediator: checkpoint payload has unknown format version %d (have %d)", v, persistCodecVersion)
+		return nil, fmt.Errorf("fused: checkpoint payload has unknown format version %d (have %d)", v, persistCodecVersion)
 	}
-	out := &decodedSnapshot{}
-	out.fp = d.U64()
+	out := &Checkpoint{}
+	out.FP = d.U64()
 
 	fs := &fuseState{
 		genes:       map[string]*fusedGene{},
@@ -309,7 +247,7 @@ func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
 	fs.priority = d.strIntMap()
 	fs.root = oem.OID(d.Uvarint())
 
-	out.stats = decodeStats(d)
+	out.Stats, fs.conflicts = decodeStats(d)
 
 	gLen := d.Uvarint()
 	if d.Err() == nil && gLen > uint64(len(payload)) {
@@ -318,11 +256,11 @@ func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
 	gBytes := make([]byte, gLen)
 	d.Raw(gBytes)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mediator: checkpoint payload: %v", err)
+		return nil, fmt.Errorf("fused: checkpoint payload: %v", err)
 	}
 	g, err := oem.DecodeBinary(bytes.NewReader(gBytes))
 	if err != nil {
-		return nil, fmt.Errorf("mediator: checkpoint payload: %v", err)
+		return nil, fmt.Errorf("fused: checkpoint payload: %v", err)
 	}
 	fs.graph = g
 
@@ -368,10 +306,7 @@ func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
 				fe.concept = d.Str()
 				fe.oid = oem.OID(d.Uvarint())
 				fe.symbols = d.strs()
-				nIDs := d.Uvarint()
-				for l := uint64(0); l < nIDs && d.Err() == nil; l++ {
-					fe.geneIDs = append(fe.geneIDs, int64(d.U64()))
-				}
+				fe.geneIDs = d.ints()
 				fe.owners = d.strs()
 				nC := d.Uvarint()
 				for l := uint64(0); l < nC && d.Err() == nil; l++ {
@@ -404,7 +339,7 @@ func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("mediator: checkpoint payload: %v", err)
+		return nil, fmt.Errorf("fused: checkpoint payload: %v", err)
 	}
 	// Structural cross-checks the codec itself cannot express: every gene
 	// and entity oid must exist in the decoded graph. Catching a dangling
@@ -412,34 +347,35 @@ func decodeSnapshotPayload(payload []byte) (*decodedSnapshot, error) {
 	// failing a later refresh far from the corruption.
 	for k, fg := range fs.genes {
 		if fs.graph.Get(fg.oid) == nil {
-			return nil, fmt.Errorf("mediator: checkpoint payload: gene %q oid %v not in graph", k, fg.oid)
+			return nil, fmt.Errorf("fused: checkpoint payload: gene %q oid %v not in graph", k, fg.oid)
 		}
 	}
 	for src, byHash := range fs.ents {
 		for _, list := range byHash {
 			for _, fe := range list {
 				if fs.graph.Get(fe.oid) == nil {
-					return nil, fmt.Errorf("mediator: checkpoint payload: %s entity oid %v not in graph", src, fe.oid)
+					return nil, fmt.Errorf("fused: checkpoint payload: %s entity oid %v not in graph", src, fe.oid)
 				}
 			}
 		}
 	}
 	if fs.graph.Get(fs.root) == nil {
-		return nil, fmt.Errorf("mediator: checkpoint payload: root oid %v not in graph", fs.root)
+		return nil, fmt.Errorf("fused: checkpoint payload: root oid %v not in graph", fs.root)
 	}
-	out.fs = fs
+	out.st = fs
 	return out, nil
 }
 
-func decodeStats(d *pDecoder) *Stats {
-	st := &Stats{}
+func decodeStats(d *pDecoder) (BuildStats, []Conflict) {
+	var st BuildStats
 	st.SourcesQueried = d.strs()
 	st.SourcesPruned = d.strs()
 	st.Fetched = d.strIntMap()
 	st.Kept = d.strIntMap()
+	var conflicts []Conflict
 	nC := d.Uvarint()
 	for i := uint64(0); i < nC && d.Err() == nil; i++ {
-		st.Conflicts = append(st.Conflicts, decodeConflict(d))
+		conflicts = append(conflicts, decodeConflict(d))
 	}
 	st.PushdownUsed = d.Bool()
 	st.Parallel = d.Bool()
@@ -452,7 +388,7 @@ func decodeStats(d *pDecoder) *Stats {
 	if st.Kept == nil {
 		st.Kept = map[string]int{}
 	}
-	return st
+	return st, conflicts
 }
 
 func decodeConflict(d *pDecoder) Conflict {
@@ -474,9 +410,8 @@ func decodeSV(d *pDecoder) SourceValue {
 func decodeGene(d *pDecoder) *fusedGene {
 	fg := newFusedGene(d.Str())
 	fg.oid = oem.OID(d.Uvarint())
-	nIDs := d.Uvarint()
-	for i := uint64(0); i < nIDs && d.Err() == nil; i++ {
-		fg.geneIDs[int64(d.U64())] = true
+	for _, id := range d.ints() {
+		fg.geneIDs[id] = true
 	}
 	for _, s := range d.strs() {
 		fg.symbols[s] = true
@@ -503,10 +438,7 @@ func decodeGene(d *pDecoder) *fusedGene {
 			p.refs = append(p.refs, oem.Ref{Label: d.Str(), Target: oem.OID(d.Uvarint())})
 		}
 		p.symbols = d.strs()
-		nPIDs := d.Uvarint()
-		for j := uint64(0); j < nPIDs && d.Err() == nil; j++ {
-			p.geneIDs = append(p.geneIDs, int64(d.U64()))
-		}
+		p.geneIDs = d.ints()
 		nC := d.Uvarint()
 		for j := uint64(0); j < nC && d.Err() == nil; j++ {
 			p.contribs = append(p.contribs, contribRecord{label: d.Str(), valueKey: d.Str()})
@@ -533,6 +465,17 @@ func decodeGene(d *pDecoder) *fusedGene {
 // Payload-specific primitives on top of the shared wire codec
 // ---------------------------------------------------------------------------
 
+// sortedKeys returns m's keys in ascending order: every map is encoded in
+// key order, so equal states encode to equal bytes.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 type pEncoder struct{ *wire.Encoder }
 
 func (e *pEncoder) strs(ss []string) {
@@ -542,14 +485,16 @@ func (e *pEncoder) strs(ss []string) {
 	}
 }
 
-func (e *pEncoder) strIntMap(m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func (e *pEncoder) ints(ids []int64) {
+	e.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		e.U64(uint64(id))
 	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
+}
+
+func (e *pEncoder) strIntMap(m map[string]int) {
+	e.Uvarint(uint64(len(m)))
+	for _, k := range sortedKeys(m) {
 		e.Str(k)
 		e.Uvarint(uint64(m[k]))
 	}
@@ -576,7 +521,7 @@ func (e *pEncoder) value(v any) {
 		e.Uvarint(uint64(len(x)))
 		e.Raw(x)
 	default:
-		e.Fail(fmt.Errorf("mediator: cannot encode value of type %T", v))
+		e.Fail(fmt.Errorf("fused: cannot encode value of type %T", v))
 	}
 }
 
@@ -587,6 +532,15 @@ func (d *pDecoder) strs() []string {
 	var out []string
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		out = append(out, d.Str())
+	}
+	return out
+}
+
+func (d *pDecoder) ints() []int64 {
+	n := d.Uvarint()
+	var out []int64
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		out = append(out, int64(d.U64()))
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package mediator
+package fused
 
 import (
 	"fmt"
@@ -8,11 +8,22 @@ import (
 	"repro/internal/oem"
 )
 
+// linkContrib declares which labels of a linked entity also describe the
+// gene itself; fusion feeds them into reconciliation.
+var linkContrib = map[string][]struct{ From, To string }{
+	"Disease":    {{From: "Symbol", To: "Symbol"}, {From: "Position", To: "Position"}},
+	"Annotation": {{From: "Organism", To: "Organism"}},
+	"Protein":    {{From: "Symbol", To: "Symbol"}, {From: "Organism", To: "Organism"}, {From: "Description", To: "Description"}},
+}
+
+// reconciledLabels are the gene attributes reconciliation applies to.
+var reconciledLabels = []string{"Symbol", "Organism", "Position", "Description"}
+
 // fusedGene is one fused gene object: reconciled attributes plus links to
-// Annotation/Disease/Protein entities. The per-query pipeline uses only the
-// join bookkeeping (key, symbols, geneIDs, contribs); the snapshot recorder
-// additionally tracks parts and conflicts so a ChangeSet can be applied to
-// the fused graph (see snapshot.go).
+// Annotation/Disease/Protein entities. Fuse uses only the join bookkeeping
+// (key, symbols, geneIDs, contribs); a recorded fusion additionally tracks
+// parts and conflicts so a ChangeSet can be applied to the fused graph (see
+// state.go).
 type fusedGene struct {
 	oid      oem.OID
 	key      string // canonical symbol, the fusion key
@@ -94,17 +105,17 @@ func joinEntity(g *oem.Graph, e oem.OID, concept string) *fusedEntity {
 	fe := &fusedEntity{concept: concept}
 	switch concept {
 	case "Annotation":
-		fe.symbols = []string{gml.CanonicalSymbol(stringUnder(g, e, "Symbol"))}
+		fe.symbols = []string{gml.CanonicalSymbol(g.StringUnder(e, "Symbol"))}
 	case "Disease":
 		fe.geneIDs = intsUnder(g, e, "GeneID")
 		for _, s := range stringsUnder(g, e, "Symbol") {
 			fe.symbols = append(fe.symbols, gml.CanonicalSymbol(s))
 		}
 	case "Protein":
-		if id, ok := intUnder(g, e, "GeneID"); ok {
+		if id, ok := g.IntUnder(e, "GeneID"); ok {
 			fe.geneIDs = []int64{id}
 		} else {
-			fe.symbols = []string{gml.CanonicalSymbol(stringUnder(g, e, "Symbol"))}
+			fe.symbols = []string{gml.CanonicalSymbol(g.StringUnder(e, "Symbol"))}
 		}
 	}
 	return fe
@@ -152,9 +163,9 @@ func ownersForKeys(bySymbol map[string]*fusedGene, byGeneID map[int64]*fusedGene
 // cannot drift. root != 0 attaches newly created genes to it immediately
 // (the sequential layout); parallel shards pass 0 and wire roots at merge
 // time. ord stamps a created gene's global first-appearance index.
-func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *population, i int, key string,
+func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *Population, i int, key string,
 	byKey map[string]*fusedGene, genes *[]*fusedGene, ord int, recorded bool) error {
-	e := pop.entities[i]
+	e := pop.Entities[i]
 	fg, exists := byKey[key]
 	if !exists {
 		fg = newFusedGene(key)
@@ -170,28 +181,27 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *population, i int, key stri
 	}
 	var part *genePart
 	if recorded {
-		part = &genePart{source: pop.source, hash: pop.hashes[i], symbols: []string{key}}
+		part = &genePart{source: pop.Source, hash: pop.Hashes[i], symbols: []string{key}}
 		fg.parts = append(fg.parts, part)
 	}
 	// Copy non-reconciled labels from the entity (first contributor wins
 	// for structure; atoms under reconciled labels become contributions
 	// instead).
-	eo := pop.graph.Get(e)
+	eo := pop.Graph.Get(e)
 	for _, ref := range eo.Refs {
-		if isReconciled(ref.Label) {
-			c := pop.graph.Get(ref.Target)
+		if lbl, ok := reconciledLabel(ref.Label); ok {
+			c := pop.Graph.Get(ref.Target)
 			if c != nil && c.IsAtomic() {
-				lbl := canonLabel(ref.Label)
 				v := c.Value()
 				fg.contribs[lbl] = append(fg.contribs[lbl],
-					SourceValue{Source: pop.source, Value: v})
+					SourceValue{Source: pop.Source, Value: v})
 				if part != nil {
 					part.contribs = append(part.contribs, contribRecord{label: lbl, valueKey: valueKey(v)})
 				}
 			}
 			continue
 		}
-		imported, err := g.Import(pop.graph, ref.Target)
+		imported, err := g.Import(pop.Graph, ref.Target)
 		if err != nil {
 			return err
 		}
@@ -203,14 +213,14 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *population, i int, key stri
 		}
 	}
 	fg.symbols[key] = true
-	for _, a := range stringsUnder(pop.graph, e, "Alias") {
+	for _, a := range stringsUnder(pop.Graph, e, "Alias") {
 		cs := gml.CanonicalSymbol(a)
 		fg.symbols[cs] = true
 		if part != nil {
 			part.symbols = append(part.symbols, cs)
 		}
 	}
-	if id, ok := intUnder(pop.graph, e, "GeneID"); ok {
+	if id, ok := pop.Graph.IntUnder(e, "GeneID"); ok {
 		fg.geneIDs[id] = true
 		if part != nil {
 			part.geneIDs = append(part.geneIDs, id)
@@ -232,29 +242,39 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *population, i int, key stri
 // on GeneID with a symbol fallback; Gene–Protein on GeneID. Linked-entity
 // labels that describe the gene itself (linkContrib) feed reconciliation.
 //
-// When rec is non-nil the fusion bookkeeping (gene parts, resident entities, join indexes,
-// per-gene conflicts) is captured into it so the resulting graph can later
-// be patched from a delta.ChangeSet. Populations feeding a recorded fusion
-// must carry entity hashes (fetch with hashes=true). Large fusions run the
-// gene-key-sharded parallel path (see fuse_parallel.go), which is
-// parity-tested to produce the same fused world as this sequential one.
-func (m *Manager) fuseInto(an *analysis, pops []*population, stats *Stats, rec *fuseState) (*oem.Graph, error) {
-	if m.parallelFuseEligible(pops) {
-		return m.fuseParallel(an, pops, stats, rec)
+// When recorded, the fusion bookkeeping (gene parts, resident entities,
+// join indexes, per-gene conflicts) is captured too, so the resulting graph
+// can later be patched from a delta.ChangeSet; the populations must then
+// carry entity hashes. Large fusions run the gene-key-sharded parallel path
+// (see fuse_parallel.go), which is parity-tested to produce the same fused
+// world as the sequential one.
+func fuseInto(cfg *Config, pops []*Population, recorded bool) (*fuseState, error) {
+	priority := make(map[string]int, len(cfg.Sources))
+	for i, s := range cfg.Sources {
+		priority[s] = i
 	}
-	return m.fuseSequential(an, pops, stats, rec)
+	st := &fuseState{policy: cfg.Policy, priority: priority}
+	var rec *fuseState
+	if recorded {
+		rec = st
+	}
+	var err error
+	if parallelFuseEligible(cfg, pops) {
+		st.graph, st.conflicts, err = fuseParallel(cfg, pops, priority, rec)
+	} else {
+		st.graph, st.conflicts, err = fuseSequential(cfg, pops, priority, rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // fuseSequential is the single-threaded reference fusion.
-func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats, rec *fuseState) (*oem.Graph, error) {
+func fuseSequential(cfg *Config, pops []*Population, priority map[string]int, rec *fuseState) (*oem.Graph, []Conflict, error) {
 	g := oem.NewGraph()
 	root := g.NewComplex()
 	g.SetRoot("ANNODA-GML", root)
-
-	priority := map[string]int{}
-	for i, w := range m.reg.All() {
-		priority[w.Name()] = i
-	}
 
 	// ---- Pass 1: import gene entities and build fusion keys. ----
 	var genes []*fusedGene
@@ -264,13 +284,13 @@ func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats,
 
 	ord := 0
 	for _, pop := range pops {
-		if pop.concept != "Gene" {
+		if pop.Concept != "Gene" {
 			continue
 		}
-		for i := range pop.entities {
-			key := gml.CanonicalSymbol(stringUnder(pop.graph, pop.entities[i], "Symbol"))
+		for i := range pop.Entities {
+			key := gml.CanonicalSymbol(pop.Graph.StringUnder(pop.Entities[i], "Symbol"))
 			if err := fuseGeneEntity(g, root, pop, i, key, byKey, &genes, ord, rec != nil); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ord++
 		}
@@ -284,7 +304,7 @@ func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats,
 		}
 	}
 	if rec != nil {
-		rec.init(g, root, m.opts.Policy, priority, byKey, bySymbol, byGeneID)
+		rec.init(g, root, byKey, bySymbol, byGeneID)
 		for _, fg := range genes {
 			for _, part := range fg.parts {
 				rec.indexGenePart(part.source, part.hash, fg)
@@ -296,34 +316,33 @@ func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats,
 	// ---- collect their gene-describing contributions.              ----
 	haveGenes := len(genes) > 0
 	for _, pop := range pops {
-		if pop.concept == "Gene" {
+		if pop.Concept == "Gene" {
 			continue
 		}
-		for i, e := range pop.entities {
-			fe := joinEntity(pop.graph, e, pop.concept)
+		for i, e := range pop.Entities {
+			fe := joinEntity(pop.Graph, e, pop.Concept)
 			owners := ownersForKeys(bySymbol, byGeneID, fe)
 			// Semi-join: when the query only reaches this concept through
 			// gene links, unlinked entities are dead weight. They are still
 			// imported when the concept is queried directly.
-			direct := conceptQueriedDirectly(an, pop.concept)
-			if len(owners) == 0 && !direct && haveGenes && !m.opts.DisablePushdown {
+			if len(owners) == 0 && cfg.DropUnlinked[pop.Concept] && haveGenes {
 				continue
 			}
-			imported, err := g.Import(pop.graph, e)
+			imported, err := g.Import(pop.Graph, e)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if err := g.AddRef(root, pop.concept, imported); err != nil {
-				return nil, err
+			if err := g.AddRef(root, pop.Concept, imported); err != nil {
+				return nil, nil, err
 			}
 			if rec != nil {
-				fe.source, fe.hash, fe.oid = pop.source, pop.hashes[i], imported
+				fe.source, fe.hash, fe.oid = pop.Source, pop.Hashes[i], imported
 			}
 			for _, fg := range owners {
-				if err := g.AddRef(fg.oid, pop.concept, imported); err != nil {
-					return nil, err
+				if err := g.AddRef(fg.oid, pop.Concept, imported); err != nil {
+					return nil, nil, err
 				}
-				for _, lc := range contribsFor(pop.graph, e, fg.geneIDs, pop.concept, pop.source) {
+				for _, lc := range contribsFor(pop.Graph, e, fg.geneIDs, pop.Concept, pop.Source) {
 					fg.contribs[lc.label] = append(fg.contribs[lc.label], lc.sv)
 					if rec != nil {
 						fe.contribs = append(fe.contribs, ownedContrib{owner: fg.key, label: lc.label, valueKey: valueKey(lc.sv.Value)})
@@ -340,11 +359,12 @@ func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats,
 	}
 
 	// ---- Pass 3: reconcile gene attributes. ----
+	var conflicts []Conflict
 	for _, fg := range genes {
 		for _, label := range reconciledLabels {
-			winners, conflict := reconcile(fg.key, label, fg.contribs[label], m.opts.Policy, priority)
+			winners, conflict := reconcile(fg.key, label, fg.contribs[label], cfg.Policy, priority)
 			if conflict != nil {
-				stats.Conflicts = append(stats.Conflicts, *conflict)
+				conflicts = append(conflicts, *conflict)
 				if rec != nil {
 					if fg.conflicts == nil {
 						fg.conflicts = map[string]*Conflict{}
@@ -355,16 +375,16 @@ func (m *Manager) fuseSequential(an *analysis, pops []*population, stats *Stats,
 			for _, w := range winners {
 				atom, err := g.NewAtom(w.Value)
 				if err != nil {
-					return nil, fmt.Errorf("mediator: reconcile %s.%s: %v", fg.key, label, err)
+					return nil, nil, fmt.Errorf("fused: reconcile %s.%s: %v", fg.key, label, err)
 				}
 				if err := g.AddRef(fg.oid, label, atom); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 		g.SortRefs(fg.oid)
 	}
-	return g, g.Validate()
+	return g, conflicts, g.Validate()
 }
 
 // labeledSV is one gene-describing contribution derived from a linked
@@ -399,7 +419,7 @@ func contribsFor(g *oem.Graph, e oem.OID, geneIDs map[int64]bool, concept, sourc
 			if len(ids) == 0 || !geneIDs[ids[0]] {
 				continue // position belongs to the first locus
 			}
-			if v := stringUnder(g, e, "Position"); v != "" {
+			if v := g.StringUnder(e, "Position"); v != "" {
 				out = append(out, labeledSV{label: r.To, sv: SourceValue{Source: source, Value: v}})
 			}
 		default:
@@ -421,41 +441,16 @@ func contribsFor(g *oem.Graph, e oem.OID, geneIDs map[int64]bool, concept, sourc
 	return out
 }
 
-// isReconciled reports whether the label participates in reconciliation.
-// Symbol contributions are canonicalized so case-only differences do not
-// masquerade as conflicts.
-func isReconciled(label string) bool {
+// reconciledLabel reports whether the label participates in
+// reconciliation, and its canonical spelling, so case-only differences do
+// not masquerade as conflicts.
+func reconciledLabel(label string) (string, bool) {
 	for _, l := range reconciledLabels {
 		if strings.EqualFold(l, label) {
-			return true
+			return l, true
 		}
 	}
-	return false
-}
-
-func canonLabel(label string) string {
-	for _, l := range reconciledLabels {
-		if strings.EqualFold(l, label) {
-			return l
-		}
-	}
-	return label
-}
-
-func conceptQueriedDirectly(an *analysis, concept string) bool {
-	if an.needAll {
-		return true
-	}
-	for _, c := range an.fromConcepts {
-		if c == concept {
-			return true
-		}
-	}
-	return false
-}
-
-func stringUnder(g *oem.Graph, id oem.OID, label string) string {
-	return g.StringUnder(id, label)
+	return label, false
 }
 
 func stringsUnder(g *oem.Graph, id oem.OID, label string) []string {
@@ -467,10 +462,6 @@ func stringsUnder(g *oem.Graph, id oem.OID, label string) []string {
 		}
 	}
 	return out
-}
-
-func intUnder(g *oem.Graph, id oem.OID, label string) (int64, bool) {
-	return g.IntUnder(id, label)
 }
 
 func intsUnder(g *oem.Graph, id oem.OID, label string) []int64 {

@@ -1,4 +1,4 @@
-package mediator
+package fused
 
 import (
 	"sort"
@@ -30,10 +30,10 @@ import (
 //     — because one worker owns all of a gene's contributors;
 //   - reconcile() input order is therefore byte-identical per gene.
 
-// parallelFuseMinEntities gates the parallel path: below it the pool and
-// merge overhead beat the loop time. Tests lower it to exercise the path
-// on small corpora.
-var parallelFuseMinEntities = 2048
+// ParallelMinEntities gates the parallel path: below it the pool and merge
+// overhead beat the loop time. Tests lower it to exercise the path on small
+// corpora.
+var ParallelMinEntities = 2048
 
 // parallelFuseMaxShards bounds the shard fan-out: fusion is memory-bound
 // well before this, and more shards only add merge bookkeeping.
@@ -41,28 +41,24 @@ const parallelFuseMaxShards = 32
 
 // parallelFuseEligible reports whether this fusion should take the
 // sharded parallel path.
-func (m *Manager) parallelFuseEligible(pops []*population) bool {
-	if m.fuseShards() < 2 {
+func parallelFuseEligible(cfg *Config, pops []*Population) bool {
+	if fuseShards(cfg) < 2 {
 		return false
 	}
 	total := 0
 	for _, pop := range pops {
-		total += len(pop.entities)
+		total += len(pop.Entities)
 	}
-	return total >= parallelFuseMinEntities
+	return total >= ParallelMinEntities
 }
 
 // fuseShards is the shard (and worker) count for one parallel fusion:
-// Options.Workers (which New defaults to GOMAXPROCS), bounded. An
-// explicit Workers above the core count is honored — the caller asked for
-// that fan-out, and oversubscribed shards still interleave correctly —
-// so single-core CI can exercise the sharded path deterministically.
-func (m *Manager) fuseShards() int {
-	n := m.opts.Workers
-	if n > parallelFuseMaxShards {
-		n = parallelFuseMaxShards
-	}
-	return n
+// Config.Workers, bounded. A Workers above the core count is honored — the
+// caller asked for that fan-out, and oversubscribed shards still interleave
+// correctly — so single-core CI can exercise the sharded path
+// deterministically.
+func fuseShards(cfg *Config) int {
+	return min(cfg.Workers, parallelFuseMaxShards)
 }
 
 // shardOfKey hash-partitions a gene fusion key (FNV-1a; deterministic
@@ -102,7 +98,7 @@ func parallelChunks(n, workers int, fn func(lo, hi int)) {
 
 // geneEnt addresses one gene entity in its population.
 type geneEnt struct {
-	pop *population
+	pop *Population
 	idx int
 }
 
@@ -111,7 +107,7 @@ type geneEnt struct {
 // contributions (computed where the data is read, applied where the gene
 // lives), and the entity's home shard for the import.
 type linkRec struct {
-	pop      *population
+	pop      *Population
 	idx      int
 	ord      int
 	fe       *fusedEntity
@@ -121,21 +117,16 @@ type linkRec struct {
 	home     int           // shard whose graph holds the imported subtree
 }
 
-func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, rec *fuseState) (*oem.Graph, error) {
-	nShards := m.fuseShards()
-
-	priority := map[string]int{}
-	for i, w := range m.reg.All() {
-		priority[w.Name()] = i
-	}
+func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec *fuseState) (*oem.Graph, []Conflict, error) {
+	nShards := fuseShards(cfg)
 
 	// ---- Stage A: compute fusion keys, assign gene entities to shards ----
 	var geneEnts []geneEnt
 	for _, pop := range pops {
-		if pop.concept != "Gene" {
+		if pop.Concept != "Gene" {
 			continue
 		}
-		for i := range pop.entities {
+		for i := range pop.Entities {
 			geneEnts = append(geneEnts, geneEnt{pop: pop, idx: i})
 		}
 	}
@@ -143,7 +134,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	parallelChunks(len(geneEnts), nShards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ge := geneEnts[i]
-			keys[i] = gml.CanonicalSymbol(stringUnder(ge.pop.graph, ge.pop.entities[ge.idx], "Symbol"))
+			keys[i] = gml.CanonicalSymbol(ge.pop.Graph.StringUnder(ge.pop.Entities[ge.idx], "Symbol"))
 		}
 	})
 	perShard := make([][]int, nShards)
@@ -182,7 +173,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -214,10 +205,10 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	// ---- Stage D0: link-entity pre-pass (keys, owners, contributions) ----
 	var links []*linkRec
 	for _, pop := range pops {
-		if pop.concept == "Gene" {
+		if pop.Concept == "Gene" {
 			continue
 		}
-		for i := range pop.entities {
+		for i := range pop.Entities {
 			links = append(links, &linkRec{pop: pop, idx: i, ord: len(links)})
 		}
 	}
@@ -226,20 +217,19 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	parallelChunks(len(links), nShards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := links[i]
-			e := r.pop.entities[r.idx]
-			r.fe = joinEntity(r.pop.graph, e, r.pop.concept)
+			e := r.pop.Entities[r.idx]
+			r.fe = joinEntity(r.pop.Graph, e, r.pop.Concept)
 			r.owners = ownersForKeys(bySymbol, byGeneID, r.fe)
 			// Semi-join: when the query only reaches this concept through
 			// gene links, unlinked entities are dead weight. They are
 			// still imported when the concept is queried directly.
-			direct := conceptQueriedDirectly(an, r.pop.concept)
-			if len(r.owners) == 0 && !direct && haveGenes && !m.opts.DisablePushdown {
+			if len(r.owners) == 0 && cfg.DropUnlinked[r.pop.Concept] && haveGenes {
 				continue // not imported
 			}
 			r.imported = true
 			r.home = r.ord % nShards // balance the import work
 			for _, fg := range r.owners {
-				lcs := contribsFor(r.pop.graph, e, fg.geneIDs, r.pop.concept, r.pop.source)
+				lcs := contribsFor(r.pop.Graph, e, fg.geneIDs, r.pop.Concept, r.pop.Source)
 				r.contribs = append(r.contribs, lcs)
 				if !recorded {
 					continue // owner/contribution records exist for rec.addEntity only
@@ -267,7 +257,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 					continue
 				}
 				if r.home == s {
-					imported, err := sf.g.Import(r.pop.graph, r.pop.entities[r.idx])
+					imported, err := sf.g.Import(r.pop.Graph, r.pop.Entities[r.idx])
 					if err != nil {
 						errs[s] = err
 						return
@@ -285,7 +275,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 			}
 			for _, fg := range sf.genes {
 				for _, label := range reconciledLabels {
-					winners, conflict := reconcile(fg.key, label, fg.contribs[label], m.opts.Policy, priority)
+					winners, conflict := reconcile(fg.key, label, fg.contribs[label], cfg.Policy, priority)
 					if conflict != nil {
 						if fg.conflicts == nil {
 							fg.conflicts = map[string]*Conflict{}
@@ -310,7 +300,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -322,7 +312,7 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	for s, sf := range shards {
 		off, err := g.Absorb(sf.g)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		offsets[s] = off
 	}
@@ -343,15 +333,15 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 			continue
 		}
 		r.fe.oid += offsets[r.home]
-		rootRefs = append(rootRefs, oem.Ref{Label: r.pop.concept, Target: r.fe.oid})
+		rootRefs = append(rootRefs, oem.Ref{Label: r.pop.Concept, Target: r.fe.oid})
 	}
 	if err := g.SetRefs(root, rootRefs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, r := range links {
 		for _, fg := range r.owners {
-			if err := g.AddRef(fg.oid, r.pop.concept, r.fe.oid); err != nil {
-				return nil, err
+			if err := g.AddRef(fg.oid, r.pop.Concept, r.fe.oid); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -360,16 +350,17 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 	}
 	// Conflicts in the sequential order: gene first-appearance, then the
 	// reconciledLabels order within a gene.
+	var conflicts []Conflict
 	for _, fg := range genes {
 		for _, label := range reconciledLabels {
 			if c := fg.conflicts[label]; c != nil {
-				stats.Conflicts = append(stats.Conflicts, *c)
+				conflicts = append(conflicts, *c)
 			}
 		}
 	}
 
 	if rec != nil {
-		rec.init(g, root, m.opts.Policy, priority, byKey, bySymbol, byGeneID)
+		rec.init(g, root, byKey, bySymbol, byGeneID)
 		for _, fg := range genes {
 			for _, part := range fg.parts {
 				rec.indexGenePart(part.source, part.hash, fg)
@@ -379,9 +370,9 @@ func (m *Manager) fuseParallel(an *analysis, pops []*population, stats *Stats, r
 			if !r.imported {
 				continue
 			}
-			r.fe.source, r.fe.hash = r.pop.source, r.pop.hashes[r.idx]
+			r.fe.source, r.fe.hash = r.pop.Source, r.pop.Hashes[r.idx]
 			rec.addEntity(r.fe)
 		}
 	}
-	return g, g.Validate()
+	return g, conflicts, g.Validate()
 }

@@ -1,9 +1,7 @@
-package mediator
+package fused
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/oem"
@@ -29,11 +27,11 @@ import (
 // So a pruned query is evaluated on the epoch under an oem.Mask hiding the
 // unnamed concepts' labels and the atoms their sources won — unless hiding an
 // atom would also hide what a pruned fusion would have put in its place, in
-// which case the epoch declines and the pipeline answers.
+// which case MaskFor declines and the pipeline answers.
 
-// provenance is what a published epoch remembers, per link concept, about
-// the gene attributes the concept's sources decided. Like everything an
-// epoch references it is never written after publishLocked.
+// provenance is what a sealed world remembers, per link concept, about the
+// gene attributes the concept's sources decided. It is computed by seal and
+// never written after.
 type provenance struct {
 	// atoms: concept -> the gene-attribute atoms whose PolicyPreferPrimary
 	// winner one of the concept's sources supplied.
@@ -46,13 +44,13 @@ type provenance struct {
 	rivals map[string]map[string]string
 }
 
-// epochProvenance scans a fuse state's recorded gene contributions for the
-// attributes link-concept sources won. It is called from publishLocked only,
-// so every epoch — built, delta-patched, restored, re-admitted — carries the
-// provenance of exactly the graph it publishes; nothing is maintained
-// incrementally. Policies other than PolicyPreferPrimary have no single
-// winner to attribute and get none (the gate never masks under them).
-func epochProvenance(fs *fuseState) *provenance {
+// provenanceOf scans a fuse state's recorded gene contributions for the
+// attributes link-concept sources won. It is called from seal only, so
+// every world — built, patched, restored — carries the provenance of
+// exactly its graph; nothing is maintained incrementally. Policies other
+// than PolicyPreferPrimary have no single winner to attribute and get none
+// (the gate never masks under them).
+func provenanceOf(fs *fuseState) *provenance {
 	if fs.policy != PolicyPreferPrimary {
 		return nil
 	}
@@ -109,51 +107,29 @@ func epochProvenance(fs *fuseState) *provenance {
 	return p
 }
 
-// hiddenConcepts lists, sorted, the concepts of mapped sources the analysis
-// does not need — the sources the per-query pipeline's fetch would prune.
-func (m *Manager) hiddenConcepts(an *analysis) []string {
-	if an.needAll {
-		return nil
-	}
-	var hidden []string
-	for _, w := range m.reg.All() {
-		mp := m.gl.MappingFor(w.Name())
-		if mp != nil && !an.needs(mp.Concept) && !slices.Contains(hidden, mp.Concept) {
-			hidden = append(hidden, mp.Concept)
-		}
-	}
-	sort.Strings(hidden)
-	return hidden
-}
-
-// maskFor builds the mask under which ep shows the world a fusion without
-// the hidden concepts' sources would have built, or says why it cannot. A
-// degraded epoch is never masked: the pipeline fetches only what the query
-// needs, so its answer and Stats say whether the missing source mattered.
-func (ep *snapshot) maskFor(hidden []string, an *analysis) (mask *oem.Mask, decline string) {
-	if len(ep.degraded) > 0 {
-		return nil, fmt.Sprintf("epoch was built without %s; a query that prunes %s is answered from the sources it needs",
-			strings.Join(ep.degraded, ", "), strings.Join(hidden, ", "))
-	}
-	if !an.needs("Gene") {
+// MaskFor builds the mask under which w shows the world a fusion without
+// the hidden concepts' sources would have built, or says why it cannot.
+// needs reports whether the query needs a concept.
+func (w *World) MaskFor(hidden []string, needs func(concept string) bool) (mask *oem.Mask, decline string) {
+	if !needs("Gene") {
 		return oem.NewMask(hidden), "" // no gene is reachable: none of their atoms to hide
 	}
-	if ep.prov == nil {
-		return nil, fmt.Sprintf("epoch carries no attribute provenance (policy %v); cannot mask %s", ep.fs.policy, strings.Join(hidden, ", "))
+	if w.prov == nil {
+		return nil, fmt.Sprintf("epoch carries no attribute provenance (policy %v); cannot mask %s", w.st.policy, strings.Join(hidden, ", "))
 	}
 	atoms := make([]map[oem.OID]struct{}, 0, len(hidden))
 	for _, c := range hidden {
 		rival := ""
-		for rc := range ep.prov.rivals[c] {
-			if an.needs(rc) && (rival == "" || rc < rival) {
+		for rc := range w.prov.rivals[c] {
+			if needs(rc) && (rival == "" || rc < rival) {
 				rival = rc
 			}
 		}
 		if rival != "" {
 			return nil, fmt.Sprintf("cannot mask %s: its sources decide gene attributes %s's also describe (%s), and a fusion without %s would show %s's value",
-				c, rival, ep.prov.rivals[c][rival], c, rival)
+				c, rival, w.prov.rivals[c][rival], c, rival)
 		}
-		atoms = append(atoms, ep.prov.atoms[c])
+		atoms = append(atoms, w.prov.atoms[c])
 	}
 	return oem.NewMask(hidden, atoms...), ""
 }

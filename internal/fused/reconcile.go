@@ -1,13 +1,4 @@
-// Package mediator implements ANNODA's query manager: decomposition of
-// global Lorel queries into per-source work, multi-system optimization
-// (source pruning, predicate pushdown, semi-join link fetching, parallel
-// fan-out), result combination via object fusion, and reconciliation of the
-// semantic conflicts the combined sources exhibit.
-//
-// "Queries posed against the ANNODA global schema will be translated into
-// individual queries against the relevant annotation databases, and their
-// results combined before being returned to the user" (paper §3.1).
-package mediator
+package fused
 
 import (
 	"fmt"

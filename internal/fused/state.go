@@ -1,35 +1,35 @@
-package mediator
+package fused
 
 import (
-	"context"
 	"fmt"
 	"maps"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/delta"
 	"repro/internal/gml"
-	"repro/internal/obs"
 	"repro/internal/oem"
 )
 
-// This file implements incremental maintenance of the shared fused
-// snapshot: the fuseState recorded during a full fusion holds enough
-// bookkeeping to apply a delta.ChangeSet to the fused graph — remove the
-// stale fused entities, translate and re-fuse only the touched ones, and
-// re-reconcile only the genes whose contributions changed — instead of
-// rebuilding the whole integrated view. The patch target is a deep clone
-// of the published epoch's state (clone-patch-publish, see RefreshSourceCtx):
-// the epoch readers hold is immutable and never sees a half-applied delta.
+// This file implements incremental maintenance of a fused world: the
+// fuseState recorded during a full fusion holds enough bookkeeping to apply
+// a delta.ChangeSet to the fused graph — remove the stale fused entities,
+// translate and re-fuse only the touched ones, and re-reconcile only the
+// genes whose contributions changed — instead of rebuilding the whole
+// integrated view. The patch target is a deep clone of a sealed world's
+// state (see World.Patch): the world readers hold is immutable and never
+// sees a half-applied delta.
 
-// fuseState is the recorded fusion bookkeeping for one fused snapshot.
-// Once published inside an epoch it is immutable; all mutation happens on
-// an unpublished clone, under the Manager's epochMu.
+// fuseState is the recorded fusion bookkeeping for one fused world. Once
+// sealed into a World it is immutable; all mutation happens on a clone, or
+// on a decoded checkpoint before it is sealed.
 type fuseState struct {
 	graph    *oem.Graph
 	root     oem.OID
 	policy   Policy
 	priority map[string]int
+	// conflicts is the world's conflict list. A patch that changes it
+	// builds a new slice: a sealed world's list is shared by its clones.
+	conflicts []Conflict
 
 	genes    map[string]*fusedGene // fusion key -> gene
 	bySymbol map[string]*fusedGene
@@ -48,9 +48,9 @@ type fuseState struct {
 	entByGeneID map[int64]map[*fusedEntity]bool
 }
 
-func (fs *fuseState) init(g *oem.Graph, root oem.OID, policy Policy, priority map[string]int,
+func (fs *fuseState) init(g *oem.Graph, root oem.OID,
 	genes map[string]*fusedGene, bySymbol map[string]*fusedGene, byGeneID map[int64]*fusedGene) {
-	fs.graph, fs.root, fs.policy, fs.priority = g, root, policy, priority
+	fs.graph, fs.root = g, root
 	fs.genes, fs.bySymbol, fs.byGeneID = genes, bySymbol, byGeneID
 	fs.ents = map[string]map[uint64][]*fusedEntity{}
 	fs.geneParts = map[string]map[uint64][]*fusedGene{}
@@ -128,33 +128,12 @@ func (fs *fuseState) entityCandidates(symbols []string, ids []int64) map[*fusedE
 	return out
 }
 
-func containsOwner(fe *fusedEntity, key string) bool {
-	for _, o := range fe.owners {
-		if o == key {
-			return true
-		}
-	}
-	return false
-}
-
 // dropOwner forgets a gene on the entity side: the owners entry and the
 // contribution records scoped to it. The gene-side contributions are the
 // caller's problem (they die with the gene, or are stripped explicitly).
 func dropOwner(fe *fusedEntity, key string) {
-	kept := fe.owners[:0]
-	for _, o := range fe.owners {
-		if o != key {
-			kept = append(kept, o)
-		}
-	}
-	fe.owners = kept
-	keptC := fe.contribs[:0]
-	for _, c := range fe.contribs {
-		if c.owner != key {
-			keptC = append(keptC, c)
-		}
-	}
-	fe.contribs = keptC
+	fe.owners = slices.DeleteFunc(fe.owners, func(o string) bool { return o == key })
+	fe.contribs = slices.DeleteFunc(fe.contribs, func(c ownedContrib) bool { return c.owner == key })
 }
 
 // removeContrib strips one (source, value) contribution from a gene's
@@ -182,12 +161,12 @@ func (d dirtySet) mark(fg *fusedGene, label string) {
 	labels[label] = true
 }
 
-// apply patches an (unpublished, cloned) fuse state from one source's
-// ChangeSet: deletions first (a modified entity frees its slot before its
+// apply patches an unsealed fuse state (a clone, or a decoded checkpoint)
+// from one source's ChangeSet: deletions first (a modified entity frees its slot before its
 // new form arrives), then upserts, then one re-reconciliation pass over
 // the genes whose contributions changed. Any bookkeeping inconsistency
-// aborts with an error; the caller must then discard the clone.
-func (fs *fuseState) apply(cs *delta.ChangeSet, mp *gml.SourceMapping, stats *Stats) error {
+// aborts with an error; the caller must then discard the state.
+func (fs *fuseState) apply(cs *delta.ChangeSet, mp *gml.SourceMapping) error {
 	dirty := dirtySet{}
 	for _, d := range cs.Deleted {
 		var err error
@@ -229,44 +208,28 @@ func (fs *fuseState) apply(cs *delta.ChangeSet, mp *gml.SourceMapping, stats *St
 	// mostly-append, single-contributor case) touch no conflicts at all
 	// and skip it.
 	if conflictsChanged {
-		fs.rebuildConflicts(stats)
+		fs.rebuildConflicts()
 	}
-	stats.Fetched[mp.Source] = cs.Total
-	stats.Kept[mp.Source] = cs.Total
 	// Graph integrity is enforced structurally (every removal detaches its
 	// in-edges first); the O(graph) Validate sweep stays out of the hot
 	// path and runs in the test suite instead.
 	return nil
 }
 
-// hashCounts returns the multiset of source-entity hashes currently fused
-// into the snapshot for one source — exactly the old-model hash multiset a
-// structural diff needs, so a refresh never has to re-hash the model it is
-// replacing.
-func (fs *fuseState) hashCounts(source string) map[uint64]int {
-	out := map[uint64]int{}
-	for h, list := range fs.ents[source] {
-		out[h] += len(list)
-	}
-	for h, owners := range fs.geneParts[source] {
-		out[h] += len(owners)
-	}
-	return out
-}
-
 // clone deep-copies the fuse state so a delta can be applied without
-// disturbing the published epoch: the graph is cloned oid-preserving (the
+// disturbing the sealed world: the graph is cloned oid-preserving (the
 // bookkeeping addresses objects by oid, so it stays valid against the
 // copy), and every structure apply() mutates — genes, parts, resident
 // entities, join indexes — is copied with pointer identity re-established
-// in the copy. Immutable leaves (priority, *Conflict records, which are
-// replaced rather than edited) are shared.
+// in the copy. Immutable leaves (priority, the conflict list and the
+// *Conflict records, which are replaced rather than edited) are shared.
 func (fs *fuseState) clone() *fuseState {
 	nf := &fuseState{
 		graph:       fs.graph.Clone(),
 		root:        fs.root,
 		policy:      fs.policy,
 		priority:    fs.priority,
+		conflicts:   fs.conflicts,
 		genes:       make(map[string]*fusedGene, len(fs.genes)),
 		bySymbol:    make(map[string]*fusedGene, len(fs.bySymbol)),
 		byGeneID:    make(map[int64]*fusedGene, len(fs.byGeneID)),
@@ -361,7 +324,7 @@ func (fs *fuseState) clone() *fuseState {
 func (fs *fuseState) removeEntity(source string, hash uint64, dirty dirtySet) error {
 	list := fs.ents[source][hash]
 	if len(list) == 0 {
-		return fmt.Errorf("mediator: delta deletes unknown %s entity (hash %x)", source, hash)
+		return fmt.Errorf("fused: delta deletes unknown %s entity (hash %x)", source, hash)
 	}
 	fe := list[len(list)-1]
 	if len(list) == 1 {
@@ -381,7 +344,7 @@ func (fs *fuseState) removeEntity(source string, hash uint64, dirty dirtySet) er
 			continue
 		}
 		if !removeContrib(fg, c.label, fe.source, c.valueKey) {
-			return fmt.Errorf("mediator: delta bookkeeping lost a %s contribution on gene %s", c.label, c.owner)
+			return fmt.Errorf("fused: delta bookkeeping lost a %s contribution on gene %s", c.label, c.owner)
 		}
 		dirty.mark(fg, c.label)
 	}
@@ -434,7 +397,7 @@ func (fs *fuseState) linkEntity(fe *fusedEntity, fg *fusedGene, dirty dirtySet) 
 func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) error {
 	owners := fs.geneParts[source][hash]
 	if len(owners) == 0 {
-		return fmt.Errorf("mediator: delta deletes unknown %s gene entity (hash %x)", source, hash)
+		return fmt.Errorf("fused: delta deletes unknown %s gene entity (hash %x)", source, hash)
 	}
 	fg := owners[len(owners)-1]
 	if len(owners) == 1 {
@@ -451,7 +414,7 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 		}
 	}
 	if part == nil {
-		return fmt.Errorf("mediator: gene %s has no %s part (hash %x)", fg.key, source, hash)
+		return fmt.Errorf("fused: gene %s has no %s part (hash %x)", fg.key, source, hash)
 	}
 	for _, r := range part.refs {
 		fs.graph.RemoveRef(fg.oid, r.Label, r.Target)
@@ -459,7 +422,7 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 	}
 	for _, c := range part.contribs {
 		if !removeContrib(fg, c.label, source, c.valueKey) {
-			return fmt.Errorf("mediator: delta bookkeeping lost a %s contribution on gene %s", c.label, fg.key)
+			return fmt.Errorf("fused: delta bookkeeping lost a %s contribution on gene %s", c.label, fg.key)
 		}
 		dirty.mark(fg, c.label)
 	}
@@ -500,10 +463,10 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 		return err
 	}
 	for fe := range fs.entityCandidates(lostSymbols, lostIDs) {
-		if !containsOwner(fe, fg.key) {
+		if !slices.Contains(fe.owners, fg.key) {
 			continue
 		}
-		if stillOwner(ownersForKeys(fs.bySymbol, fs.byGeneID, fe), fg) {
+		if slices.Contains(ownersForKeys(fs.bySymbol, fs.byGeneID, fe), fg) {
 			continue
 		}
 		if err := fs.unlinkEntity(fe, fg, dirty); err != nil {
@@ -545,7 +508,7 @@ func (fs *fuseState) reclaimKeys(lostSymbols []string, lostIDs []int64, dirty di
 	}
 	for fe := range fs.entityCandidates(lostSymbols, lostIDs) {
 		for _, owner := range ownersForKeys(fs.bySymbol, fs.byGeneID, fe) {
-			if containsOwner(fe, owner.key) {
+			if slices.Contains(fe.owners, owner.key) {
 				continue
 			}
 			if err := fs.linkEntity(fe, owner, dirty); err != nil {
@@ -554,15 +517,6 @@ func (fs *fuseState) reclaimKeys(lostSymbols []string, lostIDs []int64, dirty di
 		}
 	}
 	return nil
-}
-
-func stillOwner(owners []*fusedGene, fg *fusedGene) bool {
-	for _, o := range owners {
-		if o == fg {
-			return true
-		}
-	}
-	return false
 }
 
 // unlinkEntity detaches an entity from a gene that still exists,
@@ -574,7 +528,7 @@ func (fs *fuseState) unlinkEntity(fe *fusedEntity, fg *fusedGene, dirty dirtySet
 			continue
 		}
 		if !removeContrib(fg, c.label, fe.source, c.valueKey) {
-			return fmt.Errorf("mediator: delta bookkeeping lost a %s contribution on gene %s", c.label, fg.key)
+			return fmt.Errorf("fused: delta bookkeeping lost a %s contribution on gene %s", c.label, fg.key)
 		}
 		dirty.mark(fg, c.label)
 	}
@@ -588,8 +542,8 @@ func (fs *fuseState) unlinkEntity(fe *fusedEntity, fg *fusedGene, dirty dirtySet
 // any join key another gene also carries is reclaimed so those entities
 // re-link the way a full re-fusion would link them.
 func (fs *fuseState) removeGene(fg *fusedGene, dirty dirtySet) error {
-	for fe := range fs.entityCandidates(mapKeys(fg.symbols), int64Keys(fg.geneIDs)) {
-		if containsOwner(fe, fg.key) {
+	for fe := range fs.entityCandidates(sortedKeys(fg.symbols), sortedKeys(fg.geneIDs)) {
+		if slices.Contains(fe.owners, fg.key) {
 			dropOwner(fe, fg.key)
 		}
 	}
@@ -611,7 +565,7 @@ func (fs *fuseState) removeGene(fg *fusedGene, dirty dirtySet) error {
 			delete(fs.byGeneID, id)
 		}
 	}
-	return fs.reclaimKeys(mapKeys(fg.symbols), int64Keys(fg.geneIDs), dirty)
+	return fs.reclaimKeys(sortedKeys(fg.symbols), sortedKeys(fg.geneIDs), dirty)
 }
 
 // upsertGene fuses a new or modified gene entity into the snapshot:
@@ -626,7 +580,7 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 	teo := fs.graph.Get(te)
 	key := gml.CanonicalSymbol(fs.graph.StringUnder(te, "Symbol"))
 	aliases := stringsUnder(fs.graph, te, "Alias")
-	geneID, hasID := intUnder(fs.graph, te, "GeneID")
+	geneID, hasID := fs.graph.IntUnder(te, "GeneID")
 
 	fg := fs.genes[key]
 	created := fg == nil
@@ -640,10 +594,9 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 	}
 	part := &genePart{source: mp.Source, hash: u.Hash, symbols: []string{key}}
 	for _, ref := range teo.Refs {
-		if isReconciled(ref.Label) {
+		if lbl, ok := reconciledLabel(ref.Label); ok {
 			c := fs.graph.Get(ref.Target)
 			if c != nil && c.IsAtomic() {
-				lbl := canonLabel(ref.Label)
 				v := c.Value()
 				fg.contribs[lbl] = append(fg.contribs[lbl], SourceValue{Source: mp.Source, Value: v})
 				part.contribs = append(part.contribs, contribRecord{label: lbl, valueKey: valueKey(v)})
@@ -706,13 +659,13 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 	// owned but no longer resolves to.
 	for fe := range fs.entityCandidates(part.symbols, part.geneIDs) {
 		owners := ownersForKeys(fs.bySymbol, fs.byGeneID, fe)
-		if !containsOwner(fe, fg.key) && stillOwner(owners, fg) {
+		if !slices.Contains(fe.owners, fg.key) && slices.Contains(owners, fg) {
 			if err := fs.linkEntity(fe, fg, dirty); err != nil {
 				return err
 			}
 		}
 		for prev := range robbed {
-			if containsOwner(fe, prev.key) && !stillOwner(owners, prev) {
+			if slices.Contains(fe.owners, prev.key) && !slices.Contains(owners, prev) {
 				if err := fs.unlinkEntity(fe, prev, dirty); err != nil {
 					return err
 				}
@@ -726,7 +679,7 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 // one gene: the previous winner atoms are deleted and fresh ones
 // materialized from the current contribution set. changed reports whether
 // any label's conflict state was (or is) non-empty — the caller's cue to
-// regenerate the stats conflict list.
+// regenerate the conflict list.
 func (fs *fuseState) rereconcile(fg *fusedGene, labels map[string]bool) (changed bool, err error) {
 	for label := range labels {
 		for _, t := range fs.graph.Children(fg.oid, label) {
@@ -748,7 +701,7 @@ func (fs *fuseState) rereconcile(fg *fusedGene, labels map[string]bool) (changed
 		for _, w := range winners {
 			atom, err := fs.graph.NewAtom(w.Value)
 			if err != nil {
-				return changed, fmt.Errorf("mediator: reconcile %s.%s: %v", fg.key, label, err)
+				return changed, fmt.Errorf("fused: reconcile %s.%s: %v", fg.key, label, err)
 			}
 			if err := fs.graph.AddRef(fg.oid, label, atom); err != nil {
 				return changed, err
@@ -759,350 +712,17 @@ func (fs *fuseState) rereconcile(fg *fusedGene, labels map[string]bool) (changed
 	return changed, nil
 }
 
-// rebuildConflicts refreshes the snapshot stats' conflict list from the
-// per-gene records, in deterministic (fusion key, label) order.
-func (fs *fuseState) rebuildConflicts(stats *Stats) {
-	keys := make([]string, 0, len(fs.genes))
-	for k := range fs.genes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	stats.Conflicts = stats.Conflicts[:0]
-	for _, k := range keys {
+// rebuildConflicts regenerates the conflict list from the per-gene
+// records, in deterministic (fusion key, label) order, into a new slice.
+func (fs *fuseState) rebuildConflicts() {
+	var conflicts []Conflict
+	for _, k := range sortedKeys(fs.genes) {
 		fg := fs.genes[k]
 		for _, label := range reconciledLabels {
 			if c := fg.conflicts[label]; c != nil {
-				stats.Conflicts = append(stats.Conflicts, *c)
+				conflicts = append(conflicts, *c)
 			}
 		}
 	}
-}
-
-func mapKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func int64Keys(m map[int64]bool) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Manager-level refresh orchestration
-// ---------------------------------------------------------------------------
-
-// RefreshResult reports what one RefreshSourceCtx call did.
-type RefreshResult struct {
-	Source     string
-	OldVersion uint64
-	NewVersion uint64
-	// Upserted/Deleted/Total describe the computed ChangeSet (zero when
-	// the refresh fell straight back to a full rebuild).
-	Upserted int
-	Deleted  int
-	Total    int
-	// Native: the wrapper emitted its own changelog (delta.Source) rather
-	// than relying on the structural differ.
-	Native bool
-	// FullRebuild: the delta path was not taken; Reason says why. The
-	// rebuild itself happens lazily, on the next query or snapshot use.
-	FullRebuild bool
-	Reason      string
-	// Patched: a patched snapshot epoch was published (clone-patch-publish).
-	Patched bool
-	// Invalidated is the number of cached results dropped by
-	// concept-scoped invalidation.
-	Invalidated int
-	Took        time.Duration
-}
-
-// RefreshSourceCtx refreshes one registered source and propagates the
-// change as a delta: the old and new ANNODA-OML models are compared (or
-// the wrapper's native changelog consulted), a clone of the current snapshot
-// epoch is patched and published as the next epoch, and only cached
-// results whose concepts the change touches are invalidated. When the
-// delta is unavailable or too large the call degrades to the pre-delta
-// behaviour — drop everything, rebuild on next use — so it is always safe
-// to call.
-//
-// The refresh records into the request trace carried by ctx (or a fresh
-// one when observability is on and ctx has none): its diff, patch,
-// WAL-append, invalidation and standing-query stages show up as spans.
-func (m *Manager) RefreshSourceCtx(ctx context.Context, name string) (*RefreshResult, error) {
-	op := m.beginOp(ctx, "refresh", name)
-	rr, err := m.refreshSource(name, op.tr)
-	m.endOp(op, m.opRefreshDur, m.opRefreshErr, err)
-	return rr, err
-}
-
-func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, error) {
-	w := m.reg.Get(name)
-	if w == nil {
-		return nil, fmt.Errorf("mediator: source %q not registered", name)
-	}
-	start := obs.Now()
-	rr := &RefreshResult{Source: name, OldVersion: w.Version()}
-	mp := m.gl.MappingFor(name)
-
-	if m.cache == nil || mp == nil {
-		// No cache means no snapshot and nothing to invalidate
-		// selectively; an unmapped source never entered the fused view.
-		w.Refresh()
-		rr.NewVersion = w.Version()
-		rr.FullRebuild = true
-		rr.Reason = "delta maintenance needs the result cache and a mapped source"
-		m.fullRebuilds.Inc()
-		rr.Took = obs.Since(start)
-		return rr, nil
-	}
-
-	release := m.gateRefresh()
-	defer release()
-
-	fullRebuild := func(reason string) (*RefreshResult, error) {
-		rr.FullRebuild = true
-		rr.Reason = reason
-		m.rebuildFallback(name, reason, release, tr)
-		rr.Took = obs.Since(start)
-		return rr, nil
-	}
-
-	// The differ needs a baseline for the pre-refresh population. When the
-	// current epoch is fresh it already records every entity's hash — the
-	// old model never gets re-hashed (or even rebuilt). The epoch read is
-	// lock-free: published fuse states are immutable.
-	fpBefore := m.sourceFingerprint()
-	var oldCounts map[uint64]int
-	degradedBefore := false
-	if ep := m.epoch.Load(); ep != nil && ep.fp == fpBefore {
-		// For a source the epoch is missing (degraded-mode fusion) the
-		// recorded counts are empty, so the diff below is pure upserts —
-		// the refresh doubles as the source's re-admission.
-		oldCounts = ep.fs.hashCounts(name)
-		degradedBefore = containsSource(ep.degraded, name)
-	}
-	var oldModel *oem.Graph
-	if oldCounts == nil {
-		var err error
-		oldModel, err = w.Model()
-		if err != nil {
-			return nil, fmt.Errorf("mediator: source %s: %v", name, err)
-		}
-	}
-	w.Refresh()
-	rr.NewVersion = w.Version()
-	newModel, err := m.sourceModel(context.Background(), w, tr)
-	if err != nil {
-		// Refreshed but unreadable; the fingerprint moved, so ensureFresh
-		// will drop stale results on the next query.
-		return nil, fmt.Errorf("mediator: source %s: %w", name, err)
-	}
-	fpAfter := m.sourceFingerprint()
-
-	var cs *delta.ChangeSet
-	if ds, ok := w.(delta.Source); ok {
-		if native, ok := ds.Changes(rr.OldVersion); ok && native != nil {
-			cs = native
-			rr.Native = true
-		}
-	}
-	if cs == nil {
-		td := obs.Now()
-		if oldCounts != nil {
-			cs, err = delta.DiffAgainst(oldCounts, newModel, w.Name(), w.EntityLabel())
-		} else {
-			cs, err = delta.Diff(oldModel, newModel, w.Name(), w.EntityLabel())
-		}
-		tr.SpanNote(obs.StageDiff, td, name)
-		if err != nil {
-			return fullRebuild("diff failed: " + err.Error())
-		}
-	}
-	rr.Upserted, rr.Deleted, rr.Total = len(cs.Upserted), len(cs.Deleted), cs.Total
-	// Delta time is the one place the source's post-refresh population is
-	// known without refetching; keep the statistics table's entity count
-	// current even when the structural patch below bails out.
-	m.srcStats.SetEntities(name, cs.Total)
-
-	maxFrac := m.opts.MaxDeltaFraction
-	if maxFrac <= 0 {
-		maxFrac = DefaultMaxDeltaFraction
-	}
-	// Re-admitting a source the epoch is missing is all upserts by
-	// construction — a "delta" of the whole population. That is still far
-	// cheaper than rebuilding the whole multi-source world, so the
-	// too-large bound does not apply to it.
-	if cs.Fraction() > maxFrac && !degradedBefore {
-		return fullRebuild(fmt.Sprintf("delta too large (%.0f%% of source changed, limit %.0f%%)",
-			cs.Fraction()*100, maxFrac*100))
-	}
-
-	rr.Patched, rr.Invalidated, err = m.publishDelta(cs, mp, fpBefore, fpAfter, release, tr)
-	if err != nil {
-		return fullRebuild("snapshot patch failed: " + err.Error())
-	}
-	rr.Took = obs.Since(start)
-	return rr, nil
-}
-
-// gateRefresh raises the refreshing gate and returns its idempotent
-// release. From a source's version (or recovery-generation) bump until the
-// change is fully propagated, concurrent queries must keep serving the
-// pre-change world instead of reacting to the fingerprint move (ensureFresh
-// would nuke the whole cache, pinEpoch would waste a full rebuild); the
-// change becomes visible when publishDelta or rebuildFallback publishes the
-// new fingerprint. Those two drop the gate early before re-evaluating
-// standing queries against a fresh pin — pinEpoch refuses to see the
-// post-change world while the gate is up.
-func (m *Manager) gateRefresh() (release func()) {
-	m.refreshing.Add(1)
-	released := false
-	return func() {
-		if !released {
-			released = true
-			m.refreshing.Add(-1)
-		}
-	}
-}
-
-// publishDelta is the one clone-patch-publish step, shared by RefreshSourceCtx
-// and probe re-admission. The serving epoch stays untouched (readers pinned
-// to it keep a consistent pre-change world); when it still describes the
-// world cs was computed against (fp == fpBefore — patching anything newer
-// would double-apply) the delta is applied to a deep clone, which is frozen
-// and published as the next epoch under fpAfter. The WAL append and the
-// feed notification happen inside the same epochMu section, so epoch
-// publication order == WAL order == feed sequence order by construction.
-// Outside the lock the delta is counted, the cached results the source's
-// concept could have staled are dropped, the fingerprint is published, and
-// the standing queries the concept touches are re-evaluated. A failed
-// patch retires the epoch and returns the error; the caller then takes
-// rebuildFallback.
-func (m *Manager) publishDelta(cs *delta.ChangeSet, mp *gml.SourceMapping, fpBefore, fpAfter uint64, release func(), tr *obs.Trace) (patched bool, invalidated int, err error) {
-	name := mp.Source
-	var published *snapshot // the patched epoch standing queries re-evaluate against
-	var feedSeq uint64
-	readmitted := false
-	tp := obs.Now()
-	m.epochMu.Lock()
-	if cur := m.epoch.Load(); cur != nil && cur.fp == fpBefore {
-		// A source the epoch was missing (degraded-mode fusion) leaves the
-		// degraded set even with an empty population: the epoch now
-		// reflects everything the source has.
-		readmitted = containsSource(cur.degraded, name)
-		next := &snapshot{fs: cur.fs, stats: cur.stats, fp: fpAfter, degraded: dropSource(cur.degraded, name)}
-		if !cs.Empty() || readmitted {
-			next.stats = cur.stats.clone()
-			next.stats.DegradedSources = next.degraded
-		}
-		if !cs.Empty() {
-			next.fs = cur.fs.clone()
-			if err := next.fs.apply(cs, mp, next.stats); err != nil {
-				// A half-applied clone is simply dropped; the published
-				// epoch was never touched, but its fingerprint is stale
-				// now, so retire it and rebuild lazily.
-				m.epoch.Store(nil)
-				m.epochMu.Unlock()
-				return false, 0, err
-			}
-		}
-		// An empty delta republishes the same immutable fuse state under
-		// the new fingerprint.
-		m.publishLocked(next)
-		if !cs.Empty() {
-			m.persistDeltaLocked(cs, cur, next, tr)
-			published = next
-		} else if m.store != nil && m.diskEpoch.Load() == cur {
-			// The store still describes this world; advance the marker so
-			// a shutdown flush does not rewrite an identical checkpoint.
-			m.diskEpoch.Store(next)
-		}
-		patched = true
-	}
-	// Empty deltas touch no concepts and publish no event.
-	if !cs.Empty() {
-		tf := obs.Now()
-		feedSeq = m.publishChangeLocked(cs, mp.Concept, fpAfter)
-		d := obs.Since(tf)
-		tr.SpanDur(obs.StageFeedPublish, tf, d, "")
-		if m.o != nil {
-			m.o.M.FeedPubDur.Observe(d)
-		}
-	}
-	if readmitted {
-		// Announced after the change event carrying the source's data.
-		// (An unpatched epoch keeps its degraded set; the re-admission then
-		// happens on the lazy rebuild instead.)
-		m.publishSourceUpLocked(name, fpAfter)
-	}
-	m.epochMu.Unlock()
-	if patched {
-		tr.SpanNote(obs.StageDeltaPatch, tp, fmt.Sprintf("%d changes", cs.Size()))
-	}
-
-	m.deltasApplied.Inc()
-	m.entitiesPatched.Add(uint64(cs.Size()))
-
-	// Concept-scoped invalidation: only results whose computation touched
-	// this source's concept can be stale. Order matters — drop the stale
-	// entries before publishing the new fingerprint, so no query can hit
-	// them once ensureFresh stands down.
-	if !cs.Empty() {
-		ti := obs.Now()
-		invalidated = m.cache.InvalidateTags([]string{mp.Concept})
-		tr.SpanNote(obs.StageInvalidate, ti, fmt.Sprintf("%d dropped", invalidated))
-		m.selectiveInvals.Add(uint64(invalidated))
-	}
-	m.lastFP.CompareAndSwap(fpBefore, fpAfter)
-
-	// Re-evaluate the standing queries the concept touches: against the
-	// epoch just published when one was patched (the immutable post-change
-	// world, evaluated without any lock); otherwise drop the gate first so
-	// a fresh pin builds the post-change world instead of serving the old.
-	if feedSeq != 0 {
-		ts := obs.Now()
-		if published == nil {
-			release()
-		}
-		m.evalStanding(feedSeq, []string{mp.Concept}, published)
-		tr.Span(obs.StageStandingEval, ts)
-	}
-	return patched, invalidated, nil
-}
-
-// rebuildFallback is the one way out of incremental maintenance (delta
-// unavailable, too large, or unpatchable): drop every cached result,
-// publish the post-change fingerprint and a rebuild marker on the feed,
-// and let the next pin rebuild the world — always safe, just not
-// incremental.
-func (m *Manager) rebuildFallback(name, reason string, release func(), tr *obs.Trace) {
-	m.fullRebuilds.Inc()
-	tr.Annotate("full rebuild: " + reason)
-	m.epochMu.Lock()
-	m.cache.Invalidate()
-	// Publish the post-change fingerprint under the epoch writer lock. It
-	// is computed inside the lock, after this change's version bump, so
-	// whichever concurrent rebuilder stores last stores a fingerprint that
-	// covers every completed bump — a load-then-CAS could be interleaved
-	// so that neither fingerprint was ever published and the next
-	// ensureFresh nuked spuriously.
-	fp := m.sourceFingerprint()
-	m.lastFP.Store(fp)
-	// A rebuild invalidates everything, so the feed marker carries the
-	// wildcard concept: every subscriber must resync.
-	seq := m.publishRebuildLocked(name, fp)
-	m.epochMu.Unlock()
-	if seq != 0 {
-		release()
-		ts := obs.Now()
-		m.evalStanding(seq, []string{"*"}, nil)
-		tr.Span(obs.StageStandingEval, ts)
-	}
+	fs.conflicts = conflicts
 }

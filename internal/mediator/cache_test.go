@@ -251,7 +251,7 @@ func TestSnapshotIneligibleQueries(t *testing.T) {
 		t.Errorf("snapshot hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	for _, concept := range []string{"Annotation", "Disease"} {
-		if n := m.metrics.Value("annoda_epoch_masked_total", concept); n != 1 {
+		if n := metric(m, `annoda_epoch_masked_total{concept="`+concept+`"}`); n != 1 {
 			t.Errorf("annoda_epoch_masked_total{concept=%q} = %d, want 1", concept, n)
 		}
 	}

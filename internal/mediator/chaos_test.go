@@ -228,7 +228,7 @@ func TestReadmissionIsInstrumentedLikeRefresh(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		if n := m.metrics.Value("annoda_feed_publish_duration_seconds"); n != 1 {
+		if n := metric(m, "annoda_feed_publish_duration_seconds_count"); n != 1 {
 			t.Errorf("feed-publish histogram observed %d times by a re-admission, want 1", n)
 		}
 		if !spansOf(m, "probe")[obs.StageFeedPublish] {

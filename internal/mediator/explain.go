@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fused"
 	"repro/internal/lorel"
 	"repro/internal/obs"
 )
@@ -199,7 +200,7 @@ func (m *Manager) explainSources(an *analysis) []ExplainSource {
 // explainPushdown classifies every where-clause conjunct and records both
 // gates' verdicts plus the one in effect.
 func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdown {
-	gateOK := !m.opts.DisablePushdown && m.opts.Policy == PolicyPreferPrimary
+	gateOK := !m.opts.DisablePushdown && m.opts.Policy == fused.PolicyPreferPrimary
 	groups := an.pushGroups()
 	var out []ExplainPushdown
 	for _, conj := range conjuncts(q.Where) {
@@ -211,7 +212,7 @@ func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdow
 			pd.Reason = reason
 		case m.opts.DisablePushdown:
 			pd.Reason = "pushdown disabled (Options.DisablePushdown)"
-		case m.opts.Policy != PolicyPreferPrimary:
+		case m.opts.Policy != fused.PolicyPreferPrimary:
 			pd.Reason = fmt.Sprintf("policy %v cannot push soundly: filtered link entities would change reconciliation", m.opts.Policy)
 		}
 		if pd.Sound {

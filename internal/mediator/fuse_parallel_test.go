@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/fused"
 	"repro/internal/oem"
 )
 
@@ -12,15 +13,15 @@ import (
 // exercise the sharded path, restoring it afterwards.
 func forceParallelFuse(t *testing.T) {
 	t.Helper()
-	old := parallelFuseMinEntities
-	parallelFuseMinEntities = 1
-	t.Cleanup(func() { parallelFuseMinEntities = old })
+	old := fused.ParallelMinEntities
+	fused.ParallelMinEntities = 1
+	t.Cleanup(func() { fused.ParallelMinEntities = old })
 }
 
 // conflictStrings renders a stats conflict list for order-sensitive
 // comparison: sequential and parallel fusion must report the same
 // conflicts, same winners, same order.
-func conflictStrings(cs []Conflict) []string {
+func conflictStrings(cs []fused.Conflict) []string {
 	out := make([]string, len(cs))
 	for i, c := range cs {
 		out[i] = c.String()
@@ -43,8 +44,8 @@ func TestParallelFusionParity(t *testing.T) {
 				Seed: seed, Genes: 120, GoTerms: 60, Diseases: 80,
 				ConflictRate: 0.4, MissingRate: 0.25,
 			})
-			for _, policy := range []Policy{PolicyPreferPrimary, PolicyMajority, PolicyUnion} {
-				// Workers: 1 routes fusion to fuseSequential (fuseShards() < 2).
+			for _, policy := range []fused.Policy{fused.PolicyPreferPrimary, fused.PolicyMajority, fused.PolicyUnion} {
+				// Workers: 1 fuses sequentially.
 				seq := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 1})
 				par := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 8})
 
@@ -112,7 +113,7 @@ func TestParallelFusionQueryAnswers(t *testing.T) {
 		Seed: 5, Genes: 150, GoTerms: 70, Diseases: 90,
 		ConflictRate: 0.35, MissingRate: 0.2,
 	})
-	seq := manager(t, c, Options{Workers: 1}) // fuseSequential
+	seq := manager(t, c, Options{Workers: 1}) // sequential fusion
 	par := manager(t, c, Options{Workers: 8})
 	// The first two touch every concept and ride the snapshot path; the
 	// last two prune sources, so they exercise parallel fusion on the

@@ -10,6 +10,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/delta"
@@ -139,7 +140,7 @@ func (m *Manager) Readiness() Readiness {
 			continue
 		}
 		unavailable++
-		if m.opts.MinSources <= 0 || m.sourceRequired(sh.Source) {
+		if m.opts.MinSources <= 0 || slices.Contains(m.opts.RequireSources, sh.Source) {
 			r.Status = "down"
 		}
 	}
@@ -198,25 +199,16 @@ func (m *Manager) readmitSource(name string, w wrapper.Wrapper, g *oem.Graph, tr
 	release := m.gateRefresh()
 	defer release()
 	ep := m.epoch.Load()
-	if ep == nil || !containsSource(ep.degraded, name) {
+	if ep == nil || !slices.Contains(ep.degraded, name) {
 		return
 	}
-	cs, err := delta.DiffAgainst(ep.fs.hashCounts(name), g, name, w.EntityLabel())
+	cs, err := delta.DiffAgainst(ep.w.HashCounts(name), g, name, w.EntityLabel())
 	if err == nil {
 		_, _, err = m.publishDelta(cs, mp, ep.fp, m.sourceFingerprint(), release, tr)
 	}
 	if err != nil {
 		m.rebuildFallback(name, "re-admission: "+err.Error(), release, tr)
 	}
-}
-
-func containsSource(list []string, name string) bool {
-	for _, s := range list {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // dropSource returns list without name (preserving order); nil when the

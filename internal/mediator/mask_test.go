@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/feed"
+	"repro/internal/fused"
 	"repro/internal/oem"
 	"repro/internal/sources/protdb"
 )
 
-// Adversarial fixtures for the epoch-dependent routing rule (see mask.go):
-// federations in which the epoch must decline a pruned query, and refreshes
-// that move an atom into or out of a mask.
+// Adversarial fixtures for the epoch-dependent routing rule (see
+// fused.World.MaskFor): federations in which the epoch must decline a pruned
+// query, and refreshes that move an atom into or out of a mask.
 
 func maskCorpus() *datagen.Corpus {
 	return datagen.Generate(datagen.Config{
@@ -145,12 +146,12 @@ func TestEpochDeclinesWhenRunnerUpIsVisible(t *testing.T) {
 	}
 }
 
-// TestOtherPoliciesKeepThePipeline: under PolicyMajority and PolicyUnion a
+// TestOtherPoliciesKeepThePipeline: under fused.PolicyMajority and fused.PolicyUnion a
 // pruned source's contributions change which values are materialized, not
 // just whose — no mask undoes that, so pruned queries keep the pipeline.
 func TestOtherPoliciesKeepThePipeline(t *testing.T) {
 	c := maskCorpus()
-	for _, policy := range []Policy{PolicyMajority, PolicyUnion} {
+	for _, policy := range []fused.Policy{fused.PolicyMajority, fused.PolicyUnion} {
 		m := fedManager(t, c, Options{Policy: policy})
 		plain := fedManager(t, c, Options{Policy: policy, DisableCache: true})
 		const pruned = `select G from ANNODA-GML.Gene G where exists G.Annotation`
@@ -301,32 +302,6 @@ func BenchmarkPrunedMiss(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkEpochProvenance times the scan publishLocked runs over every
-// epoch it publishes — the cost masking adds to a build, a delta patch and a
-// restore — and reports how many atoms link-concept sources won.
-func BenchmarkEpochProvenance(b *testing.B) {
-	for _, genes := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("%dk", genes/1000), func(b *testing.B) {
-			ep, _, err := serverManager(b, genes).pinEpoch()
-			if err != nil {
-				b.Fatal(err)
-			}
-			var p *provenance
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p = epochProvenance(ep.fs)
-			}
-			atoms := 0
-			for _, set := range p.atoms {
-				atoms += len(set)
-			}
-			b.ReportMetric(float64(atoms), "atoms")
-			b.ReportMetric(float64(len(ep.fs.genes)), "genes")
-		})
 	}
 }
 

@@ -1,3 +1,12 @@
+// Package mediator implements ANNODA's query manager: decomposition of
+// global Lorel queries into per-source work, multi-system optimization
+// (source pruning, predicate pushdown, semi-join link fetching, parallel
+// fan-out), and the epochs, caches, change feeds and persistence around
+// the fused world that internal/fused combines the results into.
+//
+// "Queries posed against the ANNODA global schema will be translated into
+// individual queries against the relevant annotation databases, and their
+// results combined before being returned to the user" (paper §3.1).
 package mediator
 
 import (
@@ -8,6 +17,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +26,7 @@ import (
 
 	"repro/internal/delta"
 	"repro/internal/feed"
+	"repro/internal/fused"
 	"repro/internal/gml"
 	"repro/internal/health"
 	"repro/internal/lorel"
@@ -31,8 +42,9 @@ import (
 // reference routes the route-equivalence tests and the benchmark oracle
 // compare the optimized paths against.
 type Options struct {
-	// Policy selects conflict reconciliation (default PolicyPreferPrimary).
-	Policy Policy
+	// Policy selects conflict reconciliation (default
+	// fused.PolicyPreferPrimary).
+	Policy fused.Policy
 	// DisablePushdown turns off per-source predicate pre-filtering and
 	// semi-join link fetching.
 	DisablePushdown bool
@@ -110,7 +122,7 @@ type Stats struct {
 	// Translation reports, by source, whether the fetch read the memoized
 	// translated population ("memo") or translated the source ("built").
 	Translation  map[string]string
-	Conflicts    []Conflict
+	Conflicts    []fused.Conflict
 	PushdownUsed bool
 	Parallel     bool
 	FetchTime    time.Duration
@@ -218,7 +230,7 @@ type Manager struct {
 	lastFP atomic.Uint64
 
 	// epoch is the published fused-snapshot epoch: an immutable
-	// {fuseState, stats, fingerprint} the read path pins with one atomic
+	// {world, stats, fingerprint} the read path pins with one atomic
 	// load and evaluates with no lock held (the epoch's graph is frozen).
 	// Publication — cold build, RefreshSourceCtx's clone-patch, full-rebuild
 	// fallback — happens under epochMu, which readers never touch: this is
@@ -493,7 +505,7 @@ func (s *Stats) clone() *Stats {
 	cp.SourcesPruned = append([]string(nil), s.SourcesPruned...)
 	cp.DegradedSources = append([]string(nil), s.DegradedSources...)
 	cp.Masked = append([]string(nil), s.Masked...)
-	cp.Conflicts = append([]Conflict(nil), s.Conflicts...)
+	cp.Conflicts = append([]fused.Conflict(nil), s.Conflicts...)
 	cp.Fetched = maps.Clone(s.Fetched)
 	cp.Kept = maps.Clone(s.Kept)
 	cp.Translation = maps.Clone(s.Translation)
@@ -548,14 +560,13 @@ func (m *Manager) queryCompute(q *lorel.Query, canon string, an *analysis, tr *o
 var errEpochDeclined = errors.New("mediator: the pinned epoch declined the query")
 
 // snapshot is one published fused-snapshot epoch. Everything it references
-// is immutable: the fuseState's graph is frozen and its bookkeeping is
-// never mutated after publication (RefreshSourceCtx patches a clone and
-// publishes that instead), so any number of goroutines can evaluate
-// against a pinned epoch with no synchronization at all, and a reader
-// pinned to an old epoch keeps a consistent pre-refresh world for as long
-// as it holds the pointer.
+// is immutable: the world is sealed (RefreshSourceCtx publishes a patched
+// copy instead), and the stats are never written after publication, so any
+// number of goroutines can evaluate against a pinned epoch with no
+// synchronization at all, and a reader pinned to an old epoch keeps a
+// consistent pre-refresh world for as long as it holds the pointer.
 type snapshot struct {
-	fs    *fuseState
+	w     *fused.World
 	stats *Stats
 	fp    uint64 // source-set fingerprint the epoch reflects
 	// degraded lists the sources whose data this epoch is missing
@@ -564,9 +575,6 @@ type snapshot struct {
 	// ProbeSource/RefreshSourceCtx, which publish a successor epoch without
 	// it in this set.
 	degraded []string
-	// prov is which link concept decided which gene attribute — what masks
-	// for pruned queries are made from (see mask.go). Set by publishLocked.
-	prov *provenance
 }
 
 // querySnapshot answers a query by evaluating its compiled plan against a
@@ -625,7 +633,7 @@ func (m *Manager) querySnapshot(q *lorel.Query, canon string, an *analysis, d pa
 // for that query against that epoch.
 func (m *Manager) evalEpoch(ep *snapshot, plan *lorel.Plan, d pathDecision, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
 	t := obs.Now()
-	res, err := plan.EvalMasked(ep.fs.graph, d.mask, ec)
+	res, err := plan.EvalMasked(ep.w.Graph(), d.mask, ec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -698,7 +706,7 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 			// concurrent RefreshSourceCtx would then double-apply its delta.
 			for {
 				fpPre := m.sourceFingerprint()
-				nfs, nstats, berr := m.buildFuseState()
+				nw, nstats, berr := m.buildWorld()
 				if berr != nil {
 					m.epochMu.Unlock()
 					return nil, false, berr
@@ -706,7 +714,7 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 				if m.sourceFingerprint() != fpPre {
 					continue // a source moved mid-build; rebuild
 				}
-				m.publishLocked(&snapshot{fs: nfs, stats: nstats, fp: fpPre, degraded: nstats.DegradedSources})
+				m.publishLocked(&snapshot{w: nw, stats: nstats, fp: fpPre, degraded: nstats.DegradedSources})
 				built = true
 				break
 			}
@@ -717,19 +725,16 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 	}
 }
 
-// publishLocked freezes the epoch's graph, records its provenance and makes
-// the epoch current. m.epochMu must be held; readers observe the flip on
-// their next atomic load and are never blocked by it.
+// publishLocked makes the epoch current. m.epochMu must be held; readers
+// observe the flip on their next atomic load and are never blocked by it.
 func (m *Manager) publishLocked(s *snapshot) {
-	s.fs.graph.Freeze()
-	s.prov = epochProvenance(s.fs)
 	m.epoch.Store(s)
 	m.epochsPublished.Inc()
 }
 
 // execute runs the full pipeline for one analyzed query: fetch, fuse, eval.
 func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Trace, ec *lorel.EvalCounts) (*lorel.Result, *Stats, error) {
-	fused, stats, err := m.fetchFuse(an, nil, tr)
+	g, stats, err := m.fetchFuse(an, tr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -738,7 +743,7 @@ func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Tr
 		return nil, nil, err
 	}
 	t := obs.Now()
-	res, err := plan.EvalMasked(fused, nil, ec)
+	res, err := plan.EvalMasked(g, nil, ec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -747,39 +752,78 @@ func (m *Manager) execute(q *lorel.Query, canon string, an *analysis, tr *obs.Tr
 	return res, stats, nil
 }
 
-// fetchFuse is the one fetch+fuse step, timing both stages into fresh
-// Stats: the per-query pipeline, the epoch build and the DisableCache fused
-// graph all run it. rec, when non-nil, records the fusion bookkeeping
-// incremental maintenance needs (which also asks the fetch for per-entity
-// structural hashes); with no shared snapshot to maintain, nil skips that
-// work rather than throwing it away.
-func (m *Manager) fetchFuse(an *analysis, rec *fuseState, tr *obs.Trace) (*oem.Graph, *Stats, error) {
+// fetchFuse is the per-query pipeline's fetch+fuse step: the fused graph
+// it returns is private and mutable. The DisableCache fused graph runs it
+// too.
+func (m *Manager) fetchFuse(an *analysis, tr *obs.Trace) (g *oem.Graph, stats *Stats, err error) {
+	stats, err = m.fetchAndFuse(an, false, tr, func(pops []*fused.Population, cfg fused.Config) (c []fused.Conflict, err error) {
+		g, c, err = fused.Fuse(pops, cfg)
+		return c, err
+	})
+	return g, stats, err
+}
+
+// buildWorld builds what an epoch is made of: a sealed world over every
+// mapped source, fetched in full with the per-entity structural hashes
+// incremental maintenance keys on.
+func (m *Manager) buildWorld() (w *fused.World, stats *Stats, err error) {
+	stats, err = m.fetchAndFuse(everything(), true, nil, func(pops []*fused.Population, cfg fused.Config) ([]fused.Conflict, error) {
+		if w, err = fused.Build(pops, cfg); err != nil {
+			return nil, err
+		}
+		return w.Conflicts(), nil
+	})
+	return w, stats, err
+}
+
+// fetchAndFuse fetches what an needs, fuses it with fuse, and times both
+// stages into fresh Stats. A hashed fetch builds an epoch: every source is
+// read in full, the one place the whole population is in hand, so the
+// statistics table's entity counts and per-label cardinalities are
+// refreshed here.
+func (m *Manager) fetchAndFuse(an *analysis, hashed bool, tr *obs.Trace, fuse func([]*fused.Population, fused.Config) ([]fused.Conflict, error)) (*Stats, error) {
 	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}, Parallel: m.opts.Workers > 1}
 	t0 := obs.Now()
-	pops, err := m.fetch(an, stats, rec != nil, tr)
+	pops, err := m.fetch(an, stats, hashed, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stats.FetchTime = obs.Since(t0)
 	tr.SpanDur(obs.StageFetch, t0, stats.FetchTime, "")
-	if rec != nil {
-		// A snapshot build fetches every source in full (needAll, no
-		// pushdown): the one place the whole population is in hand, so
-		// refresh the statistics table's entity counts and per-label
-		// cardinalities here.
-		for _, p := range pops {
-			m.srcStats.SetEntities(p.source, p.fetchedCount)
-			m.srcStats.SetLabels(p.source, labelCardinalities(p))
+	fps := make([]*fused.Population, len(pops))
+	for i, p := range pops {
+		if hashed {
+			m.srcStats.SetEntities(p.Source, p.fetchedCount)
+			m.srcStats.SetLabels(p.Source, labelCardinalities(p))
 		}
+		fps[i] = &p.Population
 	}
 	t1 := obs.Now()
-	fused, err := m.fuseInto(an, pops, stats, rec)
-	if err != nil {
-		return nil, nil, err
+	if stats.Conflicts, err = fuse(fps, m.fuseConfig(an, fps)); err != nil {
+		return nil, err
 	}
 	stats.FuseTime = obs.Since(t1)
 	tr.SpanDur(obs.StageFuse, t1, stats.FuseTime, "")
-	return fused, stats, nil
+	return stats, nil
+}
+
+// fuseConfig is the fusion an analysis asks for: every registered source
+// ranked in registration order, and — unless pushdown is off — the
+// semi-join dropping the unlinked entities of the concepts the query
+// reaches only through gene links.
+func (m *Manager) fuseConfig(an *analysis, pops []*fused.Population) fused.Config {
+	cfg := fused.Config{Policy: m.opts.Policy, Sources: m.reg.Names(), Workers: m.opts.Workers}
+	if !m.opts.DisablePushdown {
+		for _, p := range pops {
+			if !conceptQueriedDirectly(an, p.Concept) {
+				if cfg.DropUnlinked == nil {
+					cfg.DropUnlinked = map[string]bool{}
+				}
+				cfg.DropUnlinked[p.Concept] = true
+			}
+		}
+	}
+	return cfg
 }
 
 // everything is the analysis of "every concept, no pushdown": what the
@@ -812,10 +856,10 @@ type pathDecision struct {
 //     pushed down (the final eval re-applies the full where clause either
 //     way, but filtered link entities also feed reconciliation).
 //  2. Pruned sources' entities and their reconciliation contributions are
-//     present — they are hidden by a mask (see mask.go), which needs
-//     PolicyPreferPrimary (the one policy with a single winner to attribute;
-//     pushdown has the same precondition) and a complete epoch in which no
-//     attribute a hidden concept won has a visible runner-up.
+//     present — they are hidden by a mask (see fused.World.MaskFor), which
+//     needs PolicyPreferPrimary (the one policy with a single winner to
+//     attribute; pushdown has the same precondition) and a complete epoch in
+//     which no attribute a hidden concept won has a visible runner-up.
 //  3. Semi-join-skipped entities (unlinked, not directly queried) are
 //     present — those are reachable only through the root, so they are
 //     unobservable unless a root-based path can reach that concept's
@@ -833,7 +877,7 @@ func (m *Manager) snapshotPathDecision(an *analysis, q *lorel.Query, ep *snapsho
 	underMask := ""
 	if len(d.masked) > 0 {
 		names := strings.Join(d.masked, ", ")
-		if m.opts.Policy != PolicyPreferPrimary {
+		if m.opts.Policy != fused.PolicyPreferPrimary {
 			d.reason = fmt.Sprintf("query prunes %s and policy %v reconciles over every contribution; no mask can take the pruned sources' share back out", names, m.opts.Policy)
 			return d
 		}
@@ -871,6 +915,36 @@ func (m *Manager) snapshotPathDecision(an *analysis, q *lorel.Query, ep *snapsho
 	return d
 }
 
+// hiddenConcepts lists, sorted, the concepts of mapped sources the analysis
+// does not need — the sources the per-query pipeline's fetch would prune.
+func (m *Manager) hiddenConcepts(an *analysis) []string {
+	if an.needAll {
+		return nil
+	}
+	var hidden []string
+	for _, w := range m.reg.All() {
+		mp := m.gl.MappingFor(w.Name())
+		if mp != nil && !an.needs(mp.Concept) && !slices.Contains(hidden, mp.Concept) {
+			hidden = append(hidden, mp.Concept)
+		}
+	}
+	sort.Strings(hidden)
+	return hidden
+}
+
+// maskFor builds the mask under which ep shows the world a fusion without
+// the hidden concepts' sources would have built, or says why it cannot (see
+// fused.World.MaskFor). A degraded epoch is never masked: the pipeline
+// fetches only what the query needs, so its answer and Stats say whether
+// the missing source mattered.
+func (ep *snapshot) maskFor(hidden []string, an *analysis) (mask *oem.Mask, decline string) {
+	if len(ep.degraded) > 0 {
+		return nil, fmt.Sprintf("epoch was built without %s; a query that prunes %s is answered from the sources it needs",
+			strings.Join(ep.degraded, ", "), strings.Join(hidden, ", "))
+	}
+	return ep.w.MaskFor(hidden, an.needs)
+}
+
 // on puts an epoch-independent verdict to the epoch a caller pinned: a query
 // that hides concepts is safe on ep only under the mask ep can build for it.
 func (d pathDecision) on(ep *snapshot, an *analysis) pathDecision {
@@ -894,7 +968,7 @@ func (d pathDecision) on(ep *snapshot, an *analysis) pathDecision {
 // private graph should run with DisableCache, which builds one per call.
 func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	if m.cache == nil {
-		return m.fetchFuse(everything(), nil, nil)
+		return m.fetchFuse(everything(), nil)
 	}
 	ep, built, err := m.pinEpoch()
 	if err != nil {
@@ -903,7 +977,7 @@ func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	stats := ep.stats.clone()
 	stats.CacheEnabled = true
 	stats.CacheHit = !built
-	return ep.fs.graph, stats, nil
+	return ep.w.Graph(), stats, nil
 }
 
 // WithFusedGraph runs fn over FusedGraph's graph: one pinned epoch, so fn
@@ -920,26 +994,14 @@ func (m *Manager) WithFusedGraph(fn func(*oem.Graph, *Stats) error) error {
 	return fn(g, stats)
 }
 
-// buildFuseState runs the full fetch+fuse pipeline over every mapped
-// source and records the fusion bookkeeping incremental maintenance needs
-// (including per-entity structural hashes).
-func (m *Manager) buildFuseState() (*fuseState, *Stats, error) {
-	rec := &fuseState{}
-	_, stats, err := m.fetchFuse(everything(), rec, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, stats, nil
-}
-
 // labelCardinalities counts, per label, how many of the population's
 // entities carry at least one edge with that label — the per-source label
 // cardinality statistic a cost model estimates exists-predicates with.
 func labelCardinalities(p *population) map[string]int {
 	out := make(map[string]int)
 	seen := make(map[string]bool)
-	for _, e := range p.entities {
-		obj := p.graph.Get(e)
+	for _, e := range p.Entities {
+		obj := p.Graph.Get(e)
 		if obj == nil || !obj.IsComplex() {
 			continue
 		}
@@ -970,6 +1032,18 @@ type analysis struct {
 
 func (a *analysis) needs(concept string) bool { return a.needAll || a.needed[concept] }
 
+func conceptQueriedDirectly(an *analysis, concept string) bool {
+	if an.needAll {
+		return true
+	}
+	for _, c := range an.fromConcepts {
+		if c == concept {
+			return true
+		}
+	}
+	return false
+}
+
 // cacheTags derives the invalidation tags for a query's cached result: the
 // concepts whose source data the computation depended on. A query that
 // pruned a source cannot be invalidated by that source changing; one that
@@ -990,17 +1064,6 @@ func (a *analysis) cacheTags() []string {
 var conceptNames = map[string]string{
 	"gene": "Gene", "annotation": "Annotation", "disease": "Disease", "protein": "Protein",
 }
-
-// linkContrib declares which labels of a linked entity also describe the
-// gene itself; fusion feeds them into reconciliation.
-var linkContrib = map[string][]struct{ From, To string }{
-	"Disease":    {{From: "Symbol", To: "Symbol"}, {From: "Position", To: "Position"}},
-	"Annotation": {{From: "Organism", To: "Organism"}},
-	"Protein":    {{From: "Symbol", To: "Symbol"}, {From: "Organism", To: "Organism"}, {From: "Description", To: "Description"}},
-}
-
-// reconciledLabels are the gene attributes reconciliation applies to.
-var reconciledLabels = []string{"Symbol", "Organism", "Position", "Description"}
 
 func (m *Manager) analyze(q *lorel.Query) (*analysis, error) {
 	an := &analysis{
@@ -1063,7 +1126,7 @@ func (m *Manager) analyze(q *lorel.Query) (*analysis, error) {
 	// only for non-optional attribute labels (see DESIGN.md); the final
 	// evaluation re-applies the full where clause regardless. The cost
 	// model's verdict is advisory: Explain reports it, nothing obeys it.
-	if !m.opts.DisablePushdown && m.opts.Policy == PolicyPreferPrimary {
+	if !m.opts.DisablePushdown && m.opts.Policy == fused.PolicyPreferPrimary {
 		for _, conj := range conjuncts(q.Where) {
 			onVar, reason := an.classifyConjunct(m.gl, conj)
 			if reason != "" {
@@ -1202,22 +1265,15 @@ func collectPaths(q *lorel.Query) []lorel.Path {
 }
 
 // population is one source's translated entities after pushdown filtering.
-// graph is the translation's graph — the shared memoized one or a private
-// one, read-only either way — and entities the kept subset of its entities.
+// Graph is the translation's graph — the shared memoized one or a private
+// one, read-only either way — and Entities the kept subset of its entities.
+// Hashes is filled only for epoch-building fetches.
 type population struct {
-	source       string
-	concept      string
-	graph        *oem.Graph
-	entities     []oem.OID
+	fused.Population
 	fetchedCount int
 	// translation reports whether the fetch read the memoized translation
 	// or built one (see Stats.Translation).
 	translation string
-	// hashes holds the structural fingerprint of each kept entity's
-	// source-model form, parallel to entities. Populated only for recorded
-	// (snapshot-building) fetches — the delta subsystem keys its
-	// bookkeeping by these.
-	hashes []uint64
 	// fallbacks counts entities kept because a pushed-down predicate
 	// errored at the source (see Stats.PushdownFallbacks).
 	fallbacks int
@@ -1305,11 +1361,11 @@ func (m *Manager) fetch(an *analysis, stats *Stats, hashed bool, tr *obs.Trace) 
 	}
 	stats.Translation = make(map[string]string, len(pops))
 	for _, p := range pops {
-		stats.Fetched[p.source] = p.fetchedCount
-		stats.Kept[p.source] = len(p.entities)
-		stats.Translation[p.source] = p.translation
+		stats.Fetched[p.Source] = p.fetchedCount
+		stats.Kept[p.Source] = len(p.Entities)
+		stats.Translation[p.Source] = p.translation
 		stats.PushdownFallbacks += p.fallbacks
-		if p.fetchedCount != len(p.entities) {
+		if p.fetchedCount != len(p.Entities) {
 			stats.PushdownUsed = true
 		}
 	}
@@ -1331,7 +1387,7 @@ func (m *Manager) classifyFetchErrors(names []string, errs []error) ([]string, e
 			continue
 		}
 		nfail++
-		if m.opts.MinSources <= 0 || m.sourceRequired(names[i]) {
+		if m.opts.MinSources <= 0 || slices.Contains(m.opts.RequireSources, names[i]) {
 			fatal = true
 		}
 	}
@@ -1358,15 +1414,6 @@ func (m *Manager) classifyFetchErrors(names []string, errs []error) ([]string, e
 	}
 	sort.Strings(degraded)
 	return degraded, nil
-}
-
-func (m *Manager) sourceRequired(name string) bool {
-	for _, r := range m.opts.RequireSources {
-		if r == name {
-			return true
-		}
-	}
-	return false
 }
 
 // pushGroup is the pushed-down conjuncts of one from-variable: an entity
@@ -1417,28 +1464,28 @@ func (m *Manager) fetchOne(w wrapper.Wrapper, mp *gml.SourceMapping, groups []pu
 	if err != nil {
 		return nil, err
 	}
-	pop := &population{source: w.Name(), concept: mp.Concept, graph: tl.graph,
-		entities: tl.entities, fetchedCount: len(tl.entities), translation: outcome}
+	pop := &population{Population: fused.Population{Source: w.Name(), Concept: mp.Concept, Graph: tl.graph,
+		Entities: tl.entities}, fetchedCount: len(tl.entities), translation: outcome}
 	if len(groups) > 0 {
 		if err := m.pushdown(pop, groups); err != nil {
 			return nil, err
 		}
 	}
 	if hashed {
-		// entities is a subsequence of tl.entities, which is parallel to
+		// Entities is a subsequence of tl.entities, which is parallel to
 		// the source model's entity list.
-		pop.hashes = make([]uint64, 0, len(pop.entities))
+		pop.Hashes = make([]uint64, 0, len(pop.Entities))
 		srcEntities := src.Children(src.Root(w.Name()), mp.Entity)
 		for i, te := range tl.entities {
-			if k := len(pop.hashes); k < len(pop.entities) && pop.entities[k] == te {
-				pop.hashes = append(pop.hashes, delta.HashEntity(src, srcEntities[i]))
+			if k := len(pop.Hashes); k < len(pop.Entities) && pop.Entities[k] == te {
+				pop.Hashes = append(pop.Hashes, delta.HashEntity(src, srcEntities[i]))
 			}
 		}
 	}
 	return pop, nil
 }
 
-// pushdown narrows pop.entities — on entry the whole translated population,
+// pushdown narrows pop.Entities — on entry the whole translated population,
 // shared with the memo and so never written — to the entities that satisfy
 // at least one group.
 func (m *Manager) pushdown(pop *population, groups []pushGroup) error {
@@ -1465,7 +1512,7 @@ func (m *Manager) pushdown(pop *population, groups []pushGroup) error {
 	}
 	var kept []oem.OID
 	env := make(map[string]oem.OID, 1)
-	for _, te := range pop.entities {
+	for _, te := range pop.Entities {
 		keep := false
 		for gi := 0; gi < len(groups) && !keep; gi++ {
 			clear(env)
@@ -1473,7 +1520,7 @@ func (m *Manager) pushdown(pop *population, groups []pushGroup) error {
 			keep = true
 			for pi := range plans[gi] {
 				pc := &plans[gi][pi]
-				ok, err := pc.plan.Eval(pop.graph, env)
+				ok, err := pc.plan.Eval(pop.Graph, env)
 				if err != nil {
 					// Pushdown must never break a query; fall back to keeping
 					// the entity and let the final evaluation decide. The
@@ -1494,10 +1541,10 @@ func (m *Manager) pushdown(pop *population, groups []pushGroup) error {
 			kept = append(kept, te)
 		}
 	}
-	pop.entities = kept
+	pop.Entities = kept
 	for _, group := range plans {
 		for _, pc := range group {
-			m.srcStats.ObservePushdown(pop.source, pc.shape, pc.evals, pc.passes)
+			m.srcStats.ObservePushdown(pop.Source, pc.shape, pc.evals, pc.passes)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/fused"
 	"repro/internal/gml"
 	"repro/internal/lorel"
 	"repro/internal/match"
@@ -16,9 +17,20 @@ import (
 	"repro/internal/wrapper"
 )
 
-// metric reads one unlabelled series from the manager's registry — the one
-// home of every cumulative counter.
-func metric(m *Manager, name string) int64 { return m.metrics.Value(name) }
+// metric reads one sample of the manager's registry — the one home of every
+// cumulative counter — by its exposition key (name and label block as
+// /metrics prints them; a histogram's observations are its _count), through
+// the Gather snapshot every rendering reads. 0 when no such sample exists.
+func metric(m *Manager, key string) int64 {
+	for _, f := range m.metrics.Gather() {
+		for _, p := range f.Points {
+			if p.Key == key {
+				return int64(p.Value)
+			}
+		}
+	}
+	return 0
+}
 
 func corpus() *datagen.Corpus {
 	return datagen.Generate(datagen.Config{
@@ -143,7 +155,7 @@ func TestReconciliationPolicies(t *testing.T) {
 	query := `select G from ANNODA-GML.Gene G where G.Symbol = "` + target.Symbol + `" and exists G.Disease`
 
 	// PreferPrimary: LocusLink's position wins.
-	m := manager(t, c, Options{Policy: PolicyPreferPrimary})
+	m := manager(t, c, Options{Policy: fused.PolicyPreferPrimary})
 	res, stats, err := m.QueryString(query)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +181,7 @@ func TestReconciliationPolicies(t *testing.T) {
 	}
 
 	// Union: both positions present.
-	mu := manager(t, c, Options{Policy: PolicyUnion})
+	mu := manager(t, c, Options{Policy: fused.PolicyUnion})
 	resU, _, err := mu.QueryString(query)
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +349,10 @@ func TestPlugInProteinSourceE11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Size() != pd.Len() {
-		t.Fatalf("%d proteins after plug-in, want %d", res2.Size(), pd.Len())
+	proteins := 0
+	pd.Scan(func(*protdb.Protein) bool { proteins++; return true })
+	if res2.Size() != proteins {
+		t.Fatalf("%d proteins after plug-in, want %d", res2.Size(), proteins)
 	}
 	// Genes now link to proteins.
 	res3, _, err := m.QueryString(
@@ -412,9 +426,9 @@ func TestStatsString(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if PolicyPreferPrimary.String() != "prefer-primary" ||
-		PolicyMajority.String() != "majority" ||
-		PolicyUnion.String() != "union" {
+	if fused.PolicyPreferPrimary.String() != "prefer-primary" ||
+		fused.PolicyMajority.String() != "majority" ||
+		fused.PolicyUnion.String() != "union" {
 		t.Error("policy names wrong")
 	}
 }
@@ -441,8 +455,8 @@ func TestPushdownFallbackCounted(t *testing.T) {
 	if fetched == 0 {
 		t.Fatal("no entities fetched")
 	}
-	if len(pop.entities) != fetched {
-		t.Fatalf("fallback dropped entities: kept %d of %d", len(pop.entities), fetched)
+	if len(pop.Entities) != fetched {
+		t.Fatalf("fallback dropped entities: kept %d of %d", len(pop.Entities), fetched)
 	}
 	if pop.fallbacks != fetched {
 		t.Fatalf("fallbacks = %d, want one per entity (%d)", pop.fallbacks, fetched)

@@ -6,7 +6,7 @@ package mediator
 // checkpoint; RefreshSourceCtx appends each applied ChangeSet to the
 // checkpoint's delta WAL (see persistDeltaLocked); LoadSnapshot walks the
 // recovery ladder at boot — newest valid checkpoint, WAL replayed through
-// the same fuseState.apply path a live refresh uses, falling back to the
+// the same patch code a live refresh uses, falling back to the
 // next-older checkpoint and finally to a cold fetch+fuse. Auto-checkpoint
 // policy (every N WAL records or M bytes) keeps replay time bounded under
 // refresh churn.
@@ -23,9 +23,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/delta"
+	"repro/internal/fused"
 	"repro/internal/obs"
 	"repro/internal/snapstore"
 )
@@ -128,7 +130,7 @@ func (m *Manager) saveSnapshot() (*SaveResult, error) {
 // publication point, or replay would double-apply.
 func (m *Manager) saveLocked(ep *snapshot) (*SaveResult, error) {
 	start := obs.Now()
-	payload, err := encodeSnapshotPayload(ep)
+	payload, err := ep.w.Encode(ep.fp, buildStats(ep.stats))
 	if err != nil {
 		m.persistErrors.Inc()
 		return nil, err
@@ -309,8 +311,9 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 		rr.Restored = true
 		rr.Seq = seq
 		rr.WALReplayed = replayed
-		rr.Objects = ep.fs.graph.Len()
-		rr.Genes = len(ep.fs.genes)
+		info := ep.w.Info()
+		rr.Objects = info.Objects
+		rr.Genes = info.Genes
 		rr.Took = obs.Since(start)
 		tr.SpanDur(obs.StageRestore, start, rr.Took,
 			fmt.Sprintf("seq %d, %d WAL records", seq, replayed))
@@ -337,26 +340,26 @@ func (m *Manager) restoreOne(seq uint64) (ep *snapshot, replayed int, truncated 
 	if err != nil {
 		return nil, 0, false, err
 	}
-	dec, err := decodeSnapshotPayload(payload)
+	dec, err := fused.Decode(payload)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if dec.fs.policy != m.opts.Policy {
+	if dec.Policy() != m.opts.Policy {
 		return nil, 0, false, fmt.Errorf("mediator: checkpoint %d was fused under policy %v, manager runs %v",
-			seq, dec.fs.policy, m.opts.Policy)
+			seq, dec.Policy(), m.opts.Policy)
 	}
 	// The checkpoint must describe this manager's source set: priority is
 	// recorded from the registry at fusion time, so a name-set mismatch
 	// means the store was primed under a different configuration (e.g. a
 	// protein-less CLI save restored into a server that plugs ProtDB in) —
 	// restoring it would silently serve a world missing whole sources.
-	names := m.reg.Names()
-	if len(dec.fs.priority) != len(names) {
+	names, covered := m.reg.Names(), dec.Sources()
+	if len(covered) != len(names) {
 		return nil, 0, false, fmt.Errorf("mediator: checkpoint %d covers %d sources, manager has %d registered",
-			seq, len(dec.fs.priority), len(names))
+			seq, len(covered), len(names))
 	}
 	for _, n := range names {
-		if _, ok := dec.fs.priority[n]; !ok {
+		if !slices.Contains(covered, n) {
 			return nil, 0, false, fmt.Errorf("mediator: checkpoint %d does not cover registered source %q", seq, n)
 		}
 	}
@@ -364,6 +367,7 @@ func (m *Manager) restoreOne(seq uint64) (ep *snapshot, replayed int, truncated 
 	if err != nil {
 		return nil, 0, false, err
 	}
+	stats := epochStats(dec.Stats)
 	for _, rec := range recs {
 		cs, err := delta.DecodeChangeSet(bytes.NewReader(rec))
 		if err != nil {
@@ -373,12 +377,36 @@ func (m *Manager) restoreOne(seq uint64) (ep *snapshot, replayed int, truncated 
 		if mp == nil {
 			return nil, 0, truncated, fmt.Errorf("mediator: WAL record %d refreshes unmapped source %q", replayed, cs.Source)
 		}
-		if err := dec.fs.apply(cs, mp, dec.stats); err != nil {
+		if err := dec.Apply(cs, mp); err != nil {
 			return nil, 0, truncated, fmt.Errorf("mediator: WAL record %d: %v", replayed, err)
 		}
+		stats.patched(mp.Source, cs.Total)
 		replayed++
 	}
-	return &snapshot{fs: dec.fs, stats: dec.stats, fp: dec.fp}, replayed, truncated, nil
+	w := dec.Seal()
+	stats.Conflicts = w.Conflicts()
+	return &snapshot{w: w, stats: stats, fp: dec.FP}, replayed, truncated, nil
+}
+
+// buildStats is the part of an epoch's stats its checkpoint records.
+func buildStats(s *Stats) fused.BuildStats {
+	return fused.BuildStats{
+		SourcesQueried: s.SourcesQueried, SourcesPruned: s.SourcesPruned,
+		Fetched: s.Fetched, Kept: s.Kept,
+		PushdownUsed: s.PushdownUsed, Parallel: s.Parallel, PushdownFallbacks: s.PushdownFallbacks,
+		FetchTime: s.FetchTime, FuseTime: s.FuseTime,
+	}
+}
+
+// epochStats is buildStats' inverse: a restored epoch's stats, before the
+// world's conflicts are added.
+func epochStats(b fused.BuildStats) *Stats {
+	return &Stats{
+		SourcesQueried: b.SourcesQueried, SourcesPruned: b.SourcesPruned,
+		Fetched: b.Fetched, Kept: b.Kept,
+		PushdownUsed: b.PushdownUsed, Parallel: b.Parallel, PushdownFallbacks: b.PushdownFallbacks,
+		FetchTime: b.FetchTime, FuseTime: b.FuseTime,
+	}
 }
 
 // SnapshotFileInfo describes the newest restorable checkpoint of a store —
@@ -386,7 +414,7 @@ func (m *Manager) restoreOne(seq uint64) (ep *snapshot, replayed int, truncated 
 type SnapshotFileInfo struct {
 	Seq         uint64
 	Fingerprint uint64
-	Policy      Policy
+	Policy      fused.Policy
 	Objects     int
 	Genes       int
 	// Entities counts resident source entities by source name (gene parts
@@ -427,31 +455,23 @@ func SnapshotInfo(st *snapstore.Store) (*SnapshotFileInfo, error) {
 			skipped++
 			continue
 		}
-		dec, err := decodeSnapshotPayload(payload)
+		dec, err := fused.Decode(payload)
 		if err != nil {
 			skipped++
 			continue
 		}
+		fp, w := dec.FP, dec.Seal()
+		wi := w.Info()
 		info := &SnapshotFileInfo{
 			Seq:          seq,
-			Fingerprint:  dec.fp,
-			Policy:       dec.fs.policy,
-			Objects:      dec.fs.graph.Len(),
-			Genes:        len(dec.fs.genes),
-			Entities:     map[string]int{},
-			Conflicts:    len(dec.stats.Conflicts),
+			Fingerprint:  fp,
+			Policy:       w.Policy(),
+			Objects:      wi.Objects,
+			Genes:        wi.Genes,
+			Entities:     wi.Entities,
+			Conflicts:    wi.Conflicts,
 			PayloadBytes: len(payload),
 			Skipped:      skipped,
-		}
-		for src, byHash := range dec.fs.ents {
-			for _, list := range byHash {
-				info.Entities[src] += len(list)
-			}
-		}
-		for src, byHash := range dec.fs.geneParts {
-			for _, owners := range byHash {
-				info.Entities[src] += len(owners)
-			}
 		}
 		recs, truncated, err := st.ReadWAL(seq)
 		if err == nil {

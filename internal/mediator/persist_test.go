@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/fused"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/snapstore"
@@ -81,7 +82,7 @@ func editGenes(t testing.TB, c *datagen.Corpus, n int, tag string) {
 // codec must reproduce its own input byte for byte.
 func TestSaveRestoreParity(t *testing.T) {
 	for _, seed := range []uint64{88, 20050405} {
-		for _, policy := range []Policy{PolicyPreferPrimary, PolicyMajority, PolicyUnion} {
+		for _, policy := range []fused.Policy{fused.PolicyPreferPrimary, fused.PolicyMajority, fused.PolicyUnion} {
 			t.Run(fmt.Sprintf("seed=%d/%v", seed, policy), func(t *testing.T) {
 				c := datagen.Generate(datagen.Config{
 					Seed: seed, Genes: 60, GoTerms: 40, Diseases: 30,
@@ -110,11 +111,12 @@ func TestSaveRestoreParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := decodeSnapshotPayload(payload)
+				dec, err := fused.Decode(payload)
 				if err != nil {
 					t.Fatal(err)
 				}
-				re, err := encodeSnapshotPayload(&snapshot{fs: dec.fs, stats: dec.stats, fp: dec.fp})
+				fp, bs := dec.FP, dec.Stats
+				re, err := dec.Seal().Encode(fp, bs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -419,7 +421,7 @@ func TestRestoreRejectsUnknownPayloadVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	future := append([]byte(nil), payload...)
-	future[4] = persistCodecVersion + 1 // payload version byte, after the 4-byte magic
+	future[4]++ // payload version byte, after the 4-byte magic
 	if err := st.WriteCheckpoint(res.Seq+1, future); err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +446,11 @@ func TestRestoreRejectsUnknownPayloadVersion(t *testing.T) {
 func TestRestorePolicyMismatchFallsBack(t *testing.T) {
 	c := corpus()
 	dir := t.TempDir()
-	live := persistManager(t, c, Options{Policy: PolicyMajority}, dir, PersistPolicy{})
+	live := persistManager(t, c, Options{Policy: fused.PolicyMajority}, dir, PersistPolicy{})
 	if _, err := live.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	other := persistManager(t, c, Options{Policy: PolicyUnion}, dir, PersistPolicy{})
+	other := persistManager(t, c, Options{Policy: fused.PolicyUnion}, dir, PersistPolicy{})
 	rr, err := other.LoadSnapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 )
 
 // The route-equivalence property: a query's answer must not depend on how it
-// was routed. This suite pins it for the gate this file's neighbour mask.go
-// opened — a query that names only some concepts is evaluated on the pinned
+// was routed. This suite pins it for the gate fused.World.MaskFor opened —
+// a query that names only some concepts is evaluated on the pinned
 // epoch under a mask instead of on a private pruned fusion — by generating
 // queries from a small grammar and comparing oem.CanonicalText across the
 // masked epoch, the per-query pipeline with and without pushdown, a
@@ -215,8 +215,8 @@ func TestRouteEquivalence(t *testing.T) {
 				ConflictRate: 0.3, MissingRate: 0.15,
 			})
 			qs := sampleQueries(routeEquivQueries(datagen.NewRNG(cfg.seed)), cfg.every)
-			// Workers: 4 so corpora past parallelFuseMinEntities build their
-			// epoch with fuseParallel even on a one-core runner.
+			// Workers: 4 so corpora past fused.ParallelMinEntities build their
+			// epoch on the sharded path even on a one-core runner.
 			dir := t.TempDir()
 			live := persistManager(t, c, Options{Workers: 4}, dir, PersistPolicy{})
 			plugProt(t, live, c)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/fused"
 	"repro/internal/gml"
 	"repro/internal/lorel"
 	"repro/internal/match"
@@ -72,7 +73,7 @@ func mutationPanics(g *oem.Graph) (panicked bool) {
 }
 
 func translateCount(m *Manager, source, outcome string) int64 {
-	return m.metrics.Value("annoda_translate_total", source, outcome)
+	return metric(m, `annoda_translate_total{source="`+source+`",outcome="`+outcome+`"}`)
 }
 
 func answerText(t testing.TB, m *Manager, q string) string {
@@ -89,9 +90,9 @@ func answerText(t testing.TB, m *Manager, q string) string {
 // gml.TranslateEntity into a private per-query graph, and an entity
 // survives pushdown when its concept is unfiltered or some variable's
 // conjuncts all hold for it.
-func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population {
+func referencePopulations(t testing.TB, m *Manager, an *analysis) []*fused.Population {
 	t.Helper()
-	var pops []*population
+	var pops []*fused.Population
 	for _, w := range m.reg.All() {
 		mp := m.gl.MappingFor(w.Name())
 		if mp == nil || !an.needs(mp.Concept) {
@@ -116,10 +117,9 @@ func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population 
 				}
 			}
 		}
-		pop := &population{source: w.Name(), concept: mp.Concept, graph: oem.NewGraph()}
+		pop := &fused.Population{Source: w.Name(), Concept: mp.Concept, Graph: oem.NewGraph()}
 		for _, e := range src.Children(src.Root(w.Name()), mp.Entity) {
-			pop.fetchedCount++
-			te, err := gml.TranslateEntity(pop.graph, src, e, mp)
+			te, err := gml.TranslateEntity(pop.Graph, src, e, mp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,14 +134,14 @@ func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population 
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ok, err := cp.Eval(pop.graph, map[string]oem.OID{v: te}); err == nil && !ok {
+					if ok, err := cp.Eval(pop.Graph, map[string]oem.OID{v: te}); err == nil && !ok {
 						keep = false
 						break
 					}
 				}
 			}
 			if keep {
-				pop.entities = append(pop.entities, te)
+				pop.Entities = append(pop.Entities, te)
 			}
 		}
 		pops = append(pops, pop)
@@ -152,12 +152,12 @@ func referencePopulations(t testing.TB, m *Manager, an *analysis) []*population 
 // referenceFused fuses the reference populations for an analysis.
 func referenceFused(t testing.TB, m *Manager, an *analysis) *oem.Graph {
 	t.Helper()
-	stats := &Stats{Fetched: map[string]int{}, Kept: map[string]int{}}
-	fused, err := m.fuseInto(an, referencePopulations(t, m, an), stats, nil)
+	pops := referencePopulations(t, m, an)
+	g, _, err := fused.Fuse(pops, m.fuseConfig(an, pops))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fused
+	return g
 }
 
 // referenceAnswer answers q through the reference fetch, the production
@@ -211,10 +211,11 @@ func memoEqualityQueries(c *datagen.Corpus) []string {
 // builds read it but never create it) — for all three policies on both
 // fusion paths (a small corpus under the default and the lowered gate), and
 // for the server's configuration at the benchmark's 1k genes, where every
-// multi-source fetch already crosses the 2048-entity gate into fuseParallel.
+// multi-source fetch already crosses the 2048-entity gate into the sharded
+// fusion.
 func TestTranslationMemoByteEquality(t *testing.T) {
 	small := datagen.Generate(datagen.Config{Seed: 42, Genes: 120, GoTerms: 60, Diseases: 50, ConflictRate: 0.3, MissingRate: 0.15})
-	for _, policy := range []Policy{PolicyPreferPrimary, PolicyMajority, PolicyUnion} {
+	for _, policy := range []fused.Policy{fused.PolicyPreferPrimary, fused.PolicyMajority, fused.PolicyUnion} {
 		policy := policy
 		t.Run(fmt.Sprintf("sequential/%v", policy), func(t *testing.T) {
 			assertMemoByteEquality(t, small, policy, false, true, false)
@@ -227,17 +228,21 @@ func TestTranslationMemoByteEquality(t *testing.T) {
 	t.Run("1k", func(t *testing.T) {
 		cfg := datagen.DefaultConfig()
 		cfg.Seed = 7
-		assertMemoByteEquality(t, datagen.Generate(cfg), PolicyPreferPrimary, true, false)
+		assertMemoByteEquality(t, datagen.Generate(cfg), fused.PolicyPreferPrimary, true, false)
 	})
 }
 
 // assertMemoByteEquality runs the comparison once per disableCache value.
-func assertMemoByteEquality(t *testing.T, c *datagen.Corpus, policy Policy, parallelFuse bool, disableCache ...bool) {
+func assertMemoByteEquality(t *testing.T, c *datagen.Corpus, policy fused.Policy, parallelFuse bool, disableCache ...bool) {
 	queries := memoEqualityQueries(c)
 	// Workers pinned so the entity gate, not the CI box's core count,
 	// decides which fusion path runs.
 	ref := manager(t, c, Options{Policy: policy, DisableCache: true, Workers: 4})
-	if got := ref.parallelFuseEligible(referencePopulations(t, ref, everything())); got != parallelFuse {
+	entities := 0
+	for _, p := range referencePopulations(t, ref, everything()) {
+		entities += len(p.Entities)
+	}
+	if got := entities >= fused.ParallelMinEntities; got != parallelFuse {
 		t.Fatalf("full fusion takes the parallel path: %v, this case is meant to cover: %v", got, parallelFuse)
 	}
 	want := make([]string, len(queries))
@@ -421,7 +426,7 @@ func TestTranslationMemoInvalidation(t *testing.T) {
 		}
 		break
 	}
-	if got := m.metrics.Value("annoda_translated_objects", "LocusLink"); got != int64(liveTranslations(m)["LocusLink"].graph.Len()) {
+	if got := metric(m, `annoda_translated_objects{source="LocusLink"}`); got != int64(liveTranslations(m)["LocusLink"].graph.Len()) {
 		t.Errorf("annoda_translated_objects{LocusLink} = %d, live population has %d objects", got, liveTranslations(m)["LocusLink"].graph.Len())
 	}
 }
@@ -464,7 +469,7 @@ func TestTranslationMemoPlugInUnplug(t *testing.T) {
 	if tl := liveTranslations(m)["ProtDB"]; tl != nil {
 		t.Error("ProtDB translation survived Unplug")
 	}
-	if got := m.metrics.Value("annoda_translated_objects", "ProtDB"); got != 0 {
+	if got := metric(m, `annoda_translated_objects{source="ProtDB"}`); got != 0 {
 		t.Errorf("annoda_translated_objects{ProtDB} = %d after Unplug, want 0", got)
 	}
 
@@ -666,7 +671,7 @@ func TestTranslateObservability(t *testing.T) {
 		if b, mm := translateCount(m, source, translationBuilt), translateCount(m, source, translationMemo); b != 1 || mm != 1 {
 			t.Errorf("annoda_translate_total{%s} = %d built / %d memo, want 1 / 1", source, b, mm)
 		}
-		if got, want := m.metrics.Value("annoda_translated_objects", source), int64(liveTranslations(m)[source].graph.Len()); got != want || got == 0 {
+		if got, want := metric(m, `annoda_translated_objects{source="`+source+`"}`), int64(liveTranslations(m)[source].graph.Len()); got != want || got == 0 {
 			t.Errorf("annoda_translated_objects{%s} = %d, want the population's %d objects", source, got, want)
 		}
 	}

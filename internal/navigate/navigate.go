@@ -80,13 +80,6 @@ func (r *Resolver) Resolve(url string) (Target, bool) {
 	return t, ok
 }
 
-// Size returns the number of indexed urls.
-func (r *Resolver) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.index)
-}
-
 // OutLinks lists the urls reachable from an entity: its own url atoms plus
 // any under a nested Links object, sorted.
 func (r *Resolver) OutLinks(t Target) ([]string, error) {

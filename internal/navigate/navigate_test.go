@@ -42,10 +42,26 @@ func TestResolverIndexesAllSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every gene, term and disease has a self url.
-	wantMin := len(c.Genes) + len(c.Terms) + len(c.Diseases)
-	if r.Size() < wantMin {
-		t.Errorf("index size %d < %d", r.Size(), wantMin)
+	// Every gene, term and disease has a self url, and each resolves to its
+	// own source.
+	urls := map[string]bool{}
+	for _, w := range reg.All() {
+		g, err := w.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range g.Get(g.Root(w.Name())).Refs {
+			for _, u := range g.Children(ref.Target, "WebLink") {
+				url := g.Get(u).Str
+				if tgt, ok := r.Resolve(url); !ok || tgt.Source != w.Name() {
+					t.Errorf("%s url %s resolves to %v %v", w.Name(), url, tgt, ok)
+				}
+				urls[url] = true
+			}
+		}
+	}
+	if wantMin := len(c.Genes) + len(c.Terms) + len(c.Diseases); len(urls) < wantMin {
+		t.Errorf("%d urls indexed, want at least %d", len(urls), wantMin)
 	}
 	g := &c.Genes[0]
 	tgt, ok := r.Resolve(locuslink.SelfURL(g.LocusID))

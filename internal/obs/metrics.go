@@ -106,26 +106,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[idx].Add(1)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // metricKind discriminates family types in the registry.
 type metricKind int
 
@@ -442,27 +422,6 @@ func sampleKey(name string, keys, vals []string, le string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Value reads one counter or gauge series by family name and label values
-// (a histogram answers its observation count); 0 when no such series exists.
-func (r *Registry) Value(name string, labelValues ...string) int64 {
-	r.mu.Lock()
-	f := r.fams[name]
-	r.mu.Unlock()
-	if f == nil {
-		return 0
-	}
-	f.mu.RLock()
-	s := f.series[strings.Join(labelValues, "\x00")]
-	f.mu.RUnlock()
-	switch {
-	case s == nil:
-		return 0
-	case s.h != nil:
-		return int64(s.h.Count())
-	}
-	return s.value()
 }
 
 // Expose writes Gather() in Prometheus text exposition format 0.0.4.

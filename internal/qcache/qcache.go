@@ -168,20 +168,6 @@ func (c *Cache) shardIndex(key string) int {
 	return int(maphash.String(c.seed, key) % uint64(len(c.shards)))
 }
 
-// Get returns the cached value for key, if present and unexpired.
-func (c *Cache) Get(key string) (any, bool) {
-	sh := &c.shards[c.shardIndex(key)]
-	sh.mu.Lock()
-	v, ok := c.getLocked(sh, key)
-	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
 // getLocked looks key up in sh, expiring it lazily; sh.mu must be held.
 func (c *Cache) getLocked(sh *shard, key string) (any, bool) {
 	el, ok := sh.entries[key]
@@ -200,14 +186,8 @@ func (c *Cache) getLocked(sh *shard, key string) (any, bool) {
 	return e.value, true
 }
 
-// Put stores value under key, evicting the shard's LRU tail past capacity.
-func (c *Cache) Put(key string, value any) {
-	sh := &c.shards[c.shardIndex(key)]
-	sh.mu.Lock()
-	c.putLocked(sh, key, value, nil)
-	sh.mu.Unlock()
-}
-
+// putLocked stores value under key, evicting the shard's LRU tail past
+// capacity; sh.mu must be held.
 func (c *Cache) putLocked(sh *shard, key string, value any, tags []string) {
 	var expires time.Time
 	if c.ttl > 0 {

@@ -27,6 +27,21 @@ func keysInShard(c *Cache, n int) []string {
 	return out
 }
 
+// errAbsent is the compute lookup hands Do: it runs only on a miss, and an
+// error is never stored, so a lookup reads the cache without filling it.
+var errAbsent = errors.New("absent")
+
+// lookup reads key through Do, the one way the mediator reads the cache.
+func lookup(c *Cache, key string) (any, bool) {
+	v, out, _ := c.Do(key, func() (any, error) { return nil, errAbsent })
+	return v, out == Hit
+}
+
+// store fills key through Do: the miss computes v, and Do stores it.
+func store(c *Cache, key string, v any) {
+	c.Do(key, func() (any, error) { return v, nil })
+}
+
 func TestShardDistribution(t *testing.T) {
 	c := New(4096, 0)
 	tests := []struct {
@@ -67,7 +82,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 		name    string
 		perCap  int // per-shard capacity (capacity = perCap * ShardCount)
 		insert  int
-		touch   []int // indices re-Got before the overflowing insert
+		touch   []int // indices looked up (hits) before the overflowing insert
 		evicted []int // indices that must be gone afterwards
 		kept    []int // indices that must survive
 	}{
@@ -83,7 +98,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 		},
 		{
 			name:   "overwrite refreshes recency",
-			perCap: 2, insert: 3, touch: []int{0}, // touch via Put below
+			perCap: 2, insert: 3, touch: []int{0},
 			evicted: []int{1}, kept: []int{0, 2},
 		},
 	}
@@ -92,23 +107,23 @@ func TestLRUEvictionOrder(t *testing.T) {
 			c := New(tt.perCap*ShardCount, 0)
 			keys := keysInShard(c, tt.insert)
 			for i := 0; i < tt.perCap; i++ {
-				c.Put(keys[i], i)
+				store(c, keys[i], i)
 			}
 			for _, i := range tt.touch {
-				if _, ok := c.Get(keys[i]); !ok {
-					c.Put(keys[i], i) // overwrite path
+				if _, ok := lookup(c, keys[i]); !ok {
+					t.Fatalf("key %d missing before the overflowing insert", i)
 				}
 			}
 			for i := tt.perCap; i < tt.insert; i++ {
-				c.Put(keys[i], i)
+				store(c, keys[i], i)
 			}
 			for _, i := range tt.evicted {
-				if _, ok := c.Get(keys[i]); ok {
+				if _, ok := lookup(c, keys[i]); ok {
 					t.Errorf("key %d should have been evicted", i)
 				}
 			}
 			for _, i := range tt.kept {
-				if v, ok := c.Get(keys[i]); !ok || v.(int) != i {
+				if v, ok := lookup(c, keys[i]); !ok || v.(int) != i {
 					t.Errorf("key %d should have survived with value %d, got %v %v", i, i, v, ok)
 				}
 			}
@@ -136,9 +151,9 @@ func TestTTLExpiry(t *testing.T) {
 			c := New(64, tt.ttl)
 			now := time.Unix(1_000_000, 0)
 			c.now = func() time.Time { return now }
-			c.Put("k", "v")
+			store(c, "k", "v")
 			now = now.Add(tt.advance)
-			_, ok := c.Get("k")
+			_, ok := lookup(c, "k")
 			if ok != tt.alive {
 				t.Fatalf("after %v with ttl %v: alive=%v, want %v", tt.advance, tt.ttl, ok, tt.alive)
 			}
@@ -278,9 +293,9 @@ func TestCapacityRoundsUpNotDown(t *testing.T) {
 	// the requested number of entries (never silently shrink to zero).
 	c := New(8, 0)
 	keys := keysInShard(c, 2)
-	c.Put(keys[0], 1)
-	c.Put(keys[1], 2) // same shard, perCap 1: evicts keys[0]
-	if _, ok := c.Get(keys[1]); !ok {
+	store(c, keys[0], 1)
+	store(c, keys[1], 2) // same shard, perCap 1: evicts keys[0]
+	if _, ok := lookup(c, keys[1]); !ok {
 		t.Fatal("second insert evicted itself")
 	}
 	if c.Counters().Evictions != 1 {
@@ -290,13 +305,13 @@ func TestCapacityRoundsUpNotDown(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New(64, 0)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	store(c, "a", 1)
+	store(c, "b", 2)
 	c.Invalidate()
 	if c.Len() != 0 {
 		t.Fatalf("Len=%d after Invalidate, want 0", c.Len())
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok := lookup(c, "a"); ok {
 		t.Fatal("entry survived Invalidate")
 	}
 }
@@ -320,7 +335,7 @@ func TestInvalidateFencesInflight(t *testing.T) {
 	c.Invalidate()
 	close(release)
 	<-done
-	if _, ok := c.Get("k"); ok {
+	if _, ok := lookup(c, "k"); ok {
 		t.Fatal("stale in-flight result was stored across Invalidate")
 	}
 }
@@ -374,7 +389,7 @@ func TestInvalidateFencesSharing(t *testing.T) {
 	<-staleDone
 	// The fresh result must be the one stored; the stale call must neither
 	// store its value nor evict its successor's inflight bookkeeping.
-	if v, ok := c.Get("k"); !ok || v != "fresh" {
+	if v, ok := lookup(c, "k"); !ok || v != "fresh" {
 		t.Fatalf("cached value after both calls finished: %v (ok=%v), want fresh", v, ok)
 	}
 	// Later callers under the same generation share/hit normally.
@@ -385,12 +400,12 @@ func TestInvalidateFencesSharing(t *testing.T) {
 
 func TestCountersAndLen(t *testing.T) {
 	c := New(64, 0)
-	c.Put("a", 1)
-	c.Get("a")    // hit
-	c.Get("nope") // miss
+	store(c, "a", 1)  // miss, computed and stored
+	lookup(c, "a")    // hit
+	lookup(c, "nope") // miss, the error not stored
 	got := c.Counters()
-	if got.Hits != 1 || got.Misses != 1 || got.Entries != 1 {
-		t.Fatalf("counters = %+v, want 1 hit, 1 miss, 1 entry", got)
+	if got.Hits != 1 || got.Misses != 2 || got.Entries != 1 {
+		t.Fatalf("counters = %+v, want 1 hit, 2 misses, 1 entry", got)
 	}
 }
 
@@ -405,9 +420,9 @@ func TestConcurrentMixedUse(t *testing.T) {
 				k := fmt.Sprintf("k%d", i%37)
 				switch i % 4 {
 				case 0:
-					c.Put(k, i)
+					store(c, k, i)
 				case 1:
-					c.Get(k)
+					lookup(c, k)
 				case 2:
 					c.Do(k, func() (any, error) { return i, nil })
 				case 3:
@@ -443,14 +458,14 @@ func TestInvalidateTagsSelective(t *testing.T) {
 	if dropped != 3 {
 		t.Fatalf("dropped %d entries, want 3 (anno-q, both-q, wild-q)", dropped)
 	}
-	if _, ok := c.Get("gene-q"); !ok {
+	if _, ok := lookup(c, "gene-q"); !ok {
 		t.Error("Gene-tagged entry dropped by an Annotation invalidation")
 	}
-	if _, ok := c.Get("plan"); !ok {
+	if _, ok := lookup(c, "plan"); !ok {
 		t.Error("untagged entry dropped by a selective invalidation")
 	}
 	for _, key := range []string{"anno-q", "both-q", "wild-q"} {
-		if _, ok := c.Get(key); ok {
+		if _, ok := lookup(c, key); ok {
 			t.Errorf("%s survived an intersecting invalidation", key)
 		}
 	}
@@ -459,18 +474,18 @@ func TestInvalidateTagsSelective(t *testing.T) {
 	if dropped := c.InvalidateTags([]string{"*"}); dropped != 2 {
 		t.Fatalf("wildcard dropped %d, want 2 (gene-q and gene-q2)", dropped)
 	}
-	if _, ok := c.Get("plan"); !ok {
+	if _, ok := lookup(c, "plan"); !ok {
 		t.Error("untagged entry dropped by wildcard invalidation")
 	}
 }
 
 func TestInvalidateTagsEmptyIsNoop(t *testing.T) {
 	c := New(16, 0)
-	c.Put("k", 1)
+	store(c, "k", 1)
 	if n := c.InvalidateTags(nil); n != 0 {
 		t.Fatalf("nil tags dropped %d entries", n)
 	}
-	if _, ok := c.Get("k"); !ok {
+	if _, ok := lookup(c, "k"); !ok {
 		t.Fatal("entry lost to a no-op invalidation")
 	}
 }
@@ -500,14 +515,14 @@ func TestInvalidateTagsFencesInflight(t *testing.T) {
 	}
 	close(release)
 	<-done
-	if _, ok := c.Get("slow"); ok {
+	if _, ok := lookup(c, "slow"); ok {
 		t.Fatal("fenced in-flight compute stored its result")
 	}
 	// A fresh compute after the fence stores fine.
 	if _, out, err := c.DoTagged("slow", []string{"Gene"}, func() (any, error) { return "fresh", nil }); err != nil || out != Miss {
 		t.Fatalf("recompute: outcome=%v err=%v", out, err)
 	}
-	if v, ok := c.Get("slow"); !ok || v != "fresh" {
+	if v, ok := lookup(c, "slow"); !ok || v != "fresh" {
 		t.Fatalf("post-fence compute not stored: %v %v", v, ok)
 	}
 }

@@ -34,15 +34,11 @@ func (n *btreeNode) leaf() bool { return n.children == nil }
 
 type btree struct {
 	root *btreeNode
-	size int
 }
 
 func newBTree() *btree {
 	return &btree{root: &btreeNode{}}
 }
-
-// Len returns the number of entries.
-func (t *btree) Len() int { return t.size }
 
 // search finds the first position >= e within a node's entries.
 func nodeSearch(n *btreeNode, e btreeEntry) int {
@@ -73,7 +69,6 @@ func (t *btree) Insert(key Value, rid RowID) {
 		r = newRoot
 	}
 	r.insertNonFull(e)
-	t.size++
 }
 
 func (t *btree) contains(e btreeEntry) bool {
@@ -142,7 +137,6 @@ func (t *btree) Delete(key Value, rid RowID) bool {
 	if len(t.root.entries) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
-	t.size--
 	return true
 }
 
@@ -255,59 +249,29 @@ func (n *btreeNode) min() btreeEntry {
 // Lookup returns the rids whose key equals key, in ascending rid order.
 func (t *btree) Lookup(key Value) []RowID {
 	var out []RowID
-	t.Range(key, key, true, true, func(_ Value, rid RowID) bool {
-		out = append(out, rid)
-		return true
-	})
+	t.root.lookup(key, &out)
 	return out
 }
 
-// Range visits entries with lo <= key <= hi, each bound inclusive per its
-// flag. The visit function returns false to stop early.
-func (t *btree) Range(lo, hi Value, incLo, incHi bool, visit func(Value, RowID) bool) {
-	t.root.rangeVisit(lo, hi, incLo, incHi, true, true, visit)
-}
-
-func (n *btreeNode) rangeVisit(lo, hi Value, incLo, incHi, useLo, useHi bool, visit func(Value, RowID) bool) bool {
-	inLo := func(k Value) bool {
-		if !useLo {
-			return true
-		}
-		c := Compare(k, lo)
-		if incLo {
-			return c >= 0
-		}
-		return c > 0
-	}
-	inHi := func(k Value) bool {
-		if !useHi {
-			return true
-		}
-		c := Compare(k, hi)
-		if incHi {
-			return c <= 0
-		}
-		return c < 0
-	}
+// lookup appends the rids of n's subtree whose key equals key, in entry
+// order: it descends left of every entry not below key and stops at the
+// first entry above it.
+func (n *btreeNode) lookup(key Value, out *[]RowID) {
 	for i, e := range n.entries {
-		if !n.leaf() && inLo(e.key) {
-			if !n.children[i].rangeVisit(lo, hi, incLo, incHi, useLo, useHi, visit) {
-				return false
-			}
+		c := Compare(e.key, key)
+		if c >= 0 && !n.leaf() {
+			n.children[i].lookup(key, out)
 		}
-		if inLo(e.key) && inHi(e.key) {
-			if !visit(e.key, e.rid) {
-				return false
-			}
+		if c > 0 {
+			return
 		}
-		if useHi && !inHi(e.key) {
-			return true
+		if c == 0 {
+			*out = append(*out, e.rid)
 		}
 	}
 	if !n.leaf() {
-		return n.children[len(n.children)-1].rangeVisit(lo, hi, incLo, incHi, useLo, useHi, visit)
+		n.children[len(n.children)-1].lookup(key, out)
 	}
-	return true
 }
 
 // check verifies B-tree invariants (used by tests): ordering, node fill, and

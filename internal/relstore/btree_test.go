@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,8 @@ func TestBTreeInsertLookup(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		bt.Insert(Int(int64(i%100)), RowID(i+1))
 	}
-	if bt.Len() != 1000 {
-		t.Fatalf("Len = %d", bt.Len())
+	if n := len(entries(bt)); n != 1000 {
+		t.Fatalf("%d entries", n)
 	}
 	rids := bt.Lookup(Int(7))
 	if len(rids) != 10 {
@@ -29,8 +30,8 @@ func TestBTreeInsertLookup(t *testing.T) {
 	}
 	// Duplicate (key,rid) insert is a no-op.
 	bt.Insert(Int(7), rids[0])
-	if bt.Len() != 1000 {
-		t.Errorf("duplicate insert changed size to %d", bt.Len())
+	if n := len(entries(bt)); n != 1000 {
+		t.Errorf("duplicate insert changed size to %d", n)
 	}
 }
 
@@ -45,8 +46,8 @@ func TestBTreeDelete(t *testing.T) {
 		if !bt.Delete(Int(int64(i)), RowID(i+1)) {
 			t.Fatalf("delete %d failed", i)
 		}
-		if bt.Len() != n-k-1 {
-			t.Fatalf("Len = %d after %d deletes", bt.Len(), k+1)
+		if got := len(entries(bt)); got != n-k-1 {
+			t.Fatalf("%d entries after %d deletes", got, k+1)
 		}
 		if _, err := bt.root.check(true); err != nil {
 			t.Fatalf("invariants after deleting %d: %v", i, err)
@@ -57,34 +58,49 @@ func TestBTreeDelete(t *testing.T) {
 	}
 }
 
+// TestBTreeRange: point lookups across a key range find exactly their own
+// entries, duplicates of a key in rid order, and nothing between or past the
+// stored keys.
 func TestBTreeRange(t *testing.T) {
 	bt := newBTree()
 	for i := 0; i < 100; i++ {
 		bt.Insert(Int(int64(i)), RowID(i+1))
 	}
-	var got []int64
-	bt.Range(Int(10), Int(20), true, false, func(v Value, _ RowID) bool {
-		got = append(got, v.I)
-		return true
-	})
-	if len(got) != 10 || got[0] != 10 || got[len(got)-1] != 19 {
-		t.Fatalf("range [10,20) = %v", got)
+	bt.Insert(Int(15), 1000)
+	bt.Insert(Int(15), 500)
+	for k := int64(10); k < 20; k++ {
+		want := []RowID{RowID(k + 1)}
+		if k == 15 {
+			want = []RowID{16, 500, 1000}
+		}
+		if got := bt.Lookup(Int(k)); !slices.Equal(got, want) {
+			t.Errorf("Lookup(%d) = %v, want %v", k, got, want)
+		}
 	}
-	// Early stop.
-	count := 0
-	scanAll(bt, func(Value, RowID) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Errorf("early stop visited %d", count)
+	for _, miss := range []Value{Int(-1), Int(100), Float(10.5), Null} {
+		if got := bt.Lookup(miss); len(got) != 0 {
+			t.Errorf("Lookup(%v) = %v, want nothing", miss, got)
+		}
 	}
 }
 
-// scanAll visits every entry of bt in key order through the range walk
-// with both bounds off.
-func scanAll(bt *btree, visit func(Value, RowID) bool) {
-	bt.root.rangeVisit(Null, Null, false, false, false, false, visit)
+// entries walks bt in key order.
+func entries(bt *btree) []btreeEntry {
+	var out []btreeEntry
+	var walk func(n *btreeNode)
+	walk = func(n *btreeNode) {
+		for i, e := range n.entries {
+			if !n.leaf() {
+				walk(n.children[i])
+			}
+			out = append(out, e)
+		}
+		if !n.leaf() {
+			walk(n.children[len(n.children)-1])
+		}
+	}
+	walk(bt.root)
+	return out
 }
 
 func TestBTreeMixedTypes(t *testing.T) {
@@ -94,10 +110,9 @@ func TestBTreeMixedTypes(t *testing.T) {
 		bt.Insert(v, RowID(i+1))
 	}
 	var keys []Value
-	scanAll(bt, func(v Value, _ RowID) bool {
-		keys = append(keys, v)
-		return true
-	})
+	for _, e := range entries(bt) {
+		keys = append(keys, e.key)
+	}
 	if len(keys) != len(vals) {
 		t.Fatalf("got %d keys", len(keys))
 	}
@@ -132,8 +147,8 @@ func TestQuickBTreeModel(t *testing.T) {
 				bt.Insert(Int(k), rid)
 				model[[2]int64{k, int64(rid)}] = true
 			}
-			if bt.Len() != len(model) {
-				t.Logf("size mismatch: %d vs %d", bt.Len(), len(model))
+			if n := len(entries(bt)); n != len(model) {
+				t.Logf("size mismatch: %d vs %d", n, len(model))
 				return false
 			}
 		}
@@ -143,10 +158,9 @@ func TestQuickBTreeModel(t *testing.T) {
 		}
 		// Full scan must equal sorted model.
 		var got [][2]int64
-		scanAll(bt, func(v Value, rid RowID) bool {
-			got = append(got, [2]int64{v.I, int64(rid)})
-			return true
-		})
+		for _, e := range entries(bt) {
+			got = append(got, [2]int64{e.key.I, int64(e.rid)})
+		}
 		want := make([][2]int64, 0, len(model))
 		for k := range model {
 			want = append(want, k)

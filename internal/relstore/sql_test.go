@@ -119,13 +119,13 @@ func TestSQLDelete(t *testing.T) {
 	if _, err := db.Run(`DELETE FROM assoc WHERE evidence = 'IEA'`); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Table("assoc").Len(); n != 3 {
+	if n := len(db.Table("assoc").rows); n != 3 {
 		t.Errorf("after delete, %d rows", n)
 	}
 	if _, err := db.Run(`DELETE FROM assoc`); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.Table("assoc").Len(); n != 0 {
+	if n := len(db.Table("assoc").rows); n != 0 {
 		t.Errorf("after delete all, %d rows", n)
 	}
 }

@@ -102,13 +102,6 @@ func (t *Table) Schema() Schema {
 	return s
 }
 
-// Len returns the number of live rows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
 func pkKey(v Value) string { return v.Type.String() + ":" + v.String() }
 
 // normalize coerces a row to the schema's column types and checks arity,

@@ -98,8 +98,8 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	if tab.Delete(rid) {
 		t.Error("double delete succeeded")
 	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
+	if len(tab.rows) != 1 {
+		t.Errorf("Len = %d", len(tab.rows))
 	}
 	if _, r := tab.GetByKey(Int(2354)); r != nil {
 		t.Error("deleted key still resolvable")
@@ -232,8 +232,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCSV: %v\ncsv:\n%s", err, sb.String())
 	}
-	if tab2.Len() != 3 {
-		t.Fatalf("restored %d rows", tab2.Len())
+	if len(tab2.rows) != 3 {
+		t.Fatalf("restored %d rows", len(tab2.rows))
 	}
 	_, r := tab2.GetByKey(Int(2))
 	if r == nil || !r[2].IsNull() || !r[3].IsNull() {

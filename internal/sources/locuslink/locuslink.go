@@ -130,9 +130,6 @@ func Load(c *datagen.Corpus) (*DB, error) {
 	return &DB{rel: rel}, nil
 }
 
-// Len returns the number of loci.
-func (db *DB) Len() int { return db.rel.Table("locus").Len() }
-
 // BySymbol fetches loci whose official symbol matches (case-insensitive,
 // via the symbol index plus a case fix-up scan on miss).
 func (db *DB) BySymbol(symbol string) []*Locus {

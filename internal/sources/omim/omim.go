@@ -74,9 +74,6 @@ func Load(c *datagen.Corpus) (*Store, error) {
 	return &Store{lib: lib}, nil
 }
 
-// Len returns the number of records.
-func (s *Store) Len() int { return s.lib.Len() }
-
 // ByMIM returns the entry with the given MIM number, or nil.
 func (s *Store) ByMIM(mim int) *Entry {
 	pos := s.lib.Find("NO", strconv.Itoa(mim))

@@ -62,9 +62,6 @@ func Load(c *datagen.Corpus) (*Store, error) {
 	return &Store{lib: lib}, nil
 }
 
-// Len returns the number of proteins.
-func (s *Store) Len() int { return s.lib.Len() }
-
 // Scan visits every protein.
 func (s *Store) Scan(visit func(*Protein) bool) {
 	s.lib.Scan(func(_ int, r *flatfile.Record) bool {

@@ -36,9 +36,6 @@ func NewEncoder(w io.Writer) *Encoder {
 	return &Encoder{w: bufio.NewWriter(w)}
 }
 
-// Err returns the latched error, if any.
-func (e *Encoder) Err() error { return e.err }
-
 // Fail latches err (first one wins).
 func (e *Encoder) Fail(err error) {
 	if e.err == nil {
