@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race memo-race route-equiv fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
+.PHONY: check vet lint fmt-check build test race memo-race writer-race route-equiv fuzz-smoke bench bench-smoke benchmark-check metrics-check chaos-smoke loc serve clean
 
 # check is the tier-1 gate: formatting, vet, the project-invariant lint
 # suite, build, and the full test tree under -race.
@@ -37,6 +37,14 @@ race:
 # part of `make race`; the repeat count is what gives the detector a chance.
 memo-race:
 	$(GO) test -race -count=10 -run 'TestTranslationMemoRace' ./internal/mediator
+
+# writer-race repeats the one-writer tests (see internal/mediator/writer.go):
+# concurrent LocusLink and GO refreshes with persistence on must publish
+# feed events in WAL order and restore to the live world, and a subscriber
+# that re-asks on a change event must read the changed world. One pass is
+# part of `make race`; the repeat count gives the interleavings a chance.
+writer-race:
+	$(GO) test -race -count=10 -run 'TestWriterOneOrder|TestNotifiedSubscriberReadsInvalidated' ./internal/mediator
 
 # route-equiv runs the route-equivalence property test long and under -race:
 # more seeds, denser samples of the generated queries and a 2.5k-gene corpus —

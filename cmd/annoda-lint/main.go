@@ -1,19 +1,14 @@
 // Command annoda-lint runs the repository's invariant analyzers
 // (lockedcall, frozenmut, criticalerr, nowalltime — see
-// internal/analyzers) over Go packages. Standalone, it also runs testonly
+// internal/analyzers) over Go packages. Over ./..., it also runs testonly
 // over all of them together, with the allowlist in allow.go.
 //
-// Standalone:
+// Usage:
 //
 //	annoda-lint ./...          # analyze packages, test files included
 //	annoda-lint -list          # print the suite
 //	annoda-lint -prom FILE     # validate FILE as a Prometheus /metrics scrape
 //	annoda-lint -explain-shape FILE  # validate FILE as a /api/explain response
-//
-// As a go vet tool (the unitchecker protocol, reimplemented on the
-// standard library because the module is dependency-free):
-//
-//	go vet -vettool=$(which annoda-lint) ./...
 //
 // Findings print as file:line:col: analyzer: message; the exit status is
 // non-zero when any finding survives suppression. A finding is suppressed
@@ -28,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/analyzers"
 	"repro/internal/obs"
@@ -38,26 +32,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("annoda-lint: ")
 
-	args := os.Args[1:]
-	// go vet handshakes: tool version for the build cache key, and the
-	// supported-flag list. Both print and exit.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			// No tool-specific flags are passed through go vet.
-			fmt.Println("[]")
-			return
-		}
-	}
-	// go vet invokes the tool with a single *.cfg argument per package.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		vetMain(args[0])
-		return
-	}
-
 	fs := flag.NewFlagSet("annoda-lint", flag.ExitOnError)
 	listOnly := fs.Bool("list", false, "list the analyzers and exit")
 	promFile := fs.String("prom", "", "validate FILE as Prometheus text exposition (a /metrics scrape) and exit")
@@ -66,14 +40,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: annoda-lint [-prom scrape.txt] [-explain-shape explain.json] [packages]\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	if *listOnly {
 		for _, a := range analyzers.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("%-12s %s\n", "testonly", "check that every production function is reached by production code (standalone only)")
+		fmt.Printf("%-12s %s\n", "testonly", "check that every production function is reached by production code (./... only)")
 		return
 	}
 	if *promFile != "" {
@@ -104,8 +78,8 @@ func main() {
 		}
 		found += len(diags)
 	}
-	// testonly needs every unit of the module at once: only a standalone
-	// run over ./... has them.
+	// testonly needs every unit of the module at once: only a run over
+	// ./... has them.
 	for _, d := range testOnly(patterns, units) {
 		if d.Pos.IsValid() {
 			fmt.Println(analyzers.FormatDiagnostic(units[0].Fset, d))

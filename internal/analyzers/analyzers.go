@@ -16,9 +16,8 @@
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the suite can migrate onto the real
 // framework mechanically if the module ever grows network access to fetch
-// x/tools; today the build must be dependency-free, so the driver, the
-// unitchecker protocol, and the fixture harness are reimplemented on the
-// standard library alone.
+// x/tools; today the build must be dependency-free, so the driver and the
+// fixture harness are reimplemented on the standard library alone.
 //
 // Suppression: a finding is silenced by a directive comment on the same
 // line or the line directly above it:

@@ -9,7 +9,7 @@ import (
 
 // TestOnly reports each function or method of a production file that no
 // production file but its own body references: code only tests reach. It
-// needs the whole module, so it runs standalone only. Exempt are main, init,
+// needs the whole module, so it runs only over ./.... Exempt are main, init,
 // a method whose receiver type (or a pointer to it) implements an interface
 // declaring it (dispatch may reach it) and allow, keyed by
 // types.Func.FullName or package path, each with its reason. An allow entry

@@ -476,6 +476,16 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
+// keysBy returns m's keys sorted by compare.
+func keysBy[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
+}
+
 type pEncoder struct{ *wire.Encoder }
 
 func (e *pEncoder) strs(ss []string) {

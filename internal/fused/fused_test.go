@@ -186,6 +186,57 @@ func TestPatchLeavesReceiverUnchanged(t *testing.T) {
 	}
 }
 
+// TestPatchDeterministic: two patches of one world by one change set encode
+// to the same bytes — oids are allocated, and a freed join key's claimant
+// picked, in fusion-key order, not map order.
+func TestPatchDeterministic(t *testing.T) {
+	c := datagen.Generate(datagen.Config{Seed: 20050405, Genes: 250, GoTerms: 80, Diseases: 100,
+		ConflictRate: 0.3, MissingRate: 0.15})
+	f := newFederation(t, c)
+	w := f.build(t)
+
+	// Blank descriptions (re-reconciliation), rename genes (links move and
+	// join keys are freed) and drop genes (whole fused genes go).
+	for i := 0; i < 60; i += 3 {
+		c.Genes[i].Description = ""
+	}
+	for i := 1; i < 60; i += 7 {
+		c.Genes[i].Symbol += "X"
+	}
+	c.Genes = append(c.Genes[:100], c.Genes[110:]...)
+	ll, err := locuslink.Load(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := wrapper.NewLocusLink(ll).Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := delta.Diff(f.models["LocusLink"], model, "LocusLink", "Locus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Deleted) == 0 || len(cs.Upserted) == 0 {
+		t.Fatalf("the edit produced %d deletions and %d upserts; the fixture exercises nothing", len(cs.Deleted), len(cs.Upserted))
+	}
+	var first []byte
+	for i := 0; i < 4; i++ {
+		patched, err := w.Patch(cs, f.mappings["LocusLink"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := patched.Encode(7, BuildStats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("patch %d encodes to different bytes than patch 0 (%d vs %d bytes)", i, len(b), len(first))
+		}
+	}
+}
+
 // TestImports pins the package's dependencies: the oem graph, the global
 // model's mappings, change sets, the wire codec and the standard library.
 func TestImports(t *testing.T) {

@@ -1,9 +1,11 @@
 package fused
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"repro/internal/delta"
 	"repro/internal/gml"
@@ -112,21 +114,21 @@ func (fs *fuseState) unindexEntity(fe *fusedEntity) {
 }
 
 // entityCandidates gathers resident entities whose join keys touch any of
-// the given symbols / GeneIDs.
-func (fs *fuseState) entityCandidates(symbols []string, ids []int64) map[*fusedEntity]bool {
-	out := map[*fusedEntity]bool{}
+// the given symbols / GeneIDs, in oid order: a patch links and unlinks
+// them, so their order decides the oids and contribution order it leaves.
+func (fs *fuseState) entityCandidates(symbols []string, ids []int64) []*fusedEntity {
+	set := map[*fusedEntity]bool{}
 	for _, s := range symbols {
-		for fe := range fs.entBySymbol[s] {
-			out[fe] = true
-		}
+		maps.Copy(set, fs.entBySymbol[s])
 	}
 	for _, id := range ids {
-		for fe := range fs.entByGeneID[id] {
-			out[fe] = true
-		}
+		maps.Copy(set, fs.entByGeneID[id])
 	}
-	return out
+	return keysBy(set, func(a, b *fusedEntity) int { return cmp.Compare(a.oid, b.oid) })
 }
+
+// byKey orders fused genes by fusion key.
+func byKey(a, b *fusedGene) int { return strings.Compare(a.key, b.key) }
 
 // dropOwner forgets a gene on the entity side: the owners entry and the
 // contribution records scoped to it. The gene-side contributions are the
@@ -164,8 +166,10 @@ func (d dirtySet) mark(fg *fusedGene, label string) {
 // apply patches an unsealed fuse state (a clone, or a decoded checkpoint)
 // from one source's ChangeSet: deletions first (a modified entity frees its slot before its
 // new form arrives), then upserts, then one re-reconciliation pass over
-// the genes whose contributions changed. Any bookkeeping inconsistency
-// aborts with an error; the caller must then discard the state.
+// the genes whose contributions changed, in fusion-key order so that two
+// patches by one change set allocate the same oids. Any bookkeeping
+// inconsistency aborts with an error; the caller must then discard the
+// state.
 func (fs *fuseState) apply(cs *delta.ChangeSet, mp *gml.SourceMapping) error {
 	dirty := dirtySet{}
 	for _, d := range cs.Deleted {
@@ -191,7 +195,8 @@ func (fs *fuseState) apply(cs *delta.ChangeSet, mp *gml.SourceMapping) error {
 		}
 	}
 	conflictsChanged := false
-	for fg, labels := range dirty {
+	for _, fg := range keysBy(dirty, byKey) {
+		labels := dirty[fg]
 		if fs.genes[fg.key] != fg {
 			// Removed (or replaced) while dirty; nothing to redo, but its
 			// recorded conflicts died with it.
@@ -442,7 +447,7 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 		}
 	}
 	var lostSymbols []string
-	for s := range oldSymbols {
+	for _, s := range sortedKeys(oldSymbols) {
 		if !fg.symbols[s] {
 			lostSymbols = append(lostSymbols, s)
 			if fs.bySymbol[s] == fg {
@@ -451,7 +456,7 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 		}
 	}
 	var lostIDs []int64
-	for id := range oldIDs {
+	for _, id := range sortedKeys(oldIDs) {
 		if !fg.geneIDs[id] {
 			lostIDs = append(lostIDs, id)
 			if fs.byGeneID[id] == fg {
@@ -462,7 +467,7 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 	if err := fs.reclaimKeys(lostSymbols, lostIDs, dirty); err != nil {
 		return err
 	}
-	for fe := range fs.entityCandidates(lostSymbols, lostIDs) {
+	for _, fe := range fs.entityCandidates(lostSymbols, lostIDs) {
 		if !slices.Contains(fe.owners, fg.key) {
 			continue
 		}
@@ -477,36 +482,40 @@ func (fs *fuseState) removeGenePart(source string, hash uint64, dirty dirtySet) 
 }
 
 // reclaimKeys re-resolves join keys whose index entry just went away:
-// when another resident gene still carries the key (alias collisions make
-// this possible), it takes the slot over, and candidate entities are
-// relinked to their re-resolved owners — the linkage a full re-fusion
-// would produce. The claimant scan is O(genes) per lost key, which is fine
-// on this path: keys are only lost when gene entities shrink or vanish,
-// and deltas are small by construction.
+// when other resident genes still carry the key (alias collisions make
+// this possible), the first of them in fusion-key order takes the slot
+// over, and candidate entities are relinked to their re-resolved owners —
+// the linkage a full re-fusion would produce. The claimant scan is
+// O(genes) per lost key, which is fine on this path: keys are only lost
+// when gene entities shrink or vanish, and deltas are small by
+// construction.
 func (fs *fuseState) reclaimKeys(lostSymbols []string, lostIDs []int64, dirty dirtySet) error {
+	claimant := func(carries func(*fusedGene) bool) *fusedGene {
+		var first *fusedGene
+		for _, other := range fs.genes {
+			if carries(other) && (first == nil || other.key < first.key) {
+				first = other
+			}
+		}
+		return first
+	}
 	for _, s := range lostSymbols {
 		if _, taken := fs.bySymbol[s]; taken {
 			continue
 		}
-		for _, other := range fs.genes {
-			if other.symbols[s] {
-				fs.bySymbol[s] = other
-				break
-			}
+		if fg := claimant(func(o *fusedGene) bool { return o.symbols[s] }); fg != nil {
+			fs.bySymbol[s] = fg
 		}
 	}
 	for _, id := range lostIDs {
 		if _, taken := fs.byGeneID[id]; taken {
 			continue
 		}
-		for _, other := range fs.genes {
-			if other.geneIDs[id] {
-				fs.byGeneID[id] = other
-				break
-			}
+		if fg := claimant(func(o *fusedGene) bool { return o.geneIDs[id] }); fg != nil {
+			fs.byGeneID[id] = fg
 		}
 	}
-	for fe := range fs.entityCandidates(lostSymbols, lostIDs) {
+	for _, fe := range fs.entityCandidates(lostSymbols, lostIDs) {
 		for _, owner := range ownersForKeys(fs.bySymbol, fs.byGeneID, fe) {
 			if slices.Contains(fe.owners, owner.key) {
 				continue
@@ -542,7 +551,7 @@ func (fs *fuseState) unlinkEntity(fe *fusedEntity, fg *fusedGene, dirty dirtySet
 // any join key another gene also carries is reclaimed so those entities
 // re-link the way a full re-fusion would link them.
 func (fs *fuseState) removeGene(fg *fusedGene, dirty dirtySet) error {
-	for fe := range fs.entityCandidates(sortedKeys(fg.symbols), sortedKeys(fg.geneIDs)) {
+	for _, fe := range fs.entityCandidates(sortedKeys(fg.symbols), sortedKeys(fg.geneIDs)) {
 		if slices.Contains(fe.owners, fg.key) {
 			dropOwner(fe, fg.key)
 		}
@@ -657,14 +666,15 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 	// Re-route resident entities joining through this part's keys: link
 	// the ones that now resolve to fg, and unlink any that a robbed gene
 	// owned but no longer resolves to.
-	for fe := range fs.entityCandidates(part.symbols, part.geneIDs) {
+	robbedGenes := keysBy(robbed, byKey)
+	for _, fe := range fs.entityCandidates(part.symbols, part.geneIDs) {
 		owners := ownersForKeys(fs.bySymbol, fs.byGeneID, fe)
 		if !slices.Contains(fe.owners, fg.key) && slices.Contains(owners, fg) {
 			if err := fs.linkEntity(fe, fg, dirty); err != nil {
 				return err
 			}
 		}
-		for prev := range robbed {
+		for _, prev := range robbedGenes {
 			if slices.Contains(fe.owners, prev.key) && !slices.Contains(owners, prev) {
 				if err := fs.unlinkEntity(fe, prev, dirty); err != nil {
 					return err
@@ -681,7 +691,10 @@ func (fs *fuseState) upsertGene(src *oem.Graph, u delta.Change, mp *gml.SourceMa
 // any label's conflict state was (or is) non-empty — the caller's cue to
 // regenerate the conflict list.
 func (fs *fuseState) rereconcile(fg *fusedGene, labels map[string]bool) (changed bool, err error) {
-	for label := range labels {
+	for _, label := range reconciledLabels {
+		if !labels[label] {
+			continue
+		}
 		for _, t := range fs.graph.Children(fg.oid, label) {
 			fs.graph.RemoveSubtree(t)
 		}

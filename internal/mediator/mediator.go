@@ -229,36 +229,28 @@ type Manager struct {
 	// every entry before the next lookup — freshness beats reuse.
 	lastFP atomic.Uint64
 
-	// epoch is the published fused-snapshot epoch: an immutable
-	// {world, stats, fingerprint} the read path pins with one atomic
-	// load and evaluates with no lock held (the epoch's graph is frozen).
-	// Publication — cold build, RefreshSourceCtx's clone-patch, full-rebuild
-	// fallback — happens under epochMu, which readers never touch: this is
-	// RCU, writers pay for copies so readers pay nothing. A nil pointer
-	// means no epoch exists for the current source fingerprint and the next
-	// pin builds one.
+	// epoch is the published fused-snapshot epoch, pinned by readers with
+	// one atomic load and evaluated with no lock (its graph is frozen); nil
+	// means the next pin builds one. Only write (see writer.go) stores it,
+	// under epochMu, which readers never touch: this is RCU, writers pay
+	// for copies so readers pay nothing.
 	epoch   atomic.Pointer[snapshot]
 	epochMu sync.Mutex
 
-	// refreshing counts in-flight RefreshSourceCtx calls. While nonzero,
-	// ensureFresh suppresses the fingerprint-mismatch cache nuke and
-	// acquireSnapshot suppresses stale-snapshot rebuilds: the refresh in
-	// flight will invalidate selectively, patch the snapshot, and publish
-	// the new fingerprint when it completes. Until then readers serve the
-	// pre-refresh world — the refresh's visibility point is its
-	// completion, not its first side effect.
+	// refreshing counts in-flight refreshes (see gateRefresh). While
+	// nonzero, ensureFresh skips the fingerprint-mismatch cache nuke and
+	// pinEpoch serves a stale epoch rather than rebuild: readers see the
+	// pre-refresh world until the refresh's write publishes the change.
 	refreshing atomic.Int32
 
-	// Durable snapshot store (nil when persistence is disabled; see
-	// persist.go). persistSeq is the newest written/restored checkpoint
-	// sequence; diskEpoch is the epoch the store currently reflects —
-	// FlushSnapshot compares it against the serving epoch to decide
-	// whether a final checkpoint is needed. Both are written under
-	// epochMu.
+	// Durable snapshot store (nil without persistence; see persist.go).
+	// persistSeq is the newest checkpoint written or restored, diskEpoch
+	// the epoch the store reflects. epochMu guards both: only write (and
+	// EnablePersistence, before serving) sets them.
 	store      *snapstore.Store
 	persistPol PersistPolicy
-	persistSeq atomic.Uint64
-	diskEpoch  atomic.Pointer[snapshot]
+	persistSeq uint64
+	diskEpoch  *snapshot
 
 	// health tracks per-source availability: one circuit breaker per
 	// source, plus the recovery generation sourceFingerprint folds in so
@@ -276,10 +268,8 @@ type Manager struct {
 	// version (see translate.go).
 	translations translations
 
-	// hub is the live change-feed hub (nil with DisableCache — no epochs,
-	// nothing to notify about); RefreshSourceCtx publishes into it under
-	// epochMu so feed order matches epoch publication order. standingQs
-	// holds the registered standing queries (see watch.go).
+	// hub is the change feed (nil with DisableCache); only write publishes
+	// into it. standingQs holds the standing queries (see watch.go).
 	hub        *feed.Hub
 	standingMu sync.Mutex
 	standingQs map[*StandingQuery]struct{}
@@ -697,39 +687,40 @@ func (m *Manager) pinEpoch() (ep *snapshot, built bool, err error) {
 			m.epochPins.Inc()
 			return s, built, nil
 		}
-		m.epochMu.Lock()
-		if s := m.epoch.Load(); s == nil || (s.fp != m.sourceFingerprint() && m.refreshing.Load() == 0) {
-			// Stamp the epoch with a fingerprint computed atomically with
-			// the build, and verified unchanged after it: stamping a
-			// fingerprint observed before the lock could label an epoch
-			// built from newer models with an older fingerprint, and a
-			// concurrent RefreshSourceCtx would then double-apply its delta.
-			for {
-				fpPre := m.sourceFingerprint()
-				nw, nstats, berr := m.buildWorld()
-				if berr != nil {
-					m.epochMu.Unlock()
-					return nil, false, berr
-				}
-				if m.sourceFingerprint() != fpPre {
-					continue // a source moved mid-build; rebuild
-				}
-				m.publishLocked(&snapshot{w: nw, stats: nstats, fp: fpPre, degraded: nstats.DegradedSources})
-				built = true
-				break
-			}
+		_, err := m.write(func(cur *snapshot) (publication, error) {
+			p, err := m.build(cur)
+			built = built || p.next != nil
+			return p, err
+		})
+		if err != nil {
+			return nil, false, err
 		}
-		m.epochMu.Unlock()
 		// Loop: re-pin — the fingerprint may have moved again while we
 		// built, or another builder may have published first.
 	}
 }
 
-// publishLocked makes the epoch current. m.epochMu must be held; readers
-// observe the flip on their next atomic load and are never blocked by it.
-func (m *Manager) publishLocked(s *snapshot) {
-	m.epoch.Store(s)
-	m.epochsPublished.Inc()
+// build is the write callback that publishes a freshly built epoch,
+// unless cur is the one pinEpoch serves. The epoch is stamped with a
+// fingerprint computed atomically with the build, and verified unchanged
+// after it: stamping a fingerprint observed before the lock could label an
+// epoch built from newer models with an older fingerprint, and a
+// concurrent RefreshSourceCtx would then double-apply its delta.
+func (m *Manager) build(cur *snapshot) (publication, error) {
+	if cur != nil && (cur.fp == m.sourceFingerprint() || m.refreshing.Load() > 0) {
+		return publication{}, nil
+	}
+	for {
+		fpPre := m.sourceFingerprint()
+		w, stats, err := m.buildWorld()
+		if err != nil {
+			return publication{}, err
+		}
+		if m.sourceFingerprint() == fpPre {
+			return publication{next: &snapshot{w: w, stats: stats, fp: fpPre, degraded: stats.DegradedSources}}, nil
+		}
+		// A source moved mid-build; rebuild.
+	}
 }
 
 // execute runs the full pipeline for one analyzed query: fetch, fuse, eval.

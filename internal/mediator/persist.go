@@ -4,19 +4,15 @@ package mediator
 //
 // SaveSnapshot serializes the current fused-snapshot epoch into a
 // checkpoint; RefreshSourceCtx appends each applied ChangeSet to the
-// checkpoint's delta WAL (see persistDeltaLocked); LoadSnapshot walks the
+// checkpoint's delta WAL (see write); LoadSnapshot walks the
 // recovery ladder at boot — newest valid checkpoint, WAL replayed through
 // the same patch code a live refresh uses, falling back to the
 // next-older checkpoint and finally to a cold fetch+fuse. Auto-checkpoint
 // policy (every N WAL records or M bytes) keeps replay time bounded under
 // refresh churn.
 //
-// Writer ordering: every disk mutation happens under epochMu, the same
-// lock that serializes epoch publication, so the WAL's record order always
-// matches the order deltas were applied in memory — replay cannot
-// double-apply or reorder. Persistence failures never fail the in-memory
-// operation that triggered them; they are counted
-// (annoda_persist_errors_total) and the world keeps serving.
+// Every disk mutation happens in write (see writer.go), which publishes
+// epochs too, so WAL order is the order deltas were applied in memory.
 
 import (
 	"bytes"
@@ -73,7 +69,7 @@ func (m *Manager) EnablePersistence(st *snapstore.Store, pol PersistPolicy) erro
 	// restores (e.g. `annoda snapshot save` over a primed dir): the next
 	// checkpoint must land after the newest one, not overwrite seq 1.
 	if seqs, err := st.Checkpoints(); err == nil && len(seqs) > 0 {
-		m.persistSeq.Store(seqs[len(seqs)-1])
+		m.persistSeq = seqs[len(seqs)-1]
 	}
 	return nil
 }
@@ -100,101 +96,20 @@ func (m *Manager) SaveSnapshot() (*SaveResult, error) {
 // by ctx (or a fresh one when observability is on and ctx has none).
 func (m *Manager) SaveSnapshotCtx(ctx context.Context) (*SaveResult, error) {
 	op := m.beginOp(ctx, "checkpoint", "")
-	res, err := m.saveSnapshot()
+	w, err := written{}, ErrPersistenceDisabled
+	if m.store != nil {
+		w, err = m.write(func(cur *snapshot) (publication, error) {
+			// The epoch pinEpoch would serve, built first when there is none.
+			p, err := m.build(cur)
+			if p.checkpoint = cur; p.next != nil {
+				p.checkpoint = p.next
+			}
+			return p, err
+		})
+	}
 	op.tr.Span(obs.StageCheckpoint, op.t0)
 	m.endOp(op, m.opCkptDur, nil, err)
-	return res, err
-}
-
-func (m *Manager) saveSnapshot() (*SaveResult, error) {
-	if m.store == nil {
-		return nil, ErrPersistenceDisabled
-	}
-	if _, _, err := m.pinEpoch(); err != nil {
-		return nil, err
-	}
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	ep := m.epoch.Load()
-	if ep == nil {
-		// pinEpoch built one, but a concurrent refresh retired it before we
-		// took the lock; rare enough that asking the caller to retry beats
-		// looping here with the writer lock held.
-		return nil, errors.New("mediator: no epoch to checkpoint (concurrent refresh retired it; retry)")
-	}
-	return m.saveLocked(ep)
-}
-
-// saveLocked writes ep as the next checkpoint. epochMu must be held: the
-// checkpoint and the fresh WAL it opens must describe exactly one
-// publication point, or replay would double-apply.
-func (m *Manager) saveLocked(ep *snapshot) (*SaveResult, error) {
-	start := obs.Now()
-	payload, err := ep.w.Encode(ep.fp, buildStats(ep.stats))
-	if err != nil {
-		m.persistErrors.Inc()
-		return nil, err
-	}
-	seq := m.persistSeq.Load() + 1
-	if err := m.store.WriteCheckpoint(seq, payload); err != nil {
-		m.persistErrors.Inc()
-		return nil, err
-	}
-	m.persistSeq.Store(seq)
-	m.diskEpoch.Store(ep)
-	m.checkpoints.Inc()
-	m.checkpointBytes.Add(uint64(len(payload)))
-	took := obs.Since(start)
-	if m.o != nil {
-		m.o.M.CkptDur.Observe(took)
-	}
-	return &SaveResult{Seq: seq, Bytes: len(payload), Took: took}, nil
-}
-
-// persistDeltaLocked makes one applied ChangeSet durable: encode, append
-// to the WAL, and fold into a fresh checkpoint when the policy's bounds
-// are crossed. epochMu must be held (RefreshSourceCtx calls it right after
-// publishing the patched epoch). Failures are absorbed: the in-memory
-// refresh already succeeded, so the worst case is a disk state that lags
-// by one delta.
-//
-// cur is the epoch the delta was applied to. A WAL record is only valid
-// when the store's checkpoint+WAL reconstructs exactly cur — otherwise
-// replay would apply the delta to a different base world. Whenever the
-// lineage broke (no checkpoint yet; a full-rebuild or lazily rebuilt
-// epoch that never reached the store; an earlier append failure), the
-// whole published world is checkpointed instead of logging a delta
-// against a base it does not have.
-func (m *Manager) persistDeltaLocked(cs *delta.ChangeSet, cur, published *snapshot, tr *obs.Trace) {
-	if m.store == nil {
-		return
-	}
-	if m.persistSeq.Load() == 0 || m.diskEpoch.Load() != cur {
-		// saveLocked counts its own failures.
-		m.saveLocked(published)
-		return
-	}
-	start := obs.Now()
-	var buf bytes.Buffer
-	if err := delta.EncodeChangeSet(&buf, cs); err != nil {
-		m.persistErrors.Inc()
-		return
-	}
-	if err := m.store.AppendWAL(buf.Bytes()); err != nil {
-		m.persistErrors.Inc()
-		return
-	}
-	m.walAppended.Inc()
-	m.walBytes.Add(uint64(buf.Len()))
-	d := obs.Since(start)
-	tr.SpanDur(obs.StageWALAppend, start, d, "")
-	if m.o != nil {
-		m.o.M.WALDur.Observe(d)
-	}
-	m.diskEpoch.Store(published)
-	if recs, bytes := m.store.WALStats(); recs >= m.persistPol.EveryRecords || bytes >= m.persistPol.EveryBytes {
-		m.saveLocked(published) // counts its own failures
-	}
+	return w.saved, err
 }
 
 // FlushSnapshot writes a final checkpoint if the disk state lags the
@@ -204,19 +119,18 @@ func (m *Manager) FlushSnapshot() (res *SaveResult, saved bool, err error) {
 	if m.store == nil {
 		return nil, false, nil
 	}
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	ep := m.epoch.Load()
-	if ep == nil || m.diskEpoch.Load() == ep {
-		// Nothing to flush: no world, or the store already reflects the
-		// serving epoch (via its checkpoint or a WAL record).
-		return nil, false, nil
+	w, err := m.write(func(cur *snapshot) (publication, error) {
+		if cur == nil || m.diskEpoch == cur {
+			// Nothing to flush: no world, or the store already reflects the
+			// serving epoch (via its checkpoint or a WAL record).
+			return publication{}, nil
+		}
+		return publication{checkpoint: cur}, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	r, serr := m.saveLocked(ep)
-	if serr != nil {
-		return nil, false, serr
-	}
-	return r, true, nil
+	return w.saved, w.saved != nil, nil
 }
 
 // RestoreResult reports what LoadSnapshot did.
@@ -281,51 +195,39 @@ func (m *Manager) loadSnapshot(tr *obs.Trace) (*RestoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	for i := len(seqs) - 1; i >= 0; i-- {
-		seq := seqs[i]
-		ep, replayed, truncated, err := m.restoreOne(seq)
-		if err != nil {
-			rr.Fallbacks++
-			rr.Reason = err.Error()
-			m.restoreFallbacks.Inc()
-			continue
+	m.write(func(*snapshot) (publication, error) {
+		for i := len(seqs) - 1; i >= 0; i-- {
+			seq := seqs[i]
+			ep, replayed, truncated, err := m.restoreOne(seq)
+			if err != nil {
+				rr.Fallbacks++
+				rr.Reason = err.Error()
+				m.restoreFallbacks.Inc()
+				continue
+			}
+			if truncated {
+				// Restoring the valid prefix is the right call (that is what
+				// a crash mid-append leaves), but dropped acknowledged
+				// records must not pass silently.
+				rr.WALTruncated = true
+				m.persistErrors.Inc()
+			}
+			ep.fp = m.sourceFingerprint()
+			rr.Restored, rr.Seq, rr.WALReplayed = true, seq, replayed
+			info := ep.w.Info()
+			rr.Objects, rr.Genes = info.Objects, info.Genes
+			return publication{next: ep, restoredSeq: seq, setFP: true, fp: ep.fp}, nil
 		}
-		if truncated {
-			// Restoring the valid prefix is the right call (that is what a
-			// crash mid-append leaves), but dropped acknowledged records
-			// must not pass silently.
-			rr.WALTruncated = true
-			m.persistErrors.Inc()
-		}
-		fp := m.sourceFingerprint()
-		ep.fp = fp
-		m.publishLocked(ep)
-		m.lastFP.Store(fp)
-		m.persistSeq.Store(seq)
-		m.diskEpoch.Store(ep)
-		if err := m.store.OpenWAL(seq); err != nil {
-			m.persistErrors.Inc()
-		}
-		rr.Restored = true
-		rr.Seq = seq
-		rr.WALReplayed = replayed
-		info := ep.w.Info()
-		rr.Objects = info.Objects
-		rr.Genes = info.Genes
-		rr.Took = obs.Since(start)
-		tr.SpanDur(obs.StageRestore, start, rr.Took,
-			fmt.Sprintf("seq %d, %d WAL records", seq, replayed))
-		m.restores.Inc()
-		m.walReplayed.Add(uint64(replayed))
-		return rr, nil
-	}
-	rr.ColdStart = true
-	if len(seqs) == 0 {
+		return publication{}, nil
+	})
+	rr.Took, rr.ColdStart = obs.Since(start), !rr.Restored
+	if rr.ColdStart && len(seqs) == 0 {
 		rr.Reason = "no checkpoint on disk"
+	} else if rr.Restored {
+		tr.SpanDur(obs.StageRestore, start, rr.Took, fmt.Sprintf("seq %d, %d WAL records", rr.Seq, rr.WALReplayed))
+		m.restores.Inc()
+		m.walReplayed.Add(uint64(rr.WALReplayed))
 	}
-	rr.Took = obs.Since(start)
 	return rr, nil
 }
 

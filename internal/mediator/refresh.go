@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/delta"
+	"repro/internal/feed"
 	"repro/internal/gml"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -184,121 +186,81 @@ func (s *Stats) patched(source string, total int) {
 // post-change world while the gate is up.
 func (m *Manager) gateRefresh() (release func()) {
 	m.refreshing.Add(1)
-	released := false
-	return func() {
-		if !released {
-			released = true
-			m.refreshing.Add(-1)
-		}
-	}
+	return sync.OnceFunc(func() { m.refreshing.Add(-1) })
 }
 
 // publishDelta is the one clone-patch-publish step, shared by RefreshSourceCtx
-// and probe re-admission. The serving epoch stays untouched (readers pinned
-// to it keep a consistent pre-change world); when it still describes the
-// world cs was computed against (fp == fpBefore — patching anything newer
-// would double-apply) the delta is applied to a deep clone, which is frozen
-// and published as the next epoch under fpAfter. The WAL append and the
-// feed notification happen inside the same epochMu section, so epoch
-// publication order == WAL order == feed sequence order by construction.
-// Outside the lock the delta is counted, the cached results the source's
-// concept could have staled are dropped, the fingerprint is published, and
-// the standing queries the concept touches are re-evaluated. A failed
-// patch retires the epoch and returns the error; the caller then takes
-// rebuildFallback.
+// and probe re-admission. When the serving epoch still describes the world
+// cs was computed against (fp == fpBefore — patching anything newer would
+// double-apply), cs patches a copy of it, published as the next epoch under
+// fpAfter by one write that also logs cs, drops the cached results of the
+// source's concept, publishes fpAfter and announces the change. Standing
+// queries are re-evaluated after it. A failed patch retires the epoch and
+// returns the error; the caller then takes rebuildFallback.
 func (m *Manager) publishDelta(cs *delta.ChangeSet, mp *gml.SourceMapping, fpBefore, fpAfter uint64, release func(), tr *obs.Trace) (patched bool, invalidated int, err error) {
 	name := mp.Source
 	var published *snapshot // the patched epoch standing queries re-evaluate against
-	var feedSeq uint64
-	readmitted := false
+	var perr error
 	tp := obs.Now()
-	m.epochMu.Lock()
-	if cur := m.epoch.Load(); cur != nil && cur.fp == fpBefore {
+	w, _ := m.write(func(cur *snapshot) (publication, error) {
+		p := publication{change: cs, casFP: true, fpFrom: fpBefore, fp: fpAfter, tr: tr}
+		// Empty deltas touch no concepts and publish no event.
+		if !cs.Empty() {
+			p.dropTags = []string{mp.Concept}
+			p.events = []feed.Event{{Kind: feed.KindChange, Source: cs.Source, Concepts: p.dropTags,
+				Fingerprint: fpAfter, Upserted: len(cs.Upserted), Deleted: len(cs.Deleted)}}
+		}
+		if cur == nil || cur.fp != fpBefore {
+			return p, nil
+		}
 		// A source the epoch was missing (degraded-mode fusion) leaves the
 		// degraded set even with an empty population: the epoch now
 		// reflects everything the source has.
-		readmitted = slices.Contains(cur.degraded, name)
+		readmitted := slices.Contains(cur.degraded, name)
 		next := &snapshot{w: cur.w, stats: cur.stats, fp: fpAfter, degraded: dropSource(cur.degraded, name)}
 		if !cs.Empty() || readmitted {
 			next.stats = cur.stats.clone()
 			next.stats.DegradedSources = next.degraded
 		}
+		// An empty delta republishes the same sealed world under the new
+		// fingerprint.
 		if !cs.Empty() {
 			w, err := cur.w.Patch(cs, mp)
-			if err != nil {
+			if perr = err; err != nil {
 				// The half-applied copy is simply dropped; the published
 				// epoch was never touched, but its fingerprint is stale
 				// now, so retire it and rebuild lazily.
-				m.epoch.Store(nil)
-				m.epochMu.Unlock()
-				return false, 0, err
+				return publication{retire: true}, nil
 			}
 			next.w = w
 			next.stats.Conflicts = w.Conflicts()
 			next.stats.patched(name, cs.Total)
-		}
-		// An empty delta republishes the same sealed world under the new
-		// fingerprint.
-		m.publishLocked(next)
-		if !cs.Empty() {
-			m.persistDeltaLocked(cs, cur, next, tr)
 			published = next
-		} else if m.store != nil && m.diskEpoch.Load() == cur {
-			// The store still describes this world; advance the marker so
-			// a shutdown flush does not rewrite an identical checkpoint.
-			m.diskEpoch.Store(next)
 		}
+		if readmitted {
+			// Announced after the change event carrying the source's data.
+			// (An unpatched epoch keeps its degraded set; the re-admission
+			// then happens on the lazy rebuild instead.)
+			p.events = append(p.events, feed.Event{Kind: feed.KindSourceUp, Source: name, Concepts: []string{"*"}, Fingerprint: fpAfter})
+		}
+		p.next, p.base = next, cur
 		patched = true
+		return p, nil
+	})
+	if perr != nil {
+		return false, 0, perr
 	}
-	// Empty deltas touch no concepts and publish no event.
-	if !cs.Empty() {
-		tf := obs.Now()
-		feedSeq = m.publishChangeLocked(cs, mp.Concept, fpAfter)
-		d := obs.Since(tf)
-		tr.SpanDur(obs.StageFeedPublish, tf, d, "")
-		if m.o != nil {
-			m.o.M.FeedPubDur.Observe(d)
-		}
-	}
-	if readmitted {
-		// Announced after the change event carrying the source's data.
-		// (An unpatched epoch keeps its degraded set; the re-admission then
-		// happens on the lazy rebuild instead.)
-		m.publishSourceUpLocked(name, fpAfter)
-	}
-	m.epochMu.Unlock()
 	if patched {
 		tr.SpanNote(obs.StageDeltaPatch, tp, fmt.Sprintf("%d changes", cs.Size()))
 	}
-
 	m.deltasApplied.Inc()
 	m.entitiesPatched.Add(uint64(cs.Size()))
+	m.selectiveInvals.Add(uint64(w.invalidated))
 
-	// Concept-scoped invalidation: only results whose computation touched
-	// this source's concept can be stale. Order matters — drop the stale
-	// entries before publishing the new fingerprint, so no query can hit
-	// them once ensureFresh stands down.
 	if !cs.Empty() {
-		ti := obs.Now()
-		invalidated = m.cache.InvalidateTags([]string{mp.Concept})
-		tr.SpanNote(obs.StageInvalidate, ti, fmt.Sprintf("%d dropped", invalidated))
-		m.selectiveInvals.Add(uint64(invalidated))
+		m.evalStanding(w.seq, []string{mp.Concept}, published, release, tr)
 	}
-	m.lastFP.CompareAndSwap(fpBefore, fpAfter)
-
-	// Re-evaluate the standing queries the concept touches: against the
-	// epoch just published when one was patched (the immutable post-change
-	// world, evaluated without any lock); otherwise drop the gate first so
-	// a fresh pin builds the post-change world instead of serving the old.
-	if feedSeq != 0 {
-		ts := obs.Now()
-		if published == nil {
-			release()
-		}
-		m.evalStanding(feedSeq, []string{mp.Concept}, published)
-		tr.Span(obs.StageStandingEval, ts)
-	}
-	return patched, invalidated, nil
+	return patched, w.invalidated, nil
 }
 
 // rebuildFallback is the one way out of incremental maintenance (delta
@@ -309,24 +271,15 @@ func (m *Manager) publishDelta(cs *delta.ChangeSet, mp *gml.SourceMapping, fpBef
 func (m *Manager) rebuildFallback(name, reason string, release func(), tr *obs.Trace) {
 	m.fullRebuilds.Inc()
 	tr.Annotate("full rebuild: " + reason)
-	m.epochMu.Lock()
-	m.cache.Invalidate()
-	// Publish the post-change fingerprint under the epoch writer lock. It
-	// is computed inside the lock, after this change's version bump, so
-	// whichever concurrent rebuilder stores last stores a fingerprint that
-	// covers every completed bump — a load-then-CAS could be interleaved
-	// so that neither fingerprint was ever published and the next
-	// ensureFresh nuked spuriously.
-	fp := m.sourceFingerprint()
-	m.lastFP.Store(fp)
-	// A rebuild invalidates everything, so the feed marker carries the
-	// wildcard concept: every subscriber must resync.
-	seq := m.publishRebuildLocked(name, fp)
-	m.epochMu.Unlock()
-	if seq != 0 {
-		release()
-		ts := obs.Now()
-		m.evalStanding(seq, []string{"*"}, nil)
-		tr.Span(obs.StageStandingEval, ts)
-	}
+	w, _ := m.write(func(*snapshot) (publication, error) {
+		// The fingerprint is computed under the writer lock, after this
+		// change's version bump, so whichever rebuilder stores last stores
+		// one covering every completed bump (a load-then-CAS could publish
+		// neither, and the next ensureFresh would nuke spuriously). The
+		// marker's wildcard concept makes every subscriber resync.
+		fp := m.sourceFingerprint()
+		return publication{dropAll: true, setFP: true, fp: fp, tr: tr, events: []feed.Event{
+			{Kind: feed.KindRebuild, Source: name, Concepts: []string{"*"}, Fingerprint: fp}}}, nil
+	})
+	m.evalStanding(w.seq, []string{"*"}, nil, release, tr)
 }

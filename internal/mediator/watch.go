@@ -1,25 +1,23 @@
 package mediator
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/delta"
 	"repro/internal/feed"
 	"repro/internal/lorel"
+	"repro/internal/obs"
 	"repro/internal/oem"
 )
 
 // This file is the mediator side of the live change feed (internal/feed):
-// RefreshSourceCtx publishes one event per refresh into the hub from inside
-// the same epoch-writer critical section that publishes the snapshot epoch
-// and appends the delta to the WAL, so feed order == epoch publication
-// order == WAL order. Standing queries ride on top: a compiled snapshot-
-// safe plan re-evaluated against the freshly published epoch whenever a
-// refresh touches one of its concepts, pushing an answer only when the
-// answer's canonical text actually changed.
+// each refresh's event is published by the same write that publishes the
+// snapshot epoch and appends the delta to the WAL, last (see writer.go), so
+// feed order == epoch publication order == WAL order. Standing queries ride
+// on top: a compiled snapshot-safe plan re-evaluated against the freshly
+// published epoch whenever a refresh touches one of its concepts, pushing
+// an answer only when the answer's canonical text actually changed.
 
 // ErrFeedDisabled reports that the manager runs with DisableCache: without
 // the cache there are no snapshot epochs, hence nothing to subscribe to.
@@ -33,65 +31,6 @@ func (m *Manager) SubscribeChanges(opts feed.Options) (*feed.Subscriber, error) 
 		return nil, ErrFeedDisabled
 	}
 	return m.hub.Subscribe(opts), nil
-}
-
-// publishChangeLocked publishes one refresh's ChangeSet into the feed hub.
-// m.epochMu must be held: the hub assigns the sequence number inside the
-// same critical section that published the epoch and appended the WAL
-// record, which is what makes "notification order == publication order ==
-// WAL order" a guarantee rather than a likelihood. The ChangeSet summary
-// is encoded lazily — only when some matching subscriber asked for it —
-// reusing the exact WAL encoding (delta.EncodeChangeSet).
-func (m *Manager) publishChangeLocked(cs *delta.ChangeSet, concept string, fp uint64) uint64 {
-	if m.hub == nil {
-		return 0
-	}
-	return m.hub.Publish(feed.Event{
-		Kind:        feed.KindChange,
-		Source:      cs.Source,
-		Concepts:    []string{concept},
-		Fingerprint: fp,
-		Upserted:    len(cs.Upserted),
-		Deleted:     len(cs.Deleted),
-	}, func() []byte {
-		var buf bytes.Buffer
-		if err := delta.EncodeChangeSet(&buf, cs); err != nil {
-			return nil
-		}
-		return buf.Bytes()
-	})
-}
-
-// publishRebuildLocked publishes a full-rebuild marker: every concept may
-// have changed, so the event carries the wildcard concept and subscribers
-// of any filter receive it. m.epochMu must be held.
-func (m *Manager) publishRebuildLocked(source string, fp uint64) uint64 {
-	if m.hub == nil {
-		return 0
-	}
-	return m.hub.Publish(feed.Event{
-		Kind:        feed.KindRebuild,
-		Source:      source,
-		Concepts:    []string{"*"},
-		Fingerprint: fp,
-	}, nil)
-}
-
-// publishSourceUpLocked publishes a source-up marker: a source the fused
-// epoch had been missing recovered and its data was folded back in by the
-// epoch published in this same critical section. The event carries the
-// wildcard concept — answers of every shape may change when a whole
-// source's population (re)appears. m.epochMu must be held.
-func (m *Manager) publishSourceUpLocked(source string, fp uint64) uint64 {
-	if m.hub == nil {
-		return 0
-	}
-	return m.hub.Publish(feed.Event{
-		Kind:        feed.KindSourceUp,
-		Source:      source,
-		Concepts:    []string{"*"},
-		Fingerprint: fp,
-	}, nil)
 }
 
 // StandingQuery is a registered continuous query: after every refresh
@@ -251,14 +190,21 @@ func (m *Manager) standingMatching(concepts []string) []*StandingQuery {
 }
 
 // evalStanding re-evaluates the standing queries whose tags intersect the
-// touched concepts, against ep — the epoch the triggering refresh just
-// published — or, when the refresh published none (full rebuilds,
-// stale-epoch deltas; ep == nil), against a freshly pinned one. In the
-// fresh case the caller must have released the refreshing gate first, or
-// pinEpoch would keep serving the pre-refresh epoch. Runs outside epochMu:
-// the epoch is immutable, so holding the writer lock during evaluation
-// would serialize refreshes behind query cost for nothing.
-func (m *Manager) evalStanding(seq uint64, concepts []string, ep *snapshot) {
+// touched concepts after a write whose first feed event was seq (none
+// when 0): against ep, the epoch the write published, or, when it
+// published none (full rebuilds, stale-epoch deltas; ep == nil), against
+// a fresh pin, once release has dropped the refreshing gate (pinEpoch
+// would keep serving the pre-refresh epoch otherwise). It runs after
+// write: the epoch is immutable, so holding the writer lock during
+// evaluation would serialize refreshes behind query cost for nothing.
+func (m *Manager) evalStanding(seq uint64, concepts []string, ep *snapshot, release func(), tr *obs.Trace) {
+	if seq == 0 {
+		return
+	}
+	defer tr.Span(obs.StageStandingEval, obs.Now())
+	if ep == nil {
+		release()
+	}
 	qs := m.standingMatching(concepts)
 	if len(qs) == 0 {
 		return
