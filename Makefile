@@ -55,14 +55,17 @@ route-equiv:
 	$(GO) test -race -count=1 -timeout 30m -run 'TestRouteEquivalence' ./internal/mediator -args -route-equiv-long
 
 # fuzz-smoke gives each codec fuzzer a short budget so decode crashes are
-# caught in CI without a long fuzzing campaign, and FuzzTextEncode holds the
+# caught in CI without a long fuzzing campaign, FuzzTextEncode holds the
 # Figure 3 text walker and the server's JSON quoting to their frozen
-# references. (go test accepts only one -fuzz pattern per package, hence one
-# invocation per target.)
+# references, and FuzzAnswerImport holds the bulk answer walker
+# (oem.ImportRefs) to the per-root ImportMasked loop it replaced. (go test
+# accepts only one -fuzz pattern per package, hence one invocation per
+# target.)
 fuzz-smoke:
 	$(GO) test ./internal/oem -fuzz FuzzDecodeBinary -fuzztime 10s -run xxx
 	$(GO) test ./internal/oem -fuzz FuzzTextEncode -fuzztime 10s -run xxx
 	$(GO) test ./internal/delta -fuzz FuzzDecodeChangeSet -fuzztime 10s -run xxx
+	$(GO) test ./internal/fused -fuzz FuzzAnswerImport -fuzztime 10s -run xxx
 
 # bench runs every paper-artifact benchmark a few iterations (smoke), not a
 # statistically careful run. ./... matters: the internal/ packages carry

@@ -17,8 +17,9 @@ import (
 //   - the translated population reached through translated (tl.graph),
 //     which may be the memo shared by every fetch of the source.
 //
-// Importing out of a frozen graph — Import, ImportShared, ImportMasked with
-// the frozen graph as the source argument — is reading, and fine.
+// Importing out of a frozen graph — Import, ImportShared, ImportMasked,
+// ImportRefs with the frozen graph as the source argument — is reading, and
+// fine.
 //
 // Aliases propagate through plain assignment; Clone() breaks the taint
 // (that is the documented way to mutate a frozen world). The analysis is
@@ -36,7 +37,7 @@ var FrozenMut = &Analyzer{
 var graphMutators = map[string]bool{
 	"NewInt": true, "NewReal": true, "NewString": true, "NewBool": true,
 	"NewURL": true, "NewGif": true, "NewAtom": true, "NewComplex": true,
-	"Import": true, "ImportShared": true, "ImportMasked": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
+	"Import": true, "ImportShared": true, "ImportMasked": true, "ImportRefs": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
 	"RemoveRefs": true, "RemoveSubtree": true, "SetRoot": true,
 	"SortRefs": true, "putRaw": true, "Absorb": true,
 }

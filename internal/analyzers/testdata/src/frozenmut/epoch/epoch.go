@@ -82,4 +82,6 @@ func viaTranslatedAlias(m *manager) {
 func viaMaskedImport(w *fused.World, dst *oem.Graph, mask *oem.Mask) {
 	_, _ = dst.ImportMasked(w.Graph(), 1, map[oem.OID]oem.OID{}, mask)
 	_, _ = w.Graph().ImportMasked(dst, 1, map[oem.OID]oem.OID{}, mask) // want `ImportMasked on a frozen graph`
+	_, _ = dst.ImportRefs(1, w.Graph(), nil, mask, nil)
+	_, _ = w.Graph().ImportRefs(1, dst, nil, mask, nil) // want `ImportRefs on a frozen graph`
 }

@@ -51,13 +51,6 @@ func (p *Plan) Eval(g *oem.Graph) (*Result, error) {
 	return p.EvalMasked(g, nil, nil)
 }
 
-// answerEdge is one selected object waiting for import: the edge label it
-// will hang under on the answer object and its oid in the queried graph.
-type answerEdge struct {
-	label string
-	src   oem.OID
-}
-
 // EvalMasked is the one evaluation core: it runs the compiled plan against g
 // as seen under mask (nil is the whole graph). Matching enumerates the
 // bindings, never following a reference the mask hides, and collects the
@@ -79,12 +72,14 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 	defer p.scratch.Put(sc)
 	ev := &evaluator{g: g, mask: mask, env: make(map[string]oem.OID, len(p.q.From)), sc: sc}
 
-	res := &Result{Graph: oem.NewGraph(), Origin: make(map[oem.OID]oem.OID)}
+	res := &Result{Graph: oem.NewGraph()}
 	res.Answer = res.Graph.NewComplex()
 	res.Graph.SetRoot("answer", res.Answer)
 
-	var selected []answerEdge
-	added := make(map[answerEdge]bool)
+	// selected holds each selected object waiting for import as the edge it
+	// will hang under on the answer object: its label, and its oid in g.
+	var selected []oem.Ref
+	added := make(map[oem.Ref]bool)
 
 	q := p.q
 	var evalErr error
@@ -111,7 +106,7 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 				emitted := evalNFA(g, mask, p.sel[i], starts, sc)
 				ec.noteSelect(i, len(emitted), len(sc.queue))
 				for _, src := range emitted {
-					k := answerEdge{label: label, src: src}
+					k := oem.Ref{Label: label, Target: src}
 					if !added[k] { // duplicate elimination by oid
 						added[k] = true
 						selected = append(selected, k)
@@ -143,25 +138,16 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 		return nil, evalErr
 	}
 
-	// Answer import. One remap for the whole answer, so an object selected
-	// twice (or shared between two selected subtrees) is copied once.
+	// Answer import: one walk over every selected subtree, so an object
+	// selected twice (or shared between two selected subtrees) is copied
+	// once.
 	res.ImportStart = obs.Now()
-	imported := make(map[oem.OID]oem.OID) // queried-graph oid -> answer oid
-	for _, e := range selected {
-		dst, ok := imported[e.src]
-		if !ok {
-			var err error
-			dst, err = res.Graph.ImportMasked(g, e.src, imported, mask)
-			if err != nil {
-				return nil, err
-			}
-			res.Origin[dst] = e.src
-		}
-		if err := res.Graph.AddRef(res.Answer, e.label, dst); err != nil {
-			return nil, err
-		}
+	res.Origin = make(map[oem.OID]oem.OID, len(selected))
+	n, err := res.Graph.ImportRefs(res.Answer, g, selected, mask, res.Origin)
+	if err != nil {
+		return nil, err
 	}
-	res.Imported, res.ImportTime = len(imported), obs.Since(res.ImportStart)
+	res.Imported, res.ImportTime = n, obs.Since(res.ImportStart)
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
@@ -805,4 +806,84 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	assertEquivalent(t, m, c)
+}
+
+// stallingSource is a swapSource whose first Model() call after a Refresh
+// blocks until release is closed, announcing itself on entered: the window
+// between a refresh's version bump and its model fetch, held open.
+type stallingSource struct {
+	*swapSource
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *stallingSource) Refresh() {
+	s.swapSource.Refresh()
+	s.armed.Store(true)
+}
+
+func (s *stallingSource) Model() (*oem.Graph, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.entered)
+		<-s.release
+	}
+	return s.swapSource.Model()
+}
+
+// TestRefreshFingerprintRace: a GO refresh that completes while a
+// LocusLink refresh is between its version bump and its model fetch must
+// not be claimed by the epoch the LocusLink refresh patches. That epoch
+// lacks the GO change, so it must not be stamped with a fingerprint that
+// covers it: the live world afterwards equals a fresh build of the same
+// sources.
+func TestRefreshFingerprintRace(t *testing.T) {
+	c := corpus()
+	srcs := corpusSources(c)
+	ll := &stallingSource{swapSource: srcs[0], entered: make(chan struct{}), release: make(chan struct{})}
+	reg := wrapper.NewRegistry()
+	for _, w := range []wrapper.Wrapper{ll, srcs[1], srcs[2]} {
+		if err := reg.Add(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gl, err := gml.Build(reg, match.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(reg, gl, Options{})
+	if _, _, err := m.QueryString(snapshotQ); err != nil {
+		t.Fatal(err)
+	}
+
+	editGene(c, editableGenes(t, c, 1)[0], "race-ll")
+	done := make(chan *RefreshResult)
+	go func() {
+		rr, err := m.RefreshSourceCtx(context.Background(), "LocusLink")
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rr
+	}()
+	<-ll.entered
+	editAnnotations(c, geneWithTerms(t, c), "race-go")
+	refresh(t, m, "GO")
+	close(ll.release)
+	if rr := <-done; rr == nil || !rr.Patched {
+		t.Fatalf("the LocusLink refresh did not patch the epoch (%+v); the race is not exercised", rr)
+	}
+
+	live, _, err := m.FusedGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, err := manager(t, c, Options{DisableCache: true}).FusedGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := "ANNODA-GML"
+	got, want := oem.CanonicalText(live, root, live.Root(root)), oem.CanonicalText(fresh, root, fresh.Root(root))
+	if got != want {
+		t.Errorf("the live world differs from a fresh build after the interleaved refreshes\n--- live ---\n%s--- fresh ---\n%s", clip(got), clip(want))
+	}
 }

@@ -334,17 +334,53 @@ func (m *Manager) SourceStats() []stats.SourceStats {
 // not: the generation only moves on recovery, and answers computed from
 // the full pre-outage world stay servable throughout the outage.
 func (m *Manager) sourceFingerprint() uint64 {
+	return m.sourceVersions().fingerprint()
+}
+
+// versionVector is what a source fingerprint hashes, read at one moment:
+// every registered source in order with its model version, and the health
+// tracker's recovery generation.
+type versionVector struct {
+	sources []wrapper.Wrapper
+	vers    []uint64
+	gen     uint64
+}
+
+func (m *Manager) sourceVersions() versionVector {
+	v := versionVector{sources: m.reg.All(), gen: m.health.Gen()}
+	v.vers = make([]uint64, len(v.sources))
+	for i, w := range v.sources {
+		v.vers[i] = w.Version()
+	}
+	return v
+}
+
+func (v versionVector) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, w := range m.reg.All() {
+	for i, w := range v.sources {
 		h.Write([]byte(w.Name()))
 		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(buf[:], w.Version())
+		binary.LittleEndian.PutUint64(buf[:], v.vers[i])
 		h.Write(buf[:])
 	}
-	binary.LittleEndian.PutUint64(buf[:], m.health.Gen())
+	binary.LittleEndian.PutUint64(buf[:], v.gen)
 	h.Write(buf[:])
 	return h.Sum64()
+}
+
+// advanced is the fingerprint of v with source name at version ver and
+// every other entry as read: the world after exactly one refresh, whatever
+// else moved since v was read.
+func (v versionVector) advanced(name string, ver uint64) uint64 {
+	next := v
+	next.vers = slices.Clone(v.vers)
+	for i, w := range v.sources {
+		if w.Name() == name {
+			next.vers[i] = ver
+		}
+	}
+	return next.fingerprint()
 }
 
 // ensureFresh invalidates the cache when the source set changed since its

@@ -1,0 +1,5 @@
+//go:build !race
+
+package mediator
+
+const raceEnabled = false

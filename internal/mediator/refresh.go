@@ -94,7 +94,8 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 	// current epoch is fresh it already records every entity's hash — the
 	// old model never gets re-hashed (or even rebuilt). The epoch read is
 	// lock-free: a sealed world is immutable.
-	fpBefore := m.sourceFingerprint()
+	vv := m.sourceVersions()
+	fpBefore := vv.fingerprint()
 	var oldCounts map[uint64]int
 	degradedBefore := false
 	if ep := m.epoch.Load(); ep != nil && ep.fp == fpBefore {
@@ -120,7 +121,11 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 		// will drop stale results on the next query.
 		return nil, fmt.Errorf("mediator: source %s: %w", name, err)
 	}
-	fpAfter := m.sourceFingerprint()
+	// The epoch this refresh publishes holds its own change and nothing
+	// newer: a refresh of another source that completed meanwhile is not in
+	// it, so its fingerprint must not claim it. Stamped this way, a
+	// concurrent change leaves the epoch stale and the next pin rebuilds.
+	fpAfter := vv.advanced(name, rr.NewVersion)
 
 	var cs *delta.ChangeSet
 	if ds, ok := w.(delta.Source); ok {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -37,16 +36,20 @@ var codecMagic = [4]byte{'O', 'E', 'M', 'B'}
 // versioned rejection lets the snapshot store fall back instead.
 const CodecVersion = 1
 
-// Pre-size bounds: a corrupt count must not provoke a giant allocation
-// (length-prefixed payloads are bounded by wire.MaxString).
-const (
-	preallocCap = 1 << 16
-	// objectMapCap bounds the object map's pre-size. Growing a map past a
-	// million entries costs several rehash passes of the whole table, so
-	// restore-sized graphs want the full pre-size; the cap keeps a corrupt
-	// count's damage to one bounded transient allocation.
-	objectMapCap = 1 << 21
-)
+// preallocCap bounds pre-sizes: a corrupt count must not provoke a giant
+// allocation (length-prefixed payloads are bounded by wire.MaxString).
+const preallocCap = 1 << 16
+
+// oidSpanLimit is the highest oid a decoder accepts for a graph of n
+// objects. The object table is as long as the highest oid, so an input
+// naming &2^63 would otherwise make the decoder allocate exabytes: this
+// keeps the table within a constant factor of the input, whose every object
+// takes at least a few bytes. A graph the program built stays far inside
+// it — alloc reuses freed oids, so holes only outnumber objects after a
+// graph lost most of what it ever held.
+func oidSpanLimit(n int) OID {
+	return 8*OID(n) + 4096
+}
 
 // EncodeBinary writes the stable binary encoding of g. The graph may be
 // frozen or live; concurrent mutation during encoding is not supported
@@ -57,32 +60,32 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 	e.U8(CodecVersion)
 
 	g.mu.RLock()
-	ids := make([]OID, 0, len(g.objects))
-	for id := range g.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	// Label table, in first-use order over the deterministic object walk.
+	// Label table, in first-use order over the ascending-oid object walk.
 	labelIdx := make(map[string]uint64)
 	var labels []string
-	for _, id := range ids {
-		for _, r := range g.objects[id].Refs {
+	for _, o := range g.objs {
+		if o == nil {
+			continue
+		}
+		for _, r := range o.Refs {
 			if _, ok := labelIdx[r.Label]; !ok {
 				labelIdx[r.Label] = uint64(len(labels))
 				labels = append(labels, r.Label)
 			}
 		}
 	}
-	e.Uvarint(uint64(g.next))
+	e.Uvarint(uint64(len(g.objs)))
 	e.Uvarint(uint64(len(labels)))
 	for _, l := range labels {
 		e.Str(l)
 	}
 
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		o := g.objects[id]
+	e.Uvarint(uint64(g.live))
+	for _, o := range g.objs {
+		if o == nil {
+			continue
+		}
+		id := o.ID
 		e.Uvarint(uint64(id))
 		e.U8(byte(o.Kind))
 		switch o.Kind {
@@ -119,9 +122,11 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 }
 
 // DecodeBinary reads a graph written by EncodeBinary, validating structure
-// (every reference resolves, no atomic object carries refs) before
-// returning. Corruption yields an error, never a panic or a half-built
-// graph.
+// (every reference resolves, no atomic object carries refs, oids ascend and
+// stay within oidSpanLimit of the object count) before returning.
+// Corruption yields an error, never a panic or a half-built graph, and the
+// object table is sized only once the objects have been read, so a forged
+// oid or count costs no more than the input that carries it.
 func DecodeBinary(r io.Reader) (*Graph, error) {
 	d := wire.NewDecoder(r)
 	var magic [4]byte
@@ -141,7 +146,8 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	}
 
 	nObjects := d.Uvarint()
-	g := &Graph{next: 1, objects: make(map[OID]*Object, minU64(nObjects, objectMapCap))}
+	objs := make([]*Object, 0, minU64(nObjects, preallocCap))
+	var last OID
 	slab := make([]Object, minU64(nObjects, preallocCap))
 	allocated := 0
 	for i := uint64(0); i < nObjects && d.Err() == nil; i++ {
@@ -189,15 +195,14 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 		if o.ID == 0 {
 			return nil, fmt.Errorf("oem: decode: object with reserved oid 0")
 		}
-		if _, dup := g.objects[o.ID]; dup {
-			return nil, fmt.Errorf("oem: decode: duplicate oid %v", o.ID)
+		if o.ID <= last {
+			return nil, fmt.Errorf("oem: decode: oid %v after %v (oids must ascend)", o.ID, last)
 		}
-		g.objects[o.ID] = o
-		if o.ID >= g.next {
-			g.next = o.ID + 1
-		}
+		last = o.ID
+		objs = append(objs, o)
 	}
 
+	g := &Graph{free: 1}
 	nRoots := d.Uvarint()
 	for i := uint64(0); i < nRoots && d.Err() == nil; i++ {
 		name := d.Str()
@@ -207,9 +212,14 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("oem: decode: %v", err)
 	}
-	if n := OID(next); n > g.next {
-		g.next = n
+	if limit := oidSpanLimit(len(objs)); last > limit || next > uint64(limit)+1 {
+		return nil, fmt.Errorf("oem: decode: oid space of %d (next %d) out of proportion to %d objects", last, next, len(objs))
 	}
+	g.objs = make([]*Object, max(uint64(last)+1, next, 1))
+	for _, o := range objs {
+		g.objs[o.ID] = o
+	}
+	g.live = len(objs)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("oem: decode: %v", err)
 	}

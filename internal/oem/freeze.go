@@ -63,20 +63,38 @@ func (g *Graph) mustMutable(op string) {
 // published label index is shared copy-on-repair (repairs replace the top
 // map instead of editing it, so the original's handles never observe the
 // clone's mutations). The clone is unfrozen even when g is frozen.
+//
+// The objects are copied in three allocations: the table, one slab of
+// objects and one arena holding every reference list. Each list is capped at its length,
+// so growing one (AddRef) moves it out of the arena instead of overwriting
+// its neighbour.
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ng := &Graph{next: g.next, objects: make(map[OID]*Object, len(g.objects))}
-	slab := make([]Object, len(g.objects))
+	ng := &Graph{objs: make([]*Object, len(g.objs)), live: g.live, free: g.free}
+	slab := make([]Object, g.live)
+	nrefs := 0
+	for _, o := range g.objs {
+		if o != nil {
+			nrefs += len(o.Refs)
+		}
+	}
+	arena := make([]Ref, nrefs)
 	i := 0
-	for id, o := range g.objects {
+	for id, o := range g.objs {
+		if o == nil {
+			continue
+		}
 		no := &slab[i]
 		i++
 		*no = *o
-		if len(o.Refs) > 0 {
-			no.Refs = append([]Ref(nil), o.Refs...)
+		no.Refs = nil
+		if n := len(o.Refs); n > 0 {
+			no.Refs = arena[:n:n]
+			copy(no.Refs, o.Refs)
+			arena = arena[n:]
 		}
-		ng.objects[id] = no
+		ng.objs[id] = no
 	}
 	ng.roots = append([]Root(nil), g.roots...)
 	if g.labels != nil && len(g.labelsDirty) == 0 {
@@ -93,7 +111,9 @@ func (g *Graph) Clone() *Graph {
 // consumed and reset to empty. References inside src are remapped in
 // place. Roots are not carried over; the caller wires the merged subgraphs
 // to its own roots. Absorbing preserves determinism: the same src contents
-// absorbed at the same offset produce the same final oids.
+// absorbed at the same offset produce the same final oids. src's table is
+// appended to g's, so src's oids land past every oid g has handed out, and
+// src's holes, if any, become g's.
 func (g *Graph) Absorb(src *Graph) (OID, error) {
 	g.mustMutable("Absorb")
 	if src == g {
@@ -106,20 +126,22 @@ func (g *Graph) Absorb(src *Graph) (OID, error) {
 	defer g.mu.Unlock()
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	offset := g.next - 1
-	for id, o := range src.objects {
-		o.ID = id + offset
+	offset := OID(len(g.objs)) - 1
+	for _, o := range src.objs[1:] {
+		if o == nil {
+			continue
+		}
+		o.ID += offset
 		for i := range o.Refs {
 			o.Refs[i].Target += offset
 		}
-		g.objects[o.ID] = o
 	}
-	g.next += src.next - 1
+	g.objs = append(g.objs, src.objs[1:]...)
+	g.live += src.live
 	// Wholesale index invalidation: an absorb is a bulk mutation far past
 	// the incremental-repair threshold.
 	g.labels, g.labelsDirty = nil, nil
-	src.objects = make(map[OID]*Object)
-	src.next = 1
+	src.objs, src.live, src.free = make([]*Object, 1), 0, 1
 	src.roots, src.labels, src.labelsDirty = nil, nil, nil
 	src.slab, src.slabSize = nil, 0
 	return offset, nil

@@ -2,7 +2,7 @@ package oem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,10 +19,18 @@ import (
 // SetRoot, Import) take the write lock; the mediator only mutates answer
 // graphs it owns exclusively, so source graphs can be queried in parallel.
 type Graph struct {
-	mu      sync.RWMutex
-	next    OID
-	objects map[OID]*Object
-	roots   []Root
+	mu sync.RWMutex
+	// objs is the object table, indexed by oid: objs[id] is the object &id,
+	// or nil when id was freed (RemoveSubtree) or never handed out. Every
+	// graph has objs[0], always nil — oid 0 is reserved — so len(objs) is
+	// the first oid never handed out. A lookup is a bounds check and a
+	// load, not a hash.
+	objs []*Object
+	live int // the non-nil entries of objs
+	// free is where the search for a freed oid to reuse starts: at least
+	// 1, and no oid below it is free (see nextOID).
+	free  OID
+	roots []Root
 
 	// labels is a lazily built per-object label index: case-folded label ->
 	// ref targets in insertion order, for complex objects with at least
@@ -63,17 +71,74 @@ type Root struct {
 
 // NewGraph returns an empty graph whose first allocated oid will be &1.
 func NewGraph() *Graph {
-	return &Graph{next: 1, objects: make(map[OID]*Object)}
+	return &Graph{objs: make([]*Object, 1), free: 1}
 }
 
 // Len returns the number of objects in the graph.
 func (g *Graph) Len() int {
 	if g.frozen.Load() {
-		return len(g.objects)
+		return g.live
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.objects)
+	return g.live
+}
+
+// objectAt is the table lookup: the object at id in objs, or nil.
+func objectAt(objs []*Object, id OID) *Object {
+	if id < OID(len(objs)) {
+		return objs[id]
+	}
+	return nil
+}
+
+// get looks id up. The caller holds g.mu or g is frozen.
+func (g *Graph) get(id OID) *Object { return objectAt(g.objs, id) }
+
+// put stores o at its oid, growing the table as needed — by doubling, so
+// a graph built one object at a time copies its table about once over.
+// The caller holds g.mu for writing.
+func (g *Graph) put(o *Object) {
+	if n := int(o.ID) + 1; n > len(g.objs) {
+		if n > cap(g.objs) {
+			grown := make([]*Object, len(g.objs), max(2*cap(g.objs), n, 16))
+			copy(grown, g.objs)
+			g.objs = grown
+		}
+		old := len(g.objs)
+		g.objs = g.objs[:n]
+		clear(g.objs[old:])
+	}
+	if g.objs[o.ID] == nil {
+		g.live++
+	}
+	g.objs[o.ID] = o
+}
+
+// del frees id for reuse. The caller holds g.mu for writing.
+func (g *Graph) del(id OID) {
+	if g.get(id) == nil {
+		return
+	}
+	g.objs[id] = nil
+	g.live--
+	g.free = min(g.free, id)
+}
+
+// nextOID is the oid alloc hands out next: the lowest freed one while any
+// is free, else the end of the table. Reuse is what bounds the table under
+// churn — a delta patch frees the oids of what it re-fuses and allocates as
+// many again — to the most objects the graph ever held at once, and lowest
+// first makes the choice a function of the set of holes alone, so a decoded
+// copy of a graph allocates exactly what the original would.
+func (g *Graph) nextOID() OID {
+	if g.live == len(g.objs)-1 {
+		return OID(len(g.objs))
+	}
+	for g.objs[g.free] != nil {
+		g.free++
+	}
+	return g.free
 }
 
 // Get returns the object with the given oid, or nil if absent. On a frozen
@@ -82,22 +147,22 @@ func (g *Graph) Len() int {
 // would put every evaluating goroutine on one contended cache line.
 func (g *Graph) Get(id OID) *Object {
 	if g.frozen.Load() {
-		return g.objects[id]
+		return g.get(id)
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.objects[id]
+	return g.get(id)
 }
 
 // readObjects hands a whole-graph walk the object table and the function
 // that ends the walk: a frozen graph is read without its lock, a mutable one
 // under one read lock for the walk rather than one per object.
-func (g *Graph) readObjects() (map[OID]*Object, func()) {
+func (g *Graph) readObjects() ([]*Object, func()) {
 	if g.frozen.Load() {
-		return g.objects, func() {}
+		return g.objs, func() {}
 	}
 	g.mu.RLock()
-	return g.objects, g.mu.RUnlock
+	return g.objs, g.mu.RUnlock
 }
 
 // KindOf returns the kind of the object with the given oid, or KindInvalid.
@@ -113,11 +178,12 @@ func (g *Graph) KindOf(id OID) Kind {
 func (g *Graph) OIDs() []OID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]OID, 0, len(g.objects))
-	for id := range g.objects {
-		out = append(out, id)
+	out := make([]OID, 0, g.live)
+	for id, o := range g.objs {
+		if o != nil {
+			out = append(out, OID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -134,9 +200,8 @@ func (g *Graph) alloc(kind Kind) *Object {
 	}
 	o := &g.slab[0]
 	g.slab = g.slab[1:]
-	o.ID, o.Kind = g.next, kind
-	g.objects[g.next] = o
-	g.next++
+	o.ID, o.Kind = g.nextOID(), kind
+	g.put(o)
 	g.invalidateIndexes(o.ID)
 	return o
 }
@@ -163,7 +228,7 @@ func (g *Graph) invalidateIndexes(id OID) {
 		g.labelsDirty = make(map[OID]bool)
 	}
 	g.labelsDirty[id] = true
-	if len(g.labelsDirty) > len(g.objects)/4+labelsRebuildSlack {
+	if len(g.labelsDirty) > g.live/4+labelsRebuildSlack {
 		g.labels, g.labelsDirty = nil, nil
 	}
 }
@@ -182,7 +247,7 @@ func (g *Graph) repairLabelsLocked() {
 	}
 	fold := make(map[string]string)
 	for id := range g.labelsDirty {
-		if m := labelEntry(g.objects[id], fold); m != nil {
+		if m := labelEntry(g.get(id), fold); m != nil {
 			nl[id] = m
 		} else {
 			delete(nl, id)
@@ -290,7 +355,7 @@ func (g *Graph) AddRef(parent OID, label string, target OID) error {
 	g.mustMutable("AddRef")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	o := g.objects[parent]
+	o := g.get(parent)
 	if o == nil {
 		return fmt.Errorf("oem: AddRef: no object %v", parent)
 	}
@@ -309,7 +374,7 @@ func (g *Graph) SetRefs(parent OID, refs []Ref) error {
 	g.mustMutable("SetRefs")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	o := g.objects[parent]
+	o := g.get(parent)
 	if o == nil {
 		return fmt.Errorf("oem: SetRefs: no object %v", parent)
 	}
@@ -329,7 +394,7 @@ func (g *Graph) RemoveRef(parent OID, label string, target OID) bool {
 	g.mustMutable("RemoveRef")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	o := g.objects[parent]
+	o := g.get(parent)
 	if o == nil || o.Kind != KindComplex {
 		return false
 	}
@@ -358,11 +423,11 @@ func (g *Graph) RemoveSubtree(id OID) int {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		o := g.objects[cur]
+		o := g.get(cur)
 		if o == nil {
 			continue // already removed (shared within the subtree) or absent
 		}
-		delete(g.objects, cur)
+		g.del(cur)
 		g.invalidateIndexes(cur)
 		removed++
 		for _, r := range o.Refs {
@@ -378,7 +443,7 @@ func (g *Graph) RemoveRefs(parent OID, label string) int {
 	g.mustMutable("RemoveRefs")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	o := g.objects[parent]
+	o := g.get(parent)
 	if o == nil || o.Kind != KindComplex {
 		return 0
 	}
@@ -561,9 +626,9 @@ func (g *Graph) buildLabelIndexLocked() {
 	}
 	fold := make(map[string]string)
 	idx := make(map[OID]map[string][]OID)
-	for id, o := range g.objects {
+	for id, o := range g.objs {
 		if m := labelEntry(o, fold); m != nil {
-			idx[id] = m
+			idx[OID(id)] = m
 		}
 	}
 	g.labels, g.labelsDirty = idx, nil
@@ -624,12 +689,16 @@ func (g *Graph) IntUnder(id OID, label string) (int64, bool) {
 func (g *Graph) Validate() error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for id, o := range g.objects {
+	for i, o := range g.objs {
+		if o == nil {
+			continue
+		}
+		id := OID(i)
 		if o.ID != id {
 			return fmt.Errorf("oem: object stored at %v has ID %v", id, o.ID)
 		}
 		for _, r := range o.Refs {
-			if _, ok := g.objects[r.Target]; !ok {
+			if g.get(r.Target) == nil {
 				return fmt.Errorf("oem: dangling reference %v -%s-> %v", id, r.Label, r.Target)
 			}
 		}
@@ -638,7 +707,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, r := range g.roots {
-		if _, ok := g.objects[r.OID]; !ok {
+		if g.get(r.OID) == nil {
 			return fmt.Errorf("oem: root %q -> %v does not exist", r.Name, r.OID)
 		}
 	}
@@ -682,42 +751,172 @@ func (g *Graph) ImportMasked(src *Graph, srcRoot OID, remap map[OID]OID, mask *M
 		if mapped, ok := remap[id]; ok {
 			return mapped, nil
 		}
-		so := src.objects[id]
+		so := src.get(id)
 		if so == nil {
 			return 0, fmt.Errorf("oem: Import: no object %v in source graph", id)
 		}
 		no := g.alloc(so.Kind)
 		remap[id] = no.ID
-		switch so.Kind {
-		case KindInt:
-			no.Int = so.Int
-		case KindReal:
-			no.Real = so.Real
-		case KindString, KindURL:
-			no.Str = so.Str
-		case KindBool:
-			no.Bool = so.Bool
-		case KindGif:
-			no.Raw = append([]byte(nil), so.Raw...)
-		case KindComplex:
-			if len(so.Refs) > 0 {
-				refs := make([]Ref, 0, len(so.Refs))
-				for _, r := range so.Refs {
-					if mask != nil && mask.Hides(r) {
-						continue
-					}
-					t, err := walk(r.Target)
-					if err != nil {
-						return 0, err
-					}
-					refs = append(refs, Ref{Label: r.Label, Target: t})
+		copyAtom(no, so)
+		if so.Kind == KindComplex && len(so.Refs) > 0 {
+			refs := make([]Ref, 0, len(so.Refs))
+			for _, r := range so.Refs {
+				if mask != nil && mask.Hides(r) {
+					continue
 				}
-				no.Refs = refs
+				t, err := walk(r.Target)
+				if err != nil {
+					return 0, err
+				}
+				refs = append(refs, Ref{Label: r.Label, Target: t})
 			}
+			no.Refs = refs
 		}
 		return no.ID, nil
 	}
 	return walk(srcRoot)
+}
+
+// copyAtom copies so's atomic payload into no (a gif's bytes are copied).
+func copyAtom(no, so *Object) {
+	switch so.Kind {
+	case KindInt:
+		no.Int = so.Int
+	case KindReal:
+		no.Real = so.Real
+	case KindString, KindURL:
+		no.Str = so.Str
+	case KindBool:
+		no.Bool = so.Bool
+	case KindGif:
+		no.Raw = append([]byte(nil), so.Raw...)
+	}
+}
+
+// ImportRefs appends to the complex object parent one reference per entry
+// of refs, in order: the entry's label, to a copy of the subgraph of src
+// under the entry's target as seen under mask (nil hides nothing). It is
+// ImportMasked of every target through one remap, built for query answers:
+// an object reached twice, from one entry or several, is copied once, at
+// its first visit, so copies take oids in the order one depth-first walk of
+// the entries first reaches them. When origin is non-nil it gets copy ->
+// target for each entry whose own walk made its target's copy (a target an
+// earlier walk already copied gets none). It returns how many objects were
+// copied.
+//
+// What it allocates grows with the answer, not with src: the remap is pages
+// of copies allocated as the walk first touches them, under a directory of
+// one pointer per page of src's oids, and reference lists are cut from
+// shared chunks.
+func (g *Graph) ImportRefs(parent OID, src *Graph, refs []Ref, mask *Mask, origin map[OID]OID) (int, error) {
+	if src == g {
+		return 0, fmt.Errorf("oem: ImportRefs: source and destination are one graph")
+	}
+	g.mustMutable("ImportRefs")
+	if !src.frozen.Load() {
+		src.mu.RLock()
+		defer src.mu.RUnlock()
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	po := g.get(parent)
+	if po == nil || po.Kind != KindComplex {
+		return 0, fmt.Errorf("oem: ImportRefs: %v is not a complex object", parent)
+	}
+	c := importWalk{g: g, src: src.objs, mask: mask, remap: make([]*remapPage, len(src.objs)>>remapShift+1)}
+	out := slices.Grow(po.Refs, len(refs))
+	for _, r := range refs {
+		to := c.copyOf(r.Target)
+		if to == 0 {
+			var err error
+			if to, err = c.walk(r.Target); err != nil {
+				return 0, err
+			}
+			if origin != nil {
+				origin[to] = r.Target
+			}
+		}
+		out = append(out, Ref{Label: r.Label, Target: to})
+	}
+	po.Refs = out
+	g.invalidateIndexes(parent)
+	return c.copied, nil
+}
+
+// remapShift sets the remap's page size: 1<<remapShift oids of the source.
+const remapShift = 8
+
+// remapPage holds the copies of one page of source oids; 0 is "not copied".
+type remapPage [1 << remapShift]OID
+
+// importWalk is one ImportRefs: the graph copied into, the source table,
+// the mask, the paged remap and the current reference-list chunk.
+type importWalk struct {
+	g      *Graph
+	src    []*Object
+	mask   *Mask
+	remap  []*remapPage
+	refs   []Ref
+	chunk  int // the size of the last chunk refs was cut from
+	copied int
+}
+
+func (c *importWalk) copyOf(id OID) OID {
+	if p := id >> remapShift; p < OID(len(c.remap)) && c.remap[p] != nil {
+		return c.remap[p][id&(1<<remapShift-1)]
+	}
+	return 0
+}
+
+func (c *importWalk) walk(id OID) (OID, error) {
+	so := objectAt(c.src, id)
+	if so == nil {
+		return 0, fmt.Errorf("oem: Import: no object %v in source graph", id)
+	}
+	no := c.g.alloc(so.Kind)
+	p := id >> remapShift
+	if c.remap[p] == nil {
+		c.remap[p] = new(remapPage)
+	}
+	c.remap[p][id&(1<<remapShift-1)] = no.ID
+	c.copied++
+	copyAtom(no, so)
+	if so.Kind != KindComplex || len(so.Refs) == 0 {
+		return no.ID, nil
+	}
+	refs := c.take(len(so.Refs))
+	n := 0
+	for _, r := range so.Refs {
+		if c.mask.Hides(r) {
+			continue
+		}
+		t := c.copyOf(r.Target)
+		if t == 0 {
+			var err error
+			if t, err = c.walk(r.Target); err != nil {
+				return 0, err
+			}
+		}
+		refs[n] = Ref{Label: r.Label, Target: t}
+		n++
+	}
+	no.Refs = refs[:n:n]
+	return no.ID, nil
+}
+
+// importRefsChunk bounds the chunks reference lists are carved from. They
+// start at 64 references and double, so a small answer stays small.
+const importRefsChunk = 1024
+
+// take carves a reference list of length n out of the current chunk.
+func (c *importWalk) take(n int) []Ref {
+	if len(c.refs) < n {
+		c.chunk = min(max(2*c.chunk, 64), importRefsChunk)
+		c.refs = make([]Ref, max(n, c.chunk))
+	}
+	r := c.refs[:n:n]
+	c.refs = c.refs[n:]
+	return r
 }
 
 // DeepEqual reports whether the subgraphs rooted at a (in ga) and b (in gb)

@@ -24,8 +24,11 @@ import (
 
 // OID is a unique object identifier within one Graph.
 //
-// OIDs are never reused. OID 0 is reserved and invalid; the paper's "&1",
-// "&442" notation maps directly onto these values.
+// OID 0 is reserved and invalid; the paper's "&1", "&442" notation maps
+// directly onto these values. A graph numbers its objects densely from 1
+// and indexes them by oid. An oid freed by RemoveSubtree is handed out
+// again by a later allocation in the same graph, lowest first; a graph
+// that never removes objects never reuses one.
 type OID uint64
 
 // String renders the oid in the paper's ampersand notation, e.g. "&42".

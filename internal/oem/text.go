@@ -52,12 +52,12 @@ func AppendText(dst []byte, g *Graph, label string, id OID) ([]byte, error) {
 // textWalker renders one Figure 3 text: seen holds the complex objects
 // already expanded, whose later occurrences print only their line.
 type textWalker struct {
-	objects map[OID]*Object
+	objects []*Object
 	seen    oidSet
 }
 
 func (t *textWalker) object(b []byte, label string, id OID, depth int) ([]byte, error) {
-	o := t.objects[id]
+	o := objectAt(t.objects, id)
 	if o == nil {
 		return b, fmt.Errorf("oem: encode: no object %v", id)
 	}
@@ -185,12 +185,12 @@ func CanonicalText(g *Graph, label string, id OID) string {
 // canonicalWalker renders one CanonicalText: onPath holds the complex
 // objects between the root and the line being written.
 type canonicalWalker struct {
-	objects map[OID]*Object
+	objects []*Object
 	onPath  oidSet
 }
 
 func (c *canonicalWalker) object(b []byte, label string, id OID, depth int) []byte {
-	o := c.objects[id]
+	o := objectAt(c.objects, id)
 	switch {
 	case o == nil:
 		return append(appendLabel(appendIndent(b, depth), label), " <missing>\n"...)
@@ -216,7 +216,8 @@ func (c *canonicalWalker) object(b []byte, label string, id OID, depth int) []by
 
 // DecodeText parses Figure 3 notation into a fresh graph, preserving the
 // oids that appear in the text. Every top-level (unindented) object becomes
-// a root named by its label.
+// a root named by its label. An oid past oidSpanLimit of the lines read so
+// far is rejected: the object table is as long as the highest oid.
 func DecodeText(r io.Reader) (*Graph, error) {
 	g := NewGraph()
 	type frame struct {
@@ -241,6 +242,9 @@ func DecodeText(r io.Reader) (*Graph, error) {
 		label, id, kind, valTok, err := parseLine(rest)
 		if err != nil {
 			return nil, fmt.Errorf("oem: decode line %d: %v", lineNo, err)
+		}
+		if id > oidSpanLimit(lineNo) {
+			return nil, fmt.Errorf("oem: decode line %d: oid %v out of proportion to a text of %d lines", lineNo, id, lineNo)
 		}
 		// Pop frames deeper or equal to current depth.
 		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
@@ -331,17 +335,14 @@ func DecodeText(r io.Reader) (*Graph, error) {
 func (g *Graph) getRaw(id OID) *Object {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.objects[id]
+	return g.get(id)
 }
 
 func (g *Graph) putRaw(o *Object) {
 	g.mustMutable("putRaw")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.objects[o.ID] = o
-	if o.ID >= g.next {
-		g.next = o.ID + 1
-	}
+	g.put(o)
 	g.invalidateIndexes(o.ID)
 }
 
@@ -432,7 +433,7 @@ func (g *Graph) SortRefs(id OID) {
 	g.mustMutable("SortRefs")
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	o := g.objects[id]
+	o := g.get(id)
 	if o == nil || o.Kind != KindComplex {
 		return
 	}
