@@ -9,9 +9,10 @@ check: fmt-check vet lint build race
 vet:
 	$(GO) vet ./...
 
-# lint runs the annoda-lint analyzer suite (lock discipline, frozen-graph
-# mutation, sticky errors, codec determinism) over the whole tree. See
-# DESIGN.md "Static analysis" for the rules and the suppression syntax.
+# lint runs the annoda-lint analyzer suite (frozen-graph mutation, dropped
+# critical errors, codec determinism, test-only production code) over the
+# whole tree. See DESIGN.md "Static analysis" for the rules and the
+# suppression syntax.
 lint:
 	$(GO) run ./cmd/annoda-lint ./...
 

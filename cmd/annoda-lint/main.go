@@ -1,7 +1,7 @@
 // Command annoda-lint runs the repository's invariant analyzers
-// (lockedcall, frozenmut, criticalerr, nowalltime — see
-// internal/analyzers) over Go packages. Over ./..., it also runs testonly
-// over all of them together, with the allowlist in allow.go.
+// (frozenmut, criticalerr, nowalltime — see internal/analyzers) over Go
+// packages. Over ./..., it also runs testonly over all of them together,
+// with the allowlist in allow.go.
 //
 // Usage:
 //
@@ -80,25 +80,19 @@ func main() {
 	}
 	// testonly needs every unit of the module at once: only a run over
 	// ./... has them.
-	for _, d := range testOnly(patterns, units) {
-		if d.Pos.IsValid() {
-			fmt.Println(analyzers.FormatDiagnostic(units[0].Fset, d))
-		} else {
-			fmt.Printf("%s: %s\n", d.Category, d.Message)
+	if len(patterns) == 1 && patterns[0] == "./..." {
+		for _, d := range analyzers.TestOnly(units, testOnlyAllow) {
+			if d.Pos.IsValid() {
+				fmt.Println(analyzers.FormatDiagnostic(units[0].Fset, d))
+			} else {
+				fmt.Printf("%s: %s\n", d.Category, d.Message)
+			}
+			found++
 		}
-		found++
 	}
 	if found > 0 {
 		log.Fatalf("%d finding(s)", found)
 	}
-}
-
-// testOnly runs the testonly rule when the run covers the whole module.
-func testOnly(patterns []string, units []*analyzers.Unit) []analyzers.Diagnostic {
-	if len(patterns) != 1 || patterns[0] != "./..." {
-		return nil
-	}
-	return analyzers.TestOnly(units, testOnlyAllow)
 }
 
 // checkProm validates a saved /metrics scrape as Prometheus text

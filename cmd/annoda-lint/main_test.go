@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,20 @@ func TestStandaloneMode(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "criticalerr: dropped error return of os.Remove") {
 		t.Fatalf("diagnostic missing from standalone output:\n%s", out)
+	}
+}
+
+// TestListNamesTheSuite pins the rules -list prints, in order.
+func TestListNamesTheSuite(t *testing.T) {
+	out, err := exec.Command(buildLint(t), "-list").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	if want := []string{"frozenmut", "criticalerr", "nowalltime", "testonly"}; !slices.Equal(got, want) {
+		t.Fatalf("-list names %q, want %q", got, want)
 	}
 }

@@ -3,15 +3,15 @@
 // compiler checks and that have each already cost us a shipped bug or a
 // runtime panic:
 //
-//   - lockedcall: *Locked functions are only called under a held lock (and
-//     epochMu is never held across a blocking channel send).
 //   - frozenmut: frozen oem.Graphs are never mutated (a compile-time
 //     report instead of the runtime panic Freeze installs).
 //   - criticalerr: error returns whose loss has shipped bugs before
-//     (os.Remove, File.Sync/Close, Store.AppendWAL, wire.Encoder.Flush)
-//     are never silently dropped.
+//     (os.Remove, File.Sync/Close, Section.AppendWAL, wire.Encoder.Flush,
+//     Manager.ProbeSource) are never silently dropped.
 //   - nowalltime: the byte-deterministic codec/fusion packages never read
 //     wall-clock time or ambient randomness.
+//   - testonly: every production function is reached by production code
+//     (whole-module, so it runs over ./... only; see TestOnly).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the suite can migrate onto the real
@@ -73,7 +73,7 @@ type Diagnostic struct {
 
 // All returns the full annoda-lint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{LockedCall, FrozenMut, CriticalErr, NoWallTime}
+	return []*Analyzer{FrozenMut, CriticalErr, NoWallTime}
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -237,4 +237,38 @@ func RunAnalyzers(
 // package-scoped rule by mirroring the path tail.
 func pkgPathIn(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
+}
+
+// calleeFunc resolves the called function/method, or nil for conversions,
+// built-ins, and calls of function-typed values.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// recvNamed reports whether fn is a method whose receiver's named type is
+// name declared in a package whose path matches suffix.
+func recvNamed(fn *types.Func, name, pkgSuffix string) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != name || named.Obj().Pkg() == nil {
+		return false
+	}
+	return pkgPathIn(named.Obj().Pkg().Path(), pkgSuffix)
 }

@@ -13,7 +13,7 @@
 // pattern, and patterns with no matching diagnostic, fail the test.
 // Fixture packages may import real repository packages (repro/internal/...)
 // — they are typechecked from source — so rules keyed on concrete types
-// (oem.Graph, snapstore.Store, wire.Encoder) are exercised against the
+// (oem.Graph, snapstore.Section, wire.Encoder) are exercised against the
 // real declarations.
 package antest
 
@@ -71,7 +71,6 @@ func sharedImporter() (*token.FileSet, types.Importer) {
 func Run(t *testing.T, testdata string, an *analyzers.Analyzer, fixtures ...string) {
 	t.Helper()
 	for _, fix := range fixtures {
-		fix := fix
 		t.Run(strings.ReplaceAll(fix, "/", "_"), func(t *testing.T) {
 			runFixture(t, testdata, an, fix)
 		})
@@ -105,14 +104,7 @@ func runFixture(t *testing.T, testdata string, an *analyzers.Analyzer, fixture s
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
+	info := analyzers.NewTypesInfo()
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(fixture, fset, files, info)
 	if err != nil {

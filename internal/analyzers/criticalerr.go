@@ -13,7 +13,7 @@ import (
 //
 //   - os.Remove / os.RemoveAll
 //   - (*os.File).Close and (*os.File).Sync
-//   - (*snapstore.Store).AppendWAL
+//   - (*snapstore.Section).AppendWAL
 //   - (*wire.Encoder).Flush
 //   - (*mediator.Manager).ProbeSource — a dropped probe error hides both
 //     "the source is still down" and real re-admission failures from the
@@ -77,8 +77,8 @@ func criticalCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "os." + fn.Name(), true
 	case (fn.Name() == "Close" || fn.Name() == "Sync") && recvNamed(fn, "File", "os"):
 		return "(*os.File)." + fn.Name(), true
-	case fn.Name() == "AppendWAL" && recvNamed(fn, "Store", "internal/snapstore"):
-		return "(*snapstore.Store).AppendWAL", true
+	case fn.Name() == "AppendWAL" && recvNamed(fn, "Section", "internal/snapstore"):
+		return "(*snapstore.Section).AppendWAL", true
 	case fn.Name() == "Flush" && recvNamed(fn, "Encoder", "internal/wire"):
 		return "(*wire.Encoder).Flush", true
 	case fn.Name() == "ProbeSource" && recvNamed(fn, "Manager", "internal/mediator"):

@@ -46,19 +46,13 @@ func (u *Unit) Diagnostics(as []*Analyzer) ([]Diagnostic, error) {
 
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
-	ImportPath     string
-	Dir            string
-	GoFiles        []string
-	CgoFiles       []string
-	TestGoFiles    []string
-	XTestGoFiles   []string
-	Incomplete     bool
-	Error          *struct{ Err string }
-	DepsErrors     []*struct{ Err string }
-	ForTest        string
-	Module         *struct{ Path string }
-	Standard       bool
-	IgnoredGoFiles []string `json:",omitempty"`
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Error        *struct{ Err string }
 }
 
 // Load enumerates the packages matched by patterns (via `go list -json`,
@@ -135,7 +129,7 @@ func typecheckUnit(
 	if err != nil {
 		return nil, err
 	}
-	info := newTypesInfo()
+	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
@@ -151,8 +145,8 @@ func typecheckUnit(
 	return u, nil
 }
 
-// newTypesInfo allocates a types.Info with every map the analyzers read.
-func newTypesInfo() *types.Info {
+// NewTypesInfo allocates a types.Info with every map the analyzers read.
+func NewTypesInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -223,13 +217,9 @@ func FormatDiagnostic(fset *token.FileSet, d Diagnostic) string {
 	pos := fset.Position(d.Pos)
 	name := pos.Filename
 	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, name); err == nil && !filepath.IsAbs(rel) && rel != "" && !isUpward(rel) {
+		if rel, err := filepath.Rel(wd, name); err == nil && filepath.IsLocal(rel) {
 			name = rel
 		}
 	}
 	return fmt.Sprintf("%s:%d:%d: %s: %s", name, pos.Line, pos.Column, d.Category, d.Message)
-}
-
-func isUpward(rel string) bool {
-	return rel == ".." || len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
 }

@@ -13,11 +13,6 @@ import (
 	"repro/internal/analyzers/antest"
 )
 
-func TestLockedCall(t *testing.T) {
-	antest.Run(t, antest.TestData(t), analyzers.LockedCall,
-		"lockedcall/a", "lockedcall/internal/mediator")
-}
-
 func TestFrozenMut(t *testing.T) {
 	antest.Run(t, antest.TestData(t), analyzers.FrozenMut,
 		"frozenmut/a", "frozenmut/epoch")

@@ -29,8 +29,8 @@ func dropSync(f *os.File) {
 	f.Sync() // want `dropped error return of \(\*os\.File\)\.Sync`
 }
 
-func dropAppendWAL(st *snapstore.Store, rec []byte) {
-	st.AppendWAL(rec) // want `dropped error return of \(\*snapstore\.Store\)\.AppendWAL`
+func dropAppendWAL(sec *snapstore.Section, rec []byte) {
+	sec.AppendWAL(rec) // want `dropped error return of \(\*snapstore\.Section\)\.AppendWAL`
 }
 
 func dropFlush(e *wire.Encoder) {

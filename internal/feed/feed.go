@@ -185,7 +185,9 @@ func (h *Hub) Counters() Counters {
 // ring, and enqueues it to every subscriber whose filter it matches. The
 // summary closure is invoked at most once — and only when some matching
 // subscriber requested ChangeSet summaries — so the encoding cost is paid
-// exactly when someone will read it. Returns the assigned sequence.
+// exactly when someone will read it. Returns the assigned sequence. It
+// never waits on a consumer: a full queue folds into its overflow marker,
+// and the wake-up is a non-blocking send (wake).
 func (h *Hub) Publish(ev Event, summary func() []byte) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -239,27 +241,20 @@ func (h *Hub) Subscribe(opts Options) *Subscriber {
 	h.current.Add(1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if opts.Resume {
-		h.replayLocked(s, opts.AfterSeq)
-	}
 	h.subs[s] = struct{}{}
-	return s
-}
-
-// replayLocked pushes the retained events after afterSeq into a fresh
-// subscriber. When the resume point predates the ring (or the hub's
-// history was reset entirely), the gap is made explicit with a leading
-// overflow marker — a reconnecting client must never observe a silent
-// hole.
-func (h *Hub) replayLocked(s *Subscriber, afterSeq uint64) {
-	if h.seq <= afterSeq {
-		if h.seq < afterSeq {
-			// The client is ahead of this hub (server restarted); its
-			// whole world view is unverifiable — tell it to resync.
-			s.push(Event{Kind: KindOverflow, Seq: h.seq})
-		}
-		return
+	afterSeq := opts.AfterSeq
+	switch {
+	case !opts.Resume || h.seq == afterSeq:
+		return s
+	case h.seq < afterSeq:
+		// The client is ahead of this hub (server restarted); its whole
+		// world view is unverifiable — tell it to resync.
+		s.push(Event{Kind: KindOverflow, Seq: h.seq})
+		return s
 	}
+	// When the resume point predates the ring (or the hub's history was
+	// reset entirely), the gap is made explicit with a leading overflow
+	// marker — a reconnecting client must never observe a silent hole.
 	oldest := h.seq - uint64(len(h.hist)) + 1 // oldest retained seq
 	if len(h.hist) == 0 || oldest > afterSeq+1 {
 		lost := h.seq - afterSeq
@@ -282,6 +277,7 @@ func (h *Hub) replayLocked(s *Subscriber, afterSeq uint64) {
 			s.push(ev)
 		}
 	}
+	return s
 }
 
 // Subscriber is one bounded change-feed consumer. Producers enqueue via
@@ -344,6 +340,14 @@ func (s *Subscriber) push(ev Event) {
 		}
 	}
 	s.mu.Unlock()
+	s.wake()
+}
+
+// wake signals the consumer without ever blocking: notify holds one
+// coalesced wake-up, and a send that finds it full is dropped, since the
+// pending one already covers it. Publish reaches the consumer only
+// through push and wake, so no consumer can stall the publisher.
+func (s *Subscriber) wake() {
 	select {
 	case s.notify <- struct{}{}:
 	default:
@@ -393,8 +397,5 @@ func (s *Subscriber) Close() {
 	if wasOpen {
 		s.hub.current.Add(-1)
 	}
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+	s.wake()
 }

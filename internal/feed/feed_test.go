@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // drain pops everything queued right now.
@@ -82,7 +83,34 @@ func TestSummaryLazyAndScoped(t *testing.T) {
 }
 
 func TestOverflowFoldsIntoExplicitMarker(t *testing.T) {
+	// Subscribers that never call Next nor read Notify cannot stall the
+	// publisher: every Publish returns, and for each of them delivered +
+	// dropped covers every published event. (First: with a blocking wake
+	// the cases below would hang instead of failing.)
+	const stalled, events = 4, 1000
 	h := NewHub()
+	for i := 0; i < stalled; i++ {
+		h.Subscribe(Options{Buffer: 8})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < events; i++ {
+			h.Publish(Event{Kind: KindChange, Concepts: []string{"Gene"}}, nil)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Publish blocked on subscribers that never drain")
+	}
+	c := h.Counters()
+	if c.Published != events || c.Delivered+c.Dropped != stalled*c.Published {
+		t.Fatalf("delivered %d + dropped %d, want %d subscribers x %d published",
+			c.Delivered, c.Dropped, stalled, c.Published)
+	}
+
+	h = NewHub()
 	s := h.Subscribe(Options{Buffer: 3})
 	for i := 1; i <= 10; i++ {
 		h.Publish(Event{Kind: KindChange, Concepts: []string{"Gene"}, Fingerprint: uint64(i)}, nil)
@@ -101,7 +129,7 @@ func TestOverflowFoldsIntoExplicitMarker(t *testing.T) {
 		t.Fatalf("marker = %+v, want overflow lost=7 seq=10 fp=10", m)
 	}
 	// No silent gap: delivered + lost covers every published event.
-	c := h.Counters()
+	c = h.Counters()
 	if c.Delivered+c.Dropped != c.Published {
 		t.Fatalf("delivered %d + dropped %d != published %d", c.Delivered, c.Dropped, c.Published)
 	}

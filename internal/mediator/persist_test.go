@@ -422,9 +422,11 @@ func TestRestoreRejectsUnknownPayloadVersion(t *testing.T) {
 	}
 	future := append([]byte(nil), payload...)
 	future[4]++ // payload version byte, after the 4-byte magic
-	if err := st.WriteCheckpoint(res.Seq+1, future); err != nil {
+	sec := st.Begin()
+	if err := sec.WriteCheckpoint(res.Seq+1, future); err != nil {
 		t.Fatal(err)
 	}
+	sec.End()
 	st.Close()
 
 	restored := persistManager(t, c, Options{}, dir, PersistPolicy{})

@@ -81,11 +81,15 @@ func (m *Manager) write(fn func(cur *snapshot) (publication, error)) (out writte
 	}
 
 	if m.store != nil {
+		// The store's write side is held to the end of write, so WAL
+		// order is epoch order.
+		sec := m.store.Begin()
+		defer sec.End()
 		ckpt := p.checkpoint
 		switch {
 		case p.restoredSeq != 0:
 			m.persistSeq, m.diskEpoch = p.restoredSeq, p.next
-			if oerr := m.store.OpenWAL(p.restoredSeq); oerr != nil {
+			if oerr := sec.OpenWAL(p.restoredSeq); oerr != nil {
 				m.persistErrors.Inc()
 			}
 		case p.base != nil && !p.change.Empty():
@@ -97,7 +101,7 @@ func (m *Manager) write(fn func(cur *snapshot) (publication, error)) (out writte
 			var buf bytes.Buffer
 			werr := delta.EncodeChangeSet(&buf, p.change)
 			if werr == nil {
-				werr = m.store.AppendWAL(buf.Bytes())
+				werr = sec.AppendWAL(buf.Bytes())
 			}
 			if werr != nil {
 				m.persistErrors.Inc()
@@ -111,7 +115,7 @@ func (m *Manager) write(fn func(cur *snapshot) (publication, error)) (out writte
 				m.o.M.WALDur.Observe(d)
 			}
 			m.diskEpoch = p.next
-			if recs, n := m.store.WALStats(); recs >= m.persistPol.EveryRecords || n >= m.persistPol.EveryBytes {
+			if recs, n := sec.WALStats(); recs >= m.persistPol.EveryRecords || n >= m.persistPol.EveryBytes {
 				ckpt = p.next
 			}
 		case p.base != nil && m.diskEpoch == p.base:
@@ -122,7 +126,7 @@ func (m *Manager) write(fn func(cur *snapshot) (publication, error)) (out writte
 			seq := m.persistSeq + 1
 			payload, cerr := ckpt.w.Encode(ckpt.fp, buildStats(ckpt.stats))
 			if cerr == nil {
-				cerr = m.store.WriteCheckpoint(seq, payload)
+				cerr = sec.WriteCheckpoint(seq, payload)
 			}
 			if cerr != nil {
 				m.persistErrors.Inc()

@@ -608,22 +608,14 @@ func (g *Graph) EnsureLabelIndex() {
 		return
 	}
 	g.mu.Lock()
-	if g.labels == nil {
-		g.buildLabelIndexLocked()
-	} else {
-		g.repairLabelsLocked()
-	}
-	g.mu.Unlock()
-}
-
-// buildLabelIndexLocked materializes the per-object label index. Distinct
-// label strings are folded exactly once (interned in fold), so a graph with
-// millions of edges over a small label vocabulary allocates a handful of
-// folded strings, not one per edge.
-func (g *Graph) buildLabelIndexLocked() {
+	defer g.mu.Unlock()
 	if g.labels != nil {
-		return // lost the upgrade race to another reader
+		g.repairLabelsLocked()
+		return
 	}
+	// Distinct label strings are folded exactly once (interned in fold),
+	// so a graph with millions of edges over a small label vocabulary
+	// allocates a handful of folded strings, not one per edge.
 	fold := make(map[string]string)
 	idx := make(map[OID]map[string][]OID)
 	for id, o := range g.objs {

@@ -168,8 +168,9 @@ func (c *Cache) shardIndex(key string) int {
 	return int(maphash.String(c.seed, key) % uint64(len(c.shards)))
 }
 
-// getLocked looks key up in sh, expiring it lazily; sh.mu must be held.
-func (c *Cache) getLocked(sh *shard, key string) (any, bool) {
+// get looks key up, expiring it lazily, on c's clock and counters;
+// sh.mu must be held.
+func (sh *shard) get(c *Cache, key string) (any, bool) {
 	el, ok := sh.entries[key]
 	if !ok {
 		return nil, false
@@ -186,9 +187,9 @@ func (c *Cache) getLocked(sh *shard, key string) (any, bool) {
 	return e.value, true
 }
 
-// putLocked stores value under key, evicting the shard's LRU tail past
-// capacity; sh.mu must be held.
-func (c *Cache) putLocked(sh *shard, key string, value any, tags []string) {
+// put stores value under key, evicting the shard's LRU tail past c's
+// per-shard capacity; sh.mu must be held.
+func (sh *shard) put(c *Cache, key string, value any, tags []string) {
 	var expires time.Time
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
@@ -224,7 +225,7 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, Outcome, error) {
 func (c *Cache) DoTagged(key string, tags []string, fn func() (any, error)) (any, Outcome, error) {
 	sh := &c.shards[c.shardIndex(key)]
 	sh.mu.Lock()
-	if v, ok := c.getLocked(sh, key); ok {
+	if v, ok := sh.get(c, key); ok {
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		return v, Hit, nil
@@ -260,7 +261,7 @@ func (c *Cache) DoTagged(key string, tags []string, fn func() (any, error)) (any
 		// InvalidateTags raced with the compute: a result built over the
 		// old source set must not outlive it.
 		if cl.err == nil && c.gen.Load() == cl.gen && !cl.noStore {
-			c.putLocked(sh, key, cl.val, cl.tags)
+			sh.put(c, key, cl.val, cl.tags)
 		}
 		sh.mu.Unlock()
 		c.computing.Add(-1)

@@ -91,17 +91,16 @@ type Options struct {
 	Keep int
 }
 
-// Store is a checkpoint + delta-WAL store rooted at one directory. Methods
-// are safe for concurrent use; the mediator additionally serializes
-// writers through its epoch mutex so WAL order matches epoch publication
-// order.
+// Store is a checkpoint + delta-WAL store rooted at one directory. Its
+// read side (Checkpoints, ReadCheckpoint, ReadWAL) is safe for concurrent
+// use; everything that writes goes through a Section.
 type Store struct {
 	dir  string
 	opts Options
 
+	// mu is held for the life of a Section and guards the open WAL.
 	mu         sync.Mutex
 	wal        *os.File
-	walSeq     uint64
 	walRecords int
 	walBytes   int64
 
@@ -127,17 +126,37 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Close releases the open WAL file, if any.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closeWALLocked()
+	sec := s.Begin()
+	defer sec.End()
+	return sec.closeWAL()
 }
 
-func (s *Store) closeWALLocked() error {
+// Section is the store's write side: checkpoint writes and WAL appends. One
+// exists only between Begin and End, while the store's mutex is held, so a
+// writer that holds one owns the WAL's order and nothing else can reach it.
+type Section struct{ s *Store }
+
+// Begin locks the store and returns its write side. Call End to release it.
+func (s *Store) Begin() *Section {
+	s.mu.Lock()
+	return &Section{s}
+}
+
+// End releases the store. The Section is dead afterwards: any further use
+// panics instead of writing unlocked.
+func (sec *Section) End() {
+	s := sec.s
+	sec.s = nil
+	s.mu.Unlock()
+}
+
+func (sec *Section) closeWAL() error {
+	s := sec.s
 	if s.wal == nil {
 		return nil
 	}
 	err := s.wal.Close()
-	s.wal, s.walSeq, s.walRecords, s.walBytes = nil, 0, 0, 0
+	s.wal, s.walRecords, s.walBytes = nil, 0, 0
 	return err
 }
 
@@ -216,10 +235,8 @@ func (s *Store) ReadCheckpoint(seq uint64) ([]byte, error) {
 // fresh empty WAL for it, and prunes checkpoints older than the retention
 // window (plus their WALs). On return the checkpoint is durable: the file
 // is fsynced before the rename and the directory after it.
-func (s *Store) WriteCheckpoint(seq uint64, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
+func (sec *Section) WriteCheckpoint(seq uint64, payload []byte) error {
+	s := sec.s
 	header := make([]byte, checkpointHeaderSize)
 	copy(header, checkpointMagic)
 	binary.LittleEndian.PutUint32(header[8:12], FormatVersion)
@@ -239,10 +256,10 @@ func (s *Store) WriteCheckpoint(seq uint64, payload []byte) error {
 	}
 	syncDir(s.dir)
 
-	if err := s.startWALLocked(seq); err != nil {
+	if err := sec.startWAL(seq); err != nil {
 		return err
 	}
-	s.pruneLocked()
+	sec.prune()
 	return nil
 }
 
@@ -276,9 +293,10 @@ func syncDir(dir string) {
 	}
 }
 
-// pruneLocked removes checkpoints beyond the retention window, their WALs,
+// prune removes checkpoints beyond the retention window, their WALs,
 // orphaned WALs (no base checkpoint) and leftover temp files.
-func (s *Store) pruneLocked() {
+func (sec *Section) prune() {
+	s := sec.s
 	seqs, err := s.Checkpoints()
 	if err != nil {
 		return

@@ -19,10 +19,19 @@ func open(t *testing.T, dir string) *Store {
 	return st
 }
 
+// begin opens st's write side for the rest of the test.
+func begin(t *testing.T, st *Store) *Section {
+	t.Helper()
+	sec := st.Begin()
+	t.Cleanup(sec.End)
+	return sec
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	st := open(t, t.TempDir())
+	sec := begin(t, st)
 	payload := []byte("the integrated annotation world")
-	if err := st.WriteCheckpoint(1, payload); err != nil {
+	if err := sec.WriteCheckpoint(1, payload); err != nil {
 		t.Fatal(err)
 	}
 	seqs, err := st.Checkpoints()
@@ -43,16 +52,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestWALRoundTrip(t *testing.T) {
 	st := open(t, t.TempDir())
-	if err := st.WriteCheckpoint(1, []byte("base")); err != nil {
+	sec := begin(t, st)
+	if err := sec.WriteCheckpoint(1, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	recs := [][]byte{[]byte("delta one"), []byte("delta two"), {}, []byte("delta four")}
 	for _, r := range recs {
-		if err := st.AppendWAL(r); err != nil {
+		if err := sec.AppendWAL(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, bytesWritten := st.WALStats()
+	n, bytesWritten := sec.WALStats()
 	if n != len(recs) {
 		t.Fatalf("WALStats records = %d, want %d", n, len(recs))
 	}
@@ -78,23 +88,25 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestAppendWithoutCheckpointFails(t *testing.T) {
 	st := open(t, t.TempDir())
-	if err := st.AppendWAL([]byte("orphan")); err == nil {
+	sec := begin(t, st)
+	if err := sec.AppendWAL([]byte("orphan")); err == nil {
 		t.Fatal("AppendWAL without a checkpoint succeeded")
 	}
 }
 
 func TestNewCheckpointResetsWAL(t *testing.T) {
 	st := open(t, t.TempDir())
-	if err := st.WriteCheckpoint(1, []byte("v1")); err != nil {
+	sec := begin(t, st)
+	if err := sec.WriteCheckpoint(1, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendWAL([]byte("old delta")); err != nil {
+	if err := sec.AppendWAL([]byte("old delta")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteCheckpoint(2, []byte("v2")); err != nil {
+	if err := sec.WriteCheckpoint(2, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := st.WALStats(); n != 0 {
+	if n, _ := sec.WALStats(); n != 0 {
 		t.Fatalf("WAL not reset after checkpoint: %d records", n)
 	}
 	recs, _, err := st.ReadWAL(2)
@@ -116,11 +128,12 @@ func TestNewCheckpointResetsWAL(t *testing.T) {
 
 func TestPruneKeepsLadder(t *testing.T) {
 	st := open(t, t.TempDir())
+	sec := begin(t, st)
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := st.WriteCheckpoint(seq, []byte{byte(seq)}); err != nil {
+		if err := sec.WriteCheckpoint(seq, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.AppendWAL([]byte("d")); err != nil {
+		if err := sec.AppendWAL([]byte("d")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,8 +173,9 @@ func corrupt(t *testing.T, path string, off int64) {
 func TestReadCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
+	sec := begin(t, st)
 	payload := bytes.Repeat([]byte("annotation "), 100)
-	if err := st.WriteCheckpoint(7, payload); err != nil {
+	if err := sec.WriteCheckpoint(7, payload); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, checkpointName(7))
@@ -211,11 +225,12 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 func TestWALTornTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.WriteCheckpoint(1, []byte("base")); err != nil {
+	sec := begin(t, st)
+	if err := sec.WriteCheckpoint(1, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []string{"one", "two", "three"} {
-		if err := st.AppendWAL([]byte(r)); err != nil {
+		if err := sec.AppendWAL([]byte(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,13 +255,13 @@ func TestWALTornTailDropped(t *testing.T) {
 	}
 	// Re-opening for append truncates the torn tail so new records land
 	// after the valid prefix.
-	if err := st.OpenWAL(1); err != nil {
+	if err := sec.OpenWAL(1); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := st.WALStats(); n != 2 {
+	if n, _ := sec.WALStats(); n != 2 {
 		t.Fatalf("reopened WAL reports %d records, want 2", n)
 	}
-	if err := st.AppendWAL([]byte("four")); err != nil {
+	if err := sec.AppendWAL([]byte("four")); err != nil {
 		t.Fatal(err)
 	}
 	recs, truncated, err = st.ReadWAL(1)
@@ -267,11 +282,12 @@ func TestWALTornTailDropped(t *testing.T) {
 func TestWALBadCRCMidFileTruncates(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.WriteCheckpoint(1, []byte("base")); err != nil {
+	sec := begin(t, st)
+	if err := sec.WriteCheckpoint(1, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []string{"alpha", "beta", "gamma"} {
-		if err := st.AppendWAL([]byte(r)); err != nil {
+		if err := sec.AppendWAL([]byte(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +306,8 @@ func TestWALBadCRCMidFileTruncates(t *testing.T) {
 func TestMissingWALIsEmpty(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
-	if err := st.WriteCheckpoint(3, []byte("x")); err != nil {
+	sec := begin(t, st)
+	if err := sec.WriteCheckpoint(3, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, walName(3))); err != nil {
@@ -301,10 +318,10 @@ func TestMissingWALIsEmpty(t *testing.T) {
 		t.Fatalf("missing WAL: recs=%v truncated=%v err=%v", recs, truncated, err)
 	}
 	// OpenWAL recreates it.
-	if err := st.OpenWAL(3); err != nil {
+	if err := sec.OpenWAL(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendWAL([]byte("fresh")); err != nil {
+	if err := sec.AppendWAL([]byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,6 +329,7 @@ func TestMissingWALIsEmpty(t *testing.T) {
 func TestTmpLeftoverIgnoredAndPruned(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
+	sec := begin(t, st)
 	// A crash mid-WriteCheckpoint leaves only a temp file.
 	stray := filepath.Join(dir, checkpointName(9)+tmpSuffix)
 	if err := os.WriteFile(stray, []byte("torn"), 0o644); err != nil {
@@ -321,7 +339,7 @@ func TestTmpLeftoverIgnoredAndPruned(t *testing.T) {
 	if err != nil || len(seqs) != 0 {
 		t.Fatalf("temp file surfaced as checkpoint: %v, %v", seqs, err)
 	}
-	if err := st.WriteCheckpoint(1, []byte("real")); err != nil {
+	if err := sec.WriteCheckpoint(1, []byte("real")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
@@ -336,6 +354,7 @@ func TestTmpLeftoverIgnoredAndPruned(t *testing.T) {
 func TestPruneFailureCountedAndSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir)
+	sec := begin(t, st)
 
 	// Plant an undeletable obstacle under a prunable WAL name.
 	obstacle := filepath.Join(dir, walName(1))
@@ -349,7 +368,7 @@ func TestPruneFailureCountedAndSurfaced(t *testing.T) {
 	// Three checkpoints with Keep=2 ⇒ pruning runs and must try (and
 	// fail) to delete wal-…01.
 	for seq := uint64(2); seq <= 4; seq++ {
-		if err := st.WriteCheckpoint(seq, []byte("payload")); err != nil {
+		if err := sec.WriteCheckpoint(seq, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +385,8 @@ func TestPruneFailureCountedAndSurfaced(t *testing.T) {
 
 	// A healthy store reports zero on both.
 	st2 := open(t, t.TempDir())
-	if err := st2.WriteCheckpoint(1, []byte("p")); err != nil {
+	sec2 := begin(t, st2)
+	if err := sec2.WriteCheckpoint(1, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
 	if st2.PruneFailures() != 0 {

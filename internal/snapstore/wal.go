@@ -9,16 +9,17 @@ import (
 )
 
 // This file implements the per-checkpoint delta WAL: a header followed by
-// CRC-framed records. Appends go through the store's open WAL handle
-// (established by WriteCheckpoint or OpenWAL); reads scan a file and stop
-// at the first frame that fails its length or CRC check — a torn tail is
-// the normal shape of a crash mid-append, and everything before it is
+// CRC-framed records. Appends go through a Section to the store's open WAL
+// handle (established by WriteCheckpoint or OpenWAL); reads scan a file and
+// stop at the first frame that fails its length or CRC check — a torn tail
+// is the normal shape of a crash mid-append, and everything before it is
 // intact by construction.
 
-// startWALLocked creates (truncating) the WAL for checkpoint seq and keeps
-// it open for appends.
-func (s *Store) startWALLocked(seq uint64) error {
-	s.closeWALLocked()
+// startWAL creates (truncating) the WAL for checkpoint seq and keeps it
+// open for appends.
+func (sec *Section) startWAL(seq uint64) error {
+	s := sec.s
+	sec.closeWAL()
 	header := make([]byte, walHeaderSize)
 	copy(header, walMagic)
 	binary.LittleEndian.PutUint32(header[8:12], FormatVersion)
@@ -36,19 +37,18 @@ func (s *Store) startWALLocked(seq uint64) error {
 		_ = f.Close() // the sync error is the one to surface
 		return fmt.Errorf("snapstore: %v", err)
 	}
-	s.wal, s.walSeq, s.walRecords, s.walBytes = f, seq, 0, 0
+	s.wal, s.walRecords, s.walBytes = f, 0, 0
 	return nil
 }
 
 // AppendWAL appends one record to the current checkpoint's WAL. The record
 // becomes visible to restore atomically: a partially written frame fails
 // its CRC and is dropped as a torn tail.
-func (s *Store) AppendWAL(rec []byte) error {
+func (sec *Section) AppendWAL(rec []byte) error {
 	if len(rec) > maxFrame {
 		return fmt.Errorf("snapstore: WAL record of %d bytes exceeds bound", len(rec))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s := sec.s
 	if s.wal == nil {
 		return fmt.Errorf("snapstore: no open WAL (write a checkpoint first)")
 	}
@@ -62,11 +62,11 @@ func (s *Store) AppendWAL(rec []byte) error {
 	// acknowledged records behind it).
 	start := int64(walHeaderSize) + s.walBytes
 	if _, err := s.wal.Write(hdr[:]); err != nil {
-		s.rewindWALLocked(start)
+		sec.rewindWAL(start)
 		return fmt.Errorf("snapstore: %v", err)
 	}
 	if _, err := s.wal.Write(rec); err != nil {
-		s.rewindWALLocked(start)
+		sec.rewindWAL(start)
 		return fmt.Errorf("snapstore: %v", err)
 	}
 	if s.opts.Sync {
@@ -75,7 +75,7 @@ func (s *Store) AppendWAL(rec []byte) error {
 			// the invariant that a failed append leaves no trace — the
 			// caller treats the record as not persisted, so the file must
 			// agree after a crash.
-			s.rewindWALLocked(start)
+			sec.rewindWAL(start)
 			return fmt.Errorf("snapstore: %v", err)
 		}
 	}
@@ -84,11 +84,12 @@ func (s *Store) AppendWAL(rec []byte) error {
 	return nil
 }
 
-// rewindWALLocked truncates the WAL back to the end of its valid prefix
-// after a failed append. When even the rewind fails the WAL is poisoned —
-// the handle is closed so every further append errors and the caller's
+// rewindWAL truncates the WAL back to the end of its valid prefix after a
+// failed append. When even the rewind fails the WAL is poisoned — the
+// handle is closed so every further append errors and the caller's
 // checkpoint fallback re-establishes a clean lineage.
-func (s *Store) rewindWALLocked(off int64) {
+func (sec *Section) rewindWAL(off int64) {
+	s := sec.s
 	if s.wal == nil {
 		return
 	}
@@ -105,10 +106,8 @@ func (s *Store) rewindWALLocked(off int64) {
 
 // WALStats reports how many records (and frame bytes) the open WAL holds —
 // the inputs to the mediator's auto-checkpoint policy.
-func (s *Store) WALStats() (records int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walRecords, s.walBytes
+func (sec *Section) WALStats() (records int, bytes int64) {
+	return sec.s.walRecords, sec.s.walBytes
 }
 
 // ReadWAL returns the valid records of checkpoint seq's WAL in append
@@ -165,22 +164,21 @@ func scanWAL(data []byte, seq uint64) (recs [][]byte, validLen int64, truncated 
 // after successfully replaying, so the booted process keeps appending to
 // the same WAL it restored from. A missing (or header-corrupt) WAL is
 // recreated empty.
-func (s *Store) OpenWAL(seq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (sec *Section) OpenWAL(seq uint64) error {
+	s := sec.s
 	path := filepath.Join(s.dir, walName(seq))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return s.startWALLocked(seq)
+			return sec.startWAL(seq)
 		}
 		return fmt.Errorf("snapstore: %v", err)
 	}
 	recs, validLen, _ := scanWAL(data, seq)
 	if validLen == 0 {
-		return s.startWALLocked(seq) // header unusable; start over
+		return sec.startWAL(seq) // header unusable; start over
 	}
-	s.closeWALLocked()
+	sec.closeWAL()
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("snapstore: %v", err)
@@ -193,6 +191,6 @@ func (s *Store) OpenWAL(seq uint64) error {
 		_ = f.Close() // the seek error is the one to surface
 		return fmt.Errorf("snapstore: %v", err)
 	}
-	s.wal, s.walSeq, s.walRecords, s.walBytes = f, seq, len(recs), validLen-walHeaderSize
+	s.wal, s.walRecords, s.walBytes = f, len(recs), validLen-walHeaderSize
 	return nil
 }
