@@ -101,8 +101,8 @@ type SnapshotStore = snapstore.Store
 type SnapshotStoreOptions = snapstore.Options
 
 // PersistPolicy drives auto-checkpointing: the delta WAL is folded into a
-// fresh checkpoint after EveryRecords records or EveryBytes bytes (zero
-// values select the defaults).
+// fresh checkpoint after EveryRecords records (zero selects the default,
+// 64) or 8 MiB, whichever comes first.
 type PersistPolicy = mediator.PersistPolicy
 
 // OpenSnapshotStore creates (if needed) and opens a snapshot store

@@ -19,6 +19,6 @@ var testOnlyAllow = map[string]string{
 	"(*repro/internal/obs.Exposition).Value":     "reads one sample of a parsed scrape; the obs and server tests check /metrics and /statsz against each other with it",
 	"(*repro/internal/relstore.btreeNode).check": "B-tree invariant check for the property tests",
 
-	"repro/internal/multidb.Figure5bProgram": "the paper's hand-written K2/Kleisli baseline",
-	"(*repro/internal/gml.Global).Unplug":    "the inverse of PlugIn, for checking that unplugging a source changes no answer it did not feed",
+	"repro/internal/baselines/multidb.Figure5bProgram": "the paper's hand-written K2/Kleisli baseline",
+	"(*repro/internal/gml.Global).Unplug":              "the inverse of PlugIn, for checking that unplugging a source changes no answer it did not feed",
 }

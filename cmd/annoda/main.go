@@ -16,7 +16,7 @@
 //	                           per-stage cardinalities and timings
 //	ask [flags...]             run a biological question (Figure 5(a))
 //	show <url>                 individual object view for a web-link (5(c))
-//	sql <query>                DiscoveryLink-style SQL against nicknames
+//	sql <select>               DiscoveryLink-style SQL SELECT against nicknames
 //	table1                     regenerate the paper's Table 1
 //	snapshot save              write a durable snapshot checkpoint to -data-dir
 //	snapshot info              inspect the newest restorable checkpoint in -data-dir
@@ -37,10 +37,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/capability"
+	"repro/internal/baselines/capability"
+	"repro/internal/baselines/fedsql"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/fedsql"
 	"repro/internal/fused"
 	"repro/internal/mediator"
 	"repro/internal/snapstore"

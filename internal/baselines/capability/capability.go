@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baselines/fedsql"
+	"repro/internal/baselines/multidb"
+	"repro/internal/baselines/warehouse"
 	"repro/internal/core"
-	"repro/internal/fedsql"
-	"repro/internal/multidb"
-	"repro/internal/warehouse"
 )
 
 // Systems in Table 1 column order.

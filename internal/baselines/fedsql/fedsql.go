@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baselines/relsql"
 	"repro/internal/oem"
 	"repro/internal/relstore"
 	"repro/internal/wrapper"
@@ -34,20 +35,17 @@ type Federation struct {
 // New builds a federation over the registry.
 func New(reg *wrapper.Registry) *Federation { return &Federation{reg: reg} }
 
-// Query runs one SQL statement over freshly derived nickname tables.
-func (f *Federation) Query(sql string) (*relstore.ResultSet, error) {
+// Query runs one SELECT over freshly derived nickname tables.
+func (f *Federation) Query(sql string) (*relsql.ResultSet, error) {
+	st, err := relsql.ParseSQL(sql)
+	if err != nil {
+		return nil, err
+	}
 	db, err := f.buildNicknames()
 	if err != nil {
 		return nil, err
 	}
-	rs, err := db.Run(sql)
-	if err != nil {
-		return nil, err
-	}
-	if rs == nil {
-		return nil, fmt.Errorf("fedsql: only SELECT statements are allowed against nicknames")
-	}
-	return rs, nil
+	return relsql.Exec(db, st)
 }
 
 func (f *Federation) buildNicknames() (*relstore.DB, error) {
@@ -80,10 +78,16 @@ func (f *Federation) buildNicknames() (*relstore.DB, error) {
 }
 
 func deriveLocusLink(db *relstore.DB, g *oem.Graph) error {
-	if _, err := db.Run(`CREATE TABLE locuslink_locus (locus_id INT PRIMARY KEY, symbol TEXT NOT NULL, organism TEXT, description TEXT, position TEXT)`); err != nil {
+	t, err := db.Create(relstore.Schema{Name: "locuslink_locus", Key: "locus_id", Columns: []relstore.Column{
+		{Name: "locus_id", Type: relstore.TInt},
+		{Name: "symbol", Type: relstore.TText},
+		{Name: "organism", Type: relstore.TText, Nullable: true},
+		{Name: "description", Type: relstore.TText, Nullable: true},
+		{Name: "position", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
 		return err
 	}
-	t := db.Table("locuslink_locus")
 	for _, e := range g.Children(g.Root("LocusLink"), "Locus") {
 		id, _ := g.IntUnder(e, "LocusID")
 		var desc any = g.StringUnder(e, "Description")
@@ -98,23 +102,29 @@ func deriveLocusLink(db *relstore.DB, g *oem.Graph) error {
 }
 
 func deriveGO(db *relstore.DB, g *oem.Graph) error {
-	stmts := []string{
-		`CREATE TABLE go_annotation (gene_symbol TEXT NOT NULL, organism TEXT, go_id TEXT NOT NULL, evidence TEXT)`,
-		`CREATE TABLE go_term (go_id TEXT PRIMARY KEY, name TEXT NOT NULL, namespace TEXT)`,
+	ta, err := db.Create(relstore.Schema{Name: "go_annotation", Columns: []relstore.Column{
+		{Name: "gene_symbol", Type: relstore.TText},
+		{Name: "organism", Type: relstore.TText, Nullable: true},
+		{Name: "go_id", Type: relstore.TText},
+		{Name: "evidence", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
+		return err
 	}
-	for _, s := range stmts {
-		if _, err := db.Run(s); err != nil {
-			return err
-		}
+	tt, err := db.Create(relstore.Schema{Name: "go_term", Key: "go_id", Columns: []relstore.Column{
+		{Name: "go_id", Type: relstore.TText},
+		{Name: "name", Type: relstore.TText},
+		{Name: "namespace", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
+		return err
 	}
 	root := g.Root("GO")
-	tt := db.Table("go_term")
 	for _, e := range g.Children(root, "Term") {
 		if _, err := tt.InsertVals(g.StringUnder(e, "GoID"), g.StringUnder(e, "Name"), g.StringUnder(e, "Namespace")); err != nil {
 			return err
 		}
 	}
-	ta := db.Table("go_annotation")
 	for _, e := range g.Children(root, "Annotation") {
 		if _, err := ta.InsertVals(g.StringUnder(e, "GeneSymbol"), g.StringUnder(e, "Organism"), g.StringUnder(e, "GoID"), g.StringUnder(e, "Evidence")); err != nil {
 			return err
@@ -124,18 +134,24 @@ func deriveGO(db *relstore.DB, g *oem.Graph) error {
 }
 
 func deriveOMIM(db *relstore.DB, g *oem.Graph) error {
-	stmts := []string{
-		`CREATE TABLE omim_entry (mim_number INT PRIMARY KEY, title TEXT NOT NULL, cyto_position TEXT, inheritance TEXT)`,
-		`CREATE TABLE omim_gene (mim_number INT NOT NULL, gene_symbol TEXT, locus TEXT)`,
+	te, err := db.Create(relstore.Schema{Name: "omim_entry", Key: "mim_number", Columns: []relstore.Column{
+		{Name: "mim_number", Type: relstore.TInt},
+		{Name: "title", Type: relstore.TText},
+		{Name: "cyto_position", Type: relstore.TText, Nullable: true},
+		{Name: "inheritance", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
+		return err
 	}
-	for _, s := range stmts {
-		if _, err := db.Run(s); err != nil {
-			return err
-		}
+	tg, err := db.Create(relstore.Schema{Name: "omim_gene", Columns: []relstore.Column{
+		{Name: "mim_number", Type: relstore.TInt},
+		{Name: "gene_symbol", Type: relstore.TText, Nullable: true},
+		{Name: "locus", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
+		return err
 	}
 	root := g.Root("OMIM")
-	te := db.Table("omim_entry")
-	tg := db.Table("omim_gene")
 	for _, e := range g.Children(root, "Entry") {
 		mim, _ := g.IntUnder(e, "MimNumber")
 		if _, err := te.InsertVals(mim, g.StringUnder(e, "Title"), g.StringUnder(e, "CytoPosition"), g.StringUnder(e, "Inheritance")); err != nil {
@@ -164,10 +180,15 @@ func deriveOMIM(db *relstore.DB, g *oem.Graph) error {
 }
 
 func deriveProt(db *relstore.DB, g *oem.Graph) error {
-	if _, err := db.Run(`CREATE TABLE protdb_protein (ac TEXT PRIMARY KEY, gn TEXT NOT NULL, os TEXT, de TEXT)`); err != nil {
+	t, err := db.Create(relstore.Schema{Name: "protdb_protein", Key: "ac", Columns: []relstore.Column{
+		{Name: "ac", Type: relstore.TText},
+		{Name: "gn", Type: relstore.TText},
+		{Name: "os", Type: relstore.TText, Nullable: true},
+		{Name: "de", Type: relstore.TText, Nullable: true},
+	}})
+	if err != nil {
 		return err
 	}
-	t := db.Table("protdb_protein")
 	for _, e := range g.Children(g.Root("ProtDB"), "Protein") {
 		if _, err := t.InsertVals(g.StringUnder(e, "AC"), g.StringUnder(e, "GN"), g.StringUnder(e, "OS"), g.StringUnder(e, "DE")); err != nil {
 			return err
@@ -187,20 +208,15 @@ func stringsUnder(g *oem.Graph, id oem.OID, label string) []string {
 	return out
 }
 
-// Figure5bSQL is the query a DiscoveryLink user must write for the paper's
-// Figure 5(b) question. Note everything the user must already know: the
-// nickname table names, that GO symbols need case folding (impossible in
-// this SQL subset — the LIKE trick below only works because our corpus
-// symbols are case-insensitive-unique), and that OMIM's locus column is a
-// prefixed string. The anti-join must be done client-side.
-const Figure5bSQL = `SELECT DISTINCT l.symbol, l.locus_id FROM locuslink_locus l JOIN go_annotation a ON l.symbol = a.gene_symbol ORDER BY l.symbol`
-
-// Figure5b runs the two-step (join + client-side anti-join) answer.
+// Figure5b answers the paper's Figure 5(b) question the way a DiscoveryLink
+// user must. Note everything the user must already know: the nickname table
+// names, that GO symbols need case folding, and that OMIM's locus column is
+// a prefixed string. GO stores some symbols lowercased, so a plain SQL join
+// of locuslink_locus.symbol with go_annotation.gene_symbol misses them, and
+// this SQL subset cannot fold case; the anti-join needs NOT EXISTS, which it
+// lacks too. So, like the user, it runs three queries and folds and
+// subtracts client-side.
 func (f *Federation) Figure5b() ([]string, error) {
-	// Step 1: annotated genes. The case-folding problem is real: GO stores
-	// some symbols lowercased, so the SQL join above misses them. A
-	// DiscoveryLink user discovers this the hard way; we replicate the
-	// correct two-query workaround they would end up with.
 	ann, err := f.Query(`SELECT gene_symbol FROM go_annotation`)
 	if err != nil {
 		return nil, err

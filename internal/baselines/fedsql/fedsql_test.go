@@ -1,11 +1,15 @@
 package fedsql
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/baselines/warehouse"
 	"repro/internal/datagen"
+	"repro/internal/gml"
+	"repro/internal/match"
 	"repro/internal/sources/geneontology"
 	"repro/internal/sources/locuslink"
 	"repro/internal/sources/omim"
@@ -140,11 +144,53 @@ func TestFreshness(t *testing.T) {
 	}
 }
 
+// TestNonSelectRejected: both SQL baselines accept only SELECT. Each of
+// the retired statement kinds is a parse error, before anything runs, and
+// leaves the warehouse's tables as they were.
 func TestNonSelectRejected(t *testing.T) {
 	_, reg, _ := fixture(t)
 	f := New(reg)
-	if _, err := f.Query(`DELETE FROM locuslink_locus`); err == nil {
-		t.Error("non-select accepted against nicknames")
+	gl, err := gml.Build(reg, match.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := warehouse.New(reg, gl)
+	if err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	tables := []string{"annotation", "disease", "disease_gene", "gene", "protein"}
+	rowCounts := func() map[string]int {
+		n := map[string]int{}
+		for _, tab := range tables {
+			rs, err := w.Query(`SELECT * FROM ` + tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n[tab] = len(rs.Rows)
+		}
+		return n
+	}
+	before := rowCounts()
+	if before["gene"] == 0 {
+		t.Fatal("the warehouse loaded no genes; the fixture exercises nothing")
+	}
+	cases := []struct{ kind, fed, wh string }{
+		{"CREATE TABLE", `CREATE TABLE scratch (x INT)`, `CREATE TABLE scratch (x INT)`},
+		{"CREATE INDEX", `CREATE INDEX ON locuslink_locus (organism)`, `CREATE INDEX ON gene (organism)`},
+		{"INSERT", `INSERT INTO locuslink_locus VALUES (999999, 'NEW1', 'Homo sapiens', NULL, '1p1')`,
+			`INSERT INTO gene VALUES (999999, 'NEW1', 'Homo sapiens', NULL, '1p1', 'LocusLink')`},
+		{"DELETE", `DELETE FROM locuslink_locus`, `DELETE FROM gene`},
+	}
+	for _, c := range cases {
+		if _, err := f.Query(c.fed); err == nil {
+			t.Errorf("fedsql accepted %s", c.kind)
+		}
+		if _, err := w.Query(c.wh); err == nil {
+			t.Errorf("warehouse accepted %s", c.kind)
+		}
+		if after := rowCounts(); !maps.Equal(after, before) {
+			t.Errorf("warehouse %s changed the row counts %v to %v", c.kind, before, after)
+		}
 	}
 	if _, err := f.Query(`SELECT nope FROM nowhere`); err == nil {
 		t.Error("bad SQL accepted")

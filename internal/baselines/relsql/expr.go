@@ -1,15 +1,17 @@
-package relstore
+package relsql
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/relstore"
 )
 
 // Expr is a boolean/scalar expression evaluated against an Env (a binding of
-// qualified column names to values). Expressions power WHERE clauses in both
-// the programmatic query API and the SQL subset.
+// qualified column names to values). Expressions power WHERE clauses, ON
+// conditions and projections.
 type Expr interface {
-	Eval(env Env) (Value, error)
+	Eval(env Env) (relstore.Value, error)
 	String() string
 }
 
@@ -17,50 +19,17 @@ type Expr interface {
 type Env interface {
 	// Lookup returns the value bound to (qualifier, column). qualifier may
 	// be "" meaning "any table that has this column, if unambiguous".
-	Lookup(qualifier, column string) (Value, error)
-}
-
-// MapEnv is a simple Env over a map of "qualifier.column" (or "column") keys.
-type MapEnv map[string]Value
-
-// Lookup implements Env.
-func (m MapEnv) Lookup(q, c string) (Value, error) {
-	if q != "" {
-		if v, ok := m[strings.ToLower(q+"."+c)]; ok {
-			return v, nil
-		}
-		return Null, fmt.Errorf("relstore: unknown column %s.%s", q, c)
-	}
-	if v, ok := m[strings.ToLower(c)]; ok {
-		return v, nil
-	}
-	// Fall back to a unique suffix match.
-	var found Value
-	n := 0
-	for k, v := range m {
-		if strings.HasSuffix(k, "."+strings.ToLower(c)) {
-			found = v
-			n++
-		}
-	}
-	switch n {
-	case 1:
-		return found, nil
-	case 0:
-		return Null, fmt.Errorf("relstore: unknown column %s", c)
-	default:
-		return Null, fmt.Errorf("relstore: ambiguous column %s", c)
-	}
+	Lookup(qualifier, column string) (relstore.Value, error)
 }
 
 // Lit is a literal value.
-type Lit struct{ V Value }
+type Lit struct{ V relstore.Value }
 
 // Eval implements Expr.
-func (l Lit) Eval(Env) (Value, error) { return l.V, nil }
+func (l Lit) Eval(Env) (relstore.Value, error) { return l.V, nil }
 
 func (l Lit) String() string {
-	if l.V.Type == TText {
+	if l.V.Type == relstore.TText {
 		return "'" + strings.ReplaceAll(l.V.S, "'", "''") + "'"
 	}
 	return l.V.String()
@@ -73,7 +42,7 @@ type Col struct {
 }
 
 // Eval implements Expr.
-func (c Col) Eval(env Env) (Value, error) { return env.Lookup(c.Table, c.Name) }
+func (c Col) Eval(env Env) (relstore.Value, error) { return env.Lookup(c.Table, c.Name) }
 
 func (c Col) String() string {
 	if c.Table != "" {
@@ -107,53 +76,58 @@ type Cmp struct {
 }
 
 // Eval implements Expr.
-func (c Cmp) Eval(env Env) (Value, error) {
+func (c Cmp) Eval(env Env) (relstore.Value, error) {
 	l, err := c.L.Eval(env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	r, err := c.R.Eval(env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	if l.IsNull() || r.IsNull() {
-		return Bool(false), nil
+		return relstore.Bool(false), nil
 	}
 	// Values of incompatible types compare false for = and true for <>.
 	comparable := (isNum(l) && isNum(r)) || l.Type == r.Type ||
-		(l.Type == TText || r.Type == TText)
+		(l.Type == relstore.TText || r.Type == relstore.TText)
 	if !comparable {
-		return Bool(c.Op == OpNe), nil
+		return relstore.Bool(c.Op == OpNe), nil
 	}
 	// Text vs non-text: try numeric parse, else compare as text.
-	if l.Type == TText && isNum(r) {
-		if cv, err := Coerce(l, r.Type); err == nil {
+	if l.Type == relstore.TText && isNum(r) {
+		if cv, err := relstore.Coerce(l, r.Type); err == nil {
 			l = cv
 		}
 	}
-	if r.Type == TText && isNum(l) {
-		if cv, err := Coerce(r, l.Type); err == nil {
+	if r.Type == relstore.TText && isNum(l) {
+		if cv, err := relstore.Coerce(r, l.Type); err == nil {
 			r = cv
 		}
 	}
-	if l.Type == TText && r.Type == TBool {
-		if cv, err := Coerce(l, TBool); err == nil {
+	if l.Type == relstore.TText && r.Type == relstore.TBool {
+		if cv, err := relstore.Coerce(l, relstore.TBool); err == nil {
 			l = cv
 		}
 	}
-	if r.Type == TText && l.Type == TBool {
-		if cv, err := Coerce(r, TBool); err == nil {
+	if r.Type == relstore.TText && l.Type == relstore.TBool {
+		if cv, err := relstore.Coerce(r, relstore.TBool); err == nil {
 			r = cv
 		}
 	}
-	if (l.Type == TText) != (r.Type == TText) {
+	if (l.Type == relstore.TText) != (r.Type == relstore.TText) {
 		// Coercion failed; fall back to text comparison of both.
-		l, _ = Coerce(l, TText)
-		r, _ = Coerce(r, TText)
+		l, _ = relstore.Coerce(l, relstore.TText)
+		r, _ = relstore.Coerce(r, relstore.TText)
 	}
-	cv := Compare(l, r)
-	if isNum(l) && isNum(r) && l.asFloat() == r.asFloat() {
-		cv = 0 // ignore the type tiebreak Compare applies for total order
+	cv := relstore.Compare(l, r)
+	if isNum(l) && isNum(r) {
+		// Ignore the type tiebreak Compare applies for total order.
+		lf, _ := relstore.Coerce(l, relstore.TFloat)
+		rf, _ := relstore.Coerce(r, relstore.TFloat)
+		if lf.F == rf.F {
+			cv = 0
+		}
 	}
 	var b bool
 	switch c.Op {
@@ -170,7 +144,7 @@ func (c Cmp) Eval(env Env) (Value, error) {
 	case OpGe:
 		b = cv >= 0
 	}
-	return Bool(b), nil
+	return relstore.Bool(b), nil
 }
 
 func (c Cmp) String() string {
@@ -181,19 +155,19 @@ func (c Cmp) String() string {
 type And struct{ L, R Expr }
 
 // Eval implements Expr.
-func (a And) Eval(env Env) (Value, error) {
+func (a And) Eval(env Env) (relstore.Value, error) {
 	l, err := evalBool(a.L, env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	if !l {
-		return Bool(false), nil
+		return relstore.Bool(false), nil
 	}
 	r, err := evalBool(a.R, env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
-	return Bool(r), nil
+	return relstore.Bool(r), nil
 }
 
 func (a And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
@@ -202,19 +176,19 @@ func (a And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
 type Or struct{ L, R Expr }
 
 // Eval implements Expr.
-func (o Or) Eval(env Env) (Value, error) {
+func (o Or) Eval(env Env) (relstore.Value, error) {
 	l, err := evalBool(o.L, env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	if l {
-		return Bool(true), nil
+		return relstore.Bool(true), nil
 	}
 	r, err := evalBool(o.R, env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
-	return Bool(r), nil
+	return relstore.Bool(r), nil
 }
 
 func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
@@ -223,12 +197,12 @@ func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 type Not struct{ E Expr }
 
 // Eval implements Expr.
-func (n Not) Eval(env Env) (Value, error) {
+func (n Not) Eval(env Env) (relstore.Value, error) {
 	b, err := evalBool(n.E, env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
-	return Bool(!b), nil
+	return relstore.Bool(!b), nil
 }
 
 func (n Not) String() string { return fmt.Sprintf("NOT (%s)", n.E) }
@@ -242,23 +216,23 @@ type LikeExpr struct {
 }
 
 // Eval implements Expr.
-func (l LikeExpr) Eval(env Env) (Value, error) {
+func (l LikeExpr) Eval(env Env) (relstore.Value, error) {
 	v, err := l.E.Eval(env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	if v.IsNull() {
-		return Bool(false), nil
+		return relstore.Bool(false), nil
 	}
-	tv, err := Coerce(v, TText)
+	tv, err := relstore.Coerce(v, relstore.TText)
 	if err != nil {
-		return Bool(l.Neg), nil
+		return relstore.Bool(l.Neg), nil
 	}
 	m := likeMatchSQL(strings.ToLower(tv.S), strings.ToLower(l.Pattern))
 	if l.Neg {
 		m = !m
 	}
-	return Bool(m), nil
+	return relstore.Bool(m), nil
 }
 
 func (l LikeExpr) String() string {
@@ -301,16 +275,16 @@ type IsNull struct {
 }
 
 // Eval implements Expr.
-func (i IsNull) Eval(env Env) (Value, error) {
+func (i IsNull) Eval(env Env) (relstore.Value, error) {
 	v, err := i.E.Eval(env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	b := v.IsNull()
 	if i.Neg {
 		b = !b
 	}
-	return Bool(b), nil
+	return relstore.Bool(b), nil
 }
 
 func (i IsNull) String() string {
@@ -323,23 +297,23 @@ func (i IsNull) String() string {
 // InList tests membership in a literal list.
 type InList struct {
 	E     Expr
-	Items []Value
+	Items []relstore.Value
 	Neg   bool
 }
 
 // Eval implements Expr.
-func (in InList) Eval(env Env) (Value, error) {
+func (in InList) Eval(env Env) (relstore.Value, error) {
 	v, err := in.E.Eval(env)
 	if err != nil {
-		return Null, err
+		return relstore.Null, err
 	}
 	if v.IsNull() {
-		return Bool(false), nil
+		return relstore.Bool(false), nil
 	}
 	found := false
 	for _, it := range in.Items {
 		eq, err := Cmp{Op: OpEq, L: Lit{v}, R: Lit{it}}.Eval(nil)
-		if err == nil && eq.Type == TBool && eq.B {
+		if err == nil && eq.Type == relstore.TBool && eq.B {
 			found = true
 			break
 		}
@@ -347,7 +321,7 @@ func (in InList) Eval(env Env) (Value, error) {
 	if in.Neg {
 		found = !found
 	}
-	return Bool(found), nil
+	return relstore.Bool(found), nil
 }
 
 func (in InList) String() string {
@@ -362,15 +336,17 @@ func (in InList) String() string {
 	return fmt.Sprintf("%s %s (%s)", in.E, op, strings.Join(parts, ", "))
 }
 
+func isNum(v relstore.Value) bool { return v.Type == relstore.TInt || v.Type == relstore.TFloat }
+
 func evalBool(e Expr, env Env) (bool, error) {
 	v, err := e.Eval(env)
 	if err != nil {
 		return false, err
 	}
 	switch v.Type {
-	case TBool:
+	case relstore.TBool:
 		return v.B, nil
-	case TInvalid:
+	case relstore.TInvalid:
 		return false, nil
 	}
 	return false, fmt.Errorf("relstore: expression %s is not boolean", e)

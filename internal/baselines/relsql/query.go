@@ -1,16 +1,17 @@
-package relstore
+package relsql
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/relstore"
 )
 
 // This file implements the query executor: multi-table selects with
 // predicate pushdown and index-accelerated equi-joins, projection, DISTINCT,
-// ORDER BY and LIMIT. The SQL front end (sql.go) parses into SelectStmt; the
-// baselines and the warehouse also build SelectStmt values directly.
+// ORDER BY and LIMIT. The SQL front end (sql.go) parses into SelectStmt.
 
 // TableRef names a table with an optional alias.
 type TableRef struct {
@@ -52,7 +53,7 @@ type SelectStmt struct {
 // ResultSet holds query output.
 type ResultSet struct {
 	Cols []string
-	Rows []Row
+	Rows []relstore.Row
 }
 
 // rowEnv binds qualified columns for a partial join row.
@@ -60,26 +61,26 @@ type rowEnv struct {
 	// bindings: per table-ref index, the schema and current row (nil if not
 	// yet bound).
 	refs    []TableRef
-	schemas []Schema
-	rows    []Row
+	schemas []relstore.Schema
+	rows    []relstore.Row
 }
 
 // Lookup implements Env.
-func (e *rowEnv) Lookup(q, c string) (Value, error) {
+func (e *rowEnv) Lookup(q, c string) (relstore.Value, error) {
 	if q != "" {
 		for i, r := range e.refs {
 			if strings.EqualFold(r.binding(), q) {
 				if e.rows[i] == nil {
-					return Null, fmt.Errorf("relstore: column %s.%s not yet bound", q, c)
+					return relstore.Null, fmt.Errorf("relstore: column %s.%s not yet bound", q, c)
 				}
 				ci := e.schemas[i].ColIndex(c)
 				if ci < 0 {
-					return Null, fmt.Errorf("relstore: no column %q in %s", c, q)
+					return relstore.Null, fmt.Errorf("relstore: no column %q in %s", c, q)
 				}
 				return e.rows[i][ci], nil
 			}
 		}
-		return Null, fmt.Errorf("relstore: unknown table %q", q)
+		return relstore.Null, fmt.Errorf("relstore: unknown table %q", q)
 	}
 	found := -1
 	foundCol := -1
@@ -87,23 +88,23 @@ func (e *rowEnv) Lookup(q, c string) (Value, error) {
 		ci := e.schemas[i].ColIndex(c)
 		if ci >= 0 {
 			if found >= 0 {
-				return Null, fmt.Errorf("relstore: ambiguous column %q", c)
+				return relstore.Null, fmt.Errorf("relstore: ambiguous column %q", c)
 			}
 			found, foundCol = i, ci
 		}
 	}
 	if found < 0 {
-		return Null, fmt.Errorf("relstore: unknown column %q", c)
+		return relstore.Null, fmt.Errorf("relstore: unknown column %q", c)
 	}
 	if e.rows[found] == nil {
-		return Null, fmt.Errorf("relstore: column %s not yet bound", c)
+		return relstore.Null, fmt.Errorf("relstore: column %s not yet bound", c)
 	}
 	return e.rows[found][foundCol], nil
 }
 
 // boundBy reports whether every column reference in e can be resolved using
 // only the table refs whose index is < k (i.e. already bound in join order).
-func exprBoundBy(e Expr, refs []TableRef, schemas []Schema, k int) bool {
+func exprBoundBy(e Expr, refs []TableRef, schemas []relstore.Schema, k int) bool {
 	for _, c := range colsOf(e) {
 		ok := false
 		for i := 0; i < k; i++ {
@@ -125,12 +126,12 @@ func exprBoundBy(e Expr, refs []TableRef, schemas []Schema, k int) bool {
 }
 
 // Exec runs the select against db.
-func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
+func Exec(db *relstore.DB, q *SelectStmt) (*ResultSet, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("relstore: select with no FROM")
 	}
-	tables := make([]*Table, len(q.From))
-	schemas := make([]Schema, len(q.From))
+	tables := make([]*relstore.Table, len(q.From))
+	schemas := make([]relstore.Schema, len(q.From))
 	for i, r := range q.From {
 		t := db.Table(r.Table)
 		if t == nil {
@@ -208,7 +209,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 		}
 	}
 
-	env := &rowEnv{refs: q.From, schemas: schemas, rows: make([]Row, len(q.From))}
+	env := &rowEnv{refs: q.From, schemas: schemas, rows: make([]relstore.Row, len(q.From))}
 
 	// Column headers for star projection.
 	var starCols []string
@@ -235,8 +236,8 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 	}
 
 	type sortable struct {
-		keys Row
-		row  Row
+		keys relstore.Row
+		row  relstore.Row
 	}
 	var collected []sortable
 	needSort := len(q.OrderBy) > 0
@@ -246,7 +247,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 	}
 
 	emit := func() (bool, error) {
-		var row Row
+		var row relstore.Row
 		for _, it := range q.Items {
 			if it.Star {
 				for i := range schemas {
@@ -290,7 +291,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 			return cont
 		}
 		filters := atDepth[k+1]
-		tryRow := func(rid RowID, row Row) bool {
+		tryRow := func(rid relstore.RowID, row relstore.Row) bool {
 			env.rows[k] = row
 			for _, f := range filters {
 				ok, err := evalBool(f, env)
@@ -333,7 +334,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 			return true
 		}
 		cont := true
-		tables[k].Scan(func(rid RowID, row Row) bool {
+		tables[k].Scan(func(rid relstore.RowID, row relstore.Row) bool {
 			cont = tryRow(rid, row.Clone())
 			return cont
 		})
@@ -347,7 +348,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 	if needSort {
 		sort.SliceStable(collected, func(i, j int) bool {
 			for ki, k := range q.OrderBy {
-				c := Compare(collected[i].keys[ki], collected[j].keys[ki])
+				c := relstore.Compare(collected[i].keys[ki], collected[j].keys[ki])
 				if c == 0 {
 					continue
 				}
@@ -380,7 +381,7 @@ func (db *DB) Exec(q *SelectStmt) (*ResultSet, error) {
 // separator-based encoding is ambiguous the moment a string value contains
 // the separator (e.g. rows ("a\x00text:b") and ("a","b") used to collide),
 // and DISTINCT would silently drop a genuinely distinct row.
-func rowKey(r Row) string {
+func rowKey(r relstore.Row) string {
 	var sb strings.Builder
 	for _, v := range r {
 		t := v.Type.String()

@@ -1,24 +1,27 @@
-package relstore
+// Package relsql is the SQL layer of the paper's SQL baselines (Table 1):
+// the DiscoveryLink-style federation (fedsql) and the GUS-style warehouse
+// query relstore tables through it. It parses and executes SELECT only.
+// ANNODA itself does not speak SQL, and annoda-server does not link this
+// package.
+package relsql
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
+
+	"repro/internal/relstore"
 )
 
-// A small SQL subset, sufficient for the DiscoveryLink-style federation
-// baseline and the GUS-style warehouse:
+// The dialect is one statement, the SELECT the baselines' users write:
 //
-//	CREATE TABLE name (col type [PRIMARY KEY] [NOT NULL], ...)
-//	CREATE INDEX ON table (col)
-//	INSERT INTO table VALUES (v, ...), (v, ...)
 //	SELECT [DISTINCT] item, ... FROM t [alias] [JOIN t2 [alias] ON cond]...
 //	       [WHERE cond] [ORDER BY expr [DESC], ...] [LIMIT n]
-//	DELETE FROM table [WHERE cond]
 //
 // Identifiers are case-insensitive; strings use single quotes with ''
-// escaping.
+// escaping. Tables are declared as relstore.Schema values, not in SQL, and
+// nothing here writes to them.
 
 type sqlTokKind uint8
 
@@ -152,36 +155,6 @@ func (l *sqlLexer) lexPunct() (sqlTok, error) {
 	return sqlTok{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 }
 
-// Stmt is a parsed SQL statement.
-type Stmt interface{ isStmt() }
-
-// CreateTableStmt creates a table.
-type CreateTableStmt struct{ Schema Schema }
-
-// CreateIndexStmt creates a secondary index.
-type CreateIndexStmt struct {
-	Table string
-	Col   string
-}
-
-// InsertStmt inserts literal rows.
-type InsertStmt struct {
-	Table string
-	Rows  []Row
-}
-
-// DeleteStmt deletes rows matching Where (all rows if nil).
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (CreateTableStmt) isStmt() {}
-func (CreateIndexStmt) isStmt() {}
-func (InsertStmt) isStmt()      {}
-func (DeleteStmt) isStmt()      {}
-func (*SelectStmt) isStmt()     {}
-
 type sqlParser struct {
 	toks []sqlTok
 	i    int
@@ -214,32 +187,17 @@ func (p *sqlParser) ident() (string, error) {
 	return t.raw, nil
 }
 
-// ParseSQL parses one SQL statement.
-func ParseSQL(src string) (Stmt, error) {
+// ParseSQL parses one SELECT statement. Any other statement is an error.
+func ParseSQL(src string) (*SelectStmt, error) {
 	toks, err := sqlLex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &sqlParser{toks: toks}
-	var st Stmt
-	switch {
-	case p.accept("CREATE"):
-		if p.accept("TABLE") {
-			st, err = p.parseCreateTable()
-		} else if p.accept("INDEX") {
-			st, err = p.parseCreateIndex()
-		} else {
-			return nil, fmt.Errorf("sql: CREATE must be followed by TABLE or INDEX")
-		}
-	case p.accept("INSERT"):
-		st, err = p.parseInsert()
-	case p.accept("SELECT"):
-		st, err = p.parseSelect()
-	case p.accept("DELETE"):
-		st, err = p.parseDelete()
-	default:
-		return nil, fmt.Errorf("sql: unknown statement starting with %q", p.cur().raw)
+	if !p.accept("SELECT") {
+		return nil, fmt.Errorf("sql: only SELECT statements are supported, got %q", p.cur().raw)
 	}
+	st, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -250,173 +208,40 @@ func ParseSQL(src string) (Stmt, error) {
 	return st, nil
 }
 
-func (p *sqlParser) parseCreateTable() (Stmt, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	s := Schema{Name: name}
-	for {
-		colName, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		typName, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		ct, err := ParseColType(typName)
-		if err != nil {
-			return nil, err
-		}
-		col := Column{Name: colName, Type: ct, Nullable: true}
-		for {
-			if p.accept("PRIMARY") {
-				if err := p.expect("KEY"); err != nil {
-					return nil, err
-				}
-				s.Key = colName
-				col.Nullable = false
-				continue
-			}
-			if p.accept("NOT") {
-				if err := p.expect("NULL"); err != nil {
-					return nil, err
-				}
-				col.Nullable = false
-				continue
-			}
-			break
-		}
-		s.Columns = append(s.Columns, col)
-		if p.accept(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return CreateTableStmt{Schema: s}, nil
-}
-
-func (p *sqlParser) parseCreateIndex() (Stmt, error) {
-	if err := p.expect("ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	col, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	return CreateIndexStmt{Table: table, Col: col}, nil
-}
-
-func (p *sqlParser) parseInsert() (Stmt, error) {
-	if err := p.expect("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("VALUES"); err != nil {
-		return nil, err
-	}
-	st := InsertStmt{Table: table}
-	for {
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		var row Row
-		for {
-			v, err := p.parseLiteral()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			if p.accept(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if p.accept(",") {
-			continue
-		}
-		break
-	}
-	return st, nil
-}
-
-func (p *sqlParser) parseLiteral() (Value, error) {
+func (p *sqlParser) parseLiteral() (relstore.Value, error) {
 	t := p.cur()
 	switch t.kind {
 	case tkString:
 		p.i++
-		return Text(t.text), nil
+		return relstore.Text(t.text), nil
 	case tkNumber:
 		p.i++
 		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
-				return Null, fmt.Errorf("sql: bad number %q", t.text)
+				return relstore.Null, fmt.Errorf("sql: bad number %q", t.text)
 			}
-			return Float(f), nil
+			return relstore.Float(f), nil
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return Null, fmt.Errorf("sql: bad number %q", t.text)
+			return relstore.Null, fmt.Errorf("sql: bad number %q", t.text)
 		}
-		return Int(i), nil
+		return relstore.Int(i), nil
 	case tkIdent:
 		switch t.text {
 		case "NULL":
 			p.i++
-			return Null, nil
+			return relstore.Null, nil
 		case "TRUE":
 			p.i++
-			return Bool(true), nil
+			return relstore.Bool(true), nil
 		case "FALSE":
 			p.i++
-			return Bool(false), nil
+			return relstore.Bool(false), nil
 		}
 	}
-	return Null, fmt.Errorf("sql: expected literal, got %q at offset %d", t.raw, t.pos)
-}
-
-func (p *sqlParser) parseDelete() (Stmt, error) {
-	if err := p.expect("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st := DeleteStmt{Table: table}
-	if p.accept("WHERE") {
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
-	}
-	return st, nil
+	return relstore.Null, fmt.Errorf("sql: expected literal, got %q at offset %d", t.raw, t.pos)
 }
 
 var sqlKeywords = map[string]bool{
@@ -427,7 +252,7 @@ var sqlKeywords = map[string]bool{
 	"TRUE": true, "FALSE": true,
 }
 
-func (p *sqlParser) parseSelect() (Stmt, error) {
+func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	st := &SelectStmt{Limit: -1}
 	st.Distinct = p.accept("DISTINCT")
 	for {
@@ -663,7 +488,7 @@ func (p *sqlParser) parsePredicate() (Expr, error) {
 		if err := p.expect("("); err != nil {
 			return nil, err
 		}
-		var items []Value
+		var items []relstore.Value
 		for {
 			v, err := p.parseLiteral()
 			if err != nil {
@@ -724,71 +549,11 @@ func (p *sqlParser) parseOperand() (Expr, error) {
 	return nil, fmt.Errorf("sql: expected operand, got %q at offset %d", t.raw, t.pos)
 }
 
-// Run parses and executes a statement against the database. SELECTs return
-// a ResultSet; DDL/DML return nil.
-func (db *DB) Run(src string) (*ResultSet, error) {
+// Run parses a SELECT and executes it against db.
+func Run(db *relstore.DB, src string) (*ResultSet, error) {
 	st, err := ParseSQL(src)
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case CreateTableStmt:
-		_, err := db.Create(s.Schema)
-		return nil, err
-	case CreateIndexStmt:
-		t := db.Table(s.Table)
-		if t == nil {
-			return nil, fmt.Errorf("sql: no table %q", s.Table)
-		}
-		return nil, t.CreateIndex(s.Col)
-	case InsertStmt:
-		t := db.Table(s.Table)
-		if t == nil {
-			return nil, fmt.Errorf("sql: no table %q", s.Table)
-		}
-		for _, r := range s.Rows {
-			if _, err := t.Insert(r); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	case DeleteStmt:
-		t := db.Table(s.Table)
-		if t == nil {
-			return nil, fmt.Errorf("sql: no table %q", s.Table)
-		}
-		schema := t.Schema()
-		var doomed []RowID
-		var evalErr error
-		t.Scan(func(rid RowID, row Row) bool {
-			if s.Where == nil {
-				doomed = append(doomed, rid)
-				return true
-			}
-			env := MapEnv{}
-			for i, c := range schema.Columns {
-				env[strings.ToLower(c.Name)] = row[i]
-				env[strings.ToLower(schema.Name+"."+c.Name)] = row[i]
-			}
-			ok, err := evalBool(s.Where, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				doomed = append(doomed, rid)
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		for _, rid := range doomed {
-			t.Delete(rid)
-		}
-		return nil, nil
-	case *SelectStmt:
-		return db.Exec(s)
-	}
-	return nil, fmt.Errorf("sql: unhandled statement %T", st)
+	return Exec(db, st)
 }

@@ -1,20 +1,21 @@
-package relstore
+package warehouse
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/relstore"
 )
 
 // CSV snapshots serialize a table to a stream and back. The first record is
 // a typed header ("name:type[:key][:null]"), so a snapshot is
-// self-describing and can be restored into an empty database. The warehouse
-// baseline uses snapshots for its archival feature (GUS's "archiving of data
-// supported" row in Table 1).
+// self-describing and can be restored into an empty database. Archive and
+// Restore use them (GUS's "archiving of data supported" row in Table 1).
 
-// DumpCSV writes the table as a typed-header CSV.
-func (t *Table) DumpCSV(w io.Writer) error {
+// dumpCSV writes the table as a typed-header CSV.
+func dumpCSV(t *relstore.Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	s := t.Schema()
 	header := make([]string, len(s.Columns))
@@ -31,7 +32,7 @@ func (t *Table) DumpCSV(w io.Writer) error {
 		return err
 	}
 	var scanErr error
-	t.Scan(func(_ RowID, r Row) bool {
+	t.Scan(func(_ relstore.RowID, r relstore.Row) bool {
 		rec := make([]string, len(r))
 		for i, v := range r {
 			if v.IsNull() {
@@ -53,25 +54,25 @@ func (t *Table) DumpCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// LoadCSV creates a table named name in db from a typed-header CSV stream.
-func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
+// loadCSV creates a table named name in db from a typed-header CSV stream.
+func loadCSV(db *relstore.DB, name string, r io.Reader) (*relstore.Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("relstore: csv: %v", err)
+		return nil, fmt.Errorf("warehouse: csv: %v", err)
 	}
-	s := Schema{Name: name}
+	s := relstore.Schema{Name: name}
 	for _, h := range header {
 		parts := strings.Split(h, ":")
 		if len(parts) < 2 {
-			return nil, fmt.Errorf("relstore: csv: bad header field %q", h)
+			return nil, fmt.Errorf("warehouse: csv: bad header field %q", h)
 		}
-		ct, err := ParseColType(parts[1])
+		ct, err := parseColType(parts[1])
 		if err != nil {
 			return nil, err
 		}
-		col := Column{Name: parts[0], Type: ct}
+		col := relstore.Column{Name: parts[0], Type: ct}
 		for _, flag := range parts[2:] {
 			switch flag {
 			case "key":
@@ -80,15 +81,8 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 				col.Nullable = true
 			}
 		}
-		if !strings.EqualFold(s.Key, col.Name) && !col.Nullable {
-			// Columns without an explicit flag were non-nullable at dump
-			// time only if they were the key; default to nullable to be
-			// permissive on load.
-			col.Nullable = true
-		}
-		if strings.EqualFold(s.Key, col.Name) {
-			col.Nullable = false
-		}
+		// dumpCSV flags every nullable column but the key, which is never
+		// nullable: a column without a flag was declared NOT NULL.
 		s.Columns = append(s.Columns, col)
 	}
 	t, err := db.Create(s)
@@ -101,20 +95,20 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("relstore: csv: %v", err)
+			return nil, fmt.Errorf("warehouse: csv: %v", err)
 		}
 		if len(rec) != len(s.Columns) {
-			return nil, fmt.Errorf("relstore: csv: record has %d fields, want %d", len(rec), len(s.Columns))
+			return nil, fmt.Errorf("warehouse: csv: record has %d fields, want %d", len(rec), len(s.Columns))
 		}
-		row := make(Row, len(rec))
+		row := make(relstore.Row, len(rec))
 		for i, f := range rec {
 			if f == "\x00NULL" {
-				row[i] = Null
+				row[i] = relstore.Null
 				continue
 			}
-			v, err := Coerce(Text(f), s.Columns[i].Type)
+			v, err := relstore.Coerce(relstore.Text(f), s.Columns[i].Type)
 			if err != nil {
-				return nil, fmt.Errorf("relstore: csv: row value %q: %v", f, err)
+				return nil, fmt.Errorf("warehouse: csv: row value %q: %v", f, err)
 			}
 			row[i] = v
 		}
@@ -123,4 +117,14 @@ func (db *DB) LoadCSV(name string, r io.Reader) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// parseColType reads back a header's type name, as ColType.String wrote it.
+func parseColType(s string) (relstore.ColType, error) {
+	for _, t := range []relstore.ColType{relstore.TInt, relstore.TFloat, relstore.TText, relstore.TBool} {
+		if s == t.String() {
+			return t, nil
+		}
+	}
+	return relstore.TInvalid, fmt.Errorf("warehouse: csv: unknown column type %q", s)
 }

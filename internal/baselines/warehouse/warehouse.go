@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/baselines/relsql"
 	"repro/internal/gml"
 	"repro/internal/oem"
 	"repro/internal/relstore"
@@ -43,8 +44,10 @@ func New(reg *wrapper.Registry, gl *gml.Global) *Warehouse {
 // and loaded into fresh relational tables.
 func (w *Warehouse) Refresh() error {
 	db := relstore.NewDB()
-	if err := createSchema(db); err != nil {
-		return err
+	for _, s := range schema {
+		if _, err := db.Create(s); err != nil {
+			return err
+		}
 	}
 	type geneRow struct {
 		id       int64
@@ -157,31 +160,50 @@ func (w *Warehouse) Refresh() error {
 	return nil
 }
 
-func createSchema(db *relstore.DB) error {
-	stmts := []string{
-		`CREATE TABLE gene (gene_id INT PRIMARY KEY, symbol TEXT NOT NULL, organism TEXT NOT NULL, description TEXT, position TEXT, src TEXT NOT NULL)`,
-		`CREATE TABLE annotation (symbol TEXT NOT NULL, go_id TEXT NOT NULL, evidence TEXT, organism TEXT)`,
-		`CREATE TABLE disease (mim INT PRIMARY KEY, title TEXT NOT NULL, position TEXT, inheritance TEXT)`,
-		`CREATE TABLE disease_gene (mim INT NOT NULL, gene_id INT NOT NULL)`,
-		`CREATE TABLE protein (accession TEXT PRIMARY KEY, symbol TEXT NOT NULL, gene_id INT, description TEXT)`,
-	}
-	for _, s := range stmts {
-		if _, err := db.Run(s); err != nil {
-			return err
-		}
-	}
-	return nil
+// schema declares the warehouse tables. A PRIMARY KEY column is not
+// nullable.
+var schema = []relstore.Schema{
+	{Name: "gene", Key: "gene_id", Columns: []relstore.Column{
+		{Name: "gene_id", Type: relstore.TInt},
+		{Name: "symbol", Type: relstore.TText},
+		{Name: "organism", Type: relstore.TText},
+		{Name: "description", Type: relstore.TText, Nullable: true},
+		{Name: "position", Type: relstore.TText, Nullable: true},
+		{Name: "src", Type: relstore.TText},
+	}},
+	{Name: "annotation", Columns: []relstore.Column{
+		{Name: "symbol", Type: relstore.TText},
+		{Name: "go_id", Type: relstore.TText},
+		{Name: "evidence", Type: relstore.TText, Nullable: true},
+		{Name: "organism", Type: relstore.TText, Nullable: true},
+	}},
+	{Name: "disease", Key: "mim", Columns: []relstore.Column{
+		{Name: "mim", Type: relstore.TInt},
+		{Name: "title", Type: relstore.TText},
+		{Name: "position", Type: relstore.TText, Nullable: true},
+		{Name: "inheritance", Type: relstore.TText, Nullable: true},
+	}},
+	{Name: "disease_gene", Columns: []relstore.Column{
+		{Name: "mim", Type: relstore.TInt},
+		{Name: "gene_id", Type: relstore.TInt},
+	}},
+	{Name: "protein", Key: "accession", Columns: []relstore.Column{
+		{Name: "accession", Type: relstore.TText},
+		{Name: "symbol", Type: relstore.TText},
+		{Name: "gene_id", Type: relstore.TInt, Nullable: true},
+		{Name: "description", Type: relstore.TText, Nullable: true},
+	}},
 }
 
-// Query runs SQL against the warehouse. Requires a prior Refresh.
-func (w *Warehouse) Query(sql string) (*relstore.ResultSet, error) {
+// Query runs a SELECT against the warehouse. Requires a prior Refresh.
+func (w *Warehouse) Query(sql string) (*relsql.ResultSet, error) {
 	w.mu.RLock()
 	db := w.db
 	w.mu.RUnlock()
 	if db == nil {
 		return nil, fmt.Errorf("warehouse: not loaded; call Refresh")
 	}
-	return db.Run(sql)
+	return relsql.Run(db, sql)
 }
 
 // Figure5b answers the paper's Figure 5(b) question with warehouse SQL:
@@ -225,7 +247,7 @@ func (w *Warehouse) Archive(tag string) error {
 	snap := map[string][]byte{}
 	for _, name := range w.db.Names() {
 		var buf bytes.Buffer
-		if err := w.db.Table(name).DumpCSV(&buf); err != nil {
+		if err := dumpCSV(w.db.Table(name), &buf); err != nil {
 			return err
 		}
 		snap[name] = buf.Bytes()
@@ -244,7 +266,7 @@ func (w *Warehouse) Restore(tag string) error {
 	}
 	db := relstore.NewDB()
 	for name, csv := range snap {
-		if _, err := db.LoadCSV(name, bytes.NewReader(csv)); err != nil {
+		if _, err := loadCSV(db, name, bytes.NewReader(csv)); err != nil {
 			return err
 		}
 	}

@@ -2,11 +2,13 @@ package warehouse
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/gml"
 	"repro/internal/match"
+	"repro/internal/relstore"
 	"repro/internal/sources/geneontology"
 	"repro/internal/sources/locuslink"
 	"repro/internal/sources/omim"
@@ -188,5 +190,76 @@ func TestArchiveAndRestore(t *testing.T) {
 	}
 	if err := w.Restore("nosuch"); err == nil {
 		t.Error("restore of unknown tag accepted")
+	}
+}
+
+// TestArchiveHeaders pins each archived table's typed CSV header: the
+// column order, types, key and nullability the warehouse schema declares.
+func TestArchiveHeaders(t *testing.T) {
+	_, reg, gl, _ := fixture(t)
+	w := New(reg, gl)
+	if err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Archive("v1"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"annotation":   "symbol:text,go_id:text,evidence:text:null,organism:text:null",
+		"disease":      "mim:int:key,title:text,position:text:null,inheritance:text:null",
+		"disease_gene": "mim:int,gene_id:int",
+		"gene":         "gene_id:int:key,symbol:text,organism:text,description:text:null,position:text:null,src:text",
+		"protein":      "accession:text:key,symbol:text,gene_id:int:null,description:text:null",
+	}
+	snap := w.archives["v1"]
+	if len(snap) != len(want) {
+		t.Fatalf("archived %d tables, want %d", len(snap), len(want))
+	}
+	for name, header := range want {
+		got, _, _ := strings.Cut(string(snap[name]), "\n")
+		if got != header {
+			t.Errorf("%s header = %q, want %q", name, got, header)
+		}
+	}
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	db := relstore.NewDB()
+	tab, err := db.Create(relstore.Schema{Name: "gene", Key: "locus_id", Columns: []relstore.Column{
+		{Name: "locus_id", Type: relstore.TInt},
+		{Name: "symbol", Type: relstore.TText},
+		{Name: "organism", Type: relstore.TText, Nullable: true},
+		{Name: "weight", Type: relstore.TFloat, Nullable: true},
+		{Name: "coding", Type: relstore.TBool, Nullable: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = tab.InsertVals(1, "A", "human", 2.5, true)
+	_, _ = tab.InsertVals(2, "B", nil, nil, nil)
+	_, _ = tab.InsertVals(3, "C,with,commas", "with \"quotes\"", -1.0, false)
+	var sb strings.Builder
+	if err := dumpCSV(tab, &sb); err != nil {
+		t.Fatal(err)
+	}
+	tab2, err := loadCSV(relstore.NewDB(), "gene", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("loadCSV: %v\ncsv:\n%s", err, sb.String())
+	}
+	n := 0
+	tab2.Scan(func(relstore.RowID, relstore.Row) bool { n++; return true })
+	if n != 3 {
+		t.Fatalf("restored %d rows", n)
+	}
+	_, r := tab2.GetByKey(relstore.Int(2))
+	if r == nil || !r[2].IsNull() || !r[3].IsNull() {
+		t.Errorf("NULLs not preserved: %v", r)
+	}
+	_, r = tab2.GetByKey(relstore.Int(3))
+	if r[1].S != "C,with,commas" || r[2].S != `with "quotes"` {
+		t.Errorf("quoting broken: %v", r)
+	}
+	if s2 := tab2.Schema(); s2.Key != "locus_id" || s2.Columns[1].Nullable || !s2.Columns[2].Nullable {
+		t.Errorf("key or nullability not preserved: %+v", s2)
 	}
 }

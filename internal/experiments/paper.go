@@ -8,9 +8,10 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/capability"
+	"repro/internal/baselines/capability"
+	"repro/internal/baselines/fedsql"
+	"repro/internal/baselines/warehouse"
 	"repro/internal/core"
-	"repro/internal/fedsql"
 	"repro/internal/gml"
 	"repro/internal/lorel"
 	"repro/internal/match"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/navigate"
 	"repro/internal/oem"
 	"repro/internal/sources/locuslink"
-	"repro/internal/warehouse"
 	"repro/internal/wrapper"
 )
 

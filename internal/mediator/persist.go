@@ -28,16 +28,13 @@ import (
 	"repro/internal/snapstore"
 )
 
-// PersistPolicy drives auto-checkpointing: after either bound is crossed
-// the WAL is folded into a fresh checkpoint. Zero values select the
-// defaults.
+// PersistPolicy drives auto-checkpointing: the WAL is folded into a fresh
+// checkpoint after EveryRecords records or DefaultPersistEveryBytes bytes,
+// whichever comes first.
 type PersistPolicy struct {
 	// EveryRecords checkpoints after this many WAL records (<= 0 selects
 	// DefaultPersistEveryRecords).
 	EveryRecords int
-	// EveryBytes checkpoints after this many WAL bytes (<= 0 selects
-	// DefaultPersistEveryBytes).
-	EveryBytes int64
 }
 
 const (
@@ -45,7 +42,8 @@ const (
 	// record costs about as much as applying the original delta, so this
 	// caps warm-restart replay work.
 	DefaultPersistEveryRecords = 64
-	// DefaultPersistEveryBytes bounds WAL size on disk.
+	// DefaultPersistEveryBytes bounds WAL size on disk: a checkpoint is
+	// written once the WAL reaches it.
 	DefaultPersistEveryBytes = 8 << 20
 )
 
@@ -59,9 +57,6 @@ func (m *Manager) EnablePersistence(st *snapstore.Store, pol PersistPolicy) erro
 	}
 	if pol.EveryRecords <= 0 {
 		pol.EveryRecords = DefaultPersistEveryRecords
-	}
-	if pol.EveryBytes <= 0 {
-		pol.EveryBytes = DefaultPersistEveryBytes
 	}
 	m.store = st
 	m.persistPol = pol

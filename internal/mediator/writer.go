@@ -115,7 +115,7 @@ func (m *Manager) write(fn func(cur *snapshot) (publication, error)) (out writte
 				m.o.M.WALDur.Observe(d)
 			}
 			m.diskEpoch = p.next
-			if recs, n := sec.WALStats(); recs >= m.persistPol.EveryRecords || n >= m.persistPol.EveryBytes {
+			if recs, n := sec.WALStats(); recs >= m.persistPol.EveryRecords || n >= DefaultPersistEveryBytes {
 				ckpt = p.next
 			}
 		case p.base != nil && m.diskEpoch == p.base:

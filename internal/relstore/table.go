@@ -8,7 +8,7 @@ import (
 )
 
 // RowID identifies a stored row within a table. RowIDs are allocated
-// monotonically and never reused.
+// monotonically.
 type RowID uint64
 
 // Column describes one table column.
@@ -71,8 +71,7 @@ type Table struct {
 	schema  Schema
 	nextRID RowID
 	rows    map[RowID]Row
-	order   []RowID // insertion order; may contain tombstoned ids
-	dead    int
+	order   []RowID           // insertion order
 	indexes map[string]*btree // column name (lower) -> index
 	pk      map[string]RowID  // primary key value (canonical string) -> rid
 }
@@ -238,37 +237,6 @@ func (t *Table) Update(rid RowID, r Row) error {
 	return nil
 }
 
-// Delete removes the row at rid; it reports whether a row was removed.
-func (t *Table) Delete(rid RowID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row, ok := t.rows[rid]
-	if !ok {
-		return false
-	}
-	if t.pk != nil {
-		ki := t.schema.ColIndex(t.schema.Key)
-		delete(t.pk, pkKey(row[ki]))
-	}
-	for col, idx := range t.indexes {
-		ci := t.schema.ColIndex(col)
-		idx.Delete(row[ci], rid)
-	}
-	delete(t.rows, rid)
-	t.dead++
-	if t.dead > len(t.rows) && t.dead > 64 {
-		live := t.order[:0]
-		for _, id := range t.order {
-			if _, ok := t.rows[id]; ok {
-				live = append(live, id)
-			}
-		}
-		t.order = live
-		t.dead = 0
-	}
-	return true
-}
-
 // CreateIndex builds a secondary B-tree index on the named column. Creating
 // an existing index is a no-op.
 func (t *Table) CreateIndex(col string) error {
@@ -298,20 +266,14 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
-// Scan visits every live row in insertion order. The row passed to visit is
+// Scan visits every row in insertion order. The row passed to visit is
 // shared — visit must not retain or mutate it. Returning false stops the
 // scan.
 func (t *Table) Scan(visit func(RowID, Row) bool) {
 	t.mu.RLock()
-	// Copy the order slice header; rows map reads stay under RLock for the
-	// whole scan to keep a consistent view.
 	defer t.mu.RUnlock()
 	for _, rid := range t.order {
-		row, ok := t.rows[rid]
-		if !ok {
-			continue
-		}
-		if !visit(rid, row) {
+		if !visit(rid, t.rows[rid]) {
 			return
 		}
 	}

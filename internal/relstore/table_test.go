@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -49,7 +48,7 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestInsertGetUpdateDelete(t *testing.T) {
+func TestInsertGetUpdate(t *testing.T) {
 	tab := mustTable(t)
 	rid, err := tab.InsertVals(2354, "FOSB", "Homo sapiens", 1.5, true)
 	if err != nil {
@@ -91,18 +90,15 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 	if err := tab.Update(rid, Row{Int(99), Text("X"), Null, Null, Null}); err == nil {
 		t.Error("update to duplicate key accepted")
 	}
-	// Delete.
-	if !tab.Delete(rid) {
-		t.Error("delete failed")
-	}
-	if tab.Delete(rid) {
-		t.Error("double delete succeeded")
-	}
-	if len(tab.rows) != 1 {
-		t.Errorf("Len = %d", len(tab.rows))
+	// Update changing the key moves the key index.
+	if err := tab.Update(rid, Row{Int(2355), Text("FOSB2"), Null, Null, Null}); err != nil {
+		t.Fatal(err)
 	}
 	if _, r := tab.GetByKey(Int(2354)); r != nil {
-		t.Error("deleted key still resolvable")
+		t.Error("old key still resolvable")
+	}
+	if krid, _ := tab.GetByKey(Int(2355)); krid != rid {
+		t.Error("new key does not resolve")
 	}
 }
 
@@ -147,7 +143,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if !ok || len(rids) != 20 {
 		t.Fatalf("IndexLookup = %d rids, ok=%v", len(rids), ok)
 	}
-	// Index stays consistent across update and delete.
+	// Index stays consistent across update.
 	if err := tab.Update(rids[0], Row{Int(1000), Text("ZZ"), Null, Null, Null}); err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +155,6 @@ func TestSecondaryIndex(t *testing.T) {
 	if len(zz) != 1 {
 		t.Errorf("ZZ count = %d", len(zz))
 	}
-	tab.Delete(zz[0])
-	zz, _ = tab.IndexLookup("symbol", Text("ZZ"))
-	if len(zz) != 0 {
-		t.Errorf("after delete, ZZ count = %d", len(zz))
-	}
 	// Missing index reported.
 	if _, ok := tab.IndexLookup("organism", Text("human")); ok {
 		t.Error("IndexLookup on unindexed column claimed ok")
@@ -173,29 +164,30 @@ func TestSecondaryIndex(t *testing.T) {
 	}
 }
 
-func TestScanOrderAndCompaction(t *testing.T) {
+func TestScanOrder(t *testing.T) {
 	tab := mustTable(t)
 	for i := 0; i < 200; i++ {
 		if _, err := tab.InsertVals(i, "S", nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Delete most rows to trigger compaction.
-	for i := 0; i < 150; i++ {
-		rid, _ := tab.GetByKey(Int(int64(i)))
-		if !tab.Delete(rid) {
-			t.Fatal("delete failed")
-		}
+	// An update keeps the row's place even when it changes the key.
+	rid, _ := tab.GetByKey(Int(0))
+	if err := tab.Update(rid, Row{Int(1000), Text("S"), Null, Null, Null}); err != nil {
+		t.Fatal(err)
 	}
 	var keys []int64
 	tab.Scan(func(_ RowID, r Row) bool {
 		keys = append(keys, r[0].I)
-		return true
+		return len(keys) < 50
 	})
 	if len(keys) != 50 {
-		t.Fatalf("scan found %d rows", len(keys))
+		t.Fatalf("scan stopped after %d rows, want 50", len(keys))
 	}
-	for i := 1; i < len(keys); i++ {
+	if keys[0] != 1000 {
+		t.Fatalf("first row key = %d, want the updated 1000", keys[0])
+	}
+	for i := 2; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
 			t.Fatal("scan order not insertion order")
 		}
@@ -215,37 +207,6 @@ func TestDBCreateDropNames(t *testing.T) {
 	}
 	if got := db.Names(); len(got) != 1 || got[0] != "gene" {
 		t.Errorf("Names = %v", got)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tab := mustTable(t)
-	_, _ = tab.InsertVals(1, "A", "human", 2.5, true)
-	_, _ = tab.InsertVals(2, "B", nil, nil, nil)
-	_, _ = tab.InsertVals(3, "C,with,commas", "with \"quotes\"", -1.0, false)
-	var sb strings.Builder
-	if err := tab.DumpCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewDB()
-	tab2, err := db2.LoadCSV("gene", strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("LoadCSV: %v\ncsv:\n%s", err, sb.String())
-	}
-	if len(tab2.rows) != 3 {
-		t.Fatalf("restored %d rows", len(tab2.rows))
-	}
-	_, r := tab2.GetByKey(Int(2))
-	if r == nil || !r[2].IsNull() || !r[3].IsNull() {
-		t.Errorf("NULLs not preserved: %v", r)
-	}
-	_, r = tab2.GetByKey(Int(3))
-	if r[1].S != "C,with,commas" || r[2].S != `with "quotes"` {
-		t.Errorf("quoting broken: %v", r)
-	}
-	s2 := tab2.Schema()
-	if s2.Key != "locus_id" {
-		t.Errorf("key not preserved: %q", s2.Key)
 	}
 }
 
@@ -294,71 +255,5 @@ func TestValueCompareTotalOrder(t *testing.T) {
 				t.Errorf("reflexivity broken for %v", vals[i])
 			}
 		}
-	}
-}
-
-// TestRowKeyNoCollision: the DISTINCT dedup key must be injective over
-// rows. The old separator-based key let a single cell containing "\x00" and
-// a forged "type:" prefix collide with two separate cells.
-func TestRowKeyNoCollision(t *testing.T) {
-	pairs := [][2]Row{
-		// Same arity, cell boundary forged inside a value: both encoded to
-		// "text:a\x00text:b\x00text:c\x00" under the old key.
-		{{Text("a\x00text:b"), Text("c")}, {Text("a"), Text("b\x00text:c")}},
-		// Different arity, one cell swallowing its neighbour's encoding.
-		{{Text("a\x00text:b")}, {Text("a"), Text("b")}},
-		// Separator shifted across the cell boundary.
-		{{Text("a\x00"), Text("b")}, {Text("a"), Text("\x00b")}},
-		// NULL vs empty text must stay distinct too.
-		{{Null}, {Text("")}},
-	}
-	for i, p := range pairs {
-		ka, kb := rowKey(p[0]), rowKey(p[1])
-		if ka == kb {
-			t.Errorf("pair %d: distinct rows share key %q", i, ka)
-		}
-	}
-	// Equal rows must keep equal keys (dedup still works).
-	if rowKey(Row{Text("x"), Int(7)}) != rowKey(Row{Text("x"), Int(7)}) {
-		t.Error("equal rows produced different keys")
-	}
-}
-
-// TestDistinctKeepsCollidingRows: end-to-end DISTINCT over rows engineered
-// to collide under the old key — both must survive.
-func TestDistinctKeepsCollidingRows(t *testing.T) {
-	db := NewDB()
-	tab, err := db.Create(Schema{
-		Name: "t",
-		Key:  "id",
-		Columns: []Column{
-			{Name: "id", Type: TInt},
-			{Name: "a", Type: TText},
-			{Name: "b", Type: TText},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.InsertVals(1, "a\x00text:b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.InsertVals(2, "a", "b\x00text:c"); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := db.Exec(&SelectStmt{
-		Items: []SelectItem{
-			{Expr: &Col{Name: "a"}},
-			{Expr: &Col{Name: "b"}},
-		},
-		From:     []TableRef{{Table: "t"}},
-		Limit:    -1,
-		Distinct: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != 2 {
-		t.Fatalf("DISTINCT collapsed %d distinct rows into %d", 2, len(rs.Rows))
 	}
 }

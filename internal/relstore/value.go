@@ -1,16 +1,14 @@
-// Package relstore is a small embedded relational storage engine.
+// Package relstore is a small embedded relational store: typed tables with
+// primary keys and secondary B-tree indexes.
 //
 // ANNODA's participating sources "have their own storage structure and
-// implementation"; LocusLink is relational in spirit, and both the GUS-style
-// warehouse baseline and the DiscoveryLink-style SQL federation baseline
-// need a relational substrate. relstore provides typed tables with primary
-// keys, secondary B-tree indexes, an expression language for filters, a
-// nested-loop/index join executor, and a small SQL subset.
+// implementation"; LocusLink is relational in spirit and keeps its records
+// here. The paper's SQL baselines query the same tables through
+// internal/baselines/relsql, which this package does not depend on.
 //
-// It is deliberately not a full DBMS: no transactions, no persistence beyond
-// CSV snapshots (used by the warehouse's archival feature), single-process.
-// All operations are safe for concurrent readers; writes take an exclusive
-// lock per table.
+// It is deliberately not a full DBMS: no query language, no transactions,
+// no persistence, single-process. All operations are safe for concurrent
+// readers; writes take an exclusive lock per table.
 package relstore
 
 import (
@@ -37,21 +35,6 @@ func (t ColType) String() string {
 		return colTypeNames[t]
 	}
 	return fmt.Sprintf("coltype(%d)", uint8(t))
-}
-
-// ParseColType parses a type name as used in SQL DDL and CSV headers.
-func ParseColType(s string) (ColType, error) {
-	switch strings.ToLower(s) {
-	case "int", "integer":
-		return TInt, nil
-	case "float", "real", "double":
-		return TFloat, nil
-	case "text", "string", "varchar":
-		return TText, nil
-	case "bool", "boolean":
-		return TBool, nil
-	}
-	return TInvalid, fmt.Errorf("relstore: unknown column type %q", s)
 }
 
 // Value is a single typed cell. The zero Value is NULL.
