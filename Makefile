@@ -58,8 +58,11 @@ route-equiv:
 # fuzz-smoke gives each codec fuzzer a short budget so decode crashes are
 # caught in CI without a long fuzzing campaign, FuzzTextEncode holds the
 # Figure 3 text walker and the server's JSON quoting to their frozen
-# references, and FuzzAnswerImport holds the bulk answer walker
-# (oem.ImportRefs) to the per-root ImportMasked loop it replaced. (go test
+# references, FuzzAnswerImport holds the bulk answer walker
+# (oem.ImportRefs) under bitset masks to the per-root masked import loop
+# under map-backed ones, and FuzzExistsPostings holds exists-only where
+# clauses answered from postings on a frozen graph to the per-binding
+# evaluator on an unfrozen clone. (go test
 # accepts only one -fuzz pattern per package, hence one invocation per
 # target.) -fuzzminimizetime bounds how long the fuzzer minimizes each new
 # input: its 60 s default outlasts the whole budget, so one new interesting
@@ -71,6 +74,7 @@ fuzz-smoke:
 	$(GO) test ./internal/oem -fuzz FuzzTextEncode $(FUZZ_SMOKE)
 	$(GO) test ./internal/delta -fuzz FuzzDecodeChangeSet $(FUZZ_SMOKE)
 	$(GO) test ./internal/fused -fuzz FuzzAnswerImport $(FUZZ_SMOKE)
+	$(GO) test ./internal/lorel -fuzz FuzzExistsPostings $(FUZZ_SMOKE)
 
 # bench runs every paper-artifact benchmark a few iterations (smoke), not a
 # statistically careful run. ./... matters: the internal/ packages carry
@@ -82,7 +86,8 @@ bench:
 # CI catches benchmarks that no longer build or crash — they must not rot
 # silently between careful runs (./... includes internal/mediator's
 # BenchmarkFetchPushdown/{1k,10k}, BenchmarkTranslateGO, BenchmarkPrunedMiss/
-# {1k,10k}, BenchmarkColdFuse and BenchmarkAskBatch, internal/fused's
+# {1k,10k}/{lorel,ask,epoch}, BenchmarkFirstEval/{1k,10k} (the postings
+# build), BenchmarkColdFuse and BenchmarkAskBatch, internal/fused's
 # BenchmarkEpochProvenance/{1k,10k}, internal/feed's
 # BenchmarkNotifyFanout/{100,1000}, and the server's BenchmarkAnswerEncode
 # beside BenchmarkAPIQueryHit). The

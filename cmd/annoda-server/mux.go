@@ -279,7 +279,7 @@ func mediatorStats(st *mediator.Stats) statsJSON {
 	out := statsJSON{
 		SourcesQueried: st.SourcesQueried,
 		SourcesPruned:  st.SourcesPruned,
-		Conflicts:      len(st.Conflicts),
+		Conflicts:      st.NumConflicts(),
 		Pushdown:       st.PushdownUsed,
 		PushdownFB:     st.PushdownFallbacks,
 		Parallel:       st.Parallel,
@@ -405,7 +405,7 @@ func writeAskAnswer(w http.ResponseWriter, r *http.Request, question string, res
 	writeAnswer(w, r, res, stats, "rows",
 		func() ([]byte, error) { return json.Marshal(askRows(core.NewView(res, stats))) },
 		func(rows []byte) ([][]byte, error) {
-			body, err := json.Marshal(askAnswer{Question: question, Rows: rows, Conflicts: len(stats.Conflicts), Stats: mediatorStats(stats)})
+			body, err := json.Marshal(askAnswer{Question: question, Rows: rows, Conflicts: stats.NumConflicts(), Stats: mediatorStats(stats)})
 			return [][]byte{append(body, '\n')}, err
 		})
 }

@@ -38,8 +38,8 @@ func main() {
 
 	// 2. Conflicts: where the sources disagree, the mediator reconciles
 	// and reports. Re-run under the union policy to see the raw values.
-	fmt.Printf("conflicts reconciled by prefer-primary: %d\n", len(stats.Conflicts))
-	for i, c := range stats.Conflicts {
+	fmt.Printf("conflicts reconciled by prefer-primary: %d\n", stats.NumConflicts())
+	for i, c := range stats.ConflictList() {
 		if i == 3 {
 			fmt.Println("  ...")
 			break

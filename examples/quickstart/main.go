@@ -33,7 +33,7 @@ func main() {
 			row.Symbol, row.GeneID, row.Organism, row.Position, len(row.GoIDs))
 	}
 	fmt.Printf("  ...\nsources queried: %v, conflicts reconciled: %d\n",
-		stats.SourcesQueried, len(stats.Conflicts))
+		stats.SourcesQueried, stats.NumConflicts())
 
 	// The same question as a raw Lorel query in the global vocabulary.
 	res, _, err := sys.Query(

@@ -285,10 +285,10 @@ func probeReconciliation(f *Fixture) (Row, error) {
 			one = false
 		}
 	}
-	if one && len(stats.Conflicts) > 0 {
+	if one && stats.NumConflicts() > 0 {
 		row.Cells[3] = "Reconciliation of results"
 	} else {
-		row.Cells[3] = fmt.Sprintf("probe failed (one=%v conflicts=%d)", one, len(stats.Conflicts))
+		row.Cells[3] = fmt.Sprintf("probe failed (one=%v conflicts=%d)", one, stats.NumConflicts())
 	}
 	return row, nil
 }

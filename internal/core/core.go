@@ -269,7 +269,7 @@ type View struct {
 func NewView(res *lorel.Result, stats *mediator.Stats) *View {
 	v := &View{}
 	if stats != nil {
-		v.Conflicts = len(stats.Conflicts)
+		v.Conflicts = stats.NumConflicts()
 	}
 	for _, oid := range res.Graph.Children(res.Answer, "G") {
 		v.Rows = append(v.Rows, rowOf(res.Graph, oid))

@@ -34,8 +34,8 @@ import (
 // never written after.
 type provenance struct {
 	// atoms: concept -> the gene-attribute atoms whose PolicyPreferPrimary
-	// winner one of the concept's sources supplied.
-	atoms map[string]map[oem.OID]struct{}
+	// winner one of the concept's sources supplied, as a set of oids.
+	atoms map[string]oem.Bitset
 	// rivals: concept -> every other concept with a losing contribution to
 	// an attribute the concept won, with one such attribute ("KEY.Label",
 	// the smallest) as the example a PathReason cites. Hiding the winner's
@@ -64,7 +64,7 @@ func provenanceOf(fs *fuseState) *provenance {
 			break
 		}
 	}
-	p := &provenance{atoms: map[string]map[oem.OID]struct{}{}, rivals: map[string]map[string]string{}}
+	p := &provenance{atoms: map[string]oem.Bitset{}, rivals: map[string]map[string]string{}}
 	for _, fg := range fs.genes {
 		for label, svs := range fg.contribs {
 			if len(svs) == 0 {
@@ -84,14 +84,14 @@ func provenanceOf(fs *fuseState) *provenance {
 			}
 			set := p.atoms[c]
 			if set == nil {
-				set = map[oem.OID]struct{}{}
-				p.atoms[c] = set
+				set = oem.NewBitset(fs.graph.Len())
 			}
 			for _, r := range fs.graph.Get(fg.oid).Refs {
 				if r.Label == label {
-					set[r.Target] = struct{}{}
+					set.Add(int(r.Target))
 				}
 			}
+			p.atoms[c] = set
 			for _, sv := range svs {
 				if rc := conceptOf[sv.Source]; rc != c {
 					if p.rivals[c] == nil {
@@ -109,15 +109,18 @@ func provenanceOf(fs *fuseState) *provenance {
 
 // MaskFor builds the mask under which w shows the world a fusion without
 // the hidden concepts' sources would have built, or says why it cannot.
-// needs reports whether the query needs a concept.
+// needs reports whether the query needs a concept. The same hidden set
+// always gets the same *oem.Mask from one world, so what a frozen graph
+// memoizes per mask (its postings) is shared by every query under that
+// view, and the masks live and die with the world.
 func (w *World) MaskFor(hidden []string, needs func(concept string) bool) (mask *oem.Mask, decline string) {
 	if !needs("Gene") {
-		return oem.NewMask(hidden), "" // no gene is reachable: none of their atoms to hide
+		// No gene is reachable: none of their atoms to hide.
+		return w.maskOf("L\x00"+strings.Join(hidden, "\x00"), func() *oem.Mask { return oem.NewMask(hidden, nil) }), ""
 	}
 	if w.prov == nil {
 		return nil, fmt.Sprintf("epoch carries no attribute provenance (policy %v); cannot mask %s", w.st.policy, strings.Join(hidden, ", "))
 	}
-	atoms := make([]map[oem.OID]struct{}, 0, len(hidden))
 	for _, c := range hidden {
 		rival := ""
 		for rc := range w.prov.rivals[c] {
@@ -129,7 +132,22 @@ func (w *World) MaskFor(hidden []string, needs func(concept string) bool) (mask 
 			return nil, fmt.Sprintf("cannot mask %s: its sources decide gene attributes %s's also describe (%s), and a fusion without %s would show %s's value",
 				c, rival, w.prov.rivals[c][rival], c, rival)
 		}
-		atoms = append(atoms, w.prov.atoms[c])
 	}
-	return oem.NewMask(hidden, atoms...), ""
+	return w.maskOf("A\x00"+strings.Join(hidden, "\x00"), func() *oem.Mask {
+		atoms := make([]oem.Bitset, len(hidden))
+		for i, c := range hidden {
+			atoms[i] = w.prov.atoms[c]
+		}
+		return oem.NewMask(hidden, oem.Union(atoms...))
+	}), ""
+}
+
+// maskOf returns the mask w keeps under key, building and keeping it first
+// when there is none; concurrent first callers agree on the one kept.
+func (w *World) maskOf(key string, build func() *oem.Mask) *oem.Mask {
+	if m, ok := w.masks.Load(key); ok {
+		return m.(*oem.Mask)
+	}
+	m, _ := w.masks.LoadOrStore(key, build())
+	return m.(*oem.Mask)
 }

@@ -6,7 +6,8 @@
 // checkpoint payload that stores all of it.
 //
 // A World is immutable once sealed: Build, Patch and Checkpoint.Seal are
-// the only ways to get one, its graph is frozen, and no method mutates it.
+// the only ways to get one, its graph is frozen, and no method changes what
+// it holds (MaskFor only remembers the masks it made).
 // Patch returns a patched copy and leaves its receiver untouched, so any
 // number of readers may hold and evaluate against a World with no lock.
 // The per-query pipeline, which needs a private graph and no bookkeeping,
@@ -14,6 +15,7 @@
 package fused
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/delta"
@@ -68,10 +70,13 @@ func Build(pops []*Population, cfg Config) (*World, error) {
 }
 
 // World is one sealed fused world: the frozen graph, the fusion bookkeeping
-// behind it and the provenance of its reconciled gene attributes.
+// behind it and the provenance of its reconciled gene attributes. masks
+// memoizes MaskFor by hidden set; it is the one thing written after sealing,
+// and only ever added to.
 type World struct {
-	st   *fuseState
-	prov *provenance
+	st    *fuseState
+	prov  *provenance
+	masks sync.Map // string -> *oem.Mask
 }
 
 // seal freezes st's graph and computes its provenance. st is never written

@@ -19,6 +19,16 @@ type EvalCounts struct {
 	WhereEvals     int   `json:"where_evals"`     // where-clause evaluations: one per candidate binding tuple
 	Pruned         int   `json:"pruned"`          // candidate bindings rejected by the where clause
 	Bindings       int   `json:"bindings"`        // candidate bindings that survived
+	// WherePostings is set when the where clause was answered from postings
+	// (set at a time, see postings.go) rather than per binding; the counts
+	// above are the same either way. PostingsReused and PostingsBuilt count
+	// the postings (binding lists included) read from the graph's memo and
+	// built for this evaluation; PostingsKept is how many the graph keeps
+	// after it.
+	WherePostings  bool `json:"where_postings,omitempty"`
+	PostingsReused int  `json:"postings_reused,omitempty"`
+	PostingsBuilt  int  `json:"postings_built,omitempty"`
+	PostingsKept   int  `json:"postings_kept,omitempty"`
 }
 
 func (ec *EvalCounts) noteFrom(level, matched, visited int) {
@@ -56,6 +66,27 @@ func (ec *EvalCounts) noteWhere(kept bool) {
 	} else {
 		ec.Pruned++
 	}
+}
+
+// noteWhereSet records a where clause evaluated set at a time: evals
+// candidate bindings, kept of them surviving.
+func (ec *EvalCounts) noteWhereSet(evals, kept int) {
+	if ec == nil {
+		return
+	}
+	ec.WhereEvals += evals
+	ec.Bindings += kept
+	ec.Pruned += evals - kept
+}
+
+func (ec *EvalCounts) notePostings(reused, built, kept int) {
+	if ec == nil {
+		return
+	}
+	ec.WherePostings = true
+	ec.PostingsReused += reused
+	ec.PostingsBuilt += built
+	ec.PostingsKept = kept
 }
 
 // Describe renders the compiled plan as a one-plan-per-line tree: each

@@ -18,7 +18,9 @@ func TestEvalMasked(t *testing.T) {
 			fosbPos = g.Child(gene, "Position")
 		}
 	}
-	mask := oem.NewMask([]string{"links"}, map[oem.OID]struct{}{fosbPos: {}})
+	var hide oem.Bitset
+	hide.Add(int(fosbPos))
+	mask := oem.NewMask([]string{"links"}, hide)
 	eval := func(src string, m *oem.Mask) *Result {
 		t.Helper()
 		res, err := compilePlan(t, src).EvalMasked(g, m, nil)

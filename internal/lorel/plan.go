@@ -17,10 +17,13 @@ import (
 // A Plan is safe for concurrent Eval calls. It aliases the Query it was
 // compiled from; the caller must not mutate that Query afterwards.
 type Plan struct {
-	q       *Query
-	from    []*nfa
-	sel     []*nfa
-	where   ccond // nil means true
+	q     *Query
+	from  []*nfa
+	sel   []*nfa
+	where ccond // nil means true
+	// exists is the where clause's set-at-a-time form when it is made only
+	// of exists tests on the from-variable (see postings.go); nil otherwise.
+	exists  *existsPlan
 	scratch sync.Pool
 }
 
@@ -41,6 +44,7 @@ func Compile(q *Query) (*Plan, error) {
 		return nil, err
 	}
 	p.where = w
+	p.exists = compileExists(q)
 	return p, nil
 }
 
@@ -55,7 +59,11 @@ func (p *Plan) Eval(g *oem.Graph) (*Result, error) {
 // as seen under mask (nil is the whole graph). Matching enumerates the
 // bindings, never following a reference the mask hides, and collects the
 // selected objects (deduplicated by oid); answer import then copies them into
-// the result graph in selection order, leaving hidden references out. ec,
+// the result graph in selection order, leaving hidden references out. On a
+// frozen graph a where clause made only of exists tests on the one
+// from-variable is answered from postings the graph memoizes per mask
+// (postings.go) instead of per binding; the answer and the counts are the
+// same. ec,
 // when non-nil, accumulates per-stage cardinalities; the count hooks are
 // unconditional — EvalCounts methods are nil-inert, so an uncounted
 // evaluation pays one predictable branch per hook (E20 measures the cost).
@@ -83,6 +91,29 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 
 	q := p.q
 	var evalErr error
+	// emit runs the select items for the bindings in ev.env, which passed
+	// the where clause; false stops the evaluation (evalErr says why).
+	emit := func() bool {
+		res.Bindings++
+		for i, item := range q.Select {
+			starts, err := ev.starts(item.Path)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			label := item.EdgeLabel()
+			emitted := evalNFA(g, mask, p.sel[i], starts, sc)
+			ec.noteSelect(i, len(emitted), len(sc.queue))
+			for _, src := range emitted {
+				k := oem.Ref{Label: label, Target: src}
+				if !added[k] { // duplicate elimination by oid
+					added[k] = true
+					selected = append(selected, k)
+				}
+			}
+		}
+		return true
+	}
 	var recur func(level int) bool
 	recur = func(level int) bool {
 		if level == len(q.From) {
@@ -92,28 +123,7 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 				return false
 			}
 			ec.noteWhere(ok)
-			if !ok {
-				return true
-			}
-			res.Bindings++
-			for i, item := range q.Select {
-				starts, err := ev.starts(item.Path)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				label := item.EdgeLabel()
-				emitted := evalNFA(g, mask, p.sel[i], starts, sc)
-				ec.noteSelect(i, len(emitted), len(sc.queue))
-				for _, src := range emitted {
-					k := oem.Ref{Label: label, Target: src}
-					if !added[k] { // duplicate elimination by oid
-						added[k] = true
-						selected = append(selected, k)
-					}
-				}
-			}
-			return true
+			return !ok || emit()
 		}
 		f := q.From[level]
 		starts, err := ev.starts(f.Path)
@@ -133,7 +143,13 @@ func (p *Plan) EvalMasked(g *oem.Graph, mask *oem.Mask, ec *EvalCounts) (*Result
 		delete(ev.env, name)
 		return true
 	}
-	recur(0)
+	if p.exists != nil && g.Frozen() {
+		if err := p.exists.run(ev, q.From[0], p.from[0], ec, emit); err != nil {
+			return nil, err
+		}
+	} else {
+		recur(0)
+	}
 	if evalErr != nil {
 		return nil, evalErr
 	}

@@ -258,9 +258,10 @@ func TestSnapshotIneligibleQueries(t *testing.T) {
 }
 
 // TestCachedStatsDeepCopied: every caller of a cached entry gets its own
-// Stats — mutating one caller's maps and slices must not leak into another
-// caller's copy or the stored original. (Regression: cachedDo used to
-// shallow-copy, sharing Fetched/Kept/Conflicts/SourcesQueried.)
+// Stats — mutating one caller's maps and slices, or the conflict list
+// ConflictList hands it, must not leak into another caller's copy or the
+// stored original. (Regression: cachedDo used to shallow-copy, sharing
+// Fetched/Kept/Conflicts/SourcesQueried.)
 func TestCachedStatsDeepCopied(t *testing.T) {
 	m := manager(t, corpus(), Options{})
 	_, s1, err := m.QueryString(cacheTestQuery)
@@ -281,8 +282,12 @@ func TestCachedStatsDeepCopied(t *testing.T) {
 	for i := range s1.SourcesQueried {
 		s1.SourcesQueried[i] = "corrupted"
 	}
-	for i := range s1.Conflicts {
-		s1.Conflicts[i].Label = "corrupted"
+	vandalized := s1.ConflictList()
+	if len(vandalized) == 0 {
+		t.Fatal("the fixture reconciles no conflict; the vandalism below tests nothing")
+	}
+	for i := range vandalized {
+		vandalized[i].Label = "corrupted"
 	}
 	// Neither an earlier caller's copy nor a fresh one may see it.
 	_, s3, err := m.QueryString(cacheTestQuery)
@@ -303,7 +308,7 @@ func TestCachedStatsDeepCopied(t *testing.T) {
 				t.Fatal("SourcesQueried slice shared between callers")
 			}
 		}
-		for _, cf := range s.Conflicts {
+		for _, cf := range append(s.ConflictList(), s1.ConflictList()...) {
 			if cf.Label == "corrupted" {
 				t.Fatal("Conflicts slice shared between callers")
 			}

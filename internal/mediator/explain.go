@@ -323,6 +323,10 @@ func (e *Explain) Format() string {
 		c := a.Cardinalities
 		fmt.Fprintf(&sb, "  cardinalities: roots=%d from=%v visited=%d where-evals=%d pruned=%d bindings=%d select=%v\n",
 			c.RootsMatched, c.FromMatched, c.ObjectsVisited, c.WhereEvals, c.Pruned, c.Bindings, c.SelectMatched)
+		if c.WherePostings {
+			fmt.Fprintf(&sb, "  where: from postings, %d reused and %d built (the epoch keeps %d)\n",
+				c.PostingsReused, c.PostingsBuilt, c.PostingsKept)
+		}
 		for _, src := range sortedKeys(a.Fetched) {
 			fmt.Fprintf(&sb, "  %-12s fetched %d kept %d\n", src, a.Fetched[src], a.Kept[src])
 			if tl := a.Translation[src]; tl != "" {

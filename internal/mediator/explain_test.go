@@ -63,7 +63,8 @@ func TestExplainPlanOnly(t *testing.T) {
 
 // EXPLAIN ANALYZE fidelity: the analyze-reported fetched/kept per source
 // must equal the Stats a plain Query reports for the same query, on both
-// the full-pipeline path and the snapshot eval-only path.
+// the full-pipeline path and the snapshot eval-only path, and an epoch
+// evaluation says it answered its where clause from postings.
 func TestExplainAnalyzeFidelity(t *testing.T) {
 	c := corpus()
 	m := manager(t, c, Options{})
@@ -119,6 +120,14 @@ func TestExplainAnalyzeFidelity(t *testing.T) {
 			}
 			if card.Bindings != a.Bindings {
 				t.Errorf("counter bindings %d != result bindings %d", card.Bindings, a.Bindings)
+			}
+			// Both epoch cases are exists-only: the query above built their
+			// postings on the epoch, and the analyzed run reads them.
+			if card.WherePostings != a.SnapshotUsed || strings.Contains(e.Format(), "where: from postings") != a.SnapshotUsed {
+				t.Errorf("where from postings = %v on %s:\n%s", card.WherePostings, tc.name, e.Format())
+			}
+			if card.WherePostings && (card.PostingsBuilt != 0 || card.PostingsReused == 0 || card.PostingsKept < card.PostingsReused) {
+				t.Errorf("postings %+v: want every one reused from the query's", card)
 			}
 			if len(a.Stages) != 4 || a.Stages[3].Stage != "answer_import" || a.Stages[3].Micros > a.Stages[2].Micros {
 				t.Errorf("stages = %+v, want fetch/fuse/eval and answer_import inside eval", a.Stages)

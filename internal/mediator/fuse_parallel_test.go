@@ -65,7 +65,7 @@ func TestParallelFusionParity(t *testing.T) {
 				if ts != tp {
 					t.Errorf("policy %v: fused worlds differ (CanonicalText %d vs %d bytes)", policy, len(ts), len(tp))
 				}
-				cseq, cpar := conflictStrings(ss.Conflicts), conflictStrings(sp.Conflicts)
+				cseq, cpar := conflictStrings(ss.ConflictList()), conflictStrings(sp.ConflictList())
 				if len(cseq) != len(cpar) {
 					t.Fatalf("policy %v: conflict counts differ: seq %d par %d", policy, len(cseq), len(cpar))
 				}

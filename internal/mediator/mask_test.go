@@ -8,6 +8,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/feed"
 	"repro/internal/fused"
+	"repro/internal/lorel"
 	"repro/internal/oem"
 	"repro/internal/sources/protdb"
 )
@@ -276,12 +277,18 @@ func serverManager(b *testing.B, genes int) *Manager {
 // `select G … exists G.Annotation` shape /api/ask {"include":["GO"]} sends —
 // with the result cache emptied before every iteration, so each one is a
 // miss on a warm epoch: plan lookup, pin, mask, masked eval, answer import.
+// The epoch shape is the benchmark harness's unmasked lorel_epoch class: it
+// names all four concepts, so nothing is masked.
 func BenchmarkPrunedMiss(b *testing.B) {
 	for _, genes := range []int{1000, 10000} {
 		m := serverManager(b, genes)
-		for _, shape := range []struct{ name, q string }{
-			{"lorel", `select G.Description from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and exists G.Links`},
-			{"ask", `select G from ANNODA-GML.Gene G where exists G.Annotation`},
+		for _, shape := range []struct {
+			name, q string
+			masked  bool
+		}{
+			{"lorel", `select G.Description from ANNODA-GML.Gene G where exists G.Annotation and not exists G.Disease and exists G.Links`, true},
+			{"ask", `select G from ANNODA-GML.Gene G where exists G.Annotation`, true},
+			{"epoch", epochShapeLorel, false},
 		} {
 			b.Run(fmt.Sprintf("%dk/%s", genes/1000, shape.name), func(b *testing.B) {
 				query := func() {
@@ -290,8 +297,8 @@ func BenchmarkPrunedMiss(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if res.Size() == 0 || !st.SnapshotUsed || st.CacheHit || len(st.Masked) == 0 {
-						b.Fatalf("%d answers, stats %+v: want a computed, masked epoch evaluation", res.Size(), st)
+					if res.Size() == 0 || !st.SnapshotUsed || st.CacheHit || (len(st.Masked) > 0) != shape.masked {
+						b.Fatalf("%d answers, stats %+v: want a computed epoch evaluation, masked=%v", res.Size(), st, shape.masked)
 					}
 				}
 				query() // builds the epoch
@@ -302,6 +309,44 @@ func BenchmarkPrunedMiss(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFirstEval times the first evaluation of the epoch shape on a
+// fresh epoch, the one that builds its postings: what the first reader after
+// every refresh pays. Each iteration evaluates on a new frozen copy of the
+// epoch's graph, whose posting memo is empty; making the copy is not timed.
+func BenchmarkFirstEval(b *testing.B) {
+	for _, genes := range []int{1000, 10000} {
+		m := serverManager(b, genes)
+		ep, _, err := m.pinEpoch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := lorel.Parse(epochShapeLorel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := lorel.Compile(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dk", genes/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := ep.w.Graph().Clone()
+				g.Freeze()
+				b.StartTimer()
+				var ec lorel.EvalCounts
+				if _, err := plan.EvalMasked(g, nil, &ec); err != nil {
+					b.Fatal(err)
+				}
+				if ec.PostingsReused != 0 || ec.PostingsBuilt == 0 {
+					b.Fatalf("postings %+v: want every one built", ec)
+				}
+			}
+		})
 	}
 }
 

@@ -121,8 +121,12 @@ type Stats struct {
 	Kept           map[string]int // entities surviving pushdown, by source
 	// Translation reports, by source, whether the fetch read the memoized
 	// translated population ("memo") or translated the source ("built").
-	Translation  map[string]string
-	Conflicts    []fused.Conflict
+	Translation map[string]string
+	// conflicts are the reconciled disagreements, shared read-only with the
+	// world or fusion that recorded them (fused.World.Conflicts): stats are
+	// copied per caller, the list never is. NumConflicts and ConflictList
+	// read it.
+	conflicts    []fused.Conflict
 	PushdownUsed bool
 	Parallel     bool
 	FetchTime    time.Duration
@@ -151,7 +155,7 @@ type Stats struct {
 	// Masked lists the concepts a snapshot-path evaluation hid from the
 	// query (sorted): the concepts it does not name, whose sources the
 	// per-query pipeline would have pruned. The other fields still describe
-	// the whole epoch — no source is pruned from it and Conflicts counts
+	// the whole epoch — no source is pruned from it and NumConflicts counts
 	// every reconciliation in the federation.
 	Masked []string
 
@@ -182,7 +186,7 @@ func (s *Stats) String() string {
 	if len(s.DegradedSources) > 0 {
 		fmt.Fprintf(&sb, "DEGRADED: computed without %s\n", strings.Join(s.DegradedSources, ", "))
 	}
-	fmt.Fprintf(&sb, "conflicts reconciled: %d\n", len(s.Conflicts))
+	fmt.Fprintf(&sb, "conflicts reconciled: %d\n", len(s.conflicts))
 	fmt.Fprintf(&sb, "pushdown=%v parallel=%v fetch=%v fuse=%v eval=%v\n",
 		s.PushdownUsed, s.Parallel, s.FetchTime.Round(time.Microsecond),
 		s.FuseTime.Round(time.Microsecond), s.EvalTime.Round(time.Microsecond))
@@ -522,16 +526,23 @@ func (m *Manager) queryAnalyzed(q *lorel.Query, canon string, an *analysis, tr *
 	return ans.res, stats, nil
 }
 
-// clone deep-copies s, including the map and slice fields. queryAnalyzed
-// hands every caller of a cached entry its own copy so one caller mutating its
-// Stats can never corrupt another's (or the stored original's).
+// NumConflicts returns how many disagreements the computation reconciled.
+func (s *Stats) NumConflicts() int { return len(s.conflicts) }
+
+// ConflictList returns a copy of the reconciled disagreements, in the order
+// fused.World.Conflicts gives them.
+func (s *Stats) ConflictList() []fused.Conflict { return slices.Clone(s.conflicts) }
+
+// clone deep-copies s's exported map and slice fields. queryAnalyzed hands
+// every caller of a cached entry its own copy so one caller mutating its
+// Stats can never corrupt another's (or the stored original's). The conflict
+// list is shared: nothing writes it, and ConflictList copies it out.
 func (s *Stats) clone() *Stats {
 	cp := *s
 	cp.SourcesQueried = append([]string(nil), s.SourcesQueried...)
 	cp.SourcesPruned = append([]string(nil), s.SourcesPruned...)
 	cp.DegradedSources = append([]string(nil), s.DegradedSources...)
 	cp.Masked = append([]string(nil), s.Masked...)
-	cp.Conflicts = append([]fused.Conflict(nil), s.Conflicts...)
 	cp.Fetched = maps.Clone(s.Fetched)
 	cp.Kept = maps.Clone(s.Kept)
 	cp.Translation = maps.Clone(s.Translation)
@@ -826,7 +837,7 @@ func (m *Manager) fetchAndFuse(an *analysis, hashed bool, tr *obs.Trace, fuse fu
 		fps[i] = &p.Population
 	}
 	t1 := obs.Now()
-	if stats.Conflicts, err = fuse(fps, m.fuseConfig(an, fps)); err != nil {
+	if stats.conflicts, err = fuse(fps, m.fuseConfig(an, fps)); err != nil {
 		return nil, err
 	}
 	stats.FuseTime = obs.Since(t1)

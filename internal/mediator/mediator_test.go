@@ -168,7 +168,7 @@ func TestReconciliationPolicies(t *testing.T) {
 		t.Errorf("prefer-primary position = %q, want %q", got, target.Position)
 	}
 	found := false
-	for _, cf := range stats.Conflicts {
+	for _, cf := range stats.ConflictList() {
 		if cf.Label == "Position" && cf.EntityKey == gml.CanonicalSymbol(target.Symbol) {
 			found = true
 			if cf.Winner.Source != "LocusLink" {
@@ -177,7 +177,7 @@ func TestReconciliationPolicies(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("position conflict not recorded; conflicts: %v", stats.Conflicts)
+		t.Errorf("position conflict not recorded; conflicts: %v", stats.ConflictList())
 	}
 
 	// Union: both positions present.
@@ -204,7 +204,7 @@ func TestOrganismCanonicalizationAvoidsFalseConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cf := range stats.Conflicts {
+	for _, cf := range stats.ConflictList() {
 		if cf.Label == "Organism" {
 			t.Errorf("organism conflict should have been normalized away: %s", cf.String())
 		}
@@ -317,7 +317,7 @@ func TestFusedGraphView(t *testing.T) {
 			break
 		}
 	}
-	if len(stats.Conflicts) == 0 {
+	if stats.NumConflicts() == 0 {
 		t.Error("expected conflicts in a ConflictRate=0.3 corpus")
 	}
 }

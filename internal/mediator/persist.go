@@ -281,7 +281,7 @@ func (m *Manager) restoreOne(seq uint64) (ep *snapshot, replayed int, truncated 
 		replayed++
 	}
 	w := dec.Seal()
-	stats.Conflicts = w.Conflicts()
+	stats.conflicts = w.Conflicts()
 	return &snapshot{w: w, stats: stats, fp: dec.FP}, replayed, truncated, nil
 }
 

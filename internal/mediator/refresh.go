@@ -238,7 +238,7 @@ func (m *Manager) publishDelta(cs *delta.ChangeSet, mp *gml.SourceMapping, fpBef
 				return publication{retire: true}, nil
 			}
 			next.w = w
-			next.stats.Conflicts = w.Conflicts()
+			next.stats.conflicts = w.Conflicts()
 			next.stats.patched(name, cs.Total)
 			published = next
 		}

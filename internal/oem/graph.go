@@ -57,6 +57,11 @@ type Graph struct {
 	// frozen marks the graph immutable (see Freeze): read accessors skip
 	// the mutex, mutators panic. One-way.
 	frozen atomic.Bool
+
+	// postings is a frozen graph's memo of derived postings (PostingKey ->
+	// value, see postings.go); numPostings counts its entries.
+	postings    sync.Map
+	numPostings atomic.Int32
 }
 
 // slabMax bounds the object allocation chunk size.

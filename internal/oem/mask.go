@@ -10,25 +10,25 @@ import "strings"
 // full fused epoch: the link edges and reconciled atoms the other concepts'
 // sources supplied are hidden instead of re-fusing the world without them.
 //
-// A nil *Mask hides nothing. A Mask is immutable once built and may be
-// shared; it keeps (never copies or writes) the object sets it is given.
+// The hidden objects are a Bitset over the oid table of the graph the mask
+// was made for, so hiding an object is one bit test. A nil *Mask hides
+// nothing. A Mask is immutable once built and may be shared; it keeps
+// (never copies or writes) the set it is given. Its identity matters: a
+// frozen graph memoizes the postings of existence tests per mask pointer
+// (see Posting), so a caller evaluating repeatedly under one view should
+// build its mask once.
 type Mask struct {
 	labels  []string // folded with FoldLabel
-	objects []map[OID]struct{}
+	objects Bitset
 }
 
 // NewMask returns the mask hiding references under the given labels (matched
 // like path steps, under Unicode case folding) and references to any object
-// in one of the given sets.
-func NewMask(labels []string, objects ...map[OID]struct{}) *Mask {
-	m := &Mask{labels: make([]string, len(labels))}
+// whose oid is in objects.
+func NewMask(labels []string, objects Bitset) *Mask {
+	m := &Mask{labels: make([]string, len(labels)), objects: objects}
 	for i, l := range labels {
 		m.labels[i] = FoldLabel(l)
-	}
-	for _, set := range objects {
-		if len(set) > 0 {
-			m.objects = append(m.objects, set)
-		}
 	}
 	return m
 }
@@ -45,7 +45,7 @@ func (m *Mask) Hides(r Ref) bool {
 			return true
 		}
 	}
-	return m.HidesObject(r.Target)
+	return m.objects.Has(int(r.Target))
 }
 
 // HidesLabel reports whether every reference under the label (already folded
@@ -64,13 +64,5 @@ func (m *Mask) HidesLabel(folded string) bool {
 
 // HidesObject reports whether references to id are left out.
 func (m *Mask) HidesObject(id OID) bool {
-	if m == nil {
-		return false
-	}
-	for _, set := range m.objects {
-		if _, ok := set[id]; ok {
-			return true
-		}
-	}
-	return false
+	return m != nil && m.objects.Has(int(id))
 }

@@ -1,6 +1,10 @@
 package oem
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 // TestImportMasked: a masked import leaves out — at every depth — the
 // references under a hidden label (matched like path steps, case folded) and
@@ -18,7 +22,9 @@ func TestImportMasked(t *testing.T) {
 	root := src.NewComplex(Ref{Label: "Gene", Target: inner}, Ref{Label: "Protein", Target: protein})
 	src.Freeze()
 
-	mask := NewMask([]string{"Protein"}, nil, map[OID]struct{}{won: {}})
+	var hide Bitset
+	hide.Add(int(won))
+	mask := NewMask([]string{"Protein"}, hide)
 	dst, remap := NewGraph(), map[OID]OID{}
 	got, err := dst.ImportMasked(src, root, remap, mask)
 	if err != nil {
@@ -49,5 +55,87 @@ func TestImportMasked(t *testing.T) {
 	}
 	if !DeepEqual(plain, all, src, root) || plain.Len() != src.Len() {
 		t.Error("ImportMasked under a nil mask is not ImportShared")
+	}
+}
+
+// TestBitset holds the set operations to a map-backed reference over random
+// sets of unequal lengths: Add, Has, Count, And, Or, AndNot, Not within a
+// bound and Union.
+func TestBitset(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	random := func() (Bitset, map[int]bool) {
+		n := rng.IntN(300)
+		b, ref := NewBitset(n), map[int]bool{}
+		for range rng.IntN(n + 1) {
+			i := rng.IntN(n + 1)
+			b.Add(i) // may grow past n: lengths differ
+			ref[i] = true
+		}
+		return b, ref
+	}
+	same := func(what string, b Bitset, ref map[int]bool) {
+		t.Helper()
+		var got, want []int
+		for i := range 64 * len(b) {
+			if b.Has(i) {
+				got = append(got, i)
+			}
+		}
+		for i := range ref {
+			want = append(want, i)
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) || b.Count() != len(want) {
+			t.Fatalf("%s: members %v (count %d), want %v", what, got, b.Count(), want)
+		}
+		if b.Has(64*len(b)) || b.Has(64*len(b)+1000) {
+			t.Fatalf("%s: a member past the end", what)
+		}
+	}
+	for range 200 {
+		a, ra := random()
+		b, rb := random()
+		same("a", a, ra)
+		and, or, andNot := slices.Clone(a), slices.Clone(a), slices.Clone(a)
+		and.And(b)
+		or.Or(b)
+		andNot.AndNot(b)
+		rAnd, rOr, rAndNot := map[int]bool{}, map[int]bool{}, map[int]bool{}
+		for i := range ra {
+			if rb[i] {
+				rAnd[i] = true
+			} else {
+				rAndNot[i] = true
+			}
+			rOr[i] = true
+		}
+		for i := range rb {
+			if i < 64*len(a) { // Or keeps to a's words
+				rOr[i] = true
+			}
+		}
+		same("and", and, rAnd)
+		same("or", or, rOr)
+		same("andnot", andNot, rAndNot)
+		u, rU := Union(a, b), map[int]bool{}
+		for i := range ra {
+			rU[i] = true
+		}
+		for i := range rb {
+			rU[i] = true
+		}
+		same("union", u, rU)
+		n := 64*len(a) - rng.IntN(64)
+		if n < 0 || len(NewBitset(n)) != len(a) {
+			continue
+		}
+		not, rNot := slices.Clone(a), map[int]bool{}
+		not.Not(n)
+		for i := range n {
+			if !ra[i] {
+				rNot[i] = true
+			}
+		}
+		same("not", not, rNot)
 	}
 }
