@@ -9,8 +9,7 @@
 //	/api/explain POST {"query": ..., "analyze": bool}: the query plan —
 //	             plan tree, per-source prune decisions, pushdown verdicts
 //	             with reasons, cache/snapshot path — plus, with analyze,
-//	             actual per-stage cardinalities and timings (the selectivity
-//	             cost model's pushdown verdict is reported, advisory only)
+//	             actual per-stage cardinalities and timings
 //	/api/batch   many Lorel queries evaluated concurrently against one
 //	             pinned snapshot epoch (POST {"queries": [...]})
 //	/api/object  the object view as JSON

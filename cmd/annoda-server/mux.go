@@ -655,7 +655,6 @@ type refreshResponse struct {
 	Upserted    int    `json:"upserted"`
 	Deleted     int    `json:"deleted"`
 	Total       int    `json:"total"`
-	Native      bool   `json:"native,omitempty"`
 	FullRebuild bool   `json:"full_rebuild,omitempty"`
 	Reason      string `json:"reason,omitempty"`
 	Patched     bool   `json:"patched"`
@@ -723,7 +722,6 @@ func (s *server) apiRefresh(w http.ResponseWriter, r *http.Request) {
 		Upserted:    rr.Upserted,
 		Deleted:     rr.Deleted,
 		Total:       rr.Total,
-		Native:      rr.Native,
 		FullRebuild: rr.FullRebuild,
 		Reason:      rr.Reason,
 		Patched:     rr.Patched,

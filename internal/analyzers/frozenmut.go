@@ -13,13 +13,11 @@ import (
 //   - a graph on which Freeze() was called earlier in the function;
 //   - a graph returned by (*fused.World).Graph — a sealed world's;
 //   - a graph obtained from Manager.FusedGraph();
-//   - the graph argument of a WithFusedGraph callback;
 //   - the translated population reached through translated (tl.graph),
 //     which may be the memo shared by every fetch of the source.
 //
-// Importing out of a frozen graph — Import, ImportShared, ImportMasked,
-// ImportRefs with the frozen graph as the source argument — is reading, and
-// fine.
+// Importing out of a frozen graph — Import, ImportShared, ImportRefs with
+// the frozen graph as the source argument — is reading, and fine.
 //
 // Aliases propagate through plain assignment; Clone() breaks the taint
 // (that is the documented way to mutate a frozen world). The analysis is
@@ -37,7 +35,7 @@ var FrozenMut = &Analyzer{
 var graphMutators = map[string]bool{
 	"NewInt": true, "NewReal": true, "NewString": true, "NewBool": true,
 	"NewURL": true, "NewGif": true, "NewAtom": true, "NewComplex": true,
-	"Import": true, "ImportShared": true, "ImportMasked": true, "ImportRefs": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
+	"Import": true, "ImportShared": true, "ImportRefs": true, "AddRef": true, "SetRefs": true, "RemoveRef": true,
 	"RemoveRefs": true, "RemoveSubtree": true, "SetRoot": true,
 	"SortRefs": true, "putRaw": true, "Absorb": true,
 }
@@ -92,23 +90,6 @@ func (w *fmWalker) call(call *ast.CallExpr) {
 	if (fn.Name() == "Freeze" || fn.Name() == "FreezeUnindexed") && isGraphMethod(fn) && sel != nil {
 		if obj := w.exprObj(sel.X); obj != nil {
 			w.frozen[obj] = "frozen by Freeze earlier in this function"
-		}
-		return
-	}
-
-	// WithFusedGraph(func(g *oem.Graph, ...) ...): the callback's graph
-	// parameter is the published, frozen snapshot.
-	if fn.Name() == "WithFusedGraph" {
-		for _, arg := range call.Args {
-			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
-			if !ok || len(lit.Type.Params.List) == 0 {
-				continue
-			}
-			for _, name := range lit.Type.Params.List[0].Names {
-				if obj := w.pass.TypesInfo.Defs[name]; obj != nil && isGraphPtr(obj.Type()) {
-					w.frozen[obj] = "the WithFusedGraph callback graph (published snapshot)"
-				}
-			}
 		}
 		return
 	}

@@ -1,6 +1,6 @@
 // Fixture for the frozenmut analyzer's epoch flows: the graph of a sealed
-// fused.World, and graphs reached through FusedGraph, WithFusedGraph and
-// the translation memo, are frozen. The World is the real
+// fused.World, and graphs reached through FusedGraph and the translation
+// memo, are frozen. The World is the real
 // repro/internal/fused type; the manager here mirrors the mediator's
 // accessors (translated is unexported, so the fixture declares the same
 // skeleton locally).
@@ -19,24 +19,12 @@ func (m *manager) FusedGraph() (*oem.Graph, *stats, error) {
 	return m.cur.Graph(), &stats{}, nil
 }
 
-func (m *manager) WithFusedGraph(fn func(*oem.Graph, *stats) error) error {
-	return fn(m.cur.Graph(), &stats{})
-}
-
 // FusedGraph hands out the published snapshot: reading is the contract,
 // mutating is the panic.
 func viaFusedGraph(m *manager) {
 	g, _, _ := m.FusedGraph()
 	_ = g.Root("r")
 	g.SetRoot("r", 0) // want `SetRoot on a frozen graph`
-}
-
-// The WithFusedGraph callback's graph parameter is frozen.
-func viaCallback(m *manager) error {
-	return m.WithFusedGraph(func(g *oem.Graph, _ *stats) error {
-		g.RemoveRefs(0, "x") // want `RemoveRefs on a frozen graph`
-		return nil
-	})
 }
 
 // A sealed world's graph, called on directly or through an alias.
@@ -77,11 +65,11 @@ func viaTranslatedAlias(m *manager) {
 	g.SetRoot("r", 0) // want `SetRoot on a frozen graph`
 }
 
-// The masked import reads the frozen graph it copies out of and writes the
-// graph it is called on.
-func viaMaskedImport(w *fused.World, dst *oem.Graph, mask *oem.Mask) {
-	_, _ = dst.ImportMasked(w.Graph(), 1, map[oem.OID]oem.OID{}, mask)
-	_, _ = w.Graph().ImportMasked(dst, 1, map[oem.OID]oem.OID{}, mask) // want `ImportMasked on a frozen graph`
+// An import reads the frozen graph it copies out of and writes the graph
+// it is called on.
+func viaImport(w *fused.World, dst *oem.Graph, mask *oem.Mask) {
+	_, _ = dst.ImportShared(w.Graph(), 1, map[oem.OID]oem.OID{})
+	_, _ = w.Graph().ImportShared(dst, 1, map[oem.OID]oem.OID{}) // want `ImportShared on a frozen graph`
 	_, _ = dst.ImportRefs(1, w.Graph(), nil, mask, nil)
 	_, _ = w.Graph().ImportRefs(1, dst, nil, mask, nil) // want `ImportRefs on a frozen graph`
 }

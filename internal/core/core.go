@@ -370,40 +370,38 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 		workers = 4
 	}
 	out := make([]BatchResult, len(symbols))
-	// The whole batch reads one pinned snapshot epoch (WithFusedGraph):
-	// the epoch is immutable, so every worker sees the same consistent
-	// world even while a concurrent RefreshSourceCtx publishes newer epochs.
-	err := s.Manager.WithFusedGraph(func(fused *oem.Graph, _ *mediator.Stats) error {
-		// Index fused genes by canonical symbol once.
-		idx := map[string]oem.OID{}
-		root := fused.Root("ANNODA-GML")
-		for _, g := range fused.Children(root, "Gene") {
-			idx[gml.CanonicalSymbol(fused.StringUnder(g, "Symbol"))] = g
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, sym := range symbols {
-			wg.Add(1)
-			go func(i int, sym string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				out[i] = BatchResult{Symbol: sym}
-				oid, ok := idx[gml.CanonicalSymbol(sym)]
-				if !ok {
-					out[i].Err = fmt.Errorf("core: unknown gene %q", sym)
-					return
-				}
-				row := rowOf(fused, oid)
-				out[i].Row = &row
-			}(i, sym)
-		}
-		wg.Wait()
-		return nil
-	})
+	// The whole batch reads one pinned snapshot epoch (FusedGraph): the
+	// epoch is immutable, so every worker sees the same consistent world
+	// even while a concurrent RefreshSourceCtx publishes newer epochs.
+	fused, _, err := s.Manager.FusedGraph()
 	if err != nil {
 		return nil, err
 	}
+	// Index fused genes by canonical symbol once.
+	idx := map[string]oem.OID{}
+	root := fused.Root("ANNODA-GML")
+	for _, g := range fused.Children(root, "Gene") {
+		idx[gml.CanonicalSymbol(fused.StringUnder(g, "Symbol"))] = g
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i, sym := range symbols {
+		wg.Add(1)
+		go func(i int, sym string) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			out[i] = BatchResult{Symbol: sym}
+			oid, ok := idx[gml.CanonicalSymbol(sym)]
+			if !ok {
+				out[i].Err = fmt.Errorf("core: unknown gene %q", sym)
+				return
+			}
+			row := rowOf(fused, oid)
+			out[i].Row = &row
+		}(i, sym)
+	}
+	wg.Wait()
 	return out, nil
 }
 

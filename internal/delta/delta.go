@@ -6,15 +6,11 @@
 // Real annotation sources are slowly changing and mostly-append (TaSer
 // refreshes sequence annotation incrementally; THEA tracks periodic
 // ontology releases), so the cost of absorbing a refresh should be
-// proportional to what actually changed. Two paths produce a ChangeSet:
-//
-//   - Diff structurally compares the old and new ANNODA-OML models of a
-//     source, so every wrapper gets deltas for free: entities are
-//     fingerprinted by a recursive structural hash and matched as a
-//     multiset, making an in-place record edit appear as one deletion plus
-//     one upsert.
-//   - Wrappers that can do better implement the optional Source interface
-//     and emit a native changelog, skipping the diff entirely.
+// proportional to what actually changed. Diff structurally compares the
+// old and new ANNODA-OML models of a source, so every wrapper gets deltas
+// for free: entities are fingerprinted by a recursive structural hash and
+// matched as a multiset, making an in-place record edit appear as one
+// deletion plus one upsert.
 //
 // The mediator consumes ChangeSets to patch its shared fused snapshot in
 // place and to invalidate only the cached results whose concepts a change
@@ -86,16 +82,6 @@ func (cs *ChangeSet) Fraction() float64 {
 		return math.Inf(1)
 	}
 	return float64(changed) / float64(denom)
-}
-
-// Source is the optional wrapper interface for sources that maintain a
-// native changelog. Changes reports everything that happened since the
-// given wrapper version, or ok=false when it cannot (the changelog has
-// been truncated, or sinceVersion predates it); callers then fall back to
-// the structural Diff. Implementations are expected to be called after the
-// wrapper refreshed, with the version observed before the refresh.
-type Source interface {
-	Changes(sinceVersion uint64) (cs *ChangeSet, ok bool)
 }
 
 // HashEntity computes a structural fingerprint of the subtree rooted at

@@ -334,6 +334,7 @@ var e8 = &Experiment{
 	Cases: []Case{
 		e8Case("AllOptimizations", mediator.Options{}),
 		e8Case("NoPushdown", mediator.Options{DisablePushdown: true}),
+		// OneWorker fetches one source at a time and fuses on one shard.
 		e8Case("OneWorker", mediator.Options{Workers: 1}),
 		e8Case("NoOptimizations", mediator.Options{DisablePushdown: true, Workers: 1}),
 	},

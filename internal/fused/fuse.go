@@ -1,7 +1,6 @@
 package fused
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/gml"
@@ -35,9 +34,9 @@ type fusedGene struct {
 	parts     []*genePart
 	conflicts map[string]*Conflict
 
-	// Parallel-fusion bookkeeping: ord is the global first-appearance
-	// index of the gene's first entity (the deterministic merge order),
-	// shard the worker that owns the gene. Unused on the sequential path.
+	// Sharding bookkeeping: ord is the global first-appearance index of
+	// the gene's first entity (the deterministic merge order), shard the
+	// worker that owns the gene.
 	ord   int
 	shard int
 }
@@ -158,12 +157,9 @@ func ownersForKeys(bySymbol map[string]*fusedGene, byGeneID map[int64]*fusedGene
 // fuseGeneEntity merges one gene entity into the fused-gene table of graph
 // g: create-or-find the fused gene for key, copy non-reconciled structure
 // (first contributor wins), turn reconciled-label atoms into
-// contributions, and union join keys. It is the single pass-1 body shared
-// by sequential fusion and every parallel shard worker, so the two paths
-// cannot drift. root != 0 attaches newly created genes to it immediately
-// (the sequential layout); parallel shards pass 0 and wire roots at merge
-// time. ord stamps a created gene's global first-appearance index.
-func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *Population, i int, key string,
+// contributions, and union join keys. Genes are wired to the root at merge
+// time; ord stamps a created gene's global first-appearance index.
+func fuseGeneEntity(g *oem.Graph, pop *Population, i int, key string,
 	byKey map[string]*fusedGene, genes *[]*fusedGene, ord int, recorded bool) error {
 	e := pop.Entities[i]
 	fg, exists := byKey[key]
@@ -173,11 +169,6 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *Population, i int, key stri
 		fg.ord = ord
 		byKey[key] = fg
 		*genes = append(*genes, fg)
-		if root != 0 {
-			if err := g.AddRef(root, "Gene", fg.oid); err != nil {
-				return err
-			}
-		}
 	}
 	var part *genePart
 	if recorded {
@@ -245,9 +236,8 @@ func fuseGeneEntity(g *oem.Graph, root oem.OID, pop *Population, i int, key stri
 // When recorded, the fusion bookkeeping (gene parts, resident entities,
 // join indexes, per-gene conflicts) is captured too, so the resulting graph
 // can later be patched from a delta.ChangeSet; the populations must then
-// carry entity hashes. Large fusions run the gene-key-sharded parallel path
-// (see fuse_parallel.go), which is parity-tested to produce the same fused
-// world as the sequential one.
+// carry entity hashes. The work is sharded by gene key (fuse_parallel.go);
+// the shard count changes neither the fused world nor the conflict list.
 func fuseInto(cfg *Config, pops []*Population, recorded bool) (*fuseState, error) {
 	priority := make(map[string]int, len(cfg.Sources))
 	for i, s := range cfg.Sources {
@@ -259,132 +249,10 @@ func fuseInto(cfg *Config, pops []*Population, recorded bool) (*fuseState, error
 		rec = st
 	}
 	var err error
-	if parallelFuseEligible(cfg, pops) {
-		st.graph, st.conflicts, err = fuseParallel(cfg, pops, priority, rec)
-	} else {
-		st.graph, st.conflicts, err = fuseSequential(cfg, pops, priority, rec)
-	}
-	if err != nil {
+	if st.graph, st.conflicts, err = fuseSharded(cfg, pops, priority, rec); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// fuseSequential is the single-threaded reference fusion.
-func fuseSequential(cfg *Config, pops []*Population, priority map[string]int, rec *fuseState) (*oem.Graph, []Conflict, error) {
-	g := oem.NewGraph()
-	root := g.NewComplex()
-	g.SetRoot("ANNODA-GML", root)
-
-	// ---- Pass 1: import gene entities and build fusion keys. ----
-	var genes []*fusedGene
-	byKey := map[string]*fusedGene{}
-	bySymbol := map[string]*fusedGene{}
-	byGeneID := map[int64]*fusedGene{}
-
-	ord := 0
-	for _, pop := range pops {
-		if pop.Concept != "Gene" {
-			continue
-		}
-		for i := range pop.Entities {
-			key := gml.CanonicalSymbol(pop.Graph.StringUnder(pop.Entities[i], "Symbol"))
-			if err := fuseGeneEntity(g, root, pop, i, key, byKey, &genes, ord, rec != nil); err != nil {
-				return nil, nil, err
-			}
-			ord++
-		}
-	}
-	for _, fg := range genes {
-		for s := range fg.symbols {
-			bySymbol[s] = fg
-		}
-		for id := range fg.geneIDs {
-			byGeneID[id] = fg
-		}
-	}
-	if rec != nil {
-		rec.init(g, root, byKey, bySymbol, byGeneID)
-		for _, fg := range genes {
-			for _, part := range fg.parts {
-				rec.indexGenePart(part.source, part.hash, fg)
-			}
-		}
-	}
-
-	// ---- Pass 2: import link-concept entities, link to genes, and ----
-	// ---- collect their gene-describing contributions.              ----
-	haveGenes := len(genes) > 0
-	for _, pop := range pops {
-		if pop.Concept == "Gene" {
-			continue
-		}
-		for i, e := range pop.Entities {
-			fe := joinEntity(pop.Graph, e, pop.Concept)
-			owners := ownersForKeys(bySymbol, byGeneID, fe)
-			// Semi-join: when the query only reaches this concept through
-			// gene links, unlinked entities are dead weight. They are still
-			// imported when the concept is queried directly.
-			if len(owners) == 0 && cfg.DropUnlinked[pop.Concept] && haveGenes {
-				continue
-			}
-			imported, err := g.Import(pop.Graph, e)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := g.AddRef(root, pop.Concept, imported); err != nil {
-				return nil, nil, err
-			}
-			if rec != nil {
-				fe.source, fe.hash, fe.oid = pop.Source, pop.Hashes[i], imported
-			}
-			for _, fg := range owners {
-				if err := g.AddRef(fg.oid, pop.Concept, imported); err != nil {
-					return nil, nil, err
-				}
-				for _, lc := range contribsFor(pop.Graph, e, fg.geneIDs, pop.Concept, pop.Source) {
-					fg.contribs[lc.label] = append(fg.contribs[lc.label], lc.sv)
-					if rec != nil {
-						fe.contribs = append(fe.contribs, ownedContrib{owner: fg.key, label: lc.label, valueKey: valueKey(lc.sv.Value)})
-					}
-				}
-				if rec != nil {
-					fe.owners = append(fe.owners, fg.key)
-				}
-			}
-			if rec != nil {
-				rec.addEntity(fe)
-			}
-		}
-	}
-
-	// ---- Pass 3: reconcile gene attributes. ----
-	var conflicts []Conflict
-	for _, fg := range genes {
-		for _, label := range reconciledLabels {
-			winners, conflict := reconcile(fg.key, label, fg.contribs[label], cfg.Policy, priority)
-			if conflict != nil {
-				conflicts = append(conflicts, *conflict)
-				if rec != nil {
-					if fg.conflicts == nil {
-						fg.conflicts = map[string]*Conflict{}
-					}
-					fg.conflicts[label] = conflict
-				}
-			}
-			for _, w := range winners {
-				atom, err := g.NewAtom(w.Value)
-				if err != nil {
-					return nil, nil, fmt.Errorf("fused: reconcile %s.%s: %v", fg.key, label, err)
-				}
-				if err := g.AddRef(fg.oid, label, atom); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		g.SortRefs(fg.oid)
-	}
-	return g, conflicts, g.Validate()
 }
 
 // labeledSV is one gene-describing contribution derived from a linked

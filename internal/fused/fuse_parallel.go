@@ -1,6 +1,7 @@
 package fused
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -8,20 +9,19 @@ import (
 	"repro/internal/oem"
 )
 
-// Parallel sharded fusion: the multi-core build path for the fused
-// snapshot. The work is partitioned by gene fusion key — every gene, all
-// of its parts, all of its reconciliation contributions, and all of the
-// link entities it owns are handled by exactly one shard worker — so the
-// expensive per-entity work (reading source models, importing subtrees,
-// reconciling attributes) runs on every core with no shared mutable
-// state. Each shard builds its objects in a private graph; a cheap serial
-// tail absorbs the shard graphs in order (pure oid-offset remapping, see
-// oem.Absorb), wires the roots and cross-shard gene→entity edges, and
-// assembles the deterministic conflict list.
+// Sharded fusion: the work is partitioned by gene fusion key — every
+// gene, all of its parts, all of its reconciliation contributions, and all
+// of the link entities it owns are handled by exactly one shard worker —
+// so the expensive per-entity work (reading source models, importing
+// subtrees, reconciling attributes) runs on every core with no shared
+// mutable state. Each shard builds its objects in a private graph; a cheap
+// serial tail absorbs the shard graphs in order (pure oid-offset
+// remapping, see oem.Absorb), wires the roots and cross-shard gene→entity
+// edges, and assembles the deterministic conflict list.
 //
-// The result is parity-tested against fuseSequential: same CanonicalText,
-// same conflicts, same reconciliation winners. Ordering invariants that
-// make that true:
+// The shard count changes nothing but the oids: one shard and many give
+// the same CanonicalText, the same conflicts and the same reconciliation
+// winners. Ordering invariants that make that true:
 //
 //   - genes merge into the global join maps in first-appearance order
 //     (fusedGene.ord), so alias collisions resolve to the same winner;
@@ -30,35 +30,17 @@ import (
 //     — because one worker owns all of a gene's contributors;
 //   - reconcile() input order is therefore byte-identical per gene.
 
-// ParallelMinEntities gates the parallel path: below it the pool and merge
-// overhead beat the loop time. Tests lower it to exercise the path on small
-// corpora.
-var ParallelMinEntities = 2048
+// maxFuseShards bounds the shard fan-out: fusion is memory-bound well
+// before this, and more shards only add merge bookkeeping.
+const maxFuseShards = 32
 
-// parallelFuseMaxShards bounds the shard fan-out: fusion is memory-bound
-// well before this, and more shards only add merge bookkeeping.
-const parallelFuseMaxShards = 32
-
-// parallelFuseEligible reports whether this fusion should take the
-// sharded parallel path.
-func parallelFuseEligible(cfg *Config, pops []*Population) bool {
-	if fuseShards(cfg) < 2 {
-		return false
-	}
-	total := 0
-	for _, pop := range pops {
-		total += len(pop.Entities)
-	}
-	return total >= ParallelMinEntities
-}
-
-// fuseShards is the shard (and worker) count for one parallel fusion:
-// Config.Workers, bounded. A Workers above the core count is honored — the
-// caller asked for that fan-out, and oversubscribed shards still interleave
-// correctly — so single-core CI can exercise the sharded path
-// deterministically.
+// fuseShards is the shard (and worker) count for one fusion:
+// Config.Workers, bounded to [1, maxFuseShards]. A Workers above the core
+// count is honored — the caller asked for that fan-out, and oversubscribed
+// shards still interleave correctly — so single-core CI can exercise many
+// shards deterministically.
 func fuseShards(cfg *Config) int {
-	return min(cfg.Workers, parallelFuseMaxShards)
+	return max(1, min(cfg.Workers, maxFuseShards))
 }
 
 // shardOfKey hash-partitions a gene fusion key (FNV-1a; deterministic
@@ -102,7 +84,7 @@ type geneEnt struct {
 	idx int
 }
 
-// linkRec carries one link-concept entity through the parallel pipeline:
+// linkRec carries one link-concept entity through the sharded pipeline:
 // resolved join keys and owners from the pre-pass, the per-owner
 // contributions (computed where the data is read, applied where the gene
 // lives), and the entity's home shard for the import.
@@ -117,7 +99,8 @@ type linkRec struct {
 	home     int           // shard whose graph holds the imported subtree
 }
 
-func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec *fuseState) (*oem.Graph, []Conflict, error) {
+// fuseSharded is the fusion fuseInto runs, over fuseShards(cfg) shards.
+func fuseSharded(cfg *Config, pops []*Population, priority map[string]int, rec *fuseState) (*oem.Graph, []Conflict, error) {
 	nShards := fuseShards(cfg)
 
 	// ---- Stage A: compute fusion keys, assign gene entities to shards ----
@@ -160,7 +143,7 @@ func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec 
 			shards[s] = sf
 			for _, gi := range perShard[s] {
 				ge := geneEnts[gi]
-				if err := fuseGeneEntity(sf.g, 0, ge.pop, ge.idx, keys[gi], sf.byKey, &sf.genes, gi, rec != nil); err != nil {
+				if err := fuseGeneEntity(sf.g, ge.pop, ge.idx, keys[gi], sf.byKey, &sf.genes, gi, rec != nil); err != nil {
 					errs[s] = err
 					return
 				}
@@ -180,8 +163,8 @@ func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec 
 	// ---- Stage C: deterministic merge of the gene tables ----
 	// Global gene order is first-appearance order (ord); a key lives in
 	// exactly one shard, so shard-local first appearance IS global first
-	// appearance. Join-map assignment in that order reproduces the
-	// sequential "later gene wins the colliding alias slot" resolution.
+	// appearance. Join-map assignment in that order makes "the later gene
+	// wins the colliding alias slot" independent of the shard count.
 	var genes []*fusedGene
 	for _, sf := range shards {
 		genes = append(genes, sf.genes...)
@@ -246,7 +229,7 @@ func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec 
 	// Worker s imports the entities homed to it and applies, in global
 	// entity order, every contribution whose owner gene it holds — then
 	// reconciles its genes. All of a gene's contributions flow through its
-	// one worker, so the reconcile input order matches sequential fusion.
+	// one worker, so the reconcile input order is global entity order.
 	for s := 0; s < nShards; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -285,7 +268,7 @@ func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec 
 					for _, w := range winners {
 						atom, err := sf.g.NewAtom(w.Value)
 						if err != nil {
-							errs[s] = err
+							errs[s] = fmt.Errorf("fused: reconcile %s.%s: %v", fg.key, label, err)
 							return
 						}
 						if err := sf.g.AddRef(fg.oid, label, atom); err != nil {
@@ -348,8 +331,8 @@ func fuseParallel(cfg *Config, pops []*Population, priority map[string]int, rec 
 	for _, fg := range genes {
 		g.SortRefs(fg.oid)
 	}
-	// Conflicts in the sequential order: gene first-appearance, then the
-	// reconciledLabels order within a gene.
+	// Conflicts in gene first-appearance order, then the reconciledLabels
+	// order within a gene.
 	var conflicts []Conflict
 	for _, fg := range genes {
 		for _, label := range reconciledLabels {

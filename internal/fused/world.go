@@ -41,7 +41,8 @@ type Config struct {
 	// Sources lists every registered source in registration order: under
 	// PolicyPreferPrimary an earlier source wins.
 	Sources []string
-	// Workers bounds the fusion shards; below 2 the fusion is sequential.
+	// Workers is the fusion's shard count (at least 1, at most 32); it
+	// bounds concurrency and never changes the fused world.
 	Workers int
 	// DropUnlinked names the link concepts whose entities no gene links are
 	// left out of the fused graph (the semi-join): a query that reaches the

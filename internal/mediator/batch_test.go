@@ -116,34 +116,31 @@ func TestPinnedEpochServesPreRefreshWorld(t *testing.T) {
 		}
 		return ""
 	}
-	var before string
-	err := m.WithFusedGraph(func(g *oem.Graph, _ *Stats) error {
-		before = descQ(g)
-		// Refresh from another goroutine while this reader holds its
-		// pinned epoch; wait for the refresh to complete mid-read.
-		done := make(chan error, 1)
-		go func() {
-			corpusMu.Lock()
-			c.Genes[3].Description = "EPOCH-EDITED"
-			corpusMu.Unlock()
-			_, err := m.RefreshSourceCtx(context.Background(), "LocusLink")
-			done <- err
-		}()
-		if err := <-done; err != nil {
-			return err
-		}
-		// The refresh has published a new epoch; this reader's pinned
-		// world must still answer with the pre-refresh value.
-		if got := descQ(g); got != before {
-			t.Errorf("pinned epoch changed mid-read: %q -> %q", before, got)
-		}
-		return nil
-	})
+	pinned, _, err := m.FusedGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := descQ(pinned)
 	if before == "EPOCH-EDITED" {
 		t.Fatal("test setup: pre-refresh description already edited")
+	}
+	// Refresh from another goroutine while this reader holds its pinned
+	// epoch; wait for the refresh to complete mid-read.
+	done := make(chan error, 1)
+	go func() {
+		corpusMu.Lock()
+		c.Genes[3].Description = "EPOCH-EDITED"
+		corpusMu.Unlock()
+		_, err := m.RefreshSourceCtx(context.Background(), "LocusLink")
+		done <- err
+	}()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// The refresh has published a new epoch; this reader's pinned world
+	// must still answer with the pre-refresh value.
+	if got := descQ(pinned); got != before {
+		t.Errorf("pinned epoch changed mid-read: %q -> %q", before, got)
 	}
 	// A fresh pin observes the refreshed world.
 	g, _, err := m.FusedGraph()
@@ -227,13 +224,13 @@ func TestConcurrentAskBatchAndRefresh(t *testing.T) {
 					return
 				default:
 				}
-				if err := m.WithFusedGraph(func(g *oem.Graph, _ *Stats) error {
-					if g.Len() == 0 {
-						return fmt.Errorf("empty fused epoch")
-					}
-					return nil
-				}); err != nil {
+				g, _, err := m.FusedGraph()
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if g.Len() == 0 {
+					t.Error("empty fused epoch")
 					return
 				}
 			}

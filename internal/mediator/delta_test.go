@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/delta"
 	"repro/internal/gml"
 	"repro/internal/match"
 	"repro/internal/oem"
@@ -25,20 +24,14 @@ var corpusMu sync.RWMutex
 
 // swapSource is a Wrapper over a mutable corpus: every Refresh rebuilds
 // the model from the corpus's current contents, so a test mutates the
-// corpus and calls RefreshSourceCtx to simulate a live source update. It also
-// implements delta.Source; the native changelog (a diff against the
-// retained previous model) is only offered when native is set, so the
-// structural-differ fallback is exercised by default.
+// corpus and calls RefreshSourceCtx to simulate a live source update.
 type swapSource struct {
 	name, entity string
 	load         func() (*oem.Graph, error)
-	native       bool
 
-	mu      sync.Mutex
-	graph   *oem.Graph
-	prev    *oem.Graph
-	ver     uint64
-	prevVer uint64
+	mu    sync.Mutex
+	graph *oem.Graph
+	ver   uint64
 }
 
 func (s *swapSource) Name() string        { return s.name }
@@ -62,7 +55,6 @@ func (s *swapSource) Model() (*oem.Graph, error) {
 func (s *swapSource) Refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.prev, s.prevVer = s.graph, s.ver
 	s.graph = nil
 	s.ver++
 }
@@ -71,28 +63,6 @@ func (s *swapSource) Version() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ver
-}
-
-func (s *swapSource) Changes(since uint64) (*delta.ChangeSet, bool) {
-	if !s.native {
-		return nil, false
-	}
-	s.mu.Lock()
-	prev, prevVer := s.prev, s.prevVer
-	s.mu.Unlock()
-	if prev == nil || since != prevVer {
-		return nil, false
-	}
-	cur, err := s.Model()
-	if err != nil {
-		return nil, false
-	}
-	cs, err := delta.Diff(prev, cur, s.name, s.entity)
-	if err != nil {
-		return nil, false
-	}
-	cs.FromVersion, cs.ToVersion = since, s.Version()
-	return cs, true
 }
 
 // corpusSources are LocusLink, GO and OMIM reloading from the (live,
@@ -715,32 +685,6 @@ func TestRefreshDeltaTooLarge(t *testing.T) {
 	}
 	if stats.CacheHit {
 		t.Error("stale result served after a full-rebuild refresh")
-	}
-	assertEquivalent(t, m, c)
-}
-
-// TestRefreshSourceNative: a wrapper that offers its own changelog is
-// consulted instead of the structural differ.
-func TestRefreshSourceNative(t *testing.T) {
-	c := corpus()
-	m := mutManager(t, c, Options{})
-	sw, ok := m.reg.Get("LocusLink").(*swapSource)
-	if !ok {
-		t.Fatal("LocusLink is not a swapSource")
-	}
-	sw.native = true
-	if _, _, err := m.QueryString(snapshotQ); err != nil {
-		t.Fatal(err)
-	}
-	corpusMu.Lock()
-	c.Genes[45].Description = "native changelog edit"
-	corpusMu.Unlock()
-	rr := refresh(t, m, "LocusLink")
-	if !rr.Native {
-		t.Error("wrapper changelog was not used")
-	}
-	if !rr.Patched || rr.Upserted != 1 || rr.Deleted != 1 {
-		t.Errorf("native delta misapplied: %+v", rr)
 	}
 	assertEquivalent(t, m, c)
 }

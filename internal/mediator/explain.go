@@ -7,9 +7,7 @@ package mediator
 // source and why the rest cannot, and whether the query routes to the
 // eval-only snapshot fast path — each reason produced by the same function
 // that makes the decision (classifyConjunct, snapshotPathDecision), so the
-// report cannot diverge from the plan. Alongside the live heuristic gate it
-// records, advisory only, what the stats-estimated cost model would have
-// decided.
+// report cannot diverge from the plan.
 //
 // ExplainAnalyze additionally executes the query — through the same compute
 // entry a live query uses, so against a pinned epoch on the snapshot path or
@@ -78,13 +76,8 @@ type ExplainPushdown struct {
 	// the answer. Reason explains an unsound or gated-off conjunct.
 	Sound  bool   `json:"sound"`
 	Reason string `json:"reason,omitempty"`
-	// HeuristicPush is the always-push-when-sound heuristic's verdict;
-	// CostPush is the stats-estimated cost model's, with its reasoning.
-	// LivePush is the verdict actually in effect for this manager.
-	HeuristicPush bool   `json:"heuristic_push"`
-	CostPush      bool   `json:"cost_push"`
-	CostReason    string `json:"cost_reason,omitempty"`
-	LivePush      bool   `json:"live_push"`
+	// LivePush: the conjunct is pushed to the source on this manager.
+	LivePush bool `json:"live_push"`
 }
 
 // ExplainAnalysis is the observed execution of an EXPLAIN ANALYZE.
@@ -197,8 +190,8 @@ func (m *Manager) explainSources(an *analysis) []ExplainSource {
 	return out
 }
 
-// explainPushdown classifies every where-clause conjunct and records both
-// gates' verdicts plus the one in effect.
+// explainPushdown classifies every where-clause conjunct and records
+// whether it is pushed.
 func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdown {
 	gateOK := !m.opts.DisablePushdown && m.opts.Policy == fused.PolicyPreferPrimary
 	groups := an.pushGroups()
@@ -218,12 +211,8 @@ func (m *Manager) explainPushdown(an *analysis, q *lorel.Query) []ExplainPushdow
 		if pd.Sound {
 			pd.Variable = onVar
 			pd.Concept = an.fromConcepts[onVar]
-			pd.HeuristicPush = gateOK
-			if gateOK {
-				pd.CostPush, pd.CostReason = m.costWouldPush(pd.Concept, pd.Conjunct)
-			}
+			pd.LivePush = gateOK
 		}
-		pd.LivePush = pd.HeuristicPush
 		if pd.LivePush && len(groups[pd.Concept]) == 0 {
 			pd.LivePush = false
 			pd.Reason = fmt.Sprintf("another %s variable carries no pushed conjunct, so no %s entity may be dropped at the source", pd.Concept, pd.Concept)
@@ -293,7 +282,7 @@ func (e *Explain) Format() string {
 		fmt.Fprintf(&sb, "  %-12s %-12s %s\n", s.Source, verdict, s.Reason)
 	}
 	if len(e.Pushdown) > 0 {
-		sb.WriteString("pushdown (heuristic gate live, cost model advisory):\n")
+		sb.WriteString("pushdown:\n")
 		for _, p := range e.Pushdown {
 			verdict := "skip"
 			if p.LivePush {
@@ -302,13 +291,6 @@ func (e *Explain) Format() string {
 			fmt.Fprintf(&sb, "  %-5s %s\n", verdict, p.Conjunct)
 			if p.Reason != "" {
 				fmt.Fprintf(&sb, "        reason: %s\n", p.Reason)
-			}
-			if p.CostReason != "" {
-				costVerdict := "would push"
-				if !p.CostPush {
-					costVerdict = "would not push"
-				}
-				fmt.Fprintf(&sb, "        cost model: %s — %s\n", costVerdict, p.CostReason)
 			}
 		}
 	}

@@ -39,11 +39,8 @@ func TestExplainPlanOnly(t *testing.T) {
 		t.Fatalf("pushdown = %+v, want 1 conjunct", e.Pushdown)
 	}
 	pd := e.Pushdown[0]
-	if !pd.Sound || !pd.HeuristicPush || !pd.LivePush || pd.Variable != "G" || pd.Concept != "Gene" {
+	if !pd.Sound || !pd.LivePush || pd.Variable != "G" || pd.Concept != "Gene" {
 		t.Errorf("pushdown decision = %+v, want sound live push on G/Gene", pd)
-	}
-	if pd.CostReason == "" {
-		t.Error("cost model verdict missing its reason")
 	}
 	// Pushdown makes the query snapshot-unsafe; the reason must say so.
 	if e.SnapshotSafe || !strings.Contains(e.PathReason, "pushdown") {
@@ -168,14 +165,14 @@ func TestExplainPushdownReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	pd := e.Pushdown[0]
-	if !pd.Sound || pd.HeuristicPush || pd.LivePush || !strings.Contains(pd.Reason, "disabled") {
+	if !pd.Sound || pd.LivePush || !strings.Contains(pd.Reason, "disabled") {
 		t.Errorf("gated-off conjunct = %+v, want sound but unpushed with disabled reason", pd)
 	}
 }
 
-// The cost model is advisory: once the table has observed that a predicate
-// keeps everything, its verdict flips to "don't push", while the live
-// decision stays the heuristic's and the query keeps pushing.
+// Observed selectivity never changes the live decision: once the table has
+// observed that a predicate keeps everything, the sound conjunct still
+// pushes.
 func TestExplainCostVerdictAdvisory(t *testing.T) {
 	c := corpus()
 	q := `select G from ANNODA-GML.Gene G where G.Symbol like "%"`
@@ -189,19 +186,14 @@ func TestExplainCostVerdictAdvisory(t *testing.T) {
 		return e.Pushdown[0]
 	}
 
-	before := verdict()
-	if !before.LivePush || !before.CostPush {
-		t.Errorf("no observation yet: %+v, want both verdicts push", before)
+	if before := verdict(); !before.LivePush {
+		t.Errorf("no observation yet: %+v, want a live push", before)
 	}
 	if _, _, err := m.QueryString(q); err != nil { // observes selectivity 1
 		t.Fatal(err)
 	}
-	after := verdict()
-	if after.CostPush || !strings.Contains(after.CostReason, "selectivity") {
-		t.Errorf("cost verdict = push=%v reason=%q, want would-not-push on selectivity 1", after.CostPush, after.CostReason)
-	}
-	if !after.LivePush || !after.HeuristicPush {
-		t.Errorf("after observation: %+v, want the heuristic's live push", after)
+	if after := verdict(); !after.LivePush {
+		t.Errorf("after observation: %+v, want a live push", after)
 	}
 }
 

@@ -9,18 +9,9 @@ import (
 	"repro/internal/oem"
 )
 
-// forceParallelFuse lowers the parallel-fusion gate so small test corpora
-// exercise the sharded path, restoring it afterwards.
-func forceParallelFuse(t *testing.T) {
-	t.Helper()
-	old := fused.ParallelMinEntities
-	fused.ParallelMinEntities = 1
-	t.Cleanup(func() { fused.ParallelMinEntities = old })
-}
-
 // conflictStrings renders a stats conflict list for order-sensitive
-// comparison: sequential and parallel fusion must report the same
-// conflicts, same winners, same order.
+// comparison: one shard and many must report the same conflicts, same
+// winners, same order.
 func conflictStrings(cs []fused.Conflict) []string {
 	out := make([]string, len(cs))
 	for i, c := range cs {
@@ -31,31 +22,34 @@ func conflictStrings(cs []fused.Conflict) []string {
 
 // TestParallelFusionParity: over several seeded randomized corpora (with
 // aggressive conflict and missing-value rates to exercise reconciliation
-// and alias collisions), the sharded parallel fusion must produce a fused
-// world identical to the sequential reference — CanonicalText of the full
-// graph (set semantics, oid-free), conflict lists, and reconciliation
-// winners all byte-equal.
+// and alias collisions), and a 3-gene one where most shards are empty, a
+// fusion over 8 shards must produce a fused world identical to a one-shard
+// one — CanonicalText of the full graph (set semantics, oid-free),
+// conflict lists, and reconciliation winners all byte-equal.
 func TestParallelFusionParity(t *testing.T) {
-	forceParallelFuse(t)
+	corpora := map[string]datagen.Config{
+		"genes3": {Seed: 3, Genes: 3, GoTerms: 4, Diseases: 3, ConflictRate: 0.4, MissingRate: 0.25},
+	}
 	for _, seed := range []uint64{1, 7, 42, 20050405} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			c := datagen.Generate(datagen.Config{
-				Seed: seed, Genes: 120, GoTerms: 60, Diseases: 80,
-				ConflictRate: 0.4, MissingRate: 0.25,
-			})
+		corpora[fmt.Sprintf("seed%d", seed)] = datagen.Config{
+			Seed: seed, Genes: 120, GoTerms: 60, Diseases: 80,
+			ConflictRate: 0.4, MissingRate: 0.25,
+		}
+	}
+	for name, cfg := range corpora {
+		t.Run(name, func(t *testing.T) {
+			c := datagen.Generate(cfg)
 			for _, policy := range []fused.Policy{fused.PolicyPreferPrimary, fused.PolicyMajority, fused.PolicyUnion} {
-				// Workers: 1 fuses sequentially.
 				seq := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 1})
 				par := manager(t, c, Options{DisableCache: true, Policy: policy, Workers: 8})
 
 				gs, ss, err := seq.FusedGraph()
 				if err != nil {
-					t.Fatalf("policy %v sequential fuse: %v", policy, err)
+					t.Fatalf("policy %v one-shard fuse: %v", policy, err)
 				}
 				gp, sp, err := par.FusedGraph()
 				if err != nil {
-					t.Fatalf("policy %v parallel fuse: %v", policy, err)
+					t.Fatalf("policy %v 8-shard fuse: %v", policy, err)
 				}
 				if gs.Len() != gp.Len() {
 					t.Errorf("policy %v: object counts differ: seq %d par %d", policy, gs.Len(), gp.Len())
@@ -79,12 +73,11 @@ func TestParallelFusionParity(t *testing.T) {
 	}
 }
 
-// TestParallelFusionRecordedParity: a recorded parallel fusion must leave
-// the snapshot patchable — apply a delta to a parallel-built epoch and
-// check the patched world matches a fresh sequential build of the edited
-// corpus (the strongest bookkeeping-equivalence check available).
+// TestParallelFusionRecordedParity: a recorded 8-shard fusion must leave
+// the snapshot patchable — apply a delta to such an epoch and check the
+// patched world matches a fresh build of the edited corpus (the strongest
+// bookkeeping-equivalence check available).
 func TestParallelFusionRecordedParity(t *testing.T) {
-	forceParallelFuse(t)
 	c := datagen.Generate(datagen.Config{
 		Seed: 99, Genes: 100, GoTerms: 50, Diseases: 60,
 		ConflictRate: 0.3, MissingRate: 0.2,
@@ -105,19 +98,18 @@ func TestParallelFusionRecordedParity(t *testing.T) {
 	assertSnapshotTight(t, m, c)
 }
 
-// TestParallelFusionQueryAnswers: query answers over the parallel-fused
-// snapshot match the sequential ones (CanonicalText of the answer graph).
+// TestParallelFusionQueryAnswers: query answers over an 8-shard fusion
+// match the one-shard ones (CanonicalText of the answer graph).
 func TestParallelFusionQueryAnswers(t *testing.T) {
-	forceParallelFuse(t)
 	c := datagen.Generate(datagen.Config{
 		Seed: 5, Genes: 150, GoTerms: 70, Diseases: 90,
 		ConflictRate: 0.35, MissingRate: 0.2,
 	})
-	seq := manager(t, c, Options{Workers: 1}) // sequential fusion
+	seq := manager(t, c, Options{Workers: 1})
 	par := manager(t, c, Options{Workers: 8})
 	// The first two touch every concept and ride the snapshot path; the
-	// last two prune sources, so they exercise parallel fusion on the
-	// per-query pipeline instead.
+	// last two prune sources, so they exercise the per-query pipeline's
+	// fusion instead.
 	queries := []struct {
 		q        string
 		snapshot bool
@@ -143,15 +135,15 @@ func TestParallelFusionQueryAnswers(t *testing.T) {
 		ts := oem.CanonicalText(rs.Graph, "answer", rs.Answer)
 		tp := oem.CanonicalText(rp.Graph, "answer", rp.Answer)
 		if ts != tp {
-			t.Errorf("%s: answers differ between sequential and parallel fusion", q)
+			t.Errorf("%s: answers differ between one shard and 8", q)
 		}
 	}
 }
 
 // BenchmarkColdFuse builds the recorded fused snapshot from scratch per
 // iteration over a 10k-gene federation: the cold-start and
-// MaxDeltaFraction-fallback cost. workers-1 is the sequential reference
-// fusion; workers-8 pins the sharded path even on a host with fewer cores.
+// MaxDeltaFraction-fallback cost. workers-1 is one shard on one core;
+// workers-8 is 8 shards even on a host with fewer cores.
 func BenchmarkColdFuse(b *testing.B) {
 	cfg := datagen.DefaultConfig()
 	cfg.Genes = 10000

@@ -1002,7 +1002,9 @@ func (d pathDecision) on(ep *snapshot, an *analysis) pathDecision {
 // returned graph is the current epoch's frozen snapshot: immutable, safe
 // to read from any number of goroutines, and safe to retain across a
 // source refresh — the caller simply keeps observing the epoch it pinned
-// while newer queries see the refreshed one. Callers needing a mutable
+// while newer queries see the refreshed one. The caller holds no lock, so
+// it may read as long as it likes and call back into the manager, refresh
+// included. Callers needing a mutable
 // private graph should run with DisableCache, which builds one per call.
 func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	if m.cache == nil {
@@ -1018,23 +1020,9 @@ func (m *Manager) FusedGraph() (*oem.Graph, *Stats, error) {
 	return ep.w.Graph(), stats, nil
 }
 
-// WithFusedGraph runs fn over FusedGraph's graph: one pinned epoch, so fn
-// sees a consistent world for its whole duration no matter how many
-// RefreshSourceCtx calls publish new epochs meanwhile. fn holds no lock, may
-// run as long as it likes, and may safely call back into the manager
-// (including the refresh path: the refresh publishes a new epoch without
-// touching the one fn reads).
-func (m *Manager) WithFusedGraph(fn func(*oem.Graph, *Stats) error) error {
-	g, stats, err := m.FusedGraph()
-	if err != nil {
-		return err
-	}
-	return fn(g, stats)
-}
-
 // labelCardinalities counts, per label, how many of the population's
 // entities carry at least one edge with that label — the per-source label
-// cardinality statistic a cost model estimates exists-predicates with.
+// cardinality the statistics table reports.
 func labelCardinalities(p *population) map[string]int {
 	out := make(map[string]int)
 	seen := make(map[string]bool)
@@ -1162,8 +1150,7 @@ func (m *Manager) analyze(q *lorel.Query) (*analysis, error) {
 	}
 	// Pushdown classification. Sound only under PolicyPreferPrimary and
 	// only for non-optional attribute labels (see DESIGN.md); the final
-	// evaluation re-applies the full where clause regardless. The cost
-	// model's verdict is advisory: Explain reports it, nothing obeys it.
+	// evaluation re-applies the full where clause regardless.
 	if !m.opts.DisablePushdown && m.opts.Policy == fused.PolicyPreferPrimary {
 		for _, conj := range conjuncts(q.Where) {
 			onVar, reason := an.classifyConjunct(m.gl, conj)
@@ -1200,37 +1187,6 @@ func (an *analysis) classifyConjunct(gl *gml.Global, conj lorel.Cond) (onVar, re
 		}
 	}
 	return onVar, ""
-}
-
-// costPushdownMaxSelectivity is the cost gate's threshold: a predicate
-// observed to keep more than this fraction of what a source fetches filters
-// too little for pre-filtering to pay for itself.
-const costPushdownMaxSelectivity = 0.95
-
-// costWouldPush is the stats-estimated cost model's verdict for one sound
-// conjunct: push unless the observed selectivity at every mapped source of
-// the concept says the predicate keeps nearly everything. An unobserved
-// shape defaults to pushing — the same answer the heuristic gives — so the
-// cost gate only ever diverges on measured ground.
-func (m *Manager) costWouldPush(concept, shape string) (push bool, reason string) {
-	worst := -1.0
-	worstSrc := ""
-	for _, w := range m.reg.All() {
-		mp := m.gl.MappingFor(w.Name())
-		if mp == nil || mp.Concept != concept {
-			continue
-		}
-		if sel, ok := m.srcStats.Selectivity(w.Name(), shape); ok && sel > worst {
-			worst, worstSrc = sel, w.Name()
-		}
-	}
-	if worst < 0 {
-		return true, "no observed selectivity for this shape; defaulting to push"
-	}
-	if worst > costPushdownMaxSelectivity {
-		return false, fmt.Sprintf("observed selectivity %.3f at %s keeps nearly everything; pushing buys no reduction", worst, worstSrc)
-	}
-	return true, fmt.Sprintf("observed selectivity %.3f at %s; pushing reduces the fused population", worst, worstSrc)
 }
 
 func noteConcept(an *analysis, c string) {

@@ -24,9 +24,6 @@ type RefreshResult struct {
 	Upserted int
 	Deleted  int
 	Total    int
-	// Native: the wrapper emitted its own changelog (delta.Source) rather
-	// than relying on the structural differ.
-	Native bool
 	// FullRebuild: the delta path was not taken; Reason says why. The
 	// rebuild itself happens lazily, on the next query or snapshot use.
 	FullRebuild bool
@@ -40,13 +37,12 @@ type RefreshResult struct {
 }
 
 // RefreshSourceCtx refreshes one registered source and propagates the
-// change as a delta: the old and new ANNODA-OML models are compared (or
-// the wrapper's native changelog consulted), a clone of the current snapshot
-// epoch is patched and published as the next epoch, and only cached
-// results whose concepts the change touches are invalidated. When the
-// delta is unavailable or too large the call degrades to the pre-delta
-// behaviour — drop everything, rebuild on next use — so it is always safe
-// to call.
+// change as a delta: the old and new ANNODA-OML models are compared, a
+// clone of the current snapshot epoch is patched and published as the next
+// epoch, and only cached results whose concepts the change touches are
+// invalidated. When the delta is unavailable or too large the call
+// degrades to the pre-delta behaviour — drop everything, rebuild on next
+// use — so it is always safe to call.
 //
 // The refresh records into the request trace carried by ctx (or a fresh
 // one when observability is on and ctx has none): its diff, patch,
@@ -128,23 +124,15 @@ func (m *Manager) refreshSource(name string, tr *obs.Trace) (*RefreshResult, err
 	fpAfter := vv.advanced(name, rr.NewVersion)
 
 	var cs *delta.ChangeSet
-	if ds, ok := w.(delta.Source); ok {
-		if native, ok := ds.Changes(rr.OldVersion); ok && native != nil {
-			cs = native
-			rr.Native = true
-		}
+	td := obs.Now()
+	if oldCounts != nil {
+		cs, err = delta.DiffAgainst(oldCounts, newModel, w.Name(), w.EntityLabel())
+	} else {
+		cs, err = delta.Diff(oldModel, newModel, w.Name(), w.EntityLabel())
 	}
-	if cs == nil {
-		td := obs.Now()
-		if oldCounts != nil {
-			cs, err = delta.DiffAgainst(oldCounts, newModel, w.Name(), w.EntityLabel())
-		} else {
-			cs, err = delta.Diff(oldModel, newModel, w.Name(), w.EntityLabel())
-		}
-		tr.SpanNote(obs.StageDiff, td, name)
-		if err != nil {
-			return fullRebuild("diff failed: " + err.Error())
-		}
+	tr.SpanNote(obs.StageDiff, td, name)
+	if err != nil {
+		return fullRebuild("diff failed: " + err.Error())
 	}
 	rr.Upserted, rr.Deleted, rr.Total = len(cs.Upserted), len(cs.Deleted), cs.Total
 	// Delta time is the one place the source's post-refresh population is

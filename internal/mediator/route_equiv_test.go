@@ -215,8 +215,8 @@ func TestRouteEquivalence(t *testing.T) {
 				ConflictRate: 0.3, MissingRate: 0.15,
 			})
 			qs := sampleQueries(routeEquivQueries(datagen.NewRNG(cfg.seed)), cfg.every)
-			// Workers: 4 so corpora past fused.ParallelMinEntities build their
-			// epoch on the sharded path even on a one-core runner.
+			// Workers: 4 so the epoch is built over 4 fusion shards even on
+			// a one-core runner.
 			dir := t.TempDir()
 			live := persistManager(t, c, Options{Workers: 4}, dir, PersistPolicy{})
 			plugProt(t, live, c)

@@ -218,33 +218,24 @@ func TestTranslationMemoByteEquality(t *testing.T) {
 	for _, policy := range []fused.Policy{fused.PolicyPreferPrimary, fused.PolicyMajority, fused.PolicyUnion} {
 		policy := policy
 		t.Run(fmt.Sprintf("sequential/%v", policy), func(t *testing.T) {
-			assertMemoByteEquality(t, small, policy, false, true, false)
+			assertMemoByteEquality(t, small, policy, 1, true, false)
 		})
 		t.Run(fmt.Sprintf("parallel/%v", policy), func(t *testing.T) {
-			forceParallelFuse(t)
-			assertMemoByteEquality(t, small, policy, true, true, false)
+			assertMemoByteEquality(t, small, policy, 8, true, false)
 		})
 	}
 	t.Run("1k", func(t *testing.T) {
 		cfg := datagen.DefaultConfig()
 		cfg.Seed = 7
-		assertMemoByteEquality(t, datagen.Generate(cfg), fused.PolicyPreferPrimary, true, false)
+		assertMemoByteEquality(t, datagen.Generate(cfg), fused.PolicyPreferPrimary, 4, false)
 	})
 }
 
-// assertMemoByteEquality runs the comparison once per disableCache value.
-func assertMemoByteEquality(t *testing.T, c *datagen.Corpus, policy fused.Policy, parallelFuse bool, disableCache ...bool) {
+// assertMemoByteEquality runs the comparison once per disableCache value,
+// every fusion over the given number of shards.
+func assertMemoByteEquality(t *testing.T, c *datagen.Corpus, policy fused.Policy, workers int, disableCache ...bool) {
 	queries := memoEqualityQueries(c)
-	// Workers pinned so the entity gate, not the CI box's core count,
-	// decides which fusion path runs.
-	ref := manager(t, c, Options{Policy: policy, DisableCache: true, Workers: 4})
-	entities := 0
-	for _, p := range referencePopulations(t, ref, everything()) {
-		entities += len(p.Entities)
-	}
-	if got := entities >= fused.ParallelMinEntities; got != parallelFuse {
-		t.Fatalf("full fusion takes the parallel path: %v, this case is meant to cover: %v", got, parallelFuse)
-	}
+	ref := manager(t, c, Options{Policy: policy, DisableCache: true, Workers: workers})
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		want[i] = referenceAnswer(t, ref, q)
@@ -255,7 +246,7 @@ func assertMemoByteEquality(t *testing.T, c *datagen.Corpus, policy fused.Policy
 	}
 
 	for _, off := range disableCache {
-		opts := Options{Policy: policy, DisableCache: off, Workers: 4}
+		opts := Options{Policy: policy, DisableCache: off, Workers: workers}
 		m := manager(t, c, opts)
 		for _, round := range []string{"cold", "warm"} {
 			for i, q := range queries {

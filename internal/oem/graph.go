@@ -724,15 +724,6 @@ func (g *Graph) Import(src *Graph, srcRoot OID) (OID, error) {
 // not copied again, so substructure shared between separately imported
 // subgraphs stays shared in g. Every object copied is added to the remap.
 func (g *Graph) ImportShared(src *Graph, srcRoot OID, remap map[OID]OID) (OID, error) {
-	return g.ImportMasked(src, srcRoot, remap, nil)
-}
-
-// ImportMasked is ImportShared of src as seen under mask: a reference the
-// mask hides is not copied and not followed, at any depth. srcRoot itself is
-// always copied. A nil mask makes it exactly ImportShared. One remap must
-// only ever be used with one mask — it records copies, not what they left
-// out.
-func (g *Graph) ImportMasked(src *Graph, srcRoot OID, remap map[OID]OID, mask *Mask) (OID, error) {
 	if src == g {
 		return srcRoot, nil
 	}
@@ -758,9 +749,6 @@ func (g *Graph) ImportMasked(src *Graph, srcRoot OID, remap map[OID]OID, mask *M
 		if so.Kind == KindComplex && len(so.Refs) > 0 {
 			refs := make([]Ref, 0, len(so.Refs))
 			for _, r := range so.Refs {
-				if mask != nil && mask.Hides(r) {
-					continue
-				}
 				t, err := walk(r.Target)
 				if err != nil {
 					return 0, err
@@ -792,9 +780,10 @@ func copyAtom(no, so *Object) {
 
 // ImportRefs appends to the complex object parent one reference per entry
 // of refs, in order: the entry's label, to a copy of the subgraph of src
-// under the entry's target as seen under mask (nil hides nothing). It is
-// ImportMasked of every target through one remap, built for query answers:
-// an object reached twice, from one entry or several, is copied once, at
+// under the entry's target as seen under mask (nil hides nothing): a
+// reference the mask hides is not copied and not followed, at any depth,
+// while an entry's target itself is always copied. Built for query answers,
+// it copies an object reached twice, from one entry or several, once, at
 // its first visit, so copies take oids in the order one depth-first walk of
 // the entries first reaches them. When origin is non-nil it gets copy ->
 // target for each entry whose own walk made its target's copy (a target an

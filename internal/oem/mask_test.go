@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestImportMasked: a masked import leaves out — at every depth — the
-// references under a hidden label (matched like path steps, case folded) and
-// the references to a hidden object, follows neither, and with a nil mask is
-// ImportShared.
+// TestImportMasked: ImportRefs under a mask leaves out — at every depth —
+// the references under a hidden label (matched like path steps, case folded)
+// and the references to a hidden object, follows neither, and under a nil
+// mask copies the whole subgraph.
 func TestImportMasked(t *testing.T) {
 	src := NewGraph()
 	won := src.NewString("supplied by a protein record")
@@ -25,19 +25,21 @@ func TestImportMasked(t *testing.T) {
 	var hide Bitset
 	hide.Add(int(won))
 	mask := NewMask([]string{"Protein"}, hide)
-	dst, remap := NewGraph(), map[OID]OID{}
-	got, err := dst.ImportMasked(src, root, remap, mask)
+	dst := NewGraph()
+	answer := dst.NewComplex()
+	copied, err := dst.ImportRefs(answer, src, []Ref{{Label: "r", Target: root}}, mask, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := dst.Get(answer).Refs[0].Target
 	want := NewGraph()
 	wantRoot := want.NewComplex(Ref{Label: "Gene", Target: want.NewComplex(
 		Ref{Label: "Symbol", Target: want.NewString("FOSB")})})
 	if !DeepEqual(dst, got, want, wantRoot) {
 		t.Errorf("masked import:\n%s", TextString(dst, "r", got))
 	}
-	if _, copied := remap[protein]; copied || dst.Len() != 3 {
-		t.Errorf("masked import copied %d objects (protein copied: %v), want 3 and the hidden subtree never visited", dst.Len(), copied)
+	if copied != 3 || dst.Len() != 4 {
+		t.Errorf("masked import copied %d objects (graph %d), want 3 and the hidden subtree never visited", copied, dst.Len())
 	}
 	if !mask.Hides(Ref{Label: "PROTEIN", Target: inner}) || mask.Hides(Ref{Label: "Proteins", Target: inner}) ||
 		!mask.HidesLabel(FoldLabel("Protein")) || !mask.HidesObject(won) || mask.HidesObject(inner) {
@@ -49,12 +51,13 @@ func TestImportMasked(t *testing.T) {
 		t.Error("a nil mask hides something")
 	}
 	plain := NewGraph()
-	all, err := plain.ImportMasked(src, root, map[OID]OID{}, nil)
+	parent := plain.NewComplex()
+	copied, err = plain.ImportRefs(parent, src, []Ref{{Label: "r", Target: root}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !DeepEqual(plain, all, src, root) || plain.Len() != src.Len() {
-		t.Error("ImportMasked under a nil mask is not ImportShared")
+	if all := plain.Get(parent).Refs[0].Target; !DeepEqual(plain, all, src, root) || copied != src.Len() {
+		t.Error("ImportRefs under a nil mask does not copy the whole subgraph")
 	}
 }
 

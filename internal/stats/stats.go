@@ -1,12 +1,11 @@
-// Package stats maintains the mediator's per-source statistics table: the
-// measured ground a cost-based pushdown planner stands on.
+// Package stats maintains the mediator's per-source statistics table, which
+// /statsz (source_stats) and the annoda_source_* gauges expose.
 //
 // The table is fed from three places. Refresh/delta time sets the entity
 // count a source last reported; fuse time sets the per-label entity
 // cardinalities observed in the fused world; and every pushdown evaluation
-// observes (fetched, kept) per source and predicate shape, from which a
-// selectivity estimate falls out as kept/fetched. Fetch latency is tracked
-// as an EWMA so one slow probe does not dominate the estimate.
+// observes (fetched, kept) per source and predicate shape. Fetch latency is
+// tracked as an EWMA so one slow probe does not dominate the estimate.
 //
 // Design constraints, shared with internal/obs:
 //
@@ -34,15 +33,6 @@ type PredicateStats struct {
 	Shape   string `json:"shape"`   // canonical predicate rendering
 	Fetched int64  `json:"fetched"` // entities the source scanned
 	Kept    int64  `json:"kept"`    // entities that survived the predicate
-}
-
-// Selectivity returns kept/fetched, or 1 when nothing was fetched yet
-// (the conservative "predicate filters nothing" prior).
-func (p PredicateStats) Selectivity() float64 {
-	if p.Fetched == 0 {
-		return 1
-	}
-	return float64(p.Kept) / float64(p.Fetched)
 }
 
 // SourceStats is a point-in-time copy of one source's statistics.
@@ -145,26 +135,6 @@ func (t *Table) ObservePushdown(source, shape string, fetched, kept int) {
 	}
 	p.Fetched += int64(fetched)
 	p.Kept += int64(kept)
-}
-
-// Selectivity returns the observed selectivity for a predicate shape at a
-// source. ok is false when the shape has never been observed there — the
-// caller decides its own prior.
-func (t *Table) Selectivity(source, shape string) (sel float64, ok bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e := t.src[source]
-	if e == nil {
-		return 0, false
-	}
-	p := e.preds[shape]
-	if p == nil || p.Fetched == 0 {
-		return 0, false
-	}
-	return p.Selectivity(), true
 }
 
 // Snapshot copies the whole table, sources sorted by name and predicate

@@ -14,9 +14,6 @@ func TestNilTableInert(t *testing.T) {
 	tb.SetLabels("GO", map[string]int{"Gene": 3})
 	tb.ObserveFetch("GO", time.Millisecond)
 	tb.ObservePushdown("GO", `G.Organism = "x"`, 10, 2)
-	if _, ok := tb.Selectivity("GO", "any"); ok {
-		t.Error("nil table reported a selectivity")
-	}
 	if s := tb.Snapshot(); s != nil {
 		t.Errorf("nil table snapshot = %v, want nil", s)
 	}
@@ -25,19 +22,14 @@ func TestNilTableInert(t *testing.T) {
 func TestSelectivityAccumulates(t *testing.T) {
 	tb := New()
 	shape := `G.Organism = "Homo sapiens"`
-	if _, ok := tb.Selectivity("GO", shape); ok {
-		t.Fatal("unobserved shape reported a selectivity")
-	}
 	tb.ObservePushdown("GO", shape, 100, 20)
 	tb.ObservePushdown("GO", shape, 100, 30)
-	sel, ok := tb.Selectivity("GO", shape)
-	if !ok || sel != 0.25 {
-		t.Fatalf("selectivity = %v, %v; want 0.25, true", sel, ok)
-	}
 	// A different shape at the same source is tracked independently.
 	tb.ObservePushdown("GO", "other", 10, 10)
-	if sel, _ := tb.Selectivity("GO", "other"); sel != 1 {
-		t.Errorf("other shape selectivity = %v, want 1", sel)
+	preds := tb.Snapshot()[0].Predicates
+	want := []PredicateStats{{Shape: shape, Fetched: 200, Kept: 50}, {Shape: "other", Fetched: 10, Kept: 10}}
+	if len(preds) != len(want) || preds[0] != want[0] || preds[1] != want[1] {
+		t.Fatalf("predicates = %+v, want %+v", preds, want)
 	}
 }
 
@@ -100,8 +92,7 @@ func TestConcurrentObservation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	sel, ok := tb.Selectivity("GO", "shape")
-	if !ok || sel != 0.5 {
-		t.Fatalf("selectivity = %v, %v; want 0.5, true", sel, ok)
+	if p := tb.Snapshot()[0].Predicates[0]; p.Fetched != 8*200*10 || p.Kept != 8*200*5 {
+		t.Fatalf("predicate = %+v, want %d fetched and %d kept", p, 8*200*10, 8*200*5)
 	}
 }
